@@ -16,6 +16,7 @@ from repro.datatypes import BYTE, contiguous, resized, vector
 from repro.datatypes.packing import expand_indices, gather_bytes
 from repro.datatypes.segments import FlatCursor
 from repro.fs import FSClient, SimFileSystem
+from repro.fs.store import PageStore
 from repro.mpi import Communicator
 from repro.sim import Simulator
 
@@ -87,6 +88,55 @@ def test_pagestore_strided_write(benchmark):
         return fs.file_size("/m")
 
     assert benchmark(run) > 0
+
+
+def _one_client(body, prefill=0):
+    """Run ``body(f)`` on one client with an incoherent cache; returns the file system."""
+    fs = SimFileSystem(CostModel())
+    if prefill:
+        fs.raw_write("/m", 0, np.ones(prefill, dtype=np.uint8))
+
+    def main(ctx):
+        with FSClient(fs, ctx).open("/m", cache_mode="incoherent") as f:
+            body(f)
+
+    Simulator(1).run(main)
+    return fs
+
+
+def test_cache_contiguous_write_sync(benchmark):
+    """A 2 MiB window written through the cache and flushed: 512 pages,
+    one dirty run."""
+    data = np.ones(2 << 20, dtype=np.uint8)
+
+    def body(f):
+        f.write(4096, data)
+        assert f.sync() == 512
+
+    assert benchmark(lambda: _one_client(body)).file_size("/m") == 4096 + data.size
+
+
+def test_cache_sieve_read_then_write_span(benchmark):
+    """Data sieving's read-modify-write: fetch a 2 MiB span, patch every
+    other 64 B, write the span back, flush."""
+    span = 2 << 20
+
+    def body(f):
+        window = f.read(0, span)
+        window.reshape(-1, 128)[:, :64] = 7
+        f.write(0, window)
+        f.sync()
+
+    fs = benchmark(lambda: _one_client(body, prefill=span))
+    assert fs.raw_bytes("/m", 0, 128).tolist() == [7] * 64 + [1] * 64
+
+
+def test_pagestore_large_read(benchmark):
+    """An 8 MiB extent out of the store, half of it holes."""
+    store = PageStore(4096)
+    store.write(0, np.ones(4 << 20, dtype=np.uint8))
+    out = benchmark(lambda: store.read(0, 8 << 20))
+    assert int(out.sum()) == 4 << 20
 
 
 def test_engine_message_rate(benchmark):

@@ -17,26 +17,32 @@ Semantics follow a real FS client's page cache:
 * writes are **write-around**: bytes land in the cached page and are
   tracked as dirty/valid runs — no read-for-ownership round trip; the
   server's page RMW penalty is paid when partial pages are flushed;
-* validity and dirtiness are tracked per byte (interval runs per
-  page), so two clients dirtying disjoint parts of one page can flush
-  in any order without clobbering each other — page-level false
+* validity and dirtiness are tracked per byte (one file-level interval
+  set each), so two clients dirtying disjoint parts of one page can
+  flush in any order without clobbering each other — page-level false
   sharing costs time (lock transfers, RMW), never correctness;
 * reads served from valid cached bytes are free of server traffic;
   anything else fetches whole pages and merges them under the locally
   valid bytes.
+
+The unit of host work is a contiguous run of pages, not a page: cached
+bytes sit in slabs (:class:`~repro.fs.store.Slabs`), a write or a fetch
+is one interval insert plus one slice copy per slab, and fetch and
+flush extent lists come from interval intersection.  Pages exist only
+as arithmetic on those runs — which pages a batch touches (counters,
+charges), and a per-page touch stamp that keeps the LRU order.
 """
 
 from __future__ import annotations
 
-import warnings
-from collections import OrderedDict
-from typing import Dict, List, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
 from repro.errors import FileSystemError
 from repro.fs.filesystem import SimFileSystem
 from repro.fs.runs import ByteRuns
+from repro.fs.store import SLAB_PAGES, Slabs
 from repro.obs.metrics import MetricsView
 from repro.sim.engine import RankContext
 
@@ -44,16 +50,16 @@ __all__ = ["PageCache", "CACHE_MODES"]
 
 CACHE_MODES = ("coherent", "incoherent", "writethrough", "off")
 
+#: Page range covering any file (``sync`` flushes all of it).
+_ALL_PAGES = [(0, 1 << 48)]
 
-def _page_runs(sorted_pages: List[int]) -> List[Tuple[int, int]]:
-    """Group sorted page indices into [first, last] contiguous runs."""
-    runs: List[Tuple[int, int]] = []
-    for p in sorted_pages:
-        if runs and p == runs[-1][1] + 1:
-            runs[-1] = (runs[-1][0], p)
-        else:
-            runs.append((p, p))
-    return runs
+
+def _ascending_runs(pages: np.ndarray) -> List[Tuple[int, int]]:
+    """Index ranges [i, j) over which ``pages`` counts up by one."""
+    if pages.size == 0:
+        return []
+    cuts = (np.flatnonzero(np.diff(pages) != 1) + 1).tolist()
+    return list(zip([0, *cuts], [*cuts, int(pages.size)]))
 
 
 class PageCache:
@@ -77,15 +83,22 @@ class PageCache:
         self.mode = mode
         self.capacity_pages = capacity_pages
         self.page_size = fs.cost.page_size
-        self._pages: "OrderedDict[int, np.ndarray]" = OrderedDict()
-        self._valid: Dict[int, ByteRuns] = {}
-        self._dirty: Dict[int, ByteRuns] = {}
+        #: Cached bytes at their file offsets; only ``_valid`` ones mean
+        #: anything.  A page is cached when any byte of it is valid.
+        self._buf = Slabs(SLAB_PAGES * self.page_size)
+        self._valid = ByteRuns()
+        self._dirty = ByteRuns()
+        #: Per-page touch stamp: 0 = not cached, else larger = used more
+        #: recently.  Ascending stamp order is the LRU order.
+        self._stamp = Slabs(SLAB_PAGES, np.int64)
+        self._clock = 0
+        self._cached = 0
         #: Pages with a server fetch in flight, and the subset whose
         #: range a concurrent revocation/invalidation touched while the
         #: fetch yielded — their snapshot is stale and must not be
         #: installed (the revoker dirtied bytes *after* our store read).
-        self._fetching: set[int] = set()
-        self._fetch_poisoned: set[int] = set()
+        self._fetching = ByteRuns()
+        self._fetch_poisoned = ByteRuns()
         # cache.* series live in the file system's registry, keyed by
         # (client, path) so per-client behaviour stays distinguishable
         # and harnesses can meter phases with snapshot()/diff().
@@ -101,32 +114,6 @@ class PageCache:
         """This cache's registry view (``cache.*`` instruments)."""
         return self._metrics
 
-    def _deprecated(self, old: str, new: str):
-        warnings.warn(
-            f"PageCache.{old} is deprecated; read {new!r} from the metrics "
-            "registry (cache.metrics / fs.registry) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    @property
-    def stats_hits(self) -> int:
-        """Deprecated alias for the ``cache.hits`` counter."""
-        self._deprecated("stats_hits", "cache.hits")
-        return self._hits.value
-
-    @property
-    def stats_misses(self) -> int:
-        """Deprecated alias for the ``cache.misses`` counter."""
-        self._deprecated("stats_misses", "cache.misses")
-        return self._misses.value
-
-    @property
-    def stats_flushed_pages(self) -> int:
-        """Deprecated alias for the ``cache.flushed_pages`` counter."""
-        self._deprecated("stats_flushed_pages", "cache.flushed_pages")
-        return self._flushed.value
-
     @property
     def coherent(self) -> bool:
         return self.mode == "coherent"
@@ -141,43 +128,140 @@ class PageCache:
 
     @property
     def dirty_pages(self) -> int:
-        return len(self._dirty)
+        return self._page_set(self._dirty).total
 
     @property
     def cached_pages(self) -> int:
-        return len(self._pages)
+        return self._cached
 
-    # -- internals ----------------------------------------------------------
-    def _touch(self, page: int) -> None:
-        self._pages.move_to_end(page)
+    # -- page arithmetic ----------------------------------------------------
+    def _page_set(self, byte_runs: Iterable[Tuple[int, int]]) -> ByteRuns:
+        """The pages that byte runs touch, as runs of page indices."""
+        return ByteRuns.of_blocks(byte_runs, self.page_size)
 
-    def _drop(self, page: int) -> None:
-        self._pages.pop(page, None)
-        self._valid.pop(page, None)
-        self._dirty.pop(page, None)
-
-    def _pages_of(
-        self, offsets: np.ndarray, lengths: np.ndarray
-    ) -> "OrderedDict[int, List[Tuple[int, int, int]]]":
-        """page -> list of (page_offset, length, data_position) pieces."""
+    def _dirty_pages_in(self, first: int, stop: int) -> ByteRuns:
+        """The pages of [first, stop) holding dirty bytes."""
         ps = self.page_size
-        out: "OrderedDict[int, List[Tuple[int, int, int]]]" = OrderedDict()
-        pos = 0
-        for o, l in zip(offsets.tolist(), lengths.tolist()):
-            cur = o
-            remaining = l
-            dpos = pos
-            while remaining > 0:
-                pidx, poff = divmod(cur, ps)
-                chunk = min(remaining, ps - poff)
-                out.setdefault(pidx, []).append((poff, chunk, dpos))
-                cur += chunk
-                dpos += chunk
-                remaining -= chunk
-            pos += l
-        return out
+        return self._page_set(self._dirty.intersect(first * ps, stop * ps))
 
-    def _fetch_pages(self, ctx: RankContext, pages: List[int]) -> None:
+    def _pages_of(self, offsets: np.ndarray, lengths: np.ndarray):
+        """Split a batch at page edges.
+
+        Returns the distinct pages it touches in first-touch order, and
+        its pieces (file offset, length, position in the batch's data)
+        grouped by page in that order — batch order within a page —
+        with ``group[k]:group[k + 1]`` the pieces of page ``k``."""
+        ps = self.page_size
+        keep = lengths > 0
+        lo, n = offsets[keep], lengths[keep]
+        dpos = (np.cumsum(lengths) - lengths)[keep]
+        first = lo // ps
+        count = (lo + n - 1) // ps - first + 1
+        stops = np.cumsum(count)
+        extent = np.repeat(np.arange(lo.size), count)
+        page = first[extent] + np.arange(count.sum()) - (stops - count)[extent]
+        piece_lo = np.maximum(lo[extent], page * ps)
+        piece_n = np.minimum((lo + n)[extent], (page + 1) * ps) - piece_lo
+        piece_dpos = dpos[extent] + piece_lo - lo[extent]
+        distinct, where, which = np.unique(page, return_index=True, return_inverse=True)
+        by_touch = np.argsort(where)
+        rank = np.empty_like(by_touch)
+        rank[by_touch] = np.arange(by_touch.size)
+        order = np.argsort(rank[which], kind="stable")
+        group = np.concatenate(([0], np.cumsum(np.bincount(rank[which]))))
+        return distinct[by_touch], group, piece_lo[order], piece_n[order], piece_dpos[order]
+
+    def _uncovered(self, extents: List[Tuple[int, int]]) -> ByteRuns:
+        """The pages in which some requested byte is not locally valid."""
+        return self._page_set(gap for lo, hi in extents for gap in self._valid.gaps(lo, hi))
+
+    # -- LRU ----------------------------------------------------------------
+    def _touch(self, pages: np.ndarray) -> int:
+        """Make ``pages`` (in this order) the most recently used;
+        returns how many were cached already."""
+        known = 0
+        for i, j in _ascending_runs(pages):
+            first = int(pages[i])
+            known += int(np.count_nonzero(self._stamp.read(first, j - i)))
+            self._stamp.write(first, np.arange(self._clock + 1 + i, self._clock + 1 + j))
+        self._clock += int(pages.size)
+        self._cached += int(pages.size) - known
+        return known
+
+    def _admit(self, first: int, stop: int) -> None:
+        """Pages of [first, stop) not cached yet join the LRU tail in
+        page order; cached ones keep their place."""
+        stamps = self._stamp.read(first, stop - first)
+        new = np.flatnonzero(stamps == 0)
+        if new.size:
+            stamps[new] = np.arange(self._clock + 1, self._clock + 1 + new.size)
+            self._stamp.write(first, stamps)
+            self._clock += int(new.size)
+            self._cached += int(new.size)
+
+    def _lru(self) -> np.ndarray:
+        """Every cached page, least recently used first."""
+        pages, stamps = [], []
+        for index, slab in self._stamp.items():
+            live = np.flatnonzero(slab)
+            pages.append(live + index * SLAB_PAGES)
+            stamps.append(slab[live])
+        return np.concatenate(pages)[np.argsort(np.concatenate(stamps))]
+
+    def _drop(self, page_runs: Iterable[Tuple[int, int]]) -> int:
+        """Forget pages (valid and dirty bytes alike); returns the count."""
+        ps = self.page_size
+        dropped = 0
+        for first, stop in page_runs:
+            self._valid.remove(first * ps, stop * ps)
+            self._dirty.remove(first * ps, stop * ps)
+            dropped += int(np.count_nonzero(self._stamp.read(first, stop - first)))
+            self._stamp.fill(first, stop - first, 0)
+            for index in self._stamp.drop_empty(first, stop - first):
+                self._buf.drop(index)
+        self._cached -= dropped
+        return dropped
+
+    def _evict_if_needed(self, ctx: RankContext) -> None:
+        over = self._cached - self.capacity_pages
+        if over <= 0:
+            return
+        lru = self._lru()
+        dirty = self._page_set(self._dirty).mask(lru)
+        # Clean pages go first, LRU order, no I/O.
+        self._drop(self._page_runs(lru[~dirty][:over]))
+        over = self._cached - self.capacity_pages
+        if over <= 0:
+            return
+        # Batched writeout: flush at least a quarter of the capacity at
+        # once so per-call overheads amortize (single-page writeout would
+        # thrash the server, which no real writeback daemon does).
+        victims = self._page_runs(lru[dirty][: max(over, self.capacity_pages // 4)])
+        self._flush(ctx, victims)
+        self._drop_clean(victims)
+
+    @staticmethod
+    def _page_runs(pages: np.ndarray) -> List[Tuple[int, int]]:
+        """Sorted runs of page indices holding exactly ``pages``."""
+        pages = np.sort(pages)
+        return [(int(pages[i]), int(pages[j - 1]) + 1) for i, j in _ascending_runs(pages)]
+
+    def _drop_clean(self, page_runs: Iterable[Tuple[int, int]]) -> None:
+        """Drop the pages that hold no dirty bytes *now*: a flush yields
+        the processor, a concurrent revocation may already have dropped
+        some, and bytes dirtied meanwhile must survive to a later flush."""
+        for first, stop in page_runs:
+            self._drop(self._dirty_pages_in(first, stop).gaps(first, stop))
+
+    # -- server traffic -----------------------------------------------------
+    def _poison(self, first: int, stop: int) -> None:
+        """An in-flight fetch overlapping pages [first, stop) read the
+        store before whoever is revoking or invalidating them acts: its
+        snapshot must not be installed when the fetch resumes."""
+        for lo, hi in self._fetching.intersect(first, stop):
+            self._fetch_poisoned.add(lo, hi)
+
+    def _fetch_pages(self, ctx: RankContext, need: ByteRuns) -> None:
         """Read whole pages from the server, merging under locally valid
         bytes (our writes win over the fetched snapshot).
 
@@ -189,61 +273,42 @@ class PageCache:
         revocation callback poisons in-flight pages it overlaps; a
         poisoned snapshot is discarded, and the caller's miss path
         re-reads those pieces from the server under fresh locks."""
-        if not pages:
+        if need.empty:
             return
         ps = self.page_size
-        runs = _page_runs(sorted(pages))
-        offs = np.array([lo * ps for lo, _ in runs], dtype=np.int64)
-        lens = np.array([(hi - lo + 1) * ps for lo, hi in runs], dtype=np.int64)
-        self._fetching.update(pages)
+        runs = list(need)
+        first, stop = np.array(runs, dtype=np.int64).T
+        for lo, hi in runs:
+            self._fetching.add(lo, hi)
         try:
-            data = self.fs.server_read(ctx, self.client_id, self.path, offs, lens)
+            data = self.fs.server_read(
+                ctx, self.client_id, self.path, first * ps, (stop - first) * ps
+            )
         finally:
-            self._fetching.difference_update(pages)
-        poisoned = self._fetch_poisoned.intersection(pages)
-        self._fetch_poisoned.difference_update(pages)
+            for lo, hi in runs:
+                self._fetching.remove(lo, hi)
         pos = 0
         for lo, hi in runs:
-            for p in range(lo, hi + 1):
-                fresh = data[pos : pos + ps].copy()
-                pos += ps
-                if p in poisoned:
-                    continue
-                cached = self._pages.get(p)
-                if cached is not None:
-                    for s, e in self._valid.get(p, ByteRuns()):
-                        fresh[s:e] = cached[s:e]
-                self._pages[p] = fresh
-                v = self._valid.setdefault(p, ByteRuns())
-                v.set_full(ps)
-        self._misses.value += len(pages)
+            base = lo * ps - pos
+            sound = self._fetch_poisoned.gaps(lo, hi)
+            self._fetch_poisoned.remove(lo, hi)
+            for first, stop in sound:
+                for a, b in self._valid.gaps(first * ps, stop * ps):
+                    self._buf.write(a, data[a - base : b - base])
+                self._valid.add(first * ps, stop * ps)
+                self._admit(first, stop)
+            pos += (hi - lo) * ps
+        self._misses.value += need.total
 
-    def _evict_if_needed(self, ctx: RankContext) -> None:
-        over = len(self._pages) - self.capacity_pages
-        if over <= 0:
-            return
-        # Clean pages go first, LRU order, no I/O.
-        clean = [p for p in self._pages if p not in self._dirty]
-        for p in clean[:over]:
-            self._drop(p)
-        over = len(self._pages) - self.capacity_pages
-        if over <= 0:
-            return
-        # Batched writeout: flush at least a quarter of the capacity at
-        # once so per-call overheads amortize (single-page writeout would
-        # thrash the server, which no real writeback daemon does).
-        target = max(over, self.capacity_pages // 4)
-        victims = list(self._pages)[:target]
-        self._flush_pages(ctx, victims)
-        for p in victims:
-            # The flush yields the processor; a concurrent revocation may
-            # already have dropped some of these pages, or new dirty
-            # bytes may have landed (those must survive to a later flush).
-            if p not in self._dirty:
-                self._drop(p)
-
-    def _flush_pages(self, ctx: RankContext, pages: List[int], *, acquire_locks: bool = True) -> int:
-        """Write this client's dirty bytes of the given pages back.
+    def _flush(
+        self,
+        ctx: RankContext,
+        page_runs: Iterable[Tuple[int, int]],
+        *,
+        acquire_locks: bool = True,
+    ) -> int:
+        """Write this client's dirty bytes of the given pages back;
+        returns the number of pages that held any.
 
         The dirty runs are snapshotted and REMOVED before the server
         call: the call yields the processor, and bytes dirtied during
@@ -252,81 +317,48 @@ class PageCache:
         (an injected transient fault fires before the store mutates),
         the snapshot is restored so a caller's retry re-flushes it."""
         ps = self.page_size
-        dirty = [p for p in sorted(pages) if p in self._dirty and p in self._pages]
-        if not dirty:
+        extents = [
+            run for first, stop in page_runs for run in self._dirty.intersect(first * ps, stop * ps)
+        ]
+        if not extents:
             return 0
-        offs: List[int] = []
-        lens: List[int] = []
-        parts: List[np.ndarray] = []
-        snapshot: List[Tuple[int, List[Tuple[int, int, np.ndarray]]]] = []
-        for p in dirty:
-            runs = self._dirty.pop(p)
-            saved: List[Tuple[int, int, np.ndarray]] = []
-            for start, end in runs:
-                off = p * ps + start
-                length = end - start
-                # Copy now: the page may be rewritten during the yield.
-                part = self._pages[p][start:end].copy()
-                saved.append((start, end, part))
-                # Merge with the previous extent when byte-adjacent
-                # (common case: fully dirty neighbouring pages).
-                if offs and offs[-1] + lens[-1] == off:
-                    lens[-1] += length
-                else:
-                    offs.append(off)
-                    lens.append(length)
-                parts.append(part)
-            snapshot.append((p, saved))
-        with ctx.trace("cache:flush", path=self.path, pages=len(dirty)):
-            ctx.charge(len(dirty) * self.fs.cost.cache_flush_page)
+        offs, ends = np.array(extents, dtype=np.int64).T
+        pages = self._page_set(extents).total
+        # Copy now: the pages may be rewritten during the yield.
+        data = np.empty(int((ends - offs).sum()), dtype=np.uint8)
+        pos = 0
+        for lo, hi in extents:
+            self._buf.read_into(lo, data[pos : pos + hi - lo])
+            self._dirty.remove(lo, hi)
+            pos += hi - lo
+        with ctx.trace("cache:flush", path=self.path, pages=pages):
+            ctx.charge(pages * self.fs.cost.cache_flush_page)
             try:
                 self.fs.server_write(
-                    ctx,
-                    self.client_id,
-                    self.path,
-                    np.array(offs, dtype=np.int64),
-                    np.array(lens, dtype=np.int64),
-                    np.concatenate(parts) if parts else np.empty(0, dtype=np.uint8),
+                    ctx, self.client_id, self.path, offs, ends - offs, data,
                     acquire_locks=acquire_locks,
                 )
             except FileSystemError:
-                self._restore_dirty(snapshot)
+                self._restore_dirty(extents, data)
                 raise
-        self._flushed.value += len(dirty)
-        return len(dirty)
+        self._flushed.value += pages
+        return pages
 
-    def _restore_dirty(
-        self, snapshot: List[Tuple[int, List[Tuple[int, int, np.ndarray]]]]
-    ) -> None:
+    def _restore_dirty(self, extents: List[Tuple[int, int]], data: np.ndarray) -> None:
         """Put snapshotted dirty bytes back after a failed writeback.
 
         Bytes re-dirtied during the failed call's yield are newer than
         the snapshot and win; everything else is restored byte-for-byte
         (the page may have been dropped or re-fetched meanwhile)."""
         ps = self.page_size
-        for p, saved in snapshot:
-            buf = self._pages.get(p)
-            if buf is None:
-                buf = np.zeros(ps, dtype=np.uint8)
-                self._pages[p] = buf
-            valid = self._valid.setdefault(p, ByteRuns())
-            dirty = self._dirty.setdefault(p, ByteRuns())
-            for start, end, part in saved:
-                cur = start
-                for s, e in dirty:
-                    if e <= cur:
-                        continue
-                    if s >= end:
-                        break
-                    if s > cur:
-                        buf[cur:s] = part[cur - start : s - start]
-                    cur = max(cur, e)
-                    if cur >= end:
-                        break
-                if cur < end:
-                    buf[cur:end] = part[cur - start : end - start]
-                valid.add(start, end)
-                dirty.add(start, end)
+        pos = 0
+        for lo, hi in extents:
+            for a, b in self._dirty.gaps(lo, hi):
+                self._buf.write(a, data[pos + a - lo : pos + b - lo])
+            self._valid.add(lo, hi)
+            self._dirty.add(lo, hi)
+            self._admit(lo // ps, -(-hi // ps))
+            pos += hi - lo
 
     # -- public operations -------------------------------------------------------
     def write(
@@ -339,17 +371,14 @@ class PageCache:
         if not self.caching:
             self.fs.server_write(ctx, self.client_id, self.path, offsets, lengths, data)
             return
-        pieces = self._pages_of(offsets, lengths)
-        ps = self.page_size
-        total = int(lengths.sum())
-        # Charge the copy BEFORE taking the locks: ctx.charge yields the
-        # processor, and a yield between acquisition and the dirtying
-        # below would let a concurrent conflicting access steal the
-        # granules while our bytes are still clean (nothing to flush) —
-        # it would then cache a fully-valid stale page that no later
-        # revocation repairs, because our subsequent dirty bytes sit
-        # under a lock we no longer hold.
-        ctx.charge(total * self.fs.cost.cpu_per_byte_copy)
+        # Charge the copy BEFORE taking the locks: nothing may come
+        # between acquisition and the dirtying below that could let a
+        # concurrent conflicting access steal the granules while our
+        # bytes are still clean (nothing to flush) — it would then cache
+        # a fully-valid stale page that no later revocation repairs,
+        # because our subsequent dirty bytes sit under a lock we no
+        # longer hold.
+        ctx.charge(int(lengths.sum()) * self.fs.cost.cpu_per_byte_copy)
         if self.coherent:
             # Caching dirty bytes requires holding the extent locks, so
             # later conflicting accesses can revoke-and-flush them.  (An
@@ -357,22 +386,17 @@ class PageCache:
             # No yield may occur between this returning and the dirty
             # marking below.
             self.fs.acquire_extents(ctx, self.client_id, self.path, offsets, lengths)
-        for page, parts in pieces.items():
-            buf = self._pages.get(page)
-            if buf is None:
-                buf = np.zeros(ps, dtype=np.uint8)
-                self._pages[page] = buf
-            else:
-                self._hits.value += 1
-            valid = self._valid.setdefault(page, ByteRuns())
-            dirty = self._dirty.setdefault(page, ByteRuns())
-            for poff, ln, dpos in parts:
-                buf[poff : poff + ln] = data[dpos : dpos + ln]
-                valid.add(poff, poff + ln)
-                dirty.add(poff, poff + ln)
-            self._touch(page)
+        pos = 0
+        for lo, n in zip(offsets.tolist(), lengths.tolist()):
+            if n > 0:
+                self._buf.write(lo, data[pos : pos + n])
+                self._valid.add(lo, lo + n)
+                self._dirty.add(lo, lo + n)
+                pos += n
+        pages = self._pages_of(offsets, lengths)[0]
+        self._hits.value += self._touch(pages)
         if self.mode == "writethrough":
-            self._flush_pages(ctx, list(pieces.keys()))
+            self._flush(ctx, self._page_runs(pages))
         self._evict_if_needed(ctx)
 
     def read(
@@ -383,61 +407,70 @@ class PageCache:
         lengths = np.asarray(lengths, dtype=np.int64)
         if not self.caching:
             return self.fs.server_read(ctx, self.client_id, self.path, offsets, lengths)
-        pieces = self._pages_of(offsets, lengths)
-        # A page must be fetched unless every requested piece of it is
+        extents = [(lo, lo + n) for lo, n in zip(offsets.tolist(), lengths.tolist()) if n > 0]
+        # A page must be fetched unless every requested byte of it is
         # locally valid.
-        need = []
-        for page, parts in pieces.items():
-            valid = self._valid.get(page)
-            if valid is None or not all(
-                valid.covers(poff, poff + ln) for poff, ln, _ in parts
-            ):
-                need.append(page)
+        need = self._uncovered(extents)
         self._fetch_pages(ctx, need)
         total = int(lengths.sum())
         out = np.empty(total, dtype=np.uint8)
         ctx.charge(total * self.fs.cost.cpu_per_byte_copy)
-        need_set = set(need)
-        for page, parts in pieces.items():
-            buf = self._pages.get(page)
-            valid = self._valid.get(page)
-            covered = buf is not None and valid is not None and all(
-                valid.covers(poff, poff + ln) for poff, ln, _ in parts
-            )
-            if not covered:
-                # Revoked (or the fetch poisoned) while we yielded: the
-                # page may be gone, or may survive holding only bytes
-                # from an earlier write that never covered this piece.
-                # Either way, go straight to the server for just these
-                # pieces.
-                ps = self.page_size
-                po = np.array([page * ps + poff for poff, _, _ in parts], dtype=np.int64)
-                pl = np.array([ln for _, ln, _ in parts], dtype=np.int64)
-                got = self.fs.server_read(ctx, self.client_id, self.path, po, pl)
+        pages, group, piece_lo, piece_n, piece_dpos = self._pages_of(offsets, lengths)
+        done = 0
+        while done < pages.size:
+            # Serve from the cache up to the first page that is not
+            # covered: revoked (or its fetch poisoned) while we yielded,
+            # it may be gone, or may survive holding only bytes from an
+            # earlier write that never covered this request.  That page
+            # goes straight to the server for just its pieces — which
+            # yields again, so the rest is judged afresh afterwards.
+            gone = self._uncovered(extents).mask(pages[done:])
+            stop = done + int(gone.argmax()) if gone.any() else int(pages.size)
+            pieces = slice(group[done], group[stop])
+            self._copy_out(piece_lo[pieces], piece_n[pieces], piece_dpos[pieces], out)
+            served = pages[done:stop]
+            self._hits.value += int(served.size - need.mask(served).sum())
+            self._touch(served)
+            if stop < pages.size:
+                pieces = slice(group[stop], group[stop + 1])
+                got = self.fs.server_read(
+                    ctx, self.client_id, self.path, piece_lo[pieces], piece_n[pieces]
+                )
                 pos = 0
-                for (_, ln, dpos) in parts:
-                    out[dpos : dpos + ln] = got[pos : pos + ln]
-                    pos += ln
-                continue
-            if page not in need_set:
-                self._hits.value += 1
-            for poff, ln, dpos in parts:
-                out[dpos : dpos + ln] = buf[poff : poff + ln]
-            self._touch(page)
+                for k, d in zip(piece_n[pieces].tolist(), piece_dpos[pieces].tolist()):
+                    out[d : d + k] = got[pos : pos + k]
+                    pos += k
+                stop += 1
+            done = stop
         self._evict_if_needed(ctx)
         return out
 
+    def _copy_out(self, lo: np.ndarray, n: np.ndarray, dpos: np.ndarray, out: np.ndarray) -> None:
+        """Copy cached pieces into ``out``; pieces that continue each
+        other (a long extent, split at its page edges) move as one."""
+        if lo.size == 0:
+            return
+        joined = (lo[1:] == lo[:-1] + n[:-1]) & (dpos[1:] == dpos[:-1] + n[:-1])
+        heads = np.flatnonzero(np.concatenate(([True], ~joined)))
+        for a, k, d in zip(
+            lo[heads].tolist(), np.add.reduceat(n, heads).tolist(), dpos[heads].tolist()
+        ):
+            self._buf.read_into(a, out[d : d + k])
+
     def sync(self, ctx: RankContext) -> int:
         """Flush every dirty page; returns the count flushed."""
-        return self._flush_pages(ctx, list(self._dirty))
+        return self._flush(ctx, _ALL_PAGES)
 
     def invalidate(self) -> None:
         """Drop all cached pages.  Dirty bytes are lost — call
         :meth:`sync` first unless discarding is intended."""
-        self._pages.clear()
+        self._buf.clear()
+        self._stamp.clear()
         self._valid.clear()
         self._dirty.clear()
-        self._fetch_poisoned.update(self._fetching)
+        self._cached = 0
+        for lo, hi in self._fetching:
+            self._fetch_poisoned.add(lo, hi)
 
     def invalidate_range(self, lo: int, hi: int, *, keep_dirty: bool = False) -> int:
         """Drop cached pages intersecting [lo, hi) without flushing.
@@ -453,36 +486,21 @@ class PageCache:
         if hi <= lo:
             return 0
         ps = self.page_size
-        p_lo, p_hi = lo // ps, -(-hi // ps)
-        self._fetch_poisoned.update(
-            p for p in self._fetching if p_lo <= p < p_hi
-        )
-        inside = [
-            p
-            for p in self._pages
-            if p_lo <= p < p_hi and not (keep_dirty and p in self._dirty)
-        ]
-        for p in inside:
-            self._drop(p)
-        return len(inside)
+        first, stop = lo // ps, -(-hi // ps)
+        self._poison(first, stop)
+        inside = self._page_set(self._valid.intersect(first * ps, stop * ps))
+        if keep_dirty:
+            for kept in self._dirty_pages_in(first, stop):
+                inside.remove(*kept)
+        return self._drop(inside)
 
     def flush_and_invalidate_range(self, ctx: RankContext, lo: int, hi: int) -> int:
         """Revocation callback: flush dirty bytes in [lo, hi) without
         re-acquiring the (already transferred) locks, then drop the pages."""
         ps = self.page_size
-        p_lo, p_hi = lo // ps, -(-hi // ps)
-        # An in-flight fetch overlapping the revoked range read the
-        # store before the requester's write lands: its snapshot must
-        # not be installed when the fetch resumes.
-        self._fetch_poisoned.update(
-            p for p in self._fetching if p_lo <= p < p_hi
-        )
-        inside = [p for p in self._pages if p_lo <= p < p_hi]
-        flushed = self._flush_pages(ctx, inside, acquire_locks=False)
-        for p in inside:
-            if p in self._dirty:
-                # Re-dirtied while the flush yielded the processor: the
-                # new bytes must survive to a later flush.
-                continue
-            self._drop(p)
+        first, stop = lo // ps, -(-hi // ps)
+        self._poison(first, stop)
+        inside = self._page_set(self._valid.intersect(first * ps, stop * ps))
+        flushed = self._flush(ctx, inside, acquire_locks=False)
+        self._drop_clean(inside)
         return flushed

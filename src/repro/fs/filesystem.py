@@ -129,11 +129,11 @@ class _Txn:
     """An open shadow-write transaction (the journal) for one file.
 
     Journaled writes land in a private shadow :class:`PageStore` at
-    their final file offsets; ``valid`` records, per page, which byte
-    runs the journal owns.  Commit publishes those runs into the main
-    store atomically (no yield point between the first and last byte);
-    abort — or simply never committing, which is what a crash looks
-    like — discards them, leaving the main store at its pre-transaction
+    their final file offsets; ``valid`` records which file bytes the
+    journal owns.  Commit publishes those runs into the main store
+    atomically (no yield point between the first and last byte); abort
+    — or simply never committing, which is what a crash looks like —
+    discards them, leaving the main store at its pre-transaction
     image."""
 
     __slots__ = ("txid", "store", "valid", "epochs")
@@ -141,18 +141,10 @@ class _Txn:
     def __init__(self, txid: int, page_size: int, integrity: bool) -> None:
         self.txid = txid
         self.store = PageStore(page_size, integrity=integrity)
-        self.valid: Dict[int, ByteRuns] = {}
+        self.valid = ByteRuns()
         #: Epoch commit records staged inside this transaction; they
         #: become durable (join the file's epoch log) only at commit.
         self.epochs: List[dict] = []
-
-    def record(self, offset: int, nbytes: int) -> None:
-        ps = self.store.page_size
-        lo, hi = offset, offset + nbytes
-        for pidx in range(lo // ps, -(-hi // ps)):
-            s = max(lo, pidx * ps) - pidx * ps
-            e = min(hi, (pidx + 1) * ps) - pidx * ps
-            self.valid.setdefault(pidx, ByteRuns()).add(s, e)
 
 
 class _File:
@@ -492,8 +484,8 @@ class SimFileSystem:
             integrity=store.integrity,
         )
         ps = cost.page_size
-        for idx in sorted(store._pages):
-            repl.write(idx * ps, store._pages[idx])
+        for idx in store.page_indices():
+            repl.write(idx * ps, store.read(idx * ps, ps, verify=False))
         repl.size = store.size
         f.store = repl
 
@@ -953,14 +945,12 @@ class SimFileSystem:
             # Journaled bytes go to the (plain) shadow store; the live
             # set matters at commit time, when they publish.
             demand = None
+        how = {"up": up} if txn is None and isinstance(target, ReplicatedStore) else {}
         pos = 0
         for o, l in zip(offs.tolist(), lens.tolist()):
-            if txn is None and isinstance(target, ReplicatedStore):
-                target.write(o, data[pos : pos + l], up=up)
-            else:
-                target.write(o, data[pos : pos + l])
+            target.write(o, data[pos : pos + l], **how)
             if txn is not None:
-                txn.record(o, l)
+                txn.valid.add(o, o + l)
             pos += l
         # Silent-corruption injection: bits flip in whichever store the
         # bytes landed in, after the checksum sidecar was updated.
@@ -1015,18 +1005,15 @@ class SimFileSystem:
         replicated = isinstance(f.store, ReplicatedStore)
         served: List[Tuple[int, int]] = []
         failovers: List[int] = []
+        how = {"up": up, "served": served, "failovers": failovers} if replicated else {}
+        txn = f.txn if journaled else None
         pos = 0
         try:
             for o, l in zip(offs.tolist(), lens.tolist()):
-                if replicated:
-                    piece = f.store.read(
-                        o, l, up=up, served=served, failovers=failovers
-                    )
-                else:
-                    piece = f.store.read(o, l)
-                if journaled and f.txn is not None:
-                    self._overlay_txn(f.txn, o, piece)
-                out[pos : pos + l] = piece
+                piece = out[pos : pos + l]
+                f.store.read_into(o, piece, **how)
+                if txn is not None:
+                    self._overlay_txn(txn, o, piece)
                 pos += l
         except IntegrityError as exc:
             self._note_page_corruption(ctx)
@@ -1053,17 +1040,8 @@ class SimFileSystem:
     @staticmethod
     def _overlay_txn(txn: _Txn, offset: int, out: np.ndarray) -> None:
         """Patch journal-owned byte runs over a main-store read."""
-        ps = txn.store.page_size
-        lo, hi = offset, offset + int(out.size)
-        for pidx in range(lo // ps, -(-hi // ps)):
-            runs = txn.valid.get(pidx)
-            if runs is None:
-                continue
-            base = pidx * ps
-            for s, e in runs:
-                g_lo, g_hi = max(lo, base + s), min(hi, base + e)
-                if g_hi > g_lo:
-                    out[g_lo - lo : g_hi - lo] = txn.store.read(g_lo, g_hi - g_lo)
+        for lo, hi in txn.valid.intersect(offset, offset + int(out.size)):
+            txn.store.read_into(lo, out[lo - offset : hi - offset])
 
     @staticmethod
     def _note_page_corruption(ctx: RankContext) -> None:
@@ -1174,26 +1152,22 @@ class SimFileSystem:
             return 0
         with ctx.trace("fs:journal_commit", path=path):
             self._maybe_io_fault(ctx, client_id, path, "txn_commit")
-            pages = sorted(txn.valid)
+            ps = self.cost.page_size
+            page_runs = ByteRuns.of_blocks(txn.valid, ps)
+            pages = [pidx for first, stop in page_runs for pidx in range(first, stop)]
             # Health/quorum gate before any byte publishes: an outage
             # mid-commit yields a typed retryable failure with the
             # journal intact, never a torn publish.
             up = self._txn_commit_gate(ctx, client_id, f, path, pages)
             ctx.charge(len(pages) * self.cost.journal_commit_page)
-            ps = self.cost.page_size
-            replicated = isinstance(f.store, ReplicatedStore)
-            for pidx in pages:
-                base = pidx * ps
-                for s, e in txn.valid[pidx]:
-                    try:
-                        good = txn.store.read(base + s, e - s)
-                    except IntegrityError as exc:
-                        self._note_page_corruption(ctx)
-                        raise IntegrityError("journal-commit", pidx, path) from exc
-                    if replicated:
-                        f.store.write(base + s, good, up=up)
-                    else:
-                        f.store.write(base + s, good)
+            how = {"up": up} if isinstance(f.store, ReplicatedStore) else {}
+            for lo, hi in txn.valid:
+                try:
+                    good = txn.store.read(lo, hi - lo)
+                except IntegrityError as exc:
+                    self._note_page_corruption(ctx)
+                    raise IntegrityError("journal-commit", exc.page_index, path) from exc
+                f.store.write(lo, good, **how)
             f.txn = None
             f.stats.journal_commits += 1
             f.stats.journal_pages_committed += len(pages)
@@ -1206,10 +1180,8 @@ class SimFileSystem:
         for caches in self._caches.values():
             for cache in caches:
                 if cache.path == path and cache.caching:
-                    for pidx in pages:
-                        cache.invalidate_range(
-                            pidx * ps, (pidx + 1) * ps, keep_dirty=True
-                        )
+                    for first, stop in page_runs:
+                        cache.invalidate_range(first * ps, stop * ps, keep_dirty=True)
         ctx.yield_now()
         return len(pages)
 

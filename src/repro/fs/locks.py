@@ -70,8 +70,6 @@ class ExtentLockManager:
         "_pins",
         "_waiting",
         "last_pin_release",
-        "stats_rpcs",
-        "stats_revocations",
     )
 
     def __init__(self, granularity: int) -> None:
@@ -87,8 +85,6 @@ class ExtentLockManager:
         #: Virtual time of the most recent voluntary pin release — the
         #: causal wake time for a waiter whose holder unlocked early.
         self.last_pin_release = 0.0
-        self.stats_rpcs = 0
-        self.stats_revocations = 0
 
     def _granules(self, lo: int, hi: int) -> range:
         if lo < 0 or hi < lo:
@@ -129,8 +125,6 @@ class ExtentLockManager:
                 else:
                     revoked.append((victim, g * g_size, (g + 1) * g_size))
             self._holder[g] = client
-        self.stats_rpcs += rpcs
-        self.stats_revocations += n_revoked
         return LockCharge(rpcs=rpcs, revoked_granules=n_revoked, revoked_ranges=revoked)
 
     def holder_of(self, offset: int) -> Optional[ClientId]:

@@ -134,7 +134,7 @@ def _good_replica_copy(store: ReplicatedStore, index: int) -> Optional[np.ndarra
     hi = lo + store.page_size
     for ost in store.replicas_of(lo):
         shard = store.shards[ost]
-        if index not in shard._pages:
+        if not shard.has_page(index):
             continue
         if store.stale[ost].overlaps(lo, hi):
             continue

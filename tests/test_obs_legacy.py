@@ -63,41 +63,6 @@ class TestCollectiveFileStats:
                 assert legacy_key in snap
 
 
-class TestCacheStats:
-    def test_deprecated_cache_counters_match_registry(self):
-        session = Session(
-            "/legacy", nprocs=2, hints={"cache_mode": "coherent", "cb_nodes": 2}
-        )
-
-        def body(ctx, comm, f):
-            f.set_view(disp=comm.rank * 64, filetype=resized(contiguous(64, BYTE), 0, 128))
-            f.write_all(np.full(128, comm.rank + 1, dtype=np.uint8))
-            cache = f.adio.local.cache
-            if cache is None:
-                return None
-            with pytest.deprecated_call():
-                hits = cache.stats_hits
-            with pytest.deprecated_call():
-                misses = cache.stats_misses
-            with pytest.deprecated_call():
-                flushed = cache.stats_flushed_pages
-            return {
-                "hits": hits,
-                "misses": misses,
-                "flushed": flushed,
-                "reg_hits": cache.metrics.value("cache.hits"),
-                "reg_misses": cache.metrics.value("cache.misses"),
-                "reg_flushed": cache.metrics.value("cache.flushed_pages"),
-            }
-
-        results = [r for r in session.run(body) if r is not None]
-        assert results, "no rank had a client cache"
-        for r in results:
-            assert r["hits"] == r["reg_hits"]
-            assert r["misses"] == r["reg_misses"]
-            assert r["flushed"] == r["reg_flushed"]
-
-
 class TestDirectConstruction:
     def test_direct_construction_warns_and_still_works(self):
         """Hand-built CollectiveFile handles warn (docs/api.md migration)

@@ -50,21 +50,93 @@ class TestByteRuns:
         r.add(30, 40)
         assert list(r) == [(0, 5), (10, 20), (30, 40)]
 
-    def test_covers(self):
+    def test_gaps_tell_coverage(self):
         r = ByteRuns()
         r.add(10, 20)
-        assert r.covers(10, 20)
-        assert r.covers(12, 15)
-        assert not r.covers(5, 12)
-        assert not r.covers(18, 25)
-        assert r.covers(7, 7)  # empty range always covered
+        assert r.gaps(10, 20) == [] and r.gaps(12, 15) == []
+        assert r.gaps(5, 12) == [(5, 10)]
+        assert r.gaps(18, 25) == [(20, 25)]
+        assert r.gaps(7, 7) == []  # empty range always covered
+        r.add(21, 30)
+        assert r.gaps(15, 25) == [(20, 21)]  # byte 20 is missing
+        r.add(20, 21)
+        assert r.gaps(15, 25) == []
 
-    def test_is_full_and_set_full(self):
+    def test_touching_merge_on_both_sides(self):
         r = ByteRuns()
-        assert not r.is_full(10)
-        r.set_full(10)
-        assert r.is_full(10)
+        r.add(0, 10)
+        r.add(20, 30)
+        r.add(10, 20)  # touches both neighbours: all three become one
+        assert list(r) == [(0, 30)]
+        assert len(r) == 1
+
+    def test_remove_splits_and_trims(self):
+        r = ByteRuns()
+        r.add(0, 100)
+        r.remove(40, 60)  # strictly inside: split in two
+        assert list(r) == [(0, 40), (60, 100)]
+        r.remove(30, 70)  # trims both survivors
+        assert list(r) == [(0, 30), (70, 100)]
+        r.remove(0, 30)  # exactly one run
+        assert list(r) == [(70, 100)]
+        r.remove(200, 300)  # nothing there
+        assert list(r) == [(70, 100)]
+        r.remove(0, 1000)
+        assert r.empty
+
+    def test_remove_spanning_many_runs(self):
+        r = ByteRuns()
+        for lo in range(0, 100, 10):
+            r.add(lo, lo + 5)
+        r.remove(12, 83)
+        assert list(r) == [(0, 5), (10, 12), (83, 85), (90, 95)]
+
+    def test_zero_length_queries(self):
+        r = ByteRuns()
+        r.add(0, 10)
+        r.remove(5, 5)  # must not split the run
         assert list(r) == [(0, 10)]
+        assert not r.overlaps(5, 5)
+        assert r.intersect(5, 5) == []
+        assert r.gaps(5, 5) == []
+        with pytest.raises(FileSystemError):
+            r.remove(5, 4)
+
+    def test_intersect_gaps_overlaps(self):
+        r = ByteRuns()
+        r.add(10, 20)
+        r.add(30, 40)
+        assert r.intersect(15, 35) == [(15, 20), (30, 35)]
+        assert r.intersect(20, 30) == []
+        assert r.gaps(0, 50) == [(0, 10), (20, 30), (40, 50)]
+        assert r.gaps(12, 18) == []
+        assert r.gaps(15, 35) == [(20, 30)]
+        assert r.overlaps(19, 31) and not r.overlaps(20, 30)
+
+    def test_mask(self):
+        r = ByteRuns()
+        assert not r.mask(np.array([0, 5])).any()
+        r.add(10, 20)
+        r.add(30, 40)
+        got = r.mask(np.array([9, 10, 19, 20, 29, 30, 39, 40]))
+        assert got.tolist() == [False, True, True, False, False, True, True, False]
+
+    def test_many_runs(self):
+        """Thousands of runs (a sparse flush's dirty set, a long
+        outage's stale set): every operation stays local to the runs it
+        touches and the set stays sorted, disjoint and non-touching."""
+        r = ByteRuns()
+        n = 5000
+        for k in list(range(0, n, 2)) + list(range(1, n, 2)):  # evens, then odds
+            r.add(k * 10, k * 10 + 4)
+        assert len(r) == n and r.total == 4 * n
+        assert list(r)[:2] == [(0, 4), (10, 14)]
+        assert r.gaps(n * 5, n * 5 + 4) == [] and r.gaps(n * 5, n * 5 + 5) == [(n * 5 + 4, n * 5 + 5)]
+        assert r.intersect(20_002, 20_022) == [(20_002, 20_004), (20_010, 20_014), (20_020, 20_022)]
+        r.remove(100, (n - 10) * 10)
+        assert len(r) == 20
+        r.add(0, n * 10)
+        assert list(r) == [(0, n * 10)]
 
     def test_clear_and_empty(self):
         r = ByteRuns()
@@ -86,14 +158,24 @@ class TestByteRuns:
         with pytest.raises(FileSystemError):
             r.add(-1, 4)
 
-    @given(st.lists(st.tuples(st.integers(0, 60), st.integers(1, 12)), max_size=20))
-    @settings(max_examples=200, deadline=None)
-    def test_matches_set_oracle(self, intervals):
+    @given(
+        st.lists(
+            st.tuples(st.booleans(), st.integers(0, 60), st.integers(0, 12)), max_size=30
+        ),
+        st.integers(0, 70),
+        st.integers(0, 20),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_set_oracle(self, ops, qlo, qwidth):
         r = ByteRuns()
         oracle = set()
-        for lo, width in intervals:
-            r.add(lo, lo + width)
-            oracle.update(range(lo, lo + width))
+        for add, lo, width in ops:
+            if add:
+                r.add(lo, lo + width)
+                oracle.update(range(lo, lo + width))
+            else:
+                r.remove(lo, lo + width)
+                oracle.difference_update(range(lo, lo + width))
         got = set()
         prev_end = None
         for s, e in r:
@@ -104,6 +186,12 @@ class TestByteRuns:
             got.update(range(s, e))
         assert got == oracle
         assert r.total == len(oracle)
+        query = set(range(qlo, qlo + qwidth))
+        assert {b for s, e in r.intersect(qlo, qlo + qwidth) for b in range(s, e)} == query & oracle
+        assert {b for s, e in r.gaps(qlo, qlo + qwidth) for b in range(s, e)} == query - oracle
+        assert r.overlaps(qlo, qlo + qwidth) == bool(query & oracle)
+        points = np.arange(0, 80)
+        assert set(points[r.mask(points)].tolist()) == oracle
 
 
 class TestBenchHarness:
