@@ -158,6 +158,51 @@ def test_engine_message_rate(benchmark):
     assert benchmark(run) == sum(range(200))
 
 
+def test_engine_pingpong_handoff(benchmark):
+    """Two ranks passing the processor back and forth: every decision is
+    a thread hand-off, so wall / ``handoffs`` is the engine's unit cost
+    (recorded as ``us_per_switch``)."""
+
+    def run():
+        sim = Simulator(2)
+
+        def main(ctx):
+            for _ in range(2000):
+                ctx.advance(1e-6)
+
+        sim.run(main)
+        return sim
+
+    sim = benchmark(run)
+    assert sim.handoffs >= 4000
+    benchmark.extra_info["us_per_switch"] = benchmark.stats.stats.mean / sim.handoffs * 1e6
+
+
+@pytest.mark.parametrize("nprocs", [64, 256])
+def test_engine_alltoall_ranks(benchmark, nprocs):
+    """An n-rank pairwise ``alltoall``: n(n-1) messages, each a blocking
+    receive matched out of a mailbox other ranks keep filling — the cell
+    whose cost per message must not grow with n (``us_per_msg``).  Run it
+    under ``taskset -c <cpu>``: unpinned, a wake-up that crosses CPUs
+    costs several times one that does not once hundreds of threads are
+    parked, and that OS cost — not the dispatcher — is what grows."""
+
+    def run():
+        sim = Simulator(nprocs)
+
+        def main(ctx):
+            comm = Communicator(ctx)
+            return sum(comm.alltoall([comm.rank] * comm.size))
+
+        return sim.run(main), sim
+
+    results, sim = benchmark.pedantic(run, rounds=3, iterations=1)
+    assert results == [nprocs * (nprocs - 1) // 2] * nprocs
+    messages = nprocs * (nprocs - 1)
+    assert sim.predicate_evals <= 2 * messages
+    benchmark.extra_info["us_per_msg"] = benchmark.stats.stats.mean / messages * 1e6
+
+
 def test_collective_write_wall_time(benchmark):
     """Wall-clock cost of one full 16-rank collective write."""
     from repro.bench.harness import run_hpio_write

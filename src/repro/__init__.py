@@ -62,6 +62,7 @@ from repro.errors import (
     IntegrityError,
     LockDeadlock,
     MPIError,
+    MissedWakeup,
     ReproError,
     RetryExhausted,
     SimDeadlock,
@@ -84,7 +85,7 @@ from repro.obs import (
     metrics_registry,
 )
 from repro.obs.session import Session
-from repro.sim import RankContext, Simulator, Tracer, Watchdog
+from repro.sim import RankContext, Signal, Simulator, Tracer, Watchdog
 from repro.tenancy import Cluster, TenantResult, TenantSpec
 
 __version__ = "1.0.0"
@@ -94,6 +95,7 @@ __all__ = [
     # engine
     "Simulator",
     "RankContext",
+    "Signal",
     "Tracer",
     "Watchdog",
     # tenancy
@@ -162,6 +164,7 @@ __all__ = [
     "ReproError",
     "SimulationError",
     "SimDeadlock",
+    "MissedWakeup",
     "SimHang",
     "MPIError",
     "DatatypeError",

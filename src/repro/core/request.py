@@ -124,6 +124,7 @@ class Request:
                     lambda: True if self._handle.done else None,
                     f"wait:{self.op or 'request'}",
                     timeout_at=self._ctx.now + timeout,
+                    on=self._handle.signal,
                 )
                 if got is BLOCK_TIMEOUT:
                     raise WaitTimeout(self.op, self._ctx.rank, timeout)
@@ -214,6 +215,7 @@ def waitany(requests: Sequence[Request]) -> int:
     ctx.block(
         lambda: True if any(r._handle.done for _, r in pending) else None,
         "waitany",
+        on=[r._handle.signal for _, r in pending],
     )
     for i, req in pending:
         if req._handle.done:

@@ -23,6 +23,26 @@ class SimDeadlock(SimulationError):
     """
 
 
+class MissedWakeup(SimulationError):
+    """A blocked proc's predicate came true without its signal firing.
+
+    The dispatcher re-evaluates a predicate only after one of the
+    signals it blocked ``on`` was notified.  When nothing is runnable
+    it re-checks every blocked predicate once: one that now holds means
+    somebody mutated the state it reads and forgot ``notify()`` — a bug
+    in the blocker's wiring, reported here by rank and blocked-on
+    reason instead of as a misleading :class:`SimDeadlock`.
+    """
+
+    def __init__(self, rank: int, reason: str = "") -> None:
+        super().__init__(
+            f"proc {rank} blocked on {reason or '(unnamed)'!s}: its predicate holds "
+            "but none of its signals was notified"
+        )
+        self.rank = rank
+        self.reason = reason
+
+
 class SimHang(SimulationError):
     """The engine gave up waiting for rank threads to terminate.
 

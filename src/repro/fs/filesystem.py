@@ -716,6 +716,7 @@ class SimFileSystem:
                 ),
                 reason=f"lock-pin wait [{lo}, {hi}) on {path!r}",
                 timeout_at=reclaim_at,
+                on=locks.pins_changed,
             )
             if woke is BLOCK_TIMEOUT:
                 ctx.charge_to(reclaim_at)

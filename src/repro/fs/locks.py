@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.errors import FileSystemError
+from repro.sim.engine import Signal
 
 __all__ = ["ClientId", "LockCharge", "ExtentLockManager"]
 
@@ -70,6 +71,7 @@ class ExtentLockManager:
         "_pins",
         "_waiting",
         "last_pin_release",
+        "pins_changed",
     )
 
     def __init__(self, granularity: int) -> None:
@@ -85,6 +87,9 @@ class ExtentLockManager:
         #: Virtual time of the most recent voluntary pin release — the
         #: causal wake time for a waiter whose holder unlocked early.
         self.last_pin_release = 0.0
+        #: Notified whenever pins are dropped (released or reclaimed):
+        #: what a pin waiter in ``SimFileSystem._await_pins`` blocks on.
+        self.pins_changed = Signal()
 
     def _granules(self, lo: int, hi: int) -> range:
         if lo < 0 or hi < lo:
@@ -177,6 +182,7 @@ class ExtentLockManager:
             del self._pins[g]
         if mine:
             self.last_pin_release = max(self.last_pin_release, now)
+            self.pins_changed.notify()
         return len(mine)
 
     def blocking_pin(
@@ -200,6 +206,7 @@ class ExtentLockManager:
         (the lock server's lease ran out and it revoked unilaterally).
         Only the latter counts toward the returned reclaim count."""
         reclaimed = 0
+        before = len(self._pins)
         for g in list(self._granules(lo, hi)):
             pin = self._pins.get(g)
             if pin is None:
@@ -210,6 +217,8 @@ class ExtentLockManager:
             elif now >= t_pinned + lease:
                 del self._pins[g]
                 reclaimed += 1
+        if len(self._pins) != before:
+            self.pins_changed.notify()
         return reclaimed
 
     # -- waits-for graph (deadlock detection) ---------------------------

@@ -4,7 +4,10 @@ Message-matching semantics follow MPI: envelopes are (source, tag,
 communicator); matching is FIFO per envelope (enforced globally with a
 sequence number, which is deterministic under the engine's virtual-time
 scheduling).  ``ANY_SOURCE``/``ANY_TAG`` wildcards select the earliest
-matching message.
+matching message.  Each destination's mailbox is indexed by envelope,
+so an exact-envelope receive is a dictionary lookup however many
+messages are queued, and carries the :class:`~repro.sim.engine.Signal`
+that ``_enqueue`` notifies to wake the destination's blocked receives.
 
 Sends are buffered (they complete locally): the payload is copied on
 enqueue, so sender reuse of a numpy buffer cannot corrupt data in
@@ -14,6 +17,7 @@ flight — the same guarantee a real MPI eager/rendezvous protocol gives.
 from __future__ import annotations
 
 import copy as _copy
+from collections import deque
 from typing import Any, Optional
 
 import numpy as np
@@ -34,7 +38,7 @@ from repro.mpi.collectives import CollectiveMixin
 from repro.mpi.network import Network, payload_nbytes
 from repro.mpi.request import Request
 from repro.mpi.topology import NodeTopology, topology_stats
-from repro.sim.engine import BLOCK_TIMEOUT, RankContext
+from repro.sim.engine import BLOCK_TIMEOUT, RankContext, Signal
 
 __all__ = ["ANY_SOURCE", "ANY_TAG", "Communicator"]
 
@@ -78,13 +82,60 @@ class _Message:
         self.pristine = pristine
 
 
+class _Mailbox:
+    """One destination's queued messages, indexed by envelope.
+
+    ``by_envelope[(src, tag)]`` is that envelope's FIFO (a key exists
+    only while its deque is non-empty), so the head of a deque is the
+    envelope's earliest message by ``seq``; a wildcard receive compares
+    the heads of the envelopes it admits."""
+
+    __slots__ = ("by_envelope", "signal")
+
+    def __init__(self) -> None:
+        self.by_envelope: dict[tuple[int, int], deque[_Message]] = {}
+        #: Notified on every enqueue; receives on this mailbox block on it.
+        self.signal = Signal()
+
+    def put(self, msg: _Message) -> None:
+        key = (msg.src, msg.tag)
+        fifo = self.by_envelope.get(key)
+        if fifo is None:
+            self.by_envelope[key] = deque((msg,))
+        else:
+            fifo.append(msg)
+        self.signal.notify()
+
+    def match(self, source: int, tag: int) -> Optional[_Message]:
+        """Earliest (by seq) queued message matching the envelope."""
+        if source != ANY_SOURCE and tag != ANY_TAG:
+            fifo = self.by_envelope.get((source, tag))
+            return fifo[0] if fifo is not None else None
+        best: Optional[_Message] = None
+        for (src, t), fifo in self.by_envelope.items():
+            if (source == ANY_SOURCE or src == source) and (tag == ANY_TAG or t == tag):
+                if best is None or fifo[0].seq < best.seq:
+                    best = fifo[0]
+        return best
+
+    def take(self, msg: _Message) -> None:
+        key = (msg.src, msg.tag)
+        fifo = self.by_envelope[key]
+        if fifo[0] is msg:
+            fifo.popleft()
+        else:
+            fifo.remove(msg)
+        if not fifo:
+            del self.by_envelope[key]
+
+
 class _CommState:
     """Shared (simulator-wide) state of one communicator."""
 
-    __slots__ = ("queues", "next_seq")
+    __slots__ = ("mailboxes", "next_seq")
 
     def __init__(self, size: int) -> None:
-        self.queues: list[list[_Message]] = [[] for _ in range(size)]
+        self.mailboxes = [_Mailbox() for _ in range(size)]
         self.next_seq = 0
 
 
@@ -130,10 +181,16 @@ class Communicator(CollectiveMixin):
         if _comm_id not in registry:
             registry[_comm_id] = _CommState(self.size)
         self._state: _CommState = registry[_comm_id]
-        if len(self._state.queues) != self.size:
+        if len(self._state.mailboxes) != self.size:
             raise MPIError(
                 f"communicator {_comm_id!r} size mismatch across ranks"
             )
+        self._mailbox = self._state.mailboxes[self.rank]
+        # Session-level state (integrity, liveness) is installed in
+        # ``shared`` when the file opens — after this constructor — so
+        # it is looked up per use, but through the mapping bound once.
+        self._shared = ctx.shared
+        self._collective_factor = cost.net_collective_factor
         # Collective split/dup sequence number.  Per-rank, not shared:
         # split is collective, so every member makes the same sequence of
         # calls and derives the same child communicator id.
@@ -143,11 +200,13 @@ class Communicator(CollectiveMixin):
         # clusters keep all three None — the send/recv fast path tests
         # one attribute and pays nothing else.
         self.topology: Optional[NodeTopology] = None
-        self._node_of: Optional[tuple[int, ...]] = None
+        #: Per communicator rank: does it share a node with me?
+        self._intra_with: Optional[tuple[bool, ...]] = None
         self._topo_stats = None
         if cost.procs_per_node > 1:
             self.topology = NodeTopology(cost.procs_per_node)
-            self._node_of = tuple(self.topology.node_of(w) for w in self.members)
+            nodes = [self.topology.node_of(w) for w in self.members]
+            self._intra_with = tuple(n == nodes[self.rank] for n in nodes)
             self._topo_stats = topology_stats(ctx.shared)
         #: Cached per-node subcommunicators keyed by procs_per_node.
         self._node_comms: dict[int, "Communicator"] = {}
@@ -166,7 +225,7 @@ class Communicator(CollectiveMixin):
             # Data frame (raw bytes on the wire).  Control messages are
             # tuples/scalars and are out of the corruption model — the
             # protection boundary and the threat model coincide.
-            cfg = self.ctx.shared.get(INTEGRITY_KEY)
+            cfg = self._shared.get(INTEGRITY_KEY)
             if cfg is not None and cfg.network:
                 crc = payload_crc(payload)
                 self.ctx.charge(payload_nbytes(payload) * self.cost.crc_byte_time)
@@ -180,33 +239,21 @@ class Communicator(CollectiveMixin):
             self.rank, dest, tag, payload, t_avail, state.next_seq, crc, pristine
         )
         state.next_seq += 1
-        state.queues[dest].append(msg)
-
-    def _overhead_factor(self, tag: int) -> float:
-        return self.cost.net_collective_factor if tag >= COLLECTIVE_TAG_BASE else 1.0
-
-    def _intra(self, peer: int) -> bool:
-        """True when ``peer`` shares a node with me (topology armed)."""
-        node_of = self._node_of
-        return node_of is not None and node_of[peer] == node_of[self.rank]
-
-    def _note_traffic(self, nbytes: int, intra: bool) -> None:
-        if self._topo_stats is not None:
-            self._topo_stats.note_message(
-                nbytes, self.cost.net_envelope_bytes, intra
-            )
+        state.mailboxes[dest].put(msg)
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         """Blocking (buffered) send: completes after the sender overhead."""
         self._check_peer(dest, "destination")
         nbytes = payload_nbytes(obj)
-        factor = self._overhead_factor(tag)
-        intra = self._intra(dest)
+        factor = self._collective_factor if tag >= COLLECTIVE_TAG_BASE else 1.0
+        intra_with = self._intra_with
+        intra = intra_with is not None and intra_with[dest]
         self.ctx.charge(self.net.send_overhead(intra) * factor)
         delay = self.net.delivery_delay(
             nbytes, self.rank, dest, self.ctx.now, factor, intra
         )
-        self._note_traffic(nbytes, intra)
+        if self._topo_stats is not None:
+            self._topo_stats.note_message(nbytes, self.cost.net_envelope_bytes, intra)
         self._enqueue(dest, tag, obj, self.ctx.now + delay)
         self.ctx.yield_now()
 
@@ -214,33 +261,25 @@ class Communicator(CollectiveMixin):
         """Nonblocking send; buffered, so the request is already complete."""
         self._check_peer(dest, "destination")
         nbytes = payload_nbytes(obj)
-        factor = self._overhead_factor(tag)
-        intra = self._intra(dest)
+        factor = self._collective_factor if tag >= COLLECTIVE_TAG_BASE else 1.0
+        intra_with = self._intra_with
+        intra = intra_with is not None and intra_with[dest]
         self.ctx.charge(self.net.post_overhead(intra) * factor)
         delay = self.net.delivery_delay(
             nbytes, self.rank, dest, self.ctx.now, factor, intra
         )
-        self._note_traffic(nbytes, intra)
+        if self._topo_stats is not None:
+            self._topo_stats.note_message(nbytes, self.cost.net_envelope_bytes, intra)
         self._enqueue(dest, tag, obj, self.ctx.now + delay)
         return Request.completed()
 
-    def _match(self, source: int, tag: int) -> Optional[_Message]:
-        """Earliest (by seq) queued message matching the envelope."""
-        best: Optional[_Message] = None
-        for msg in self._state.queues[self.rank]:
-            if source != ANY_SOURCE and msg.src != source:
-                continue
-            if tag != ANY_TAG and msg.tag != tag:
-                continue
-            if best is None or msg.seq < best.seq:
-                best = msg
-        return best
-
     def _complete_recv(self, msg: _Message) -> Any:
-        self._state.queues[self.rank].remove(msg)
+        self._mailbox.take(msg)
         self.ctx.charge_to(msg.t_avail)
-        factor = self._overhead_factor(msg.tag)
-        self.ctx.charge(self.net.recv_overhead(self._intra(msg.src)) * factor)
+        factor = self._collective_factor if msg.tag >= COLLECTIVE_TAG_BASE else 1.0
+        intra_with = self._intra_with
+        intra = intra_with is not None and intra_with[msg.src]
+        self.ctx.charge(self.net.recv_overhead(intra) * factor)
         if msg.crc is None:
             # Unprotected: a corrupted frame is delivered as-is — the
             # silent wrong answer the integrity_network hint exists to
@@ -250,9 +289,9 @@ class Communicator(CollectiveMixin):
         self.ctx.charge(nbytes * self.cost.crc_byte_time)
         if payload_crc(msg.payload) == msg.crc:
             return msg.payload
-        return self._redeliver(msg, factor, nbytes)
+        return self._redeliver(msg, factor, nbytes, intra)
 
-    def _redeliver(self, msg: _Message, factor: float, nbytes: int) -> Any:
+    def _redeliver(self, msg: _Message, factor: float, nbytes: int, intra: bool) -> Any:
         """Bounded re-request of a frame whose checksum failed.
 
         Corruption on the wire is transient — the sender's buffered
@@ -269,7 +308,6 @@ class Communicator(CollectiveMixin):
         def attempt() -> Any:
             # One NACK to the sender plus a fresh transit of the frame;
             # advance (not charge) so the wait is scheduler-visible.
-            intra = self._intra(msg.src)
             self.ctx.advance(
                 self.net.send_overhead(intra) * factor
                 + self.net.delivery_delay(
@@ -290,7 +328,7 @@ class Communicator(CollectiveMixin):
                 faults.note_net_redelivery()
             return payload
 
-        cfg = self.ctx.shared.get(INTEGRITY_KEY) or IntegrityConfig(network=True)
+        cfg = self._shared.get(INTEGRITY_KEY) or IntegrityConfig(network=True)
         policy = RetryPolicy(
             retries=cfg.net_retries,
             backoff=cfg.net_backoff,
@@ -310,17 +348,18 @@ class Communicator(CollectiveMixin):
         missed too (it is the same hang, just scheduled).  Unarmed, the
         path is byte-identical to the untimed block."""
         reason = f"{site}(src={source}, tag={tag}, comm={self.comm_id})"
-        liv = self.ctx.shared.get(LIVENESS_KEY)
+        mailbox = self._mailbox
+        liv = self._shared.get(LIVENESS_KEY)
         deadline = liv.deadline_for(self.ctx.rank) if liv is not None else None
-        if deadline is None:
-            msg = self.ctx.block(lambda: self._match(source, tag), reason=reason)
-            return self._complete_recv(msg)
         msg = self.ctx.block(
-            lambda: self._match(source, tag), reason=reason, timeout_at=deadline
+            lambda: mailbox.match(source, tag),
+            reason=reason,
+            timeout_at=deadline,
+            on=mailbox.signal,
         )
-        if msg is BLOCK_TIMEOUT or msg.t_avail > deadline:
+        if deadline is not None and (msg is BLOCK_TIMEOUT or msg.t_avail > deadline):
             self.ctx.charge_to(deadline)
-            faults = self.ctx.shared.get(FAULTS_KEY)
+            faults = self._shared.get(FAULTS_KEY)
             if faults is not None:
                 faults.note_deadline_exceeded()
             raise DeadlineExceeded(
@@ -346,7 +385,7 @@ class Communicator(CollectiveMixin):
             return self._blocking_recv(source, tag, "irecv")
 
         def test_fn() -> tuple[bool, Any]:
-            msg = self._match(source, tag)
+            msg = self._mailbox.match(source, tag)
             if msg is None:
                 return False, None
             return True, self._complete_recv(msg)

@@ -163,7 +163,14 @@ class Session:
             if isinstance(exc.__cause__, CollectiveAborted):
                 raise exc.__cause__ from None
             raise
+        finally:
+            self._publish_engine_counters(sim)
         return self._results
+
+    def _publish_engine_counters(self, sim) -> None:
+        """Add a finished simulator's dispatcher counts to ``sim.*``."""
+        for name, count in sim.counters.items():
+            self.registry.counter(f"sim.{name}").inc(count)
 
     def run(self, body: Callable[..., Any]) -> list:
         """Run ``body(ctx, comm, f)`` on every rank against the session file.
@@ -277,7 +284,10 @@ class Session:
 
         sim = Simulator(1, tracer=self.tracer)
         sim.shared[METRICS_KEY] = self.registry
-        (result,) = sim.run(replay)
+        try:
+            (result,) = sim.run(replay)
+        finally:
+            self._publish_engine_counters(sim)
         out, rewritten, skipped = result
         if self._injector is not None:
             self._injector.note_resume(rewritten, skipped)

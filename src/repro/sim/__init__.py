@@ -17,13 +17,14 @@ The public pieces are :class:`~repro.sim.engine.Simulator`,
 """
 
 from repro.sim.clock import VirtualClock
-from repro.sim.engine import BLOCK_TIMEOUT, RankContext, Simulator, Watchdog
+from repro.sim.engine import BLOCK_TIMEOUT, RankContext, Signal, Simulator, Watchdog
 from repro.sim.trace import TraceEvent, Tracer
 
 __all__ = [
     "VirtualClock",
     "Simulator",
     "RankContext",
+    "Signal",
     "Tracer",
     "TraceEvent",
     "Watchdog",

@@ -14,27 +14,60 @@ Rank code interacts with the engine through its :class:`RankContext`:
   processor (cheap, for bulk CPU accounting);
 * ``ctx.advance(dt)`` — charge and then reschedule, so ranks that are
   now earlier in virtual time get to run;
-* ``ctx.block(check)`` — block until ``check()`` returns a non-``None``
-  value (re-evaluated at every scheduling decision);
+* ``ctx.block(check, on=signal)`` — block until ``check()`` returns a
+  non-``None`` value;
 * ``ctx.trace(state)`` — record an MPE-style state interval.
 
-If every live rank is blocked the engine raises :class:`SimDeadlock`
-with a per-rank state dump, which turns collective-call mismatches into
-actionable errors instead of hangs.
+**The notify rule.**  The dispatcher is event driven: a blocked proc's
+predicate is evaluated once at the scheduling decision it blocks in,
+and afterwards *only at the first decision after one of the*
+:class:`Signal` *objects it blocked on was notified*.  So whoever
+mutates state a predicate reads must ``notify()`` that predicate's
+signal.  The value the predicate returns is captured at that decision —
+not lazily when the proc next runs — which is what makes wake values
+that depend on the waker's state (the earliest matching message, a lock
+holder's release time) independent of how many other procs exist.  The
+in-tree signals: one per (communicator, destination) notified when a
+message is enqueued (``mpi/comm.py``), one per :class:`TaskHandle`
+notified when the coroutine finishes (``join``, ``Request.wait``,
+``waitany``), one per lock manager notified when pins are released or
+reclaimed (``fs/locks.py``).
 
-Implementation note: the processor handoff uses one ``threading.Event``
-per rank (set exactly when that rank is dispatched), not a shared
-condition variable — ``notify_all`` would wake every parked rank at
-every scheduling decision, which measures as a >2x slowdown at 64
-ranks.
+A scheduling decision costs O(log n): ready procs sit in a heap keyed
+``(clock, rank)``; timed blocks sit in a second heap keyed
+``(max(clock, timeout_at), rank)`` whose stale entries are skipped when
+they surface.  A timeout fires only when its key is smaller than every
+ready proc's, so any message that could still arrive in virtual time
+beats it.
+
+If nothing is runnable while procs are blocked, every blocked predicate
+is re-evaluated once: one that now holds was missed by its notifier and
+raises :class:`~repro.errors.MissedWakeup`; otherwise the engine raises
+:class:`SimDeadlock` with a per-rank state dump, which turns
+collective-call mismatches into actionable errors instead of hangs.
+
+Implementation note: the processor hand-off is one raw lock per proc
+used as a binary semaphore (held while the proc runs or is parked,
+released exactly when it is dispatched) — a ``threading.Event`` costs a
+condition variable, a fresh lock and several Python frames per
+hand-off, and a shared condition variable would wake every parked rank
+at every decision.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Iterator, MutableMapping, Optional, Sequence
+from heapq import heappop, heappush
+from typing import Any, Callable, Iterable, Iterator, MutableMapping, Optional, Sequence, Union
 
-from repro.errors import RankCrashed, RankFailed, SimDeadlock, SimHang, SimulationError
+from repro.errors import (
+    MissedWakeup,
+    RankCrashed,
+    RankFailed,
+    SimDeadlock,
+    SimHang,
+    SimulationError,
+)
 from repro.sim.clock import VirtualClock
 from repro.sim.trace import Tracer
 
@@ -42,6 +75,7 @@ __all__ = [
     "Simulator",
     "RankContext",
     "ScopedContext",
+    "Signal",
     "TaskHandle",
     "Watchdog",
     "BLOCK_TIMEOUT",
@@ -84,10 +118,11 @@ class _SimAborted(BaseException):
 
 
 class _Proc:
-    """Internal per-rank record."""
+    """Internal per-rank (or per-coroutine) scheduling record."""
 
     __slots__ = (
         "rank",
+        "lane",
         "clock",
         "state",
         "thread",
@@ -95,13 +130,20 @@ class _Proc:
         "wake_value",
         "blocked_on",
         "timeout_at",
+        "signals",
+        "notified",
+        "inbox",
+        "epoch",
         "last_progress",
         "result",
-        "event",
+        "lock",
     )
 
-    def __init__(self, rank: int) -> None:
+    def __init__(self, rank: int, lane: int, inbox: list) -> None:
         self.rank = rank
+        #: Trace lane (tid) this proc's spans record under: the rank
+        #: itself for rank procs, an interned lane for coroutines.
+        self.lane = lane
         self.clock = VirtualClock()
         self.state = _READY
         self.thread: Optional[threading.Thread] = None
@@ -110,12 +152,52 @@ class _Proc:
         self.blocked_on: str = ""
         #: Virtual time at which a timed block gives up (None = untimed).
         self.timeout_at: Optional[float] = None
+        #: Signals this proc is registered on while blocked.
+        self.signals: tuple = ()
+        #: True while queued in ``inbox`` (one entry per decision however
+        #: many of its signals fired).
+        self.notified = False
+        #: The owning simulator's list of procs to re-check at the next
+        #: decision; :meth:`Signal.notify` appends here.
+        self.inbox = inbox
+        #: Bumped at every wake-up; a timed-heap entry carrying an older
+        #: value belongs to a block that already ended.
+        self.epoch = 0
         #: Virtual time of this rank's last scheduler interaction — the
         #: progress mark the watchdog compares against the frontier.
         self.last_progress: float = 0.0
         self.result: Any = None
-        #: Set exactly when this rank is dispatched to run.
-        self.event = threading.Event()
+        #: Binary semaphore: held while this proc runs or is parked,
+        #: released exactly when it is dispatched to run.
+        self.lock = threading.Lock()
+        self.lock.acquire()
+
+
+class Signal:
+    """A wake-up channel between state and the predicates that read it.
+
+    Whoever mutates state that a blocked proc's predicate reads calls
+    :meth:`notify` on the signal the proc blocked ``on``; the engine
+    re-evaluates the waiters' predicates at its next scheduling
+    decision.  A signal is just a waiter list — it belongs to the state
+    it guards (a mailbox, a task handle, a lock table), needs no
+    simulator to construct, and notifying one nobody waits on is a
+    no-op."""
+
+    __slots__ = ("_waiters",)
+
+    def __init__(self) -> None:
+        self._waiters: list[_Proc] = []
+
+    def notify(self) -> None:
+        """Schedule every waiter's predicate for re-evaluation."""
+        for proc in self._waiters:
+            if not proc.notified:
+                proc.notified = True
+                proc.inbox.append(proc)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"Signal({len(self._waiters)} waiting)"
 
 
 class TaskHandle:
@@ -123,11 +205,12 @@ class TaskHandle:
     :meth:`RankContext.spawn`).
 
     ``done`` flips exactly once, under the engine's single-thread
-    invariant; ``value`` or ``error`` is set before it does.  ``t_start``
-    / ``t_end`` bracket the task in virtual time so a joiner can charge
-    its clock forward to the task's completion."""
+    invariant; ``value`` or ``error`` is set before it does, and
+    ``signal`` is notified as it does — block ``on`` it to wait for the
+    task.  ``t_start`` / ``t_end`` bracket the task in virtual time so a
+    joiner can charge its clock forward to the task's completion."""
 
-    __slots__ = ("label", "done", "value", "error", "t_start", "t_end")
+    __slots__ = ("label", "done", "value", "error", "t_start", "t_end", "signal")
 
     def __init__(self, label: str) -> None:
         self.label = label
@@ -136,6 +219,12 @@ class TaskHandle:
         self.error: Optional[BaseException] = None
         self.t_start = 0.0
         self.t_end = 0.0
+        self.signal = Signal()
+
+    def _finish(self, t_end: float) -> None:
+        self.t_end = t_end
+        self.done = True
+        self.signal.notify()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "done" if self.done else "running"
@@ -211,19 +300,23 @@ class RankContext:
         check: Callable[[], Any],
         reason: str = "",
         timeout_at: Optional[float] = None,
+        *,
+        on: Union[Signal, Iterable[Signal]],
     ) -> Any:
         """Block until ``check()`` returns non-``None``; return that value.
 
         ``check`` runs under the engine's single-thread invariant, so it
-        may freely read shared state.  It is re-evaluated at every
-        scheduling decision.
+        may freely read shared state.  It is evaluated once now, and
+        afterwards only at the first scheduling decision after a signal
+        in ``on`` (one :class:`Signal` or several) was notified — so
+        every mutation of state ``check`` reads must notify one of them.
 
         With ``timeout_at`` (absolute virtual time), the wait is
         *timed*: if the predicate still fails once no other rank can
         run before ``timeout_at``, the clock advances to the timeout
         and :data:`BLOCK_TIMEOUT` is returned instead.  A predicate
         that becomes true at exactly the timeout wins the tie."""
-        return self._sim._block(self._proc, check, reason, timeout_at)
+        return self._sim._block(self._proc, check, reason, timeout_at, on)
 
     # -- shared state and tracing ----------------------------------------
     @property
@@ -237,7 +330,8 @@ class RankContext:
 
     def trace(self, state: str, **info: Any):
         """Context manager recording an MPE-style state interval."""
-        return self.tracer.interval(self.rank, state, self._proc.clock, **info)
+        proc = self._proc
+        return self.tracer.interval(proc.lane, state, proc.clock, **info)
 
     # -- coroutines ------------------------------------------------------
     def spawn(
@@ -294,27 +388,21 @@ class _TaskContext(RankContext):
     ``rank``/``nprocs``/``shared`` all delegate to the spawning
     context, so metrics, fault evaluation, deadline lookups, and
     tenancy overlays resolve exactly as they would inline.  Trace
-    spans record under the task's ``lane`` (a distinct tid), keeping
-    the tracer's per-key stack discipline while the parent's own spans
-    continue on the rank's lane."""
+    spans record under the task proc's ``lane`` (a distinct tid),
+    keeping the tracer's per-key stack discipline while the parent's
+    own spans continue on the rank's lane."""
 
-    __slots__ = ("_parent", "lane")
+    __slots__ = ("_parent",)
 
-    def __init__(
-        self, sim: "Simulator", proc: _Proc, parent: RankContext, lane: int
-    ) -> None:
+    def __init__(self, sim: "Simulator", proc: _Proc, parent: RankContext) -> None:
         super().__init__(sim, proc)
         self._parent = parent
         self.rank = parent.rank
         self.nprocs = parent.nprocs
-        self.lane = lane
 
     @property
     def shared(self) -> MutableMapping:
         return self._parent.shared
-
-    def trace(self, state: str, **info: Any):
-        return self.tracer.interval(self.lane, state, self._proc.clock, **info)
 
 
 class Watchdog:
@@ -389,14 +477,36 @@ class Simulator:
         #: ranks keep running — death is a survivable event, not an
         #: abort.
         self.crashed: set[int] = set()
+        #: Scheduling decisions taken (one per advance/yield/block/exit).
+        self.decisions = 0
+        #: Blocked-proc predicates evaluated (at block time, after a
+        #: notify, and in the standstill re-check).
+        self.predicate_evals = 0
+        #: Decisions that passed the processor to a different thread.
+        self.handoffs = 0
+        #: Timed blocks that expired (woke with :data:`BLOCK_TIMEOUT`).
+        self.timed_fires = 0
+        #: Blocked procs made ready (predicate held, or timeout fired).
+        self.wakeups = 0
         self._mu = threading.Lock()
         self._done_event = threading.Event()
         self._procs: list[_Proc] = []
-        #: Engine coroutines (see :meth:`spawn`) — scheduled alongside
-        #: the rank procs but excluded from ``times``/``makespan`` and
-        #: the watchdog, which reason about *ranks*.
-        self._tasks: list[_Proc] = []
+        #: Live engine coroutines by task id (see :meth:`spawn`) —
+        #: scheduled alongside the rank procs but excluded from
+        #: ``times``/``makespan`` and the watchdog, which reason about
+        #: *ranks*.
+        self._tasks: dict[int, _Proc] = {}
         self._next_task_id = nprocs
+        #: Procs (rank or task) that have not finished.
+        self._live = 0
+        #: Ready procs, a heap of ``(clock, rank, proc)``.
+        self._ready: list = []
+        #: Timed blocks, a heap of ``(max(clock, timeout_at), rank,
+        #: epoch, proc)``; entries whose epoch is stale are skipped.
+        self._timed: list = []
+        #: Blocked procs one of whose signals fired since the last
+        #: decision (``_Proc.inbox`` aliases this list).
+        self._notified: list[_Proc] = []
         #: Interned trace lanes: stable key -> tid (see :meth:`lane_for`).
         self._lanes: dict = {}
         self._next_lane = _LANE_BASE
@@ -424,7 +534,9 @@ class Simulator:
                 f"per_rank_args has {len(per_rank_args)} entries for {self.nprocs} ranks"
             )
 
-        self._procs = [_Proc(r) for r in range(self.nprocs)]
+        self._procs = [_Proc(r, r, self._notified) for r in range(self.nprocs)]
+        self._live = self.nprocs
+        self._ready = [(0.0, p.rank, p) for p in self._procs]  # sorted: a heap
         threads = []
         for proc in self._procs:
             extra = tuple(per_rank_args[proc.rank]) if per_rank_args is not None else ()
@@ -440,11 +552,9 @@ class Simulator:
         for t in threads:
             t.start()
         with self._mu:
-            self._dispatch_next()
+            self._dispatch(None)
         while not self._done_event.wait(timeout=self.join_timeout):
-            if self._fatal is not None or all(
-                p.state == _DONE for p in self._everyone()
-            ):
+            if self._fatal is not None or self._live == 0:
                 break  # pragma: no cover - safety net
             # Wall-clock hang: some rank thread is stuck outside the
             # engine's control.  Diagnose it instead of spinning.
@@ -474,9 +584,26 @@ class Simulator:
             raise self._fatal
         return [p.result for p in self._procs]
 
+    @property
+    def counters(self) -> dict[str, int]:
+        """The dispatcher's work counts, by name (see the attributes)."""
+        return {
+            "decisions": self.decisions,
+            "predicate_evals": self.predicate_evals,
+            "handoffs": self.handoffs,
+            "timed_fires": self.timed_fires,
+            "wakeups": self.wakeups,
+        }
+
     def _everyone(self) -> list[_Proc]:
-        """Rank procs plus any spawned coroutine procs."""
-        return self._procs + self._tasks if self._tasks else self._procs
+        """Rank procs plus any live coroutine procs."""
+        return self._procs + list(self._tasks.values()) if self._tasks else self._procs
+
+    def _describe(self, p: _Proc) -> str:
+        line = f"{'rank' if p.rank < self.nprocs else 'task'} {p.rank}: {p.state}"
+        if p.state == _BLOCKED and p.blocked_on:
+            line += f" on {p.blocked_on}"
+        return line + f" at t={p.clock.now:.6f}"
 
     def _hang_dump(self) -> str:
         """Per-rank diagnosis for a wall-clock hang: state, blocked-on
@@ -486,14 +613,10 @@ class Simulator:
         for p in self._everyone():
             if p.state == _DONE:
                 continue
-            kind = "rank" if p.rank < self.nprocs else "task"
-            line = f"{kind} {p.rank}: {p.state}"
-            if p.state == _BLOCKED and p.blocked_on:
-                line += f" on {p.blocked_on}"
-            line += f" at t={p.clock.now:.6f}"
+            line = self._describe(p)
             if p.rank in suspects:
                 line += " [suspect]"
-            last = self.tracer.last_event(p.rank)
+            last = self.tracer.last_event(p.lane)
             if last is not None:
                 line += f"; last event {last.state!r} [{last.t0:.6f}..{last.t1:.6f}]"
             parts.append(line)
@@ -512,82 +635,106 @@ class Simulator:
     # -- scheduling core ---------------------------------------------------
     # All methods below require self._mu to be held.
 
-    def _runnable(self) -> Optional[_Proc]:
-        """Wake any blocked rank whose predicate now holds, then return
-        the ready rank with the smallest (clock, rank).
+    def _wake(self, proc: _Proc, value: Any) -> None:
+        """Move a blocked proc to the ready heap with its wake value."""
+        proc.wake_value = value
+        proc.check = None
+        proc.timeout_at = None
+        proc.epoch += 1
+        for signal in proc.signals:
+            signal._waiters.remove(proc)
+        proc.signals = ()
+        proc.state = _READY
+        heappush(self._ready, (proc.clock.now, proc.rank, proc))
+        self.wakeups += 1
 
-        A *timed* blocked rank competes as a candidate scheduled at
-        ``max(clock, timeout_at)``: it fires (waking with
-        :data:`BLOCK_TIMEOUT`) only when no ready rank could run before
-        its timeout — so any message that could still arrive in virtual
-        time beats the timeout."""
-        best: Optional[_Proc] = None
-        best_key = None
-        timed: Optional[_Proc] = None
-        timed_key = None
-        for p in self._everyone():
-            if p.state == _BLOCKED:
-                value = p.check() if p.check is not None else None
-                if value is not None:
-                    p.wake_value = value
-                    p.check = None
-                    p.timeout_at = None
-                    p.state = _READY
-                elif p.timeout_at is not None:
-                    key = (max(p.clock.now, p.timeout_at), p.rank)
-                    if timed is None or key < timed_key:
-                        timed, timed_key = p, key
-            if p.state == _READY:
-                key = (p.clock.now, p.rank)
-                if best is None or key < best_key:
-                    best, best_key = p, key
-        if timed is not None and (best is None or timed_key < best_key):
-            timed.clock.advance_to(timed.timeout_at)
-            timed.wake_value = BLOCK_TIMEOUT
-            timed.check = None
-            timed.timeout_at = None
-            timed.state = _READY
-            return timed
-        return best
+    def _dispatch(self, cur: Optional[_Proc]) -> bool:
+        """Take one scheduling decision; return whether ``cur`` (the
+        proc deciding, already queued or retired) must park.
 
-    def _dispatch_next(self) -> None:
-        """Pick the next rank to run and wake it (or detect deadlock)."""
+        Re-checks the procs whose signals fired since the last
+        decision, lets the earliest timed block fire if it precedes
+        every ready proc — it then competes at
+        ``max(clock, timeout_at)``, so any message that could still
+        arrive in virtual time beats the timeout — and hands the
+        processor to the ready proc with the smallest (clock, rank)."""
         if self._fatal is not None:
             self._abort_all()
-            return
-        nxt = self._runnable()
-        if nxt is not None:
+            return True
+        self.decisions += 1
+        notified = self._notified
+        if notified:
+            for p in notified:
+                p.notified = False
+                if p.state is _BLOCKED:
+                    self.predicate_evals += 1
+                    value = p.check()
+                    if value is not None:
+                        self._wake(p, value)
+            notified.clear()
+        ready = self._ready
+        timed = self._timed
+        while timed:
+            t, rank, epoch, p = timed[0]
+            if p.epoch != epoch:
+                heappop(timed)  # that block already ended
+                continue
+            if not ready or (t, rank) < ready[0][:2]:
+                heappop(timed)
+                p.clock.advance_to(p.timeout_at)
+                self.timed_fires += 1
+                self._wake(p, BLOCK_TIMEOUT)
+            break
+        if ready:
+            nxt = heappop(ready)[2]
             nxt.state = _RUNNING
             nxt.last_progress = nxt.clock.now
-            nxt.event.set()
-            return
-        if all(p.state == _DONE for p in self._everyone()):
+            if nxt is cur:
+                return False
+            self.handoffs += 1
+            nxt.lock.release()
+        elif self._live == 0:
             self._done_event.set()
-            return
-        # No runnable rank, some blocked: deadlock.
-        dump = "; ".join(
-            f"{'rank' if p.rank < self.nprocs else 'task'} {p.rank}: {p.state}"
-            + (f" on {p.blocked_on}" if p.state == _BLOCKED and p.blocked_on else "")
-            + f" at t={p.clock.now:.6f}"
-            for p in self._everyone()
-            if p.state != _DONE
-        )
-        self._fatal = SimDeadlock(f"all live ranks are blocked: {dump}")
-        self._abort_all()
+        else:
+            self._fatal = self._standstill()
+            self._abort_all()
+        return True
+
+    def _standstill(self) -> SimulationError:
+        """Nothing is runnable but procs are blocked: name a blocker
+        whose predicate holds unnotified, else report the deadlock."""
+        blocked = [p for p in self._everyone() if p.state == _BLOCKED]
+        for p in blocked:
+            self.predicate_evals += 1
+            if p.check() is not None:
+                return MissedWakeup(p.rank, p.blocked_on)
+        dump = "; ".join(self._describe(p) for p in self._everyone() if p.state != _DONE)
+        return SimDeadlock(f"all live ranks are blocked: {dump}")
+
+    def _retire(self, proc: _Proc) -> None:
+        proc.state = _DONE
+        self._live -= 1
+        self._tasks.pop(proc.rank, None)
 
     def _abort_all(self) -> None:
         """Wake everything so threads can unwind; requires _mu held."""
         for p in self._everyone():
-            p.event.set()
+            # Signals outlive the run (a lock table, a shared file
+            # system): leave no dead waiter behind.
+            for signal in p.signals:
+                signal._waiters.remove(p)
+            p.signals = ()
+            if p.lock.locked():
+                p.lock.release()
         self._done_event.set()
 
     # -- handoff (called by rank threads) ------------------------------------
     def _park(self, proc: _Proc) -> None:
         """Wait (outside the mutex) until this rank is dispatched."""
-        while not proc.event.wait(timeout=self.join_timeout):
+        acquire = proc.lock.acquire
+        while not acquire(True, self.join_timeout):
             if self._fatal is not None:  # pragma: no cover - safety net
                 break
-        proc.event.clear()
         if self._fatal is not None:
             raise _SimAborted()
 
@@ -595,23 +742,39 @@ class Simulator:
         """Voluntarily yield: let the earliest ready rank run next."""
         with self._mu:
             proc.state = _READY
-            self._dispatch_next()
-        self._park(proc)
+            heappush(self._ready, (proc.clock.now, proc.rank, proc))
+            park = self._dispatch(proc)
+        if park:
+            self._park(proc)
 
     def _block(
         self,
         proc: _Proc,
         check: Callable[[], Any],
         reason: str,
-        timeout_at: Optional[float] = None,
+        timeout_at: Optional[float],
+        on: Union[Signal, Iterable[Signal]],
     ) -> Any:
+        signals = (on,) if isinstance(on, Signal) else tuple(dict.fromkeys(on))
         with self._mu:
-            proc.check = check
             proc.blocked_on = reason
-            proc.timeout_at = timeout_at
             proc.state = _BLOCKED
-            self._dispatch_next()
-        self._park(proc)
+            self.predicate_evals += 1
+            value = check()
+            if value is not None:
+                self._wake(proc, value)
+            else:
+                proc.check = check
+                proc.signals = signals
+                for signal in signals:
+                    signal._waiters.append(proc)
+                if timeout_at is not None:
+                    proc.timeout_at = timeout_at
+                    key = max(proc.clock.now, timeout_at)
+                    heappush(self._timed, (key, proc.rank, proc.epoch, proc))
+            park = self._dispatch(proc)
+        if park:
+            self._park(proc)
         proc.blocked_on = ""
         value, proc.wake_value = proc.wake_value, None
         return value
@@ -648,11 +811,11 @@ class Simulator:
         task_id = self._next_task_id
         self._next_task_id += 1
         handle = TaskHandle(label or f"task-{task_id}")
-        proc = _Proc(task_id)
+        proc = _Proc(task_id, lane if lane is not None else task_id, self._notified)
         proc.clock.advance_to(parent.now)
         proc.last_progress = parent.now
         handle.t_start = parent.now
-        ctx = _TaskContext(self, proc, parent, lane if lane is not None else task_id)
+        ctx = _TaskContext(self, proc, parent)
         t = threading.Thread(
             target=self._task_main,
             args=(proc, handle, ctx, fn),
@@ -661,7 +824,9 @@ class Simulator:
         )
         proc.thread = t
         with self._mu:
-            self._tasks.append(proc)
+            self._tasks[task_id] = proc
+            self._live += 1
+            heappush(self._ready, (proc.clock.now, task_id, proc))
         t.start()
         return handle
 
@@ -674,6 +839,7 @@ class Simulator:
             ctx.block(
                 lambda: True if handle.done else None,
                 reason=f"join:{handle.label}",
+                on=handle.signal,
             )
         ctx.charge_to(handle.t_end)
         if handle.error is not None:
@@ -687,16 +853,14 @@ class Simulator:
             self._park(proc)
             handle.t_start = proc.clock.now
             handle.value = fn(ctx)
-            handle.t_end = proc.clock.now
-            handle.done = True
+            handle._finish(proc.clock.now)
             with self._mu:
-                proc.state = _DONE
-                self._dispatch_next()
+                self._retire(proc)
+                self._dispatch(None)
         except _SimAborted:
-            handle.t_end = proc.clock.now
-            handle.done = True
+            handle._finish(proc.clock.now)
             with self._mu:
-                proc.state = _DONE
+                self._retire(proc)
                 self._done_event.set()
         except (Exception, RankCrashed) as exc:  # noqa: BLE001 - delivered at join
             # Typed failures (RankCrashed, DeadlineExceeded, storage
@@ -706,21 +870,19 @@ class Simulator:
             # crash site and here can swallow it — but a *task's* death
             # belongs to the rank that joins it, not to the engine.
             handle.error = exc
-            handle.t_end = proc.clock.now
-            handle.done = True
+            handle._finish(proc.clock.now)
             with self._mu:
-                proc.state = _DONE
-                self._dispatch_next()
+                self._retire(proc)
+                self._dispatch(None)
         except BaseException as exc:  # noqa: BLE001 - report any task failure
             failure = RankFailed(ctx.rank, repr(exc))
             failure.__cause__ = exc
             handle.error = failure
-            handle.t_end = proc.clock.now
-            handle.done = True
+            handle._finish(proc.clock.now)
             with self._mu:
                 if self._fatal is None:
                     self._fatal = failure
-                proc.state = _DONE
+                self._retire(proc)
                 self._abort_all()
 
     # -- rank thread ---------------------------------------------------------
@@ -730,11 +892,11 @@ class Simulator:
             self._park(proc)
             proc.result = main(ctx, *args)
             with self._mu:
-                proc.state = _DONE
-                self._dispatch_next()
+                self._retire(proc)
+                self._dispatch(None)
         except _SimAborted:
             with self._mu:
-                proc.state = _DONE
+                self._retire(proc)
                 self._done_event.set()
         except RankCrashed:
             # Fail-stop death: this rank is gone, the others live on.
@@ -742,15 +904,15 @@ class Simulator:
             # harmlessly in the communicator state.
             with self._mu:
                 self.crashed.add(proc.rank)
-                proc.state = _DONE
-                self._dispatch_next()
+                self._retire(proc)
+                self._dispatch(None)
         except BaseException as exc:  # noqa: BLE001 - report any rank failure
             failure = RankFailed(proc.rank, repr(exc))
             failure.__cause__ = exc
             with self._mu:
                 if self._fatal is None:
                     self._fatal = failure
-                proc.state = _DONE
+                self._retire(proc)
                 self._abort_all()
 
 

@@ -41,7 +41,7 @@ from repro.fs import SimFileSystem
 from repro.io import RetryPolicy
 from repro.liveness import LivenessState, find_liveness, install_liveness
 from repro.mpi import Communicator, Hints
-from repro.sim import BLOCK_TIMEOUT, Simulator
+from repro.sim import BLOCK_TIMEOUT, Signal, Simulator, Tracer
 
 COST = CostModel(page_size=64, stripe_size=256, num_osts=2)
 NPROCS = 4
@@ -99,7 +99,7 @@ def stall_plan(seed=7):
 class TestEngineTimedBlocks:
     def test_timeout_fires_at_timeout_at(self):
         def main(ctx):
-            woke = ctx.block(lambda: None, reason="never", timeout_at=2.5e-3)
+            woke = ctx.block(lambda: None, reason="never", timeout_at=2.5e-3, on=())
             return woke is BLOCK_TIMEOUT, ctx.now
 
         (result,) = Simulator(1).run(main)
@@ -108,13 +108,16 @@ class TestEngineTimedBlocks:
         assert now == pytest.approx(2.5e-3)
 
     def test_early_wake_beats_timeout(self):
+        boxed = Signal()
+
         def main(ctx):
             if ctx.rank == 1:
                 ctx.advance(1e-3)
                 ctx.shared["box"] = ctx.now
+                boxed.notify()
                 return None
             woke = ctx.block(
-                lambda: ctx.shared.get("box"), reason="box", timeout_at=1.0
+                lambda: ctx.shared.get("box"), reason="box", timeout_at=1.0, on=boxed
             )
             # Check-based wakes carry the *value*, not the clock: the
             # waiter charges itself to the causal time.
@@ -141,6 +144,26 @@ class TestSimHang:
             sim.run(main)
         # The abort names the stuck rank instead of spinning silently.
         assert "rank 1" in str(info.value)
+
+    def test_hang_dump_finds_a_stuck_tasks_last_span(self):
+        # A coroutine's spans record under its *lane*, not its task id:
+        # the dump must look the last event up by the lane.
+        def stage(tctx):
+            with tctx.trace("round:flush"):
+                tctx.advance(1e-3)
+            time.sleep(0.6)  # the pipelined stage wedges
+
+        def main(ctx):
+            lane = ctx._sim.lane_for(("stage", ctx.rank), "rank 0 stage")
+            ctx.join(ctx.spawn(stage, label="stage", lane=lane))
+
+        sim = Simulator(1, tracer=Tracer(), join_timeout=0.15)
+        with pytest.raises(SimHang) as info:
+            sim.run(main)
+        msg = str(info.value)
+        assert "rank 0: blocked on join:stage" in msg
+        assert "task 1: running" in msg
+        assert "last event 'round:flush' [0.000000..0.001000]" in msg
 
     def test_bad_join_timeout_rejected(self):
         with pytest.raises(ValueError):

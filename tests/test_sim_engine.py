@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import RankFailed, SimDeadlock
-from repro.sim import Simulator, Tracer
+from repro.sim import Signal, Simulator, Tracer
 from repro.sim.clock import VirtualClock
 
 
@@ -117,14 +117,16 @@ class TestScheduling:
     def test_block_wakes_on_condition(self):
         sim = Simulator(2)
         mailbox = sim.shared.setdefault("mailbox", [])
+        posted = Signal()
 
         def main(ctx):
             if ctx.rank == 0:
                 ctx.advance(1e-3)
                 mailbox.append("hello")
+                posted.notify()
                 ctx.advance(1e-3)
                 return None
-            value = ctx.block(lambda: mailbox[0] if mailbox else None, "mail")
+            value = ctx.block(lambda: mailbox[0] if mailbox else None, "mail", on=posted)
             return value
 
         results = sim.run(main)
@@ -149,7 +151,7 @@ class TestFailures:
 
         def main(ctx):
             if ctx.rank == 0:
-                ctx.block(lambda: None, "never")
+                ctx.block(lambda: None, "never", on=Signal())
 
         with pytest.raises(SimDeadlock) as ei:
             sim.run(main)
