@@ -89,7 +89,6 @@ def selfcheck(
         contiguous,
         resized,
     )
-    from repro.core.file_handle import sanctioned_construction
     from repro.faults import FaultStats, load_scenario
 
     plan = load_scenario(fault_spec) if fault_spec else None
@@ -104,8 +103,7 @@ def selfcheck(
                 hints = hints.replace(
                     integrity_pages=True,
                     integrity_network=True,
-                    # The journal rides the new implementation only.
-                    journal_writes=(impl == "new"),
+                    journal_writes=True,
                 )
             if liveness:
                 # Suspect-driven failover rides the new implementation
@@ -139,8 +137,7 @@ def selfcheck(
 
             def main(ctx):
                 comm = Communicator(ctx)
-                with sanctioned_construction():
-                    f = CollectiveFile(ctx, comm, fs, "/check", hints=hints)
+                f = CollectiveFile(ctx, comm, fs, "/check", hints=hints)
                 tile = resized(contiguous(region, BYTE), 0, region * nprocs)
                 f.set_view(disp=comm.rank * region, filetype=tile)
                 data = (np.arange(region * count, dtype=np.int64) * (comm.rank + 1) % 251).astype(np.uint8)
@@ -312,7 +309,6 @@ def fsck(
         contiguous,
         resized,
     )
-    from repro.core.file_handle import sanctioned_construction
     from repro.integrity import fsck as run_fsck
 
     nprocs, region, count = 4, 64, 64
@@ -322,8 +318,7 @@ def fsck(
 
     def main(ctx):
         comm = Communicator(ctx)
-        with sanctioned_construction():
-            f = CollectiveFile(ctx, comm, fs, path, hints=hints)
+        f = CollectiveFile(ctx, comm, fs, path, hints=hints)
         tile = resized(contiguous(region, BYTE), 0, region * nprocs)
         f.set_view(disp=comm.rank * region, filetype=tile)
         data = (

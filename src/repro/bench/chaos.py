@@ -48,7 +48,6 @@ import numpy as np
 
 from repro.config import CostModel, DEFAULT_COST_MODEL
 from repro.core import CollectiveFile
-from repro.core.file_handle import sanctioned_construction
 from repro.datatypes import BYTE, contiguous, resized
 from repro.datatypes.segments import FlatCursor
 from repro.datatypes.packing import scatter_segments
@@ -288,8 +287,7 @@ class ChaosHarness:
 
         def main(ctx):
             comm = Communicator(ctx, self.cost)
-            with sanctioned_construction():
-                f = CollectiveFile(ctx, comm, fs, _PATH, hints=hints, cost=self.cost)
+            f = CollectiveFile(ctx, comm, fs, _PATH, hints=hints, cost=self.cost)
             tile = resized(contiguous(region, BYTE), 0, region * nprocs)
             f.set_view(disp=comm.rank * region, filetype=tile)
             if self.async_io:

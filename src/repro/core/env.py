@@ -1,14 +1,11 @@
-"""Shared state handed to the two-phase drivers, and per-file statistics.
+"""Shared state handed to the round loop, and per-file statistics.
 
 :class:`CollStats` used to be a bag of bare dataclass ints; it is now a
 thin view over :class:`~repro.obs.metrics.MetricsRegistry` instruments
 keyed by rank, so the same numbers surface under stable dotted names
 (``coll.rounds``, ``exchange.bytes``, ``coll.meta.bytes``, ...) in the
 session-wide registry while every existing ``stats.x += 1`` site keeps
-working unchanged.  The attribute names are kept non-warning because
-the drivers themselves write through them; the *deprecated* surface is
-:attr:`repro.core.file_handle.CollectiveFile.stats`, the old way of
-reaching this object.
+working unchanged.
 """
 
 from __future__ import annotations
@@ -125,7 +122,7 @@ del _attr
 
 @dataclass
 class CollEnv:
-    """Everything a two-phase driver needs for one collective call."""
+    """Everything the round loop needs for one collective call."""
 
     ctx: RankContext
     comm: Communicator

@@ -21,8 +21,6 @@ steps are skipped.
 
 from __future__ import annotations
 
-import warnings
-from contextlib import contextmanager
 from typing import Hashable, List, Optional
 
 import numpy as np
@@ -33,8 +31,9 @@ from repro.core.file_view import FileView
 from repro.core.pfr import PFRState
 from repro.core.plancache import PlanCache
 from repro.core.request import Request
-from repro.core.two_phase_new import read_all_new, write_all_new
-from repro.core.two_phase_old import read_all_old, write_all_old
+from repro.core.rounds import run_collective
+from repro.core.two_phase_new import Layered
+from repro.core.two_phase_old import IntegratedSieve
 from repro.datatypes.base import BYTE, Datatype
 from repro.datatypes.flatten import FlatType
 from repro.errors import CollectiveIOError, RankCrashed
@@ -52,27 +51,7 @@ from repro.mpi.hints import Hints
 from repro.obs.metrics import MetricsView, metrics_registry
 from repro.sim.engine import RankContext
 
-__all__ = ["CollectiveFile", "CollStats", "sanctioned_construction"]
-
-#: Depth of active :func:`sanctioned_construction` scopes.  The engine
-#: runs one thread at a time, so a plain counter is race-free.
-_sanction_depth = 0
-
-
-@contextmanager
-def sanctioned_construction():
-    """Mark direct :class:`CollectiveFile` construction as intentional.
-
-    The documented way to open a file is :meth:`Session.open` +
-    :meth:`Session.run` (see ``docs/api.md``); internal plumbing that
-    still builds handles by hand wraps the construction in this scope
-    to keep the user-facing :class:`DeprecationWarning` quiet."""
-    global _sanction_depth
-    _sanction_depth += 1
-    try:
-        yield
-    finally:
-        _sanction_depth -= 1
+__all__ = ["CollectiveFile", "CollStats"]
 
 
 class CollectiveFile:
@@ -89,19 +68,11 @@ class CollectiveFile:
         client_id: Optional[Hashable] = None,
         resume_rank: Optional[int] = None,
     ) -> None:
-        if _sanction_depth == 0:
-            warnings.warn(
-                "Direct CollectiveFile construction is deprecated; open "
-                "files through repro.Session (Session.open(...).run(body) "
-                "hands each rank an open handle — see docs/api.md)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         self.ctx = ctx
         self.comm = comm
         #: Rejoin replay mode (docs/crash_recovery.md): collective
         #: writes route through journal-replay resume instead of the
-        #: two-phase drivers, rewriting only uncommitted bytes.
+        #: round loop, rewriting only uncommitted bytes.
         self.resume_rank = resume_rank
         self._resume_calls = 0
         self.resume_rewritten = 0
@@ -196,21 +167,6 @@ class CollectiveFile:
     def metrics(self) -> MetricsView:
         """This rank's registry view (``coll.*``/``exchange.*`` series)."""
         return self.registry.view(self.ctx.rank)
-
-    @property
-    def stats(self) -> CollStats:
-        """Deprecated: the old per-handle stats object.
-
-        The same numbers now live in the metrics registry under stable
-        dotted names (see ``docs/observability.md``); read them via
-        :attr:`metrics` or a session's registry."""
-        warnings.warn(
-            "CollectiveFile.stats is deprecated; use CollectiveFile.metrics "
-            "or the session metrics registry instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._stats
 
     # -- views --------------------------------------------------------------
     def set_view(
@@ -313,14 +269,16 @@ class CollectiveFile:
             memflat = memflat.replicate(count)
         return memflat, total
 
-    def _env(self) -> CollEnv:
+    def _env(
+        self, ctx: RankContext, comm: Communicator, adio: AdioFile, view: FileView
+    ) -> CollEnv:
         return CollEnv(
-            ctx=self.ctx,
-            comm=self.comm,
+            ctx=ctx,
+            comm=comm,
             cost=self.cost,
             hints=self.hints,
-            adio=self.adio,
-            view=self.view,
+            adio=adio,
+            view=view,
             stats=self._stats,
             pfr=self.pfr,
             plancache=self.plancache,
@@ -363,7 +321,7 @@ class CollectiveFile:
         write: bool,
         resume_call: Optional[int],
     ) -> None:
-        """The one collective body: prologue, driver, epilogue.
+        """The one collective body: prologue, round loop, epilogue.
 
         Blocking operations run it inline (``ctx``/``comm``/``adio``
         are the handle's own); nonblocking operations run it in an
@@ -371,17 +329,7 @@ class CollectiveFile:
         on the same interned queues, and the adio view charging the
         task's clock."""
         self._prologue(adio)
-        env = CollEnv(
-            ctx=ctx,
-            comm=comm,
-            cost=self.cost,
-            hints=self.hints,
-            adio=adio,
-            view=view,
-            stats=self._stats,
-            pfr=self.pfr,
-            plancache=self.plancache,
-        )
+        env = self._env(ctx, comm, adio, view)
         op_name = "write_all" if write else "read_all"
         t_begin = ctx.now
         with ctx.trace(op_name):
@@ -397,12 +345,9 @@ class CollectiveFile:
                 )
                 self.resume_rewritten += rewritten
                 self.resume_skipped += skipped
-            elif write:
-                driver = write_all_old if self.hints["coll_impl"] == "old" else write_all_new
-                driver(env, buf8, memflat, total, start)
             else:
-                driver = read_all_old if self.hints["coll_impl"] == "old" else read_all_new
-                driver(env, buf8, memflat, total, start)
+                method = IntegratedSieve if self.hints["coll_impl"] == "old" else Layered
+                run_collective(env, method, buf8, memflat, total, start, write=write)
         self._call_seconds.record(ctx.now - t_begin)
         if write:
             self._epilogue_write(ctx, adio)

@@ -12,7 +12,7 @@ in flight, and a submit past that limit back-pressures by joining the
 oldest (counted in ``coll.pipeline.stalls``).
 
 ``pipeline_depth = 0`` (the default) never constructs a pipeline —
-the drivers run their seed-identical serialized loop.  The pipeline
+the round loop runs serialized, seed-identical.  The pipeline
 also *stands down* (returns ``None`` from :func:`maybe_pipeline`)
 while any realm-mutating fault kind is armed: ``agg_crash`` /
 ``rank_stall`` / ``rank_crash`` restructure the round schedule at

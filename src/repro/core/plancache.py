@@ -69,13 +69,14 @@ PLAN_MUTATING_KINDS = frozenset({"agg_crash", "rank_stall", "rank_crash"})
 
 @dataclass
 class RoundPlan:
-    """One recorded round of the exchange schedule (this rank's view).
+    """One round of the exchange schedule (this rank's view): what a
+    round source routes, and what the recorder keeps for replay.
 
     ``send`` are the client-side memory batches (per peer), ``recv``
     the aggregator-side collective-buffer batches (per client); on the
-    read path the replay swaps the two, exactly like the cold drivers.
-    ``window`` is a :class:`~repro.core.realms.Window` for the new
-    implementation or a ``(lo, hi)`` span tuple for the old one;
+    read path the round loop swaps the two.  ``window`` is a
+    :class:`~repro.core.realms.Window` for the new implementation or a
+    ``(lo, hi)`` span tuple for the old one;
     ``merged`` is the ``(offsets, lengths)`` flush extent pair."""
 
     send: List[Optional[SegmentBatch]]
@@ -114,9 +115,6 @@ class PlanRecorder:
     impl: str
     rounds: List[RoundPlan] = field(default_factory=list)
     dirty: bool = False
-
-    def add_round(self, send, window, recv, merged) -> None:
-        self.rounds.append(RoundPlan(list(send), window, list(recv), merged))
 
     def mark_dirty(self) -> None:
         self.dirty = True
@@ -220,8 +218,8 @@ class PlanCache:
     ) -> Optional[PlanEntry]:
         """Collective hit/miss agreement for one call.
 
-        Every rank of the communicator must call this (the drivers do,
-        at the top of every collective op).  Returns the entry to
+        Every rank of the communicator must call this (``run_collective``
+        does, at the top of every collective op).  Returns the entry to
         replay, or ``None`` — plan cold.  After a miss,
         :meth:`recording` hands out the recorder for :meth:`commit`."""
         self._pending = None

@@ -6,8 +6,7 @@ as a participant, and the per-epoch commit records the aggregators cut
 into the write journal (:meth:`SimFileSystem.journal_record_epoch`).
 ``Session.rejoin`` restarts the rank in a one-process replay
 simulation; when the replayed program reaches the collective write it
-died in, :func:`resume_write` takes over instead of the two-phase
-driver:
+died in, :func:`resume_write` takes over instead of the round loop:
 
 1. replay the epoch log and collect the committed intervals of every
    record for this call that lists the rank as a participant;

@@ -21,7 +21,9 @@ Write path, per collective call:
    buffer, which is flushed through the independent I/O layer with a
    per-flush method choice (conditional data sieving et al.).
 
-The read path runs the phases in the opposite order.
+The read path runs the phases in the opposite order.  Steps 1-4 are
+the planner :class:`_Plan`, step 5's buffer handling is
+:class:`Layered`; the loop that runs them is :mod:`repro.core.rounds`.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import numpy as np
 
 from repro.core.aggregation import select_aggregators
 from repro.core.env import CollEnv
-from repro.core.exchange import exchange_data
 from repro.core.plan import (
     access_histogram,
     compute_aar,
@@ -41,93 +42,62 @@ from repro.core.plan import (
     mem_batch_for,
     merge_extents,
 )
+from repro.core.plancache import PlanRecorder, RoundPlan
 from repro.core.realms import FileRealm, RealmDomain, resolve_strategy
+from repro.core.rounds import CONTINUE, RESTART, STOP, RoundSource
 from repro.datatypes.flatten import FlatType
 from repro.datatypes.packing import gather_segments, scatter_segments
 from repro.datatypes.segments import FlatCursor, SegmentBatch
 from repro.datatypes.serialize import decode_flat, encode_flat
-from repro.errors import (
-    AggregatorLost,
-    CollectiveAborted,
-    CollectiveIOError,
-    RankCrashed,
-)
-from repro.core.pipeline import maybe_pipeline, task_env
-from repro.faults.plan import FAULTS_KEY
+from repro.errors import AggregatorLost, CollectiveIOError
 from repro.io.selection import choose_method
-from repro.liveness import LIVENESS_KEY, install_crash_state
-from repro.mpi.agreement import AliveGroup, agree_dead_set
 from repro.mpi.topology import resolve_topology
 
-__all__ = ["write_all_new", "read_all_new"]
+__all__ = ["Layered"]
 
 _TAG_META = (1 << 19) + 1  # library p2p range: below COLLECTIVE_TAG_BASE
 _EMPTY64 = np.empty(0, dtype=np.int64)
 
 
-class _Plan:
-    """Per-call planning state shared by the read and write paths.
+class _Plan(RoundSource):
+    """The new implementation's planner (§5.2/§5.3): ships flattened
+    filetypes, assigns pluggable realms, and re-carves them around lost
+    aggregators and suspects.
 
     ``total_bytes`` is the number of data bytes carried; ``data_lo`` is
     the access's starting position in the view's data stream (the
     individual file pointer / explicit offset), so the touched stream
     range is [data_lo, data_lo + total_bytes)."""
 
+    #: Feeds the balanced strategy's straggler-aware weights on the
+    #: *next* call.
+    service_feedback = True
+
     def __init__(
-        self, env: CollEnv, memflat: FlatType, total_bytes: int, data_lo: int = 0
+        self,
+        env: CollEnv,
+        memflat: FlatType,
+        total_bytes: int,
+        data_lo: int = 0,
+        rec: Optional[PlanRecorder] = None,
     ) -> None:
-        self.env = env
+        super().__init__(env, rec)
         self.memflat = memflat
         self.total_bytes = total_bytes
         self.data_lo = data_lo
         self.data_hi = data_lo + total_bytes
-        ctx, comm, hints = env.ctx, env.comm, env.hints
+        comm, hints = env.comm, env.hints
         view = env.view
 
-        # Resilience state: which collective call this is (a pure
-        # function of per-rank program order, so every rank agrees
-        # without communication), which phase boundaries have passed,
-        # and which aggregators have already been failed over.
-        self._injector = ctx.shared.get(FAULTS_KEY)
-        self._call_index = (
-            self._injector.begin_collective(comm.rank)
-            if self._injector is not None
-            else 0
-        )
-        self._boundary = 0
+        # Role-loss and liveness state: which phase boundaries have
+        # passed (the base's counter), which aggregators have already
+        # been failed over, and which ranks stalled by a ``rank_stall``
+        # fault became *suspect* and are completed around.
         self._dead: set[int] = set()
-        # Liveness state (suspect-driven failover): ranks stalled by a
-        # ``rank_stall`` fault become *suspect* and are completed
-        # around; ``skip`` feeds the exchange layer's exclusion.
-        self._liveness = ctx.shared.get(LIVENESS_KEY)
         self._suspects: set[int] = set()
         self.i_am_suspect = False
         self._suspect_tails: Optional[List[RealmDomain]] = None
-        #: Virtual seconds this rank spent servicing its aggregator
-        #: role this call (routing + flushing); feeds the balanced
-        #: strategy's straggler-aware weights on the *next* call.
-        self.service_seconds = 0.0
-        # Fail-stop crash machinery (docs/crash_recovery.md), armed only
-        # when the plan carries ``rank_crash`` events so the fault-free
-        # path is untouched.  ``group`` is the survivors' communicator
-        # view: every *control* collective of the planning phase (AAR,
-        # histogram, bounds, extent) runs on it, so planning a new call
-        # never blocks waiting on a corpse from an earlier one.
-        self._crash = None
-        self._crash_pending: Optional[str] = None
-        self._known_dead: set[int] = set()
-        self.group: Optional[AliveGroup] = None
-        if self._injector is not None and self._injector.enabled("rank_crash"):
-            self._crash = install_crash_state(ctx.shared)
-            self._known_dead = set(self._crash.dead)
-            self.group = AliveGroup(comm, frozenset(self._known_dead), -1)
-            quorum = hints["crash_quorum"]
-            if self.group.size < quorum:
-                raise CollectiveAborted(
-                    -1, self.group.size, quorum, tuple(sorted(self._known_dead))
-                )
-        self.skip: frozenset = frozenset(self._known_dead)
-        coll = self._coll
+        coll = self.coll
 
         lo, hi = view.access_span(self.data_hi, data_lo)
         self.aar_lo, self.aar_hi = compute_aar(coll, lo, hi, total_bytes > 0)
@@ -135,24 +105,16 @@ class _Plan:
         # and the two_layer exchange's grouping.  None on flat clusters,
         # so the default path is untouched.
         self.topology = resolve_topology(hints, env.cost)
-        self.aggs = select_aggregators(
-            comm.size, hints["cb_nodes"], hints["cb_layout"], topology=self.topology
+        self.aggs = self._live_aggregators(
+            select_aggregators(
+                comm.size, hints["cb_nodes"], hints["cb_layout"], topology=self.topology
+            )
         )
-        if self._known_dead:
-            # Ranks that died fail-stop in earlier calls never regain
-            # the aggregator role; if every chosen aggregator is a
-            # corpse, re-aggregate elastically over the survivors.
-            alive_aggs = [a for a in self.aggs if a not in self._known_dead]
-            if alive_aggs:
-                self.aggs = alive_aggs
-            else:
-                live = [x for x in range(comm.size) if x not in self._known_dead]
-                self.aggs = live[: max(1, len(self.aggs))]
         if self._injector is not None:
-            # Aggregators that died in *earlier* collective calls never
-            # regain the role: drop them before realm assignment so
+            # Aggregators whose role died in *earlier* collective calls
+            # never regain it: drop them before realm assignment so
             # survivors partition the AAR among themselves.
-            gone = self._injector.dead_aggregators(self._call_index, -1)
+            gone = self._injector.dead_aggregators(self.call_index, -1)
             if gone:
                 alive = [a for a in self.aggs if a not in gone]
                 if len(alive) != len(self.aggs):
@@ -203,14 +165,6 @@ class _Plan:
                 self.domains[ai] = self.domains[ai].clip(b[0], b[1])
         self.nrounds = max((d.nrounds(cb) for d in self.domains), default=0)
 
-    # -- control-collective carrier -------------------------------------------
-    @property
-    def _coll(self):
-        """The alive group when fail-stop crashes are armed, the full
-        communicator otherwise — every planning-phase collective rides
-        on this so corpses are never waited on."""
-        return self.group if self.group is not None else self.env.comm
-
     # -- realms ---------------------------------------------------------------
     def _assign_realms(self) -> List[FileRealm]:
         env = self.env
@@ -233,12 +187,12 @@ class _Plan:
                 self.aar_lo,
                 self.aar_hi,
             )
-            histogram = self._coll.allreduce(local, op=lambda a, b: a + b)
+            histogram = self.coll.allreduce(local, op=lambda a, b: a + b)
             # Straggler-aware rebalancing: feed each aggregator's
             # observed service time from the *previous* collective call
             # back as an inverse weight, so a slow aggregator's realm
             # shrinks.  One allgather, paid only on the balanced path.
-            times = self._coll.allgather(env.stats.last_agg_service_seconds)
+            times = self.coll.allgather(env.stats.last_agg_service_seconds)
             per_agg = [float(times[a]) for a in self.aggs]
             if any(t > 0.0 for t in per_agg):
                 known = [1.0 / t for t in per_agg if t > 0.0]
@@ -411,15 +365,27 @@ class _Plan:
         merged = merge_extents(ext_offs, ext_lens)
         return window, per_client, merged
 
+    def _route(self, r: int) -> RoundPlan:
+        send = self.client_send_plan(r)
+        t0 = self.env.ctx.now
+        window, recv, merged = self.agg_recv_layout(r)
+        if window is not None:
+            self.service_seconds += self.env.ctx.now - t0
+        return RoundPlan(send, window, recv, merged)
+
     # -- aggregator failover ------------------------------------------------
-    def maybe_failover(self, r: int) -> bool:
+    @property
+    def excluded(self) -> frozenset:
+        return frozenset(self._dead | self._suspects | self._known_dead)
+
+    def boundary(self, r: int, buf: np.ndarray, write: bool) -> int:
         """Phase-boundary fault check, called before each round.
 
         ``r`` is the next round of the current epoch (== rounds
         completed since the last rebalance, so ``r * cb`` linear bytes
         of every domain are already flushed).  Detection needs no
-        communication: both fault classes evaluated here are pure
-        functions of the per-rank collective-call ordinal and a
+        communication: every fault class evaluated here is a pure
+        function of the per-rank collective-call ordinal and a
         monotonic boundary counter, which every rank tracks
         identically:
 
@@ -431,27 +397,28 @@ class _Plan:
           realm merges into survivors, its already-exchanged access
           description is dropped from the aggregation, and its own
           remaining access becomes independent tail I/O
-          (:meth:`run_suspect_tail`).
+          (:meth:`run_suspect_tail`);
+        * ``rank_crash`` — a fail-stop death (:meth:`_fail_stop`);
+          survivors re-carve the schedule without the corpses.
 
-        Returns True when realms were rebalanced — the caller must
-        restart its round counter at zero (``nrounds`` has been
-        recomputed for the new domains), or, when ``i_am_suspect``,
-        leave the round loop and run the tail."""
+        ``RESTART`` when realms were rebalanced (``nrounds`` has been
+        recomputed for the new domains); ``STOP`` for the suspect
+        itself, once its tail is written or read."""
         inj = self._injector
         if inj is None:
-            return False
+            return CONTINUE
         crash_on = inj.enabled("agg_crash")
         stall_on = inj.enabled("rank_stall")
         fail_stop_on = self._crash is not None
         if not crash_on and not stall_on and not fail_stop_on:
-            return False
+            return CONTINUE
         env = self.env
         rank = env.comm.rank
         liv = self._liveness
         boundary = self._boundary
         self._boundary += 1
 
-        stalls = inj.stalled_ranks(self._call_index, boundary) if stall_on else {}
+        stalls = inj.stalled_ranks(self.call_index, boundary) if stall_on else {}
         if rank in stalls:
             delay = stalls[rank]
             with env.ctx.trace("fault:stall", round=r):
@@ -463,7 +430,7 @@ class _Plan:
                 liv.begin_call(rank, env.ctx.now)
 
         dead = (
-            inj.dead_aggregators(self._call_index, boundary)
+            inj.dead_aggregators(self.call_index, boundary)
             if crash_on
             else frozenset()
         )
@@ -474,77 +441,22 @@ class _Plan:
                 s for s in stalls if s not in self._suspects and s not in dead
             )
 
-        # Fail-stop crashes (docs/crash_recovery.md).  Detection is the
-        # same pure plan evaluation as above; what follows differs per
-        # role.  The *victim* records its death and dies at its site;
-        # *survivors* run one epoch-agreement round, shrink the working
-        # group, and re-carve the schedule without the corpses.
         crash_newly: List[int] = []
-        if fail_stop_on:
-            crashed = inj.crashed_ranks(self._call_index, boundary)
-            crash_newly = sorted(c for c in crashed if c not in self._known_dead)
         reporter = 0
-        if fail_stop_on and self._known_dead:
-            # Once fail-stop deaths exist, "rank 0 reports" stops being
-            # safe — the designated reporter is the first survivor.
-            reporter = min(
-                x for x in range(env.comm.size) if x not in self._known_dead
-            )
-        if crash_newly and rank in crash_newly:
-            event = inj.crash_event_for(rank, self._call_index)
-            site = event.site if event is not None else "boundary"
-            if self._crash.mark_dead(rank, self._call_index, boundary):
-                inj.note_crash()
-            self._known_dead.add(rank)
-            self.skip = frozenset(self.skip | {rank})
-            if site == "boundary":
-                raise RankCrashed(rank, site)
-            # Die deeper in the round: keep walking the round
-            # structure fully skipped (``dying``) until the site.
-            self._crash_pending = site
-            return False
-        if fail_stop_on and self._known_dead and rank == reporter:
-            # Plan events whose every target is already dead fire into
-            # the void; count them (satellite of docs/crash_recovery.md)
-            # *before* folding this boundary's fresh deaths in.
-            sup = inj.suppressed_for(
-                frozenset(self._known_dead), self._call_index, boundary
-            )
-            if sup:
-                inj.note_suppressed(sup)
-        if crash_newly:
-            proposal = frozenset(self._known_dead | set(crash_newly))
-            with env.ctx.trace("crash:agree", epoch=boundary):
-                self.group = agree_dead_set(env.comm, proposal, boundary)
-            for c in crash_newly:
-                if self._crash.mark_dead(c, self._call_index, boundary):
-                    inj.note_crash()
-            self._known_dead.update(crash_newly)
-            reporter = self.group.first_alive()
-            if rank == reporter:
-                inj.note_agreement()
-            quorum = env.hints["crash_quorum"]
-            if self.group.size < quorum:
-                if rank == reporter:
-                    inj.note_aborted()
-                raise CollectiveAborted(
-                    boundary,
-                    self.group.size,
-                    quorum,
-                    tuple(sorted(self._known_dead)),
-                )
-            # Survivors stop expecting the corpses' data and stop
-            # exchanging with them.
+        if fail_stop_on:
+            crash_newly, reporter = self._fail_stop(boundary)
+            if self.dying:
+                return CONTINUE
+            # Survivors stop expecting the corpses' data.
             if self.agg_cursors is not None:
                 for c in crash_newly:
                     self.agg_cursors[c] = None
-            self.skip = frozenset(self._suspects | self._known_dead)
         crash_lost = [a for a in self.aggs if a in crash_newly]
 
         if not newly_dead and not new_suspects and not crash_lost:
             # Pure-client deaths leave the window geometry untouched:
             # survivors carry on at the same round, minus the corpses.
-            return False
+            return CONTINUE
         if newly_dead and not env.hints["failover"]:
             raise AggregatorLost(newly_dead[0])
         with env.ctx.trace("tp:failover", round=r):
@@ -610,22 +522,12 @@ class _Plan:
                     if cur is not None:
                         cur.reset()
             self.nrounds = max((d.nrounds(self.cb) for d in self.domains), default=0)
-        return True
+        if self.i_am_suspect:
+            self.run_suspect_tail(buf, write=write)
+            return STOP
+        return RESTART
 
-    # -- fail-stop crash sites and epoch commits ------------------------------
-    @property
-    def dying(self) -> bool:
-        """True once this rank's fail-stop death is pending: it keeps
-        walking the round structure fully skipped (no exchange legs, no
-        flush) until its designated site raises."""
-        return self._crash_pending is not None
-
-    def crash_point(self, site: str) -> None:
-        """Raise the pending death when its site (``exchange`` |
-        ``flush``) is reached."""
-        if self._crash_pending == site:
-            raise RankCrashed(self.env.comm.rank, site)
-
+    # -- epoch commits --------------------------------------------------------
     def commit_epoch(self, r: int) -> None:
         """Make round ``r`` durable and cut its epoch commit record.
 
@@ -662,7 +564,7 @@ class _Plan:
         local = env.adio.local
         local.fs.journal_record_epoch(
             local.path,
-            call_index=self._call_index,
+            call_index=self.call_index,
             epoch=self._boundary - 1,
             participants=[c for c in range(env.comm.size) if c not in excluded],
             intervals=intervals,
@@ -731,561 +633,63 @@ class _NullCursor:
         return SegmentBatch.empty_batch()
 
 
-def _exchange_mode(env: CollEnv) -> str:
-    """Effective exchange backend: ``node_aggregation`` forces
-    two_layer regardless of the ``exchange`` hint."""
-    if env.hints["node_aggregation"]:
-        return "two_layer"
-    return env.hints["exchange"]
-
-
-def _journal_commit(env: CollEnv, plan: _Plan) -> None:
-    """Commit the collective call's shadow transaction.
-
-    Barrier — one committer publishes — barrier: the first barrier
-    guarantees every aggregator's journal writes have landed, the
-    second that no rank returns from the collective before the commit
-    is visible.  The committer is the first *surviving* aggregator, so
-    a crash-with-failover still commits; a crash with failover off
-    raises :class:`~repro.errors.AggregatorLost` before reaching here
-    and the transaction is simply never committed — the file stays at
-    its pre-collective image (the crash-consistency contract)."""
-    comm = env.comm
-    local = env.adio.local
-    # Teardown barriers run over the survivors: a corpse would deadlock
-    # the full-membership barrier forever.
-    sync = plan.group if plan.group is not None else comm
-    excluded = plan._dead | plan._suspects | plan._known_dead
-    sync.barrier()
-    alive = [a for a in plan.aggs if a not in excluded]
-    committer = alive[0] if alive else plan.aggs[0]
-    if comm.rank == committer:
-        env.adio.retry.run(
-            env.ctx,
-            lambda: local.fs.txn_commit(env.ctx, local.client.client_id, local.path),
-        )
-    sync.barrier()
-
-
-def _flush_merged(env: CollEnv, ft_extent: int, window, merged, cbuf: np.ndarray) -> None:
-    offs, lens = merged
+def _merged_batch(rp: RoundPlan) -> Optional[SegmentBatch]:
+    """Round ``rp``'s merged file extents addressed into the collective
+    buffer, or None when no client touches my window."""
+    offs, lens = rp.merged
     if offs is None or offs.size == 0:
-        return
-    bufpos = window.to_buffer(offs)
-    wbatch = SegmentBatch(offs, lens.copy(), bufpos)
-    method = choose_method(env.hints, ft_extent, wbatch)
-    env.stats.note_flush(method)
-    env.adio.write_strided(wbatch, cbuf, method)
+        return None
+    return SegmentBatch(offs, lens.copy(), rp.window.to_buffer(offs))
 
 
-def _fill_merged(env: CollEnv, ft_extent: int, window, merged) -> Optional[np.ndarray]:
-    offs, lens = merged
-    cbuf = np.zeros(window.total_bytes, dtype=np.uint8)
-    if offs is None or offs.size == 0:
-        return cbuf
-    bufpos = window.to_buffer(offs)
-    rbatch = SegmentBatch(offs, lens.copy(), bufpos)
-    method = choose_method(env.hints, ft_extent, rbatch)
-    env.stats.note_flush(method)
-    data = env.adio.read_strided(rbatch, method)
-    cbuf[: data.size] = data
-    return cbuf
+class Layered:
+    """Layered I/O (§5.1): the collective buffer goes through the
+    independent-I/O layer, which picks a method per flush (conditional
+    data sieving et al.)."""
 
+    impl = "new"
+    planner = _Plan
 
-def _flush_task(env: CollEnv, ft_extent: int, window, merged, cbuf, r: int, svc: list):
-    """Coroutine body flushing round ``r``'s collective buffer.
+    @staticmethod
+    def exchange_mode(env: CollEnv) -> str:
+        """Effective exchange backend: ``node_aggregation`` forces
+        two_layer regardless of the ``exchange`` hint."""
+        if env.hints["node_aggregation"]:
+            return "two_layer"
+        return env.hints["exchange"]
 
-    Runs on the task's own clock via a context-rebound env; ``svc``
-    accumulates the aggregator service seconds the serialized path
-    would have charged inline."""
+    @staticmethod
+    def active(rp: RoundPlan) -> bool:
+        return rp.window is not None
 
-    def run(tctx) -> None:
-        fenv = task_env(env, tctx)
-        with tctx.trace("round:flush", round=r):
-            t0 = tctx.now
-            _flush_merged(fenv, ft_extent, window, merged, cbuf)
-            svc.append(tctx.now - t0)
+    @staticmethod
+    def stage(env: CollEnv, src, rp: RoundPlan, r: int) -> Optional[np.ndarray]:
+        if rp.window is None:
+            return None
+        return np.zeros(rp.window.total_bytes, dtype=np.uint8)
 
-    return run
+    @staticmethod
+    def flush(env: CollEnv, src, rp: RoundPlan, cbuf: np.ndarray) -> None:
+        wbatch = _merged_batch(rp)
+        if wbatch is None:
+            return
+        method = choose_method(env.hints, src.ft_extent, wbatch)
+        env.stats.note_flush(method)
+        env.adio.write_strided(wbatch, cbuf, method)
 
-
-def _fill_task(env: CollEnv, ft_extent: int, window, merged, r: int, svc: list):
-    """Coroutine body pre-filling round ``r``'s collective buffer from
-    the file (the read-path prefetch); returns the buffer at join."""
-
-    def run(tctx):
-        fenv = task_env(env, tctx)
-        with tctx.trace("round:fill", round=r):
-            t0 = tctx.now
-            cbuf = _fill_merged(fenv, ft_extent, window, merged)
-            svc.append(tctx.now - t0)
+    @staticmethod
+    def fill(env: CollEnv, src, rp: RoundPlan) -> Optional[np.ndarray]:
+        if src.dying:
+            # On its way to its crash site a rank reads nothing it will
+            # never hand out.
+            return None
+        cbuf = np.zeros(rp.window.total_bytes, dtype=np.uint8)
+        rbatch = _merged_batch(rp)
+        if rbatch is None:
             return cbuf
+        method = choose_method(env.hints, src.ft_extent, rbatch)
+        env.stats.note_flush(method)
+        data = env.adio.read_strided(rbatch, method)
+        cbuf[: data.size] = data
+        return cbuf
 
-    return run
-
-
-def _replay(env: CollEnv, entry, buf: np.ndarray, *, write: bool) -> None:
-    """Replay a cached plan: the data path of the cold drivers with the
-    planning phase elided entirely — no flattening, no AAR allreduce,
-    no metadata exchange, no window intersection (zero offset/length
-    pairs evaluated).  Per round: exchange along the recorded schedule,
-    then flush (write) or pre-fill (read) the recorded merged extents.
-
-    The replay only ever runs for a plan the cache agreed on
-    collectively, and never while a realm-mutating fault kind is armed
-    (PlanCache bypasses those), so the recorded schedule is exact."""
-    comm, cost = env.comm, env.cost
-    mode = _exchange_mode(env)
-    # Data-path fault kinds (delays, flips, OST outages) key their event
-    # windows on the collective-call ordinal; keep it advancing even
-    # though no planning happens.
-    inj = env.ctx.shared.get(FAULTS_KEY)
-    call_index = inj.begin_collective(comm.rank) if inj is not None else 0
-    liv = env.ctx.shared.get(LIVENESS_KEY)
-    rank = comm.rank
-    service = 0.0
-    env.stats.last_realm_bytes = list(entry.realm_bytes)
-    # Replays pipeline too: the recorded schedule is immutable, so the
-    # flush/fill of round r overlaps neighbouring exchanges exactly as
-    # on the cold path.
-    pipe = maybe_pipeline(env)
-    svc: List[float] = []
-
-    def run_rounds() -> None:
-        nonlocal service
-        try:
-            if write:
-                for r, rp in enumerate(entry.rounds):
-                    env.stats.rounds += 1
-                    cbuf = (
-                        np.zeros(rp.window.total_bytes, dtype=np.uint8)
-                        if rp.window is not None
-                        else None
-                    )
-                    if liv is not None:
-                        liv.set_phase(rank, f"exchange[{r}]")
-                    with env.ctx.trace(
-                        "round:exchange" if pipe is not None else "tp:exchange",
-                        round=r,
-                    ):
-                        env.stats.bytes_exchanged += exchange_data(
-                            comm, cost, mode, buf, rp.send, cbuf, rp.recv,
-                            skip=frozenset(), topology=entry.topology,
-                        )
-                    if pipe is not None:
-                        if rp.window is not None and cbuf is not None:
-                            pipe.submit(
-                                _flush_task(
-                                    env, entry.ft_extent, rp.window, rp.merged,
-                                    cbuf, r, svc,
-                                ),
-                                round_no=r,
-                                stage="round:flush",
-                            )
-                    else:
-                        if liv is not None:
-                            liv.set_phase(rank, f"io[{r}]")
-                        with env.ctx.trace("tp:io", round=r):
-                            if rp.window is not None and cbuf is not None:
-                                t0 = env.ctx.now
-                                _flush_merged(
-                                    env, entry.ft_extent, rp.window, rp.merged, cbuf
-                                )
-                                service += env.ctx.now - t0
-                if pipe is not None:
-                    pipe.drain()
-            elif pipe is None:
-                for r, rp in enumerate(entry.rounds):
-                    env.stats.rounds += 1
-                    if liv is not None:
-                        liv.set_phase(rank, f"io[{r}]")
-                    with env.ctx.trace("tp:io", round=r):
-                        if rp.window is not None:
-                            t0 = env.ctx.now
-                            cbuf = _fill_merged(
-                                env, entry.ft_extent, rp.window, rp.merged
-                            )
-                            service += env.ctx.now - t0
-                        else:
-                            cbuf = None
-                    if liv is not None:
-                        liv.set_phase(rank, f"exchange[{r}]")
-                    with env.ctx.trace("tp:exchange", round=r):
-                        # Aggregator -> client, exactly like read_all_new:
-                        # recorded receive layouts become send batches.
-                        env.stats.bytes_exchanged += exchange_data(
-                            comm, cost, mode, cbuf, rp.recv, buf, rp.send,
-                            skip=frozenset(), topology=entry.topology,
-                        )
-            else:
-                # Pipelined replay read: prefetch fills ahead of the
-                # exchange, mirroring read_all_new's pipelined loop.
-                routed: List[tuple] = []
-                next_r = 0
-
-                def route_one(rr: int) -> None:
-                    rp = entry.rounds[rr]
-                    env.stats.rounds += 1
-                    handle = None
-                    if rp.window is not None:
-                        handle = pipe.submit(
-                            _fill_task(
-                                env, entry.ft_extent, rp.window, rp.merged, rr, svc
-                            ),
-                            round_no=rr,
-                            stage="round:fill",
-                        )
-                    routed.append((rr, rp, handle))
-
-                def prefetch() -> None:
-                    nonlocal next_r
-                    while next_r < len(entry.rounds) and (
-                        not routed
-                        or (pipe.free_slots > 0 and len(routed) <= pipe.depth)
-                    ):
-                        route_one(next_r)
-                        next_r += 1
-
-                prefetch()
-                while routed:
-                    rr, rp, handle = routed.pop(0)
-                    cbuf = pipe.join(handle) if handle is not None else None
-                    prefetch()
-                    if liv is not None:
-                        liv.set_phase(rank, f"exchange[{rr}]")
-                    with env.ctx.trace("round:exchange", round=rr):
-                        env.stats.bytes_exchanged += exchange_data(
-                            comm, cost, mode, cbuf, rp.recv, buf, rp.send,
-                            skip=frozenset(), topology=entry.topology,
-                        )
-                pipe.drain()
-        except BaseException:
-            if pipe is not None:
-                pipe.drain(suppress=True)
-            raise
-        finally:
-            service += sum(svc)
-            svc.clear()
-
-    if liv is not None:
-        liv.begin_call(rank, env.ctx.now)
-    try:
-        if write and env.hints["journal_writes"]:
-            local = env.adio.local
-            local.fs.txn_begin(local.path, call_index)
-            with env.adio.journaled():
-                run_rounds()
-            # Barrier — committer publishes — barrier, as in
-            # _journal_commit; with no realm-mutating faults armed the
-            # committer is simply the first recorded aggregator.
-            comm.barrier()
-            committer = entry.aggs[0] if entry.aggs else 0
-            if comm.rank == committer:
-                env.adio.retry.run(
-                    env.ctx,
-                    lambda: local.fs.txn_commit(
-                        env.ctx, local.client.client_id, local.path
-                    ),
-                )
-            comm.barrier()
-        else:
-            run_rounds()
-    finally:
-        if liv is not None:
-            liv.end_call(rank)
-    if write:
-        env.stats.collective_writes += 1
-    else:
-        env.stats.collective_reads += 1
-    env.stats.agg_service_seconds += service
-    env.stats.last_agg_service_seconds = service
-
-
-def write_all_new(
-    env: CollEnv,
-    buf: np.ndarray,
-    memflat: FlatType,
-    total_bytes: int,
-    data_lo: int = 0,
-) -> None:
-    """Collective write of ``total_bytes`` from ``buf`` (laid out by
-    ``memflat``) through the rank's file view, starting at data-stream
-    position ``data_lo`` (the individual file pointer)."""
-    cache = env.plancache
-    if cache is not None:
-        entry = cache.begin(env, memflat, total_bytes, data_lo, "new")
-        if entry is not None:
-            with env.ctx.trace("plan:replay", key=entry.key_id, impl="new"):
-                _replay(env, entry, buf, write=True)
-            return
-    rec = cache.recording("new") if cache is not None else None
-    with env.ctx.trace("tp:plan"):
-        plan = _Plan(env, memflat, total_bytes, data_lo)
-    comm, cost = env.comm, env.cost
-    mode = _exchange_mode(env)
-    liv = plan._liveness
-    rank = comm.rank
-    if liv is not None:
-        liv.begin_call(rank, env.ctx.now)
-    # Round pipelining (docs/async_io.md): when armed, flushes run as
-    # engine coroutines so the exchange of round r+1 overlaps the flush
-    # of round r.  The pipeline stands down (None) whenever a
-    # realm-mutating fault kind is armed, so the failover / suspect /
-    # epoch machinery below only ever runs on the serialized path.
-    pipe = maybe_pipeline(env)
-    svc: List[float] = []
-
-    def run_rounds() -> None:
-        try:
-            r = 0
-            while r < plan.nrounds:
-                if plan.maybe_failover(r):
-                    if rec is not None:
-                        rec.mark_dirty()
-                    if plan.i_am_suspect:
-                        plan.run_suspect_tail(buf, write=True)
-                        return
-                    r = 0
-                    continue
-                env.stats.rounds += 1
-                if liv is not None:
-                    liv.set_phase(rank, f"route[{r}]")
-                with env.ctx.trace("tp:route", round=r):
-                    send_plan = plan.client_send_plan(r)
-                    t0 = env.ctx.now
-                    window, recv_plan, merged = plan.agg_recv_layout(r)
-                    if window is not None:
-                        plan.service_seconds += env.ctx.now - t0
-                    cbuf = (
-                        np.zeros(window.total_bytes, dtype=np.uint8)
-                        if window is not None
-                        else None
-                    )
-                if rec is not None:
-                    rec.add_round(send_plan, window, recv_plan, merged)
-                if liv is not None:
-                    liv.set_phase(rank, f"exchange[{r}]")
-                with env.ctx.trace(
-                    "round:exchange" if pipe is not None else "tp:exchange", round=r
-                ):
-                    plan.crash_point("exchange")
-                    if not plan.dying:
-                        env.stats.bytes_exchanged += exchange_data(
-                            comm, cost, mode, buf, send_plan, cbuf, recv_plan,
-                            skip=plan.skip, topology=plan.topology,
-                        )
-                if pipe is not None:
-                    if window is not None and cbuf is not None:
-                        pipe.submit(
-                            _flush_task(
-                                env, plan.ft_extent, window, merged, cbuf, r, svc
-                            ),
-                            round_no=r,
-                            stage="round:flush",
-                        )
-                else:
-                    if liv is not None:
-                        liv.set_phase(rank, f"io[{r}]")
-                    with env.ctx.trace("tp:io", round=r):
-                        plan.crash_point("flush")
-                        if window is not None and cbuf is not None:
-                            t0 = env.ctx.now
-                            _flush_merged(env, plan.ft_extent, window, merged, cbuf)
-                            plan.service_seconds += env.ctx.now - t0
-                plan.commit_epoch(r)
-                r += 1
-            if pipe is not None:
-                pipe.drain()
-        except BaseException:
-            if pipe is not None:
-                # Never leave a flush coroutine running past its call;
-                # its own error must not mask the primary exception.
-                pipe.drain(suppress=True)
-            raise
-        finally:
-            plan.service_seconds += sum(svc)
-            svc.clear()
-
-    try:
-        if env.hints["journal_writes"]:
-            # Crash-consistent path: aggregator flushes land in a shadow
-            # transaction keyed by the collective-call ordinal (identical
-            # on every rank without communication; a leftover transaction
-            # under a *different* ordinal is a crashed call's journal and
-            # is discarded by txn_begin).
-            local = env.adio.local
-            local.fs.txn_begin(local.path, plan._call_index)
-            with env.adio.journaled():
-                run_rounds()
-            _journal_commit(env, plan)
-        else:
-            run_rounds()
-    finally:
-        if liv is not None:
-            liv.end_call(rank)
-    if rec is not None:
-        with env.ctx.trace("plan:store", key=rec.key_id, impl="new"):
-            cache.commit(
-                rec,
-                nrounds=plan.nrounds,
-                aggs=plan.aggs,
-                ft_extent=plan.ft_extent,
-                topology=plan.topology,
-                realm_bytes=env.stats.last_realm_bytes,
-            )
-    env.stats.collective_writes += 1
-    env.stats.agg_service_seconds += plan.service_seconds
-    env.stats.last_agg_service_seconds = plan.service_seconds
-
-
-def read_all_new(
-    env: CollEnv,
-    buf: np.ndarray,
-    memflat: FlatType,
-    total_bytes: int,
-    data_lo: int = 0,
-) -> None:
-    """Collective read into ``buf`` through the rank's file view,
-    starting at data-stream position ``data_lo``."""
-    cache = env.plancache
-    if cache is not None:
-        entry = cache.begin(env, memflat, total_bytes, data_lo, "new")
-        if entry is not None:
-            with env.ctx.trace("plan:replay", key=entry.key_id, impl="new"):
-                _replay(env, entry, buf, write=False)
-            return
-    rec = cache.recording("new") if cache is not None else None
-    with env.ctx.trace("tp:plan"):
-        plan = _Plan(env, memflat, total_bytes, data_lo)
-    comm, cost = env.comm, env.cost
-    mode = _exchange_mode(env)
-    liv = plan._liveness
-    rank = comm.rank
-    if liv is not None:
-        liv.begin_call(rank, env.ctx.now)
-    pipe = maybe_pipeline(env)
-    svc: List[float] = []
-    try:
-        if pipe is None:
-            r = 0
-            while r < plan.nrounds:
-                if plan.maybe_failover(r):
-                    if rec is not None:
-                        rec.mark_dirty()
-                    if plan.i_am_suspect:
-                        plan.run_suspect_tail(buf, write=False)
-                        break
-                    r = 0
-                    continue
-                env.stats.rounds += 1
-                if liv is not None:
-                    liv.set_phase(rank, f"route[{r}]")
-                with env.ctx.trace("tp:route", round=r):
-                    # On reads, data flows aggregator -> client: the aggregator's
-                    # per-client layouts become SEND batches, the client's
-                    # memory batches become RECV batches.
-                    recv_plan = plan.client_send_plan(r)
-                    t0 = env.ctx.now
-                    window, send_plan, merged = plan.agg_recv_layout(r)
-                    if window is not None:
-                        plan.service_seconds += env.ctx.now - t0
-                if rec is not None:
-                    # Recorded direction-independently: client memory batches
-                    # as ``send``, aggregator layouts as ``recv`` (the write
-                    # orientation); a replay re-swaps for reads.
-                    rec.add_round(recv_plan, window, send_plan, merged)
-                if liv is not None:
-                    liv.set_phase(rank, f"io[{r}]")
-                with env.ctx.trace("tp:io", round=r):
-                    plan.crash_point("flush")
-                    if window is not None and not plan.dying:
-                        t0 = env.ctx.now
-                        cbuf = _fill_merged(env, plan.ft_extent, window, merged)
-                        plan.service_seconds += env.ctx.now - t0
-                    else:
-                        cbuf = None
-                if liv is not None:
-                    liv.set_phase(rank, f"exchange[{r}]")
-                with env.ctx.trace("tp:exchange", round=r):
-                    plan.crash_point("exchange")
-                    if not plan.dying:
-                        env.stats.bytes_exchanged += exchange_data(
-                            comm, cost, mode, cbuf, send_plan, buf, recv_plan,
-                            skip=plan.skip, topology=plan.topology,
-                        )
-                r += 1
-        else:
-            # Pipelined read: route rounds ahead and launch their fills
-            # as coroutines, so the fill of round r+1 prefetches from the
-            # file while round r's exchange distributes data.  The
-            # pipeline never coexists with the failover machinery
-            # (maybe_pipeline stands down when those kinds are armed).
-            routed: List[tuple] = []
-            next_r = 0
-
-            def route_one(rr: int) -> None:
-                env.stats.rounds += 1
-                if liv is not None:
-                    liv.set_phase(rank, f"route[{rr}]")
-                with env.ctx.trace("tp:route", round=rr):
-                    recv_plan = plan.client_send_plan(rr)
-                    t0 = env.ctx.now
-                    window, send_plan, merged = plan.agg_recv_layout(rr)
-                    if window is not None:
-                        plan.service_seconds += env.ctx.now - t0
-                if rec is not None:
-                    rec.add_round(recv_plan, window, send_plan, merged)
-                handle = None
-                if window is not None:
-                    handle = pipe.submit(
-                        _fill_task(env, plan.ft_extent, window, merged, rr, svc),
-                        round_no=rr,
-                        stage="round:fill",
-                    )
-                routed.append((rr, send_plan, recv_plan, handle))
-
-            def prefetch() -> None:
-                nonlocal next_r
-                while next_r < plan.nrounds and (
-                    not routed
-                    or (pipe.free_slots > 0 and len(routed) <= pipe.depth)
-                ):
-                    route_one(next_r)
-                    next_r += 1
-
-            try:
-                prefetch()
-                while routed:
-                    rr, send_plan, recv_plan, handle = routed.pop(0)
-                    cbuf = pipe.join(handle) if handle is not None else None
-                    # A slot just freed: launch the next fill before the
-                    # exchange blocks on remote ranks.
-                    prefetch()
-                    if liv is not None:
-                        liv.set_phase(rank, f"exchange[{rr}]")
-                    with env.ctx.trace("round:exchange", round=rr):
-                        env.stats.bytes_exchanged += exchange_data(
-                            comm, cost, mode, cbuf, send_plan, buf, recv_plan,
-                            skip=plan.skip, topology=plan.topology,
-                        )
-                pipe.drain()
-            except BaseException:
-                pipe.drain(suppress=True)
-                raise
-    finally:
-        plan.service_seconds += sum(svc)
-        if liv is not None:
-            liv.end_call(rank)
-    if rec is not None:
-        with env.ctx.trace("plan:store", key=rec.key_id, impl="new"):
-            cache.commit(
-                rec,
-                nrounds=plan.nrounds,
-                aggs=plan.aggs,
-                ft_extent=plan.ft_extent,
-                topology=plan.topology,
-                realm_bytes=env.stats.last_realm_bytes,
-            )
-    env.stats.collective_reads += 1
-    env.stats.agg_service_seconds += plan.service_seconds
-    env.stats.last_agg_service_seconds = plan.service_seconds

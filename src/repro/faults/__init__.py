@@ -10,7 +10,7 @@ the file system (:mod:`repro.fs.filesystem`), and the lock manager
 (:mod:`repro.fs.locks`).  The resilience side lives with the code it
 protects: a retry/backoff policy in the independent-I/O layer
 (:mod:`repro.io.retry`) and aggregator failover in the flexible
-two-phase driver (:mod:`repro.core.two_phase_new`).
+planner (:mod:`repro.core.two_phase_new`).
 
 Everything stays deterministic under the virtual clock: every injection
 decision is a pure hash of (seed, kind, actor, counter), so a chaos run

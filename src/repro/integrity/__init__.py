@@ -16,7 +16,7 @@ way real deployments layer it:
   :class:`~repro.io.retry.RetryPolicy` (corruption on the wire is
   transient — the sender's buffered copy is intact).
 * **Crash-consistent commits** (:mod:`repro.fs.filesystem` +
-  :mod:`repro.core.two_phase_new`): journaled collective writes land in
+  :mod:`repro.core.rounds`): journaled collective writes land in
   shadow pages and publish atomically at collective completion, so an
   aggregator crash mid-call leaves the file at its pre-collective image
   instead of a torn mix.

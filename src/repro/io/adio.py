@@ -83,19 +83,11 @@ class AdioFile:
         return self.retry.run(self.local.ctx, lambda: self.local.read(offset, nbytes))
 
     # -- strided -------------------------------------------------------------
-    def write_strided(
-        self,
-        batch: SegmentBatch,
-        data: np.ndarray,
-        method: str,
-        *,
-        integrated: bool = False,
-    ) -> None:
+    def write_strided(self, batch: SegmentBatch, data: np.ndarray, method: str) -> None:
         """Write ``batch`` (``data_offsets`` index into ``data``).
 
         ``method`` is one of ``contig``/``datasieve``/``naive``/
-        ``listio``; ``integrated`` models the old implementation's fused
-        sieve buffer (no extra copy charged)."""
+        ``listio``."""
         if batch.empty:
             return
         self._count(method)
@@ -108,9 +100,7 @@ class AdioFile:
                 ln = int(batch.lengths[0])
                 self.local.write(int(batch.file_offsets[0]), data[do : do + ln])
             elif method == "datasieve":
-                datasieve_write(
-                    self.local, batch, data, buffer_size=self.ds_buffer_size, integrated=integrated
-                )
+                datasieve_write(self.local, batch, data, buffer_size=self.ds_buffer_size)
             elif method == "naive":
                 naive_write(self.local, batch, data)
             elif method == "listio":
@@ -120,7 +110,7 @@ class AdioFile:
 
         self.retry.run(self.local.ctx, attempt)
 
-    def read_strided(self, batch: SegmentBatch, method: str, *, integrated: bool = False) -> np.ndarray:
+    def read_strided(self, batch: SegmentBatch, method: str) -> np.ndarray:
         """Read ``batch``; the result is indexed by ``batch.data_offsets``."""
         if batch.empty:
             return np.empty(0, dtype=np.uint8)
@@ -137,9 +127,7 @@ class AdioFile:
                 out[do : do + ln] = self.local.read(int(batch.file_offsets[0]), ln)
                 return out
             if method == "datasieve":
-                return datasieve_read(
-                    self.local, batch, buffer_size=self.ds_buffer_size, integrated=integrated
-                )
+                return datasieve_read(self.local, batch, buffer_size=self.ds_buffer_size)
             if method == "naive":
                 return naive_read(self.local, batch)
             if method == "listio":

@@ -6,11 +6,6 @@ carried by the pre-read, so the write-back is always one contiguous
 extent — few large file-system calls instead of many small ones.  The
 span write implicitly requires the extent lock on the window, which the
 file-system layer charges.
-
-``integrated=True`` models the *old* ROMIO implementation's fusion of
-the sieve buffer with the collective buffer: the scatter copy into the
-sieve buffer is not charged because the data is already there (Section
-5.1's "one less buffer").
 """
 
 from __future__ import annotations
@@ -57,7 +52,6 @@ def datasieve_write(
     data: np.ndarray,
     *,
     buffer_size: int,
-    integrated: bool = False,
 ) -> None:
     """Write ``batch``'s segments (bytes in ``data``, data order) using
     sieve windows of at most ``buffer_size`` bytes."""
@@ -85,10 +79,9 @@ def datasieve_write(
             sieve = local.read(span_lo, span)
         else:
             sieve = np.empty(span, dtype=np.uint8)
-        if not integrated:
-            # Collective buffer -> sieve buffer copy (the double-buffer
-            # cost the old integrated implementation avoids).
-            ctx.charge(covered * cost.cpu_per_byte_copy)
+        # Collective buffer -> sieve buffer copy (the double-buffer
+        # cost the old integrated implementation avoids).
+        ctx.charge(covered * cost.cpu_per_byte_copy)
         ctx.charge(covered * cost.cpu_per_byte_touch)
         for fo_i, ln_i, do_i in zip(f.tolist(), l.tolist(), d.tolist()):
             sieve[fo_i - span_lo : fo_i - span_lo + ln_i] = data[do_i : do_i + ln_i]
@@ -100,7 +93,6 @@ def datasieve_read(
     batch: SegmentBatch,
     *,
     buffer_size: int,
-    integrated: bool = False,
 ) -> np.ndarray:
     """Read ``batch``'s segments via sieve windows; returns data-order bytes."""
     if batch.empty:
@@ -121,8 +113,7 @@ def datasieve_read(
         span = int((f + l).max()) - span_lo
         sieve = local.read(span_lo, span)
         covered = int(l.sum())
-        if not integrated:
-            ctx.charge(covered * cost.cpu_per_byte_copy)
+        ctx.charge(covered * cost.cpu_per_byte_copy)
         ctx.charge(covered * cost.cpu_per_byte_touch)
         for fo_i, ln_i, do_i in zip(f.tolist(), l.tolist(), d.tolist()):
             out[do_i : do_i + ln_i] = sieve[fo_i - span_lo : fo_i - span_lo + ln_i]

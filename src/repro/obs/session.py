@@ -182,7 +182,7 @@ class Session:
         the post-open barrier to the slowest rank's close, so deferred
         cache flushes are charged to the run that deferred them.
         Returns the per-rank ``body`` results."""
-        from repro.core.file_handle import CollectiveFile, sanctioned_construction
+        from repro.core.file_handle import CollectiveFile
         from repro.mpi.comm import Communicator
 
         from repro.liveness import find_crash_state
@@ -190,10 +190,9 @@ class Session:
 
         def main(ctx):
             comm = Communicator(ctx, self.cost)
-            with sanctioned_construction():
-                f = CollectiveFile(
-                    ctx, comm, self.fs, self.path, hints=self.hints, cost=self.cost
-                )
+            f = CollectiveFile(
+                ctx, comm, self.fs, self.path, hints=self.hints, cost=self.cost
+            )
             t0 = comm.allreduce(ctx.now, op=max)
             try:
                 out = body(ctx, comm, f)
@@ -251,7 +250,7 @@ class Session:
         survivor committed on the rank's behalf.  Returns a dict with
         the rank's ``result`` plus ``rewritten``/``skipped`` byte
         totals.  See ``docs/crash_recovery.md``."""
-        from repro.core.file_handle import CollectiveFile, sanctioned_construction
+        from repro.core.file_handle import CollectiveFile
         from repro.core.resume import ResumeComm
         from repro.sim.engine import Simulator
 
@@ -265,17 +264,16 @@ class Session:
 
         def replay(ctx):
             comm = ResumeComm(ctx, self.cost, rank, self.nprocs)
-            with sanctioned_construction():
-                f = CollectiveFile(
-                    ctx,
-                    comm,
-                    self.fs,
-                    self.path,
-                    hints=self.hints,
-                    cost=self.cost,
-                    client_id=("rejoin", rank),
-                    resume_rank=rank,
-                )
+            f = CollectiveFile(
+                ctx,
+                comm,
+                self.fs,
+                self.path,
+                hints=self.hints,
+                cost=self.cost,
+                client_id=("rejoin", rank),
+                resume_rank=rank,
+            )
             try:
                 out = body(ctx, comm, f)
             finally:

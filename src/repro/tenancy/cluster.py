@@ -325,7 +325,7 @@ class Cluster:
     def run(self) -> Dict[str, TenantResult]:
         """Run every admitted tenant concurrently; returns per-tenant
         results keyed by name.  Single-shot, like the simulator."""
-        from repro.core.file_handle import CollectiveFile, sanctioned_construction
+        from repro.core.file_handle import CollectiveFile
         from repro.faults.injector import FaultInjector
         from repro.fs.client import FSClient
         from repro.mpi.comm import Communicator
@@ -377,16 +377,15 @@ class Cluster:
             )
             client_id = (spec.name, local)
             if spec.kind == "collective":
-                with sanctioned_construction():
-                    f = CollectiveFile(
-                        scoped,
-                        comm,
-                        cluster.fs,
-                        spec.path,
-                        hints=spec.hints,
-                        cost=cluster.cost,
-                        client_id=client_id,
-                    )
+                f = CollectiveFile(
+                    scoped,
+                    comm,
+                    cluster.fs,
+                    spec.path,
+                    hints=spec.hints,
+                    cost=cluster.cost,
+                    client_id=client_id,
+                )
                 t0 = comm.allreduce(scoped.now, op=max)
                 try:
                     out = spec.body(scoped, comm, f)

@@ -11,6 +11,12 @@ commit **before** the dispatcher stopped polling (``PINS`` below), so a
 scheduler change that moves a single wake-up by one ulp, or reorders
 two equal-time ranks, fails here rather than in a benchmark.
 
+The ``rw-``/``cache-``/``journal-``/``crash-`` cells pin the round loop
+itself — reads, pipelined reads, plan-cache replays, the journal
+bracket, fail-stop re-plans under both drivers — and were captured on
+the parent of the commit that merged the drivers' loop copies into
+``core/rounds.py``.
+
 The same digests must come out under ``PYTHONHASHSEED`` 0 and 1
 (ROADMAP's determinism gate (iv), in the small).  Re-capture — only when
 a change is *meant* to move virtual time — with
@@ -25,7 +31,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -200,6 +206,91 @@ def _cluster() -> Tuple[float, Tracer]:
     return max(r.makespan for r in out.values()), cl.tracer
 
 
+def _steps(
+    impl: str,
+    *,
+    steps: int = 1,
+    async_io: bool = False,
+    faults: Optional[FaultPlan] = None,
+    **hints,
+) -> Tuple[float, Tracer]:
+    """``steps`` identical write_all + read_all pairs, 4 ranks, 2
+    aggregators, 4 rounds per call.  A rank killed by ``faults`` just
+    stops; the survivors finish the program."""
+    region, count = 64, 8
+    s = Session(
+        "/steps",
+        nprocs=4,
+        hints={"coll_impl": impl, "cb_nodes": 2, "cb_buffer_size": 256, **hints},
+        faults=faults,
+        trace=True,
+    )
+
+    def body(ctx, comm, f):
+        _tile(comm, f, region)
+        data = (np.arange(region * count, dtype=np.int64) * (comm.rank + 3) % 251).astype(np.uint8)
+        out = np.zeros_like(data)
+        for _ in range(steps):
+            f.seek(0)
+            if async_io:
+                f.iwrite_all(data).wait()
+                f.seek(0)
+                f.iread_all(out).wait()
+            else:
+                f.write_all(data)
+                f.seek(0)
+                f.read_all(out)
+
+    s.run(body)
+    return s.makespan, s.tracer
+
+
+def _round_loop_cells() -> Dict[str, Callable[[], Tuple[float, Tracer]]]:
+    cells: Dict[str, Callable[[], Tuple[float, Tracer]]] = {}
+    for impl in ("new", "old"):
+        cells[f"rw-{impl}-serial"] = lambda impl=impl: _steps(impl)
+        for depth in (1, 2):
+            cells[f"rw-{impl}-depth{depth}"] = lambda impl=impl, depth=depth: _steps(
+                impl, pipeline_depth=depth
+            )
+        cells[f"rw-{impl}-async-depth4"] = lambda impl=impl: _steps(
+            impl, async_io=True, pipeline_depth=4
+        )
+        cells[f"rw-{impl}-transient-depth2"] = lambda impl=impl: _steps(
+            impl, faults=FaultPlan(9).transient_io(rate=0.2), pipeline_depth=2, io_retries=8
+        )
+        cells[f"cache-{impl}-serial"] = lambda impl=impl: _steps(impl, steps=3, plan_cache=True)
+        cells[f"cache-{impl}-depth2"] = lambda impl=impl: _steps(
+            impl, steps=3, plan_cache=True, pipeline_depth=2
+        )
+        # Aggregators are ranks 0 and 2; rank 1 is a pure client.
+        for role, rank in (("client", 1), ("agg", 2)):
+            for site in ("boundary", "exchange", "flush"):
+                cells[f"crash-{impl}-{role}-{site}"] = (
+                    lambda impl=impl, rank=rank, site=site: _steps(
+                        impl, faults=FaultPlan(3).rank_crash(rank, round_index=1, site=site)
+                    )
+                )
+        cells[f"crash-{impl}-read"] = lambda impl=impl: _steps(
+            impl, faults=FaultPlan(3).rank_crash(2, call_index=1, round_index=1, site="exchange")
+        )
+    # The journal bracket and the aggregator-role failover only exist on
+    # the new driver at the capture commit.
+    cells["journal-new"] = lambda: _steps("new", journal_writes=True)
+    cells["journal-new-cache"] = lambda: _steps(
+        "new", steps=3, journal_writes=True, plan_cache=True
+    )
+    cells["journal-new-crash-agg-flush"] = lambda: _steps(
+        "new",
+        faults=FaultPlan(3).rank_crash(2, round_index=1, site="flush"),
+        journal_writes=True,
+    )
+    cells["agg-crash-new"] = lambda: _steps(
+        "new", faults=FaultPlan(3).agg_crash(2, round_index=2)
+    )
+    return cells
+
+
 #: The old driver always exchanges post-everything-then-wait and ignores
 #: the ``exchange`` hint (three identical schedules), so it gets one cell.
 CELLS: Dict[str, Callable[[], Tuple[float, Tracer]]] = {
@@ -211,10 +302,12 @@ CELLS: Dict[str, Callable[[], Tuple[float, Tracer]]] = {
     "pipeline": _pipeline,
     "lock-pins": _lock_pins,
     "cluster": _cluster,
+    **_round_loop_cells(),
 }
 
 #: cell -> (makespan.hex(), schedule digest), captured on the parent of
-#: the commit that introduced this file (the polling dispatcher).
+#: the commit that introduced the cell (the first eight: the polling
+#: dispatcher).
 PINS: Dict[str, Tuple[str, str]] = {
     "hpio-new-alltoallw": ("0x1.18fc7883069cdp-5", "e584abbc9df426ef"),
     "hpio-new-nonblocking": ("0x1.06920dc261c95p-5", "63eb586021c06a22"),
@@ -224,6 +317,39 @@ PINS: Dict[str, Tuple[str, str]] = {
     "pipeline": ("0x1.1174c07443ed7p-6", "151150463fbaf78a"),
     "lock-pins": ("0x1.5d2637de939ebp-6", "76d6452d13dadc24"),
     "cluster": ("0x1.c52eca5515b25p-8", "af07f5f5dde87ec7"),
+    # Round-loop cells, captured on the parent of the one-loop refactor.
+    "rw-new-serial": ("0x1.6c845054e939cp-6", "979a11c02281d02c"),
+    "rw-new-depth1": ("0x1.3c05ddc3f13a7p-6", "e83216c6973ea9ca"),
+    "rw-new-depth2": ("0x1.db263c29aee36p-7", "668c1a489836125b"),
+    "rw-new-async-depth4": ("0x1.d852864612f3ep-7", "33b4055b65be92a3"),
+    "rw-new-transient-depth2": ("0x1.0ebaf0bb19d07p-6", "a8f8186729b952bf"),
+    "cache-new-serial": ("0x1.f12748fd0e92dp-5", "dfa705fbdc5f4a44"),
+    "cache-new-depth2": ("0x1.30ad1c5042b7ep-5", "1dc8087f93a1a3e6"),
+    "crash-new-client-boundary": ("0x1.fc429172eea58p-6", "da529b6a612aa245"),
+    "crash-new-client-exchange": ("0x1.fc429172eea58p-6", "d7250deafd878d96"),
+    "crash-new-client-flush": ("0x1.fc429172eea58p-6", "8b2d30d53bc677c8"),
+    "crash-new-agg-boundary": ("0x1.7ee0d526cc4e7p-7", "d49c047a4dc3e86b"),
+    "crash-new-agg-exchange": ("0x1.7ee0d526cc4e7p-7", "f277d742edd23331"),
+    "crash-new-agg-flush": ("0x1.7ee0d526cc4e7p-7", "983a1455ca569c38"),
+    "crash-new-read": ("0x1.fdde0eb4e9d42p-7", "9e8003c4f76b6371"),
+    "rw-old-serial": ("0x1.8407308c62028p-6", "fe7c2dd3f255dcb5"),
+    "rw-old-depth1": ("0x1.3b0a59bc602b0p-6", "72e31d87ca2873e6"),
+    "rw-old-depth2": ("0x1.bac976f903130p-7", "dbad9a0531d5772d"),
+    "rw-old-async-depth4": ("0x1.555bf9e66071dp-7", "be07c76ed0dc5caf"),
+    "rw-old-transient-depth2": ("0x1.f298ad33b6f80p-7", "f70a15d3221f3905"),
+    "cache-old-serial": ("0x1.124c56a3dc38ap-4", "d36215070a33b7f1"),
+    "cache-old-depth2": ("0x1.2aa4fdafe7bb0p-5", "972cbd73bd4e2256"),
+    "crash-old-client-boundary": ("0x1.df922ea56bb98p-6", "466381caacab72a8"),
+    "crash-old-client-exchange": ("0x1.df922ea56bb98p-6", "a41f7c8e53f537a3"),
+    "crash-old-client-flush": ("0x1.df922ea56bb98p-6", "9f08777396ce6636"),
+    "crash-old-agg-boundary": ("0x1.4f50813c9284ap-7", "eb7456019cde3637"),
+    "crash-old-agg-exchange": ("0x1.4f50813c9284ap-7", "eff7548423cd7eed"),
+    "crash-old-agg-flush": ("0x1.4f50813c9284ap-7", "0a59aec202798340"),
+    "crash-old-read": ("0x1.1672b55fd2e3ap-6", "1a1b55b86c2ff5ac"),
+    "journal-new": ("0x1.65957cee6cfe5p-6", "45050fe4fa6dfd03"),
+    "journal-new-cache": ("0x1.dfd50bdbb3f7ap-5", "bdaf9fe0c98d69cf"),
+    "journal-new-crash-agg-flush": ("0x1.e03fd8216b8f0p-7", "409af2f50a5ecfdc"),
+    "agg-crash-new": ("0x1.84fa19eefee53p-7", "91b66cf202fa498f"),
 }
 
 
@@ -258,7 +384,4 @@ def test_schedule_independent_of_hash_seed(hashseed):
 
 
 if __name__ == "__main__":
-    import warnings
-
-    warnings.simplefilter("ignore", DeprecationWarning)
     print(json.dumps(capture(), indent=1))

@@ -393,6 +393,7 @@ class TestJournal:
         fs, _, _ = run_workload(hints=hints)
         assert np.array_equal(fs.raw_bytes(PATH, 0, SIZE), oracle())
         assert fs.page_store(PATH).verify_all() == []
+        assert fs.stats(PATH).journal_commits == 1
 
     def test_crash_mid_collective_preserves_preimage(self):
         # Call 0 commits; call 1 dies at a phase boundary with failover
@@ -430,6 +431,21 @@ class TestJournal:
         assert np.array_equal(fs.raw_bytes(PATH, 0, SIZE), oracle())
         assert fs.stats(PATH).journal_commits == 1
         assert not fs.txn_active(PATH)
+
+
+class TestJournalOldImpl:
+    """The call bracket is shared, so ``journal_writes`` is honoured by
+    whichever planner runs (the old driver used to ignore it; its
+    ``agg_crash`` cases stay new-only — the old planner has no failover)."""
+
+    JHINTS = TestJournal.JHINTS.replace(coll_impl="old")
+    test_commit_publishes_and_counts = TestJournal.test_commit_publishes_and_counts
+    test_sieving_sees_its_own_journaled_bytes = (
+        TestJournal.test_sieving_sees_its_own_journaled_bytes
+    )
+    test_journal_composes_with_page_integrity = (
+        TestJournal.test_journal_composes_with_page_integrity
+    )
 
 
 # ---------------------------------------------------------------------------

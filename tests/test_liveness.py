@@ -41,6 +41,7 @@ from repro.fs import SimFileSystem
 from repro.io import RetryPolicy
 from repro.liveness import LivenessState, find_liveness, install_liveness
 from repro.mpi import Communicator, Hints
+from repro.obs.session import Session
 from repro.sim import BLOCK_TIMEOUT, Signal, Simulator, Tracer
 
 COST = CostModel(page_size=64, stripe_size=256, num_osts=2)
@@ -215,6 +216,49 @@ class TestDeadlineExceeded:
         base_contents, base_times = baseline
         assert np.array_equal(contents, base_contents)
         assert times == base_times
+
+
+    def test_quiet_deadline_is_invisible_under_old_impl(self):
+        old = HINTS.replace(coll_impl="old")
+        base_contents, base_times, _, _ = run_workload(hints=old)
+        contents, times, _, _ = run_workload(hints=old.replace(coll_deadline=0.5))
+        assert np.array_equal(contents, base_contents)
+        assert times == base_times
+
+    @pytest.mark.parametrize("impl", ["new", "old"])
+    def test_too_small_budget_raises_at_the_budget_instant(self, impl):
+        # The call bracket arms the budget for whichever planner runs
+        # (the old driver used to ignore it).  Every message is 10 ms
+        # late, so an aggregator waiting for client data is parked when
+        # the 1 ms budget runs out — and dies exactly one budget after
+        # planning ended.
+        budget = 1e-3
+        s = Session(
+            "/data",
+            nprocs=NPROCS,
+            cost=COST,
+            hints=HINTS.replace(coll_impl=impl, coll_deadline=budget),
+            faults=FaultPlan(7).net_delay(rate=1.0, delay=1e-2),
+            trace=True,
+        )
+
+        def body(ctx, comm, f):
+            tile = resized(contiguous(REGION, BYTE), 0, REGION * NPROCS)
+            f.set_view(disp=comm.rank * REGION, filetype=tile)
+            try:
+                f.write_all(np.full(REGION * COUNT, comm.rank + 1, dtype=np.uint8))
+            except DeadlineExceeded as e:
+                return e.phase, ctx.now
+            return None
+
+        raised = {r: out for r, out in enumerate(s.run(body)) if out is not None}
+        assert {0, 2} <= set(raised)  # the aggregators
+        for rank, (phase, now) in raised.items():
+            (planned,) = [
+                ev.t1 for ev in s.tracer.events if ev.rank == rank and ev.state == "tp:plan"
+            ]
+            assert phase.startswith("exchange[")
+            assert now == planned + budget
 
 
 class TestSuspectFailover:

@@ -240,7 +240,9 @@ def test_hint_and_topology_changes_change_key(mutation):
                 hints=Hints(**_hints("new", **extra)), cost=COST,
             )
             sigs.append(
-                PlanCache._local_signature(f._env(), memflat, REGION, 0, "new")
+                PlanCache._local_signature(
+                    f._env(ctx, comm, f.adio, f.view), memflat, REGION, 0, "new"
+                )
             )
             f.close()
         return sigs
@@ -259,7 +261,7 @@ def test_signature_covers_access_and_impl():
         f = CollectiveFile(
             ctx, comm, fs, PATH, hints=Hints(**_hints("new")), cost=COST
         )
-        env = f._env()
+        env = f._env(ctx, comm, f.adio, f.view)
         base = PlanCache._local_signature(env, memflat, REGION, 0, "new")
         assert base != PlanCache._local_signature(env, memflat, REGION, 0, "old")
         assert base != PlanCache._local_signature(env, memflat, REGION // 2, 0, "new")

@@ -135,7 +135,7 @@ def test_roundtrip_with_integrity_armed_is_invisible(impl, seed):
     hints = impl_hints(impl).replace(
         integrity_pages=True,
         integrity_network=True,
-        journal_writes=(impl == "new"),
+        journal_writes=True,
     )
     plain, _, ref, _ = roundtrip(impl, seed, impl_hints(impl))
     armed, results, _, payloads = roundtrip(impl, seed, hints)

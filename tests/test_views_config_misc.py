@@ -143,4 +143,6 @@ class TestCollStats:
         snap = s.snapshot()
         s.note_flush("naive")
         assert snap["flush_methods"] == {"naive": 1}
+        # The flat dict keeps the pre-registry field names.
+        assert {"rounds", "collective_writes", "bytes_exchanged"} <= set(snap)
         assert s.flush_methods["naive"] == 2
