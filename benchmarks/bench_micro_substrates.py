@@ -12,11 +12,18 @@ import numpy as np
 import pytest
 
 from repro.config import CostModel
-from repro.datatypes import BYTE, contiguous, resized, vector
-from repro.datatypes.packing import expand_indices, gather_bytes
-from repro.datatypes.segments import FlatCursor
+from repro.datatypes import BYTE, contiguous, hvector, resized, vector
+from repro.datatypes.packing import (
+    expand_indices,
+    gather_bytes,
+    gather_segments,
+    scatter_segments,
+)
+from repro.datatypes.segments import FlatCursor, SegmentBatch, data_to_file_segments
 from repro.fs import FSClient, SimFileSystem
 from repro.fs.store import PageStore
+from repro.hpio.timeseries import TimeSeriesPattern
+from repro.io.datasieve import datasieve_write
 from repro.mpi import Communicator
 from repro.sim import Simulator
 
@@ -69,6 +76,94 @@ def test_expand_indices_many_runs(benchmark):
     lens = np.full(starts.size, 10, dtype=np.int64)
     idx = benchmark(lambda: expand_indices(starts, lens))
     assert idx.size == starts.size * 10
+
+
+@pytest.mark.parametrize("count,blocklength", [(4096, 64)], ids=["4096x64"])
+def test_commit_hvector(benchmark, count, blocklength):
+    """``MPI_Type_commit`` of the Fig. 4 memory type (the spine builds
+    it per rank per iteration): work per block, not per byte."""
+    flat = benchmark(lambda: hvector(count, blocklength, 3 * blocklength, BYTE).flatten())
+    assert (flat.num_segments, flat.size) == (count, count * blocklength)
+
+
+def _timeseries_flat():
+    """One rank's ``fig7_steps`` filetype: 7 elements of 32 B every
+    512 B, tiled every 25 600 B."""
+    return TimeSeriesPattern(nprocs=16, timesteps=8).filetype(0, 0).flatten()
+
+
+def _copy_batch(shape: str) -> SegmentBatch:
+    """Segment lists at the spine's per-peer sizes: 16 KiB of 64-byte
+    segments (``fig4_*``), 19 KiB of 32-byte ones (``fig7_steps``)."""
+    if shape == "contiguous":  # a contiguous user buffer, one pair per region
+        k = np.arange(256, dtype=np.int64) * 64
+        return SegmentBatch(k + 5, np.full(256, 64, dtype=np.int64), k.copy())
+    if shape == "regular":
+        return data_to_file_segments(hvector(256, 64, 192, BYTE).flatten(), 0, 0, 256 * 64)
+    if shape == "ragged":  # a realm edge cut the first and last regions
+        return data_to_file_segments(hvector(256, 64, 192, BYTE).flatten(), 0, 37, 256 * 64 - 11)
+    if shape == "two_level":  # aggregator side: D pairs x T tiles
+        flat = _timeseries_flat()
+        return FlatCursor(flat, 0, flat.size * 86).all_segments()
+    rng = np.random.default_rng(7)
+    lens = rng.integers(1, 128, size=256)
+    starts = np.cumsum(lens + rng.integers(1, 200, size=256)) - lens
+    return SegmentBatch(starts, lens, np.cumsum(lens) - lens)
+
+
+@pytest.mark.parametrize("shape", ["contiguous", "regular", "ragged", "two_level", "irregular"])
+def test_copy_segments(benchmark, shape):
+    """One pack + one unpack of a per-peer segment list (what each
+    client/aggregator pairing of a round pays), through the public
+    gather/scatter pair so the row reads the same on any commit."""
+    batch = _copy_batch(shape)
+    buf = (np.arange(int((batch.file_offsets + batch.lengths).max()) + 3) % 251).astype(np.uint8)
+    out = np.zeros_like(buf)
+
+    def roundtrip():
+        scatter_segments(out, batch, gather_segments(buf, batch))
+
+    benchmark(roundtrip)
+    idx = expand_indices(batch.file_offsets, batch.lengths)
+    assert np.array_equal(out[idx], buf[idx]) and int(out.sum()) == int(buf[idx].sum())
+
+
+def test_sieve_write_regular(benchmark):
+    """One aggregator's Fig. 4 flush: 4 096 segments of 64 B every 192 B
+    sieved through 512 KiB windows (pre-read, patch, write back)."""
+    k = np.arange(4096, dtype=np.int64) * 192
+    batch = SegmentBatch(k + 1000, np.full(4096, 64, dtype=np.int64), k)
+    data = (np.arange(4096 * 192) % 251).astype(np.uint8)
+
+    def run():
+        fs = SimFileSystem(CostModel())
+
+        def main(ctx):
+            f = FSClient(fs, ctx).open("/m", cache_mode="off")
+            datasieve_write(f, batch, data, buffer_size=512 * 1024)
+
+        Simulator(1).run(main)
+        return fs
+
+    fs = benchmark(run)
+    assert np.array_equal(fs.raw_bytes("/m", 1000 + 192, 64), data[192 : 192 + 64])
+
+
+@pytest.mark.parametrize("D", [1, 7], ids=["D=1", "D=7"])
+def test_intersect_tiled_window(benchmark, D):
+    """A client cursor cut into 16 realm windows, as one round's routing
+    does: D=1 is the succinct HPIO filetype (256 pairs per window), D=7
+    the time-series one."""
+    flat = resized(contiguous(64, BYTE), 0, 3072).flatten() if D == 1 else _timeseries_flat()
+    tiles = 4096 if D == 1 else 768
+    total = flat.size * tiles
+    step = flat.extent * tiles // 16
+
+    def run():
+        cur = FlatCursor(flat, 0, total)
+        return sum(cur.intersect(lo, lo + step).total_bytes for lo in range(0, step * 16, step))
+
+    assert flat.num_segments == D and benchmark(run) == total
 
 
 def test_pagestore_strided_write(benchmark):
@@ -175,7 +270,8 @@ def test_engine_pingpong_handoff(benchmark):
 
     sim = benchmark(run)
     assert sim.handoffs >= 4000
-    benchmark.extra_info["us_per_switch"] = benchmark.stats.stats.mean / sim.handoffs * 1e6
+    if benchmark.stats:  # None under --benchmark-disable (CI runs the rows as plain tests)
+        benchmark.extra_info["us_per_switch"] = benchmark.stats.stats.mean / sim.handoffs * 1e6
 
 
 @pytest.mark.parametrize("nprocs", [64, 256])
@@ -200,7 +296,8 @@ def test_engine_alltoall_ranks(benchmark, nprocs):
     assert results == [nprocs * (nprocs - 1) // 2] * nprocs
     messages = nprocs * (nprocs - 1)
     assert sim.predicate_evals <= 2 * messages
-    benchmark.extra_info["us_per_msg"] = benchmark.stats.stats.mean / messages * 1e6
+    if benchmark.stats:
+        benchmark.extra_info["us_per_msg"] = benchmark.stats.stats.mean / messages * 1e6
 
 
 def test_collective_write_wall_time(benchmark):

@@ -42,6 +42,16 @@ def _as_int_array(values: Sequence[int], what: str) -> np.ndarray:
     return arr
 
 
+def _place(
+    bases: np.ndarray, offsets: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs ``(offsets, lengths)`` repeated at every byte base of
+    ``bases``, base by base."""
+    offs = (bases[:, None] + offsets[None, :]).ravel()
+    lens = np.broadcast_to(lengths, (bases.size, lengths.size)).ravel()
+    return offs, lens
+
+
 def _place_blocks(
     child: FlatType, displs: np.ndarray, blocklens: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -52,30 +62,15 @@ def _place_blocks(
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     if (blocklens < 0).any():
         raise DatatypeError("block lengths must be non-negative")
-    if np.unique(blocklens).size == 1:
-        # Fast fully-vectorized path for the common constant-block case.
-        b = int(blocklens[0])
-        if b == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        inst_base = (
-            displs[:, None] + np.arange(b, dtype=np.int64)[None, :] * child.extent
-        ).ravel()
-        offs = (inst_base[:, None] + child.offsets[None, :]).ravel()
-        lens = np.broadcast_to(
-            child.lengths, (inst_base.size, child.lengths.size)
-        ).ravel()
-        return offs, lens
-    parts_off = []
-    parts_len = []
-    for d, b in zip(displs.tolist(), blocklens.tolist()):
-        if b == 0:
-            continue
-        inst_base = d + np.arange(b, dtype=np.int64) * child.extent
-        parts_off.append((inst_base[:, None] + child.offsets[None, :]).ravel())
-        parts_len.append(np.broadcast_to(child.lengths, (b, child.lengths.size)).ravel())
-    if not parts_off:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate(parts_off), np.concatenate(parts_len)
+    if child.is_contiguous:
+        # A block of back-to-back instances is one pair: work per block,
+        # not per instance (FlatType would coalesce them to this anyway).
+        return displs, blocklens * child.size
+    # Instance j of block i sits at displs[i] + j * extent.
+    first = np.cumsum(blocklens) - blocklens
+    within = np.arange(int(blocklens.sum()), dtype=np.int64) - np.repeat(first, blocklens)
+    inst_base = np.repeat(displs, blocklens) + within * child.extent
+    return _place(inst_base, child.offsets, child.lengths)
 
 
 class _DerivedType(Datatype):
@@ -197,19 +192,17 @@ class _StructType(Datatype):
         self._parts = parts
 
     def _build_flat(self) -> FlatType:
-        parts_off = []
-        parts_len = []
+        parts = []
         extent = 0
         for b, d, child in self._parts:
             if b == 0 or child.num_segments == 0:
                 continue
-            inst_base = d + np.arange(b, dtype=np.int64) * child.extent
-            parts_off.append((inst_base[:, None] + child.offsets[None, :]).ravel())
-            parts_len.append(np.broadcast_to(child.lengths, (b, child.lengths.size)).ravel())
+            parts.append(_place_blocks(child, np.array([d]), np.array([b])))
             extent = max(extent, d + (b - 1) * child.extent + child.span_hi)
-        if not parts_off:
+        if not parts:
             return FlatType([], [], 0)
-        return FlatType(np.concatenate(parts_off), np.concatenate(parts_len), extent)
+        offs, lens = zip(*parts)
+        return FlatType(np.concatenate(offs), np.concatenate(lens), extent)
 
 
 def struct(
@@ -250,14 +243,13 @@ class _SubarrayType(Datatype):
         base = self._base_flat
         ext = base.extent
         # Innermost: a run of subsizes[-1] base instances at starts[-1].
-        inst_base = (self._starts[-1] + np.arange(self._subsizes[-1], dtype=np.int64)) * ext
-        offs = (inst_base[:, None] + base.offsets[None, :]).ravel()
-        lens = np.broadcast_to(base.lengths, (inst_base.size, base.lengths.size)).ravel()
+        offs, lens = _place_blocks(
+            base, np.array([self._starts[-1] * ext]), np.array([self._subsizes[-1]])
+        )
         row_extent = self._sizes[-1] * ext
         for dim in range(len(self._sizes) - 2, -1, -1):
             row_base = (self._starts[dim] + np.arange(self._subsizes[dim], dtype=np.int64)) * row_extent
-            offs = (row_base[:, None] + offs[None, :]).ravel()
-            lens = np.broadcast_to(lens, (row_base.size, lens.size)).ravel()
+            offs, lens = _place(row_base, offs, lens)
             row_extent *= self._sizes[dim]
         return FlatType(offs, lens, row_extent)
 

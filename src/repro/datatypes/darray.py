@@ -23,6 +23,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.datatypes.base import Datatype
+from repro.datatypes.constructors import _place_blocks
 from repro.datatypes.flatten import FlatType
 from repro.errors import DatatypeError
 
@@ -91,15 +92,7 @@ class _DarrayType(Datatype):
         for idx, stride in zip(self._indices, strides):
             offsets = (offsets[:, None] + (idx * stride)[None, :]).ravel()
         ext = self._elem.extent
-        byte_offsets = offsets * ext
-        if self._elem.num_segments == 1 and self._elem.is_contiguous:
-            lens = np.full(byte_offsets.size, self._elem.size, dtype=np.int64)
-            offs = byte_offsets
-        else:
-            offs = (byte_offsets[:, None] + self._elem.offsets[None, :]).ravel()
-            lens = np.broadcast_to(
-                self._elem.lengths, (byte_offsets.size, self._elem.lengths.size)
-            ).ravel()
+        offs, lens = _place_blocks(self._elem, offsets * ext, np.ones_like(offsets))
         total = int(np.prod(self._gsizes)) * ext
         return FlatType(offs, lens, total)
 

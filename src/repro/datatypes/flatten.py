@@ -39,15 +39,10 @@ def coalesce(
     if offsets.size <= 1:
         return offsets.copy(), lengths.copy()
     # Segment i starts a new run unless it begins exactly where i-1 ends.
-    ends = offsets + lengths
-    new_run = np.empty(offsets.size, dtype=bool)
-    new_run[0] = True
-    np.not_equal(offsets[1:], ends[:-1], out=new_run[1:])
-    run_ids = np.cumsum(new_run) - 1
-    out_offsets = offsets[new_run]
-    out_lengths = np.zeros(out_offsets.size, dtype=np.int64)
-    np.add.at(out_lengths, run_ids, lengths)
-    return out_offsets, out_lengths
+    new_run = np.ones(offsets.size, dtype=bool)
+    np.not_equal(offsets[1:], offsets[:-1] + lengths[:-1], out=new_run[1:])
+    heads = np.flatnonzero(new_run)
+    return offsets[heads], np.add.reduceat(lengths, heads)
 
 
 class FlatType:
@@ -55,9 +50,10 @@ class FlatType:
 
     Attributes
     ----------
-    offsets, lengths:
+    offsets, lengths, ends:
         int64 arrays, one entry per contiguous segment, in data order.
-        Offsets are byte displacements from the type's origin.
+        Offsets are byte displacements from the type's origin; ``ends``
+        is ``offsets + lengths``.
     extent:
         Tiling stride in bytes: instance ``t`` of the type is placed at
         ``origin + t * extent``.
@@ -69,7 +65,9 @@ class FlatType:
         data_prefix[k+1])`` of the instance.
     """
 
-    __slots__ = ("offsets", "lengths", "extent", "size", "data_prefix", "span_lo", "span_hi")
+    __slots__ = (
+        "offsets", "lengths", "ends", "extent", "size", "data_prefix", "span_lo", "span_hi", "_monotonic",
+    )
 
     def __init__(
         self,
@@ -77,8 +75,8 @@ class FlatType:
         lengths: Iterable[int] | np.ndarray,
         extent: int,
     ) -> None:
-        offs = np.ascontiguousarray(np.asarray(offsets, dtype=np.int64))
-        lens = np.ascontiguousarray(np.asarray(lengths, dtype=np.int64))
+        offs = np.ascontiguousarray(offsets, dtype=np.int64)
+        lens = np.ascontiguousarray(lengths, dtype=np.int64)
         if offs.shape != lens.shape or offs.ndim != 1:
             raise DatatypeError("offsets/lengths must be 1-D and the same size")
         if (lens < 0).any():
@@ -89,16 +87,18 @@ class FlatType:
         self.offsets = offs
         self.lengths = lens
         self.extent = int(extent)
-        self.size = int(lens.sum())
         prefix = np.zeros(offs.size + 1, dtype=np.int64)
         np.cumsum(lens, out=prefix[1:])
         self.data_prefix = prefix
+        self.size = int(prefix[-1])
+        self.ends = offs + lens
         if offs.size:
             self.span_lo = int(offs.min())
-            self.span_hi = int((offs + lens).max())
+            self.span_hi = int(self.ends.max())
         else:
             self.span_lo = 0
             self.span_hi = 0
+        self._monotonic: bool | None = None
 
     # -- properties ------------------------------------------------------
     @property
@@ -120,14 +120,15 @@ class FlatType:
     @property
     def is_monotonic(self) -> bool:
         """True when offsets never decrease in data order and the tiled
-        pattern never overlaps — required of file views."""
-        if self.num_segments <= 0:
-            return True
-        ends = self.offsets + self.lengths
-        if self.num_segments > 1 and not (self.offsets[1:] >= ends[:-1]).all():
-            return False
-        # Tiling must not fold segments of consecutive instances together.
-        return self.span_hi - self.span_lo <= self.extent or self.num_segments == 0
+        pattern never overlaps — required of file views.  Evaluated once
+        per instance: every cursor and realm built over the type asks."""
+        if self._monotonic is None:
+            self._monotonic = bool(
+                (self.offsets[1:] >= self.ends[:-1]).all()
+                # Tiling must not fold segments of consecutive instances together.
+                and (self.span_hi - self.span_lo <= self.extent or self.num_segments == 0)
+            )
+        return self._monotonic
 
     # -- tiled geometry ----------------------------------------------------
     def tile_count(self, total_bytes: int) -> int:

@@ -25,25 +25,13 @@ def pack_size(datatype: Datatype, count: int = 1) -> int:
     return datatype.size * count
 
 
-def _check_span(buf: np.ndarray, datatype: Datatype, count: int) -> None:
-    flat = datatype.flatten()
-    if count > 0 and flat.size > 0:
-        needed = (count - 1) * flat.extent + flat.span_hi
-        if needed > buf.size:
-            raise DatatypeError(
-                f"buffer of {buf.size} bytes too small for {count} x "
-                f"{datatype.name} (needs {needed})"
-            )
-
-
 def pack(buf: np.ndarray, datatype: Datatype, count: int = 1) -> np.ndarray:
-    """Gather ``count`` instances from ``buf`` into contiguous bytes."""
-    buf = np.asarray(buf)
-    if buf.dtype != np.uint8 or buf.ndim != 1:
-        raise DatatypeError("pack expects a 1-D uint8 buffer")
+    """Gather ``count`` instances from ``buf`` into contiguous bytes.
+
+    A buffer of the wrong kind, or too small for the instances, is the
+    copy kernel's :class:`DatatypeError`."""
     if count < 0:
         raise DatatypeError(f"count must be non-negative, got {count}")
-    _check_span(buf, datatype, count)
     flat = datatype.flatten()
     # gather_bytes tiles the flattened type as far as the data range
     # requires, so `count` instances are simply count * size bytes.
@@ -52,20 +40,11 @@ def pack(buf: np.ndarray, datatype: Datatype, count: int = 1) -> np.ndarray:
 
 def unpack(data: np.ndarray, buf: np.ndarray, datatype: Datatype, count: int = 1) -> None:
     """Scatter contiguous ``data`` into ``buf`` as ``count`` instances."""
-    buf = np.asarray(buf)
-    data = np.asarray(data)
-    if buf.dtype != np.uint8 or buf.ndim != 1:
-        raise DatatypeError("unpack expects a 1-D uint8 buffer")
-    if data.dtype != np.uint8 or data.ndim != 1:
-        raise DatatypeError("unpack expects 1-D uint8 packed data")
-    if count < 0:
-        raise DatatypeError(f"count must be non-negative, got {count}")
     expected = pack_size(datatype, count)
-    if data.size != expected:
+    if np.size(data) != expected:
         raise DatatypeError(
-            f"packed data has {data.size} bytes; {count} x {datatype.name} "
+            f"packed data has {np.size(data)} bytes; {count} x {datatype.name} "
             f"needs {expected}"
         )
-    _check_span(buf, datatype, count)
     flat = datatype.flatten()
     scatter_bytes(buf, flat, 0, flat.size * count, data)

@@ -132,6 +132,27 @@ def _clip(
     return file_start[keep], length[keep], data_off[keep]
 
 
+def _tiled_pairs(
+    flat: FlatType, disp: int, g_lo: int, g_hi: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pairs ``g_lo <= g < g_hi`` of ``flat`` tiled from ``disp``, pair
+    ``g`` being pair ``g % D`` of tile ``g // D``: fresh, unclipped
+    (file_start, length, data_off) arrays."""
+    g = np.arange(g_lo, g_hi, dtype=np.int64)
+    if flat.num_segments == 1:
+        return (
+            g * flat.extent + (disp + int(flat.offsets[0])),
+            np.full(g.size, flat.lengths[0], dtype=np.int64),
+            g * flat.size,
+        )
+    t, k = np.divmod(g, flat.num_segments)
+    return (
+        t * flat.extent + flat.offsets[k] + disp,
+        flat.lengths[k],
+        t * flat.size + flat.data_prefix[k],
+    )
+
+
 class FlatCursor:
     """Stateful intersector over a tiled flattened filetype.
 
@@ -162,7 +183,6 @@ class FlatCursor:
         "total_bytes",
         "data_lo",
         "tiles",
-        "_ends",
         "_cur_tile",
         "_cur_idx",
         "multi_tile",
@@ -186,7 +206,6 @@ class FlatCursor:
         self.tiles = flat.tile_count(total_bytes)
         if self.tiles > 1 and flat.extent <= 0:
             raise DatatypeError("multi-tile access requires a positive extent")
-        self._ends = flat.offsets + flat.lengths
         self.multi_tile = self.tiles > 1
         self._cur_tile = 0
         self._cur_idx = 0
@@ -270,7 +289,7 @@ class FlatCursor:
         flat = self.flat
         rel_lo = lo - self.disp
         rel_hi = hi - self.disp
-        idx_lo = int(np.searchsorted(self._ends, rel_lo, side="right"))
+        idx_lo = int(np.searchsorted(flat.ends, rel_lo, side="right"))
         idx_hi = int(np.searchsorted(flat.offsets, rel_hi, side="left"))
         evaluated = max(0, idx_hi - self._cur_idx)
         self._cur_idx = max(self._cur_idx, idx_hi)
@@ -306,50 +325,27 @@ class FlatCursor:
         evaluated = (t_last - t_first + 1) * D
         self._cur_tile = max(self._cur_tile, t_last + 1)
 
-        size = flat.size
-        dp = flat.data_prefix[:-1]
-        parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-
-        def tile_part(t: int, k0: int, k1: int) -> None:
-            if k0 >= k1:
-                return
-            base = self.disp + t * ext
-            sel = slice(k0, k1)
-            parts.append(
-                (
-                    base + flat.offsets[sel],
-                    flat.lengths[sel].copy(),
-                    t * size + dp[sel],
-                )
-            )
-
-        if t_first == t_last:
-            base = self.disp + t_first * ext
-            k0 = int(np.searchsorted(self._ends, lo - base, side="right"))
-            k1 = int(np.searchsorted(flat.offsets, hi - base, side="left"))
-            tile_part(t_first, k0, k1)
-        else:
-            base0 = self.disp + t_first * ext
-            k0 = int(np.searchsorted(self._ends, lo - base0, side="right"))
-            tile_part(t_first, k0, D)
-            if t_last - t_first > 1:
-                interior = np.arange(t_first + 1, t_last, dtype=np.int64)
-                fs = (self.disp + interior[:, None] * ext + flat.offsets[None, :]).ravel()
-                ln = np.broadcast_to(flat.lengths, (interior.size, D)).ravel().copy()
-                do = (interior[:, None] * size + dp[None, :]).ravel()
-                parts.append((fs, ln, do))
-            base_last = self.disp + t_last * ext
-            k1 = int(np.searchsorted(flat.offsets, hi - base_last, side="left"))
-            tile_part(t_last, 0, k1)
-
-        if not parts:
+        # The pairs inside [lo, hi) are one range of the global pair
+        # index g = t*D + k: from the first pair of t_first ending past
+        # lo to the last pair of t_last starting before hi.
+        k0 = int(flat.ends.searchsorted(lo - (self.disp + t_first * ext), side="right"))
+        k1 = int(flat.offsets.searchsorted(hi - (self.disp + t_last * ext), side="left"))
+        g_lo, g_hi = t_first * D + k0, t_last * D + k1
+        if g_lo >= g_hi:
             return SegmentBatch.empty_batch(evaluated, skipped)
-        file_start = np.concatenate([p[0] for p in parts])
-        length = np.concatenate([p[1] for p in parts])
-        data_off = np.concatenate([p[2] for p in parts])
-        fs, ln, do = _clip(
-            file_start, length, data_off, lo, hi, self.total_bytes, self.data_lo
-        )
+        fs, ln, do = _tiled_pairs(flat, self.disp, g_lo, g_hi)
+        if self.data_lo == 0 and t_last * flat.size + int(flat.data_prefix[k1]) <= self.total_bytes:
+            # The data window cuts nothing, and of a monotonic pattern
+            # only the first pair can start before lo, only the last end
+            # past hi: clip those two as scalars.
+            front = max(lo - int(fs[0]), 0)
+            fs[0] += front
+            do[0] += front
+            ln[0] -= front
+            ln[-1] -= max(int(fs[-1]) + int(ln[-1]) - hi, 0)
+        else:
+            # Whole pairs before data_lo drop, a partial last tile truncates.
+            fs, ln, do = _clip(fs, ln, do, lo, hi, self.total_bytes, self.data_lo)
         return SegmentBatch(fs, ln, do, pairs_evaluated=evaluated, tiles_skipped=skipped)
 
 
@@ -369,51 +365,19 @@ def data_to_file_segments(
     if data_hi <= data_lo or flat.size == 0 or flat.num_segments == 0:
         return SegmentBatch.empty_batch()
     size = flat.size
-    ext = flat.extent
+    D = flat.num_segments
     dp = flat.data_prefix
     t0 = data_lo // size
     t1 = (data_hi - 1) // size
-    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-
-    def tile_part(t: int, local_lo: int, local_hi: int) -> None:
-        if local_hi <= local_lo:
-            return
-        k0 = int(np.searchsorted(dp, local_lo, side="right")) - 1
-        k0 = max(k0, 0)
-        k1 = int(np.searchsorted(dp, local_hi, side="left"))
-        sel = slice(k0, k1)
-        base = disp + t * ext
-        fs = base + flat.offsets[sel].copy()
-        ln = flat.lengths[sel].copy()
-        do = t * size + dp[sel].copy()
-        # Clip the first/last segments to the local data window.
-        front = (t * size + local_lo) - do
-        np.maximum(front, 0, out=front)
-        fs += front
-        ln -= front
-        do += front
-        over = (do + ln) - (t * size + local_hi)
-        np.maximum(over, 0, out=over)
-        ln -= over
-        keep = ln > 0
-        if not keep.all():
-            fs, ln, do = fs[keep], ln[keep], do[keep]
-        parts.append((fs, ln, do))
-
-    if t0 == t1:
-        tile_part(t0, data_lo - t0 * size, data_hi - t0 * size)
-    else:
-        tile_part(t0, data_lo - t0 * size, size)
-        if t1 - t0 > 1:
-            interior = np.arange(t0 + 1, t1, dtype=np.int64)
-            D = flat.num_segments
-            fs = (disp + interior[:, None] * ext + flat.offsets[None, :]).ravel()
-            ln = np.broadcast_to(flat.lengths, (interior.size, D)).ravel().copy()
-            do = (interior[:, None] * size + dp[:-1][None, :]).ravel()
-            parts.append((fs, ln, do))
-        tile_part(t1, 0, data_hi - t1 * size)
-
-    file_start = np.concatenate([p[0] for p in parts])
-    length = np.concatenate([p[1] for p in parts])
-    data_off = np.concatenate([p[2] for p in parts])
-    return SegmentBatch(file_start, length, data_off)
+    # One range of the global pair index: from the pair holding data
+    # byte data_lo to the last pair starting before data_hi.
+    k0 = int(dp.searchsorted(data_lo - t0 * size, side="right")) - 1
+    k1 = int(dp.searchsorted(data_hi - t1 * size, side="left"))
+    fs, ln, do = _tiled_pairs(flat, disp, t0 * D + k0, t1 * D + k1)
+    # Only the two end pairs can straddle the data window.
+    front = data_lo - int(do[0])
+    fs[0] += front
+    do[0] += front
+    ln[0] -= front
+    ln[-1] -= int(do[-1]) + int(ln[-1]) - data_hi
+    return SegmentBatch(fs, ln, do)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.datatypes.packing import copy_segments
 from repro.datatypes.segments import SegmentBatch
 from repro.errors import CollectiveIOError
 from repro.fs.client import LocalFile
@@ -83,8 +84,7 @@ def datasieve_write(
         # cost the old integrated implementation avoids).
         ctx.charge(covered * cost.cpu_per_byte_copy)
         ctx.charge(covered * cost.cpu_per_byte_touch)
-        for fo_i, ln_i, do_i in zip(f.tolist(), l.tolist(), d.tolist()):
-            sieve[fo_i - span_lo : fo_i - span_lo + ln_i] = data[do_i : do_i + ln_i]
+        copy_segments(sieve, f - span_lo, data, d, l)
         local.write(span_lo, sieve)
 
 
@@ -115,6 +115,5 @@ def datasieve_read(
         covered = int(l.sum())
         ctx.charge(covered * cost.cpu_per_byte_copy)
         ctx.charge(covered * cost.cpu_per_byte_touch)
-        for fo_i, ln_i, do_i in zip(f.tolist(), l.tolist(), d.tolist()):
-            out[do_i : do_i + ln_i] = sieve[fo_i - span_lo : fo_i - span_lo + ln_i]
+        copy_segments(out, d, sieve, f - span_lo, l)
     return out

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.datatypes.packing import copy_segments, stream_order
 from repro.datatypes.segments import SegmentBatch
 from repro.fs.client import LocalFile
 
@@ -23,15 +24,11 @@ def listio_write(local: LocalFile, batch: SegmentBatch, data: np.ndarray) -> Non
     if batch.empty:
         return
     data = np.asarray(data, dtype=np.uint8)
-    order = np.argsort(batch.data_offsets, kind="stable")
-    # The wire format carries the segments back-to-back.
-    parts = [
-        data[do : do + ln]
-        for do, ln in zip(batch.data_offsets[order].tolist(), batch.lengths[order].tolist())
-    ]
-    local.write_batch(
-        batch.file_offsets[order], batch.lengths[order], np.concatenate(parts)
-    )
+    # The wire format carries the segments back-to-back in data order.
+    order, lens, pos = stream_order(batch)
+    packed = np.empty(int(pos[-1] + lens[-1]), dtype=np.uint8)
+    copy_segments(packed, pos, data, batch.data_offsets[order], lens)
+    local.write_batch(batch.file_offsets[order], lens, packed)
 
 
 def listio_read(local: LocalFile, batch: SegmentBatch) -> np.ndarray:
@@ -40,11 +37,8 @@ def listio_read(local: LocalFile, batch: SegmentBatch) -> np.ndarray:
     Returns an array indexed by ``batch.data_offsets``."""
     if batch.empty:
         return np.empty(0, dtype=np.uint8)
-    order = np.argsort(batch.data_offsets, kind="stable")
-    packed = local.read_batch(batch.file_offsets[order], batch.lengths[order])
+    order, lens, pos = stream_order(batch)
+    packed = local.read_batch(batch.file_offsets[order], lens)
     out = np.zeros(int((batch.data_offsets + batch.lengths).max()), dtype=np.uint8)
-    pos = 0
-    for do, ln in zip(batch.data_offsets[order].tolist(), batch.lengths[order].tolist()):
-        out[do : do + ln] = packed[pos : pos + ln]
-        pos += ln
+    copy_segments(out, batch.data_offsets[order], packed, pos, lens)
     return out
