@@ -58,6 +58,7 @@ from repro.errors import (
     DatatypeError,
     DeadlineExceeded,
     FileSystemError,
+    HintConflict,
     HintError,
     IntegrityError,
     LockDeadlock,
@@ -170,6 +171,7 @@ __all__ = [
     "DatatypeError",
     "FileSystemError",
     "CollectiveIOError",
+    "HintConflict",
     "HintError",
     "TransientIOError",
     "TransientNetworkError",

@@ -34,9 +34,11 @@ workloads; with stall scenarios (``--faults stall:SEED``,
 budget — verified data or a typed error, never a hang.
 
 ``--ppn N`` arms the node topology at N ranks per node in the
-command's workloads (the ``procs_per_node``/``node_aggregation``
-hints): the new implementation's exchanges run through the two-layer
+command's workloads (``procs_per_node=N`` + ``exchange=two_layer``):
+the new implementation's exchanges run through the two-layer
 intra-node aggregation path, still held to byte-perfect results.
+What composes with which implementation is ``repro.core.compat``'s
+call (docs/compatibility.md): a rejected selfcheck cell prints ``n/a``.
 
 ``--plan-cache`` (selfcheck) arms the persistent-plan cache
 (``plan_cache=True``, docs/plan_cache.md) and repeats each combination's
@@ -89,9 +91,12 @@ def selfcheck(
         contiguous,
         resized,
     )
+    from repro.core import compat
+    from repro.errors import HintConflict
     from repro.faults import FaultStats, load_scenario
 
     plan = load_scenario(fault_spec) if fault_spec else None
+    kinds = plan.kinds if plan is not None else ()
     totals = FaultStats()
     nprocs, region, count = 4, 64, 16
     failures = 0
@@ -106,23 +111,16 @@ def selfcheck(
                     journal_writes=True,
                 )
             if liveness:
-                # Suspect-driven failover rides the new implementation
-                # only; the deadline guards both.
-                hints = hints.replace(
-                    coll_deadline=0.5, liveness=(impl == "new")
-                )
+                hints = hints.replace(coll_deadline=0.5, liveness=True)
             if ppn > 1:
-                # Two-layer exchange rides the new implementation only
-                # (the old one hardwires its nonblocking exchange).
-                hints = hints.replace(
-                    procs_per_node=ppn, node_aggregation=(impl == "new")
-                )
+                hints = hints.replace(procs_per_node=ppn, exchange="two_layer")
             if replicate > 1:
                 # Replication is a file-system property, so it rides
-                # both implementations identically.  Extra retries let
-                # quorum-blocked writes outlast the canned ost-crash
-                # window: four jittered backoffs cap at 15 ms but
-                # average half that, short of the 10 ms outage.
+                # both implementations identically.  Backoff is
+                # deterministic (no jitter): the default four retries
+                # sleep 1+2+4+8 ms, which already outlasts the canned
+                # 8 ms ost-crash window; eight leave quorum-blocked
+                # writes headroom under a longer outage.
                 hints = hints.replace(
                     replication_factor=replicate, io_retries=8
                 )
@@ -133,6 +131,15 @@ def selfcheck(
                 # implementations; byte-identity is exactly what this
                 # check verifies.
                 hints = hints.replace(pipeline_depth=pipeline)
+            try:
+                eff = compat.resolve(hints, kinds)
+            except HintConflict as conflict:
+                print(f"  {impl:>3} + {method:<12} n/a ({conflict.rule})")
+                continue
+            if eff.boundary_kinds:
+                # 4 KiB through the default 4 MiB buffer is one round:
+                # an event keyed on boundary >= 1 would never fire.
+                hints = hints.replace(cb_buffer_size=512)
             reps = 3 if plan_cache else 1
 
             def main(ctx):
@@ -273,7 +280,7 @@ def chaos(
     hints = None
     if ppn > 1:
         hints = Hints(
-            cb_nodes=2, cb_buffer_size=512, procs_per_node=ppn, node_aggregation=True
+            cb_nodes=2, cb_buffer_size=512, procs_per_node=ppn, exchange="two_layer"
         )
     harness = ChaosHarness(
         fault_spec or "chaos",
@@ -379,7 +386,7 @@ def trace(
     region, count = 64, 16
     hints = Hints(coll_impl="new", cb_nodes=2, cb_buffer_size=512)
     if ppn > 1:
-        hints = hints.replace(procs_per_node=ppn, node_aggregation=True)
+        hints = hints.replace(procs_per_node=ppn, exchange="two_layer")
     if integrity:
         hints = hints.replace(
             integrity_pages=True, integrity_network=True, journal_writes=True
@@ -495,7 +502,7 @@ def mt(
             if liveness:
                 hints.update(coll_deadline=0.5, liveness=True)
             if ppn > 1:
-                hints.update(procs_per_node=ppn, node_aggregation=True)
+                hints.update(procs_per_node=ppn, exchange="two_layer")
             cl.add_tenant(
                 f"t{i}",
                 mkbody(),

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Hashable, List, Optional
 
 from repro.config import CostModel
+from repro.core.compat import Effective
 from repro.core.file_view import FileView
 from repro.core.pfr import PFRState
 from repro.io.adio import AdioFile
@@ -83,6 +84,11 @@ class CollStats:
     def note_flush(self, method: str) -> None:
         self.registry.counter(f"coll.flush.{method}", self.rank).inc()
 
+    def note_stand_down(self, rule_id: str) -> None:
+        """Count one stand-down taken under ``repro.core.compat`` row
+        ``rule_id`` (once per open; per round for a round-scope row)."""
+        self.registry.counter(f"compat.stand_down.{rule_id}", self.rank).inc()
+
     @property
     def flush_methods(self) -> Dict[str, int]:
         """Collective-buffer flush method usage (method -> count)."""
@@ -128,6 +134,10 @@ class CollEnv:
     comm: Communicator
     cost: CostModel
     hints: Hints
+    #: What the hints resolve to for this open (repro.core.compat):
+    #: the round loop and the planners read this, not the raw hints,
+    #: wherever features have to compose.
+    eff: Effective
     adio: AdioFile
     view: FileView
     stats: CollStats

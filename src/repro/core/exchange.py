@@ -73,15 +73,13 @@ def exchange_data(
     data_offsets are order keys; both sides order by the client's
     monotonic file order).  Every rank must call this, every round.
 
-    ``skip`` names suspect ranks excluded from the exchange (their
-    batches must already be None/empty).  The alltoallw backend needs
-    the set explicitly to keep its pairwise rounds matched; the
-    nonblocking backend only posts non-empty batches, so empty batches
-    exclude a suspect automatically.  The two_layer backend falls back
-    to the flat alltoallw for the round: suspect-skipping is a liveness
-    event, and re-electing leaders around a suspect mid-call is not
-    worth the protocol complexity — the fallback keeps every leg
-    matched at the phase boundary.
+    ``skip`` names ranks excluded from the exchange (their batches
+    must already be None/empty).  The alltoallw backend needs the set
+    explicitly to keep its pairwise rounds matched; the nonblocking
+    backend only posts non-empty batches, so empty batches exclude a
+    rank automatically.  The two_layer backend cannot route around a
+    missing leader: the round loop gives such a round to alltoallw
+    (rule ``suspects.two_layer``), and asking for it here is an error.
 
     ``topology`` selects the node grouping for ``two_layer`` (defaults
     to the communicator's cost-model topology; a flat cluster degrades
@@ -94,11 +92,9 @@ def exchange_data(
         return sent
     if mode == "two_layer":
         if skip:
-            topology_stats(comm.ctx.shared).flat_fallbacks += 1
-            comm.alltoallw(
-                sendbuf, list(send_batches), recvbuf, list(recv_batches), skip=skip
+            raise CollectiveIOError(
+                f"two_layer exchange cannot skip ranks {sorted(skip)}"
             )
-            return sent
         _two_layer(comm, cost, sendbuf, send_batches, recvbuf, recv_batches, topology)
         return sent
     _nonblocking(comm, cost, sendbuf, send_batches, recvbuf, recv_batches)

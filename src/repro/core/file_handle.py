@@ -26,6 +26,7 @@ from typing import Hashable, List, Optional
 import numpy as np
 
 from repro.config import CostModel, DEFAULT_COST_MODEL
+from repro.core import compat
 from repro.core.env import CollEnv, CollStats
 from repro.core.file_view import FileView
 from repro.core.pfr import PFRState
@@ -37,6 +38,7 @@ from repro.core.two_phase_old import IntegratedSieve
 from repro.datatypes.base import BYTE, Datatype
 from repro.datatypes.flatten import FlatType
 from repro.errors import CollectiveIOError, RankCrashed
+from repro.faults.plan import FAULTS_KEY
 from repro.fs.client import FSClient
 from repro.fs.filesystem import SimFileSystem
 from repro.integrity import IntegrityConfig, install_integrity
@@ -80,6 +82,11 @@ class CollectiveFile:
         self.fs = fs
         self.path = path
         self.hints = hints if hints is not None else Hints()
+        # Every feature x feature decision of this open, settled once
+        # (a reject raises here, identically on every rank, before the
+        # open barrier).
+        inj = ctx.shared.get(FAULTS_KEY)
+        self.eff = compat.resolve(self.hints, inj.plan.kinds if inj is not None else ())
         self.cost = cost
         # Multi-tenant runs pass a (tenant, rank) client_id so that two
         # tenants' rank 0 never alias on the shared lock table / caches.
@@ -92,8 +99,6 @@ class CollectiveFile:
         retry = RetryPolicy(
             retries=self.hints["io_retries"],
             backoff=self.hints["io_retry_backoff"],
-            backoff_max=self.hints["retry_backoff_max"],
-            jitter=self.hints["retry_jitter"],
             budget=(
                 RetryBudget(self.hints["io_retry_budget"])
                 if self.hints["io_retry_budget"]
@@ -119,7 +124,6 @@ class CollectiveFile:
                     network=self.hints["integrity_network"],
                     net_retries=self.hints["io_retries"],
                     net_backoff=self.hints["io_retry_backoff"],
-                    net_backoff_max=self.hints["retry_backoff_max"],
                 ),
             )
         if self.hints["integrity_pages"]:
@@ -130,16 +134,15 @@ class CollectiveFile:
         if self.hints["coll_deadline"] > 0.0 or self.hints["liveness"]:
             install_liveness(
                 ctx.shared,
-                LivenessState(
-                    LivenessConfig(deadline=self.hints["coll_deadline"]),
-                    failover=self.hints["liveness"],
-                ),
+                LivenessState(LivenessConfig(deadline=self.hints["coll_deadline"])),
             )
         self.view = FileView(0, BYTE, BYTE)
         # Per-rank collective counters report into the simulation's
         # shared metrics registry (coll.* / exchange.* series).
         self.registry = metrics_registry(ctx.shared)
         self._stats = CollStats(self.registry, ctx.rank)
+        for rule_id in self.eff.decisions:
+            self._stats.note_stand_down(rule_id)
         self._call_seconds = self.registry.histogram("coll.call.seconds", ctx.rank)
         self.pfr = PFRState()
         # Persistent collective plans (docs/plan_cache.md): per-handle,
@@ -277,6 +280,7 @@ class CollectiveFile:
             comm=comm,
             cost=self.cost,
             hints=self.hints,
+            eff=self.eff,
             adio=adio,
             view=view,
             stats=self._stats,
@@ -284,21 +288,14 @@ class CollectiveFile:
             plancache=self.plancache,
         )
 
-    @property
-    def _needs_realm_coherence(self) -> bool:
-        return (
-            self.hints["cache_mode"] == "incoherent"
-            and not self.hints["persistent_file_realms"]
-        )
-
     def _prologue(self, adio: AdioFile) -> None:
-        if self._needs_realm_coherence:
+        if self.eff.realm_coherence:
             # Realms may have moved since the last call: drop cached
             # pages so reads cannot see bytes another aggregator owns now.
             adio.local.invalidate()
 
     def _epilogue_write(self, ctx: RankContext, adio: AdioFile) -> None:
-        if self._needs_realm_coherence:
+        if self.eff.realm_coherence:
             # Coherence flushes hit the server too; retry them under the
             # same policy as the data path or a transient fault here
             # would kill an otherwise-survivable collective call.
@@ -346,7 +343,7 @@ class CollectiveFile:
                 self.resume_rewritten += rewritten
                 self.resume_skipped += skipped
             else:
-                method = IntegratedSieve if self.hints["coll_impl"] == "old" else Layered
+                method = IntegratedSieve if self.eff.method == "old" else Layered
                 run_collective(env, method, buf8, memflat, total, start, write=write)
         self._call_seconds.record(ctx.now - t_begin)
         if write:
@@ -690,9 +687,11 @@ class CollectiveFile:
         )
 
     def get_info(self) -> dict:
-        """Effective hints (MPI_File_get_info analogue): every known key
-        with its resolved value, explicit or default."""
-        return {key: self.hints[key] for key in self.hints}
+        """The hints actually in use (MPI_File_get_info analogue): every
+        known key with its value — explicit or default — overlaid with
+        what the stand-downs taken at open put in its place
+        (docs/compatibility.md)."""
+        return {**{key: self.hints[key] for key in self.hints}, **self.eff.overrides}
 
     @property
     def size(self) -> int:

@@ -12,15 +12,12 @@ in flight, and a submit past that limit back-pressures by joining the
 oldest (counted in ``coll.pipeline.stalls``).
 
 ``pipeline_depth = 0`` (the default) never constructs a pipeline —
-the round loop runs serialized, seed-identical.  The pipeline
-also *stands down* (returns ``None`` from :func:`maybe_pipeline`)
-while any realm-mutating fault kind is armed: ``agg_crash`` /
-``rank_stall`` / ``rank_crash`` restructure the round schedule at
-phase boundaries (failover, suspects, epoch commits), which requires
-the strictly-ordered serialized walk.  Data-path faults — transient
-I/O errors, OST flaps, bit flips — stay live inside the coroutines;
-their typed errors are captured by the task handle and re-raised at
-the join, so the caller's handling is identical to the inline path.
+the round loop runs serialized, seed-identical — and neither does a
+run with a boundary fault kind armed (rule ``recarve.pipeline``,
+docs/compatibility.md).  Data-path faults — transient I/O errors, OST
+flaps, bit flips — stay live inside the coroutines; their typed errors
+are captured by the task handle and re-raised at the join, so the
+caller's handling is identical to the inline path.
 
 Metrics: ``coll.pipeline.depth`` (gauge, configured depth),
 ``coll.pipeline.stalls`` (back-pressure joins), and
@@ -40,27 +37,9 @@ from dataclasses import replace
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.core.env import CollEnv
-from repro.core.plancache import PLAN_MUTATING_KINDS
-from repro.faults.plan import FAULTS_KEY
 from repro.sim.engine import RankContext, TaskHandle
 
-__all__ = ["RoundPipeline", "maybe_pipeline", "task_env"]
-
-
-def maybe_pipeline(env: CollEnv) -> Optional["RoundPipeline"]:
-    """A :class:`RoundPipeline` for this call, or ``None``.
-
-    ``None`` when the ``pipeline_depth`` hint is unset (seed-identical
-    serialized rounds) or while a realm-mutating fault kind is armed —
-    the same stand-down set the plan cache bypasses on, because both
-    features assume the round schedule is fixed for the whole call."""
-    depth = env.hints["pipeline_depth"]
-    if depth <= 0:
-        return None
-    inj = env.ctx.shared.get(FAULTS_KEY)
-    if inj is not None and any(inj.enabled(kind) for kind in PLAN_MUTATING_KINDS):
-        return None
-    return RoundPipeline(env, depth)
+__all__ = ["RoundPipeline", "task_env"]
 
 
 def task_env(env: CollEnv, tctx: RankContext) -> CollEnv:

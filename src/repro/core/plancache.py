@@ -26,15 +26,10 @@ Correctness before speed (docs/plan_cache.md):
 * **Invalidation.**  ``set_view`` drops every entry (the MPI view
   epoch); hint, topology, membership (tenant), and dead-set changes
   change the key itself, so stale entries can never be looked up.
-* **Bypass.**  Fault kinds that re-carve realms mid-call
-  (``agg_crash``, ``rank_stall``, ``rank_crash``) make the executed
-  schedule diverge from the planned one, and their events are keyed on
-  call ordinals/boundaries the replay path does not evaluate.  While
-  any of them is armed the cache stands down entirely: every call
-  plans cold, nothing is stored, nothing is replayed — a stale replay
-  is impossible rather than merely unlikely.  Data-path fault kinds
-  (transient I/O, bit flips, OST outages, delays) do not affect the
-  schedule and leave the cache active.
+* **Bypass.**  While a boundary fault kind is armed the cache stands
+  down entirely (rule ``recarve.plan_cache``, docs/compatibility.md):
+  the round loop never calls :meth:`PlanCache.begin`, only
+  :meth:`PlanCache.note_bypass`.
 
 Counters (``coll.plan.hits`` / ``misses`` / ``invalidations`` /
 ``bypass``) report per rank into the session metrics registry, and the
@@ -51,7 +46,6 @@ from typing import TYPE_CHECKING, Hashable, List, Optional, Tuple
 
 from repro.datatypes.flatten import FlatType
 from repro.datatypes.segments import SegmentBatch
-from repro.faults.plan import FAULTS_KEY
 from repro.liveness import find_crash_state
 from repro.mpi.topology import resolve_topology
 from repro.obs.metrics import MetricsRegistry
@@ -59,12 +53,7 @@ from repro.obs.metrics import MetricsRegistry
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (env -> plancache)
     from repro.core.env import CollEnv
 
-__all__ = ["PlanCache", "PlanEntry", "RoundPlan", "PlanRecorder", "PLAN_MUTATING_KINDS"]
-
-#: Fault kinds whose events change the plan mid-call (realm re-carving,
-#: suspect exclusion, fail-stop shrinkage).  Any of these being armed
-#: stands the cache down for the whole run.
-PLAN_MUTATING_KINDS = frozenset({"agg_crash", "rank_stall", "rank_crash"})
+__all__ = ["PlanCache", "PlanEntry", "RoundPlan", "PlanRecorder"]
 
 
 @dataclass
@@ -172,14 +161,11 @@ class PlanCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    # -- keying ---------------------------------------------------------------
-    @staticmethod
-    def _bypassed(env: "CollEnv") -> bool:
-        inj = env.ctx.shared.get(FAULTS_KEY)
-        if inj is None:
-            return False
-        return any(inj.enabled(kind) for kind in PLAN_MUTATING_KINDS)
+    def note_bypass(self) -> None:
+        """Count one call that planned cold because the cache stood down."""
+        self._bypasses.inc()
 
+    # -- keying ---------------------------------------------------------------
     @staticmethod
     def _local_signature(
         env: "CollEnv", memflat: FlatType, total_bytes: int, data_lo: int, impl: str
@@ -224,9 +210,6 @@ class PlanCache:
         :meth:`recording` hands out the recorder for :meth:`commit`."""
         self._pending = None
         self._pending_id = ""
-        if self._bypassed(env):
-            self._bypasses.inc()
-            return None
         local = self._local_signature(env, memflat, total_bytes, data_lo, impl)
         # The one control collective of the cached path: the key is the
         # tuple of every rank's digest, identical everywhere, so every
@@ -246,7 +229,7 @@ class PlanCache:
         return None
 
     def recording(self, impl: str) -> Optional[PlanRecorder]:
-        """Recorder for the cold call after a miss (None when bypassed)."""
+        """Recorder for the cold call after a miss."""
         if self._pending is None:
             return None
         return PlanRecorder(key=self._pending, key_id=self._pending_id, impl=impl)

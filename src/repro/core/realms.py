@@ -398,10 +398,8 @@ def resolve_strategy(hints: Hints) -> RealmStrategy:
     if name == "even":
         return AlignedPartition(align) if align else EvenPartition()
     if name == "aligned":
-        if not align:
-            raise CollectiveIOError(
-                "realm_strategy=aligned requires a non-zero realm_alignment hint"
-            )
+        # A zero alignment never gets here through a file handle (rule
+        # aligned.needs_alignment rejects it at open).
         return AlignedPartition(align)
     if name == "balanced":
         return BalancedPartition(align)

@@ -21,11 +21,15 @@ in write orientation) and how faults reshape the schedule at a round
 boundary: :class:`repro.core.two_phase_new._Plan` (§5.2/§5.3),
 :class:`repro.core.two_phase_old._OldPlan` and :class:`_Replay`.  A
 **buffer method** (§5.1) says how an aggregator's collective buffer
-meets the file — ``stage`` / ``flush`` on writes, ``fill`` on reads,
-``active`` (does this rank move file bytes this round) and
-``exchange_mode`` — and names its ``planner`` and its ``impl`` hint
-value: :class:`repro.core.two_phase_new.Layered` and
+meets the file — ``stage`` / ``flush`` on writes, ``fill`` on reads
+and ``active`` (does this rank move file bytes this round) — and names
+its ``planner`` and its ``impl`` hint value:
+:class:`repro.core.two_phase_new.Layered` and
 :class:`repro.core.two_phase_old.IntegratedSieve`.
+
+Which features are in force (exchange backend, pipeline, plan cache,
+journal, boundary fault kinds) is ``env.eff``, settled once at open by
+:mod:`repro.core.compat`; nothing here re-derives it from the hints.
 """
 
 from __future__ import annotations
@@ -36,13 +40,14 @@ import numpy as np
 
 from repro.core.env import CollEnv
 from repro.core.exchange import exchange_data
-from repro.core.pipeline import RoundPipeline, maybe_pipeline, task_env
+from repro.core.pipeline import RoundPipeline, task_env
 from repro.core.plancache import PlanEntry, PlanRecorder, RoundPlan
 from repro.datatypes.flatten import FlatType
 from repro.errors import CollectiveAborted, RankCrashed
 from repro.faults.plan import FAULTS_KEY
 from repro.liveness import LIVENESS_KEY, install_crash_state
 from repro.mpi.agreement import AliveGroup, agree_dead_set
+from repro.mpi.topology import topology_stats
 
 __all__ = ["run_collective", "RoundSource", "CONTINUE", "RESTART", "STOP"]
 
@@ -56,10 +61,10 @@ class RoundSource:
     (docs/crash_recovery.md) every schedule shares.
 
     Subclasses set ``nrounds`` and ``aggs`` and implement
-    :meth:`_route`; the fault answers default to "nothing happened",
-    which is all a replay ever needs.  The crash machinery is armed
-    only when the fault plan carries ``rank_crash`` events, so the
-    fault-free path pays nothing."""
+    :meth:`_route`; a planner that can re-carve its schedule also
+    implements :meth:`_gone` (the default, "carry on", is all a replay
+    ever needs).  The crash machinery is armed only when the fault plan
+    carries ``rank_crash`` events, so the fault-free path pays nothing."""
 
     nrounds: int
     aggs: List[int]
@@ -88,11 +93,14 @@ class RoundSource:
         self._crash = None
         self._crash_pending: Optional[str] = None
         self._known_dead: set[int] = set()
+        #: Ranks stalled by a ``rank_stall`` that were declared *suspect*
+        #: and are completed around (``eff.suspects`` only).
+        self._suspects: set[int] = set()
         #: The survivors' communicator view (see :attr:`coll`), so
         #: planning a new call never blocks waiting on a corpse from an
         #: earlier one.  None = fail-stop crashes are not armed.
         self.group: Optional[AliveGroup] = None
-        if inj is not None and inj.enabled("rank_crash"):
+        if "rank_crash" in env.eff.boundary_kinds:
             self._crash = install_crash_state(ctx.shared)
             self._known_dead = set(self._crash.dead)
             self.group = AliveGroup(comm, frozenset(self._known_dead), -1)
@@ -130,7 +138,62 @@ class RoundSource:
 
     # -- per-round surface ---------------------------------------------------
     def boundary(self, r: int, buf: np.ndarray, write: bool) -> int:
-        """Phase-boundary fault check before round ``r``."""
+        """Phase-boundary fault check, called before each round.
+
+        ``r`` is the next round of the current epoch (== rounds
+        completed since the last re-carve).  Detection needs no
+        communication: every fault class evaluated here is a pure
+        function of the per-rank collective-call ordinal and a
+        monotonic boundary counter, which every rank tracks
+        identically:
+
+        * ``rank_stall`` — a transient stall.  The stall itself always
+          fires (the fault model does not read the hints); under
+          ``eff.suspects`` the stalled rank is additionally declared
+          *suspect* and completed around;
+        * ``agg_crash`` — permanent loss of an aggregator role;
+        * ``rank_crash`` — a fail-stop death (:meth:`_fail_stop`).
+
+        What is newly gone goes to the planner's :meth:`_gone`, whose
+        verdict (``RESTART`` after a re-carve, ``STOP`` for a suspect
+        whose tail is done) is returned."""
+        env = self.env
+        if not env.eff.boundary_kinds:
+            return CONTINUE
+        inj, liv, rank = self._injector, self._liveness, env.comm.rank
+        boundary = self._boundary
+        self._boundary += 1
+
+        stalls = inj.stalled_ranks(self.call_index, boundary)
+        if rank in stalls:
+            delay = stalls[rank]
+            with env.ctx.trace("fault:stall", round=r):
+                env.ctx.advance(delay)
+            inj.note_stall(delay)
+            if liv is not None:
+                # Renew my own budget: the deadline guards against
+                # waiting on *others*, not against having been slow.
+                liv.begin_call(rank, env.ctx.now)
+
+        roles = inj.dead_aggregators(self.call_index, boundary)
+        suspects: List[int] = []
+        if stalls and env.eff.suspects:
+            suspects = sorted(
+                s for s in stalls if s not in self._suspects and s not in roles
+            )
+        crashed: List[int] = []
+        reporter = 0
+        if self._crash is not None:
+            crashed, reporter = self._fail_stop(boundary)
+            if self.dying:
+                return CONTINUE
+        return self._gone(r, buf, write, roles, suspects, crashed, reporter)
+
+    def _gone(self, r, buf, write, roles, suspects, crashed, reporter) -> int:
+        """Re-carve the schedule before round ``r``: ``roles`` are the
+        aggregator roles lost so far, ``suspects`` and ``crashed`` the
+        ranks newly suspected / newly dead fail-stop at this boundary;
+        ``reporter`` is the one rank that counts events."""
         return CONTINUE
 
     def route(self, r: int) -> RoundPlan:
@@ -233,10 +296,11 @@ class _Replay(RoundSource):
     no window intersection (zero offset/length pairs evaluated).
 
     Only ever built for a plan the cache agreed on collectively, and
-    never while a realm-mutating fault kind is armed (PlanCache
-    bypasses those), so the recorded schedule is exact and every fault
-    answer is the default.  The base still advances the collective-call
-    ordinal: data-path fault kinds key their event windows on it."""
+    never while a boundary fault kind is armed (rule
+    ``recarve.plan_cache``), so the recorded schedule is exact and
+    every fault answer is the default.  The base still advances the
+    collective-call ordinal: data-path fault kinds key their event
+    windows on it."""
 
     def __init__(self, env: CollEnv, entry: PlanEntry) -> None:
         super().__init__(env)
@@ -267,7 +331,9 @@ def run_collective(
     planner and buffer handling."""
     cache = env.plancache
     entry = rec = None
-    if cache is not None:
+    if cache is not None and not env.eff.plan_cache:
+        cache.note_bypass()  # rule recarve.plan_cache: plan cold, store nothing
+    elif cache is not None:
         entry = cache.begin(env, memflat, total_bytes, data_lo, method.impl)
         if entry is None:
             rec = cache.recording(method.impl)
@@ -298,7 +364,7 @@ def _call(env: CollEnv, method, src: RoundSource, buf: np.ndarray, write: bool) 
     if liv is not None:
         liv.begin_call(rank, env.ctx.now)
     try:
-        if write and env.hints["journal_writes"]:
+        if write and env.eff.journal:
             # Crash-consistent path: aggregator flushes land in a shadow
             # transaction keyed by the collective-call ordinal (a
             # leftover transaction under a *different* ordinal is a
@@ -364,15 +430,17 @@ def _rounds(env: CollEnv, method, src: RoundSource, buf: np.ndarray, write: bool
     Round pipelining (docs/async_io.md): when armed, flushes and fills
     run as engine coroutines so the flush of round r overlaps the
     exchange of round r+1 (on reads: the fill of round r+1 prefetches
-    while round r's exchange distributes).  The pipeline stands down
-    whenever a realm-mutating fault kind is armed, so every non-default
-    :class:`RoundSource` answer only ever meets the serialized path."""
-    ctx, comm, cost, stats = env.ctx, env.comm, env.cost, env.stats
+    while round r's exchange distributes).  ``eff.pipeline_depth`` is 0
+    whenever a boundary fault kind is armed (rule ``recarve.pipeline``),
+    so every non-default :class:`RoundSource` answer only ever meets
+    the serialized path."""
+    ctx, comm, cost, stats, eff = env.ctx, env.comm, env.cost, env.stats, env.eff
     rank = comm.rank
     liv = src._liveness
     rec = src.rec
-    mode = method.exchange_mode(env)
-    pipe: Optional[RoundPipeline] = maybe_pipeline(env)
+    pipe: Optional[RoundPipeline] = (
+        RoundPipeline(env, eff.pipeline_depth) if eff.pipeline_depth > 0 else None
+    )
     exchange_span = "round:exchange" if pipe is not None else "tp:exchange"
     svc: List[float] = []
 
@@ -396,6 +464,11 @@ def _rounds(env: CollEnv, method, src: RoundSource, buf: np.ndarray, write: bool
                 # per-client layouts become SEND batches, the client's
                 # memory batches RECV batches.
                 sendbuf, sends, recvbuf, recvs = cbuf, rp.recv, buf, rp.send
+            mode = eff.exchange_skip if src.skip else eff.exchange
+            if mode != eff.exchange:
+                # Rule suspects.two_layer, the one settled per round.
+                stats.note_stand_down("suspects.two_layer")
+                topology_stats(ctx.shared).flat_fallbacks += 1
             stats.bytes_exchanged += exchange_data(
                 comm, cost, mode, sendbuf, sends, recvbuf, recvs,
                 skip=src.skip, topology=src.topology,

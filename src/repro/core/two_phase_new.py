@@ -89,12 +89,10 @@ class _Plan(RoundSource):
         comm, hints = env.comm, env.hints
         view = env.view
 
-        # Role-loss and liveness state: which phase boundaries have
-        # passed (the base's counter), which aggregators have already
-        # been failed over, and which ranks stalled by a ``rank_stall``
-        # fault became *suspect* and are completed around.
+        # Role-loss and liveness state: which aggregators have already
+        # been failed over, and whether I am a suspect myself (the
+        # base keeps the boundary counter and the suspect set).
         self._dead: set[int] = set()
-        self._suspects: set[int] = set()
         self.i_am_suspect = False
         self._suspect_tails: Optional[List[RealmDomain]] = None
         coll = self.coll
@@ -170,7 +168,8 @@ class _Plan(RoundSource):
         env = self.env
         hints = env.hints
         naggs = len(self.aggs)
-        if hints["persistent_file_realms"]:
+        if env.eff.pfr:
+            # Rule pfr.strategy: the persistent realms win.
             if env.pfr is None:
                 raise CollectiveIOError("persistent_file_realms requires PFR state")
             return env.pfr.realms_for(
@@ -378,91 +377,37 @@ class _Plan(RoundSource):
     def excluded(self) -> frozenset:
         return frozenset(self._dead | self._suspects | self._known_dead)
 
-    def boundary(self, r: int, buf: np.ndarray, write: bool) -> int:
-        """Phase-boundary fault check, called before each round.
+    def _gone(self, r, buf, write, roles, suspects, crashed, reporter) -> int:
+        """Fail lost aggregator roles over, complete around suspects,
+        re-carve without fail-stop corpses.
 
-        ``r`` is the next round of the current epoch (== rounds
-        completed since the last rebalance, so ``r * cb`` linear bytes
-        of every domain are already flushed).  Detection needs no
-        communication: every fault class evaluated here is a pure
-        function of the per-rank collective-call ordinal and a
-        monotonic boundary counter, which every rank tracks
-        identically:
-
-        * ``agg_crash`` — permanent loss of an aggregator role;
-        * ``rank_stall`` — a transient stall.  The stall itself always
-          fires (the fault model does not read the hints); with the
-          ``liveness`` hint armed, the stalled rank is additionally
-          declared *suspect* and completed around — its aggregator
-          realm merges into survivors, its already-exchanged access
-          description is dropped from the aggregation, and its own
-          remaining access becomes independent tail I/O
-          (:meth:`run_suspect_tail`);
-        * ``rank_crash`` — a fail-stop death (:meth:`_fail_stop`);
-          survivors re-carve the schedule without the corpses.
-
-        ``RESTART`` when realms were rebalanced (``nrounds`` has been
-        recomputed for the new domains); ``STOP`` for the suspect
-        itself, once its tail is written or read."""
-        inj = self._injector
-        if inj is None:
-            return CONTINUE
-        crash_on = inj.enabled("agg_crash")
-        stall_on = inj.enabled("rank_stall")
-        fail_stop_on = self._crash is not None
-        if not crash_on and not stall_on and not fail_stop_on:
-            return CONTINUE
+        ``r * cb`` linear bytes of every domain are already flushed.  A
+        lost aggregator's realm merges into the survivors; a suspect's
+        already-exchanged access description is dropped from the
+        aggregation and its own remaining access becomes independent
+        tail I/O (:meth:`run_suspect_tail`).  ``RESTART`` when realms
+        were rebalanced (``nrounds`` has been recomputed for the new
+        domains); ``STOP`` for the suspect itself, once its tail is
+        written or read."""
         env = self.env
-        rank = env.comm.rank
-        liv = self._liveness
-        boundary = self._boundary
-        self._boundary += 1
+        inj, liv, rank = self._injector, self._liveness, env.comm.rank
+        newly_dead = [a for a in self.aggs if a in roles and a not in self._dead]
+        # Survivors stop expecting the corpses' data.
+        if self.agg_cursors is not None:
+            for c in crashed:
+                self.agg_cursors[c] = None
+        crash_lost = [a for a in self.aggs if a in crashed]
 
-        stalls = inj.stalled_ranks(self.call_index, boundary) if stall_on else {}
-        if rank in stalls:
-            delay = stalls[rank]
-            with env.ctx.trace("fault:stall", round=r):
-                env.ctx.advance(delay)
-            inj.note_stall(delay)
-            if liv is not None:
-                # Renew my own budget: the deadline guards against
-                # waiting on *others*, not against having been slow.
-                liv.begin_call(rank, env.ctx.now)
-
-        dead = (
-            inj.dead_aggregators(self.call_index, boundary)
-            if crash_on
-            else frozenset()
-        )
-        newly_dead = [a for a in self.aggs if a in dead and a not in self._dead]
-        new_suspects: List[int] = []
-        if stalls and liv is not None and liv.failover:
-            new_suspects = sorted(
-                s for s in stalls if s not in self._suspects and s not in dead
-            )
-
-        crash_newly: List[int] = []
-        reporter = 0
-        if fail_stop_on:
-            crash_newly, reporter = self._fail_stop(boundary)
-            if self.dying:
-                return CONTINUE
-            # Survivors stop expecting the corpses' data.
-            if self.agg_cursors is not None:
-                for c in crash_newly:
-                    self.agg_cursors[c] = None
-        crash_lost = [a for a in self.aggs if a in crash_newly]
-
-        if not newly_dead and not new_suspects and not crash_lost:
+        if not newly_dead and not suspects and not crash_lost:
             # Pure-client deaths leave the window geometry untouched:
             # survivors carry on at the same round, minus the corpses.
             return CONTINUE
         if newly_dead and not env.hints["failover"]:
             raise AggregatorLost(newly_dead[0])
         with env.ctx.trace("tp:failover", round=r):
-            lost_ranks = set(newly_dead) | set(new_suspects) | set(crash_lost)
+            lost_ranks = set(newly_dead) | set(suspects) | set(crash_lost)
             gone = (
-                self._dead | set(dead) | self._suspects | lost_ranks
+                self._dead | set(roles) | self._suspects | lost_ranks
                 | self._known_dead
             )
             survivors = [ai for ai, a in enumerate(self.aggs) if a not in gone]
@@ -475,7 +420,7 @@ class _Plan(RoundSource):
             # (the metadata exchange is all-to-all-aggregators), so
             # adopting file ranges needs no new communication.
             tails = [d.slice_linear(consumed, d.total_bytes) for d in self.domains]
-            if rank in new_suspects:
+            if rank in suspects:
                 # The union of these tails is exactly the un-flushed file
                 # region; my remaining access inside it is mine to carry.
                 self.i_am_suspect = True
@@ -503,7 +448,7 @@ class _Plan(RoundSource):
             ]
             self._dead.update(newly_dead)
             self._dead.update(crash_lost)
-            for s in new_suspects:
+            for s in suspects:
                 self._suspects.add(s)
                 if liv is not None and liv.mark_suspect(s):
                     inj.note_suspect()
@@ -545,7 +490,7 @@ class _Plan(RoundSource):
             return
         env = self.env
         rank = env.comm.rank
-        journaled = env.hints["journal_writes"]
+        journaled = env.eff.journal
         excluded = self._known_dead | self._suspects
         if not journaled and self.my_agg_index >= 0 and rank not in excluded:
             t0 = env.ctx.now
@@ -649,14 +594,6 @@ class Layered:
 
     impl = "new"
     planner = _Plan
-
-    @staticmethod
-    def exchange_mode(env: CollEnv) -> str:
-        """Effective exchange backend: ``node_aggregation`` forces
-        two_layer regardless of the ``exchange`` hint."""
-        if env.hints["node_aggregation"]:
-            return "two_layer"
-        return env.hints["exchange"]
 
     @staticmethod
     def active(rp: RoundPlan) -> bool:

@@ -183,26 +183,22 @@ class _OldPlan(RoundSource):
         w_hi = min(w_lo + self.cb, hi)
         return w_lo, max(w_hi, w_lo)
 
-    def boundary(self, r: int, buf: np.ndarray, write: bool) -> int:
-        """Fail-stop check before round ``r`` (:meth:`_fail_stop`); after
-        a death survivors **re-plan**: the first ``r`` rounds of every
-        realm are already written back (this path writes its span each
-        round), so they subtract that covered region from their access
-        and re-partition the remainder among the surviving aggregators
-        — the dead rank's requests drop out with it."""
-        if self._crash is None:
-            return CONTINUE
-        boundary = self._boundary
-        self._boundary += 1
-        newly, reporter = self._fail_stop(boundary)
-        if not newly:
+    def _gone(self, r, buf, write, roles, suspects, crashed, reporter) -> int:
+        """After a fail-stop death survivors **re-plan**: the first ``r``
+        rounds of every realm are already written back (this path
+        writes its span each round), so they subtract that covered
+        region from their access and re-partition the remainder among
+        the surviving aggregators — the dead rank's requests drop out
+        with it.  Roles are never lost and nobody is suspected here
+        (rules ``old.agg_crash`` / ``old.suspects``)."""
+        if not crashed:
             return CONTINUE
         for ai, a in enumerate(self.aggs):
             lo, hi = self.win_bounds[ai]
             done_hi = min(lo + r * self.cb, hi)
             if done_hi > lo:
                 self._covered.append((lo, done_hi))
-            if a in newly and self.env.comm.rank == reporter:
+            if a in crashed and self.env.comm.rank == reporter:
                 self._injector.note_failover(a, max(hi - done_hi, 0))
         with self.env.ctx.trace("tp:failover", round=r):
             self._plan()
@@ -268,10 +264,6 @@ class IntegratedSieve:
 
     impl = "old"
     planner = _OldPlan
-
-    @staticmethod
-    def exchange_mode(env: CollEnv) -> str:
-        return "nonblocking"
 
     @staticmethod
     def active(rp: RoundPlan) -> bool:

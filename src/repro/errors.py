@@ -305,6 +305,18 @@ class HintError(CollectiveIOError):
     """An MPI-Info style hint has an unrecognized key or malformed value."""
 
 
+class HintConflict(HintError):
+    """The hints (with the armed fault kinds) ask for a combination no
+    implementation can honour; raised at open, before any rank thread
+    starts when the run goes through ``Session`` / ``Cluster``.
+    ``rule`` is the id of the rejecting row of
+    :data:`repro.core.compat.RULES` (docs/compatibility.md)."""
+
+    def __init__(self, rule: str, why: str) -> None:
+        super().__init__(f"hint conflict [{rule}]: {why}")
+        self.rule = rule
+
+
 class DeadlineExceeded(CollectiveIOError):
     """A collective call blew its ``coll_deadline`` budget.
 

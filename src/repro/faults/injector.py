@@ -187,7 +187,7 @@ class FaultInjector:
         #: rank -> collective calls begun (for agg_crash targeting).
         self._calls: Dict[int, int] = {}
         # Kind presence flags let the fault-free fast paths stay cheap.
-        self._active_kinds = frozenset(e.kind for e in plan.events)
+        self._active_kinds = plan.kinds
 
     def install(self, sim) -> "FaultInjector":
         """Attach to a :class:`~repro.sim.engine.Simulator` before run.

@@ -414,8 +414,10 @@ class FaultPlan:
     def of_kind(self, kind: str) -> Iterator[FaultEvent]:
         return (e for e in self.events if e.kind == kind)
 
-    def has(self, kind: str) -> bool:
-        return any(e.kind == kind for e in self.events)
+    @property
+    def kinds(self) -> FrozenSet[str]:
+        """The event kinds this plan arms."""
+        return frozenset(e.kind for e in self.events)
 
     def crashes_through(self, call_index: int, boundary: int) -> FrozenSet[int]:
         """Ranks whose aggregator role is dead at (or before) phase

@@ -21,7 +21,7 @@ exactly the behaviour the ``io-outage`` scenario verifies.
 
 Two storm-control refinements (``docs/storage_faults.md``):
 
-* **Full jitter** (``jitter=True``, the ``retry_jitter`` hint): each
+* **Full jitter** (``jitter=True``; a policy parameter, not a hint): each
   sleep is ``u * capped_exponential`` with ``u`` a *seeded* uniform
   draw from the fault injector, keyed per rank — so ranks that fault
   together stop retrying in lockstep waves against a recovering OST,

@@ -58,14 +58,11 @@ class LivenessState:
     invariant), so plain dicts suffice.  One instance per simulation,
     shared by every rank."""
 
-    __slots__ = ("config", "failover", "_deadlines", "_phases", "suspects")
+    __slots__ = ("config", "_deadlines", "_phases", "suspects")
 
-    def __init__(self, config: LivenessConfig, *, failover: bool = False) -> None:
+    def __init__(self, config: LivenessConfig) -> None:
         config.validate()
         self.config = config
-        #: True when the ``liveness`` hint armed suspect-driven failover
-        #: (deadlines alone may be armed without it).
-        self.failover = failover
         self._deadlines: Dict[int, float] = {}
         self._phases: Dict[int, str] = {}
         #: Ranks ever declared suspect this simulation (for reporting).

@@ -68,7 +68,9 @@ _SPEC: Dict[str, tuple] = {
     "cb_buffer_size": (_positive_int, 4 * 1024 * 1024),
     "cb_nodes": (_non_negative_int, 0),  # 0 = every process aggregates
     "cb_layout": (_choice("spread", "packed"), "spread"),
-    # File realm strategy (new implementation only).
+    # File realm strategy.  What ``coll_impl=old`` and other features
+    # make of these (and of every hint below) is one table:
+    # repro.core.compat / docs/compatibility.md.
     "realm_strategy": (_choice("even", "aligned", "balanced"), "even"),
     "realm_alignment": (_non_negative_int, 0),  # bytes; 0 = unaligned
     "persistent_file_realms": (_boolean, False),
@@ -91,12 +93,10 @@ _SPEC: Dict[str, tuple] = {
     # Data exchange backend (Section 5.4; two_layer adds the intra-node
     # request aggregation of Kang et al., PAPERS.md).
     "exchange": (_choice("alltoallw", "nonblocking", "two_layer"), "alltoallw"),
-    # Node-topology-aware exchange: True forces the two_layer backend
-    # regardless of the ``exchange`` hint.  ``procs_per_node`` overrides
-    # the cost model's node grouping for leader election and placement
-    # (0 = inherit CostModel.procs_per_node); it does not re-price the
-    # network, which stays a cost-model property.
-    "node_aggregation": (_boolean, False),
+    # ``procs_per_node`` overrides the cost model's node grouping for
+    # the two_layer exchange's leader election and for aggregator
+    # placement (0 = inherit CostModel.procs_per_node); it does not
+    # re-price the network, which stays a cost-model property.
     "procs_per_node": (_non_negative_int, 0),
     # Client-side request processing.
     "use_heap": (_boolean, True),
@@ -110,11 +110,6 @@ _SPEC: Dict[str, tuple] = {
     # is failed over to survivors (off = raise AggregatorLost).
     "io_retries": (_non_negative_int, DEFAULT_FAULT_CONFIG.io_retries),
     "io_retry_backoff": (_non_negative_float, DEFAULT_FAULT_CONFIG.retry_backoff),
-    # Ceiling on one exponential-backoff sleep (virtual seconds).
-    "retry_backoff_max": (_non_negative_float, DEFAULT_FAULT_CONFIG.retry_backoff_max),
-    # Full-jitter backoff: seeded uniform sleep in [0, cap] instead of
-    # the deterministic cap, desynchronizing cross-rank retry waves.
-    "retry_jitter": (_boolean, DEFAULT_FAULT_CONFIG.retry_jitter),
     # Cross-operation retry budget per client (0 = unlimited): retries
     # past it raise RetryBudgetExhausted — storm control under OST
     # outages (docs/storage_faults.md).

@@ -91,21 +91,14 @@ class Session:
         breaker: Any = True,
     ) -> None:
         from repro.fs.filesystem import SimFileSystem
-        from repro.mpi.hints import Hints
         from repro.sim.trace import Tracer
 
         if nprocs <= 0:
             raise ValueError(f"nprocs must be positive, got {nprocs}")
         self.path = path
         self.nprocs = nprocs
-        if hints is None:
-            self.hints = Hints()
-        elif isinstance(hints, Hints):
-            self.hints = hints
-        else:
-            self.hints = Hints(**dict(hints))
+        self.hints, self.plan = self._admit(hints, faults)
         self.cost = cost
-        self.plan = self._resolve_plan(faults)
         #: The session-wide metrics registry every component reports to.
         self.registry = MetricsRegistry()
         #: The session-wide span tracer (shared across runs, so a
@@ -134,6 +127,24 @@ class Session:
         if isinstance(faults, FaultPlan):
             return faults
         return load_scenario(faults)
+
+    @staticmethod
+    def _admit(hints, faults):
+        """``(Hints, FaultPlan | None)`` for one job, checked against the
+        composition table (docs/compatibility.md) before any rank thread
+        exists: an illegal combination raises ``HintConflict`` out of
+        the caller's own constructor call, not ``RankFailed`` out of a
+        run.  Shared with :meth:`repro.tenancy.Cluster.add_tenant`."""
+        from repro.core import compat
+        from repro.mpi.hints import Hints
+
+        if hints is None:
+            hints = Hints()
+        elif not isinstance(hints, Hints):
+            hints = Hints(**dict(hints))
+        plan = Session._resolve_plan(faults)
+        compat.resolve(hints, plan.kinds if plan is not None else ())
+        return hints, plan
 
     @classmethod
     def open(cls, path: str = "/data", **kwargs: Any) -> "Session":

@@ -257,7 +257,6 @@ class Cluster:
         ``arrival`` delays the job's start in virtual seconds (loosely
         coupled admission).  ``faults`` is a plan/scenario private to
         this tenant, addressing its *local* ranks."""
-        from repro.mpi.hints import Hints
         from repro.obs.session import Session
 
         if nprocs <= 0:
@@ -268,17 +267,14 @@ class Cluster:
             raise SimulationError(f"tenant {name!r}: unknown kind {kind!r}")
         if any(t.name == name for t in self.tenants):
             raise SimulationError(f"duplicate tenant name {name!r}")
-        if hints is None:
-            hints = Hints()
-        elif not isinstance(hints, Hints):
-            hints = Hints(**dict(hints))
+        hints, plan = Session._admit(hints, faults)
         spec = TenantSpec(
             name=name,
             body=body,
             nprocs=nprocs,
             path=path if path is not None else f"/data/{name}",
             hints=hints,
-            plan=Session._resolve_plan(faults),
+            plan=plan,
             arrival=arrival,
             kind=kind,
         )

@@ -9,7 +9,7 @@ import pytest
 from repro.config import CostModel
 from repro.core import CollectiveFile
 from repro.datatypes import BYTE, INT, contiguous, resized, vector
-from repro.errors import CollectiveIOError, HintError
+from repro.errors import CollectiveIOError, HintConflict, HintError, RankFailed
 from repro.fs import SimFileSystem
 from repro.mpi import Communicator, Hints
 from repro.sim import Simulator
@@ -244,14 +244,13 @@ class TestHints:
         assert Hints.default("exchange") == "alltoallw"
 
     def test_aligned_strategy_requires_alignment(self):
-        def body(ctx, comm, f):
-            f.set_view(disp=0, filetype=contiguous(8, BYTE))
-            with pytest.raises(CollectiveIOError):
-                f.write_all(np.zeros(8, dtype=np.uint8))
-            return True
-
-        results, _ = run(1, body, Hints(realm_strategy="aligned"))
-        assert all(results)
+        # Refused at open (it used to surface inside the first
+        # collective call, and only under coll_impl=new).
+        for impl in ("new", "old"):
+            with pytest.raises(RankFailed) as failed:
+                run(1, lambda ctx, comm, f: True, Hints(coll_impl=impl, realm_strategy="aligned"))
+            assert isinstance(failed.value.__cause__, HintConflict)
+            assert failed.value.__cause__.rule == "aligned.needs_alignment"
 
 
 class TestLifecycle:

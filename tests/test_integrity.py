@@ -532,8 +532,15 @@ class TestBackoffCap:
         assert policy.run(ctx, op) == 7
         assert ctx.delays == [1e-3, 4e-3, 5e-3, 5e-3]
 
-    def test_hint_reaches_the_policy(self):
-        assert Hints(retry_backoff_max=0.5)["retry_backoff_max"] == 0.5
+    def test_cap_is_the_config_default_not_a_hint(self):
+        # No test, bench, example or CLI flag ever set it through a file:
+        # the hint is gone, the policy parameter (above) stays.
+        from repro.config import DEFAULT_FAULT_CONFIG
+        from repro.errors import HintError
+
+        with pytest.raises(HintError):
+            Hints(retry_backoff_max=0.5)
+        assert RetryPolicy().backoff_max == DEFAULT_FAULT_CONFIG.retry_backoff_max
 
     def test_config_validates_cap_ordering(self):
         with pytest.raises(ValueError):

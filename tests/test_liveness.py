@@ -543,7 +543,6 @@ class TestLivenessInstall:
         _, _, _, armed = run_workload(hints=LIVE_HINTS)
         state = find_liveness(armed.shared)
         assert state is not None
-        assert state.failover
         assert state.config.deadline == pytest.approx(0.5)
 
     def test_install_is_first_open_wins(self):

@@ -148,7 +148,7 @@ class TestConservation:
             # The node topology is armed by the *cost model*; the hints
             # additionally route the exchange through the two-layer path.
             cost = dataclasses.replace(DEFAULT_COST_MODEL, procs_per_node=ppn)
-            hints.update(procs_per_node=ppn, node_aggregation=True)
+            hints.update(procs_per_node=ppn, exchange="two_layer")
             nprocs = 2 * ppn
         session = Session("/inv", nprocs=nprocs, hints=hints, cost=cost)
 

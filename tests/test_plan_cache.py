@@ -23,8 +23,10 @@ import pytest
 
 from repro.config import CostModel
 from repro.core import CollectiveFile
-from repro.core.plancache import PLAN_MUTATING_KINDS, PlanCache
+from repro.core.compat import BOUNDARY_KINDS
+from repro.core.plancache import PlanCache
 from repro.datatypes import BYTE, contiguous, resized
+from repro.errors import HintConflict
 from repro.faults import FaultPlan
 from repro.fs import SimFileSystem
 from repro.mpi import Communicator, Hints
@@ -157,9 +159,18 @@ def test_realm_carving_faults_bypass_cache(impl, kind):
     """rank_stall carves, rank_crash re-carves, agg_crash fails over:
     with any such kind armed there must be no hits, no misses, no
     stored plans — only bypasses.  A hit under these is a stale
-    replay waiting to happen."""
-    assert kind in PLAN_MUTATING_KINDS
+    replay waiting to happen.  The original code has no role failover,
+    so ``old`` x ``agg_crash`` — which used to pass here because the
+    event silently never fired — is refused at open instead."""
+    assert kind in BOUNDARY_KINDS
     extra = {"liveness": True} if kind == "rank_stall" else {}
+    if (impl, kind) == ("old", "agg_crash"):
+        with pytest.raises(HintConflict) as refused:
+            Session(
+                PATH, nprocs=NPROCS, hints=_hints(impl), faults=_CARVING_FAULTS[kind]()
+            )
+        assert refused.value.rule == "old.agg_crash"
+        return
     s = Session(
         PATH,
         nprocs=NPROCS,

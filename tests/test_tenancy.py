@@ -221,7 +221,6 @@ _TWO_LAYER_HINTS = {
     "cb_nodes": 2,
     "exchange": "two_layer",
     "procs_per_node": 2,
-    "node_aggregation": True,
 }
 
 

@@ -8,9 +8,10 @@ byte-identical on drawn workloads) with the targeted contracts:
   placement are deterministic pure functions;
 * the two-tier network prices intra-node messages cheaper and counts
   wire traffic by tier;
-* the exchange entry point rejects unknown modes with a typed error,
-  keeps empty-send/empty-recv legs matched, and falls back to the flat
-  alltoallw — byte-identically — when suspects are being skipped;
+* the exchange entry point rejects unknown modes with a typed error
+  and keeps empty-send/empty-recv legs matched; a round that must skip
+  ranks gets the flat alltoallw — byte-identically — from the round
+  loop's composition rule, never from the two-layer backend itself;
 * the two-layer path composes with the fault/liveness/integrity layers
   without giving up byte-perfect results.
 """
@@ -23,6 +24,7 @@ import pytest
 from repro.config import CostModel
 from repro.core import CollectiveFile
 from repro.core.aggregation import select_aggregators
+from repro.core.compat import resolve
 from repro.core.exchange import EXCHANGE_MODES, exchange_data
 from repro.datatypes import BYTE, contiguous, resized
 from repro.datatypes.packing import gather_segments, scatter_segments
@@ -32,6 +34,7 @@ from repro.faults import FaultPlan
 from repro.fs import SimFileSystem
 from repro.mpi import Communicator, Hints
 from repro.mpi.network import Network
+from repro.obs.metrics import metrics_registry
 from repro.mpi.topology import (
     TOPOLOGY_KEY,
     NodeTopology,
@@ -211,30 +214,29 @@ class TestExchangeContract:
             assert np.count_nonzero(got[r][12:]) == 0
 
     def test_two_layer_skip_falls_back_flat_and_matches(self):
-        flat = _run_exchange("alltoallw", skip={3})
+        # The fallback is rule suspects.two_layer: the round loop hands a
+        # round that must skip ranks to the backend the table names
+        # (TestFaultComposition drives it end to end) ...
+        eff = resolve(Hints(exchange="two_layer", procs_per_node=2))
+        assert (eff.exchange, eff.exchange_skip) == ("two_layer", "alltoallw")
 
+        # ... and the two-layer backend, which cannot route around a
+        # missing leader, refuses the skip set instead of switching.
         cost = CostModel(procs_per_node=2)
 
         def main(ctx):
             comm = Communicator(ctx, cost)
-            r = comm.rank
-            sendbuf = (np.arange(16, dtype=np.int64) + 64 * r).astype(np.uint8)
-            recvbuf = np.zeros(16, dtype=np.uint8)
-            live = r != 3
-            sb = [_batch([p * 4], [4], [0]) if live and p != 3 else None for p in range(4)]
-            rb = [_batch([p * 4], [4], [0]) if live and p != 3 else None for p in range(4)]
-            exchange_data(
-                comm, cost, "two_layer", sendbuf, sb, recvbuf, rb, skip=frozenset({3})
-            )
-            return recvbuf
+            buf = np.zeros(16, dtype=np.uint8)
+            none = [None] * 4
+            with pytest.raises(CollectiveIOError, match="cannot skip"):
+                exchange_data(
+                    comm, cost, "two_layer", buf, none, buf, none, skip=frozenset({3})
+                )
+            return True
 
         sim = Simulator(4)
-        layered = sim.run(main)
-        for a, b in zip(layered, flat):
-            assert np.array_equal(a, b)
-        stats = sim.shared[TOPOLOGY_KEY]
-        assert stats.flat_fallbacks == 4  # every rank's call fell back
-        assert stats.two_layer_rounds == 0
+        assert all(sim.run(main))
+        assert topology_stats(sim.shared).two_layer_rounds == 0
 
 
 # ---- composition with the fault / liveness / integrity layers ----------
@@ -284,6 +286,8 @@ class TestFaultComposition:
         assert injector.stats.suspects_declared == 1
         stats = topology_stats(sim.shared)
         assert stats.flat_fallbacks > 0
+        registry = metrics_registry(sim.shared)
+        assert registry.total("compat.stand_down.suspects.two_layer") == stats.flat_fallbacks
         assert stats.two_layer_rounds > 0  # pre-suspect rounds were layered
 
     def test_network_bitflips_detected_and_retried(self, baseline):

@@ -101,6 +101,23 @@ class TestAggregatorLayout:
         assert results[0] != {}
         assert results[1] == {}
 
+    @pytest.mark.parametrize("layout,aggs", [("spread", [0, 2]), ("packed", [0, 1])])
+    def test_layout_moves_the_aggregators_end_to_end(self, layout, aggs):
+        """The hint's evidence: 4 ranks, cb_nodes=2 — the two layouts
+        flush from different ranks (with cb_nodes=1 both pick rank 0)."""
+        from repro import Session
+
+        s = Session(nprocs=4, hints={"cb_nodes": 2, "cb_layout": layout})
+
+        def body(ctx, comm, f):
+            f.set_view(disp=comm.rank * 8, filetype=resized(contiguous(8, BYTE), 0, 32))
+            f.write_all(np.full(16, comm.rank + 1, dtype=np.uint8))
+
+        s.run(body)
+        methods = [n for n in s.metrics.names() if n.startswith("coll.flush.")]
+        flushed = [r for r in range(4) if any(s.metrics.value(n, r) for n in methods)]
+        assert flushed == aggs
+
 
 class TestCostModel:
     def test_defaults_valid(self):
