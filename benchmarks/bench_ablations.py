@@ -39,7 +39,9 @@ def test_ablation_heap(benchmark):
     without = next(r for r in results if not r.params["use_heap"])
     # Without progress tracking, clients rescan their access every round:
     # strictly more pair evaluations, never faster.
-    assert without.counters["client_pairs_total"] >= with_heap.counters["client_pairs_total"]
+    assert without.metrics.total("coll.client.pairs") >= with_heap.metrics.total(
+        "coll.client.pairs"
+    )
     assert with_heap.bandwidth_mbs >= without.bandwidth_mbs * 0.999
     benchmark.pedantic(lambda: ablation_heap(), rounds=1, iterations=1)
 

@@ -62,7 +62,7 @@ def _run_cell(pattern_name: str, ppn: int, mode: str) -> Dict[str, object]:
     )
     assert result.verified
     times = result.counters.get("time_by_state", {})
-    topo = result.counters.get("topology", {})
+    reg = result.metrics
     return {
         "pattern": pattern_name,
         "ppn": ppn,
@@ -72,13 +72,13 @@ def _run_cell(pattern_name: str, ppn: int, mode: str) -> Dict[str, object]:
         "bandwidth_mbs": round(result.bandwidth_mbs, 3),
         "sim_seconds": result.sim_seconds,
         "exchange_seconds": float(times.get("tp:exchange", 0.0)),
-        "rounds": result.counters["rounds"],
-        "inter_node_msgs": int(topo.get("inter_node_msgs", 0)),
-        "inter_node_bytes": int(topo.get("inter_node_bytes", 0)),
-        "intra_node_msgs": int(topo.get("intra_node_msgs", 0)),
-        "intra_node_bytes": int(topo.get("intra_node_bytes", 0)),
-        "coalesce_runs_in": int(topo.get("coalesce_runs_in", 0)),
-        "coalesce_runs_out": int(topo.get("coalesce_runs_out", 0)),
+        "rounds": reg.value("coll.rounds", 0),
+        "inter_node_msgs": reg.value("net.inter.msgs"),
+        "inter_node_bytes": reg.value("net.inter.bytes"),
+        "intra_node_msgs": reg.value("net.intra.msgs"),
+        "intra_node_bytes": reg.value("net.intra.bytes"),
+        "coalesce_runs_in": reg.value("exchange.coalesce.runs_in"),
+        "coalesce_runs_out": reg.value("exchange.coalesce.runs_out"),
     }
 
 

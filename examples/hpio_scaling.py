@@ -59,9 +59,9 @@ if __name__ == "__main__":
             assert r.verified, f"corrupt data from {label}"
             print(
                 f"{region:>8} {label:>12} {r.bandwidth_mbs:>9.2f} "
-                f"{r.counters['client_pairs_total']:>11} "
-                f"{r.counters['client_tiles_skipped_total']:>11} "
-                f"{r.counters['meta_bytes_total'] / 1024:>8.1f}"
+                f"{r.metrics.total('coll.client.pairs'):>11} "
+                f"{r.metrics.total('coll.client.tiles_skipped'):>11} "
+                f"{r.metrics.total('coll.meta.bytes') / 1024:>8.1f}"
             )
         print()
     print(

@@ -17,9 +17,11 @@
 
 ``--faults NAME[:SEED]`` (e.g. ``--faults transient-io:42``) installs
 the named deterministic fault scenario into every simulated cluster the
-command builds, and prints a fault/retry summary table afterwards.  The
-selfcheck still requires byte-perfect results — that is the resilience
-machinery's contract under test.
+command builds, and prints a fault/retry summary table (the ``faults.*``
+counters) afterwards.  The selfcheck still requires byte-perfect results
+— that is the resilience machinery's contract under test — runs several
+rounds per call so the plan has something to hit, and fails when the
+plan injected nothing: a fault smoke that drew no fault verified nothing.
 
 ``--integrity`` arms the end-to-end integrity hints (page checksums,
 frame checksums, journaled collective writes) in the command's
@@ -86,18 +88,20 @@ def selfcheck(
         CollectiveFile,
         Communicator,
         Hints,
+        MetricsRegistry,
         SimFileSystem,
         Simulator,
         contiguous,
         resized,
     )
+    from repro.bench.chaos import _chain
     from repro.core import compat
-    from repro.errors import HintConflict
-    from repro.faults import FaultStats, load_scenario
+    from repro.errors import HintConflict, IntegrityError, RankFailed
+    from repro.faults import load_scenario
 
     plan = load_scenario(fault_spec) if fault_spec else None
     kinds = plan.kinds if plan is not None else ()
-    totals = FaultStats()
+    totals = MetricsRegistry()  # every combination's counters, summed
     nprocs, region, count = 4, 64, 16
     failures = 0
     for impl in ("new", "old"):
@@ -132,13 +136,14 @@ def selfcheck(
                 # check verifies.
                 hints = hints.replace(pipeline_depth=pipeline)
             try:
-                eff = compat.resolve(hints, kinds)
+                compat.resolve(hints, kinds)
             except HintConflict as conflict:
                 print(f"  {impl:>3} + {method:<12} n/a ({conflict.rule})")
                 continue
-            if eff.boundary_kinds:
+            if plan is not None:
                 # 4 KiB through the default 4 MiB buffer is one round:
-                # an event keyed on boundary >= 1 would never fire.
+                # an event keyed on boundary >= 1 would never fire, and
+                # a rate-keyed one gets three draws.
                 hints = hints.replace(cb_buffer_size=512)
             reps = 3 if plan_cache else 1
 
@@ -170,7 +175,20 @@ def selfcheck(
 
             sim = Simulator(nprocs)
             injector = plan.install(sim) if plan is not None else None
-            results = sim.run(main)
+            try:
+                results = sim.run(main)
+            except RankFailed as exc:
+                caught = [e for e in _chain(exc) if isinstance(e, IntegrityError)]
+                if not caught:
+                    raise
+                # The sidecar caught an injected flip: loud and typed,
+                # which is integrity's contract — but not a verified run.
+                print(f"  {impl:>3} + {method:<12} DETECTED ({caught[0]})")
+                failures += 1
+                continue
+            finally:
+                if injector is not None:
+                    totals.merge(injector.registry)
             ok = all(r[0] for r in results)
             extra = ""
             if plan_cache:
@@ -182,13 +200,16 @@ def selfcheck(
                     # every later call a hit.  (Fault plans may stand the
                     # cache down — bypass — so only the clean run gates.)
                     ok = ok and misses == nprocs and hits == (2 * reps - 1) * nprocs
-            if injector is not None:
-                totals.merge(injector.stats)
             status = "ok" if ok else "FAILED"
             print(f"  {impl:>3} + {method:<12} {status}{extra}")
             failures += 0 if ok else 1
     if plan is not None:
-        _print_fault_summary(fault_spec, plan, totals)
+        faults = totals.snapshot("faults.")
+        _print_fault_summary(fault_spec, plan, faults)
+        if not any(faults.values()):
+            # A fault smoke that injected nothing verified nothing.
+            print(f"selfcheck: fault plan {fault_spec!r} injected nothing (try another seed)")
+            return 1
     if failures:
         print(f"selfcheck: {failures} combinations FAILED")
         return 1
@@ -241,13 +262,13 @@ def crash_check(spec: str) -> int:
                 rank, call_index=0, round_index=epoch, site=site
             )
             harness = ChaosHarness(plan, nprocs=nprocs, hints=hints)
-            _, verified, _, stats, _ = harness.run_once(plan)
-            ok = verified and stats.rejoins == 1
+            _, verified, _, counters = harness.run_once(plan)
+            ok = verified and counters["faults.crash.rejoins"] == 1
             status = "ok" if ok else "FAILED"
             print(
                 f"  {label:<16} site={site:<9} {status:<6} "
-                f"rewritten={stats.resume_rewritten_bytes:>5} "
-                f"skipped={stats.resume_skipped_bytes:>5}"
+                f"rewritten={counters['faults.crash.resume_rewritten_bytes']:>5} "
+                f"skipped={counters['faults.crash.resume_skipped_bytes']:>5}"
             )
             failures += 0 if ok else 1
     if failures:
@@ -257,13 +278,19 @@ def crash_check(spec: str) -> int:
     return 0
 
 
-def _print_fault_summary(spec, plan, stats) -> None:
+def _print_fault_summary(spec, plan, faults) -> None:
+    """The plan, then every fault counter of the ``faults`` snapshot —
+    zero rows too, in declaration order, seconds to six places."""
+    from repro.faults import FAULT_COUNTERS
+
     print(f"\nfault scenario {spec!r} (seed {plan.seed}):")
     for kind, detail in plan.describe():
         print(f"  {kind:<14} {detail}")
     print("\nfault/retry summary:")
-    for name, value in stats.rows():
-        print(f"  {name:<26} {value}")
+    for name in FAULT_COUNTERS:
+        value = faults.get(name, 0)
+        text = f"{value:.6f}" if isinstance(value, float) else str(value)
+        print(f"  {name:<36} {text}")
 
 
 def chaos(
@@ -380,6 +407,7 @@ def trace(
     totals are cross-checked against the tracer's MPE-style
     aggregation before the file is declared good."""
     from repro import BYTE, Hints, Session, contiguous, resized
+    from repro.faults import fired
     from repro.obs.schema import validate_chrome_trace
 
     nprocs = 2 * ppn if ppn > 1 else 8
@@ -435,11 +463,8 @@ def trace(
     print(f"makespan {session.makespan * 1e3:.3f} ms; time by state:")
     for state in sorted(by_state, key=by_state.get, reverse=True):
         print(f"  {state:<20} {by_state[state] * 1e3:9.3f} ms")
-    if session.fault_stats is not None:
-        fired = ", ".join(
-            f"{k}={v:g}" for k, v in session.fault_stats.snapshot().items() if v
-        )
-        print(f"faults: {fired or '-'}")
+    if session.plan is not None:
+        print(f"faults: {fired(session.registry.snapshot('faults.'))}")
     if not all(verified):
         bad = [r for r, okr in enumerate(verified) if not okr]
         print(f"read-back mismatch on rank(s) {bad} (uncaught injected faults)")

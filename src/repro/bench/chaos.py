@@ -63,7 +63,7 @@ from repro.errors import (
     RetryBudgetExhausted,
     RetryExhausted,
 )
-from repro.faults import FaultPlan, FaultStats, OST_KINDS, load_scenario
+from repro.faults import FaultPlan, OST_KINDS, fired, load_scenario
 from repro.mpi import Communicator, Hints
 from repro.obs.session import Session
 
@@ -125,10 +125,9 @@ class ChaosPoint:
     #: Corruption was injected and caught (checksum mismatch flagged,
     #: frame re-requested, or the run killed loudly) — never silent.
     detected: bool = False
-    fault_stats: Dict[str, float] = field(default_factory=dict)
     #: The point's full metrics-registry snapshot (stable dotted names:
-    #: ``cache.*``, ``fs.*``, ``net.*``, ``faults.*``, ...), so cache
-    #: behaviour under faults is visible per intensity step.
+    #: ``faults.*``, ``cache.*``, ``fs.*``, ``net.*``, ...), so what
+    #: fired and how the caches behaved is visible per intensity step.
     counters: Dict[str, object] = field(default_factory=dict)
 
 
@@ -155,13 +154,10 @@ class ChaosReport:
             f"  {'scale':>6} {'sim ms':>10} {'slowdown':>9} {'ok':>3}  faults",
         ]
         for p in self.points:
-            fired = ", ".join(
-                f"{k}={v:g}" for k, v in p.fault_stats.items() if v
-            ) or "-"
             flag = "BAD" if not p.verified else ("det" if p.detected else "ok")
             lines.append(
                 f"  {p.rate_scale:6.2f} {p.sim_seconds * 1e3:10.3f} "
-                f"{p.slowdown:8.2f}x {flag:>3}  {fired}"
+                f"{p.slowdown:8.2f}x {flag:>3}  {fired(p.counters)}"
             )
         return "\n".join(lines)
 
@@ -259,19 +255,18 @@ class ChaosHarness:
 
     def run_once(
         self, plan: Optional[FaultPlan]
-    ) -> tuple[float, bool, bool, FaultStats, Dict[str, object]]:
+    ) -> tuple[float, bool, bool, Dict[str, object]]:
         """One full run (open, write_all, close) under ``plan``.
 
         Returns (virtual completion seconds, no-silent-corruption,
-        corruption-detected, fault stats, registry snapshot).
+        corruption-detected, registry snapshot).
         ``plan=None`` runs fault-free.  Failures unrelated to
         corruption detection propagate (they are harness bugs, not
         chaos outcomes).
 
         Each run builds a fresh :class:`~repro.obs.session.Session`, so
-        the returned registry snapshot is the per-run counter set —
-        including the page caches' ``cache.hits`` / ``cache.misses``,
-        which the old harness never saw."""
+        the returned registry snapshot is the per-run counter set
+        (``faults.*`` included)."""
         session = Session(
             _PATH,
             nprocs=self.nprocs,
@@ -303,30 +298,29 @@ class ChaosHarness:
         try:
             times = session.launch(main)
         except ReproError as exc:
-            stats = session.fault_stats or FaultStats()
             counters = session.registry.snapshot()
             if self.crash and any(
                 isinstance(e, CollectiveAborted) for e in _chain(exc)
             ):
                 # Quorum lost: the collective died loudly with the typed
                 # abort instead of hanging on the corpses.  Bounded.
-                return 0.0, True, True, stats, counters
+                return 0.0, True, True, counters
             if self.liveness and _liveness_in_chain(exc):
                 # Killed loudly by a typed liveness error — the bounded
                 # (and reported) alternative to a hang.  The raising
                 # rank's clock was at most one deadline past the call's
                 # start, so boundedness holds by construction.
-                return 0.0, True, True, stats, counters
+                return 0.0, True, True, counters
             if self.storage and _storage_in_chain(exc):
                 # Killed loudly by a typed storage error (the OST stayed
                 # down past what retries/replicas could absorb) — the
                 # bounded alternative to hammering a dead OST forever.
-                return 0.0, True, True, stats, counters
+                return 0.0, True, True, counters
             if not _detection_in_chain(exc):
                 raise
             # Killed loudly by detected corruption — the opposite of a
             # silent wrong answer.  No meaningful completion time.
-            return 0.0, True, True, stats, counters
+            return 0.0, True, True, counters
         if self.crash and session.sim is not None and session.sim.crashed:
             # Rejoin every corpse and resume: replay the same program,
             # rewriting only what no survivor committed on its behalf.
@@ -341,16 +335,16 @@ class ChaosHarness:
 
             for rank in sorted(session.sim.crashed):
                 session.rejoin(rank, rejoin_body(rank))
-        stats = session.fault_stats or FaultStats()
         counters = session.registry.snapshot()
         seconds = max(t for t in times if t is not None)
         got = fs.raw_bytes(_PATH, 0, self.total_bytes)
         diff = np.flatnonzero(got != self._oracle())
         detected = bool(
-            stats.net_corruptions_detected or stats.page_corruptions_detected
+            counters.get("faults.net.corruptions_detected")
+            or counters.get("faults.page.corruptions_detected")
         )
         if diff.size == 0:
-            return seconds, True, detected, stats, counters
+            return seconds, True, detected, counters
         # Bytes are wrong.  That is still "caught" when every wrong page
         # fails its sidecar (an fsck scrub flags exactly the damage);
         # anything less is silent corruption.
@@ -358,13 +352,13 @@ class ChaosHarness:
         bad = set(store.verify_all())
         wrong_pages = set((diff // store.page_size).tolist())
         caught = bool(bad) and wrong_pages <= bad
-        return seconds, caught, caught or detected, stats, counters
+        return seconds, caught, caught or detected, counters
 
     def sweep(
         self, rate_scales: Sequence[float] = (0.25, 0.5, 1.0, 2.0)
     ) -> ChaosReport:
         """Baseline plus one verified run per intensity."""
-        baseline, ok, _, _, _ = self.run_once(None)
+        baseline, ok, _, _ = self.run_once(None)
         report = ChaosReport(
             scenario=self.scenario_name,
             seed=self.plan.seed,
@@ -375,7 +369,7 @@ class ChaosHarness:
         if not ok:
             raise AssertionError("fault-free chaos baseline wrote corrupt data")
         for scale in rate_scales:
-            seconds, verified, detected, stats, counters = self.run_once(
+            seconds, verified, detected, counters = self.run_once(
                 self.plan.scaled(scale)
             )
             report.points.append(
@@ -385,7 +379,6 @@ class ChaosHarness:
                     slowdown=seconds / baseline if baseline > 0 else float("inf"),
                     verified=verified,
                     detected=detected,
-                    fault_stats=stats.snapshot(),
                     counters=counters,
                 )
             )

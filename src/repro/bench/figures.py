@@ -318,7 +318,7 @@ def ablation_cb_size(cost: CostModel = DEFAULT_COST_MODEL) -> List[BenchResult]:
             cost=cost,
             label=f"cb={cb >> 10}KB",
         )
-        r.params.update({"cb_kb": cb >> 10, "rounds": r.counters["rounds"]})
+        r.params.update({"cb_kb": cb >> 10, "rounds": r.metrics.value("coll.rounds", 0)})
         out.append(r)
     return out
 

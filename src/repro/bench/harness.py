@@ -23,6 +23,7 @@ from repro.hpio.timeseries import TimeSeriesPattern
 from repro.hpio.verify import fill_pattern, verify_write
 from repro.mpi import Hints
 from repro.obs.hooks import PhaseAccumulator
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.session import Session
 
 __all__ = ["BenchResult", "run_collective", "run_hpio_write", "run_timeseries"]
@@ -39,6 +40,11 @@ class BenchResult:
     total_bytes: int
     sim_seconds: float
     params: Dict[str, object] = field(default_factory=dict)
+    #: The run's metrics registry: every count under its stable dotted
+    #: name (``metrics.total("coll.client.pairs")``,
+    #: ``metrics.value("coll.rounds", 0)``; docs/observability.md).
+    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
+    #: What the registry does not hold: ``time_by_state`` of a traced run.
     counters: Dict[str, object] = field(default_factory=dict)
     verified: Optional[bool] = None
 
@@ -69,12 +75,12 @@ def run_collective(
 ) -> tuple[BenchResult, SimFileSystem]:
     """Run ``body(ctx, comm, f) -> bytes_written`` on every rank.
 
-    Runs through a :class:`~repro.obs.session.Session`, so every
-    counter below is read from the session's metrics registry under its
-    stable dotted name.  Timing covers everything between the post-open
-    barrier and the completion of the collective close (so deferred
-    cache flushes are charged to the run that deferred them).  With
-    ``trace=True`` the result's counters include ``time_by_state`` —
+    Runs through a :class:`~repro.obs.session.Session`, whose metrics
+    registry becomes the result's ``metrics``.  Timing covers everything
+    between the post-open barrier and the completion of the collective
+    close (so deferred cache flushes are charged to the run that
+    deferred them).  With ``trace=True`` the result's ``counters``
+    include ``time_by_state`` —
     the MPE-style decomposition of where simulated time went
     (``tp:route`` / ``tp:exchange`` / ``tp:io``), metered live by a
     phase-boundary hook (no event log is stored), which is how the
@@ -89,31 +95,16 @@ def run_collective(
     phases = session.tracer.add_hook(PhaseAccumulator()) if trace else None
     written = session.run(body)
     total = sum(written)
-    reg = session.registry
-    counters: Dict[str, object] = {
-        "fs": session.fs.stats(_PATH).snapshot(),
-        "rounds": reg.value("coll.rounds", 0),
-        "client_pairs_total": reg.total("coll.client.pairs"),
-        "client_tiles_skipped_total": reg.total("coll.client.tiles_skipped"),
-        "agg_pairs_total": reg.total("coll.agg.pairs"),
-        "meta_bytes_total": reg.total("coll.meta.bytes"),
-        "bytes_exchanged_total": reg.total("exchange.bytes"),
-    }
-    if phases is not None:
-        counters["time_by_state"] = phases.time_by_state()
-    from repro.mpi.topology import TOPOLOGY_KEY
-
-    topo_stats = session.sim.shared.get(TOPOLOGY_KEY)
-    if topo_stats is not None:
-        counters["topology"] = topo_stats.snapshot()
     result = BenchResult(
         label=label,
         nprocs=nprocs,
         total_bytes=total,
         sim_seconds=session.makespan,
         params=dict(params or {}),
-        counters=counters,
+        metrics=session.registry,
     )
+    if phases is not None:
+        result.counters["time_by_state"] = phases.time_by_state()
     return result, session.fs
 
 
@@ -227,7 +218,7 @@ def run_hpio_read(
             "cb_nodes": base["cb_nodes"],
             "io_method": base["io_method"],
         },
-        counters={"fs": session.fs.stats(_PATH).snapshot()},
+        metrics=session.registry,
         verified=True,
     )
     return result

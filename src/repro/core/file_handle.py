@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.config import CostModel, DEFAULT_COST_MODEL
 from repro.core import compat
-from repro.core.env import CollEnv, CollStats
+from repro.core.env import CollEnv
 from repro.core.file_view import FileView
 from repro.core.pfr import PFRState
 from repro.core.plancache import PlanCache
@@ -53,7 +53,7 @@ from repro.mpi.hints import Hints
 from repro.obs.metrics import MetricsView, metrics_registry
 from repro.sim.engine import RankContext
 
-__all__ = ["CollectiveFile", "CollStats"]
+__all__ = ["CollectiveFile"]
 
 
 class CollectiveFile:
@@ -140,10 +140,13 @@ class CollectiveFile:
         # Per-rank collective counters report into the simulation's
         # shared metrics registry (coll.* / exchange.* series).
         self.registry = metrics_registry(ctx.shared)
-        self._stats = CollStats(self.registry, ctx.rank)
+        #: This rank's registry view (``coll.*``/``exchange.*`` series).
+        self.metrics: MetricsView = self.registry.view(ctx.rank)
         for rule_id in self.eff.decisions:
-            self._stats.note_stand_down(rule_id)
-        self._call_seconds = self.registry.histogram("coll.call.seconds", ctx.rank)
+            # One stand-down taken under ``repro.core.compat`` row
+            # ``rule_id`` (once per open; a round-scope row per round).
+            self.metrics.counter(f"compat.stand_down.{rule_id}").inc()
+        self._call_seconds = self.metrics.histogram("coll.call.seconds")
         self.pfr = PFRState()
         # Persistent collective plans (docs/plan_cache.md): per-handle,
         # armed by the plan_cache hint; None keeps today's exact path.
@@ -164,12 +167,6 @@ class CollectiveFile:
         # calls start aligned (over the survivors once ranks have died
         # fail-stop — a corpse would deadlock the full barrier).
         self._alive_barrier()
-
-    # -- observability -------------------------------------------------------
-    @property
-    def metrics(self) -> MetricsView:
-        """This rank's registry view (``coll.*``/``exchange.*`` series)."""
-        return self.registry.view(self.ctx.rank)
 
     # -- views --------------------------------------------------------------
     def set_view(
@@ -283,7 +280,7 @@ class CollectiveFile:
             eff=self.eff,
             adio=adio,
             view=view,
-            stats=self._stats,
+            metrics=self.metrics,
             pfr=self.pfr,
             plancache=self.plancache,
         )
@@ -301,7 +298,7 @@ class CollectiveFile:
             # would kill an otherwise-survivable collective call.
             flushed = adio.retry.run(ctx, adio.local.sync)
             adio.local.invalidate()
-            self._stats.coherence_flush_pages += flushed
+            self.metrics.counter("coll.coherence.flush_pages").inc(flushed)
 
     # -- collective operations ---------------------------------------------------
     def _run_body(
@@ -601,7 +598,7 @@ class CollectiveFile:
         )
         self.ctx.charge(batch.pairs_evaluated * self.cost.cpu_per_flat_pair)
         method = choose_method(self.hints, self.view.flat.extent, batch)
-        self._stats.note_flush(method)
+        self.metrics.counter(f"coll.flush.{method}").inc()
         mem_batch = data_to_file_segments(memflat, 0, 0, total)
         if write:
             # Gather the user data into data order; the file batch's

@@ -27,12 +27,17 @@ __all__ = ["PFRState"]
 class PFRState:
     """Cross-call realm state attached to an open collective file."""
 
-    __slots__ = ("_realms", "_naggs", "block")
+    __slots__ = ("_realms", "_naggs", "block", "last_realm_bytes")
 
     def __init__(self) -> None:
         self._realms: Optional[List[FileRealm]] = None
         self._naggs = 0
         self.block = 0
+        #: Per-aggregator assigned realm bytes of the most recent call,
+        #: whatever the strategy (pre-clip; identical on every rank): a
+        #: cached plan replays them, and tests watch balanced-strategy
+        #: boundaries move between calls.
+        self.last_realm_bytes: List[int] = []
 
     @property
     def established(self) -> bool:

@@ -45,7 +45,7 @@ __all__ = ["RoundPipeline", "task_env"]
 def task_env(env: CollEnv, tctx: RankContext) -> CollEnv:
     """``env`` rebound to a coroutine's context: the I/O stack charges
     the task's clock (via :meth:`repro.io.adio.AdioFile.rebound`) while
-    hints, view, stats, and the plan cache stay shared."""
+    hints, view, metrics, and the plan cache stay shared."""
     return replace(env, ctx=tctx, adio=env.adio.rebound(tctx))
 
 
@@ -60,12 +60,10 @@ class RoundPipeline:
         self.env = env
         self.ctx = env.ctx
         self.depth = depth
-        rank = env.stats.rank
         self._rank = env.comm.rank
-        registry = env.stats.registry
-        self._stalls = registry.counter("coll.pipeline.stalls", rank)
-        self._overlap = registry.counter("coll.pipeline.overlap_seconds", rank)
-        registry.gauge("coll.pipeline.depth", rank).value = depth
+        self._stalls = env.metrics.counter("coll.pipeline.stalls")
+        self._overlap = env.metrics.counter("coll.pipeline.overlap_seconds")
+        env.metrics.gauge("coll.pipeline.depth").set(depth)
         #: In-flight (handle, slot) pairs, oldest first.
         self._inflight: List[Tuple[TaskHandle, int]] = []
         self._free = list(range(depth))

@@ -110,7 +110,7 @@ def resume_write(
     cursor = env.view.cursor(data_lo + total_bytes, data_lo)
     batch = cursor.all_segments()
     env.ctx.charge(batch.pairs_evaluated * env.cost.cpu_per_flat_pair)
-    env.stats.client_pairs += batch.pairs_evaluated
+    env.metrics.counter("coll.client.pairs").inc(batch.pairs_evaluated)
     total = 0 if batch.empty else int(batch.total_bytes)
     with env.ctx.trace("resume:write", call=call_index):
         missing = subtract_intervals(batch, committed)
@@ -127,7 +127,7 @@ def resume_write(
             memflat, missing.data_offsets - data_lo, missing.lengths
         )
         method = choose_method(env.hints, env.view.flat.extent, fbatch)
-        env.stats.note_flush(method)
+        env.metrics.counter(f"coll.flush.{method}").inc()
         env.ctx.charge(remaining * env.cost.cpu_per_byte_touch)
         env.adio.write_strided(fbatch, gather_segments(buf, membatch), method)
     return remaining, skipped

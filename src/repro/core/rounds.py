@@ -47,7 +47,7 @@ from repro.errors import CollectiveAborted, RankCrashed
 from repro.faults.plan import FAULTS_KEY
 from repro.liveness import LIVENESS_KEY, install_crash_state
 from repro.mpi.agreement import AliveGroup, agree_dead_set
-from repro.mpi.topology import topology_stats
+from repro.obs.metrics import metrics_registry
 
 __all__ = ["run_collective", "RoundSource", "CONTINUE", "RESTART", "STOP"]
 
@@ -309,7 +309,7 @@ class _Replay(RoundSource):
         self.aggs = entry.aggs
         self.ft_extent = entry.ft_extent
         self.topology = entry.topology
-        env.stats.last_realm_bytes = list(entry.realm_bytes)
+        env.pfr.last_realm_bytes = list(entry.realm_bytes)
 
     def route(self, r: int) -> RoundPlan:
         return self.entry.rounds[r]
@@ -352,13 +352,13 @@ def run_collective(
                 aggs=src.aggs,
                 ft_extent=src.ft_extent,
                 topology=src.topology,
-                realm_bytes=env.stats.last_realm_bytes,
+                realm_bytes=env.pfr.last_realm_bytes,
             )
 
 
 def _call(env: CollEnv, method, src: RoundSource, buf: np.ndarray, write: bool) -> None:
     """The per-call brackets around the rounds."""
-    comm, stats = env.comm, env.stats
+    comm, metrics = env.comm, env.metrics
     rank = comm.rank
     liv = src._liveness
     if liv is not None:
@@ -398,13 +398,12 @@ def _call(env: CollEnv, method, src: RoundSource, buf: np.ndarray, write: bool) 
     finally:
         if liv is not None:
             liv.end_call(rank)
-    if write:
-        stats.collective_writes += 1
-    else:
-        stats.collective_reads += 1
+    metrics.counter("coll.writes" if write else "coll.reads").inc()
     if method.planner.service_feedback:
-        stats.agg_service_seconds += src.service_seconds
-        stats.last_agg_service_seconds = src.service_seconds
+        metrics.counter("coll.agg.service_seconds").inc(src.service_seconds)
+        # This call only: the balanced strategy's straggler-aware
+        # feedback signal, read back by the next call's planner.
+        metrics.gauge("coll.agg.last_service_seconds").set(src.service_seconds)
 
 
 def _task(env: CollEnv, stage: str, r: int, svc: List[float], fn, *args):
@@ -434,7 +433,9 @@ def _rounds(env: CollEnv, method, src: RoundSource, buf: np.ndarray, write: bool
     whenever a boundary fault kind is armed (rule ``recarve.pipeline``),
     so every non-default :class:`RoundSource` answer only ever meets
     the serialized path."""
-    ctx, comm, cost, stats, eff = env.ctx, env.comm, env.cost, env.stats, env.eff
+    ctx, comm, cost, eff = env.ctx, env.comm, env.cost, env.eff
+    rounds = env.metrics.counter("coll.rounds")
+    exchanged = env.metrics.counter("exchange.bytes")
     rank = comm.rank
     liv = src._liveness
     rec = src.rec
@@ -467,11 +468,13 @@ def _rounds(env: CollEnv, method, src: RoundSource, buf: np.ndarray, write: bool
             mode = eff.exchange_skip if src.skip else eff.exchange
             if mode != eff.exchange:
                 # Rule suspects.two_layer, the one settled per round.
-                stats.note_stand_down("suspects.two_layer")
-                topology_stats(ctx.shared).flat_fallbacks += 1
-            stats.bytes_exchanged += exchange_data(
-                comm, cost, mode, sendbuf, sends, recvbuf, recvs,
-                skip=src.skip, topology=src.topology,
+                env.metrics.counter("compat.stand_down.suspects.two_layer").inc()
+                metrics_registry(ctx.shared).counter("exchange.flat_fallbacks").inc()
+            exchanged.inc(
+                exchange_data(
+                    comm, cost, mode, sendbuf, sends, recvbuf, recvs,
+                    skip=src.skip, topology=src.topology,
+                )
             )
 
     try:
@@ -484,7 +487,7 @@ def _rounds(env: CollEnv, method, src: RoundSource, buf: np.ndarray, write: bool
                 if verdict == RESTART:
                     r = 0
                     continue
-                stats.rounds += 1
+                rounds.inc()
                 rp = src.route(r)
                 cbuf = method.stage(env, src, rp, r)
                 exchange(r, rp, cbuf)
@@ -527,7 +530,7 @@ def _rounds(env: CollEnv, method, src: RoundSource, buf: np.ndarray, write: bool
                     if verdict == RESTART:
                         next_r = 0
                         continue
-                    stats.rounds += 1
+                    rounds.inc()
                     rp = src.route(next_r)
                     filled = None
                     if pipe is not None:

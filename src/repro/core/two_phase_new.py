@@ -49,7 +49,7 @@ from repro.datatypes.flatten import FlatType
 from repro.datatypes.packing import gather_segments, scatter_segments
 from repro.datatypes.segments import FlatCursor, SegmentBatch
 from repro.datatypes.serialize import decode_flat, encode_flat
-from repro.errors import AggregatorLost, CollectiveIOError
+from repro.errors import AggregatorLost
 from repro.io.selection import choose_method
 from repro.mpi.topology import resolve_topology
 
@@ -95,6 +95,14 @@ class _Plan(RoundSource):
         self._dead: set[int] = set()
         self.i_am_suspect = False
         self._suspect_tails: Optional[List[RealmDomain]] = None
+        # Bound once per call and indexed by ``agg_side``: they are
+        # bumped per window intersection.
+        m = env.metrics
+        self._pairs = (m.counter("coll.client.pairs"), m.counter("coll.agg.pairs"))
+        self._tiles = (
+            m.counter("coll.client.tiles_skipped"),
+            m.counter("coll.agg.tiles_skipped"),
+        )
         coll = self.coll
 
         lo, hi = view.access_span(self.data_hi, data_lo)
@@ -128,9 +136,8 @@ class _Plan(RoundSource):
         ]
         # Assigned (pre-clip) per-aggregator realm bytes: what the
         # strategy decided, before request bounds shrink the iteration
-        # space.  Tests use this to see balanced-strategy boundary
-        # movement between calls.
-        env.stats.last_realm_bytes = [int(d.total_bytes) for d in self.domains]
+        # space.
+        env.pfr.last_realm_bytes = [int(d.total_bytes) for d in self.domains]
         cb = hints["cb_buffer_size"]
         self.cb = cb
         # The conditional-sieving metric: the largest filetype extent in
@@ -170,8 +177,6 @@ class _Plan(RoundSource):
         naggs = len(self.aggs)
         if env.eff.pfr:
             # Rule pfr.strategy: the persistent realms win.
-            if env.pfr is None:
-                raise CollectiveIOError("persistent_file_realms requires PFR state")
             return env.pfr.realms_for(
                 self.aar_lo, self.aar_hi, naggs, hints["realm_alignment"]
             )
@@ -191,7 +196,9 @@ class _Plan(RoundSource):
             # observed service time from the *previous* collective call
             # back as an inverse weight, so a slow aggregator's realm
             # shrinks.  One allgather, paid only on the balanced path.
-            times = self.coll.allgather(env.stats.last_agg_service_seconds)
+            times = self.coll.allgather(
+                env.metrics.value("coll.agg.last_service_seconds")
+            )
             per_agg = [float(times[a]) for a in self.aggs]
             if any(t > 0.0 for t in per_agg):
                 known = [1.0 / t for t in per_agg if t > 0.0]
@@ -214,8 +221,8 @@ class _Plan(RoundSource):
         # Flattening cost on the client: one pass over the D pairs.
         if payload is not None:
             ctx.charge(flat.num_segments * cost.cpu_per_flat_pair)
-            env.stats.meta_bytes += len(payload[0]) * sum(
-                1 for a in self.aggs if a != comm.rank
+            env.metrics.counter("coll.meta.bytes").inc(
+                len(payload[0]) * sum(1 for a in self.aggs if a != comm.rank)
             )
         for a in self.aggs:
             if a != comm.rank:
@@ -278,12 +285,8 @@ class _Plan(RoundSource):
             batch.pairs_evaluated * cost.cpu_per_flat_pair
             + batch.tiles_skipped * cost.cpu_tile_skip
         )
-        if agg_side:
-            env.stats.agg_pairs += batch.pairs_evaluated
-            env.stats.agg_tiles_skipped += batch.tiles_skipped
-        else:
-            env.stats.client_pairs += batch.pairs_evaluated
-            env.stats.client_tiles_skipped += batch.tiles_skipped
+        self._pairs[agg_side].inc(batch.pairs_evaluated)
+        self._tiles[agg_side].inc(batch.tiles_skipped)
 
     def _intersect_window(
         self, cursor: FlatCursor, window, *, agg_side: bool
@@ -546,8 +549,8 @@ class _Plan(RoundSource):
             env.ctx.charge(
                 pairs * env.cost.cpu_per_flat_pair + tiles * env.cost.cpu_tile_skip
             )
-            env.stats.client_pairs += pairs
-            env.stats.client_tiles_skipped += tiles
+            self._pairs[False].inc(pairs)
+            self._tiles[False].inc(tiles)
             batch = concat_batches(parts)
             if batch.empty:
                 return
@@ -561,7 +564,7 @@ class _Plan(RoundSource):
                 self.memflat, batch.data_offsets - self.data_lo, batch.lengths
             )
             method = choose_method(env.hints, self.ft_extent, fbatch)
-            env.stats.note_flush(method)
+            env.metrics.counter(f"coll.flush.{method}").inc()
             total = int(batch.total_bytes)
             env.ctx.charge(total * env.cost.cpu_per_byte_touch)
             if write:
@@ -611,7 +614,7 @@ class Layered:
         if wbatch is None:
             return
         method = choose_method(env.hints, src.ft_extent, wbatch)
-        env.stats.note_flush(method)
+        env.metrics.counter(f"coll.flush.{method}").inc()
         env.adio.write_strided(wbatch, cbuf, method)
 
     @staticmethod
@@ -625,7 +628,7 @@ class Layered:
         if rbatch is None:
             return cbuf
         method = choose_method(env.hints, src.ft_extent, rbatch)
-        env.stats.note_flush(method)
+        env.metrics.counter(f"coll.flush.{method}").inc()
         data = env.adio.read_strided(rbatch, method)
         cbuf[: data.size] = data
         return cbuf

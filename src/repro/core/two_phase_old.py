@@ -76,6 +76,7 @@ class _OldPlan(RoundSource):
         ctx, comm, cost, hints = env.ctx, env.comm, env.cost, env.hints
         view = env.view
         coll = self.coll
+        client_pairs = env.metrics.counter("coll.client.pairs")
 
         # Flatten the whole access: M pairs, charged per pair.  A
         # re-plan subtracts the already-written file intervals, so
@@ -84,7 +85,7 @@ class _OldPlan(RoundSource):
             cursor = view.cursor(data_lo + total_bytes, data_lo)
             self.my_access = cursor.all_segments()
             ctx.charge(self.my_access.pairs_evaluated * cost.cpu_per_flat_pair)
-            env.stats.client_pairs += self.my_access.pairs_evaluated
+            client_pairs.inc(self.my_access.pairs_evaluated)
             if self._covered:
                 self.my_access = subtract_intervals(self.my_access, self._covered)
         else:
@@ -125,10 +126,11 @@ class _OldPlan(RoundSource):
                 continue
             wire = np.stack([part.file_offsets, part.lengths], axis=1)
             send_objs[a] = wire
-            env.stats.meta_bytes += wire.nbytes if a != comm.rank else 0
+            if a != comm.rank:
+                env.metrics.counter("coll.meta.bytes").inc(wire.nbytes)
         if total_bytes > 0:
             ctx.charge(self.my_access.num_segments * cost.cpu_per_flat_pair)
-            env.stats.client_pairs += self.my_access.num_segments
+            client_pairs.inc(self.my_access.num_segments)
 
         # The request exchange is an all-to-all of per-aggregator lists
         # (over the survivor group when crashes are armed: a corpse
@@ -143,7 +145,7 @@ class _OldPlan(RoundSource):
                 offs = wire[:, 0].astype(np.int64)
                 lens = wire[:, 1].astype(np.int64)
                 ctx.charge(offs.size * cost.cpu_per_flat_pair)
-                env.stats.agg_pairs += int(offs.size)
+                env.metrics.counter("coll.agg.pairs").inc(int(offs.size))
                 dp = np.zeros(offs.size, dtype=np.int64)
                 np.cumsum(lens[:-1], out=dp[1:])
                 self.client_reqs[c] = SegmentBatch(offs, lens, dp)
@@ -288,7 +290,7 @@ class IntegratedSieve:
     def flush(env: CollEnv, src, rp: RoundPlan, cbuf: np.ndarray) -> None:
         w_lo = rp.window[0]
         lo, hi = _sieve_span(rp)
-        env.stats.note_flush("datasieve-integrated")
+        env.metrics.counter("coll.flush.datasieve-integrated").inc()
         env.adio.write_contig(lo, cbuf[lo - w_lo : hi - w_lo])
         if src.group is not None:
             # Crash-armed runs make each round durable: a later death
@@ -301,7 +303,7 @@ class IntegratedSieve:
         w_lo, w_hi = rp.window
         lo, hi = _sieve_span(rp)
         cbuf = np.zeros(w_hi - w_lo, dtype=np.uint8)
-        env.stats.note_flush("datasieve-integrated")
+        env.metrics.counter("coll.flush.datasieve-integrated").inc()
         cbuf[lo - w_lo : hi - w_lo] = env.adio.read_contig(lo, hi - lo)
         return cbuf
 

@@ -23,12 +23,12 @@ Usage::
 
     plan = load_scenario("transient-io:42")   # or build via the DSL
     sim = Simulator(4)
-    injector = plan.install(sim)
+    injector = plan.install(sim)              # counts into the run's registry
     sim.run(main)
-    print(injector.stats.rows())
+    print(injector.registry.format("faults."))
 """
 
-from repro.faults.injector import FaultInjector, FaultStats, find_injector
+from repro.faults.injector import FAULT_COUNTERS, FaultInjector, find_injector, fired
 from repro.faults.plan import (
     EVENT_KINDS,
     FAULTS_KEY,
@@ -47,7 +47,8 @@ __all__ = [
     "FaultPlan",
     "FaultPlanError",
     "FaultInjector",
-    "FaultStats",
+    "FAULT_COUNTERS",
+    "fired",
     "find_injector",
     "SCENARIOS",
     "scenario",

@@ -18,170 +18,88 @@ rank thread at a time.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
 from repro.errors import TransientIOError
 from repro.faults.plan import FAULTS_KEY, OST_KINDS, FaultPlan
 from repro.fs import ostfault
-from repro.obs.metrics import MetricsRegistry, metrics_registry
+from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["FaultStats", "FaultInjector"]
+__all__ = ["FAULT_COUNTERS", "FaultInjector", "fired", "find_injector"]
 
 _U64 = float(1 << 64)
 
 
-class FaultStats:
-    """What the injector (and the resilience layers reporting back to
-    it) actually did; the CLI's post-run summary table.
-
-    Every legacy attribute is a property over a registry counter under
-    the ``faults.*`` names in :data:`FaultStats.METRICS`.  A standalone
-    ``FaultStats()`` reports to a private registry;
-    :meth:`FaultInjector.install` rebinds the injector's stats to the
-    simulation's shared registry so fault activity lands next to the
-    I/O and network metrics.  The counters in :data:`INJECTED` also
-    bump the ``faults.injected`` umbrella total."""
-
-    #: legacy attribute -> registry metric name.
-    METRICS: Dict[str, str] = {
-        "io_faults": "faults.io",
-        "disk_slowdowns": "faults.disk.slowdowns",
-        "disk_extra_seconds": "faults.disk.extra_seconds",
-        "straggler_events": "faults.straggler.events",
-        "straggler_extra_seconds": "faults.straggler.extra_seconds",
-        "rank_stalls": "faults.stalls",
-        "stall_seconds": "faults.stall_seconds",
-        "messages_delayed": "faults.net.delayed",
-        "messages_dropped": "faults.net.dropped",
-        "net_extra_seconds": "faults.net.extra_seconds",
-        "lock_storm_rpcs": "faults.lock.storm_rpcs",
-        "lock_holds": "faults.lock.holds",
-        "lock_hold_seconds": "faults.lock.hold_seconds",
-        "lock_lease_reclaims": "faults.lock.lease_reclaims",
-        "lock_deadlocks": "faults.lock.deadlocks",
-        "agg_crashes": "faults.agg.crashes",
-        "failovers": "faults.failovers",
-        "realm_bytes_rebalanced": "faults.realm_bytes_rebalanced",
-        "suspects_declared": "faults.suspects_declared",
-        "deadlines_exceeded": "faults.deadlines_exceeded",
-        "retries": "faults.retries",
-        "retry_backoff_seconds": "faults.retry.backoff_seconds",
-        "retries_exhausted": "faults.retries_exhausted",
-        "page_bits_flipped": "faults.page.bits_flipped",
-        "net_bits_flipped": "faults.net.bits_flipped",
-        "page_corruptions_detected": "faults.page.corruptions_detected",
-        "net_corruptions_detected": "faults.net.corruptions_detected",
-        "net_redeliveries": "faults.net.redeliveries",
-        "ost_rejections": "faults.ost.rejections",
-        "ost_slow_extra_seconds": "faults.ost.slow_extra_seconds",
-        "ost_failovers": "faults.ost.failovers",
-        "ost_quorum_failures": "faults.ost.quorum_failures",
-        "rank_crashes": "faults.crashes",
-        "crash_agreements": "faults.crash.agreements",
-        "collectives_aborted": "faults.crash.aborted",
-        "rejoins": "faults.crash.rejoins",
-        "resume_rewritten_bytes": "faults.crash.resume_rewritten_bytes",
-        "resume_skipped_bytes": "faults.crash.resume_skipped_bytes",
-        "suppressed": "faults.suppressed",
-    }
-
-    #: attributes counting *injected* events — increments to these also
-    #: bump the ``faults.injected`` umbrella (recovery/detection
-    #: counters like retries and failovers deliberately do not).
-    INJECTED: FrozenSet[str] = frozenset(
-        {
-            "io_faults",
-            "disk_slowdowns",
-            "straggler_events",
-            "rank_stalls",
-            "messages_delayed",
-            "messages_dropped",
-            "lock_storm_rpcs",
-            "lock_holds",
-            "lock_lease_reclaims",
-            "agg_crashes",
-            "page_bits_flipped",
-            "net_bits_flipped",
-            "ost_rejections",
-            "rank_crashes",
-        }
-    )
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._instruments = {
-            attr: self.registry.counter(name) for attr, name in self.METRICS.items()
-        }
-        self._injected = self.registry.counter("faults.injected")
-
-    def rebind(self, registry: MetricsRegistry) -> "FaultStats":
-        """Re-home the counters into ``registry``, carrying values over."""
-        carried = {attr: inst.value for attr, inst in self._instruments.items()}
-        injected = self._injected.value
-        self.registry = registry
-        self._instruments = {
-            attr: registry.counter(name) for attr, name in self.METRICS.items()
-        }
-        self._injected = registry.counter("faults.injected")
-        for attr, value in carried.items():
-            self._instruments[attr].value += value
-        self._injected.value += injected
-        return self
-
-    @property
-    def injected(self):
-        """Total injected fault events (the ``faults.injected`` umbrella)."""
-        return self._injected.value
-
-    def merge(self, other: "FaultStats") -> None:
-        for name in self.METRICS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-
-    def snapshot(self) -> Dict[str, float]:
-        return {attr: inst.value for attr, inst in self._instruments.items()}
-
-    def rows(self) -> list[tuple[str, str]]:
-        """(counter, rendered value) rows, seconds formatted, for tables."""
-        out = []
-        for name, value in self.snapshot().items():
-            text = f"{value:.6f}" if isinstance(value, float) else str(value)
-            out.append((name, text))
-        return out
+#: Every ``faults.*`` counter the injector and the resilience layers
+#: reporting back to it bump — what was injected, what it cost, how it
+#: was recovered from — in the order the CLI's fault tables print them.
+#: All are interned when an injector is built, so a table shows the
+#: counters that stayed at zero too.
+FAULT_COUNTERS: Tuple[str, ...] = (
+    "faults.io",
+    "faults.disk.slowdowns",
+    "faults.disk.extra_seconds",
+    "faults.straggler.events",
+    "faults.straggler.extra_seconds",
+    "faults.stalls",
+    "faults.stall_seconds",
+    "faults.net.delayed",
+    "faults.net.dropped",
+    "faults.net.extra_seconds",
+    "faults.lock.storm_rpcs",
+    "faults.lock.holds",
+    "faults.lock.hold_seconds",
+    "faults.lock.lease_reclaims",
+    "faults.lock.deadlocks",
+    "faults.agg.crashes",
+    "faults.failovers",
+    "faults.realm_bytes_rebalanced",
+    "faults.suspects_declared",
+    "faults.deadlines_exceeded",
+    "faults.retries",
+    "faults.retry.backoff_seconds",
+    "faults.retries_exhausted",
+    "faults.page.bits_flipped",
+    "faults.net.bits_flipped",
+    "faults.page.corruptions_detected",
+    "faults.net.corruptions_detected",
+    "faults.net.redeliveries",
+    "faults.ost.rejections",
+    "faults.ost.slow_extra_seconds",
+    "faults.ost.failovers",
+    "faults.ost.quorum_failures",
+    "faults.crashes",
+    "faults.crash.agreements",
+    "faults.crash.aborted",
+    "faults.crash.rejoins",
+    "faults.crash.resume_rewritten_bytes",
+    "faults.crash.resume_skipped_bytes",
+    "faults.suppressed",
+)
 
 
-def _fault_counter_property(attr: str, umbrella: bool) -> property:
-    def getter(self):
-        return self._instruments[attr].value
-
-    def setter(self, v):
-        inst = self._instruments[attr]
-        if umbrella:
-            delta = v - inst.value
-            if delta > 0:
-                self._injected.value += delta
-        inst.value = v
-
-    return property(getter, setter)
-
-
-for _attr in FaultStats.METRICS:
-    setattr(
-        FaultStats,
-        _attr,
-        _fault_counter_property(_attr, _attr in FaultStats.INJECTED),
-    )
-del _attr
+def fired(values: Mapping[str, object]) -> str:
+    """``name=value, ...`` of the fault counters that are non-zero in a
+    registry snapshot ``values`` (``-`` when nothing fired)."""
+    return ", ".join(
+        f"{name}={values[name]:g}" for name in FAULT_COUNTERS if values.get(name)
+    ) or "-"
 
 
 class FaultInjector:
     """Hook implementation consulted by the sim/mpi/fs/io layers."""
 
-    def __init__(self, plan: FaultPlan) -> None:
+    def __init__(
+        self, plan: FaultPlan, registry: Optional[MetricsRegistry] = None
+    ) -> None:
         for event in plan.events:
             event.validate()
         self.plan = plan
-        self.stats = FaultStats()
+        #: Where the ``faults.*`` series land: the run's shared registry
+        #: (:meth:`FaultPlan.install` passes it), private when standalone.
+        self.registry = registry if registry is not None else MetricsRegistry()
+        self._series = {name: self.registry.counter(name) for name in FAULT_COUNTERS}
+        self._umbrella = self.registry.counter("faults.injected")
         #: (kind, actor) -> opportunities consumed so far.
         self._counters: Dict[Tuple[str, int], int] = {}
         #: rank -> collective calls begun (for agg_crash targeting).
@@ -190,15 +108,21 @@ class FaultInjector:
         self._active_kinds = plan.kinds
 
     def install(self, sim) -> "FaultInjector":
-        """Attach to a :class:`~repro.sim.engine.Simulator` before run.
-
-        Rebinds :attr:`stats` into the simulation's shared metrics
-        registry, so ``faults.*`` series land next to the I/O and
-        network metrics of the same run."""
+        """Attach to a :class:`~repro.sim.engine.Simulator` before run."""
         sim.shared[FAULTS_KEY] = self
         sim.faults = self
-        self.stats.rebind(metrics_registry(sim.shared))
         return self
+
+    # -- counting ---------------------------------------------------------
+    def _count(self, name: str, n=1) -> None:
+        self._series[name].inc(n)
+
+    def _injected(self, name: str, n: int = 1) -> None:
+        """Count ``n`` *injected* events: ``name`` and the
+        ``faults.injected`` umbrella (recovery and detection counters —
+        retries, failovers — deliberately stay out of it)."""
+        self._count(name, n)
+        self._umbrella.inc(n)
 
     # -- deterministic coin flips ---------------------------------------
     def _chance(self, kind: str, actor: int, p: float) -> bool:
@@ -244,8 +168,8 @@ class FaultInjector:
         return f
 
     def note_straggler(self, extra: float) -> None:
-        self.stats.straggler_events += 1
-        self.stats.straggler_extra_seconds += extra
+        self._injected("faults.straggler.events")
+        self._count("faults.straggler.extra_seconds", extra)
 
     # -- liveness hooks ---------------------------------------------------
     def stalled_ranks(self, call_index: int, boundary: int) -> Dict[int, float]:
@@ -255,14 +179,14 @@ class FaultInjector:
         return self.plan.stalls_at(call_index, boundary)
 
     def note_stall(self, seconds: float) -> None:
-        self.stats.rank_stalls += 1
-        self.stats.stall_seconds += seconds
+        self._injected("faults.stalls")
+        self._count("faults.stall_seconds", seconds)
 
     def note_suspect(self) -> None:
-        self.stats.suspects_declared += 1
+        self._count("faults.suspects_declared")
 
     def note_deadline_exceeded(self) -> None:
-        self.stats.deadlines_exceeded += 1
+        self._count("faults.deadlines_exceeded")
 
     # -- fs.filesystem hooks ----------------------------------------------
     def io_fault(self, client: int, path: str, site: str, now: float) -> None:
@@ -273,7 +197,7 @@ class FaultInjector:
         for e in self.plan.of_kind("transient_io"):
             if e.active(now) and e.applies_to(client):
                 if self._chance("transient_io", client, e.rate):
-                    self.stats.io_faults += 1
+                    self._injected("faults.io")
                     raise TransientIOError(site, client, path)
 
     def disk_penalty(self, ost: int, now: float, service: float) -> float:
@@ -286,8 +210,8 @@ class FaultInjector:
                 f *= e.factor
         extra = service * (f - 1.0)
         if extra > 0.0:
-            self.stats.disk_slowdowns += 1
-            self.stats.disk_extra_seconds += extra
+            self._injected("faults.disk.slowdowns")
+            self._count("faults.disk.extra_seconds", extra)
         return extra
 
     # -- fs.ostfault hooks -------------------------------------------------
@@ -316,16 +240,16 @@ class FaultInjector:
         return ostfault.ost_service_factor(self.plan.events, ost, now)
 
     def note_ost_rejection(self) -> None:
-        self.stats.ost_rejections += 1
+        self._injected("faults.ost.rejections")
 
     def note_ost_slow(self, extra: float) -> None:
-        self.stats.ost_slow_extra_seconds += extra
+        self._count("faults.ost.slow_extra_seconds", extra)
 
     def note_ost_failover(self) -> None:
-        self.stats.ost_failovers += 1
+        self._count("faults.ost.failovers")
 
     def note_ost_quorum_failure(self) -> None:
-        self.stats.ost_quorum_failures += 1
+        self._count("faults.ost.quorum_failures")
 
     def retry_jitter(self, actor: int) -> float:
         """Seeded uniform draw in [0, 1) for full-jitter backoff.
@@ -347,7 +271,7 @@ class FaultInjector:
                 if self._chance("lock_storm", client, e.rate):
                     extra += e.extra_rpcs
         if extra:
-            self.stats.lock_storm_rpcs += extra
+            self._injected("faults.lock.storm_rpcs", extra)
         return extra
 
     def lock_hold_seconds(self, client: int, now: float) -> float:
@@ -361,15 +285,15 @@ class FaultInjector:
                 if self._chance("lock_hold", client, e.rate):
                     hold = max(hold, e.delay)
         if hold > 0.0:
-            self.stats.lock_holds += 1
-            self.stats.lock_hold_seconds += hold
+            self._injected("faults.lock.holds")
+            self._count("faults.lock.hold_seconds", hold)
         return hold
 
     def note_lock_reclaim(self, granules: int) -> None:
-        self.stats.lock_lease_reclaims += granules
+        self._injected("faults.lock.lease_reclaims", granules)
 
     def note_lock_deadlock(self) -> None:
-        self.stats.lock_deadlocks += 1
+        self._count("faults.lock.deadlocks")
 
     # -- mpi.network hook --------------------------------------------------
     def net_penalty(self, src: int, dst: int, now: float, transit: float) -> float:
@@ -386,15 +310,15 @@ class FaultInjector:
         for e in self.plan.of_kind("net_delay"):
             if e.active(now) and e.applies_to(src):
                 if self._chance("net_delay", src, e.rate):
-                    self.stats.messages_delayed += 1
+                    self._injected("faults.net.delayed")
                     extra += e.delay
         for e in self.plan.of_kind("net_drop"):
             if e.active(now) and e.applies_to(src):
                 if self._chance("net_drop", src, e.rate):
-                    self.stats.messages_dropped += 1
+                    self._injected("faults.net.dropped")
                     extra += e.delay + transit
         if extra:
-            self.stats.net_extra_seconds += extra
+            self._count("faults.net.extra_seconds", extra)
         return extra
 
     # -- corruption hooks ---------------------------------------------------
@@ -412,7 +336,7 @@ class FaultInjector:
                 if self._chance("bit_flip_page", client, e.rate):
                     draw = self._draw("bit_flip_page", client)
                     store.flip_bit(pages[draw % len(pages)], draw // len(pages))
-                    self.stats.page_bits_flipped += 1
+                    self._injected("faults.page.bits_flipped")
 
     def corrupt_net(self, src: int, dst: int, now: float) -> Optional[int]:
         """Position draw for flipping one bit of an in-flight payload,
@@ -423,18 +347,18 @@ class FaultInjector:
         for e in self.plan.of_kind("bit_flip_net"):
             if e.active(now) and e.applies_to(src):
                 if self._chance("bit_flip_net", src, e.rate):
-                    self.stats.net_bits_flipped += 1
+                    self._injected("faults.net.bits_flipped")
                     return self._draw("bit_flip_net", src)
         return None
 
     def note_page_corruption_detected(self) -> None:
-        self.stats.page_corruptions_detected += 1
+        self._count("faults.page.corruptions_detected")
 
     def note_net_corruption_detected(self) -> None:
-        self.stats.net_corruptions_detected += 1
+        self._count("faults.net.corruptions_detected")
 
     def note_net_redelivery(self) -> None:
-        self.stats.net_redeliveries += 1
+        self._count("faults.net.redeliveries")
 
     # -- core.two_phase hooks ----------------------------------------------
     def begin_collective(self, rank: int) -> int:
@@ -453,9 +377,9 @@ class FaultInjector:
         return self.plan.crashes_through(call_index, boundary)
 
     def note_failover(self, dead_rank: int, bytes_rebalanced: int) -> None:
-        self.stats.agg_crashes += 1
-        self.stats.failovers += 1
-        self.stats.realm_bytes_rebalanced += bytes_rebalanced
+        self._injected("faults.agg.crashes")
+        self._count("faults.failovers")
+        self._count("faults.realm_bytes_rebalanced", bytes_rebalanced)
 
     # -- fail-stop crash hooks ----------------------------------------------
     def crashed_ranks(self, call_index: int, boundary: int) -> FrozenSet[int]:
@@ -475,26 +399,26 @@ class FaultInjector:
         return self.plan.crash_for(rank, call_index)
 
     def note_crash(self) -> None:
-        self.stats.rank_crashes += 1
+        self._injected("faults.crashes")
 
     def note_agreement(self) -> None:
-        self.stats.crash_agreements += 1
+        self._count("faults.crash.agreements")
 
     def note_aborted(self) -> None:
-        self.stats.collectives_aborted += 1
+        self._count("faults.crash.aborted")
 
     def note_rejoin(self) -> None:
-        self.stats.rejoins += 1
+        self._count("faults.crash.rejoins")
 
     def note_resume(self, rewritten: int, skipped: int) -> None:
-        self.stats.resume_rewritten_bytes += rewritten
-        self.stats.resume_skipped_bytes += skipped
+        self._count("faults.crash.resume_rewritten_bytes", rewritten)
+        self._count("faults.crash.resume_skipped_bytes", skipped)
 
     def note_suppressed(self, n: int = 1) -> None:
         """Count fault events whose target rank was already dead when
         their boundary arrived — the event could not apply, and before
         this counter it silently vanished from the summary."""
-        self.stats.suppressed += n
+        self._count("faults.suppressed", n)
 
     def suppressed_for(self, dead: FrozenSet[int], call_index: int, boundary: int) -> int:
         """How many plan events aimed at exactly this boundary target
@@ -528,11 +452,11 @@ class FaultInjector:
 
     # -- io retry reporting -------------------------------------------------
     def note_retry(self, backoff: float) -> None:
-        self.stats.retries += 1
-        self.stats.retry_backoff_seconds += backoff
+        self._count("faults.retries")
+        self._count("faults.retry.backoff_seconds", backoff)
 
     def note_retry_exhausted(self) -> None:
-        self.stats.retries_exhausted += 1
+        self._count("faults.retries_exhausted")
 
 
 def find_injector(shared: dict) -> Optional[FaultInjector]:

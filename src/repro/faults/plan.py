@@ -530,5 +530,6 @@ class FaultPlan:
     def install(self, sim) -> "FaultInjector":  # noqa: F821 - forward ref
         """Attach a fresh injector for this plan to ``sim``; returns it."""
         from repro.faults.injector import FaultInjector
+        from repro.obs.metrics import metrics_registry
 
-        return FaultInjector(self).install(sim)
+        return FaultInjector(self, metrics_registry(sim.shared)).install(sim)

@@ -57,7 +57,7 @@ from repro.fs.locks import ExtentLockManager, LockCharge
 from repro.fs.ostfault import BreakerPolicy, CircuitBreaker
 from repro.fs.schedule import OSTScheduler, make_scheduler
 from repro.liveness import LIVENESS_KEY
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, MetricsView
 from repro.sim.engine import BLOCK_TIMEOUT
 from repro.fs.runs import ByteRuns
 from repro.fs.store import PageStore, ReplicatedStore
@@ -66,63 +66,31 @@ from repro.sim.engine import RankContext
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fs.cache import PageCache
 
-__all__ = ["SimFileSystem", "FileStats"]
+__all__ = ["SimFileSystem"]
 
 
-class FileStats:
-    """Operation counters for one file (inspected by tests/benches).
+#: The server-traffic series a tenant's ``tenant.<name>.`` mirror repeats.
+_MIRRORED = (
+    "fs.server.reads",
+    "fs.server.writes",
+    "fs.bytes.read",
+    "fs.bytes.written",
+    "fs.rmw.pages",
+    "lock.rpcs",
+    "lock.revocations",
+)
 
-    Each legacy attribute is a property over a registry counter under
-    the dotted names in :data:`FileStats.METRICS`, keyed by the file's
-    path — so a file system hosting several files reports distinct
-    ``fs.*``/``lock.*``/``journal.*`` series per path."""
-
-    #: legacy attribute -> registry metric name.
-    METRICS: Dict[str, str] = {
-        "server_reads": "fs.server.reads",
-        "server_writes": "fs.server.writes",
-        "bytes_read": "fs.bytes.read",
-        "bytes_written": "fs.bytes.written",
-        "rmw_pages": "fs.rmw.pages",
-        "lock_rpcs": "lock.rpcs",
-        "lock_revocations": "lock.revocations",
-        "revoke_flush_pages": "lock.revoke.flush_pages",
-        "journal_writes": "journal.writes",
-        "journal_commits": "journal.commits",
-        "journal_aborts": "journal.aborts",
-        "journal_pages_committed": "journal.pages_committed",
-        "journal_epochs": "journal.epochs",
-    }
-
-    __slots__ = ("registry", "path", "_instruments")
-
-    def __init__(
-        self, registry: Optional[MetricsRegistry] = None, path: Optional[str] = None
-    ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.path = path
-        self._instruments = {
-            attr: self.registry.counter(name, path)
-            for attr, name in self.METRICS.items()
-        }
-
-    def snapshot(self) -> Dict[str, int]:
-        return {attr: inst.value for attr, inst in self._instruments.items()}
-
-
-def _fs_counter_property(attr: str) -> property:
-    def getter(self):
-        return self._instruments[attr].value
-
-    def setter(self, v):
-        self._instruments[attr].value = v
-
-    return property(getter, setter)
-
-
-for _attr in FileStats.METRICS:
-    setattr(FileStats, _attr, _fs_counter_property(_attr))
-del _attr
+#: Every per-file series (key = path), interned when the file is created:
+#: a file system hosting several files reports distinct ``fs.*`` /
+#: ``lock.*`` / ``journal.*`` series per path, zero rows included.
+_FILE_SERIES = _MIRRORED + (
+    "lock.revoke.flush_pages",
+    "journal.writes",
+    "journal.commits",
+    "journal.aborts",
+    "journal.pages_committed",
+    "journal.epochs",
+)
 
 
 class _Txn:
@@ -148,7 +116,7 @@ class _Txn:
 
 
 class _File:
-    __slots__ = ("store", "locks", "stats", "txn", "epoch_log")
+    __slots__ = ("store", "locks", "series", "txn", "epoch_log")
 
     def __init__(
         self,
@@ -159,7 +127,8 @@ class _File:
     ) -> None:
         self.store = PageStore(page_size)
         self.locks = ExtentLockManager(lock_granularity)
-        self.stats = FileStats(registry, path)
+        #: series name -> this path's counter.
+        self.series = {name: registry.counter(name, path) for name in _FILE_SERIES}
         self.txn: Optional[_Txn] = None
         #: Committed per-epoch records (``docs/crash_recovery.md``):
         #: one entry per collective round whose bytes are durable, in
@@ -222,16 +191,8 @@ class SimFileSystem:
         else:
             self.breaker_policy = None
         self._breakers: Dict[int, CircuitBreaker] = {}
-        #: Lazily-interned fs.ost.* counters: a fault-free session's
-        #: registry stays exactly as the seed left it.
-        self._ost_counter_cache: Dict[str, object] = {}
 
     # -- OST health / breakers ----------------------------------------------
-    def _ost_counter(self, name: str):
-        c = self._ost_counter_cache.get(name)
-        if c is None:
-            c = self._ost_counter_cache[name] = self.registry.counter(f"fs.ost.{name}")
-        return c
     def _fault_views(self, ctx: Optional[RankContext]):
         """The distinct installed injectors carrying OST events."""
         views = []
@@ -270,10 +231,10 @@ class SimFileSystem:
         breaker exists to avoid), feeds the breaker, and raises."""
         br = self._breaker(ost)
         if br is not None and not br.allow(now):
-            self._ost_counter("breaker_fastfail").inc()
+            self.registry.counter("fs.ost.breaker_fastfail").inc()
             raise OSTUnavailable(site, client_id, path, ost=ost, reason="breaker-open")
         if self._ost_is_down(views, ost, now):
-            self._ost_counter("down_hits").inc()
+            self.registry.counter("fs.ost.down_hits").inc()
             views[0].note_ost_rejection()
             if br is not None:
                 br.record_failure(now)
@@ -321,7 +282,7 @@ class SimFileSystem:
             )
             delay = self.scheduler.queue_delay(ost, tenant, weight, now, service)
             if delay > self.queue_limit:
-                self._ost_counter("overloads").inc()
+                self.registry.counter("fs.ost.overloads").inc()
                 if views:
                     views[0].note_ost_rejection()
                 raise OSTOverloaded(
@@ -393,7 +354,7 @@ class SimFileSystem:
                 for pos, chunk, osts in store._pieces(int(o), int(l)):
                     if store.fresh_replicas(pos, chunk, up):
                         continue
-                    self._ost_counter("down_hits").inc()
+                    self.registry.counter("fs.ost.down_hits").inc()
                     if views:
                         views[0].note_ost_rejection()
                     bad = next((x for x in osts if x not in up), osts[0])
@@ -407,7 +368,7 @@ class SimFileSystem:
             for pos, chunk, osts in store._pieces(int(o), int(l)):
                 live = [x for x in osts if x in up]
                 if len(live) < quorum:
-                    self._ost_counter("quorum_failures").inc()
+                    self.registry.counter("fs.ost.quorum_failures").inc()
                     if views:
                         views[0].note_ost_quorum_failure()
                     missing = next(x for x in osts if x not in up)
@@ -441,8 +402,10 @@ class SimFileSystem:
     def file_size(self, path: str) -> int:
         return self._file(path).store.size
 
-    def stats(self, path: str) -> FileStats:
-        return self._file(path).stats
+    def metrics(self, path: str) -> MetricsView:
+        """The registry view keyed by ``path``: the file's ``fs.*`` /
+        ``lock.*`` / ``journal.*`` series."""
+        return self.registry.view(path)
 
     def paths(self) -> List[str]:
         """Every file in the namespace (fsck's iteration order)."""
@@ -514,7 +477,7 @@ class SimFileSystem:
         }
         healed = f.store.rereplicate(up)
         if healed:
-            self._ost_counter("rereplicated_bytes").inc(healed)
+            self.registry.counter("fs.ost.rereplicated_bytes").inc(healed)
         return healed
 
     def _heal(self, store: ReplicatedStore, up: Set[int]) -> None:
@@ -523,7 +486,7 @@ class SimFileSystem:
         if store.stale_bytes():
             healed = store.rereplicate(up)
             if healed:
-                self._ost_counter("rereplicated_bytes").inc(healed)
+                self.registry.counter("fs.ost.rereplicated_bytes").inc(healed)
 
     def raw_bytes(self, path: str, offset: int, nbytes: int) -> np.ndarray:
         """Server-side contents, for verification only (no cost).
@@ -575,21 +538,15 @@ class SimFileSystem:
             }
             if tenant is not None:
                 view = self.registry.view(prefix=f"tenant.{tenant}.")
-                for name in (
-                    "fs.bytes.written",
-                    "fs.bytes.read",
-                    "fs.server.writes",
-                    "fs.server.reads",
-                    "fs.rmw.pages",
-                    "lock.rpcs",
-                    "lock.revocations",
-                ):
+                for name in _MIRRORED:
                     m[name] = view.counter(name)
             self._tenant_mirrors[tenant] = m
         return m
 
-    def _mirror_inc(self, client_id: Hashable, name: str, n: int) -> None:
-        """Bump a tenant mirror counter (no-op for untenanted clients)."""
+    def _count(self, f: _File, client_id: Hashable, name: str, n: int) -> None:
+        """Add ``n`` to the file's ``name`` series and to the client's
+        tenant mirror of it (untenanted clients have none)."""
+        f.series[name].value += n
         tenant = self._tenant_of.get(client_id)
         if tenant is not None and n:
             self._tenant_mirror(tenant)[name].inc(n)
@@ -654,10 +611,8 @@ class SimFileSystem:
                     f.locks.pin_range(client_id, lo, hi, ctx.now, ctx.now + hold)
         rpcs = sum(c.rpcs for c in charges)
         revoked = sum(c.revoked_granules for c in charges)
-        f.stats.lock_rpcs += rpcs
-        f.stats.lock_revocations += revoked
-        self._mirror_inc(client_id, "lock.rpcs", rpcs)
-        self._mirror_inc(client_id, "lock.revocations", revoked)
+        self._count(f, client_id, "lock.rpcs", rpcs)
+        self._count(f, client_id, "lock.revocations", revoked)
         ctx.charge(rpcs * self.cost.lock_rpc + revoked * self.cost.lock_revoke)
         # Coherent victims must flush and drop their pages in the range;
         # the requester waits for it, so the requester's clock pays.
@@ -666,7 +621,7 @@ class SimFileSystem:
                 for cache in self._caches.get(victim, []):
                     if cache.path == path and cache.coherent:
                         flushed = cache.flush_and_invalidate_range(ctx, r_lo, r_hi)
-                        f.stats.revoke_flush_pages += flushed
+                        f.series["lock.revoke.flush_pages"].value += flushed
 
     def _await_pins(
         self,
@@ -927,12 +882,9 @@ class SimFileSystem:
         demand, up, views = self._storage_plan(
             ctx, client_id, f, path, offs, lens, rmw, "server_write", write=True
         )
-        f.stats.rmw_pages += rmw
-        f.stats.server_writes += 1
-        f.stats.bytes_written += total
-        self._mirror_inc(client_id, "fs.rmw.pages", rmw)
-        self._mirror_inc(client_id, "fs.server.writes", 1)
-        self._mirror_inc(client_id, "fs.bytes.written", total)
+        self._count(f, client_id, "fs.rmw.pages", rmw)
+        self._count(f, client_id, "fs.server.writes", 1)
+        self._count(f, client_id, "fs.bytes.written", total)
         target = f.store
         txn = None
         if journaled:
@@ -942,7 +894,7 @@ class SimFileSystem:
                     f"journaled write on {path!r} without an open transaction"
                 )
             target = txn.store
-            f.stats.journal_writes += 1
+            f.series["journal.writes"].value += 1
             # Journaled bytes go to the (plain) shadow store; the live
             # set matters at commit time, when they publish.
             demand = None
@@ -999,10 +951,8 @@ class SimFileSystem:
         demand, up, views = self._storage_plan(
             ctx, client_id, f, path, offs, lens, 0, "server_read", write=False
         )
-        f.stats.server_reads += 1
-        f.stats.bytes_read += total
-        self._mirror_inc(client_id, "fs.server.reads", 1)
-        self._mirror_inc(client_id, "fs.bytes.read", total)
+        self._count(f, client_id, "fs.server.reads", 1)
+        self._count(f, client_id, "fs.bytes.read", total)
         replicated = isinstance(f.store, ReplicatedStore)
         served: List[Tuple[int, int]] = []
         failovers: List[int] = []
@@ -1020,7 +970,7 @@ class SimFileSystem:
             self._note_page_corruption(ctx)
             raise IntegrityError(exc.site, exc.page_index, path) from exc
         if failovers:
-            self._ost_counter("failovers").inc(len(failovers))
+            self.registry.counter("fs.ost.failovers").inc(len(failovers))
             if views:
                 for _ in failovers:
                     views[0].note_ost_failover()
@@ -1094,7 +1044,7 @@ class SimFileSystem:
         rec = dict(record)
         rec["seq"] = len(f.epoch_log)
         f.epoch_log.append(rec)
-        f.stats.journal_epochs += 1
+        f.series["journal.epochs"].value += 1
 
     def journal_replay(self, path: str) -> List[dict]:
         """The committed epoch records for ``path``, in commit order.
@@ -1119,7 +1069,7 @@ class SimFileSystem:
         f = self._file(path)
         if f.txn is not None and f.txn.txid != txid:
             f.txn = None
-            f.stats.journal_aborts += 1
+            f.series["journal.aborts"].value += 1
         if f.txn is None:
             f.txn = _Txn(txid, self.cost.page_size, f.store.integrity)
 
@@ -1131,7 +1081,7 @@ class SimFileSystem:
         f = self._file(path)
         if f.txn is not None:
             f.txn = None
-            f.stats.journal_aborts += 1
+            f.series["journal.aborts"].value += 1
 
     def txn_commit(self, ctx: RankContext, client_id: Hashable, path: str) -> int:
         """Atomically publish the open transaction into the main store.
@@ -1170,8 +1120,8 @@ class SimFileSystem:
                     raise IntegrityError("journal-commit", exc.page_index, path) from exc
                 f.store.write(lo, good, **how)
             f.txn = None
-            f.stats.journal_commits += 1
-            f.stats.journal_pages_committed += len(pages)
+            f.series["journal.commits"].value += 1
+            f.series["journal.pages_committed"].value += len(pages)
             # Staged epoch records become durable with their bytes.
             for rec in txn.epochs:
                 self._publish_epoch(f, rec)
@@ -1226,7 +1176,7 @@ class SimFileSystem:
             osts = store.replicas_of(pidx * ps)
             live = [x for x in osts if x in up]
             if len(live) < quorum:
-                self._ost_counter("quorum_failures").inc()
+                self.registry.counter("fs.ost.quorum_failures").inc()
                 if views:
                     views[0].note_ost_quorum_failure()
                 missing = next(x for x in osts if x not in up)

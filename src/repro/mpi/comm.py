@@ -37,7 +37,8 @@ from repro.io.retry import RetryPolicy
 from repro.mpi.collectives import CollectiveMixin
 from repro.mpi.network import Network, payload_nbytes
 from repro.mpi.request import Request
-from repro.mpi.topology import NodeTopology, topology_stats
+from repro.mpi.topology import NodeTopology
+from repro.obs.metrics import metrics_registry
 from repro.sim.engine import BLOCK_TIMEOUT, RankContext, Signal
 
 __all__ = ["ANY_SOURCE", "ANY_TAG", "Communicator"]
@@ -196,18 +197,25 @@ class Communicator(CollectiveMixin):
         # calls and derives the same child communicator id.
         self._split_count = 0
         # Two-tier topology (CostModel.procs_per_node > 1): node id per
-        # communicator rank, plus the shared traffic counters.  Flat
+        # communicator rank, plus the run's wire-traffic counters.  Flat
         # clusters keep all three None — the send/recv fast path tests
         # one attribute and pays nothing else.
         self.topology: Optional[NodeTopology] = None
         #: Per communicator rank: does it share a node with me?
         self._intra_with: Optional[tuple[bool, ...]] = None
-        self._topo_stats = None
+        #: Indexed by ``intra``: that tier's (msgs, bytes) counters, then
+        #: the two totals.
+        self._wire = None
         if cost.procs_per_node > 1:
             self.topology = NodeTopology(cost.procs_per_node)
             nodes = [self.topology.node_of(w) for w in self.members]
             self._intra_with = tuple(n == nodes[self.rank] for n in nodes)
-            self._topo_stats = topology_stats(ctx.shared)
+            reg = metrics_registry(ctx.shared)
+            totals = (reg.counter("net.msgs"), reg.counter("net.bytes"))
+            self._wire = (
+                (reg.counter("net.inter.msgs"), reg.counter("net.inter.bytes"), *totals),
+                (reg.counter("net.intra.msgs"), reg.counter("net.intra.bytes"), *totals),
+            )
         #: Cached per-node subcommunicators keyed by procs_per_node.
         self._node_comms: dict[int, "Communicator"] = {}
 
@@ -241,6 +249,18 @@ class Communicator(CollectiveMixin):
         state.next_seq += 1
         state.mailboxes[dest].put(msg)
 
+    def _note_wire(self, nbytes: int, intra: bool) -> None:
+        """Count one message on its tier and in the totals.  Wire bytes
+        include the envelope: that is what makes "fewer, larger messages
+        across nodes" measurable when the payload volume is conserved.
+        ``net.intra.bytes + net.inter.bytes == net.bytes`` always."""
+        wire = nbytes + self.cost.net_envelope_bytes
+        tier_msgs, tier_bytes, all_msgs, all_bytes = self._wire[intra]
+        tier_msgs.value += 1
+        tier_bytes.value += wire
+        all_msgs.value += 1
+        all_bytes.value += wire
+
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         """Blocking (buffered) send: completes after the sender overhead."""
         self._check_peer(dest, "destination")
@@ -252,8 +272,8 @@ class Communicator(CollectiveMixin):
         delay = self.net.delivery_delay(
             nbytes, self.rank, dest, self.ctx.now, factor, intra
         )
-        if self._topo_stats is not None:
-            self._topo_stats.note_message(nbytes, self.cost.net_envelope_bytes, intra)
+        if self._wire is not None:
+            self._note_wire(nbytes, intra)
         self._enqueue(dest, tag, obj, self.ctx.now + delay)
         self.ctx.yield_now()
 
@@ -268,8 +288,8 @@ class Communicator(CollectiveMixin):
         delay = self.net.delivery_delay(
             nbytes, self.rank, dest, self.ctx.now, factor, intra
         )
-        if self._topo_stats is not None:
-            self._topo_stats.note_message(nbytes, self.cost.net_envelope_bytes, intra)
+        if self._wire is not None:
+            self._note_wire(nbytes, intra)
         self._enqueue(dest, tag, obj, self.ctx.now + delay)
         return Request.completed()
 

@@ -1,4 +1,4 @@
-"""Node topology: which ranks share a node, and two-tier traffic stats.
+"""Node topology: which ranks share a node.
 
 The simulated cluster is flat by default (``CostModel.procs_per_node ==
 1``: every rank is its own node).  Arming ``procs_per_node > 1`` groups
@@ -10,13 +10,8 @@ the flat inter-node cost.  The two-layer exchange
 (:mod:`repro.core.exchange`) uses the same grouping to elect per-node
 leaders.
 
-:class:`TopologyStats` is interned once per simulation in the engine's
-shared dictionary (under :data:`TOPOLOGY_KEY`) and accumulates wire
-traffic split by tier.  Byte counts include
-``CostModel.net_envelope_bytes`` per message, so an exchange that sends
-*fewer inter-node messages* for the same payload is visibly cheaper in
-the counters — the intra-node aggregation win the counters exist to
-measure.
+Wire traffic split by tier is counted where it is sent
+(:class:`~repro.mpi.comm.Communicator`, the ``net.*`` series).
 """
 
 from __future__ import annotations
@@ -24,18 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.obs.metrics import MetricsRegistry, metrics_registry
-
-__all__ = [
-    "TOPOLOGY_KEY",
-    "NodeTopology",
-    "TopologyStats",
-    "topology_stats",
-    "resolve_topology",
-]
-
-#: Key of the shared per-simulation :class:`TopologyStats` instance.
-TOPOLOGY_KEY = "net-topology-stats"
+__all__ = ["NodeTopology", "resolve_topology"]
 
 
 @dataclass(frozen=True)
@@ -68,82 +52,6 @@ class NodeTopology:
         for comm_rank, world_rank in enumerate(members):
             out.setdefault(self.node_of(world_rank), []).append(comm_rank)
         return out
-
-
-class TopologyStats:
-    """Simulator-wide wire-traffic counters split by network tier.
-
-    Message byte counts are ``payload + net_envelope_bytes`` — the wire
-    cost of a message includes its envelope, which is what makes "send
-    fewer, larger messages across nodes" measurable even when the
-    payload volume is conserved.
-
-    Each legacy attribute is a property over a registry counter under
-    the dotted names in :data:`TopologyStats.METRICS` (simulation-global
-    key).  :meth:`note_message` additionally bumps the ``net.msgs`` /
-    ``net.bytes`` totals, so the registry upholds the conservation
-    invariant ``net.intra.bytes + net.inter.bytes == net.bytes``.
-    """
-
-    #: legacy attribute -> registry metric name.
-    METRICS: Dict[str, str] = {
-        "inter_node_msgs": "net.inter.msgs",
-        "inter_node_bytes": "net.inter.bytes",
-        "intra_node_msgs": "net.intra.msgs",
-        "intra_node_bytes": "net.intra.bytes",
-        # offset/length runs entering / leaving leader-side coalescing.
-        "coalesce_runs_in": "exchange.coalesce.runs_in",
-        "coalesce_runs_out": "exchange.coalesce.runs_out",
-        # two_layer rounds executed, and rounds that fell back to the
-        # flat alltoallw because suspects were being skipped.
-        "two_layer_rounds": "exchange.two_layer.rounds",
-        "flat_fallbacks": "exchange.flat_fallbacks",
-    }
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._instruments = {
-            attr: self.registry.counter(name) for attr, name in self.METRICS.items()
-        }
-        self._total_msgs = self.registry.counter("net.msgs")
-        self._total_bytes = self.registry.counter("net.bytes")
-
-    def note_message(self, nbytes: int, envelope: int, intra: bool) -> None:
-        wire = nbytes + envelope
-        tier = "intra" if intra else "inter"
-        self._instruments[f"{tier}_node_msgs"].value += 1
-        self._instruments[f"{tier}_node_bytes"].value += wire
-        self._total_msgs.value += 1
-        self._total_bytes.value += wire
-
-    def snapshot(self) -> Dict[str, int]:
-        return {attr: inst.value for attr, inst in self._instruments.items()}
-
-
-def _counter_property(attr: str) -> property:
-    def getter(self):
-        return self._instruments[attr].value
-
-    def setter(self, v):
-        self._instruments[attr].value = v
-
-    return property(getter, setter)
-
-
-for _attr in TopologyStats.METRICS:
-    setattr(TopologyStats, _attr, _counter_property(_attr))
-del _attr
-
-
-def topology_stats(shared: dict) -> TopologyStats:
-    """The simulation's shared stats instance (interned on first use).
-
-    The instance reports through the same simulation's shared metrics
-    registry (:func:`~repro.obs.metrics.metrics_registry`)."""
-    stats = shared.get(TOPOLOGY_KEY)
-    if stats is None:
-        stats = shared.setdefault(TOPOLOGY_KEY, TopologyStats(metrics_registry(shared)))
-    return stats
 
 
 def resolve_topology(hints, cost) -> Optional[NodeTopology]:

@@ -1,11 +1,12 @@
 """Unified observability layer: metrics registry, span tracing, Session.
 
-Everything the scattered stats APIs used to provide — ``CollStats``,
-``TopologyStats``, ``FaultStats``, the page cache's bare hit/miss ints,
-the per-file server counters — now flows through one
-:class:`MetricsRegistry` of named, typed instruments under stable
-dotted names (``net.inter.bytes``, ``cache.hits``, ``faults.injected``;
-the full catalogue lives in ``docs/observability.md``).  Span tracing
+Every count a run keeps — collective rounds and pairs, network tiers,
+page-cache hits, per-file server traffic, fault injections — lives in
+one :class:`MetricsRegistry` of named, typed instruments, and its
+dotted name (``net.inter.bytes``, ``cache.hits``, ``faults.injected``;
+the full catalogue is in ``docs/observability.md``) is its only
+spelling: components hold instruments taken from the registry, readers
+read the name.  Span tracing
 (:mod:`repro.sim.trace`) covers every collective phase and exports
 Chrome ``trace_event`` JSON loadable in Perfetto, and
 :class:`Session` is the documented front door that wires the

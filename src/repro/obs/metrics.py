@@ -1,11 +1,10 @@
 """Typed metrics instruments and the registry that interns them.
 
-The registry replaces the repo's scattered ad-hoc counters with named,
-typed instruments:
+The registry holds every count of a run as a named, typed instrument:
 
 * :class:`Counter` — a monotonically *written* number (plain attribute
   adds; nothing is locked because the engine runs one rank thread at a
-  time).  Counters are what the old ``stats.x += 1`` fields become.
+  time).
 * :class:`Gauge` — a last-written value (``set``); merges by ``max`` so
   cross-rank/cross-run merging stays associative.
 * :class:`Histogram` — power-of-two bucketed distribution with count /
@@ -36,9 +35,9 @@ The registry supports:
   ``snapshot(prefix=...)`` filters to one namespace without folding.
 
 One registry per simulation is interned in ``Simulator.shared`` under
-:data:`METRICS_KEY` (the same pattern as the topology stats);
-:class:`~repro.obs.session.Session` supplies its own registry so every
-component of a session reports to one coherent, exportable source.
+:data:`METRICS_KEY`; :class:`~repro.obs.session.Session` supplies its
+own registry so every component of a session reports to one coherent,
+exportable source.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ plumbing and poking scattered stats objects afterwards::
 
 Every component reports into :attr:`Session.registry` — the per-file
 server counters and page caches through the file system's registry
-reference, the per-rank collective counters / topology / fault
+reference, the per-rank collective counters / network tiers / fault
 counters through ``Simulator.shared`` (the session pre-installs its
 registry there under :data:`~repro.obs.metrics.METRICS_KEY`).
 """
@@ -309,12 +309,6 @@ class Session:
         return self.registry
 
     @property
-    def fault_stats(self):
-        """The installed injector's :class:`~repro.faults.FaultStats`,
-        or ``None`` when the session has no fault plan or has not run."""
-        return None if self._injector is None else self._injector.stats
-
-    @property
     def makespan(self) -> float:
         """Virtual seconds from post-open barrier to slowest close of
         the most recent :meth:`run` (0.0 before any run)."""
@@ -367,8 +361,8 @@ class Session:
         return doc
 
     def summary(self) -> str:
-        """Human-readable digest: makespan, metrics, retry-budget
-        headroom, per-OST breaker states, fault table."""
+        """Human-readable digest: makespan, metrics (the ``faults.*``
+        rows among them), retry-budget headroom, per-OST breaker states."""
         lines = [
             f"session {self.path!r}: nprocs={self.nprocs}, "
             f"makespan={self.makespan * 1e3:.3f} ms"
@@ -394,11 +388,6 @@ class Session:
                     f"  ost {ost:<4} {names[br.state]:<9} "
                     f"failures={br.failures}"
                 )
-        if self.fault_stats is not None:
-            lines.append("")
-            lines.append("faults:")
-            for name, value in self.fault_stats.rows():
-                lines.append(f"  {name:<26} {value}")
         return "\n".join(lines)
 
     # -- context manager -----------------------------------------------------

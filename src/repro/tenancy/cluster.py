@@ -220,8 +220,7 @@ class Cluster:
         self.storage_plan = Session._resolve_plan(storage_faults)
         storage_injector = None
         if self.storage_plan is not None:
-            storage_injector = FaultInjector(self.storage_plan)
-            storage_injector.stats.rebind(self.registry)
+            storage_injector = FaultInjector(self.storage_plan, self.registry)
         self.storage_faults = storage_injector
         self.fs = SimFileSystem(
             cost,
@@ -343,8 +342,7 @@ class Cluster:
             overlay[METRICS_KEY] = self.registry.view(prefix=f"tenant.{spec.name}.")
             injector = None
             if spec.plan is not None:
-                injector = FaultInjector(spec.plan)
-                injector.stats.rebind(overlay[METRICS_KEY])
+                injector = FaultInjector(spec.plan, overlay[METRICS_KEY])
                 overlay[FAULTS_KEY] = injector
                 have_faults = True
             for local, world in enumerate(spec.members):

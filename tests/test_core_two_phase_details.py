@@ -133,7 +133,7 @@ class TestCostCounters:
         # Flatten pass + partition pass: at least 2*M pair charges.
         assert all(r["coll.client.pairs"] >= 32 for r in results)
 
-    def test_bytes_exchanged_matches_data(self):
+    def test_exchange_bytes_match_data(self):
         def body(ctx, comm, f):
             f.set_view(disp=comm.rank * 16, filetype=resized(contiguous(16, BYTE), 0, 32))
             f.write_all(np.zeros(64, dtype=np.uint8))

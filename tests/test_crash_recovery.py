@@ -237,9 +237,8 @@ def test_survivors_complete_all_sites(baseline_image):
         got = np.asarray(s.fs.raw_bytes(PATH, 0, baseline_image.size))
         mask = ~_rank_mask(NPROCS, REGION, COUNT, 1)
         assert np.array_equal(got[mask], baseline_image[mask]), site
-        rows = dict(s.fault_stats.rows())
-        assert rows["rank_crashes"] == "1"
-        assert rows["crash_agreements"] == "1"
+        assert s.registry.value("faults.crashes") == 1
+        assert s.registry.value("faults.crash.agreements") == 1
 
 
 def test_crashed_rank_result_is_none():
@@ -267,7 +266,7 @@ def test_quorum_loss_raises_typed_abort():
         s.run(_make_body(REGION, COUNT))
     assert exc.value.alive == 1 and exc.value.quorum == 2
     assert exc.value.dead == (1, 2, 3)
-    assert dict(s.fault_stats.rows())["collectives_aborted"] == "1"
+    assert s.registry.value("faults.crash.aborted") == 1
 
 
 def test_suppressed_faults_counted_when_target_already_dead():
@@ -278,9 +277,8 @@ def test_suppressed_faults_counted_when_target_already_dead():
             .rank_crash(1, call_index=0, round_index=3)
         )
         s = _run(NPROCS, REGION, COUNT, impl, exchange, faults=plan)
-        rows = dict(s.fault_stats.rows())
-        assert rows["rank_crashes"] == "1", impl
-        assert rows["suppressed"] == "1", impl
+        assert s.registry.value("faults.crashes") == 1, impl
+        assert s.registry.value("faults.suppressed") == 1, impl
 
 
 def test_rank_crashed_is_base_exception():
@@ -307,10 +305,9 @@ def test_rejoin_resumes_byte_identical(baseline_image):
     assert out["rewritten"] + out["skipped"] == REGION * COUNT
     got = np.asarray(s.fs.raw_bytes(PATH, 0, baseline_image.size))
     assert np.array_equal(got, baseline_image)
-    rows = dict(s.fault_stats.rows())
-    assert rows["rejoins"] == "1"
-    assert int(rows["resume_rewritten_bytes"]) == out["rewritten"]
-    assert int(rows["resume_skipped_bytes"]) == out["skipped"]
+    assert s.registry.value("faults.crash.rejoins") == 1
+    assert s.registry.value("faults.crash.resume_rewritten_bytes") == out["rewritten"]
+    assert s.registry.value("faults.crash.resume_skipped_bytes") == out["skipped"]
 
 
 def test_rejoin_fsck_clean(baseline_image):

@@ -233,8 +233,8 @@ class TestTransientIOResilience:
         for seed in range(4):
             contents, _, inj = run_workload(FaultPlan(seed=seed).transient_io(rate=0.15))
             assert np.array_equal(contents, baseline[0]), f"seed {seed}"
-            assert inj.stats.retries_exhausted == 0
-            total_faults += inj.stats.io_faults
+            assert inj.registry.value("faults.retries_exhausted") == 0
+            total_faults += inj.registry.value("faults.io")
         # At least one seed must actually have injected something for
         # this test to mean anything.
         assert total_faults > 0
@@ -249,8 +249,8 @@ class TestTransientIOResilience:
         hints = HINTS.replace(io_retries=32, io_retry_backoff=2e-3)
         contents, times, inj = run_workload(plan, hints=hints)
         assert np.array_equal(contents, baseline[0])
-        assert inj.stats.io_faults > 0
-        assert inj.stats.retries > 0
+        assert inj.registry.value("faults.io") > 0
+        assert inj.registry.value("faults.retries") > 0
         # Completion cannot precede the outage's end.
         assert max(times) >= end
         assert max(times) > max(baseline[1])
@@ -282,8 +282,8 @@ class TestAggregatorFailover:
     def test_crash_mid_write_preserves_contents(self, baseline):
         plan = FaultPlan(seed=7).agg_crash(rank=0, round_index=1)
         contents, _, inj = run_workload(plan)
-        assert inj.stats.failovers == 1
-        assert inj.stats.realm_bytes_rebalanced > 0
+        assert inj.registry.value("faults.failovers") == 1
+        assert inj.registry.value("faults.realm_bytes_rebalanced") > 0
         assert np.array_equal(contents, baseline[0])
 
     @pytest.mark.parametrize("boundary", [0, 1, 2, 3])
@@ -297,21 +297,21 @@ class TestAggregatorFailover:
         # ranks 0 and 2.
         plan = FaultPlan(seed=1).agg_crash(rank=2, round_index=2)
         contents, _, inj = run_workload(plan)
-        assert inj.stats.failovers == 1
+        assert inj.registry.value("faults.failovers") == 1
         assert np.array_equal(contents, baseline[0])
 
     def test_crash_persists_into_later_calls(self):
         base, _, _ = run_workload(ncalls=2)
         plan = FaultPlan(seed=7).agg_crash(rank=0, round_index=1)
         contents, _, inj = run_workload(plan, ncalls=2)
-        assert inj.stats.failovers == 1  # call 1 excludes the corpse up front
+        assert inj.registry.value("faults.failovers") == 1  # call 1 excludes the corpse up front
         assert np.array_equal(contents, base)
 
     def test_crash_during_read_path(self):
         plan = FaultPlan(seed=7).agg_crash(rank=0, call_index=1, round_index=1)
         # read_back asserts each rank got its own bytes back.
         _, _, inj = run_workload(plan, read_back=True)
-        assert inj.stats.failovers == 1
+        assert inj.registry.value("faults.failovers") == 1
 
     def test_failover_disabled_raises_aggregator_lost(self):
         plan = FaultPlan(seed=7).agg_crash(rank=0, round_index=1)
@@ -332,7 +332,7 @@ class TestAggregatorFailover:
     def test_crash_of_non_aggregator_is_noop(self, baseline):
         plan = FaultPlan(seed=7).agg_crash(rank=1, round_index=1)  # not an agg
         contents, times, inj = run_workload(plan)
-        assert inj.stats.failovers == 0
+        assert inj.registry.value("faults.failovers") == 0
         assert np.array_equal(contents, baseline[0])
         assert times == baseline[1]
 
@@ -340,18 +340,18 @@ class TestAggregatorFailover:
 class TestPerformanceFaults:
     def test_straggler_stretches_makespan(self, baseline):
         _, times, inj = run_workload(FaultPlan(seed=1).straggler(factor=8.0, ranks=[1]))
-        assert inj.stats.straggler_extra_seconds > 0
+        assert inj.registry.value("faults.straggler.extra_seconds") > 0
         assert max(times) > max(baseline[1])
 
     def test_slow_disk_stretches_makespan(self, baseline):
         contents, times, inj = run_workload(FaultPlan(seed=1).slow_disk(factor=4.0))
-        assert inj.stats.disk_slowdowns > 0
+        assert inj.registry.value("faults.disk.slowdowns") > 0
         assert max(times) > max(baseline[1])
         assert np.array_equal(contents, baseline[0])
 
     def test_lock_storm_charges_extra_rpcs(self, baseline):
         contents, times, inj = run_workload(FaultPlan(seed=1).lock_storm(rate=1.0, extra_rpcs=3))
-        assert inj.stats.lock_storm_rpcs > 0
+        assert inj.registry.value("faults.lock.storm_rpcs") > 0
         assert max(times) > max(baseline[1])
         assert np.array_equal(contents, baseline[0])
 
@@ -360,8 +360,8 @@ class TestPerformanceFaults:
             rate=0.2, timeout=3e-3
         )
         contents, times, inj = run_workload(plan)
-        assert inj.stats.messages_delayed > 0
-        assert inj.stats.messages_dropped > 0
+        assert inj.registry.value("faults.net.delayed") > 0
+        assert inj.registry.value("faults.net.dropped") > 0
         assert max(times) > max(baseline[1])
         assert np.array_equal(contents, baseline[0])
 
@@ -384,7 +384,7 @@ class TestChaosHarness:
     def test_agg_crash_sweep_rebalances(self):
         report = ChaosHarness("agg-crash:1").sweep(rate_scales=(1.0,))
         assert report.all_verified
-        assert report.points[0].fault_stats["failovers"] == 1
+        assert report.points[0].counters["faults.failovers"] == 1
 
     def test_custom_plan_accepted(self):
         harness = ChaosHarness(FaultPlan(seed=2).straggler(factor=4.0, ranks=[0]))
@@ -401,7 +401,26 @@ class TestCLIFaults:
         out = capsys.readouterr().out
         assert "all combinations verified" in out
         assert "fault/retry summary" in out
-        assert "io_faults" in out
+        # A fault smoke that injects nothing checks nothing.
+        (row,) = [line.split() for line in out.splitlines() if line.split()[:1] == ["faults.io"]]
+        assert int(row[1]) > 0
+
+    def test_selfcheck_fails_on_a_plan_that_injected_nothing(self, capsys):
+        import repro.__main__ as cli
+
+        # Pipelined flushes consume the per-rank draws in another
+        # order; under this seed none of them hits.
+        assert cli.main(["selfcheck", "--pipeline", "2", "--faults", "transient-io:42"]) == 1
+        out = capsys.readouterr().out
+        assert "selfcheck: fault plan 'transient-io:42' injected nothing (try another seed)" in out
+
+    def test_selfcheck_reports_a_detected_flip_without_a_traceback(self, capsys):
+        import repro.__main__ as cli
+
+        assert cli.main(["selfcheck", "--integrity", "--faults", "bit-flip:42"]) == 1
+        out = capsys.readouterr().out
+        assert "DETECTED (checksum mismatch on page" in out
+        assert "combinations FAILED" in out
 
     def test_chaos_command(self, capsys):
         import repro.__main__ as cli

@@ -143,7 +143,7 @@ class TestTimeAccounting:
                 return ctx.now - t0
 
             results, fs, _ = run_fs(1, body)
-            return results[0], fs.stats("/a").rmw_pages
+            return results[0], fs.metrics("/a").value("fs.rmw.pages")
 
         t_aligned, rmw_aligned = main(0)
         t_unaligned, rmw_unaligned = main(3)
@@ -157,11 +157,10 @@ class TestWritebackCache:
         def main(ctx, client, fs):
             f = client.open("/a", cache_mode="incoherent")
             f.write(0, np.arange(64, dtype=np.uint8))  # full page: no fetch
-            stats = fs.stats("/a").snapshot()
-            assert stats["server_writes"] == 0
+            assert fs.metrics("/a").value("fs.server.writes") == 0
             n = f.sync()
             assert n == 1
-            assert fs.stats("/a").server_writes == 1
+            assert fs.metrics("/a").value("fs.server.writes") == 1
             return True
 
         results, _, _ = run_fs(1, main)
@@ -175,7 +174,7 @@ class TestWritebackCache:
             fs.raw_write("/a", 0, np.full(64, 9, dtype=np.uint8))
             f = client.open("/a", cache_mode="incoherent")
             f.write(4, np.zeros(8, dtype=np.uint8))
-            assert fs.stats("/a").server_reads == 0  # no read-for-ownership
+            assert fs.metrics("/a").value("fs.server.reads") == 0  # no read-for-ownership
             f.sync()
             return fs.raw_bytes("/a", 0, 16).tolist()
 
@@ -192,7 +191,7 @@ class TestWritebackCache:
             f = client.open("/a", cache_mode="incoherent")
             f.write(4, np.zeros(8, dtype=np.uint8))
             out = f.read(0, 16)  # needs server bytes around the write
-            assert fs.stats("/a").server_reads == 1
+            assert fs.metrics("/a").value("fs.server.reads") == 1
             return out.tolist()
 
         results, _, _ = run_fs(1, main)
@@ -203,7 +202,7 @@ class TestWritebackCache:
             f = client.open("/a", cache_mode="incoherent")
             f.write(4, np.arange(8, dtype=np.uint8))
             out = f.read(4, 8)  # exactly the bytes we wrote
-            assert fs.stats("/a").server_reads == 0
+            assert fs.metrics("/a").value("fs.server.reads") == 0
             return out.tolist()
 
         results, _, _ = run_fs(1, main)
@@ -213,9 +212,9 @@ class TestWritebackCache:
         def main(ctx, client, fs):
             f = client.open("/a", cache_mode="incoherent")
             f.write(0, np.arange(64, dtype=np.uint8))
-            reads_before = fs.stats("/a").server_reads
+            reads_before = fs.metrics("/a").value("fs.server.reads")
             out = f.read(0, 64)
-            assert fs.stats("/a").server_reads == reads_before
+            assert fs.metrics("/a").value("fs.server.reads") == reads_before
             return out.tolist()
 
         results, _, _ = run_fs(1, main)
@@ -227,7 +226,7 @@ class TestWritebackCache:
             for i in range(4):
                 f.write(i * 64, np.full(64, i, dtype=np.uint8))
             assert f.cache.cached_pages <= 2
-            assert fs.stats("/a").server_writes >= 1
+            assert fs.metrics("/a").value("fs.server.writes") >= 1
             f.close()
             return fs.raw_bytes("/a", 0, 256).tolist()
 
@@ -314,7 +313,7 @@ class TestWritebackCache:
             return True
 
         results, fs, _ = run_fs(2, main)
-        assert fs.stats("/a").lock_revocations > 0
+        assert fs.metrics("/a").value("lock.revocations") > 0
 
     def test_aligned_clients_no_revocations(self):
         def main(ctx, client, fs):
@@ -326,4 +325,4 @@ class TestWritebackCache:
             return True
 
         results, fs, _ = run_fs(2, main, lock_granularity=256)
-        assert fs.stats("/a").lock_revocations == 0
+        assert fs.metrics("/a").value("lock.revocations") == 0

@@ -135,7 +135,7 @@ class TestCacheEviction:
                 f.read(i * 64, 64)                          # clean pages
             # Dirty page survives; nothing was flushed.
             assert f.cache.dirty_pages == 1
-            assert fs.stats("/a").server_writes == 0
+            assert fs.metrics("/a").value("fs.server.writes") == 0
             return True
 
         ok, _ = run_one(main)
@@ -147,7 +147,7 @@ class TestCacheEviction:
             for i in range(16):
                 f.write(i * 64, np.full(64, i, dtype=np.uint8))
             # Eviction flushed in batches, not page by page.
-            assert fs.stats("/a").server_writes <= 4
+            assert fs.metrics("/a").value("fs.server.writes") <= 4
             f.close()
             return fs.raw_bytes("/a", 0, 16 * 64)
 
@@ -175,8 +175,8 @@ class TestMultiFileIsolation:
             a.write(0, np.full(64, 1, dtype=np.uint8))
             b.write(0, np.full(64, 2, dtype=np.uint8))
             a.sync()
-            assert fs.stats("/a").server_writes == 1
-            assert fs.stats("/b").server_writes == 0
+            assert fs.metrics("/a").value("fs.server.writes") == 1
+            assert fs.metrics("/b").value("fs.server.writes") == 0
             b.sync()
             return (fs.raw_bytes("/a", 0, 1)[0], fs.raw_bytes("/b", 0, 1)[0])
 
@@ -189,8 +189,8 @@ class TestMultiFileIsolation:
             b = client.open("/b", cache_mode="off")
             a.write(0, np.zeros(64, dtype=np.uint8))
             b.write(0, np.zeros(64, dtype=np.uint8))
-            assert fs.stats("/a").lock_rpcs == 1
-            assert fs.stats("/b").lock_rpcs == 1
+            assert fs.metrics("/a").value("lock.rpcs") == 1
+            assert fs.metrics("/b").value("lock.rpcs") == 1
             return True
 
         ok, _ = run_one(main)

@@ -36,6 +36,7 @@ from repro.fs.store import PageStore
 from repro.integrity import FsckReport, fsck, scrub_store
 from repro.io.retry import RetryPolicy
 from repro.mpi import Communicator, Hints
+from repro.obs.metrics import METRICS_KEY, MetricsRegistry
 from repro.sim import Simulator
 
 COST = CostModel(page_size=64, stripe_size=256, num_osts=2)
@@ -57,13 +58,15 @@ def oracle(ncalls: int = 1) -> np.ndarray:
     return out
 
 
-def run_workload(plan=None, hints=HINTS, ncalls=1, read_back=False, fs=None):
+def run_workload(plan=None, hints=HINTS, ncalls=1, read_back=False, fs=None, registry=None):
     """The canonical tiled collective write (optionally + read back);
     returns (fs, read-back results per rank, injector).
 
     ``ncalls=0`` makes it a read-only run.  Close happens only on
     success — closing a handle whose collective just died would hang
-    the run in a mismatched barrier, exactly as real MPI would."""
+    the run in a mismatched barrier, exactly as real MPI would.
+    ``registry`` becomes the run's shared metrics registry, so a run
+    that raises can still be read."""
     if fs is None:
         fs = SimFileSystem(COST)
 
@@ -86,6 +89,8 @@ def run_workload(plan=None, hints=HINTS, ncalls=1, read_back=False, fs=None):
         return out
 
     sim = Simulator(NPROCS)
+    if registry is not None:
+        sim.shared[METRICS_KEY] = registry
     injector = plan.install(sim) if plan is not None else None
     results = sim.run(main)
     return fs, results, injector
@@ -285,23 +290,28 @@ class TestEndToEndDetection:
         fs, _, injector = run_workload(
             plan=FaultPlan(seed=5).page_bitflip(rate=1.0), hints=hints
         )
-        assert injector.stats.page_bits_flipped > 0
+        assert injector.registry.value("faults.page.bits_flipped") > 0
         bad = fs.page_store(PATH).verify_all()
         assert bad  # the scrub sees the damage offline...
         # A read-only run must die loudly (a fresh *write* would re-stamp
         # the sidecars and launder the damage — hence ncalls=0).
+        reg = MetricsRegistry()
         with pytest.raises(RankFailed) as info:
-            run_workload(hints=hints, ncalls=0, read_back=True, fs=fs)
+            run_workload(
+                plan=FaultPlan(seed=5), hints=hints, ncalls=0, read_back=True,
+                fs=fs, registry=reg,
+            )
         hits = [e for e in chain(info.value) if isinstance(e, IntegrityError)]
         assert hits
         assert hits[0].page_index in bad
         assert hits[0].path == PATH
+        assert reg.value("faults.page.corruptions_detected") > 0
 
     def test_page_corruption_is_silent_without_the_hint(self):
         fs, _, injector = run_workload(
             plan=FaultPlan(seed=5).page_bitflip(rate=1.0)
         )
-        assert injector.stats.page_bits_flipped > 0
+        assert injector.registry.value("faults.page.bits_flipped") > 0
         got = fs.raw_bytes(PATH, 0, SIZE)
         assert not np.array_equal(got, oracle())  # the silent wrong answer
         assert fs.page_store(PATH).verify_all() == []  # nothing to catch it
@@ -313,10 +323,10 @@ class TestEndToEndDetection:
             hints=hints,
             read_back=True,
         )
-        stats = injector.stats
-        assert stats.net_bits_flipped > 0
-        assert stats.net_corruptions_detected > 0
-        assert stats.net_redeliveries > 0
+        faults = injector.registry
+        assert faults.value("faults.net.bits_flipped") > 0
+        assert faults.value("faults.net.corruptions_detected") > 0
+        assert faults.value("faults.net.redeliveries") > 0
         # Every frame was healed in flight: contents are byte-perfect.
         assert np.array_equal(fs.raw_bytes(PATH, 0, SIZE), oracle())
         for rank, out in enumerate(results):
@@ -328,8 +338,8 @@ class TestEndToEndDetection:
         fs, _, injector = run_workload(
             plan=FaultPlan(seed=3).net_bitflip(rate=0.3)
         )
-        assert injector.stats.net_bits_flipped > 0
-        assert injector.stats.net_corruptions_detected == 0
+        assert injector.registry.value("faults.net.bits_flipped") > 0
+        assert injector.registry.value("faults.net.corruptions_detected") == 0
         assert not np.array_equal(fs.raw_bytes(PATH, 0, SIZE), oracle())
 
     def test_persistent_net_corruption_exhausts_rerequests(self):
@@ -370,10 +380,10 @@ class TestJournal:
     def test_commit_publishes_and_counts(self):
         fs, results, _ = run_workload(hints=self.JHINTS, read_back=True)
         assert np.array_equal(fs.raw_bytes(PATH, 0, SIZE), oracle())
-        stats = fs.stats(PATH)
-        assert stats.journal_commits == 1
-        assert stats.journal_writes > 0
-        assert stats.journal_pages_committed > 0
+        journal = fs.metrics(PATH)
+        assert journal.value("journal.commits") == 1
+        assert journal.value("journal.writes") > 0
+        assert journal.value("journal.pages_committed") > 0
         assert not fs.txn_active(PATH)
         for rank, out in enumerate(results):
             assert np.array_equal(
@@ -386,14 +396,14 @@ class TestJournal:
         hints = self.JHINTS.replace(io_method="datasieve")
         fs, _, _ = run_workload(hints=hints, ncalls=2)
         assert np.array_equal(fs.raw_bytes(PATH, 0, SIZE), oracle(ncalls=2))
-        assert fs.stats(PATH).journal_commits == 2
+        assert fs.metrics(PATH).value("journal.commits") == 2
 
     def test_journal_composes_with_page_integrity(self):
         hints = self.JHINTS.replace(integrity_pages=True)
         fs, _, _ = run_workload(hints=hints)
         assert np.array_equal(fs.raw_bytes(PATH, 0, SIZE), oracle())
         assert fs.page_store(PATH).verify_all() == []
-        assert fs.stats(PATH).journal_commits == 1
+        assert fs.metrics(PATH).value("journal.commits") == 1
 
     def test_crash_mid_collective_preserves_preimage(self):
         # Call 0 commits; call 1 dies at a phase boundary with failover
@@ -407,7 +417,7 @@ class TestJournal:
             run_workload(plan=plan, hints=hints, ncalls=2, fs=fs)
         assert np.array_equal(fs.raw_bytes(PATH, 0, SIZE), pre)
         assert fs.txn_active(PATH)  # the orphaned journal survives...
-        assert fs.stats(PATH).journal_commits == 1  # ...uncommitted
+        assert fs.metrics(PATH).value("journal.commits") == 1  # ...uncommitted
 
     def test_stale_journal_is_discarded_not_committed(self):
         # Crash the *second* call (txid 1), then run a fresh workload
@@ -419,17 +429,17 @@ class TestJournal:
         with pytest.raises(RankFailed):
             run_workload(plan=plan, hints=hints, ncalls=2, fs=fs)
         assert fs.txn_active(PATH)
-        aborts_before = fs.stats(PATH).journal_aborts
+        aborts_before = fs.metrics(PATH).value("journal.aborts")
         fs2, _, _ = run_workload(hints=self.JHINTS, fs=fs)
-        assert fs2.stats(PATH).journal_aborts == aborts_before + 1
+        assert fs2.metrics(PATH).value("journal.aborts") == aborts_before + 1
         assert np.array_equal(fs2.raw_bytes(PATH, 0, SIZE), oracle())
 
     def test_crash_with_failover_still_commits(self):
         plan = FaultPlan(seed=2).agg_crash(rank=0, call_index=0, round_index=1)
         fs, _, injector = run_workload(plan=plan, hints=self.JHINTS)
-        assert injector.stats.agg_crashes == 1
+        assert injector.registry.value("faults.agg.crashes") == 1
         assert np.array_equal(fs.raw_bytes(PATH, 0, SIZE), oracle())
-        assert fs.stats(PATH).journal_commits == 1
+        assert fs.metrics(PATH).value("journal.commits") == 1
         assert not fs.txn_active(PATH)
 
 
@@ -554,8 +564,8 @@ class TestChaosAcceptance:
         report = ChaosHarness("bit-flip:42", integrity=True).sweep()
         assert report.all_verified
         flips = sum(
-            p.fault_stats.get("page_bits_flipped", 0)
-            + p.fault_stats.get("net_bits_flipped", 0)
+            p.counters.get("faults.page.bits_flipped", 0)
+            + p.counters.get("faults.net.bits_flipped", 0)
             for p in report.points
         )
         assert flips > 0  # the sweep actually injected corruption

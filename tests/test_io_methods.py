@@ -15,6 +15,7 @@ from repro.fs import FSClient, SimFileSystem
 from repro.io import AdioFile, choose_method
 from repro.io.selection import is_contiguous_batch
 from repro.mpi.hints import Hints
+from repro.obs.session import Session
 from repro.sim import Simulator
 
 TEST_COST = CostModel(page_size=64, stripe_size=256, num_osts=2)
@@ -169,7 +170,7 @@ class TestCostShape:
     def test_datasieve_fewer_calls_than_naive(self):
         _, fs_ds = self._time_write("datasieve", 16, 48, 32)
         _, fs_nv = self._time_write("naive", 16, 48, 32)
-        assert fs_ds.stats("/f").server_writes < fs_nv.stats("/f").server_writes
+        assert fs_ds.metrics("/f").value("fs.server.writes") < fs_nv.metrics("/f").value("fs.server.writes")
 
     def test_small_extent_datasieve_wins(self):
         # Dense small regions: per-call overhead dominates naive.
@@ -185,13 +186,36 @@ class TestCostShape:
 
     def test_listio_single_client_call_many_server_frags(self):
         _, fs = self._time_write("listio", 16, 48, 32)
-        assert fs.stats("/f").server_writes == 1
+        assert fs.metrics("/f").value("fs.server.writes") == 1
 
     def test_datasieve_windows_bound_rmw_span(self):
         t_small, _ = self._time_write("datasieve", 16, 112, 64, ds_buffer=256)
         t_big, _ = self._time_write("datasieve", 16, 112, 64, ds_buffer=1 << 20)
         # Both work; windowing changes cost but not correctness.
         assert t_small > 0 and t_big > 0
+
+    def test_ds_buffer_size_hint_sets_the_sieve_windows_of_a_collective_write(self):
+        """The hint reaches the flush through a file: a larger sieving
+        window pre-reads the same holes in fewer server calls (64 B
+        regions at a 512 B stride, 2 aggregators) and lands the same
+        bytes."""
+        nprocs, region, count = 4, 64, 4096
+
+        def body(ctx, comm, f):
+            f.set_view(
+                disp=comm.rank * region,
+                filetype=resized(contiguous(region, BYTE), 0, 2 * region * nprocs),
+            )
+            f.write_all(np.full(region * count, comm.rank + 1, dtype=np.uint8))
+
+        reads, images = [], []
+        for window in (64 << 10, 512 << 10, 4 << 20):
+            s = Session("/ds", nprocs=nprocs, hints={"cb_nodes": 2, "ds_buffer_size": window})
+            s.run(body)
+            reads.append(s.registry.value("fs.server.reads", "/ds"))
+            images.append(s.fs.raw_bytes("/ds", 0, s.fs.file_size("/ds")).tobytes())
+        assert reads[0] > reads[1] > reads[2] > 0
+        assert images[0] == images[1] == images[2]
 
 
 class TestChooseMethod:

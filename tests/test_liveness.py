@@ -267,8 +267,8 @@ class TestSuspectFailover:
         hints = LIVE_HINTS.replace(exchange=exchange)
         contents, times, injector, sim = run_workload(stall_plan(), hints=hints)
         assert np.array_equal(contents, baseline[0])
-        assert injector.stats.suspects_declared == 1
-        assert injector.stats.rank_stalls == 1
+        assert injector.registry.value("faults.suspects_declared") == 1
+        assert injector.registry.value("faults.stalls") == 1
         assert find_liveness(sim.shared).suspects == {0}
 
     def test_stalled_client_failed_over_on_read(self, baseline):
@@ -279,13 +279,13 @@ class TestSuspectFailover:
             plan, hints=LIVE_HINTS, read_back=True
         )
         assert np.array_equal(contents, baseline[0])
-        assert injector.stats.suspects_declared == 1
+        assert injector.registry.value("faults.suspects_declared") == 1
 
     def test_stall_without_liveness_just_slows_down(self, baseline):
         contents, times, injector, sim = run_workload(stall_plan())
         assert np.array_equal(contents, baseline[0])
-        assert injector.stats.suspects_declared == 0
-        assert injector.stats.stall_seconds == pytest.approx(5e-2)
+        assert injector.registry.value("faults.suspects_declared") == 0
+        assert injector.registry.value("faults.stall_seconds") == pytest.approx(5e-2)
         assert max(times) > max(baseline[1])
         assert find_liveness(sim.shared) is None
 
@@ -307,7 +307,7 @@ class TestSuspectFailover:
             plan, hints=HINTS.replace(exchange=exchange)
         )
         assert np.array_equal(contents, baseline[0])
-        assert injector.stats.straggler_events > 0
+        assert injector.registry.value("faults.straggler.events") > 0
 
 
 class TestLockLiveness:
@@ -338,7 +338,7 @@ class TestLockLiveness:
         injector = FaultPlan(seed=4).lock_hold(rate=1.0, hold=5e-2).install(sim)
         install_liveness(sim.shared, LivenessState(LivenessConfig(lock_lease=2e-2)))
         times = sim.run(main)
-        assert injector.stats.lock_lease_reclaims >= 1
+        assert injector.registry.value("faults.lock.lease_reclaims") >= 1
         # Woke at t_pinned + lease, well before the 5e-2 pin expiry.
         assert 2e-2 <= times[1] < 5e-2
 
@@ -358,7 +358,7 @@ class TestLockLiveness:
         sim = Simulator(2)
         injector = FaultPlan(seed=4).lock_hold(rate=1.0, hold=5e-2).install(sim)
         times = sim.run(main)
-        assert injector.stats.lock_lease_reclaims == 0
+        assert injector.registry.value("faults.lock.lease_reclaims") == 0
         assert times[1] >= 5e-2
 
     def test_late_unlock_wakes_waiter_before_lease(self):
@@ -383,7 +383,7 @@ class TestLockLiveness:
         injector = FaultPlan(seed=4).lock_hold(rate=1.0, hold=5e-2).install(sim)
         install_liveness(sim.shared, LivenessState(LivenessConfig(lock_lease=2e-2)))
         times = sim.run(main)
-        assert injector.stats.lock_lease_reclaims == 0
+        assert injector.registry.value("faults.lock.lease_reclaims") == 0
         assert 1e-2 <= times[1] < 2e-2
 
     def test_deadlock_cycle_broken_and_retried(self):
@@ -411,8 +411,8 @@ class TestLockLiveness:
         injector = FaultPlan(seed=4).lock_hold(rate=1.0, hold=0.2).install(sim)
         install_liveness(sim.shared, LivenessState(LivenessConfig(lock_lease=2e-2)))
         times = sim.run(main)
-        assert injector.stats.lock_deadlocks >= 1
-        assert injector.stats.retries >= 1
+        assert injector.registry.value("faults.lock.deadlocks") >= 1
+        assert injector.registry.value("faults.retries") >= 1
         # Bounded: lease reclaim caps the post-deadlock wait, nobody
         # waits for the full 0.2s pin.
         assert max(times) < 0.1
@@ -461,7 +461,7 @@ class TestBalancedRealms:
                 f.seek(0)
                 f.write_all(buf)
                 if comm.rank == 0:
-                    realms.append(list(f._stats.last_realm_bytes))
+                    realms.append(list(f.pfr.last_realm_bytes))
             f.close()
 
         sim = Simulator(nprocs)
@@ -501,8 +501,8 @@ class TestChaosLiveness:
     def test_liveness_run_beats_waiting(self):
         live = ChaosHarness("stall:42", liveness=True)
         wait = ChaosHarness("stall:42")
-        live_s, ok_live, _, _, _ = live.run_once(live.plan.scaled(1.0))
-        wait_s, ok_wait, _, _, _ = wait.run_once(wait.plan.scaled(1.0))
+        live_s, ok_live, _, _ = live.run_once(live.plan.scaled(1.0))
+        wait_s, ok_wait, _, _ = wait.run_once(wait.plan.scaled(1.0))
         assert ok_live and ok_wait
         assert live_s < wait_s
 
@@ -517,22 +517,27 @@ class TestFaultStatsLiveness:
         inj.note_deadline_exceeded()
         inj.note_lock_reclaim(3)
         inj.note_lock_deadlock()
-        s = inj.stats.snapshot()
-        assert s["straggler_events"] == 2
-        assert s["straggler_extra_seconds"] == pytest.approx(0.75)
-        assert s["rank_stalls"] == 1
-        assert s["stall_seconds"] == pytest.approx(0.05)
-        assert s["suspects_declared"] == 1
-        assert s["deadlines_exceeded"] == 1
-        assert s["lock_lease_reclaims"] == 3
-        assert s["lock_deadlocks"] == 1
+        s = inj.registry.snapshot()
+        assert s["faults.straggler.events"] == 2
+        assert s["faults.straggler.extra_seconds"] == pytest.approx(0.75)
+        assert s["faults.stalls"] == 1
+        assert s["faults.stall_seconds"] == pytest.approx(0.05)
+        assert s["faults.suspects_declared"] == 1
+        assert s["faults.deadlines_exceeded"] == 1
+        assert s["faults.lock.lease_reclaims"] == 3
+        assert s["faults.lock.deadlocks"] == 1
+        # The umbrella counts injected events only (a reclaim of three
+        # granules is three), never detections or recoveries.
+        assert s["faults.injected"] == 2 + 1 + 3
 
     def test_snapshot_has_liveness_keys(self):
-        keys = set(FaultInjector(FaultPlan()).stats.snapshot())
+        # Interned at construction: a fault table shows its zero rows.
+        keys = set(FaultInjector(FaultPlan()).registry.snapshot())
         assert {
-            "rank_stalls", "stall_seconds", "lock_holds", "lock_hold_seconds",
-            "lock_lease_reclaims", "lock_deadlocks", "suspects_declared",
-            "deadlines_exceeded",
+            "faults.stalls", "faults.stall_seconds", "faults.lock.holds",
+            "faults.lock.hold_seconds", "faults.lock.lease_reclaims",
+            "faults.lock.deadlocks", "faults.suspects_declared",
+            "faults.deadlines_exceeded",
         } <= keys
 
 

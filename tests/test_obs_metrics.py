@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import registry_golden
+import test_engine_schedule
 from repro import BYTE, MetricsRegistry, Session, contiguous, resized
+from repro.faults import FAULT_COUNTERS
 from repro.obs.metrics import Counter, Gauge, Histogram, METRICS_KEY, metrics_registry
 
 
@@ -208,3 +215,60 @@ class TestSharedInterning:
 
         regs = session.run(body)
         assert all(r is session.registry for r in regs)
+
+
+class TestGoldenCounts:
+    """Every count of the chaos sweeps, as recorded on the commit before
+    the legacy stat façades were retired (``tests/registry_golden.py``)."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(registry_golden.GOLDEN.read_text())
+
+    @pytest.mark.parametrize("scenario", registry_golden.SCENARIOS)
+    def test_sweep_counts_match_parent_capture(self, golden, scenario):
+        got = json.loads(json.dumps(registry_golden.run_sweep(scenario)))
+        want = golden[scenario]
+        assert len(got) == len(want)
+        for got_point, want_point in zip(got, want):
+            changed = {
+                k: (got_point.get(k), want_point.get(k))
+                for k in got_point.keys() | want_point.keys()
+                if got_point.get(k) != want_point.get(k)
+            }
+            assert not changed
+
+
+def _catalogue_patterns():
+    """One regex per backticked name in the first column of the
+    catalogue tables of docs/observability.md (``<…>`` is a wildcard)."""
+    text = (Path(__file__).resolve().parents[1] / "docs" / "observability.md").read_text()
+    section = text.split("### Instrument catalogue", 1)[1].split("\n## ", 1)[0]
+    patterns = []
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            for name in re.findall(r"`([^`]+)`", line.split("|")[1]):
+                parts = re.split(r"<[^>]*>", name)
+                patterns.append(re.compile(".+".join(map(re.escape, parts))))
+    return patterns
+
+
+def test_every_metric_name_is_catalogued():
+    """Every series name the pinned runs produce — the schedule cells'
+    registries, zero-valued series included, and the chaos sweeps'
+    golden snapshots — matches a row of the documented catalogue, and
+    every declared fault counter has its own row."""
+    patterns = _catalogue_patterns()
+    assert len(patterns) > 100
+    seen = set()
+    for cell in test_engine_schedule.CELLS.values():
+        seen.update(cell()[2].names())
+    for points in json.loads(registry_golden.GOLDEN.read_text()).values():
+        for point in points:
+            seen.update(label.partition("[")[0] for label in point)
+    seen = {re.sub(r"^tenant\.[^.]+\.", "", name) for name in seen}
+    assert len(seen) > 80
+    unlisted = sorted(n for n in seen if not any(p.fullmatch(n) for p in patterns))
+    assert not unlisted
+    listed = {p.pattern for p in patterns}
+    assert not [n for n in FAULT_COUNTERS if re.escape(n) not in listed]

@@ -52,15 +52,15 @@ class TestFig4Shape:
         assert rates["struct"].bandwidth_mbs > rates["vect"].bandwidth_mbs
 
     def test_processing_explains_it(self, rates):
-        struct_pairs = rates["struct"].counters["client_pairs_total"]
-        vect_pairs = rates["vect"].counters["client_pairs_total"]
+        struct_pairs = rates["struct"].metrics.total("coll.client.pairs")
+        vect_pairs = rates["vect"].metrics.total("coll.client.pairs")
         assert vect_pairs > struct_pairs * 3
-        assert rates["struct"].counters["client_tiles_skipped_total"] > 0
+        assert rates["struct"].metrics.total("coll.client.tiles_skipped") > 0
 
     def test_metadata_volume(self, rates):
         assert (
-            rates["vect"].counters["meta_bytes_total"]
-            > 5 * rates["old"].counters["meta_bytes_total"]
+            rates["vect"].metrics.total("coll.meta.bytes")
+            > 5 * rates["old"].metrics.total("coll.meta.bytes")
         )
 
 
@@ -141,19 +141,19 @@ class TestFig7Shape:
         )
 
     def test_alignment_silences_locks(self, rates):
-        aligned = rates["pfr_align"].counters["fs"]["lock_revocations"]
-        misaligned = rates["pfr_noalign"].counters["fs"]["lock_revocations"]
+        aligned = rates["pfr_align"].metrics.total("lock.revocations")
+        misaligned = rates["pfr_noalign"].metrics.total("lock.revocations")
         assert aligned == 0
         assert misaligned > 0
 
-    def test_pfr_defers_server_writes(self, rates):
+    def test_pfr_defers_writes_to_the_server(self, rates):
         assert (
-            rates["pfr_align"].counters["fs"]["server_writes"]
-            < rates["nopfr_align"].counters["fs"]["server_writes"]
+            rates["pfr_align"].metrics.total("fs.server.writes")
+            < rates["nopfr_align"].metrics.total("fs.server.writes")
         )
 
     def test_pfr_avoids_partial_page_rmw(self, rates):
         assert (
-            rates["pfr_align"].counters["fs"]["rmw_pages"]
-            < rates["nopfr_align"].counters["fs"]["rmw_pages"] / 4
+            rates["pfr_align"].metrics.total("fs.rmw.pages")
+            < rates["nopfr_align"].metrics.total("fs.rmw.pages") / 4
         )

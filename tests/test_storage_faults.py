@@ -444,7 +444,7 @@ def _chain(exc):
 def test_unreplicated_crash_rides_out_with_retries():
     s = _run(faults="ost-crash")
     assert np.array_equal(s.fs.raw_bytes(PATH, 0, REGION * NPROCS), _expected())
-    assert s.fault_stats.snapshot().get("ost_rejections", 0) > 0
+    assert s.registry.value("faults.ost.rejections") > 0
 
 
 def test_unreplicated_long_crash_raises_typed_error():
@@ -497,9 +497,9 @@ def test_rank_crash_composes_with_ost_flap():
     assert out["rewritten"] > 0
     got = np.asarray(s.fs.raw_bytes(PATH, 0, total))
     assert np.array_equal(got, ref)
-    snap = s.fault_stats.snapshot()
-    assert snap["rank_crashes"] == 1 and snap["rejoins"] == 1
-    assert snap["retries"] > 0 or snap["ost_rejections"] > 0
+    faults = s.registry
+    assert faults.value("faults.crashes") == 1 and faults.value("faults.crash.rejoins") == 1
+    assert faults.value("faults.retries") > 0 or faults.value("faults.ost.rejections") > 0
 
 
 def test_replicated_crash_byte_identical_and_checksum_equal():
@@ -535,6 +535,44 @@ def test_replicated_read_serves_during_outage():
     results = s.run(body)
     assert all(results)
     assert s.registry.counter("fs.ost.down_hits").value == 0
+
+
+def test_corrupt_replica_read_fails_over_to_a_fresh_one():
+    """A failover is a *corrupt* replica skipped for a fresh one: it
+    takes replication, the page sidecar and a flip — and an OST kind in
+    the plan for the ``faults.`` twin of ``fs.ost.failovers``."""
+    from repro.datatypes import BYTE, contiguous, resized
+
+    count = 16
+
+    def body(ctx, comm, f):
+        tile = resized(contiguous(REGION, BYTE), 0, REGION * comm.size)
+        f.set_view(disp=comm.rank * REGION, filetype=tile)
+        data = (
+            np.arange(REGION * count, dtype=np.int64) * (comm.rank + 1) % 251
+        ).astype(np.uint8)
+        f.write_all(data)
+        f.seek(0)
+        back = np.zeros_like(data)
+        f.read_all(back)
+        return bool(np.array_equal(back, data))
+
+    s = Session(
+        PATH,
+        nprocs=NPROCS,
+        faults=FaultPlan(2).page_bitflip(rate=0.5).ost_slow([1], 1.5),
+        hints={
+            "cb_nodes": 2,
+            "cb_buffer_size": 512,
+            "cache_mode": "off",
+            "replication_factor": 2,
+            "integrity_pages": True,
+        },
+    )
+    assert all(s.run(body))
+    assert s.registry.value("faults.page.bits_flipped") > 0
+    assert s.registry.value("faults.ost.failovers") == 8
+    assert s.registry.value("fs.ost.failovers") == 8
 
 
 def test_replicated_quorum_failure_is_typed():

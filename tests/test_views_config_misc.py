@@ -1,5 +1,4 @@
-"""Tests for FileView validation, aggregator layout, CostModel, and
-CollStats bookkeeping."""
+"""Tests for FileView validation, aggregator layout and CostModel."""
 
 from __future__ import annotations
 
@@ -8,7 +7,6 @@ import pytest
 
 from repro.config import CostModel, DEFAULT_COST_MODEL
 from repro.core.aggregation import select_aggregators
-from repro.core.env import CollStats
 from repro.core.file_view import FileView
 from repro.datatypes import BYTE, INT, contiguous, hindexed, resized, vector
 from repro.errors import CollectiveIOError
@@ -145,21 +143,3 @@ class TestCostModel:
         with pytest.raises(Exception):
             DEFAULT_COST_MODEL.num_osts = 2  # type: ignore[misc]
 
-
-class TestCollStats:
-    def test_note_flush_counts(self):
-        s = CollStats()
-        s.note_flush("naive")
-        s.note_flush("naive")
-        s.note_flush("contig")
-        assert s.flush_methods == {"naive": 2, "contig": 1}
-
-    def test_snapshot_is_detached(self):
-        s = CollStats()
-        s.note_flush("naive")
-        snap = s.snapshot()
-        s.note_flush("naive")
-        assert snap["flush_methods"] == {"naive": 1}
-        # The flat dict keeps the pre-registry field names.
-        assert {"rounds", "collective_writes", "bytes_exchanged"} <= set(snap)
-        assert s.flush_methods["naive"] == 2
