@@ -101,6 +101,14 @@ def selfcheck(
 
     plan = load_scenario(fault_spec) if fault_spec else None
     kinds = plan.kinds if plan is not None else ()
+    if "rank_crash" in kinds:
+        # A crashed rank returns no result and the file is whole only
+        # after a rejoin, which this loop does not do.
+        print(
+            "selfcheck: rank-crash plans need the crash-aware mode "
+            "(--crash RANK[:EPOCH], or chaos --faults rank-crash:N)"
+        )
+        return 2
     totals = MetricsRegistry()  # every combination's counters, summed
     nprocs, region, count = 4, 64, 16
     failures = 0

@@ -1,14 +1,8 @@
-"""Tests for the CLI entry point and benchmark scale plumbing."""
+"""Tests for the CLI entry point."""
 
 from __future__ import annotations
 
-import os
-
-import pytest
-
 import repro.__main__ as cli
-from repro.bench.figures import bench_scale
-from repro.errors import ReproError
 
 
 class TestCLI:
@@ -31,46 +25,3 @@ class TestCLI:
 
     def test_default_command_is_selfcheck(self, capsys):
         assert cli.main([]) == 0
-
-
-class TestBenchScale:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
-        assert bench_scale() == "standard"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "quick")
-        assert bench_scale() == "quick"
-        monkeypatch.setenv("REPRO_BENCH_SCALE", " FULL ")
-        assert bench_scale() == "full"
-
-    def test_invalid_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "enormous")
-        with pytest.raises(ReproError):
-            bench_scale()
-
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "quick")
-        from repro.bench.figures import _FIG4_GRID
-
-        assert set(_FIG4_GRID) == {"quick", "standard", "full"}
-
-
-class TestScaleGridsSane:
-    def test_fig_grids_monotone(self):
-        from repro.bench.figures import _FIG4_GRID, _FIG5_GRID, _FIG7_GRID
-
-        assert _FIG4_GRID["quick"]["counts"] <= _FIG4_GRID["standard"]["counts"] <= _FIG4_GRID["full"]["counts"]
-        assert len(_FIG4_GRID["standard"]["regions"]) <= len(_FIG4_GRID["full"]["regions"])
-        assert _FIG5_GRID["quick"]["file_mb"] <= _FIG5_GRID["standard"]["file_mb"] <= _FIG5_GRID["full"]["file_mb"]
-        assert _FIG7_GRID["standard"]["timesteps"] <= _FIG7_GRID["full"]["timesteps"]
-
-    def test_full_matches_paper_axes(self):
-        from repro.bench.figures import _FIG4_GRID, _FIG5_GRID, _FIG7_GRID
-
-        assert _FIG4_GRID["full"]["nprocs"] == 64
-        assert _FIG4_GRID["full"]["aggs"] == [8, 16, 24, 32]
-        assert _FIG4_GRID["full"]["regions"] == [8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096]
-        assert _FIG5_GRID["full"]["extents"] == [1024, 8192, 16384, 65536]
-        assert _FIG7_GRID["full"]["clients"] == [16, 32, 48, 64]
-        assert _FIG7_GRID["full"]["timesteps"] == 32

@@ -280,17 +280,27 @@ def test_docs_table_is_in_sync():
 
 
 def test_hint_table_lists_every_hint_with_evidence_that_exists():
-    """docs/api.md: one row per known hint, and every test / bench file
-    its evidence column names is really there (ROADMAP's hint audit)."""
+    """docs/api.md: one row per known hint, and every test, bench file or
+    ``BENCH.json#<experiment>[::<check>]`` its evidence column names is
+    really there (ROADMAP's hint audit)."""
     root = Path(__file__).resolve().parents[1]
+    sys.path.insert(0, str(root / "benchmarks"))
+    from experiments import EXPERIMENTS
+
+    stored = json.loads((root / "BENCH.json").read_text())
     section = (root / "docs" / "api.md").read_text().split("\n## Hints\n")[1].split("\n## ")[0]
     rows = [line.split("|") for line in section.splitlines() if line.startswith("| `")]
     assert sorted(r[1].strip(" `") for r in rows) == Hints.known_keys()
     for row in rows:
-        evidence = re.findall(r"`((?:tests|benchmarks)/[^`]+|BENCH_\w+\.json)`", row[4])
+        evidence = re.findall(r"`((?:tests|benchmarks)/[^`]+|BENCH\.json#\w+(?:::\w+)?)`", row[4])
         assert evidence or "spine" in row[4], row[1]
         for ref in evidence:
             path, *names = ref.split("::")
+            if path.startswith("BENCH.json#"):
+                experiment = EXPERIMENTS[path.partition("#")[2]]
+                assert stored[experiment.name], ref
+                assert set(names) <= {check.__name__ for check in experiment.checks}, ref
+                continue
             source = (root / path).read_text()
             for name in names:
                 assert re.search(rf"^\s*(def|class) {name}\b", source, re.M), ref

@@ -422,6 +422,15 @@ class TestCLIFaults:
         assert "DETECTED (checksum mismatch on page" in out
         assert "combinations FAILED" in out
 
+    def test_selfcheck_refuses_a_rank_crash_plan_before_any_run(self, capsys):
+        import repro.__main__ as cli
+
+        assert cli.main(["selfcheck", "--faults", "rank-crash:4"]) == 2
+        assert capsys.readouterr().out == (
+            "selfcheck: rank-crash plans need the crash-aware mode "
+            "(--crash RANK[:EPOCH], or chaos --faults rank-crash:N)\n"
+        )
+
     def test_chaos_command(self, capsys):
         import repro.__main__ as cli
 
