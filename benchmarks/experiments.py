@@ -54,6 +54,7 @@ from repro.config import DEFAULT_COST_MODEL, CostModel
 from repro.faults import FaultPlan
 from repro.hpio.patterns import HPIOPattern
 from repro.hpio.timeseries import TimeSeriesPattern
+from repro.hpio.verify import apply_view, smoke_pattern, write_pattern
 from repro.mpi import Hints
 from repro.tenancy import Cluster
 
@@ -795,8 +796,9 @@ def cached_strictly_faster_than_cold(rows: Rows) -> None:
 # survivor committed on its behalf.
 # ---------------------------------------------------------------------------
 
-_CRASH_NPROCS, _CRASH_REGION, _CRASH_COUNT, _CRASH_VICTIM = 4, 64, 16, 2
-_CRASH_TOTAL = _CRASH_NPROCS * _CRASH_REGION * _CRASH_COUNT
+_CRASH_NPROCS, _CRASH_VICTIM = 4, 2
+_CRASH_PATTERN = smoke_pattern(_CRASH_NPROCS)
+_CRASH_TOTAL = _CRASH_PATTERN.total_bytes
 _CRASH_HINTS = {"coll_impl": "new", "cb_nodes": 2, "cb_buffer_size": 256}
 _CRASH_SITES = ("boundary", "exchange", "flush")
 _REWRITTEN = "faults.crash.resume_rewritten_bytes"
@@ -804,10 +806,8 @@ _SKIPPED = "faults.crash.resume_skipped_bytes"
 
 
 def _crash_body(ctx, comm, f):
-    tile = resized(contiguous(_CRASH_REGION, BYTE), 0, _CRASH_REGION * _CRASH_NPROCS)
-    f.set_view(disp=comm.rank * _CRASH_REGION, filetype=tile)
-    n = _CRASH_REGION * _CRASH_COUNT
-    f.write_all((np.arange(n, dtype=np.int64) * (comm.rank + 1) % 251).astype(np.uint8))
+    apply_view(f, _CRASH_PATTERN, comm.rank)
+    write_pattern(f, _CRASH_PATTERN, comm.rank)
 
 
 def _crash_baseline() -> np.ndarray:
@@ -1103,31 +1103,16 @@ def wfq_no_worse_than_fair_for_weighted_mice(rows: Rows) -> None:
 _OST_SEED = 7
 
 
-class _SnapshotTotals:
-    """``registry.total(name)`` over a registry *snapshot*, which is what
-    ``ChaosHarness.run_once`` returns: ``name`` plus every ``name[key]``."""
-
-    def __init__(self, snapshot: Dict[str, object]) -> None:
-        self.snapshot = snapshot
-
-    def total(self, name: str) -> int:
-        return sum(
-            int(value)
-            for label, value in self.snapshot.items()
-            if label == name or label.startswith(name + "[")
-        )
-
-
 def _ost_faults_cell(scenario: str, replication: int, breaker: bool) -> Row:
     harness = ChaosHarness(f"{scenario}:{_OST_SEED}", breaker=breaker, replication=replication)
-    seconds, verified, _, snapshot = harness.run_once(harness.plan)
+    run = harness.run_once(harness.plan)
     return _row(
         # 0.0 seconds means the run died with a typed storage error —
         # bounded, just not completed: there is no makespan.
-        seconds if seconds > 0.0 else None,
+        run.seconds if run.seconds > 0.0 else None,
         harness.total_bytes,
-        verified,
-        _SnapshotTotals(snapshot),
+        run.verified,
+        run.registry,
         (
             "faults.retries",
             "fs.ost.down_hits",
@@ -1137,7 +1122,7 @@ def _ost_faults_cell(scenario: str, replication: int, breaker: bool) -> Row:
             "fs.ost.quorum_failures",
             "fs.ost.rereplicated_bytes",
         ),
-        completed=seconds > 0.0,
+        completed=run.seconds > 0.0,
     )
 
 

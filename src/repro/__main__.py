@@ -1,80 +1,54 @@
-"""Command-line entry point: ``python -m repro [command] [--faults SPEC]``.
+"""Command-line entry point: ``python -m repro [command] [flags]``.
 
-* ``selfcheck`` (default) — run a fast end-to-end verification: a
-  collective write/read cycle on a 4-rank simulated cluster under both
-  implementations and every flush method, checked against oracles.
-* ``demo`` — the quickstart scenario with a printed activity timeline.
-* ``info`` — version, default cost model, known hints, fault scenarios.
-* ``chaos`` — sweep a fault scenario's intensity and report the
-  completion-time degradation (always data-verified).
-* ``fsck`` — demonstrate the scrub/repair pass: write a checksummed
-  file, corrupt it, scrub, repair from a reference image, verify.
-* ``mt`` — multi-tenant contention smoke: ``--tenants N`` collective
-  jobs plus background traffic share one file system under both the
-  ``fifo`` and ``--sched NAME`` OST policies; read-backs and
-  per-tenant attribution conservation are verified, per-tenant
-  makespans and the cross-tenant spread printed.
-
-``--faults NAME[:SEED]`` (e.g. ``--faults transient-io:42``) installs
-the named deterministic fault scenario into every simulated cluster the
-command builds, and prints a fault/retry summary table (the ``faults.*``
-counters) afterwards.  The selfcheck still requires byte-perfect results
-— that is the resilience machinery's contract under test — runs several
-rounds per call so the plan has something to hit, and fails when the
-plan injected nothing: a fault smoke that drew no fault verified nothing.
-
-``--integrity`` arms the end-to-end integrity hints (page checksums,
-frame checksums, journaled collective writes) in the command's
-workloads; with corruption scenarios (``--faults bit-flip:SEED``) the
-chaos sweep then requires every injected flip to be *detected* — a
-wrong byte nobody flagged fails the run.
-
-``--liveness`` (alias ``--deadline``) arms the liveness hints (a
-per-collective deadline plus suspect-driven failover) in the command's
-workloads; with stall scenarios (``--faults stall:SEED``,
-``--faults gray:SEED``) every run must terminate within the deadline
-budget — verified data or a typed error, never a hang.
-
-``--ppn N`` arms the node topology at N ranks per node in the
-command's workloads (``procs_per_node=N`` + ``exchange=two_layer``):
-the new implementation's exchanges run through the two-layer
-intra-node aggregation path, still held to byte-perfect results.
-What composes with which implementation is ``repro.core.compat``'s
-call (docs/compatibility.md): a rejected selfcheck cell prints ``n/a``.
-
-``--plan-cache`` (selfcheck) arms the persistent-plan cache
-(``plan_cache=True``, docs/plan_cache.md) and repeats each combination's
-collective call three times: the first call must build (a miss), every
-identical later call must replay (hits), and the read-backs must stay
-byte-perfect — the cache-correctness smoke CI runs on every push.
-
-``--async`` (selfcheck, chaos) issues every collective through the
-nonblocking surface (``iwrite_all``/``iread_all`` +
-``Request.wait()``, docs/async_io.md) instead of the blocking calls;
-``--pipeline D`` arms ``pipeline_depth=D`` (double-buffered rounds).
-Both are held to the same byte-perfect contract and compose with
-``--integrity``/``--ppn``.
-
-``--replicate R`` (selfcheck, chaos) arms ``replication_factor=R``:
-every stripe's pages land on R distinct OSTs, writes commit on a
-majority quorum, reads fail over to surviving replicas.  Pair with
-``--faults ost-crash`` to watch degraded-mode service stay
-byte-perfect (docs/storage_faults.md).
-
-``mt --json`` emits the fifo-vs-policy comparison as one
-machine-readable JSON document instead of the human tables.
+``python -m repro --help`` lists the commands, ``python -m repro
+COMMAND --help`` the flags each one takes; a bare flag list means
+``selfcheck``.  Every job is assembled by :class:`~repro.obs.session.Session`
+(``mt``: :class:`~repro.tenancy.Cluster`), every workload is
+:func:`repro.hpio.verify.smoke_pattern`, and every arming flag is a row
+of :data:`repro.bench.chaos.ARMS`.
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import sys
 from typing import Optional
 
-import numpy as np
+from repro.fs.schedule import SCHEDULER_NAMES
+
+
+def _roundtrip(pattern, reps: int = 1, async_io: bool = False):
+    """The smoke body: set the view, then ``reps`` x (collective write,
+    read back, compare against the oracle)."""
+    from repro.hpio.verify import apply_view, expected_file_bytes, read_back_ok, write_pattern
+
+    image = expected_file_bytes(pattern)  # once, not per rank per repeat
+
+    def body(ctx, comm, f):
+        apply_view(f, pattern, comm.rank)
+        ok = True
+        for _ in range(reps):
+            write_pattern(f, pattern, comm.rank, async_io=async_io)
+            ok = read_back_ok(f, pattern, comm.rank, async_io=async_io, image=image) and ok
+        return ok
+
+    return body
+
+
+def _untimed(session, body) -> list:
+    """``body(ctx, comm, f)`` on every rank through the session's
+    opener, without :meth:`Session.run`'s makespan bracket."""
+
+    def main(ctx):
+        with session.opened(ctx) as (comm, f):
+            return body(ctx, comm, f)
+
+    return session.launch(main)
 
 
 def selfcheck(
-    fault_spec: Optional[str] = None,
+    faults: Optional[str] = None,
     integrity: bool = False,
     liveness: bool = False,
     ppn: int = 0,
@@ -83,25 +57,20 @@ def selfcheck(
     async_io: bool = False,
     pipeline: int = 0,
 ) -> int:
-    from repro import (
-        BYTE,
-        CollectiveFile,
-        Communicator,
-        Hints,
-        MetricsRegistry,
-        SimFileSystem,
-        Simulator,
-        contiguous,
-        resized,
-    )
-    from repro.bench.chaos import _chain
-    from repro.core import compat
-    from repro.errors import HintConflict, IntegrityError, RankFailed
+    """A collective write/read cycle on a 4-rank simulated cluster under
+    both implementations and every flush method, checked against the
+    oracle.  Under ``--faults`` the results must still be byte-perfect
+    (the resilience machinery's contract), the ``faults.*`` counters are
+    printed, and a plan that injected nothing fails the run: a fault
+    smoke that drew no fault verified nothing."""
+    from repro import Hints, MetricsRegistry, Session
+    from repro.bench.chaos import arm
+    from repro.errors import HintConflict, IntegrityError, RankFailed, error_chain
     from repro.faults import load_scenario
+    from repro.hpio.verify import smoke_pattern
 
-    plan = load_scenario(fault_spec) if fault_spec else None
-    kinds = plan.kinds if plan is not None else ()
-    if "rank_crash" in kinds:
+    plan = load_scenario(faults) if faults else None
+    if plan is not None and "rank_crash" in plan.kinds:
         # A crashed rank returns no result and the file is whole only
         # after a rejoin, which this loop does not do.
         print(
@@ -109,94 +78,46 @@ def selfcheck(
             "(--crash RANK[:EPOCH], or chaos --faults rank-crash:N)"
         )
         return 2
-    totals = MetricsRegistry()  # every combination's counters, summed
-    nprocs, region, count = 4, 64, 16
+    armed = arm(
+        "selfcheck", integrity=integrity, liveness=liveness, ppn=ppn, replicate=replicate,
+        plan_cache=plan_cache, pipeline=pipeline, faults=plan is not None,
+    )
+    nprocs = 4
+    # --plan-cache repeats the call three times: the first must build
+    # (a miss per rank), every identical later call must replay.
+    reps = 3 if plan_cache else 1
+    roundtrip = _roundtrip(smoke_pattern(nprocs), reps, async_io)
+
+    def body(ctx, comm, f):
+        ok = roundtrip(ctx, comm, f)
+        pc = f.plancache
+        return (ok, pc.hits, pc.misses) if pc is not None else (ok, 0, 0)
+
+    totals = MetricsRegistry()  # under a plan: every combination's counters, summed
     failures = 0
     for impl in ("new", "old"):
         for method in ("datasieve", "naive", "listio", "conditional"):
-            fs = SimFileSystem()
-            hints = Hints(coll_impl=impl, io_method=method, cb_nodes=2)
-            if integrity:
-                hints = hints.replace(
-                    integrity_pages=True,
-                    integrity_network=True,
-                    journal_writes=True,
-                )
-            if liveness:
-                hints = hints.replace(coll_deadline=0.5, liveness=True)
-            if ppn > 1:
-                hints = hints.replace(procs_per_node=ppn, exchange="two_layer")
-            if replicate > 1:
-                # Replication is a file-system property, so it rides
-                # both implementations identically.  Backoff is
-                # deterministic (no jitter): the default four retries
-                # sleep 1+2+4+8 ms, which already outlasts the canned
-                # 8 ms ost-crash window; eight leave quorum-blocked
-                # writes headroom under a longer outage.
-                hints = hints.replace(
-                    replication_factor=replicate, io_retries=8
-                )
-            if plan_cache:
-                hints = hints.replace(plan_cache=True)
-            if pipeline > 0:
-                # Double-buffered rounds (docs/async_io.md) ride both
-                # implementations; byte-identity is exactly what this
-                # check verifies.
-                hints = hints.replace(pipeline_depth=pipeline)
+            label = f"  {impl:>3} + {method:<12}"
+            hints = Hints(coll_impl=impl, io_method=method, cb_nodes=2).replace(**armed)
             try:
-                compat.resolve(hints, kinds)
+                session = Session("/check", nprocs=nprocs, hints=hints, faults=plan)
             except HintConflict as conflict:
-                print(f"  {impl:>3} + {method:<12} n/a ({conflict.rule})")
+                print(f"{label} n/a ({conflict.rule})")
                 continue
-            if plan is not None:
-                # 4 KiB through the default 4 MiB buffer is one round:
-                # an event keyed on boundary >= 1 would never fire, and
-                # a rate-keyed one gets three draws.
-                hints = hints.replace(cb_buffer_size=512)
-            reps = 3 if plan_cache else 1
-
-            def main(ctx):
-                comm = Communicator(ctx)
-                f = CollectiveFile(ctx, comm, fs, "/check", hints=hints)
-                tile = resized(contiguous(region, BYTE), 0, region * nprocs)
-                f.set_view(disp=comm.rank * region, filetype=tile)
-                data = (np.arange(region * count, dtype=np.int64) * (comm.rank + 1) % 251).astype(np.uint8)
-                ok = True
-                for _ in range(reps):
-                    f.seek(0)
-                    out = np.zeros_like(data)
-                    if async_io:
-                        # Nonblocking surface: same collectives, issued
-                        # split-phase and completed at wait().
-                        f.iwrite_all(data).wait()
-                        f.seek(0)
-                        f.iread_all(out).wait()
-                    else:
-                        f.write_all(data)
-                        f.seek(0)
-                        f.read_all(out)
-                    ok = ok and bool(np.array_equal(out, data))
-                pc = f.plancache
-                hits, misses = (pc.hits, pc.misses) if pc is not None else (0, 0)
-                f.close()
-                return ok, hits, misses
-
-            sim = Simulator(nprocs)
-            injector = plan.install(sim) if plan is not None else None
             try:
-                results = sim.run(main)
+                results = _untimed(session, body)
             except RankFailed as exc:
-                caught = [e for e in _chain(exc) if isinstance(e, IntegrityError)]
+                caught = [e for e in error_chain(exc) if isinstance(e, IntegrityError)]
                 if not caught:
                     raise
                 # The sidecar caught an injected flip: loud and typed,
                 # which is integrity's contract — but not a verified run.
-                print(f"  {impl:>3} + {method:<12} DETECTED ({caught[0]})")
+                print(f"{label} DETECTED ({caught[0]})")
                 failures += 1
                 continue
             finally:
-                if injector is not None:
-                    totals.merge(injector.registry)
+                if plan is not None:
+                    totals.merge(session.registry)
             ok = all(r[0] for r in results)
             extra = ""
             if plan_cache:
@@ -204,19 +125,16 @@ def selfcheck(
                 misses = sum(r[2] for r in results)
                 extra = f"  plan {hits}h/{misses}m"
                 if plan is None:
-                    # Identical repeats must replay: one build per rank,
-                    # every later call a hit.  (Fault plans may stand the
-                    # cache down — bypass — so only the clean run gates.)
+                    # (Fault plans may stand the cache down, so only
+                    # the clean run gates on the replay counts.)
                     ok = ok and misses == nprocs and hits == (2 * reps - 1) * nprocs
-            status = "ok" if ok else "FAILED"
-            print(f"  {impl:>3} + {method:<12} {status}{extra}")
+            print(f"{label} {'ok' if ok else 'FAILED'}{extra}")
             failures += 0 if ok else 1
     if plan is not None:
-        faults = totals.snapshot("faults.")
-        _print_fault_summary(fault_spec, plan, faults)
-        if not any(faults.values()):
-            # A fault smoke that injected nothing verified nothing.
-            print(f"selfcheck: fault plan {fault_spec!r} injected nothing (try another seed)")
+        counters = totals.snapshot("faults.")
+        _print_fault_summary(faults, plan, counters)
+        if not any(counters.values()):
+            print(f"selfcheck: fault plan {faults!r} injected nothing (try another seed)")
             return 1
     if failures:
         print(f"selfcheck: {failures} combinations FAILED")
@@ -225,58 +143,37 @@ def selfcheck(
     return 0
 
 
-def crash_check(spec: str) -> int:
+def crash_check(rank: int, epoch: int) -> int:
     """``selfcheck --crash RANK[:EPOCH]``: fail-stop crash + rejoin.
 
-    Kills RANK at phase boundary EPOCH (default 1) of the first
-    collective write, at each crash site, under both implementations
-    and every exchange backend.  Survivors must finish their bytes,
-    the rejoined rank resumes from the epoch commit records, and the
-    recovered file must match the oracle byte-for-byte.  Prints the
-    re-written vs. skipped byte split per combination
-    (docs/crash_recovery.md)."""
-    from repro.bench import ChaosHarness
+    Kills RANK at phase boundary EPOCH of the first collective write, at
+    each crash site, under both implementations and every exchange
+    backend.  Survivors must finish their bytes, the rejoined rank
+    resumes from the epoch commit records, and the recovered file must
+    match the oracle byte-for-byte (docs/crash_recovery.md)."""
+    from repro.bench.chaos import SMOKE_HINTS, ChaosHarness
     from repro.faults import FaultPlan
-    from repro.mpi import Hints
 
-    nprocs = 4
-    rank_text, _, epoch_text = spec.partition(":")
-    try:
-        rank = int(rank_text)
-        epoch = int(epoch_text) if epoch_text else 1
-    except ValueError:
-        print(f"--crash requires RANK[:EPOCH] integers, got {spec!r}")
-        return 2
-    if not 0 <= rank < nprocs:
-        print(f"--crash rank must be in [0, {nprocs}), got {rank}")
-        return 2
-    if epoch < 0:
-        print(f"--crash epoch must be >= 0, got {epoch}")
-        return 2
     modes = [
-        ("new+two_layer", "new", "two_layer"),
-        ("new+alltoallw", "new", "alltoallw"),
-        ("new+nonblocking", "new", "nonblocking"),
-        ("old", "old", None),
+        ("new+two_layer", {"coll_impl": "new", "exchange": "two_layer"}),
+        ("new+alltoallw", {"coll_impl": "new", "exchange": "alltoallw"}),
+        ("new+nonblocking", {"coll_impl": "new", "exchange": "nonblocking"}),
+        ("old", {"coll_impl": "old"}),
     ]
     print(f"crash selfcheck: kill rank {rank} at epoch {epoch}, then rejoin")
     failures = 0
-    for label, impl, exchange in modes:
+    for label, mode in modes:
         for site in ("boundary", "exchange", "flush"):
-            hints = Hints(coll_impl=impl, cb_nodes=2, cb_buffer_size=512)
-            if exchange is not None:
-                hints = hints.replace(exchange=exchange)
             plan = FaultPlan(seed=0).rank_crash(
                 rank, call_index=0, round_index=epoch, site=site
             )
-            harness = ChaosHarness(plan, nprocs=nprocs, hints=hints)
-            _, verified, _, counters = harness.run_once(plan)
-            ok = verified and counters["faults.crash.rejoins"] == 1
-            status = "ok" if ok else "FAILED"
+            run = ChaosHarness(plan, hints=SMOKE_HINTS.replace(**mode)).run_once(plan)
+            count = run.registry.total
+            ok = run.verified and count("faults.crash.rejoins") == 1
             print(
-                f"  {label:<16} site={site:<9} {status:<6} "
-                f"rewritten={counters['faults.crash.resume_rewritten_bytes']:>5} "
-                f"skipped={counters['faults.crash.resume_skipped_bytes']:>5}"
+                f"  {label:<16} site={site:<9} {'ok' if ok else 'FAILED':<6} "
+                f"rewritten={count('faults.crash.resume_rewritten_bytes'):>5} "
+                f"skipped={count('faults.crash.resume_skipped_bytes'):>5}"
             )
             failures += 0 if ok else 1
     if failures:
@@ -302,26 +199,24 @@ def _print_fault_summary(spec, plan, faults) -> None:
 
 
 def chaos(
-    fault_spec: Optional[str] = None,
+    faults: Optional[str] = None,
     integrity: bool = False,
     liveness: bool = False,
     ppn: int = 0,
     replicate: int = 1,
     async_io: bool = False,
 ) -> int:
-    from repro.bench import ChaosHarness
-    from repro.mpi import Hints
+    """Sweep a fault scenario's intensity over the smoke write and report
+    the completion-time degradation.  Every point must end with verified
+    bytes, detected corruption, or a bounded typed error — never a hang,
+    never a wrong byte nobody flagged."""
+    from repro.bench.chaos import SMOKE_HINTS, ChaosHarness, arm
 
-    hints = None
-    if ppn > 1:
-        hints = Hints(
-            cb_nodes=2, cb_buffer_size=512, procs_per_node=ppn, exchange="two_layer"
-        )
     harness = ChaosHarness(
-        fault_spec or "chaos",
+        faults or "chaos",
+        hints=SMOKE_HINTS.replace(**arm("chaos", ppn=ppn)),
         integrity=integrity,
         liveness=liveness,
-        hints=hints,
         replication=replicate,
         async_io=async_io,
     )
@@ -334,43 +229,27 @@ def chaos(
     return 0
 
 
-def fsck(
-    fault_spec: Optional[str] = None,
-    integrity: bool = False,
-    liveness: bool = False,
-    ppn: int = 0,
-) -> int:
-    """Scrub/repair demonstration on a deliberately corrupted store."""
-    from repro import (
-        BYTE,
-        CollectiveFile,
-        Communicator,
-        Hints,
-        SimFileSystem,
-        Simulator,
-        contiguous,
-        resized,
-    )
+def fsck() -> int:
+    """Scrub/repair demonstration: write a checksummed file, corrupt it,
+    scrub, repair from a reference image, verify."""
+    import numpy as np
+
+    from repro import Hints, Session
+    from repro.hpio.verify import apply_view, smoke_pattern, write_pattern
     from repro.integrity import fsck as run_fsck
 
-    nprocs, region, count = 4, 64, 64
     path = "/fsck"
-    fs = SimFileSystem()
-    hints = Hints(cb_nodes=2, integrity_pages=True)
+    pattern = smoke_pattern(4, 64)
+    session = Session(
+        path, nprocs=pattern.nprocs, hints=Hints(cb_nodes=2, integrity_pages=True)
+    )
 
-    def main(ctx):
-        comm = Communicator(ctx)
-        f = CollectiveFile(ctx, comm, fs, path, hints=hints)
-        tile = resized(contiguous(region, BYTE), 0, region * nprocs)
-        f.set_view(disp=comm.rank * region, filetype=tile)
-        data = (
-            np.arange(region * count, dtype=np.int64) * (comm.rank + 1) % 251
-        ).astype(np.uint8)
-        f.write_all(data)
-        f.close()
+    def body(ctx, comm, f):
+        apply_view(f, pattern, comm.rank)
+        write_pattern(f, pattern, comm.rank)
 
-    Simulator(nprocs).run(main)
-    total = nprocs * region * count
+    _untimed(session, body)
+    fs, total = session.fs, pattern.total_bytes
     reference = fs.raw_bytes(path, 0, total)
     store = fs.page_store(path)
     last_page = (store.size - 1) // store.page_size
@@ -399,54 +278,30 @@ def fsck(
 
 
 def trace(
-    fault_spec: Optional[str] = None,
+    out: str = "out.json",
+    faults: Optional[str] = None,
     integrity: bool = False,
     liveness: bool = False,
     ppn: int = 0,
-    out: str = "out.json",
 ) -> int:
-    """Run one traced collective write/read and export a Chrome trace.
-
-    The workload is the selfcheck's interleaved tile pattern on the new
-    implementation (two-layer when ``--ppn`` arms a topology), recorded
-    as nested spans and written to ``out`` as ``trace_event`` JSON that
-    Perfetto / ``chrome://tracing`` loads directly.  The export is
-    validated against the checked-in schema, and the per-state span
-    totals are cross-checked against the tracer's MPE-style
-    aggregation before the file is declared good."""
-    from repro import BYTE, Hints, Session, contiguous, resized
+    """Run one traced smoke write/read on the new implementation (8
+    ranks; 2N ranks through the two-layer exchange under ``--ppn N``)
+    and write the spans to OUT as Chrome ``trace_event`` JSON that
+    Perfetto / ``chrome://tracing`` loads directly.  Exits 0 only if the
+    export is schema-valid and its per-state span totals match the
+    tracer's MPE-style aggregation."""
+    from repro import Hints, Session
+    from repro.bench.chaos import SMOKE_HINTS, arm
     from repro.faults import fired
+    from repro.hpio.verify import smoke_pattern
     from repro.obs.schema import validate_chrome_trace
 
     nprocs = 2 * ppn if ppn > 1 else 8
-    region, count = 64, 16
-    hints = Hints(coll_impl="new", cb_nodes=2, cb_buffer_size=512)
-    if ppn > 1:
-        hints = hints.replace(procs_per_node=ppn, exchange="two_layer")
-    if integrity:
-        hints = hints.replace(
-            integrity_pages=True, integrity_network=True, journal_writes=True
-        )
-    if liveness:
-        hints = hints.replace(coll_deadline=0.5, liveness=True)
-
-    session = Session(
-        "/trace", nprocs=nprocs, hints=hints, faults=fault_spec, trace=True
+    hints = SMOKE_HINTS.replace(
+        coll_impl="new", **arm("trace", integrity=integrity, liveness=liveness, ppn=ppn)
     )
-
-    def body(ctx, comm, f):
-        tile = resized(contiguous(region, BYTE), 0, region * comm.size)
-        f.set_view(disp=comm.rank * region, filetype=tile)
-        data = (
-            np.arange(region * count, dtype=np.int64) * (comm.rank + 1) % 251
-        ).astype(np.uint8)
-        f.write_all(data)
-        f.seek(0)
-        back = np.zeros_like(data)
-        f.read_all(back)
-        return bool(np.array_equal(back, data))
-
-    verified = session.run(body)
+    session = Session("/trace", nprocs=nprocs, hints=hints, faults=faults, trace=True)
+    verified = session.run(_roundtrip(smoke_pattern(nprocs)))
     doc = session.write_trace(out, validate=True)
     validate_chrome_trace(doc)
 
@@ -481,7 +336,7 @@ def trace(
 
 
 def mt(
-    fault_spec: Optional[str] = None,
+    faults: Optional[str] = None,
     integrity: bool = False,
     liveness: bool = False,
     ppn: int = 0,
@@ -491,58 +346,37 @@ def mt(
 ) -> int:
     """Multi-tenant smoke: N collective tenants + background traffic on
     one shared file system, run under FIFO and the selected scheduler.
-
     Every tenant's read-back must be byte-perfect and the per-tenant
     registry mirrors must sum exactly to the shared-fs globals
-    (conservation).  ``--faults`` installs the scenario into tenant
-    ``t0`` only — per-tenant fault isolation is part of the smoke.
-    ``--json`` replaces the human tables with one machine-readable
-    JSON document comparing FIFO against the selected policy."""
+    (conservation); per-tenant makespans and the cross-tenant spread are
+    printed.  ``--faults`` installs the scenario into tenant ``t0`` only
+    — per-tenant fault isolation is part of the smoke."""
     import json
 
-    from repro import BYTE, Cluster, contiguous, resized
+    from repro import Cluster
+    from repro.bench.chaos import arm
+    from repro.hpio.verify import smoke_pattern
 
-    region, count = 64, 8
-
-    def mkbody():
-        def body(ctx, comm, f):
-            tile = resized(contiguous(region, BYTE), 0, region * comm.size)
-            f.set_view(disp=comm.rank * region, filetype=tile)
-            data = (
-                np.arange(region * count, dtype=np.int64) * (comm.rank + 2) % 251
-            ).astype(np.uint8)
-            f.write_all(data)
-            f.seek(0)
-            back = np.zeros_like(data)
-            f.read_all(back)
-            return bool(np.array_equal(back, data))
-
-        return body
-
+    nprocs = 4
+    body = _roundtrip(smoke_pattern(nprocs, 8))
+    armed = arm("mt", integrity=integrity, liveness=liveness, ppn=ppn)
     failures = 0
     doc = {
         "tenants": tenants,
         "background": ["scan", "random"],
-        "faults": fault_spec,
+        "faults": faults,
         "policies": {},
     }
     for policy in dict.fromkeys(("fifo", sched)):
         cl = Cluster(scheduler=policy)
         for i in range(tenants):
-            hints = {"coll_impl": "new", "cb_nodes": 2, "tenant_priority": 1 + i % 2}
-            if integrity:
-                hints.update(integrity_pages=True, integrity_network=True)
-            if liveness:
-                hints.update(coll_deadline=0.5, liveness=True)
-            if ppn > 1:
-                hints.update(procs_per_node=ppn, exchange="two_layer")
             cl.add_tenant(
                 f"t{i}",
-                mkbody(),
-                nprocs=4,
-                hints=hints,
+                body,
+                nprocs=nprocs,
+                hints={"coll_impl": "new", "cb_nodes": 2, "tenant_priority": 1 + i % 2, **armed},
                 arrival=0.0005 * i,
-                faults=fault_spec if i == 0 else None,
+                faults=faults if i == 0 else None,
             )
         cl.add_background("scan", nprocs=1, total_bytes=1 << 16)
         cl.add_background("random", nprocs=1, ops=32)
@@ -602,12 +436,8 @@ def mt(
     return 0
 
 
-def demo(
-    fault_spec: Optional[str] = None,
-    integrity: bool = False,
-    liveness: bool = False,
-    ppn: int = 0,
-) -> int:
+def demo() -> int:
+    """The quickstart scenario with a printed activity timeline."""
     import runpy
     from pathlib import Path
 
@@ -619,12 +449,8 @@ def demo(
     return 1
 
 
-def info(
-    fault_spec: Optional[str] = None,
-    integrity: bool = False,
-    liveness: bool = False,
-    ppn: int = 0,
-) -> int:
+def info() -> int:
+    """Version, default cost model, known hints, fault scenario names."""
     import dataclasses
 
     from repro import DEFAULT_COST_MODEL, __version__
@@ -644,146 +470,159 @@ def info(
     return 0
 
 
+# -- the flag surface ---------------------------------------------------------
+
+
+def _scenario(spec: str) -> str:
+    from repro.faults import load_scenario
+    from repro.faults.plan import FaultPlanError
+
+    try:
+        load_scenario(spec)
+    except FaultPlanError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return spec
+
+
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+def _crash_spec(spec: str) -> tuple:
+    rank, _, epoch = spec.partition(":")
+    rank, epoch = int(rank), int(epoch) if epoch else 1
+    if not 0 <= rank < 4:
+        raise argparse.ArgumentTypeError(f"rank must be in [0, 4), got {rank}")
+    if epoch < 0:
+        raise argparse.ArgumentTypeError(f"epoch must be >= 0, got {epoch}")
+    return rank, epoch
+
+
+_crash_spec.__name__ = "RANK[:EPOCH]"
+
+
+_ON = {"action": "store_true"}
+#: dest -> (option strings, ``add_argument`` keywords).
+FLAGS = {
+    "faults": (["--faults"], dict(
+        metavar="NAME[:SEED]", type=_scenario,
+        help="install the named deterministic fault scenario (`info` lists them) "
+        "into every simulated cluster the command builds — `mt`: into tenant t0 "
+        "only — e.g. --faults transient-io:42")),
+    "integrity": (["--integrity"], dict(
+        help="arm the end-to-end integrity hints (page checksums, frame checksums; "
+        "selfcheck/trace: journaled collective writes too); with a corruption "
+        "scenario (--faults bit-flip:SEED) every injected flip must then be "
+        "*detected* (docs/integrity.md)", **_ON)),
+    "liveness": (["--liveness", "--deadline"], dict(
+        help="arm the liveness hints (a per-collective deadline plus suspect-driven "
+        "failover); with a stall scenario (--faults stall:SEED, gray:SEED) every "
+        "run must end within the deadline budget: verified data or a typed error, "
+        "never a hang (docs/faults.md)", **_ON)),
+    "ppn": (["--ppn"], dict(
+        metavar="N", type=_at_least(1), default=0,
+        help="arm the node topology at N ranks per node (procs_per_node=N + "
+        "exchange=two_layer); what composes with which implementation is "
+        "repro.core.compat's call — a rejected selfcheck cell prints n/a "
+        "(docs/compatibility.md)")),
+    "replicate": (["--replicate"], dict(
+        metavar="R", type=_at_least(1), default=1,
+        help="arm replication_factor=R: every stripe's pages land on R distinct "
+        "OSTs, writes commit on a majority quorum, reads fail over to surviving "
+        "replicas; pair with --faults ost-crash (docs/storage_faults.md)")),
+    "plan_cache": (["--plan-cache"], dict(
+        help="arm the persistent-plan cache and repeat each combination's call "
+        "three times: one build per rank, every later call a replay, read-backs "
+        "byte-perfect (docs/plan_cache.md)", **_ON)),
+    "async_io": (["--async"], dict(
+        dest="async_io",
+        help="issue every collective through the nonblocking surface "
+        "(iwrite_all/iread_all + Request.wait(), docs/async_io.md)", **_ON)),
+    "pipeline": (["--pipeline"], dict(
+        metavar="D", type=_at_least(0), default=0,
+        help="arm pipeline_depth=D (double-buffered rounds; 0 = serialized)")),
+    "crash": (["--crash"], dict(
+        metavar="RANK[:EPOCH]", type=_crash_spec,
+        help="instead of the matrix: kill RANK at phase boundary EPOCH (default 1) "
+        "of the first collective write, rejoin it, and require the recovered file "
+        "byte-identical at every crash site x implementation x exchange backend; "
+        "takes no other flag")),
+    "tenants": (["--tenants"], dict(
+        metavar="N", type=_at_least(1), default=3, help="collective tenants (default 3)")),
+    "sched": (["--sched"], dict(
+        choices=SCHEDULER_NAMES, default="fair",
+        help="OST policy compared against fifo (default fair)")),
+    "as_json": (["--json"], dict(
+        dest="as_json",
+        help="one machine-readable JSON document instead of the tables", **_ON)),
+    "out": (["out"], dict(
+        metavar="OUT.json", nargs="?", default="out.json",
+        help="where the Chrome trace goes (default out.json)")),
+}
+
+
+COMMANDS = {
+    "selfcheck": (selfcheck, ["faults", "integrity", "liveness", "ppn", "replicate",
+                              "plan_cache", "async_io", "pipeline", "crash"]),
+    "demo": (demo, []),
+    "info": (info, []),
+    "chaos": (chaos, ["faults", "integrity", "liveness", "ppn", "replicate", "async_io"]),
+    "fsck": (fsck, []),
+    "trace": (trace, ["out", "faults", "integrity", "liveness", "ppn"]),
+    "mt": (mt, ["faults", "integrity", "liveness", "ppn", "tenants", "sched", "as_json"]),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro", allow_abbrev=False,
+        description="Flexible MPI collective I/O reproduction: smoke commands "
+        "(a bare flag list means `selfcheck`).",
+    )
+    subs = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, (fn, takes) in COMMANDS.items():
+        doc = " ".join(fn.__doc__.replace("``", "`").split())
+        sub = subs.add_parser(
+            name, allow_abbrev=False, help=doc.partition(". ")[0], description=doc
+        )
+        for dest in takes:
+            options, kwargs = FLAGS[dest]
+            sub.add_argument(*options, **kwargs)
+    return parser
+
+
+def parse(argv: list[str]) -> dict:
+    """``argv`` -> the chosen command's keywords (plus ``command``);
+    usage errors leave through argparse's ``SystemExit(2)``."""
+    argv = list(argv)
+    if not argv or (argv[0].startswith("-") and argv[0] not in ("-h", "--help")):
+        argv.insert(0, "selfcheck")
+    parser = build_parser()
+    ns = vars(parser.parse_args(argv))
+    crash = ns.get("crash")
+    if crash is not None and ns != {**vars(parser.parse_args(["selfcheck"])), "crash": crash}:
+        parser.error("selfcheck --crash RANK[:EPOCH] takes no other flag")
+    return ns
+
+
 def main(argv: list[str]) -> int:
-    args = list(argv)
-    fault_spec: Optional[str] = None
-    if "--faults" in args:
-        i = args.index("--faults")
-        if i + 1 >= len(args):
-            print("--faults requires a scenario spec (NAME[:SEED]); see `info`")
-            return 2
-        fault_spec = args[i + 1]
-        del args[i : i + 2]
-    integrity = "--integrity" in args
-    if integrity:
-        args.remove("--integrity")
-    liveness = False
-    for flag in ("--liveness", "--deadline"):
-        if flag in args:
-            liveness = True
-            args.remove(flag)
-    ppn = 0
-    if "--ppn" in args:
-        i = args.index("--ppn")
-        if i + 1 >= len(args):
-            print("--ppn requires a ranks-per-node count")
-            return 2
-        try:
-            ppn = int(args[i + 1])
-        except ValueError:
-            print(f"--ppn requires an integer, got {args[i + 1]!r}")
-            return 2
-        if ppn < 1:
-            print(f"--ppn must be >= 1, got {ppn}")
-            return 2
-        del args[i : i + 2]
-    tenants = 3
-    if "--tenants" in args:
-        i = args.index("--tenants")
-        if i + 1 >= len(args):
-            print("--tenants requires a tenant count")
-            return 2
-        try:
-            tenants = int(args[i + 1])
-        except ValueError:
-            print(f"--tenants requires an integer, got {args[i + 1]!r}")
-            return 2
-        if tenants < 1:
-            print(f"--tenants must be >= 1, got {tenants}")
-            return 2
-        del args[i : i + 2]
-    sched = "fair"
-    if "--sched" in args:
-        i = args.index("--sched")
-        if i + 1 >= len(args):
-            print("--sched requires a policy name (fifo|fair|wfq)")
-            return 2
-        sched = args[i + 1]
-        del args[i : i + 2]
-    replicate = 1
-    if "--replicate" in args:
-        i = args.index("--replicate")
-        if i + 1 >= len(args):
-            print("--replicate requires a replica count")
-            return 2
-        try:
-            replicate = int(args[i + 1])
-        except ValueError:
-            print(f"--replicate requires an integer, got {args[i + 1]!r}")
-            return 2
-        if replicate < 1:
-            print(f"--replicate must be >= 1, got {replicate}")
-            return 2
-        del args[i : i + 2]
-    crash_spec: Optional[str] = None
-    if "--crash" in args:
-        i = args.index("--crash")
-        if i + 1 >= len(args):
-            print("--crash requires RANK[:EPOCH] (e.g. --crash 2:1)")
-            return 2
-        crash_spec = args[i + 1]
-        del args[i : i + 2]
-    plan_cache = "--plan-cache" in args
-    if plan_cache:
-        args.remove("--plan-cache")
-    async_io = "--async" in args
-    if async_io:
-        args.remove("--async")
-    pipeline = 0
-    if "--pipeline" in args:
-        i = args.index("--pipeline")
-        if i + 1 >= len(args):
-            print("--pipeline requires a depth (rounds in flight)")
-            return 2
-        try:
-            pipeline = int(args[i + 1])
-        except ValueError:
-            print(f"--pipeline requires an integer, got {args[i + 1]!r}")
-            return 2
-        if pipeline < 0:
-            print(f"--pipeline must be >= 0, got {pipeline}")
-            return 2
-        del args[i : i + 2]
-    as_json = "--json" in args
-    if as_json:
-        args.remove("--json")
-    cmd = args[0] if args else "selfcheck"
-    commands = {
-        "selfcheck": selfcheck,
-        "demo": demo,
-        "info": info,
-        "chaos": chaos,
-        "fsck": fsck,
-        "trace": trace,
-        "mt": mt,
-    }
-    if cmd not in commands:
-        print(
-            f"usage: python -m repro [{'|'.join(commands)}] "
-            "[--faults NAME[:SEED]] [--integrity] [--liveness] [--ppn N] "
-            "[--replicate R] [--plan-cache] [--async] [--pipeline D]\n"
-            "       python -m repro selfcheck --crash RANK[:EPOCH]\n"
-            "       python -m repro trace [OUT.json] [--ppn N] "
-            "[--faults NAME[:SEED]]\n"
-            "       python -m repro mt [--tenants N] [--sched fifo|fair|wfq] "
-            "[--json] [--faults NAME[:SEED]]"
-        )
-        return 2
-    if cmd == "trace":
-        out = args[1] if len(args) > 1 else "out.json"
-        return trace(fault_spec, integrity, liveness, ppn, out)
-    if cmd == "mt":
-        return mt(fault_spec, integrity, liveness, ppn, tenants, sched, as_json)
-    if cmd == "selfcheck" and crash_spec is not None:
-        return crash_check(crash_spec)
-    if cmd == "selfcheck":
-        return selfcheck(
-            fault_spec, integrity, liveness, ppn, replicate, plan_cache,
-            async_io, pipeline,
-        )
-    if cmd == "chaos":
-        return chaos(fault_spec, integrity, liveness, ppn, replicate, async_io)
-    return commands[cmd](fault_spec, integrity, liveness, ppn)
+    try:
+        # Usage errors go where every other message of the CLI goes.
+        with contextlib.redirect_stderr(sys.stdout):
+            ns = parse(argv)
+    except SystemExit as stop:
+        return stop.code
+    crash = ns.pop("crash", None)
+    if crash is not None:
+        return crash_check(*crash)
+    return COMMANDS[ns.pop("command")][0](**ns)
 
 
 if __name__ == "__main__":

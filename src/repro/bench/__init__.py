@@ -11,7 +11,7 @@ later sweep) are one table outside the package,
 ``benchmarks/experiments.py``, run by ``benchmarks/run.py``.
 """
 
-from repro.bench.chaos import ChaosHarness, ChaosPoint, ChaosReport
+from repro.bench.chaos import ChaosHarness, ChaosPoint, ChaosReport, ChaosRun
 from repro.bench.harness import BenchResult, run_hpio_write, run_timeseries
 from repro.bench.reporting import format_series, format_table
 
@@ -20,6 +20,7 @@ __all__ = [
     "ChaosHarness",
     "ChaosPoint",
     "ChaosReport",
+    "ChaosRun",
     "run_hpio_write",
     "run_timeseries",
     "format_series",

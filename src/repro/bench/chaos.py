@@ -1,42 +1,29 @@
 """Chaos harness: completion-time degradation versus fault intensity.
 
 A :class:`ChaosHarness` runs one fixed collective-write workload (the
-selfcheck's interleaved tile pattern) repeatedly: once fault-free for
-the baseline, then once per requested intensity with the scenario's
+smoke pattern of :mod:`repro.hpio.verify`) repeatedly: once fault-free
+for the baseline, then once per requested intensity with the scenario's
 probabilistic rates scaled by that intensity.  Every run is verified
-byte-for-byte against a direct numpy oracle — a chaos run that degrades
+byte-for-byte against the pattern's oracle — a chaos run that degrades
 *correctness* instead of completion time is a failed run, whatever its
 timing says.
 
-Corruption scenarios refine "verified" into *no silent corruption*:
-with the integrity hints armed (``integrity=True``), a run whose bytes
-mismatch the oracle still passes if every mismatching page fails its
-checksum sidecar (the corruption was caught — an fsck would find and
-repair it), and a run killed by a typed
-:class:`~repro.errors.IntegrityError` (or by exhausting frame
-re-requests) also counts as detected.  A mismatch nobody flagged is a
-silent wrong answer: the one outcome integrity must make impossible.
+"Verified" means *no silent corruption*: a run whose bytes mismatch the
+oracle still passes if every mismatching page fails its checksum
+sidecar (the corruption was caught — an fsck would find and repair
+it).  "Terminates" means *bounded*: a run killed by one of the typed
+errors of :data:`_BOUNDED` — detected corruption, a quorum-loss abort,
+a liveness error under the liveness hints, a storage error under OST
+events — is a reported outcome with no completion time; a hang or a
+wrong byte nobody flagged are the outcomes the layers under test must
+make impossible.
 
-Stall scenarios refine "terminates" into *bounded*: with the liveness
-hints armed (``liveness=True``), every run must end within the
-collective deadline budget — either completing with verified bytes
-(suspects failed over) or dying with a typed liveness error
-(:class:`~repro.errors.DeadlineExceeded`,
-:class:`~repro.errors.LockDeadlock`,
-:class:`~repro.errors.AggregatorLost`).  A hang is the one outcome the
-liveness layer must make impossible.
+Each point rebuilds the whole simulated cluster from scratch (a fresh
+:class:`~repro.obs.session.Session`), so points are independent and the
+whole sweep is deterministic for a given (scenario, seed).
 
-Storage scenarios (``ost-crash`` / ``ost-slow`` / ``ost-flap``) apply
-the same bounded-completion contract to the OST fault domain: a run
-must either complete with verified bytes (retries rode the outage out,
-or replicas served around it — pass ``replication=2``) or die with a
-typed storage error (:class:`~repro.errors.OSTUnavailable`,
-:class:`~repro.errors.OSTOverloaded`, or a retry/budget exhaustion
-chained from one).  Never a hang, never silent corruption.
-
-Each point rebuilds the whole simulated cluster from scratch (fresh
-file system, fresh injector), so points are independent and the whole
-sweep is deterministic for a given (scenario, seed).
+This module also holds :data:`ARMS`, the one flag → hint-overrides
+table the harness and the CLI's commands arm their workloads from.
 """
 
 from __future__ import annotations
@@ -46,11 +33,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.config import CostModel, DEFAULT_COST_MODEL
-from repro.core import CollectiveFile
-from repro.datatypes import BYTE, contiguous, resized
-from repro.datatypes.segments import FlatCursor
-from repro.datatypes.packing import scatter_segments
 from repro.errors import (
     AggregatorLost,
     CollectiveAborted,
@@ -62,56 +44,95 @@ from repro.errors import (
     ReproError,
     RetryBudgetExhausted,
     RetryExhausted,
+    error_chain,
 )
 from repro.faults import FaultPlan, OST_KINDS, fired, load_scenario
-from repro.mpi import Communicator, Hints
+from repro.hpio.verify import apply_view, expected_file_bytes, smoke_pattern, write_pattern
+from repro.mpi import Hints
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.session import Session
 
-__all__ = ["ChaosPoint", "ChaosReport", "ChaosHarness"]
+__all__ = ["ARMS", "arm", "SMOKE_HINTS", "ChaosRun", "ChaosPoint", "ChaosReport", "ChaosHarness"]
 
 _PATH = "/chaos"
+#: The harness workload: ``smoke_pattern(NPROCS)`` (16 interleaved 64 B
+#: tiles per rank), one ``write_all``, default cost model.
+NPROCS = 4
+#: Default geometry: two aggregators, a collective buffer small enough
+#: for several rounds per call — phase-boundary scenarios (agg-crash)
+#: need boundaries to exist.
+SMOKE_HINTS = Hints(cb_nodes=2, cb_buffer_size=512)
+
+#: The one arming table: CLI flag (= harness keyword) -> hint overrides,
+#: read by ``selfcheck`` / ``trace`` / ``mt`` / ``chaos`` and
+#: :class:`ChaosHarness` through :func:`arm`.  A callable takes the
+#: flag's value (and arms nothing below its threshold); a row with a
+#: third column applies to those consumers only, on top of the general
+#: row.  The per-consumer rows are the differences the commands had
+#: before the table existed; printed virtual times depend on them, so
+#: they are data here, not normalised: ``selfcheck`` / ``trace``
+#: ``--integrity`` also journal collective writes, the harness budgets
+#: half the CLI's deadline, a replicated selfcheck takes eight retries
+#: (the default four sleep 1+2+4+8 ms, just past the canned 8 ms
+#: ``ost-crash`` window; eight leave quorum-blocked writes headroom),
+#: and a selfcheck under a fault plan needs a buffer small enough for
+#: several rounds (4 KiB through the default 4 MiB buffer is one round:
+#: an event keyed on boundary >= 1 would never fire).
+ARMS = (
+    ("integrity", {"integrity_pages": True, "integrity_network": True}),
+    ("integrity", {"journal_writes": True}, ("selfcheck", "trace")),
+    ("liveness", {"coll_deadline": 0.5, "liveness": True}),
+    ("liveness", {"coll_deadline": 0.25}, ("chaos",)),
+    ("ppn", lambda n: {"procs_per_node": n, "exchange": "two_layer"} if n > 1 else {}),
+    ("replicate", lambda r: {"replication_factor": r} if r > 1 else {}),
+    ("replicate", lambda r: {"io_retries": 8} if r > 1 else {}, ("selfcheck",)),
+    ("plan_cache", {"plan_cache": True}),
+    ("pipeline", lambda d: {"pipeline_depth": d} if d > 0 else {}),
+    ("faults", {"cb_buffer_size": 512}, ("selfcheck",)),
+)
 
 
-def _chain(exc: Optional[BaseException]):
-    """Walk an exception's cause/context chain (cycle-safe)."""
-    seen = set()
-    while exc is not None and id(exc) not in seen:
-        seen.add(id(exc))
-        yield exc
-        exc = exc.__cause__ or exc.__context__
+def arm(consumer: str, **flags: object) -> Dict[str, object]:
+    """The hint overrides ``consumer`` runs with under ``flags``
+    (``arm("selfcheck", integrity=True, ppn=2)``; falsy = not armed)."""
+    out: Dict[str, object] = {}
+    for flag, hints, *only in ARMS:
+        value = flags.get(flag)
+        if value and (not only or consumer in only[0]):
+            out.update(hints(value) if callable(hints) else hints)
+    return out
 
 
-def _detection_in_chain(exc: Optional[BaseException]) -> bool:
-    """True when a failure chain shows corruption was *caught*: a typed
-    IntegrityError anywhere, or frame re-requests exhausting at the
-    ``net-frame`` site."""
-    for e in _chain(exc):
-        if isinstance(e, IntegrityError):
-            return True
-        if isinstance(e, RetryExhausted) and e.site == "net-frame":
-            return True
-    return False
+#: Armed domain -> the typed errors that make a killed run a *bounded*
+#: outcome (loud, reported, no completion time) instead of a harness
+#: bug.  ``"always"``: corruption that was caught.  A quorum-loss abort
+#: counts when the plan crashes ranks, a liveness error when the
+#: liveness hints are armed, a storage error (a retry or budget
+#: exhaustion raised *from* one keeps it in the chain) when the plan
+#: carries OST events.  Frame re-requests exhausting at the
+#: ``net-frame`` site are the one bounded outcome that is not a type.
+_BOUNDED = {
+    "always": (IntegrityError,),
+    "crash": (CollectiveAborted,),
+    "liveness": (DeadlineExceeded, LockDeadlock, AggregatorLost),
+    "storage": (OSTUnavailable, OSTOverloaded, RetryBudgetExhausted),
+}
 
 
-def _liveness_in_chain(exc: Optional[BaseException]) -> bool:
-    """True when a failure chain ends in a typed liveness error — the
-    loud, bounded alternative to a hang."""
-    return any(
-        isinstance(e, (DeadlineExceeded, LockDeadlock, AggregatorLost))
-        for e in _chain(exc)
-    )
+@dataclass
+class ChaosRun:
+    """What one :meth:`ChaosHarness.run_once` produced."""
 
-
-def _storage_in_chain(exc: Optional[BaseException]) -> bool:
-    """True when a failure chain carries a typed storage error: an
-    :class:`OSTUnavailable` / :class:`OSTOverloaded` anywhere (a retry
-    or budget exhaustion raised *from* one keeps it in the chain), or
-    a :class:`RetryBudgetExhausted` — the admission layer refusing to
-    keep hammering a sick OST."""
-    return any(
-        isinstance(e, (OSTUnavailable, OSTOverloaded, RetryBudgetExhausted))
-        for e in _chain(exc)
-    )
+    #: Virtual completion seconds (0.0: killed by a bounded typed error).
+    seconds: float
+    #: No silent corruption.
+    verified: bool
+    #: Corruption was injected and caught.
+    detected: bool
+    #: The run's own registry (a fresh session per run).
+    registry: MetricsRegistry
+    #: Its snapshot at completion — what :class:`ChaosPoint` keeps.
+    counters: Dict[str, object]
 
 
 @dataclass
@@ -166,23 +187,21 @@ class ChaosHarness:
     """Sweep a fault scenario's intensity over a fixed collective write.
 
     ``scenario`` is a ``name[:seed]`` spec or an explicit
-    :class:`FaultPlan`.  The workload is ``count`` interleaved
-    ``region``-byte tiles per rank, written with one ``write_all``."""
+    :class:`FaultPlan`.  ``integrity`` / ``liveness`` / ``replication``
+    arm the ``"chaos"`` rows of :data:`ARMS` on top of ``hints``;
+    ``breaker`` is the session's; ``async_io`` issues the write as
+    ``iwrite_all`` + ``Request.wait()``, which re-raises the operation's
+    *original* typed exception object, so the chain the classifier
+    walks is the one the inline path produces."""
 
     def __init__(
         self,
         scenario: str | FaultPlan,
         *,
-        nprocs: int = 4,
-        region: int = 64,
-        count: int = 16,
-        hints: Optional[Hints] = None,
-        cost: CostModel = DEFAULT_COST_MODEL,
+        hints: Hints = SMOKE_HINTS,
         integrity: bool = False,
         liveness: bool = False,
-        deadline: float = 0.25,
         replication: int = 1,
-        queue_limit: Optional[float] = None,
         breaker: object = True,
         async_io: bool = False,
     ) -> None:
@@ -192,194 +211,108 @@ class ChaosHarness:
         else:
             self.plan = load_scenario(scenario)
             self.scenario_name = scenario.partition(":")[0]
-        self.nprocs = nprocs
-        self.region = region
-        self.count = count
-        # Default geometry: two aggregators, a collective buffer small
-        # enough for several rounds per call — phase-boundary scenarios
-        # (agg-crash) need boundaries to exist.
-        self.hints = (
-            hints if hints is not None else Hints(cb_nodes=2, cb_buffer_size=512)
+        self.pattern = smoke_pattern(NPROCS)
+        self.hints = hints.replace(
+            **arm("chaos", integrity=integrity, liveness=liveness, replicate=replication)
         )
-        self.integrity = integrity
-        if integrity:
-            self.hints = self.hints.replace(
-                integrity_pages=True, integrity_network=True
-            )
-        self.liveness = liveness
-        self.deadline = deadline
-        if liveness:
-            self.hints = self.hints.replace(coll_deadline=deadline, liveness=True)
-        #: The plan carries OST fault events — typed storage errors are
-        #: then bounded outcomes, not harness bugs.
-        self.storage = any(e.kind in OST_KINDS for e in self.plan.events)
-        #: The plan carries fail-stop rank crashes — survivors must
-        #: still terminate, the crashed ranks are rejoined and resumed,
-        #: and after resume the *full* oracle must match
-        #: (docs/crash_recovery.md).  A quorum-loss
-        #: :class:`~repro.errors.CollectiveAborted` is a bounded typed
-        #: outcome, same contract as the liveness and storage domains.
-        self.crash = any(e.kind == "rank_crash" for e in self.plan.events)
-        self.replication = replication
-        if replication > 1:
-            self.hints = self.hints.replace(replication_factor=replication)
-        self.queue_limit = queue_limit
+        #: Which rows of :data:`_BOUNDED` apply: liveness armed, OST
+        #: events in the plan, fail-stop rank crashes in the plan (the
+        #: crashed ranks are rejoined and resumed, and after resume the
+        #: *full* oracle must match — docs/crash_recovery.md).
+        self.armed = {
+            "always": True,
+            "liveness": liveness,
+            "storage": bool(self.plan.kinds & OST_KINDS),
+            "crash": "rank_crash" in self.plan.kinds,
+        }
         self.breaker = breaker
-        #: Issue the workload through the nonblocking surface
-        #: (``iwrite_all`` + ``Request.wait()``) instead of the blocking
-        #: ``write_all``.  The bounded-completion contract is identical:
-        #: ``wait()`` re-raises the operation's *original* typed
-        #: exception object, so the cause/context chain the classifier
-        #: whitelists is the same one the inline path produces.
         self.async_io = async_io
-        self.cost = cost
-        self.total_bytes = nprocs * region * count
+        self.total_bytes = self.pattern.total_bytes
 
-    # -- workload -----------------------------------------------------------
-    def _rank_buffer(self, rank: int) -> np.ndarray:
-        n = self.region * self.count
-        return ((np.arange(n, dtype=np.int64) * (rank + 1) + rank) % 251).astype(
-            np.uint8
+    def _write(self, async_io: bool):
+        def body(ctx, comm, f):
+            apply_view(f, self.pattern, comm.rank)
+            write_pattern(f, self.pattern, comm.rank, async_io=async_io)
+
+        return body
+
+    def _bounded(self, exc: BaseException) -> bool:
+        return any(
+            (isinstance(e, RetryExhausted) and e.site == "net-frame")
+            or any(self.armed[d] and isinstance(e, types) for d, types in _BOUNDED.items())
+            for e in error_chain(exc)
         )
 
-    def _oracle(self) -> np.ndarray:
-        """The expected file image, built without the simulator."""
-        out = np.zeros(self.total_bytes, dtype=np.uint8)
-        period = self.region * self.nprocs
-        tile = resized(contiguous(self.region, BYTE), 0, period).flatten()
-        for rank in range(self.nprocs):
-            total = self.region * self.count
-            batch = FlatCursor(tile, rank * self.region, total).all_segments()
-            scatter_segments(out, batch, self._rank_buffer(rank))
-        return out
-
-    def run_once(
-        self, plan: Optional[FaultPlan]
-    ) -> tuple[float, bool, bool, Dict[str, object]]:
-        """One full run (open, write_all, close) under ``plan``.
-
-        Returns (virtual completion seconds, no-silent-corruption,
-        corruption-detected, registry snapshot).
-        ``plan=None`` runs fault-free.  Failures unrelated to
-        corruption detection propagate (they are harness bugs, not
-        chaos outcomes).
-
-        Each run builds a fresh :class:`~repro.obs.session.Session`, so
-        the returned registry snapshot is the per-run counter set
-        (``faults.*`` included)."""
+    def run_once(self, plan: Optional[FaultPlan]) -> ChaosRun:
+        """One full run (open, write_all, close) under ``plan`` on a
+        fresh :class:`~repro.obs.session.Session`; ``plan=None`` runs
+        fault-free.  Failures outside :data:`_BOUNDED` propagate (they
+        are harness bugs, not chaos outcomes)."""
         session = Session(
-            _PATH,
-            nprocs=self.nprocs,
-            hints=self.hints,
-            cost=self.cost,
-            faults=plan,
-            queue_limit=self.queue_limit,
-            breaker=self.breaker,
+            _PATH, nprocs=NPROCS, hints=self.hints, faults=plan, breaker=self.breaker
         )
-        fs = session.fs
-        region, nprocs = self.region, self.nprocs
-        hints = self.hints
+        write = self._write(self.async_io)
 
         def main(ctx):
-            comm = Communicator(ctx, self.cost)
-            f = CollectiveFile(ctx, comm, fs, _PATH, hints=hints, cost=self.cost)
-            tile = resized(contiguous(region, BYTE), 0, region * nprocs)
-            f.set_view(disp=comm.rank * region, filetype=tile)
-            if self.async_io:
-                # Split collective: any typed failure is captured by the
-                # coroutine's handle and re-raised here — same object,
-                # same chain, same classifier outcome as the inline path.
-                f.iwrite_all(self._rank_buffer(comm.rank)).wait()
-            else:
-                f.write_all(self._rank_buffer(comm.rank))
-            f.close()
+            with session.opened(ctx) as (comm, f):
+                write(ctx, comm, f)
             return ctx.now
 
         try:
             times = session.launch(main)
         except ReproError as exc:
-            counters = session.registry.snapshot()
-            if self.crash and any(
-                isinstance(e, CollectiveAborted) for e in _chain(exc)
-            ):
-                # Quorum lost: the collective died loudly with the typed
-                # abort instead of hanging on the corpses.  Bounded.
-                return 0.0, True, True, counters
-            if self.liveness and _liveness_in_chain(exc):
-                # Killed loudly by a typed liveness error — the bounded
-                # (and reported) alternative to a hang.  The raising
-                # rank's clock was at most one deadline past the call's
-                # start, so boundedness holds by construction.
-                return 0.0, True, True, counters
-            if self.storage and _storage_in_chain(exc):
-                # Killed loudly by a typed storage error (the OST stayed
-                # down past what retries/replicas could absorb) — the
-                # bounded alternative to hammering a dead OST forever.
-                return 0.0, True, True, counters
-            if not _detection_in_chain(exc):
+            if not self._bounded(exc):
                 raise
-            # Killed loudly by detected corruption — the opposite of a
-            # silent wrong answer.  No meaningful completion time.
-            return 0.0, True, True, counters
-        if self.crash and session.sim is not None and session.sim.crashed:
-            # Rejoin every corpse and resume: replay the same program,
-            # rewriting only what no survivor committed on its behalf.
-            # After resume the *full* oracle must match.
-            def rejoin_body(rank):
-                def run(ctx, comm, f):
-                    tile = resized(contiguous(region, BYTE), 0, region * nprocs)
-                    f.set_view(disp=rank * region, filetype=tile)
-                    f.write_all(self._rank_buffer(rank))
-
-                return run
-
+            return ChaosRun(0.0, True, True, session.registry, session.registry.snapshot())
+        if self.armed["crash"]:
+            # Rejoin every corpse and resume: replay the same program
+            # (blocking), rewriting only what no survivor committed on
+            # its behalf.
             for rank in sorted(session.sim.crashed):
-                session.rejoin(rank, rejoin_body(rank))
+                session.rejoin(rank, self._write(False))
         counters = session.registry.snapshot()
         seconds = max(t for t in times if t is not None)
-        got = fs.raw_bytes(_PATH, 0, self.total_bytes)
-        diff = np.flatnonzero(got != self._oracle())
+        got = session.fs.raw_bytes(_PATH, 0, self.total_bytes)
+        diff = np.flatnonzero(got != expected_file_bytes(self.pattern))
         detected = bool(
             counters.get("faults.net.corruptions_detected")
             or counters.get("faults.page.corruptions_detected")
         )
-        if diff.size == 0:
-            return seconds, True, detected, counters
-        # Bytes are wrong.  That is still "caught" when every wrong page
-        # fails its sidecar (an fsck scrub flags exactly the damage);
-        # anything less is silent corruption.
-        store = fs.page_store(_PATH)
-        bad = set(store.verify_all())
-        wrong_pages = set((diff // store.page_size).tolist())
-        caught = bool(bad) and wrong_pages <= bad
-        return seconds, caught, caught or detected, counters
+        verified = diff.size == 0
+        if not verified:
+            # Bytes are wrong.  That is still "caught" when every wrong
+            # page fails its sidecar (an fsck scrub flags exactly the
+            # damage); anything less is silent corruption.
+            store = session.fs.page_store(_PATH)
+            bad = set(store.verify_all())
+            verified = bool(bad) and set((diff // store.page_size).tolist()) <= bad
+            detected = detected or verified
+        return ChaosRun(seconds, verified, detected, session.registry, counters)
 
     def sweep(
         self, rate_scales: Sequence[float] = (0.25, 0.5, 1.0, 2.0)
     ) -> ChaosReport:
         """Baseline plus one verified run per intensity."""
-        baseline, ok, _, _ = self.run_once(None)
+        base = self.run_once(None)
+        if not base.verified:
+            raise AssertionError("fault-free chaos baseline wrote corrupt data")
         report = ChaosReport(
             scenario=self.scenario_name,
             seed=self.plan.seed,
-            nprocs=self.nprocs,
+            nprocs=NPROCS,
             total_bytes=self.total_bytes,
-            baseline_seconds=baseline,
+            baseline_seconds=base.seconds,
         )
-        if not ok:
-            raise AssertionError("fault-free chaos baseline wrote corrupt data")
         for scale in rate_scales:
-            seconds, verified, detected, counters = self.run_once(
-                self.plan.scaled(scale)
-            )
+            run = self.run_once(self.plan.scaled(scale))
             report.points.append(
                 ChaosPoint(
                     rate_scale=float(scale),
-                    sim_seconds=seconds,
-                    slowdown=seconds / baseline if baseline > 0 else float("inf"),
-                    verified=verified,
-                    detected=detected,
-                    counters=counters,
+                    sim_seconds=run.seconds,
+                    slowdown=run.seconds / base.seconds if base.seconds > 0 else float("inf"),
+                    verified=run.verified,
+                    detected=run.detected,
+                    counters=run.counters,
                 )
             )
         return report

@@ -20,7 +20,13 @@ from repro.errors import CollectiveIOError
 from repro.fs import SimFileSystem
 from repro.hpio.patterns import HPIOPattern
 from repro.hpio.timeseries import TimeSeriesPattern
-from repro.hpio.verify import fill_pattern, verify_write
+from repro.hpio.verify import (
+    apply_view,
+    expected_file_bytes,
+    read_back_ok,
+    verify_write,
+    write_pattern,
+)
 from repro.mpi import Hints
 from repro.obs.hooks import PhaseAccumulator
 from repro.obs.metrics import MetricsRegistry
@@ -127,17 +133,8 @@ def run_hpio_write(
         representation = "succinct"
 
     def body(ctx, comm, f):
-        rank = comm.rank
-        f.set_view(
-            disp=pattern.file_disp(rank),
-            filetype=pattern.filetype(rank, representation),
-        )
-        buf = fill_pattern(pattern, rank)
-        memtype = pattern.memtype()
-        if memtype is None:
-            f.write_all(buf)
-        else:
-            f.write_all(buf, memtype=memtype, count=1)
+        apply_view(f, pattern, comm.rank, representation)
+        write_pattern(f, pattern, comm.rank)
         return pattern.bytes_per_client
 
     result, fs = run_collective(
@@ -176,10 +173,6 @@ def run_hpio_read(
 
     The file is pre-populated with the pattern's oracle image; every
     rank's read-back is verified against a direct gather."""
-    from repro.datatypes.packing import gather_segments
-    from repro.datatypes.segments import FlatCursor
-    from repro.hpio.verify import expected_file_bytes
-
     base = hints if hints is not None else Hints()
     base = base.replace(coll_impl=impl)
     if impl == "old" and representation != "succinct":
@@ -187,19 +180,10 @@ def run_hpio_read(
     image = expected_file_bytes(pattern)
 
     def body(ctx, comm, f):
-        rank = comm.rank
-        f.set_view(
-            disp=pattern.file_disp(rank),
-            filetype=pattern.filetype(rank, representation),
-        )
-        out = np.zeros(pattern.bytes_per_client, dtype=np.uint8)
-        f.read_all(out)
-        flat = pattern.filetype(rank, "succinct").flatten()
-        batch = FlatCursor(flat, pattern.file_disp(rank), out.size).all_segments()
-        expect = gather_segments(image, batch)
-        if not np.array_equal(out, expect):
-            raise CollectiveIOError(f"rank {rank} read corrupt data")
-        return out.size
+        apply_view(f, pattern, comm.rank, representation)
+        if not read_back_ok(f, pattern, comm.rank, image=image):
+            raise CollectiveIOError(f"rank {comm.rank} read corrupt data")
+        return pattern.bytes_per_client
 
     # The session owns the file system, so install the oracle image
     # before the ranks start.

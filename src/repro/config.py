@@ -167,12 +167,6 @@ class FaultConfig:
     #: chains stop doubling here instead of advancing virtual time
     #: unboundedly.
     retry_backoff_max: float = 0.25
-    #: Full-jitter backoff: each sleep is a seeded uniform draw in
-    #: [0, capped exponential] instead of the cap itself, so ranks
-    #: faulted together do not retry in lockstep waves.  Off by
-    #: default — deterministic lockstep is what the pinned fault
-    #: timings of earlier PRs assume.
-    retry_jitter: bool = False
     #: Cross-operation retry budget per client (0 = unlimited): once a
     #: client has spent this many retries in total, further transient
     #: faults raise :class:`repro.errors.RetryBudgetExhausted`
@@ -212,8 +206,9 @@ class LivenessConfig:
 
     Installed into the simulation by the ``coll_deadline`` / ``liveness``
     hints (see :mod:`repro.liveness`); everything here is measured in
-    *virtual* seconds except ``join_timeout``, which bounds real
-    wall-clock waiting in :class:`repro.sim.Simulator`.
+    *virtual* seconds.  (The watchdog heartbeat and the wall-clock join
+    timeout are :class:`repro.sim.Watchdog`'s and
+    :class:`repro.sim.Simulator`'s own parameters.)
     """
 
     #: Per-collective-call virtual-time budget (0 = no deadline).
@@ -221,12 +216,6 @@ class LivenessConfig:
     #: Lease on a pinned extent lock: a lock wedged by a stalled holder
     #: is reclaimed after this many virtual seconds.
     lock_lease: float = 0.02
-    #: Watchdog heartbeat: a rank making no progress marks for this many
-    #: virtual seconds is declared *suspect*.
-    watchdog_heartbeat: float = 0.05
-    #: Wall-clock seconds the engine waits for rank threads to finish
-    #: before aborting with :class:`repro.errors.SimHang`.
-    join_timeout: float = 600.0
 
     def replace(self, **kwargs: object) -> "LivenessConfig":
         """Return a copy with the given fields replaced."""
@@ -240,8 +229,6 @@ class LivenessConfig:
                 raise ValueError(
                     f"LivenessConfig.{field.name} must be >= 0, got {value}"
                 )
-        if self.join_timeout <= 0:
-            raise ValueError("join_timeout must be positive")
 
 
 #: Shared default instances; treat as immutable.

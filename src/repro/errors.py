@@ -11,6 +11,16 @@ class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
 
 
+def error_chain(exc):
+    """Walk an exception's cause/context chain (cycle-safe): how a
+    caller finds the typed error inside a :class:`RankFailed`."""
+    seen = set()
+    while exc is not None and id(exc) not in seen:
+        seen.add(id(exc))
+        yield exc
+        exc = exc.__cause__ or exc.__context__
+
+
 class SimulationError(ReproError):
     """Base class for discrete-event engine failures."""
 

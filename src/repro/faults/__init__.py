@@ -19,13 +19,11 @@ completion times, byte-identical file contents.
 
 Usage::
 
-    from repro.faults import load_scenario
+    from repro import Session
 
-    plan = load_scenario("transient-io:42")   # or build via the DSL
-    sim = Simulator(4)
-    injector = plan.install(sim)              # counts into the run's registry
-    sim.run(main)
-    print(injector.registry.format("faults."))
+    s = Session("/data", nprocs=4, faults="transient-io:42")  # or a FaultPlan
+    s.run(body)                               # plan installed into the run
+    print(s.registry.format("faults."))       # counted in the run's registry
 """
 
 from repro.faults.injector import FAULT_COUNTERS, FaultInjector, find_injector, fired

@@ -251,15 +251,6 @@ class FaultInjector:
     def note_ost_quorum_failure(self) -> None:
         self._count("faults.ost.quorum_failures")
 
-    def retry_jitter(self, actor: int) -> float:
-        """Seeded uniform draw in [0, 1) for full-jitter backoff.
-
-        Keyed per actor so concurrently-faulted ranks desynchronize
-        their retry waves instead of stampeding in lockstep; drawn from
-        the position-draw counter namespace so arming jitter never
-        perturbs the fault decision sequences."""
-        return self._draw("retry_jitter", actor) / _U64
-
     # -- fs.locks hook ----------------------------------------------------
     def lock_storm_rpcs(self, client: int, now: float) -> int:
         """Additional RPC round-trips this acquisition must pay."""

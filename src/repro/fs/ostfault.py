@@ -41,6 +41,7 @@ __all__ = [
     "next_recovery",
     "health_lanes",
     "chrome_lane_events",
+    "append_ost_lanes",
     "OST_LANE_TID",
     "BreakerPolicy",
     "CircuitBreaker",
@@ -263,3 +264,22 @@ def chrome_lane_events(
             }
         )
     return out
+
+
+def append_ost_lanes(doc: Dict, plan, num_osts: int) -> Dict:
+    """Append the health lanes of ``plan``'s OST events (if it has any)
+    to the Chrome trace ``doc``, out to the end of its last span."""
+    from repro.faults.plan import OST_KINDS
+
+    events = [e for e in plan.events if e.kind in OST_KINDS] if plan is not None else []
+    if events:
+        horizon = max(
+            (
+                (ev["ts"] + ev.get("dur", 0.0)) / 1e6
+                for ev in doc["traceEvents"]
+                if ev["ph"] == "X"
+            ),
+            default=0.0,
+        )
+        doc["traceEvents"].extend(chrome_lane_events(events, num_osts, horizon))
+    return doc

@@ -19,19 +19,12 @@ to the scheduler, so other ranks (and the fault window itself) make
 progress while this rank waits; riding out a timed outage window is
 exactly the behaviour the ``io-outage`` scenario verifies.
 
-Two storm-control refinements (``docs/storage_faults.md``):
-
-* **Full jitter** (``jitter=True``; a policy parameter, not a hint): each
-  sleep is ``u * capped_exponential`` with ``u`` a *seeded* uniform
-  draw from the fault injector, keyed per rank — so ranks that fault
-  together stop retrying in lockstep waves against a recovering OST,
-  while a fixed plan seed still replays the exact same delays.
-* **Retry budget** (:class:`RetryBudget`, the ``io_retry_budget``
-  hint): a mutable cross-operation allowance shared by all of one
-  client's policies.  When it runs dry the client stops retrying
-  *anything* and fails fast with a typed
-  :class:`~repro.errors.RetryBudgetExhausted` — bounded load on a sick
-  storage system instead of an open-ended storm.
+Storm control (``docs/storage_faults.md``): the **retry budget**
+(:class:`RetryBudget`, the ``io_retry_budget`` hint) is a mutable
+cross-operation allowance shared by all of one client's policies.  When
+it runs dry the client stops retrying *anything* and fails fast with a
+typed :class:`~repro.errors.RetryBudgetExhausted` — bounded load on a
+sick storage system instead of an open-ended storm.
 """
 
 from __future__ import annotations
@@ -39,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, TypeVar
 
-from repro.config import DEFAULT_FAULT_CONFIG, FaultConfig
+from repro.config import DEFAULT_FAULT_CONFIG
 from repro.errors import RetryBudgetExhausted, RetryExhausted, TransientIOError
 from repro.faults.plan import FAULTS_KEY
 
@@ -93,24 +86,9 @@ class RetryPolicy:
     #: the uncapped tail (factor^n) dominates total recovery time for
     #: no extra politeness — real clients cap it.
     backoff_max: float = DEFAULT_FAULT_CONFIG.retry_backoff_max
-    #: Full-jitter: sleep a seeded uniform fraction of the capped
-    #: exponential instead of the whole thing (needs an installed
-    #: injector for the draw; falls back to no jitter without one).
-    jitter: bool = DEFAULT_FAULT_CONFIG.retry_jitter
     #: Shared cross-operation budget (``None`` = per-operation retries
     #: only).  The dataclass stays frozen; the budget object mutates.
     budget: Optional[RetryBudget] = None
-
-    @classmethod
-    def from_config(cls, config: FaultConfig) -> "RetryPolicy":
-        return cls(
-            retries=config.io_retries,
-            backoff=config.retry_backoff,
-            backoff_factor=config.retry_backoff_factor,
-            backoff_max=config.retry_backoff_max,
-            jitter=config.retry_jitter,
-            budget=RetryBudget(config.retry_budget) if config.retry_budget else None,
-        )
 
     def run(self, ctx: Any, op: Callable[[], T]) -> T:
         """Execute ``op`` under this policy; returns its result.
@@ -138,8 +116,6 @@ class RetryPolicy:
                     self.backoff * self.backoff_factor ** (attempt - 1),
                     self.backoff_max,
                 )
-                if self.jitter and injector is not None:
-                    delay *= injector.retry_jitter(ctx.rank)
                 if injector is not None:
                     injector.note_retry(delay)
                 ctx.advance(delay)

@@ -34,6 +34,7 @@ registry there under :data:`~repro.obs.metrics.METRICS_KEY`).
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.config import CostModel, DEFAULT_COST_MODEL
@@ -152,6 +153,22 @@ class Session:
         return cls(path, **kwargs)
 
     # -- running -------------------------------------------------------------
+    def _simulate(self, main: Callable[..., Any], nprocs: int, before=None) -> list:
+        """``main(ctx)`` on ``nprocs`` ranks of a fresh simulator that
+        shares this session's tracer and registry (``before(sim)`` runs
+        before the ranks start); its dispatcher counts land in ``sim.*``."""
+        from repro.sim.engine import Simulator
+
+        sim = Simulator(nprocs, tracer=self.tracer)
+        sim.shared[METRICS_KEY] = self.registry
+        if before is not None:
+            before(sim)
+        try:
+            return sim.run(main)
+        finally:
+            for name, count in sim.counters.items():
+                self.registry.counter(f"sim.{name}").inc(count)
+
     def launch(self, main: Callable[..., Any]) -> list:
         """Run ``main(ctx)`` on every rank of a fresh simulator.
 
@@ -159,56 +176,69 @@ class Session:
         has the session's fault plan (if any) installed.  Returns the
         per-rank results."""
         from repro.errors import CollectiveAborted, RankFailed
-        from repro.sim.engine import Simulator
 
-        sim = Simulator(self.nprocs, tracer=self.tracer)
-        sim.shared[METRICS_KEY] = self.registry
-        if self.plan is not None:
-            self._injector = self.plan.install(sim)
-        self.sim = sim
+        def install(sim):
+            if self.plan is not None:
+                self._injector = self.plan.install(sim)
+            self.sim = sim
+
         try:
-            self._results = sim.run(main)
+            self._results = self._simulate(main, self.nprocs, install)
         except RankFailed as exc:
             # Quorum loss surfaces as the typed abort, not the engine's
             # generic rank-failure wrapper (docs/crash_recovery.md).
             if isinstance(exc.__cause__, CollectiveAborted):
                 raise exc.__cause__ from None
             raise
-        finally:
-            self._publish_engine_counters(sim)
         return self._results
 
-    def _publish_engine_counters(self, sim) -> None:
-        """Add a finished simulator's dispatcher counts to ``sim.*``."""
-        for name, count in sim.counters.items():
-            self.registry.counter(f"sim.{name}").inc(count)
+    @contextmanager
+    def opened(self, ctx, comm=None, **file_kw):
+        """The one opener: ``with s.opened(ctx) as (comm, f)`` inside a
+        ``main(ctx)`` under :meth:`launch` gives the rank a communicator
+        and an open :class:`~repro.core.CollectiveFile` on the session's
+        fs / path / hints / cost, closed (collectively) when the block
+        completes.  Untimed: :meth:`run` wraps its makespan bracket
+        around this, :meth:`rejoin` passes its
+        :class:`~repro.core.resume.ResumeComm`, and the chaos harness
+        and the CLI's ``selfcheck`` / ``fsck`` use it as is."""
+        from repro.core.file_handle import CollectiveFile
+        from repro.errors import RankCrashed
+        from repro.mpi.comm import Communicator
+
+        if comm is None:
+            comm = Communicator(ctx, self.cost)
+        f = CollectiveFile(
+            ctx, comm, self.fs, self.path, hints=self.hints, cost=self.cost, **file_kw
+        )
+        try:
+            yield comm, f
+        except RankCrashed:
+            f.close()  # a corpse's close is a local teardown
+            raise
+        # Not a ``finally``: a rank leaving with an error (or the engine's
+        # abort) has abandoned the collective its peers are in, and a
+        # collective close could only hang on them and mask the error.
+        f.close()
 
     def run(self, body: Callable[..., Any]) -> list:
         """Run ``body(ctx, comm, f)`` on every rank against the session file.
 
         Each rank gets a communicator and an open
         :class:`~repro.core.CollectiveFile` on :attr:`path` with the
-        session's hints; the file is closed (collectively) after
-        ``body`` returns.  The timed window — :attr:`makespan` — spans
-        the post-open barrier to the slowest rank's close, so deferred
-        cache flushes are charged to the run that deferred them.
+        session's hints (:meth:`opened`); the file is closed
+        (collectively) after ``body`` returns.  The timed window —
+        :attr:`makespan` — spans the post-open barrier to the slowest
+        rank's close, so deferred cache flushes are charged to the run
+        that deferred them.
         Returns the per-rank ``body`` results."""
-        from repro.core.file_handle import CollectiveFile
-        from repro.mpi.comm import Communicator
-
         from repro.liveness import find_crash_state
         from repro.mpi.agreement import AliveGroup
 
         def main(ctx):
-            comm = Communicator(ctx, self.cost)
-            f = CollectiveFile(
-                ctx, comm, self.fs, self.path, hints=self.hints, cost=self.cost
-            )
-            t0 = comm.allreduce(ctx.now, op=max)
-            try:
+            with self.opened(ctx) as (comm, f):
+                t0 = comm.allreduce(ctx.now, op=max)
                 out = body(ctx, comm, f)
-            finally:
-                f.close()
             # The closing timestamp reduction runs over the survivors:
             # ranks dead fail-stop never reach it, and waiting on them
             # would hang the teardown forever.
@@ -261,9 +291,7 @@ class Session:
         survivor committed on the rank's behalf.  Returns a dict with
         the rank's ``result`` plus ``rewritten``/``skipped`` byte
         totals.  See ``docs/crash_recovery.md``."""
-        from repro.core.file_handle import CollectiveFile
         from repro.core.resume import ResumeComm
-        from repro.sim.engine import Simulator
 
         if self.sim is None or rank not in self.sim.crashed:
             raise ValueError(
@@ -274,29 +302,14 @@ class Session:
             self._injector.note_rejoin()
 
         def replay(ctx):
-            comm = ResumeComm(ctx, self.cost, rank, self.nprocs)
-            f = CollectiveFile(
-                ctx,
-                comm,
-                self.fs,
-                self.path,
-                hints=self.hints,
-                cost=self.cost,
-                client_id=("rejoin", rank),
-                resume_rank=rank,
-            )
-            try:
+            resume = ResumeComm(ctx, self.cost, rank, self.nprocs)
+            with self.opened(
+                ctx, resume, client_id=("rejoin", rank), resume_rank=rank
+            ) as (comm, f):
                 out = body(ctx, comm, f)
-            finally:
-                f.close()
             return (out, f.resume_rewritten, f.resume_skipped)
 
-        sim = Simulator(1, tracer=self.tracer)
-        sim.shared[METRICS_KEY] = self.registry
-        try:
-            (result,) = sim.run(replay)
-        finally:
-            self._publish_engine_counters(sim)
+        (result,) = self._simulate(replay, 1)
         out, rewritten, skipped = result
         if self._injector is not None:
             self._injector.note_resume(rewritten, skipped)
@@ -327,25 +340,11 @@ class Session:
         health lanes (``ost:down`` / ``ost:degraded`` spans on their
         own rows) are appended so storage outages line up against the
         compute rows."""
-        doc = self.tracer.to_chrome_trace()
-        if self.plan is not None:
-            from repro.faults.plan import OST_KINDS
-            from repro.fs.ostfault import chrome_lane_events
+        from repro.fs.ostfault import append_ost_lanes
 
-            events = [e for e in self.plan.events if e.kind in OST_KINDS]
-            if events:
-                horizon = max(
-                    (
-                        (ev["ts"] + ev.get("dur", 0.0)) / 1e6
-                        for ev in doc["traceEvents"]
-                        if ev["ph"] == "X"
-                    ),
-                    default=0.0,
-                )
-                doc["traceEvents"].extend(
-                    chrome_lane_events(events, self.cost.num_osts, horizon)
-                )
-        return doc
+        return append_ost_lanes(
+            self.tracer.to_chrome_trace(), self.plan, self.cost.num_osts
+        )
 
     def write_trace(self, path: str, *, validate: bool = True) -> Dict[str, Any]:
         """Write the Chrome trace JSON to ``path`` and return it.

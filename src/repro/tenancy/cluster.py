@@ -442,25 +442,11 @@ class Cluster:
 
         When the cluster has storage faults, per-OST health lanes are
         appended below the tenant rows."""
-        doc = self.tracer.to_chrome_trace()
-        if self.storage_plan is not None:
-            from repro.faults.plan import OST_KINDS
-            from repro.fs.ostfault import chrome_lane_events
+        from repro.fs.ostfault import append_ost_lanes
 
-            events = [e for e in self.storage_plan.events if e.kind in OST_KINDS]
-            if events:
-                horizon = max(
-                    (
-                        (ev["ts"] + ev.get("dur", 0.0)) / 1e6
-                        for ev in doc["traceEvents"]
-                        if ev["ph"] == "X"
-                    ),
-                    default=0.0,
-                )
-                doc["traceEvents"].extend(
-                    chrome_lane_events(events, self.cost.num_osts, horizon)
-                )
-        return doc
+        return append_ost_lanes(
+            self.tracer.to_chrome_trace(), self.storage_plan, self.cost.num_osts
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         names = ", ".join(t.name for t in self.tenants)

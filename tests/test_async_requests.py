@@ -346,19 +346,19 @@ class TestComposition:
         ):
             sync = ChaosHarness(spec, **kwargs)
             asyn = ChaosHarness(spec, async_io=True, **kwargs)
-            _, ok_s, det_s, _ = sync.run_once(sync.plan.scaled(1.0))
-            _, ok_a, det_a, _ = asyn.run_once(asyn.plan.scaled(1.0))
-            assert ok_s and ok_a
-            assert det_s == det_a
+            run_s = sync.run_once(sync.plan.scaled(1.0))
+            run_a = asyn.run_once(asyn.plan.scaled(1.0))
+            assert run_s.verified and run_a.verified
+            assert run_s.detected == run_a.detected
 
     def test_chaos_async_crash_rejoin_full_oracle(self):
         plan = FaultPlan(seed=0).rank_crash(
             1, call_index=0, round_index=1, site="exchange"
         )
         harness = ChaosHarness(plan, async_io=True)
-        seconds, verified, _, _ = harness.run_once(plan)
-        assert verified
-        assert seconds > 0.0
+        run = harness.run_once(plan)
+        assert run.verified
+        assert run.seconds > 0.0
 
     def test_async_spans_land_on_async_lane(self):
         s = Session(PATH, nprocs=2, hints=HINTS, trace=True)

@@ -372,7 +372,7 @@ class TestPerformanceFaults:
 
 class TestChaosHarness:
     def test_sweep_is_verified_and_reports(self):
-        harness = ChaosHarness("chaos:3", nprocs=4)
+        harness = ChaosHarness("chaos:3")
         report = harness.sweep(rate_scales=(0.5, 2.0))
         assert report.all_verified
         assert report.baseline_seconds > 0

@@ -501,10 +501,10 @@ class TestChaosLiveness:
     def test_liveness_run_beats_waiting(self):
         live = ChaosHarness("stall:42", liveness=True)
         wait = ChaosHarness("stall:42")
-        live_s, ok_live, _, _ = live.run_once(live.plan.scaled(1.0))
-        wait_s, ok_wait, _, _ = wait.run_once(wait.plan.scaled(1.0))
-        assert ok_live and ok_wait
-        assert live_s < wait_s
+        live_run = live.run_once(live.plan.scaled(1.0))
+        wait_run = wait.run_once(wait.plan.scaled(1.0))
+        assert live_run.verified and wait_run.verified
+        assert live_run.seconds < wait_run.seconds
 
 
 class TestFaultStatsLiveness:

@@ -30,8 +30,9 @@ from repro.errors import (
     RetryBudgetExhausted,
     RetryExhausted,
     TransientIOError,
+    error_chain,
 )
-from repro.faults import EVENT_KINDS, OST_KINDS, FaultInjector, FaultPlan, FaultPlanError, load_scenario
+from repro.faults import EVENT_KINDS, OST_KINDS, FaultPlan, FaultPlanError, load_scenario
 from repro.fs import FairShareScheduler, FIFOScheduler, PageStore, ReplicatedStore
 from repro.fs.ostfault import (
     CLOSED,
@@ -217,21 +218,7 @@ def test_breaker_success_resets_failure_streak():
     assert br.state == CLOSED  # streak restarted, not cumulative
 
 
-# -- retry jitter + budget ---------------------------------------------------
-
-
-def test_retry_jitter_deterministic_per_seed():
-    a = FaultInjector(FaultPlan(42))
-    b = FaultInjector(FaultPlan(42))
-    c = FaultInjector(FaultPlan(43))
-    seq_a = [a.retry_jitter(1) for _ in range(8)]
-    seq_b = [b.retry_jitter(1) for _ in range(8)]
-    seq_c = [c.retry_jitter(1) for _ in range(8)]
-    assert seq_a == seq_b  # same seed, same actor: identical sequence
-    assert seq_a != seq_c  # different seed diverges
-    assert all(0.0 <= u < 1.0 for u in seq_a)
-    # Distinct actors draw independent streams from one injector.
-    assert [a.retry_jitter(2) for _ in range(8)] != seq_a[:8]
+# -- retry budget -----------------------------------------------------------
 
 
 class _StubCtx:
@@ -248,24 +235,6 @@ class _StubCtx:
 
 def _always_fail():
     raise TransientIOError("server_write", 0, "/x")
-
-
-def test_jittered_policy_replays_exact_delays():
-    from repro.faults.plan import FAULTS_KEY
-
-    def delays(seed):
-        ctx = _StubCtx({FAULTS_KEY: FaultInjector(FaultPlan(seed))})
-        policy = RetryPolicy(retries=5, backoff=1e-3, jitter=True)
-        with pytest.raises(RetryExhausted):
-            policy.run(ctx, _always_fail)
-        return ctx.slept
-
-    one, two = delays(7), delays(7)
-    assert one == two  # pinned per seed
-    assert delays(8) != one
-    # Full jitter: each sleep is at most the capped exponential.
-    caps = [min(1e-3 * 2.0 ** n, 0.25) for n in range(len(one))]
-    assert all(0.0 <= d <= cap for d, cap in zip(one, caps))
 
 
 def test_retry_budget_typed_error_and_bound():
@@ -433,14 +402,6 @@ def test_single_tenant_fair_equals_fifo():
 # -- end-to-end: collective runs under OST faults ----------------------------
 
 
-def _chain(exc):
-    seen = set()
-    while exc is not None and id(exc) not in seen:
-        seen.add(id(exc))
-        yield exc
-        exc = exc.__cause__ or exc.__context__
-
-
 def test_unreplicated_crash_rides_out_with_retries():
     s = _run(faults="ost-crash")
     assert np.array_equal(s.fs.raw_bytes(PATH, 0, REGION * NPROCS), _expected())
@@ -451,7 +412,7 @@ def test_unreplicated_long_crash_raises_typed_error():
     plan = FaultPlan(0).ost_crash([0], start=0.0, end=10.0)
     with pytest.raises(ReproError) as info:
         _run(faults=plan, hints={"io_retries": 2})
-    chain = list(_chain(info.value))
+    chain = list(error_chain(info.value))
     assert any(isinstance(e, RetryExhausted) for e in chain)
     assert any(isinstance(e, OSTUnavailable) for e in chain)
 
@@ -585,7 +546,7 @@ def test_replicated_quorum_failure_is_typed():
         )
     assert any(
         isinstance(e, OSTUnavailable) and e.reason == "quorum"
-        for e in _chain(info.value)
+        for e in error_chain(info.value)
     )
 
 
@@ -677,7 +638,7 @@ def test_retry_budget_bounds_total_attempts_end_to_end():
     plan = FaultPlan(0).ost_crash([0], start=0.0, end=10.0)
     with pytest.raises(ReproError) as info:
         _run(faults=plan, hints={"io_retries": 50, "io_retry_budget": 4})
-    assert any(isinstance(e, RetryBudgetExhausted) for e in _chain(info.value))
+    assert any(isinstance(e, RetryBudgetExhausted) for e in error_chain(info.value))
     # Total retries across the whole client stayed within the budget.
     assert info.value and True
 
