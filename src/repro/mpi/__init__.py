@@ -4,9 +4,10 @@ An MPI-shaped message-passing layer running on the deterministic
 virtual-time engine.  Point-to-point operations follow a LogP-style
 cost model (sender overhead, per-byte transit, receiver overhead);
 collectives are implemented as genuine distributed algorithms on top of
-point-to-point (binomial broadcast/reduce, dissemination barrier, ring
+point-to-point (binomial broadcast/reduce, dissemination barrier, Bruck
 allgather, pairwise-exchange alltoall), so their cost scaling emerges
-from the algorithms rather than from closed-form formulas.
+from the algorithms rather than from closed-form formulas
+(docs/cost_model.md tabulates messages, depth and bytes per collective).
 
 Entry point: create a :class:`~repro.mpi.comm.Communicator` inside a
 rank's main function::

@@ -8,7 +8,8 @@ virtual-time cost emerges from the message structure:
 * ``reduce``/``allreduce`` — binomial reduction (+ broadcast);
 * ``gather``/``gatherv`` — linear into the root (root cost scales with
   P, as a real implementation's does for variable-size payloads);
-* ``allgather`` — ring, P-1 steps;
+* ``allgather`` — Bruck's concatenation, ceil(log2 P) rounds of
+  doubling block lists (P ceil(log2 P) messages for every P);
 * ``scatter`` — linear from the root;
 * ``alltoall`` — pairwise exchange, P-1 rounds of sendrecv;
 * ``alltoallw`` — pairwise exchange of non-contiguous regions gathered
@@ -133,21 +134,34 @@ class CollectiveMixin:
         return out
 
     def allgather(self, obj: Any) -> list:
-        """Ring allgather: P-1 steps, each passing one block along."""
+        """Bruck's concatenation allgather: ceil(log2 P) rounds.
+
+        ``blocks[j]`` is the object of rank ``rank + j``.  In the round
+        at distance ``dist`` every rank passes its first
+        ``min(dist, P - dist)`` blocks to ``rank - dist`` and appends
+        what ``rank + dist`` passes it, so the list doubles until the
+        last round, whose ragged length is what covers a ``P`` that is
+        not a power of two.  Each rank still receives ``P - 1`` blocks
+        in all — the ring's volume in ``P * ceil(log2 P)`` messages
+        instead of ``P * (P - 1)`` (docs/cost_model.md has why no
+        payload size brings the ring back under this network model)."""
         size, rank = self.size, self.rank
+        blocks: list = [obj]
+        dist = 1
+        while dist < size:
+            blocks.extend(
+                self.sendrecv(
+                    blocks[: min(dist, size - dist)],
+                    (rank - dist) % size,
+                    (rank + dist) % size,
+                    _TAG_ALLGATHER,
+                    _TAG_ALLGATHER,
+                )
+            )
+            dist <<= 1
         out: list = [None] * size
-        out[rank] = obj
-        if size == 1:
-            return out
-        send_to = (rank + 1) % size
-        recv_from = (rank - 1) % size
-        cur = rank
-        for _ in range(size - 1):
-            req = self.isend(out[cur], send_to, _TAG_ALLGATHER)
-            prev = (cur - 1) % size
-            out[prev] = self.recv(recv_from, _TAG_ALLGATHER)
-            req.wait()
-            cur = prev
+        for j, block in enumerate(blocks):
+            out[(rank + j) % size] = block
         return out
 
     # -- scatters ---------------------------------------------------------------

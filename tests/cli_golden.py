@@ -4,11 +4,19 @@
 ``job`` (the CI job that runs it), ``why`` (what the line is there to
 catch), ``argv``, and the ``exit`` code and ``stdout`` it produced.  It
 was recorded on the commit *before* the CLI moved onto
-``Session``/argparse, so ``--check`` is a parent-vs-change diff of every
+``Session``/argparse (11 transcripts re-recorded since, numerals only,
+when ``allgather`` became log-depth), so ``--check`` is a diff of every
 printed status, count, path and virtual time, not just of exit codes.
 
     python tests/cli_golden.py --check [JOB]      # rerun under two PYTHONHASHSEEDs, diff
     python tests/cli_golden.py --record           # refresh exit/stdout of the rows in the file
+
+``--record`` prints, per transcript that changed, the exit code (``old ->
+new`` if it moved), how many lines differ and whether the difference is
+``numerals only`` — every token equal once digits are masked, so no
+status word (``ok``, ``verified``, ``DETECTED``, ``FAILED``, ...), name or
+path moved — or lists the ``NON-NUMERAL`` lines.  A change that is meant
+to move virtual time must show numerals only and no exit code moved.
 
 ``--workdir DIR`` runs the commands there (CI's ``observability`` job
 uploads the ``out.json`` the ``trace`` row writes); the default is a
@@ -21,6 +29,7 @@ import argparse
 import difflib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -41,6 +50,33 @@ def run_row(argv, workdir: str, hash_seed: str):
     return proc.returncode, proc.stdout
 
 
+_NUMERAL = re.compile(r"\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def _words(line: str) -> list:
+    """The line's tokens with every numeral masked (column padding,
+    which follows the digits, is not a token)."""
+    return _NUMERAL.sub("#", line).split()
+
+
+def describe_change(row, code: int, out: str):
+    """What ``--record`` prints for one changed row — a summary line
+    plus the line pairs whose non-numeral tokens differ — and whether
+    there were any such pairs."""
+    was, now = row["stdout"].splitlines(), out.splitlines()
+    differ = [(a, b) for a, b in zip(was, now) if a != b]
+    worded = [(a, b) for a, b in differ if _words(a) != _words(b)]
+    if len(was) != len(now):
+        worded.append((f"<{len(was)} lines>", f"<{len(now)} lines>"))
+    exit_note = f"exit {row['exit']}" + ("" if code == row["exit"] else f" -> {code}")
+    kind = "NON-NUMERAL tokens moved" if worded else "numerals only"
+    lines = [f"CHANGED python -m repro {' '.join(row['argv'])}: {exit_note}, "
+             f"{len(differ)} of {len(was)} lines differ, {kind}"]
+    for a, b in worded:
+        lines += [f"  - {a}", f"  + {b}"]
+    return lines, bool(worded)
+
+
 def main(argv) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = ap.add_mutually_exclusive_group(required=True)
@@ -54,10 +90,19 @@ def main(argv) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         workdir = ns.workdir or tmp
         if ns.record:
+            changed = worded = exits = 0
             for row in rows:
-                row["exit"], row["stdout"] = run_row(row["argv"], workdir, HASH_SEEDS[0])
+                code, out = run_row(row["argv"], workdir, HASH_SEEDS[0])
+                if (code, out) != (row["exit"], row["stdout"]):
+                    lines, has_words = describe_change(row, code, out)
+                    print("\n".join(lines))
+                    changed += 1
+                    worded += has_words
+                    exits += code != row["exit"]
+                row["exit"], row["stdout"] = code, out
             GOLDEN.write_text(json.dumps(rows, indent=1) + "\n")
-            print(f"recorded {len(rows)} invocations -> {GOLDEN}")
+            print(f"recorded {len(rows)} invocations -> {GOLDEN}: {changed} changed, "
+                  f"{worded} with a non-numeral token moved, {exits} exit codes moved")
             return 0
         rows = [r for r in rows if not ns.check or r["job"] == ns.check]
         if not rows:

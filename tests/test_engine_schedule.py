@@ -6,15 +6,15 @@ drivers, timed receives under ``coll_deadline``, spawn/join and
 ``waitany`` under ``pipeline_depth``, lock-pin waits with lease reclaim
 and early unlock, two tenants on one file system.  A cell's *schedule*
 is the tracer's ``(lane, state, t0, t1)`` list in span-close order; its
-digest and the run's makespan are pinned to values captured on the
-commit **before** the dispatcher stopped polling (``PINS`` below), so a
-scheduler change that moves a single wake-up by one ulp, or reorders
+digest and the run's makespan are pinned (``PINS`` below: captured on
+the parent of the change a cell was introduced for, re-captured only
+when a change moves virtual time on purpose), so a scheduler change that moves a single wake-up by one ulp, or reorders
 two equal-time ranks, fails here rather than in a benchmark.
 
 The ``rw-``/``cache-``/``journal-``/``crash-`` cells pin the round loop
 itself — reads, pipelined reads, plan-cache replays, the journal
-bracket, fail-stop re-plans under both drivers — and were captured on
-the parent of the commit that merged the drivers' loop copies into
+bracket, fail-stop re-plans under both drivers — and were introduced
+on the parent of the commit that merged the drivers' loop copies into
 ``core/rounds.py``.
 
 A cell's *counts* are pinned the same way: the digest of the non-zero
@@ -23,9 +23,12 @@ that is renamed, re-keyed, bumped twice or summed in another order
 fails here too.
 
 The same digests must come out under ``PYTHONHASHSEED`` 0 and 1
-(ROADMAP's determinism gate (iv), in the small).  Re-capture — only when
-a change is *meant* to move virtual time — with
-``PYTHONPATH=src python tests/test_engine_schedule.py``.
+(ROADMAP's determinism gate (iv), in the small).
+``PYTHONPATH=src python tests/test_engine_schedule.py`` prints one
+``cell.makespan`` / ``cell.schedule`` / ``cell.counts: old -> new`` line
+per pinned value that moved (exit 1 if any); ``--write`` also rewrites
+those rows of ``PINS`` in this file — only when a change is *meant* to
+move virtual time, with the printed lines pasted into the PR.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -340,52 +344,55 @@ CELLS: Dict[str, Callable[[], Cell]] = {
     **_round_loop_cells(),
 }
 
-#: cell -> (makespan.hex(), schedule digest, registry digest).  The first
-#: two were captured on the parent of the commit that introduced the
-#: cell (the first eight: the polling dispatcher); the registry digests
-#: on the parent of the commit that retired the legacy stat façades.
+#: cell -> (makespan.hex(), schedule digest, registry digest).  Each was
+#: first captured on the parent of the commit that introduced it (the
+#: first eight cells: the polling dispatcher; the registry digests: the
+#: commit that retired the legacy stat façades) and held bit-identical
+#: until ``allgather`` went from the ring to Bruck's algorithm, which
+#: moved every cell with a collective call in it (all but ``lock-pins``)
+#: and re-captured them once — EXPERIMENTS.md "PR 24" has old -> new.
 PINS: Dict[str, Tuple[str, str, str]] = {
-    "hpio-new-alltoallw": ("0x1.18fc7883069cdp-5", "e584abbc9df426ef", "a96a612dfcb63623"),
-    "hpio-new-nonblocking": ("0x1.06920dc261c95p-5", "63eb586021c06a22", "377fc4692420e167"),
-    "hpio-new-two_layer": ("0x1.28bf5af25d92bp-5", "ac60d29aa4484d30", "e7457a4ccdf3b7c7"),
-    "hpio-old": ("0x1.f8385091a3723p-6", "61701ef459ca16a5", "6b0c666d9e363f71"),
-    "deadline": ("0x1.38474aa295224p-1", "da3c1ac30c4bed7c", "f99b0a130c21ec9c"),
-    "pipeline": ("0x1.1174c07443ed7p-6", "151150463fbaf78a", "5523034776c98483"),
+    "hpio-new-alltoallw": ("0x1.171d280d8fbdbp-5", "668ad9240921a6cd", "401766d6a50a5de8"),
+    "hpio-new-nonblocking": ("0x1.04b2bd4ceaea2p-5", "b3bbc230e43a2626", "ef79b5efe5c20568"),
+    "hpio-new-two_layer": ("0x1.2500fbe96e87dp-5", "6e30cdcc6457e4aa", "7a5d65d6b6a70ae4"),
+    "hpio-old": ("0x1.f479afa6b5b3dp-6", "9544dda9cbcbc4a3", "19501fc940792cc0"),
+    "deadline": ("0x1.383fcd60bf46cp-1", "cbd1c2bf4fcf0e22", "bc8dfc3c3d29b00f"),
+    "pipeline": ("0x1.1075c59eff0dbp-6", "525ba3899bccf5e6", "0c55e3bb7f6eeaa1"),
     "lock-pins": ("0x1.5d2637de939ebp-6", "76d6452d13dadc24", "f956e3945202e9ca"),
-    "cluster": ("0x1.c52eca5515b25p-8", "af07f5f5dde87ec7", "46757e17bf82970a"),
+    "cluster": ("0x1.bddb9714b4fe9p-8", "c946098ce27b5df0", "198a8589dfc2729a"),
     # Round-loop cells, captured on the parent of the one-loop refactor.
-    "rw-new-serial": ("0x1.6c845054e939cp-6", "979a11c02281d02c", "8a266e0b8b20ebc4"),
-    "rw-new-depth1": ("0x1.3c05ddc3f13a7p-6", "e83216c6973ea9ca", "4a35d99038c8c207"),
-    "rw-new-depth2": ("0x1.db263c29aee36p-7", "668c1a489836125b", "97f321cc2a017993"),
-    "rw-new-async-depth4": ("0x1.d852864612f3ep-7", "33b4055b65be92a3", "53d24d327b8bf917"),
-    "rw-new-transient-depth2": ("0x1.0ebaf0bb19d07p-6", "a8f8186729b952bf", "8bcad4409b98e9b6"),
-    "cache-new-serial": ("0x1.f12748fd0e92dp-5", "dfa705fbdc5f4a44", "b691fa4a450b4b1e"),
-    "cache-new-depth2": ("0x1.30ad1c5042b7ep-5", "1dc8087f93a1a3e6", "ed38a2e91af5e46b"),
-    "crash-new-client-boundary": ("0x1.fc429172eea58p-6", "da529b6a612aa245", "ea8d2bcacac2cc7b"),
-    "crash-new-client-exchange": ("0x1.fc429172eea58p-6", "d7250deafd878d96", "278574ff6fef6eae"),
-    "crash-new-client-flush": ("0x1.fc429172eea58p-6", "8b2d30d53bc677c8", "278574ff6fef6eae"),
-    "crash-new-agg-boundary": ("0x1.7ee0d526cc4e7p-7", "d49c047a4dc3e86b", "18cf10565e6e60e3"),
-    "crash-new-agg-exchange": ("0x1.7ee0d526cc4e7p-7", "f277d742edd23331", "d4ae87580c788f5b"),
-    "crash-new-agg-flush": ("0x1.7ee0d526cc4e7p-7", "983a1455ca569c38", "d4ae87580c788f5b"),
-    "crash-new-read": ("0x1.fdde0eb4e9d42p-7", "9e8003c4f76b6371", "204f570484c18603"),
-    "rw-old-serial": ("0x1.8407308c62028p-6", "fe7c2dd3f255dcb5", "7781cc28dfde97b2"),
-    "rw-old-depth1": ("0x1.3b0a59bc602b0p-6", "72e31d87ca2873e6", "8113839d55a5e658"),
-    "rw-old-depth2": ("0x1.bac976f903130p-7", "dbad9a0531d5772d", "a3f86c4523e5ddcd"),
-    "rw-old-async-depth4": ("0x1.555bf9e66071dp-7", "be07c76ed0dc5caf", "64d632a6ffc69499"),
-    "rw-old-transient-depth2": ("0x1.f298ad33b6f80p-7", "f70a15d3221f3905", "7cc568aa9c8585b3"),
-    "cache-old-serial": ("0x1.124c56a3dc38ap-4", "d36215070a33b7f1", "45ca416da03304d6"),
-    "cache-old-depth2": ("0x1.2aa4fdafe7bb0p-5", "972cbd73bd4e2256", "390581465719cdc6"),
-    "crash-old-client-boundary": ("0x1.df922ea56bb98p-6", "466381caacab72a8", "525173afebdd21e9"),
-    "crash-old-client-exchange": ("0x1.df922ea56bb98p-6", "a41f7c8e53f537a3", "445588f5064555d5"),
-    "crash-old-client-flush": ("0x1.df922ea56bb98p-6", "9f08777396ce6636", "445588f5064555d5"),
-    "crash-old-agg-boundary": ("0x1.4f50813c9284ap-7", "eb7456019cde3637", "a9820ad0e7633548"),
-    "crash-old-agg-exchange": ("0x1.4f50813c9284ap-7", "eff7548423cd7eed", "e9c7c587825ffefb"),
-    "crash-old-agg-flush": ("0x1.4f50813c9284ap-7", "0a59aec202798340", "e9c7c587825ffefb"),
-    "crash-old-read": ("0x1.1672b55fd2e3ap-6", "1a1b55b86c2ff5ac", "6102abf39dde11dd"),
-    "journal-new": ("0x1.65957cee6cfe5p-6", "45050fe4fa6dfd03", "4a30dd054dd24a76"),
-    "journal-new-cache": ("0x1.dfd50bdbb3f7ap-5", "bdaf9fe0c98d69cf", "61ecad3fc4898360"),
-    "journal-new-crash-agg-flush": ("0x1.e03fd8216b8f0p-7", "409af2f50a5ecfdc", "41689705683be9d7"),
-    "agg-crash-new": ("0x1.84fa19eefee53p-7", "91b66cf202fa498f", "00a447af75899562"),
+    "rw-new-serial": ("0x1.6a4594d17ba9bp-6", "f1bab2e316f435b3", "03e73fd81c1d4718"),
+    "rw-new-depth1": ("0x1.3a27224083aa5p-6", "428c246e0235da03", "e239b549a48e1869"),
+    "rw-new-depth2": ("0x1.d768c522d3c33p-7", "a735ab907ac069dc", "09cf6d4d61b01960"),
+    "rw-new-async-depth4": ("0x1.d4950f3f37d3cp-7", "3552fb6053cda9f0", "ad436732595c48a9"),
+    "rw-new-transient-depth2": ("0x1.0cdc3537ac405p-6", "5092e9bd080e3b82", "67487fd4db390406"),
+    "cache-new-serial": ("0x1.ee733fad2ac43p-5", "be1a442f8d4c194a", "bcd1089609c33afe"),
+    "cache-new-depth2": ("0x1.2d6913005ee92p-5", "4ecdaa65e74b6545", "6c4863d357ecfe91"),
+    "crash-new-client-boundary": ("0x1.f0cb89341ff18p-6", "fff77fab920fc26b", "3594b1be6bcb6160"),
+    "crash-new-client-exchange": ("0x1.f0cb89341ff18p-6", "ee016415fe3ac481", "f64b8085df0c156d"),
+    "crash-new-client-flush": ("0x1.f0cb89341ff18p-6", "a8378ccd63f61650", "f64b8085df0c156d"),
+    "crash-new-agg-boundary": ("0x1.7d07eb17bbd5bp-7", "bc8413138afafc80", "4b9ba9e164e21df1"),
+    "crash-new-agg-exchange": ("0x1.7d07eb17bbd5bp-7", "a20f7dd392a9d7d3", "2e1d984e86dbeff0"),
+    "crash-new-agg-flush": ("0x1.7d07eb17bbd5bp-7", "1ddcbfc4184a76b4", "2e1d984e86dbeff0"),
+    "crash-new-read": ("0x1.d2020b72a0d18p-7", "6c066caa7765add0", "f4fa58131db6be3e"),
+    "rw-old-serial": ("0x1.98e6454a7a2dap-6", "7907fc79c0bdc11c", "9a79aa4f8d3d6899"),
+    "rw-old-depth1": ("0x1.28e6e8992e6bfp-6", "48d77a285177670b", "4ef06931a95e454b"),
+    "rw-old-depth2": ("0x1.a5b0fb0b39ccfp-7", "5a9e9ec7477e7417", "78c17627de52ad12"),
+    "rw-old-async-depth4": ("0x1.2b814f86ae162p-7", "010b595607bb276b", "3a2342d8f5ce0941"),
+    "rw-old-transient-depth2": ("0x1.f0e32f6427920p-7", "0a515b4dbbb61eb4", "25e8729421224362"),
+    "cache-old-serial": ("0x1.22b0d29ba9fafp-4", "471f627b11dc87c6", "913a038d0774647e"),
+    "cache-old-depth2": ("0x1.19606d3c25802p-5", "85aa9f6d989468b5", "78da12edf8b775a8"),
+    "crash-old-client-boundary": ("0x1.e072cf439a41fp-6", "3b804cb47c5c78c8", "432dd958282d4d6f"),
+    "crash-old-client-exchange": ("0x1.e072cf439a41fp-6", "c55954cc3b30d655", "cedc92d08f7afd95"),
+    "crash-old-client-flush": ("0x1.e072cf439a41fp-6", "851786319e62b595", "cedc92d08f7afd95"),
+    "crash-old-agg-boundary": ("0x1.55a6ff40def36p-7", "3f762f7bfd4ec7c0", "d903cfb1656301a6"),
+    "crash-old-agg-exchange": ("0x1.55a6ff40def36p-7", "6c5512349d8047dd", "89b74096a63bfbfa"),
+    "crash-old-agg-flush": ("0x1.55a6ff40def36p-7", "c8ab1cdde4b52d65", "89b74096a63bfbfa"),
+    "crash-old-read": ("0x1.05ae35e2c65bdp-6", "15e473b46a4764dd", "f75e2aa040255fc4"),
+    "journal-new": ("0x1.5d9459612ad94p-6", "03ca273e5ef79225", "ddad983910a2ab50"),
+    "journal-new-cache": ("0x1.dc91724157244p-5", "06d1bbaccabc2398", "77e3746cbc24c5f9"),
+    "journal-new-crash-agg-flush": ("0x1.de66ee125b163p-7", "089e218ddba80893", "4b3a600ce7448138"),
+    "agg-crash-new": ("0x1.813ca2e823c51p-7", "d5a0cf20233a09ca", "52a17f1f91192cb6"),
 }
 
 
@@ -412,12 +419,54 @@ def test_schedule_independent_of_hash_seed(hashseed):
         [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve())],
+        [sys.executable, str(Path(__file__).resolve()), "--json"],
         env=env, capture_output=True, text=True, timeout=300, check=True,
     )
     got = {k: tuple(v) for k, v in json.loads(proc.stdout).items()}
     assert got == PINS
 
 
+def _pin_diff(new: Dict[str, Tuple[str, str, str]]) -> list:
+    """``cell.field: old -> new`` per pinned value that differs
+    (makespans printed as numbers, pinned as ``.hex()``)."""
+    lines = []
+    for name, now in new.items():
+        was = PINS.get(name, (None, None, None))
+        for field, old, cur in zip(("makespan", "schedule", "counts"), was, now):
+            if old != cur:
+                if field == "makespan":
+                    old, cur = old and float.fromhex(old), float.fromhex(cur)
+                lines.append(f"{name}.{field}: {old!r} -> {cur!r}")
+    return lines
+
+
+def _rewrite_pins(new: Dict[str, Tuple[str, str, str]]) -> None:
+    """Replace the ``PINS`` rows of this file, one ``"cell": (...)`` line each."""
+    path = Path(__file__)
+    text = path.read_text()
+    for name, pin in new.items():
+        row = f'    "{name}": ({", ".join(json.dumps(v) for v in pin)}),'
+        text, n = re.subn(rf'^    "{re.escape(name)}": \(.*\),$', lambda m: row, text, flags=re.M)
+        assert n == 1, f"PINS has {n} rows for {name!r}"
+    path.write_text(text)
+
+
+def main(argv) -> int:
+    if argv not in ([], ["--write"], ["--json"]):
+        print(f"usage: {Path(__file__).name} [--write | --json]")
+        return 2
+    got = capture()
+    if argv == ["--json"]:  # what test_schedule_independent_of_hash_seed reads
+        print(json.dumps(got, indent=1))
+        return 0
+    lines = _pin_diff(got)
+    print("\n".join(lines) or f"{len(got)} cells identical to PINS")
+    if argv == ["--write"]:
+        _rewrite_pins(got)
+        print(f"rewrote PINS in {Path(__file__).name} ({len(lines)} values moved)")
+        return 0
+    return 1 if lines else 0
+
+
 if __name__ == "__main__":
-    print(json.dumps(capture(), indent=1))
+    sys.exit(main(sys.argv[1:]))

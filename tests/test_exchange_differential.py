@@ -221,27 +221,36 @@ def test_cache_coherence_regressions(case):
     _check_case(case)
 
 
-#: The example the slow sweep fails on (unchanged since at least PR 11):
-#: under ``new+alltoallw`` rank 2 reads back zeros.
+#: How the ``fs`` lock-transfer race surfaces through ``write_all`` /
+#: ``read_all``: under ``new+two_layer`` rank 3 reads back zeros.  The
+#: *mechanism* is pinned, strictly and without a collective in it, by
+#: ``tests/test_fs_client.py::test_lock_transfer_race_reads_before_the_last_victim_flushes``;
+#: this is only an example, and whether an example trips the race
+#: depends on the order four ranks reach the lock table — the previous
+#: one (nprocs=5, slot=14, seg_lo=1, seg_len=2, tiles=3, cb_nodes=0,
+#: balanced) stopped failing when ``allgather`` became log-depth, as did
+#: the derandomized 200-case sweep above, with the race exactly as
+#: present as before.  This one is the shrunk falsifying example of a
+#: 1 500-case draw from ``cases()`` (hypothesis seed 1) on that commit.
 _LOCK_TRANSFER_RACE_CASE = {
-    "nprocs": 5, "slot": 14, "seg_lo": 1, "seg_len": 2, "tiles": 3,
-    "ppn": 1, "cb": 96, "cb_nodes": 0, "strategy": "balanced",
+    "nprocs": 4, "slot": 8, "seg_lo": 0, "seg_len": 2, "tiles": 4,
+    "ppn": 2, "cb": 96, "cb_nodes": 0, "strategy": "balanced",
     "alignment": 0, "io_method": "datasieve", "empty_last": False,
     "seed": 0,
 }
 
 
 @pytest.mark.xfail(
-    strict=True,
+    strict=False,  # an example can get lucky; the fs-level pin cannot
     reason=(
         "fs lock-transfer race, not a core bug: ExtentLockManager.acquire "
         "moves ownership of every granule of a run at once and "
         "SimFileSystem._charge_locks only then runs the victims' "
-        "flush_and_invalidate_range one after another, each yielding — while "
-        "client 2 still flushes victim 1, client 3 takes granule [128,192) "
-        "from its new owner (nothing to flush) and reads the store before "
-        "victim 4's dirty bytes land.  The fix is a wait on in-flight "
-        "revocations, which moves virtual time: its own PR (ROADMAP)."
+        "flush_and_invalidate_range one after another, each yielding — "
+        "client 3 takes granule [64,128) while its revocation from client 2 "
+        "is still in flight and reads the store before the dirty bytes "
+        "land.  The fix is a wait on in-flight revocations, which moves "
+        "virtual time: its own PR (ROADMAP)."
     ),
 )
 def test_lock_transfer_race_regression():

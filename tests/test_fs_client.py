@@ -326,3 +326,46 @@ class TestWritebackCache:
 
         results, fs, _ = run_fs(2, main, lock_granularity=256)
         assert fs.metrics("/a").value("lock.revocations") == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "fs lock-transfer race (ROADMAP): ExtentLockManager.acquire moves "
+        "ownership of every granule of a run at once and "
+        "SimFileSystem._charge_locks only then runs the victims' "
+        "flush_and_invalidate_range one after another, each yielding — a "
+        "third client takes the second granule from its new owner (nothing "
+        "to flush) and reads the store before the second victim's dirty "
+        "bytes land.  The fix is a wait on in-flight revocations, which "
+        "moves virtual time: its own PR, which removes this xfail."
+    ),
+)
+def test_lock_transfer_race_reads_before_the_last_victim_flushes():
+    """The mechanism itself, with no collective in it, so no change to
+    message timing can move it (``tests/test_exchange_differential.py``
+    keeps an example of how it surfaces through ``write_all``).  Ranks 0
+    and 1 each leave one dirty granule in a coherent write-back cache at
+    t = 0; at 10 ms rank 2 takes both granules in one acquisition and
+    flushes rank 0's, which takes ~2 ms; 0.1 ms in, rank 3 reads rank
+    1's granule — written 10 ms earlier — and must see rank 1's bytes
+    (it gets the store's zeros anywhere in the first ~2 ms)."""
+
+    def main(ctx, client, fs):
+        f = client.open("/race", cache_mode="coherent")
+        g = fs._file("/race").locks.granularity
+        if ctx.rank < 2:  # the victims
+            f.write(ctx.rank * g, np.full(g, ctx.rank + 1, dtype=np.uint8))
+            ctx.advance(1.0)
+            return None
+        if ctx.rank == 2:  # the acquirer of the whole run
+            ctx.advance(1e-2)
+            return f.read(0, 2 * g).tolist()
+        ctx.advance(1e-2 + 1e-4)  # the third client
+        return f.read(g, g).tolist()
+
+    results, fs, _ = run_fs(4, main)
+    g = fs._file("/race").locks.granularity
+    assert results[2] == [1] * g + [2] * g
+    assert results[3] == [2] * g

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,12 @@ from hypothesis import strategies as st
 
 from repro.datatypes import BYTE, contiguous
 from repro.datatypes.segments import SegmentBatch, data_to_file_segments
+from repro.config import DEFAULT_COST_MODEL
 from repro.errors import MPIError
-from repro.mpi import Communicator
+from repro.mpi import AliveGroup, Communicator
+from repro.mpi.collectives import _TAG_ALLGATHER
+from repro.mpi.topology import NodeTopology
+from repro.obs.metrics import metrics_registry
 from repro.sim import Simulator
 
 
@@ -139,6 +145,163 @@ class TestGatherScatter:
             return True
 
         assert all(run(2, guarded))
+
+
+#: One payload per kind the drivers pass through ``allgather`` (request
+#: bounds are tuples, plan-cache digests ``bytes``, service times floats
+#: in tuples, dead sets tuples), each a function of the *world* rank.
+PAYLOADS = {
+    "none": lambda r: None,
+    "int": lambda r: 7 * r + 1,
+    "nested-tuple": lambda r: (r, (str(r), (r + 0.5, None))),
+    "bytes": lambda r: bytes([r]) * (r % 3 + 1),
+    "ndarray": lambda r: np.arange(r % 4 + 1, dtype=np.int64) + r,
+    "list": lambda r: [r, [r] * (r % 3)],
+}
+
+
+def _same(got, want) -> bool:
+    """``==`` that also compares ndarrays inside lists and tuples."""
+    if isinstance(want, np.ndarray):
+        return isinstance(got, np.ndarray) and got.dtype == want.dtype and np.array_equal(got, want)
+    if isinstance(want, (list, tuple)):
+        return (
+            type(got) is type(want)
+            and len(got) == len(want)
+            and all(_same(g, w) for g, w in zip(got, want))
+        )
+    return got == want and type(got) is type(want)
+
+
+def ring_allgather(comm, obj):
+    """The allgather this package shipped before Bruck's: P-1 steps, each
+    passing one block to the right.  Kept here only, as the reference
+    the virtual-time table of docs/cost_model.md is measured against."""
+    size, rank = comm.size, comm.rank
+    out = [None] * size
+    out[rank] = obj
+    cur = rank
+    for _ in range(size - 1):
+        req = comm.isend(out[cur], (rank + 1) % size, _TAG_ALLGATHER)
+        prev = (cur - 1) % size
+        out[prev] = comm.recv((rank - 1) % size, _TAG_ALLGATHER)
+        req.wait()
+        cur = prev
+    return out
+
+
+def _rounds(n: int) -> int:
+    return (n - 1).bit_length()  # ceil(log2 n)
+
+
+class TestAllgather:
+    """Bruck's ragged last round is where allgathers break: every size,
+    payload kind and communicator shape the drivers use."""
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_rank_ordered_on_every_communicator_shape(self, n):
+        ppn = 3
+        # One and two dead ranks, wherever that leaves a survivor.
+        dead_sets = [dead for dead in ({n // 2}, {0, n - 1}) if len(dead) < n]
+
+        def main(ctx):
+            world = Communicator(ctx)
+            # Odd/even halves, each in *descending* world-rank order.
+            half = world.split(world.rank % 2, key=-world.rank)
+            node = world.node_subcomm(NodeTopology(ppn))
+            groups = {
+                i: AliveGroup(world, frozenset(dead), epoch=i)
+                for i, dead in enumerate(dead_sets)
+                if world.rank not in dead
+            }
+            got = {}
+            for kind, make in PAYLOADS.items():
+                mine = make(world.rank)
+                got[kind, "world"] = world.allgather(mine)
+                got[kind, "half"] = half.allgather(mine)
+                got[kind, "node"] = node.allgather(mine)
+                for i, group in groups.items():
+                    got[kind, "alive", i] = group.allgather(mine)
+            return got
+
+        for rank, got in enumerate(Simulator(n).run(main)):
+            half = [r for r in reversed(range(n)) if r % 2 == rank % 2]
+            node = [r for r in range(n) if r // ppn == rank // ppn]
+            for kind, make in PAYLOADS.items():
+                assert _same(got[kind, "world"], [make(r) for r in range(n)]), (kind, rank)
+                assert _same(got[kind, "half"], [make(r) for r in half]), (kind, rank)
+                assert _same(got[kind, "node"], [make(r) for r in node]), (kind, rank)
+                for i, dead in enumerate(dead_sets):
+                    want = [None if r in dead else make(r) for r in range(n)]
+                    if rank not in dead:
+                        assert _same(got[kind, "alive", i], want), (kind, rank, dead)
+
+    def test_no_cross_rank_aliasing(self):
+        """A received block belongs to its receiver: every rank adds its
+        own mark to every array it gathered (blocks forwarded in a later
+        round included), and nobody sees anybody else's mark."""
+        n = 7
+
+        def main(ctx):
+            comm = Communicator(ctx)
+            mine = np.full(4, ctx.rank, dtype=np.int64)
+            got = comm.allgather(mine)
+            comm.barrier()
+            for block in got:
+                block += 1000 * (ctx.rank + 1)
+            comm.barrier()
+            return got
+
+        for rank, got in enumerate(Simulator(n).run(main)):
+            for src, block in enumerate(got):
+                assert block.tolist() == [src + 1000 * (rank + 1)] * 4, (rank, src)
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_message_count_and_wire_bytes(self, n):
+        """n * ceil(log2 n) messages; each rank ships n-1 blocks in all,
+        plus one 8-byte list header (and one envelope) per message."""
+        cost = dataclasses.replace(DEFAULT_COST_MODEL, procs_per_node=2)
+        sim = Simulator(n)
+
+        def main(ctx):
+            return Communicator(ctx, cost).allgather(ctx.rank)
+
+        assert sim.run(main) == [list(range(n))] * n
+        reg = metrics_registry(sim.shared)
+        block = 8  # payload_nbytes of an int
+        assert reg.total("net.msgs") == n * _rounds(n)
+        assert reg.total("net.bytes") == n * (
+            (n - 1) * block + _rounds(n) * (8 + cost.net_envelope_bytes)
+        )
+
+    @pytest.mark.parametrize("n", [3, 16, 64, 100])
+    @pytest.mark.parametrize("nbytes", [8, 1 << 10, 1 << 16, 1 << 20])
+    def test_virtual_time_against_the_ring(self, n, nbytes):
+        """The table of docs/cost_model.md: a message costs overhead +
+        bytes x byte-time with no shared-link term, both algorithms move
+        n-1 blocks per rank, so Bruck is the ring minus
+        ``n - 1 - ceil(log2 n)`` message overheads plus one 8-byte list
+        header per round — ahead at every payload size once n >= 4, and
+        behind by exactly the headers (0.14 us) at n = 3, where the two
+        send the same number of messages."""
+
+        def finish(algorithm) -> float:
+            def main(ctx):
+                comm = Communicator(ctx)
+                got = algorithm(comm, bytes([ctx.rank]) * nbytes)
+                assert [len(b) for b in got] == [nbytes] * n
+                assert [b[0] for b in got] == list(range(n))
+                return ctx.now
+
+            return max(Simulator(n).run(main))
+
+        ring, bruck = finish(ring_allgather), finish(Communicator.allgather)
+        cost = DEFAULT_COST_MODEL
+        headers = _rounds(n) * 8 * cost.net_byte_time
+        saved = (n - 1 - _rounds(n)) * (cost.net_post_overhead + cost.net_latency)
+        assert bruck == pytest.approx(ring - saved + headers, rel=1e-9)
+        if n >= 4:
+            assert bruck < ring
 
 
 class TestAlltoall:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cli_golden
 import registry_golden
 import test_engine_schedule
 from repro import BYTE, MetricsRegistry, Session, contiguous, resized
@@ -237,6 +238,31 @@ class TestGoldenCounts:
                 if got_point.get(k) != want_point.get(k)
             }
             assert not changed
+
+
+def test_recapture_tools_print_old_to_new():
+    """The three re-capture printers (docs/cost_model.md, "Moving virtual
+    time on purpose"): what moved, as ``name: old -> new``; a CLI
+    transcript that changed in more than its numerals is called out."""
+    old = [{"coll.rounds[0]": 4, "coll.call.seconds[0]": {"count": 1, "max": (0.5).hex()}}]
+    new = [{"coll.rounds[0]": 4, "coll.call.seconds[0]": {"count": 1, "max": (0.25).hex()}}]
+    assert registry_golden.diff("stall", old, new) == [
+        "stall[0].coll.call.seconds[0].max: 0.5 -> 0.25"
+    ]
+    name, pin = next(iter(test_engine_schedule.PINS.items()))
+    moved = {name: ((0.5).hex(), pin[1], "feedfacefeedface")}
+    assert test_engine_schedule._pin_diff(moved) == [
+        f"{name}.makespan: {float.fromhex(pin[0])!r} -> 0.5",
+        f"{name}.counts: {pin[2]!r} -> 'feedfacefeedface'",
+    ]
+    row = {"argv": ["chaos"], "exit": 0, "stdout": "rate 0.1  12.5 ms  verified\nok\n"}
+    lines, worded = cli_golden.describe_change(row, 0, "rate 0.1   9.75 ms  verified\nok\n")
+    assert not worded and lines == [
+        "CHANGED python -m repro chaos: exit 0, 1 of 2 lines differ, numerals only"
+    ]
+    lines, worded = cli_golden.describe_change(row, 1, "rate 0.1  12.5 ms  FAILED\nok\n")
+    assert worded and "exit 0 -> 1" in lines[0] and "NON-NUMERAL" in lines[0]
+    assert lines[1:] == ["  - rate 0.1  12.5 ms  verified", "  + rate 0.1  12.5 ms  FAILED"]
 
 
 def _catalogue_patterns():
