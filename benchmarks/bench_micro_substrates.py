@@ -300,6 +300,49 @@ def test_engine_alltoall_ranks(benchmark, nprocs):
         benchmark.extra_info["us_per_msg"] = benchmark.stats.stats.mean / messages * 1e6
 
 
+@pytest.mark.parametrize("nprocs", [64])
+def test_alltoallw_sparse_ranks(benchmark, nprocs):
+    """The exchange ``ranks_many`` runs: an n-rank ``alltoallw`` in which
+    only 4 receivers (the aggregators) get non-empty legs, so all but
+    4 of every rank's n - 1 legs are empty on both sides — the per-message
+    host cost with almost no bytes (``us_per_msg``).  The aggregators'
+    buffers are byte-checked."""
+    aggs = tuple(range(0, nprocs, nprocs // 4))
+    piece = 64
+
+    def run():
+        sim = Simulator(nprocs)
+
+        def main(ctx):
+            comm = Communicator(ctx)
+            sendbuf = ((np.arange(4 * piece) + 7 * comm.rank) % 251).astype(np.uint8)
+            send = [None] * nprocs
+            for j, agg in enumerate(aggs):
+                send[agg] = SegmentBatch(np.array([j * piece]), np.array([piece]), np.array([0]))
+            recv = [None] * nprocs
+            recvbuf = None
+            if comm.rank in aggs:
+                recvbuf = np.zeros(nprocs * piece, dtype=np.uint8)
+                recv = [
+                    SegmentBatch(np.array([src * piece]), np.array([piece]), np.array([0]))
+                    for src in range(nprocs)
+                ]
+            comm.alltoallw(sendbuf, send, recvbuf, recv)
+            return recvbuf
+
+        return sim.run(main)
+
+    results = benchmark.pedantic(run, rounds=3, iterations=1)
+    for j, agg in enumerate(aggs):
+        expect = [((np.arange(piece) + j * piece + 7 * src) % 251) for src in range(nprocs)]
+        assert np.array_equal(results[agg], np.concatenate(expect).astype(np.uint8))
+    assert all(results[r] is None for r in range(nprocs) if r not in aggs)
+    if benchmark.stats:
+        benchmark.extra_info["us_per_msg"] = (
+            benchmark.stats.stats.mean / (nprocs * (nprocs - 1)) * 1e6
+        )
+
+
 def test_collective_write_wall_time(benchmark):
     """Wall-clock cost of one full 16-rank collective write."""
     from repro.bench.harness import run_hpio_write

@@ -231,9 +231,12 @@ class CollectiveMixin:
             return
         touch = self.cost.cpu_per_byte_touch  # type: ignore[attr-defined]
         ctx = self.ctx  # type: ignore[attr-defined]
+        # An empty batch is None from here on: one emptiness test per peer.
+        sends = [None if b is None or b.empty else b for b in send_batches]
+        recvs = [None if b is None or b.empty else b for b in recv_batches]
 
         def pull(batch: Optional[SegmentBatch]) -> Optional[np.ndarray]:
-            if batch is None or batch.empty:
+            if batch is None:
                 return None
             if sendbuf is None:
                 raise MPIError("alltoallw: non-empty send batch but no send buffer")
@@ -242,7 +245,7 @@ class CollectiveMixin:
 
         def push(batch: Optional[SegmentBatch], data: Optional[np.ndarray]) -> None:
             nbytes = 0 if data is None else int(data.size)
-            expect = 0 if batch is None or batch.empty else batch.total_bytes
+            expect = 0 if batch is None else batch.total_bytes
             if nbytes != expect:
                 raise MPIError(
                     f"alltoallw: peer sent {nbytes} bytes, local batch expects {expect}"
@@ -256,7 +259,7 @@ class CollectiveMixin:
             scatter_segments(recvbuf, batch, data)
 
         # Self-exchange first, then pairwise rounds.
-        push(recv_batches[rank], pull(send_batches[rank]))
+        push(recvs[rank], pull(sends[rank]))
         for step in range(1, size):
             dst = (rank + step) % size
             src = (rank - step) % size
@@ -265,14 +268,22 @@ class CollectiveMixin:
                 # peer: a skipped dst receives nothing from us, a
                 # skipped src sends nothing to us.
                 if dst not in skip:
-                    self.isend(pull(send_batches[dst]), dst, _TAG_ALLTOALLW)
+                    self.isend(pull(sends[dst]), dst, _TAG_ALLTOALLW)
                 if src not in skip:
-                    push(recv_batches[src], self.recv(src, _TAG_ALLTOALLW))
+                    push(recvs[src], self.recv(src, _TAG_ALLTOALLW))
+                continue
+            if sends[dst] is None and recvs[src] is None:
+                # A leg empty on both sides (most of them under few
+                # aggregators) still runs, so the rounds stay matched
+                # and a peer sending bytes nobody expects is caught.
+                received = self.sendrecv(None, dst, src, _TAG_ALLTOALLW, _TAG_ALLTOALLW)
+                if received is not None:
+                    push(None, received)
                 continue
             received = self.sendrecv(
-                pull(send_batches[dst]), dst, src, _TAG_ALLTOALLW, _TAG_ALLTOALLW
+                pull(sends[dst]), dst, src, _TAG_ALLTOALLW, _TAG_ALLTOALLW
             )
-            push(recv_batches[src], received)
+            push(recvs[src], received)
 
     # -- helpers --------------------------------------------------------------
     def _check_root(self, root: int) -> None:

@@ -7,18 +7,24 @@ scheduling).  ``ANY_SOURCE``/``ANY_TAG`` wildcards select the earliest
 matching message.  Each destination's mailbox is indexed by envelope,
 so an exact-envelope receive is a dictionary lookup however many
 messages are queued, and carries the :class:`~repro.sim.engine.Signal`
-that ``_enqueue`` notifies to wake the destination's blocked receives.
+that the post path notifies to wake the destination's blocked receives.
 
 Sends are buffered (they complete locally): the payload is copied on
 enqueue, so sender reuse of a numpy buffer cannot corrupt data in
 flight — the same guarantee a real MPI eager/rendezvous protocol gives.
+
+Every message takes one post path (``_post``, under ``send`` and
+``isend``) and one receive path (``_recv``, under ``recv``, ``irecv``'s
+wait and ``sendrecv``); docs/architecture.md "What a message costs the
+host" lists both in call order.
 """
 
 from __future__ import annotations
 
 import copy as _copy
 from collections import deque
-from typing import Any, Optional
+from functools import partial
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
@@ -35,7 +41,7 @@ from repro.integrity import (
 )
 from repro.io.retry import RetryPolicy
 from repro.mpi.collectives import CollectiveMixin
-from repro.mpi.network import Network, payload_nbytes
+from repro.mpi.network import SCALAR_TYPES, Network, payload_nbytes
 from repro.mpi.request import Request
 from repro.mpi.topology import NodeTopology
 from repro.obs.metrics import metrics_registry
@@ -53,23 +59,35 @@ _SHARED_KEY = "mpi-state"
 #: (the §5.4 "specialized collective network" knob).
 COLLECTIVE_TAG_BASE = 1 << 20
 
+#: What a blocked receive is reported as waiting for (formatted only
+#: when a deadlock dump or ``MissedWakeup`` prints it).
+_RECV_REASON = "{}(src={}, tag={}, comm={})"
+
+#: Payload types a sender cannot change after the call: they travel as
+#: the same object.  A tuple of them does too; a list of them is copied
+#: shallow.
+_IMMUTABLE = SCALAR_TYPES | {type(None), str, bytes}
+
+#: The request every buffered send returns: already complete, value
+#: ``None`` — and shared, since ``wait``/``test`` never change a done
+#: request.
+_SENT = Request.completed()
+
 
 class _Message:
-    __slots__ = ("src", "dst", "tag", "payload", "t_avail", "seq", "crc", "pristine")
+    __slots__ = ("src", "tag", "payload", "t_avail", "seq", "crc", "pristine")
 
     def __init__(
         self,
         src: int,
-        dst: int,
         tag: int,
         payload: Any,
         t_avail: float,
         seq: int,
-        crc: Optional[int] = None,
-        pristine: Any = None,
+        crc: Optional[int],
+        pristine: Any,
     ):
         self.src = src
-        self.dst = dst
         self.tag = tag
         self.payload = payload
         self.t_avail = t_avail
@@ -89,7 +107,8 @@ class _Mailbox:
     ``by_envelope[(src, tag)]`` is that envelope's FIFO (a key exists
     only while its deque is non-empty), so the head of a deque is the
     envelope's earliest message by ``seq``; a wildcard receive compares
-    the heads of the envelopes it admits."""
+    the heads of the envelopes it admits.  A receive's predicate returns
+    the FIFO whose head it will take."""
 
     __slots__ = ("by_envelope", "signal")
 
@@ -98,36 +117,17 @@ class _Mailbox:
         #: Notified on every enqueue; receives on this mailbox block on it.
         self.signal = Signal()
 
-    def put(self, msg: _Message) -> None:
-        key = (msg.src, msg.tag)
-        fifo = self.by_envelope.get(key)
-        if fifo is None:
-            self.by_envelope[key] = deque((msg,))
-        else:
-            fifo.append(msg)
-        self.signal.notify()
-
-    def match(self, source: int, tag: int) -> Optional[_Message]:
-        """Earliest (by seq) queued message matching the envelope."""
+    def match(self, source: int, tag: int) -> Optional[deque]:
+        """The FIFO headed by the earliest (by seq) queued message
+        matching the envelope, or ``None``."""
         if source != ANY_SOURCE and tag != ANY_TAG:
-            fifo = self.by_envelope.get((source, tag))
-            return fifo[0] if fifo is not None else None
-        best: Optional[_Message] = None
+            return self.by_envelope.get((source, tag))
+        best: Optional[deque] = None
         for (src, t), fifo in self.by_envelope.items():
             if (source == ANY_SOURCE or src == source) and (tag == ANY_TAG or t == tag):
-                if best is None or fifo[0].seq < best.seq:
-                    best = fifo[0]
+                if best is None or fifo[0].seq < best[0].seq:
+                    best = fifo
         return best
-
-    def take(self, msg: _Message) -> None:
-        key = (msg.src, msg.tag)
-        fifo = self.by_envelope[key]
-        if fifo[0] is msg:
-            fifo.popleft()
-        else:
-            fifo.remove(msg)
-        if not fifo:
-            del self.by_envelope[key]
 
 
 class _CommState:
@@ -140,13 +140,50 @@ class _CommState:
         self.next_seq = 0
 
 
-def _copy_payload(obj: Any) -> Any:
-    """Snapshot a payload so in-flight data is immune to sender reuse."""
-    if obj is None or isinstance(obj, (bool, int, float, str, bytes)):
-        return obj
-    if isinstance(obj, np.ndarray):
-        return obj.copy()
-    return _copy.deepcopy(obj)
+class _Link(NamedTuple):
+    """What a message to or from one peer costs under the model, fixed
+    when the communicator is built (all peers share one record on a flat
+    cluster, one per tier under a topology)."""
+
+    send: float  # sender overhead of a blocking send
+    post: float  # sender overhead of a posted (nonblocking) send
+    recv: float  # receiver overhead of completing a receive
+    byte_time: float  # fault-free transit seconds per payload byte
+    #: The tier's (msgs, bytes) counters then the two totals, or ``None``
+    #: when no topology is armed.
+    wire: Optional[tuple]
+
+    @classmethod
+    def of(cls, net: Network, intra: bool, wire: Optional[tuple]) -> "_Link":
+        return cls(
+            net.send_overhead(intra),
+            net.post_overhead(intra),
+            net.recv_overhead(intra),
+            net.byte_time(intra),
+            wire,
+        )
+
+
+def _wire_form(obj: Any) -> tuple[int, Any, bool]:
+    """Size, send-time snapshot and data-frame-ness of a payload.
+
+    Dispatches on exact type.  An ndarray is copied and is a frame when
+    non-empty; immutable payloads (scalars, ``str``, ``bytes``, tuples
+    of them) travel as the same object and only non-empty ``bytes`` is
+    a frame; a list of them needs only a copy of itself; a
+    ``memoryview`` travels as its bytes, which is what the wire carries;
+    anything else is deep-copied and asks
+    :func:`~repro.integrity.corruptible`."""
+    cls = type(obj)
+    if cls is np.ndarray:
+        return int(obj.nbytes), obj.copy(), obj.size > 0
+    nbytes = payload_nbytes(obj)
+    if cls in _IMMUTABLE:
+        return nbytes, obj, cls is bytes and nbytes > 0
+    if (cls is tuple or cls is list) and _IMMUTABLE.issuperset(map(type, obj)):
+        return nbytes, obj if cls is tuple else obj.copy(), False
+    payload = obj.tobytes() if cls is memoryview else _copy.deepcopy(obj)
+    return nbytes, payload, corruptible(payload)
 
 
 class Communicator(CollectiveMixin):
@@ -170,9 +207,9 @@ class Communicator(CollectiveMixin):
         self.ctx = ctx
         self.cost = cost
         self.net = Network(cost)
-        # Fault injection (delayed/dropped messages), when a plan is
-        # installed on this simulator.
-        self.net.faults = ctx.shared.get(FAULTS_KEY)
+        # Fault injection (delayed/dropped/corrupted messages), when a
+        # plan is installed on this simulator.
+        self._faults = ctx.shared.get(FAULTS_KEY)
         self.comm_id = _comm_id
         #: World ranks of the members, indexed by communicator rank.
         self.members = _members if _members is not None else tuple(range(ctx.nprocs))
@@ -196,122 +233,122 @@ class Communicator(CollectiveMixin):
         # split is collective, so every member makes the same sequence of
         # calls and derives the same child communicator id.
         self._split_count = 0
-        # Two-tier topology (CostModel.procs_per_node > 1): node id per
-        # communicator rank, plus the run's wire-traffic counters.  Flat
-        # clusters keep all three None — the send/recv fast path tests
-        # one attribute and pays nothing else.
+        # Two-tier topology (CostModel.procs_per_node > 1): each peer's
+        # link is its tier's, carrying that tier's wire-traffic counters.
+        # A flat cluster has one link for every peer and no counters.
         self.topology: Optional[NodeTopology] = None
-        #: Per communicator rank: does it share a node with me?
-        self._intra_with: Optional[tuple[bool, ...]] = None
-        #: Indexed by ``intra``: that tier's (msgs, bytes) counters, then
-        #: the two totals.
-        self._wire = None
         if cost.procs_per_node > 1:
             self.topology = NodeTopology(cost.procs_per_node)
             nodes = [self.topology.node_of(w) for w in self.members]
-            self._intra_with = tuple(n == nodes[self.rank] for n in nodes)
             reg = metrics_registry(ctx.shared)
             totals = (reg.counter("net.msgs"), reg.counter("net.bytes"))
-            self._wire = (
+            inter = _Link.of(
+                self.net, False,
                 (reg.counter("net.inter.msgs"), reg.counter("net.inter.bytes"), *totals),
+            )
+            intra = _Link.of(
+                self.net, True,
                 (reg.counter("net.intra.msgs"), reg.counter("net.intra.bytes"), *totals),
             )
+            self._links = tuple(intra if n == nodes[self.rank] else inter for n in nodes)
+        else:
+            self._links = (_Link.of(self.net, False, None),) * self.size
         #: Cached per-node subcommunicators keyed by procs_per_node.
         self._node_comms: dict[int, "Communicator"] = {}
 
     # -- point-to-point ----------------------------------------------------
-    def _check_peer(self, peer: int, what: str) -> None:
-        if not (0 <= peer < self.size):
-            raise MPIError(f"{what} rank {peer} out of range for size {self.size}")
+    def _peer_error(self, peer: int, what: str) -> MPIError:
+        return MPIError(f"{what} rank {peer} out of range for size {self.size}")
 
-    def _enqueue(self, dest: int, tag: int, obj: Any, t_avail: float) -> None:
-        state = self._state
-        payload = _copy_payload(obj)
-        crc = None
-        pristine = None
-        if corruptible(payload):
+    def _note_wire(self, nbytes: int, wire: tuple) -> None:
+        """Count one message on its tier and in the totals.  Wire bytes
+        include the envelope: that is what makes "fewer, larger messages
+        across nodes" measurable when the payload volume is conserved.
+        ``net.intra.bytes + net.inter.bytes == net.bytes`` always."""
+        size = nbytes + self.cost.net_envelope_bytes
+        tier_msgs, tier_bytes, all_msgs, all_bytes = wire
+        tier_msgs.value += 1
+        tier_bytes.value += size
+        all_msgs.value += 1
+        all_bytes.value += size
+
+    def _post(self, obj: Any, dest: int, tag: int, posted: bool) -> None:
+        """The one post path: price, snapshot and enqueue one message
+        (``posted`` is the nonblocking overhead)."""
+        if not 0 <= dest < self.size:
+            raise self._peer_error(dest, "destination")
+        if obj is None:  # barrier tokens, empty exchange legs
+            nbytes, payload, frame = 0, None, False
+        else:
+            nbytes, payload, frame = _wire_form(obj)
+        link = self._links[dest]
+        factor = self._collective_factor if tag >= COLLECTIVE_TAG_BASE else 1.0
+        ctx = self.ctx
+        now = ctx.charge((link.post if posted else link.send) * factor)
+        delay = nbytes * link.byte_time * factor
+        faults = self._faults
+        if faults is not None:
+            delay += faults.net_penalty(self.rank, dest, now, delay)
+        t_avail = now + delay
+        if link.wire is not None:
+            self._note_wire(nbytes, link.wire)
+        crc = pristine = None
+        if frame:
             # Data frame (raw bytes on the wire).  Control messages are
             # tuples/scalars and are out of the corruption model — the
             # protection boundary and the threat model coincide.
             cfg = self._shared.get(INTEGRITY_KEY)
             if cfg is not None and cfg.network:
                 crc = payload_crc(payload)
-                self.ctx.charge(payload_nbytes(payload) * self.cost.crc_byte_time)
-            faults = self.net.faults
+                now = ctx.charge(nbytes * self.cost.crc_byte_time)
             if faults is not None:
-                draw = faults.corrupt_net(self.rank, dest, self.ctx.now)
+                draw = faults.corrupt_net(self.rank, dest, now)
                 if draw is not None:
                     pristine = payload  # the sender's intact buffer
                     payload = flip_payload_bit(payload, draw)
-        msg = _Message(
-            self.rank, dest, tag, payload, t_avail, state.next_seq, crc, pristine
-        )
+        state = self._state
+        msg = _Message(self.rank, tag, payload, t_avail, state.next_seq, crc, pristine)
         state.next_seq += 1
-        state.mailboxes[dest].put(msg)
-
-    def _note_wire(self, nbytes: int, intra: bool) -> None:
-        """Count one message on its tier and in the totals.  Wire bytes
-        include the envelope: that is what makes "fewer, larger messages
-        across nodes" measurable when the payload volume is conserved.
-        ``net.intra.bytes + net.inter.bytes == net.bytes`` always."""
-        wire = nbytes + self.cost.net_envelope_bytes
-        tier_msgs, tier_bytes, all_msgs, all_bytes = self._wire[intra]
-        tier_msgs.value += 1
-        tier_bytes.value += wire
-        all_msgs.value += 1
-        all_bytes.value += wire
+        mailbox = state.mailboxes[dest]
+        fifo = mailbox.by_envelope.get((self.rank, tag))
+        if fifo is None:
+            mailbox.by_envelope[self.rank, tag] = deque((msg,))
+        else:
+            fifo.append(msg)
+        mailbox.signal.notify()
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         """Blocking (buffered) send: completes after the sender overhead."""
-        self._check_peer(dest, "destination")
-        nbytes = payload_nbytes(obj)
-        factor = self._collective_factor if tag >= COLLECTIVE_TAG_BASE else 1.0
-        intra_with = self._intra_with
-        intra = intra_with is not None and intra_with[dest]
-        self.ctx.charge(self.net.send_overhead(intra) * factor)
-        delay = self.net.delivery_delay(
-            nbytes, self.rank, dest, self.ctx.now, factor, intra
-        )
-        if self._wire is not None:
-            self._note_wire(nbytes, intra)
-        self._enqueue(dest, tag, obj, self.ctx.now + delay)
+        self._post(obj, dest, tag, False)
         self.ctx.yield_now()
 
     def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
         """Nonblocking send; buffered, so the request is already complete."""
-        self._check_peer(dest, "destination")
-        nbytes = payload_nbytes(obj)
-        factor = self._collective_factor if tag >= COLLECTIVE_TAG_BASE else 1.0
-        intra_with = self._intra_with
-        intra = intra_with is not None and intra_with[dest]
-        self.ctx.charge(self.net.post_overhead(intra) * factor)
-        delay = self.net.delivery_delay(
-            nbytes, self.rank, dest, self.ctx.now, factor, intra
-        )
-        if self._wire is not None:
-            self._note_wire(nbytes, intra)
-        self._enqueue(dest, tag, obj, self.ctx.now + delay)
-        return Request.completed()
+        self._post(obj, dest, tag, True)
+        return _SENT
 
-    def _complete_recv(self, msg: _Message) -> Any:
-        self._mailbox.take(msg)
-        self.ctx.charge_to(msg.t_avail)
+    def _complete_recv(self, fifo: deque) -> Any:
+        """Take the head of a matched envelope's FIFO and pay for it."""
+        msg = fifo.popleft()
+        if not fifo:
+            del self._mailbox.by_envelope[msg.src, msg.tag]
+        ctx = self.ctx
+        ctx.charge_to(msg.t_avail)
         factor = self._collective_factor if msg.tag >= COLLECTIVE_TAG_BASE else 1.0
-        intra_with = self._intra_with
-        intra = intra_with is not None and intra_with[msg.src]
-        self.ctx.charge(self.net.recv_overhead(intra) * factor)
+        link = self._links[msg.src]
+        ctx.charge(link.recv * factor)
         if msg.crc is None:
             # Unprotected: a corrupted frame is delivered as-is — the
             # silent wrong answer the integrity_network hint exists to
             # prevent.
             return msg.payload
         nbytes = payload_nbytes(msg.payload)
-        self.ctx.charge(nbytes * self.cost.crc_byte_time)
+        ctx.charge(nbytes * self.cost.crc_byte_time)
         if payload_crc(msg.payload) == msg.crc:
             return msg.payload
-        return self._redeliver(msg, factor, nbytes, intra)
+        return self._redeliver(msg, factor, nbytes, link)
 
-    def _redeliver(self, msg: _Message, factor: float, nbytes: int, intra: bool) -> Any:
+    def _redeliver(self, msg: _Message, factor: float, nbytes: int, link: _Link) -> Any:
         """Bounded re-request of a frame whose checksum failed.
 
         Corruption on the wire is transient — the sender's buffered
@@ -320,7 +357,7 @@ class Communicator(CollectiveMixin):
         stack uses (each re-request can itself be corrupted and is
         redrawn from the fault plan).  Exhaustion surfaces as
         :class:`~repro.errors.RetryExhausted` from site ``net-frame``."""
-        faults = self.net.faults
+        faults = self._faults
         if faults is not None:
             faults.note_net_corruption_detected()
         good = msg.pristine if msg.pristine is not None else msg.payload
@@ -328,12 +365,10 @@ class Communicator(CollectiveMixin):
         def attempt() -> Any:
             # One NACK to the sender plus a fresh transit of the frame;
             # advance (not charge) so the wait is scheduler-visible.
-            self.ctx.advance(
-                self.net.send_overhead(intra) * factor
-                + self.net.delivery_delay(
-                    nbytes, msg.src, self.rank, self.ctx.now, factor, intra
-                )
-            )
+            transit = nbytes * link.byte_time * factor
+            if faults is not None:
+                transit += faults.net_penalty(msg.src, self.rank, self.ctx.now, transit)
+            self.ctx.advance(link.send * factor + transit)
             payload = good
             if faults is not None:
                 draw = faults.corrupt_net(msg.src, self.rank, self.ctx.now)
@@ -356,61 +391,65 @@ class Communicator(CollectiveMixin):
         )
         return policy.run(self.ctx, attempt)
 
-    def _blocking_recv(self, source: int, tag: int, site: str) -> Any:
-        """The shared blocking path of recv/irecv-wait.
+    def _recv(self, source: int, tag: int, site: str) -> Any:
+        """The one receive path, under recv, irecv's wait and sendrecv.
 
-        With an armed per-collective deadline (the ``coll_deadline``
-        hint, installed as :data:`~repro.liveness.LIVENESS_KEY` state),
-        the wait is timed: if no matching message can arrive within the
-        budget, a typed :class:`~repro.errors.DeadlineExceeded` is
-        raised instead of blocking forever on a stalled peer.  A
-        message *queued* but only available past the deadline counts as
-        missed too (it is the same hang, just scheduled).  Unarmed, the
-        path is byte-identical to the untimed block."""
-        reason = f"{site}(src={source}, tag={tag}, comm={self.comm_id})"
+        An exact envelope's predicate is one dictionary lookup (no
+        Python frame); a wildcard's compares the heads of the envelopes
+        it admits.  With an armed per-collective deadline (the
+        ``coll_deadline`` hint, installed as
+        :data:`~repro.liveness.LIVENESS_KEY` state), the wait is timed:
+        if no matching message can arrive within the budget, a typed
+        :class:`~repro.errors.DeadlineExceeded` is raised instead of
+        blocking forever on a stalled peer.  A message *queued* but only
+        available past the deadline counts as missed too (it is the same
+        hang, just scheduled).  Unarmed, the path is byte-identical to
+        the untimed block."""
         mailbox = self._mailbox
+        if source != ANY_SOURCE and tag != ANY_TAG:
+            check = partial(mailbox.by_envelope.get, (source, tag))
+        else:
+            check = partial(mailbox.match, source, tag)
+        ctx = self.ctx
         liv = self._shared.get(LIVENESS_KEY)
-        deadline = liv.deadline_for(self.ctx.rank) if liv is not None else None
-        msg = self.ctx.block(
-            lambda: mailbox.match(source, tag),
-            reason=reason,
+        deadline = liv.deadline_for(ctx.rank) if liv is not None else None
+        fifo = ctx.block(
+            check,
+            reason=(_RECV_REASON, site, source, tag, self.comm_id),
             timeout_at=deadline,
             on=mailbox.signal,
         )
-        if deadline is not None and (msg is BLOCK_TIMEOUT or msg.t_avail > deadline):
-            self.ctx.charge_to(deadline)
+        if deadline is not None and (fifo is BLOCK_TIMEOUT or fifo[0].t_avail > deadline):
+            ctx.charge_to(deadline)
             faults = self._shared.get(FAULTS_KEY)
             if faults is not None:
                 faults.note_deadline_exceeded()
             raise DeadlineExceeded(
                 f"{site}(src={source}, tag={tag})",
-                self.ctx.rank,
-                liv.phase_of(self.ctx.rank),
+                ctx.rank,
+                liv.phase_of(ctx.rank),
                 liv.config.deadline,
             )
-        return self._complete_recv(msg)
+        return self._complete_recv(fifo)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
         """Blocking receive; returns the payload."""
-        if source != ANY_SOURCE:
-            self._check_peer(source, "source")
-        return self._blocking_recv(source, tag, "recv")
+        if source != ANY_SOURCE and not 0 <= source < self.size:
+            raise self._peer_error(source, "source")
+        return self._recv(source, tag, "recv")
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Nonblocking receive; ``wait()`` yields the payload."""
-        if source != ANY_SOURCE:
-            self._check_peer(source, "source")
-
-        def wait_fn() -> Any:
-            return self._blocking_recv(source, tag, "irecv")
+        if source != ANY_SOURCE and not 0 <= source < self.size:
+            raise self._peer_error(source, "source")
 
         def test_fn() -> tuple[bool, Any]:
-            msg = self._mailbox.match(source, tag)
-            if msg is None:
+            fifo = self._mailbox.match(source, tag)
+            if fifo is None:
                 return False, None
-            return True, self._complete_recv(msg)
+            return True, self._complete_recv(fifo)
 
-        return Request(wait_fn=wait_fn, test_fn=test_fn)
+        return Request(wait_fn=partial(self._recv, source, tag, "irecv"), test_fn=test_fn)
 
     def sendrecv(
         self,
@@ -421,10 +460,8 @@ class Communicator(CollectiveMixin):
         recvtag: int = ANY_TAG,
     ) -> Any:
         """Combined send+receive (deadlock-free with buffered sends)."""
-        req = self.isend(sendobj, dest, sendtag)
-        value = self.recv(source, recvtag)
-        req.wait()
-        return value
+        self.isend(sendobj, dest, sendtag)  # buffered: complete on return
+        return self.recv(source, recvtag)
 
     # -- communicator management ---------------------------------------------
     def dup(self) -> "Communicator":

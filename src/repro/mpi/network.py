@@ -17,13 +17,22 @@ from repro.config import CostModel, DEFAULT_COST_MODEL
 
 __all__ = ["payload_nbytes", "Network"]
 
+#: The exact scalar types, Python's and numpy's (``np.bool_`` included):
+#: immutable, and 8 bytes on the wire.
+SCALAR_TYPES = frozenset({bool, int, float}) | frozenset(
+    t for t in set(np.sctypeDict.values()) if issubclass(t, (np.bool_, np.integer, np.floating))
+)
+
+#: Exact types priced without inspection: ``None`` is free.
+_FIXED_NBYTES = {type(None): 0, **dict.fromkeys(SCALAR_TYPES, 8)}
+
 
 def payload_nbytes(obj: object) -> int:
     """Deterministic wire size of a message payload in bytes.
 
-    numpy arrays and byte strings are exact; scalars are 8; containers
-    sum their elements plus a small per-element header; anything else
-    falls back to its pickle length.
+    numpy arrays, byte strings and memoryviews are exact; scalars are 8;
+    containers sum their elements plus a small per-element header;
+    anything else falls back to its pickle length.
 
     Containers are sized independently of iteration order: dict items
     and set elements are visited in sorted-key order, so two logically
@@ -32,18 +41,25 @@ def payload_nbytes(obj: object) -> int:
     whose cost depended on hash order would silently break run-to-run
     determinism of every virtual timestamp downstream of the message.
     """
-    if obj is None:
-        return 0
+    fixed = _FIXED_NBYTES.get(type(obj))
+    if fixed is not None:
+        return fixed
     if isinstance(obj, np.ndarray):
         return int(obj.nbytes)
-    if isinstance(obj, (bytes, bytearray, memoryview)):
+    if isinstance(obj, (tuple, list)):
+        total = 8
+        for x in obj:
+            fixed = _FIXED_NBYTES.get(type(x))
+            total += fixed if fixed is not None else payload_nbytes(x)
+        return total
+    if isinstance(obj, (bytes, bytearray)):
         return len(obj)
-    if isinstance(obj, (bool, int, float, np.integer, np.floating)):
+    if isinstance(obj, memoryview):
+        return obj.nbytes
+    if isinstance(obj, (bool, int, float, np.bool_, np.integer, np.floating)):
         return 8
     if isinstance(obj, str):
         return len(obj.encode("utf-8"))
-    if isinstance(obj, (tuple, list)):
-        return 8 + sum(payload_nbytes(x) for x in obj)
     if isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: repr(kv[0]))
         return 8 + sum(payload_nbytes(k) + payload_nbytes(v) for k, v in items)
@@ -53,21 +69,19 @@ def payload_nbytes(obj: object) -> int:
 
 
 class Network:
-    """Charges virtual time for message events.
+    """Prices message events in virtual time, per tier.
 
-    Stateless apart from the cost model and an optional fault injector
-    (delayed/dropped-message events); per-OST-style queuing is not
+    A :class:`~repro.mpi.comm.Communicator` reads these once, when it is
+    built, into a per-peer table; a message then costs its overheads
+    plus ``nbytes * byte_time(intra) * factor`` of transit, plus any
+    delay an installed fault plan injects.  Per-OST-style queuing is not
     modelled for the network (the paper's interconnect was far from
     saturated — the file system was the bottleneck)."""
 
-    __slots__ = ("cost", "faults")
+    __slots__ = ("cost",)
 
     def __init__(self, cost: CostModel = DEFAULT_COST_MODEL) -> None:
         self.cost = cost
-        #: Installed :class:`repro.faults.FaultInjector` (or ``None``);
-        #: wired by the :class:`~repro.mpi.comm.Communicator` from the
-        #: simulator's shared dict.
-        self.faults = None
 
     def send_overhead(self, intra: bool = False) -> float:
         """Sender-side fixed cost of a blocking send.
@@ -85,27 +99,13 @@ class Network:
             return self.cost.net_intra_latency
         return self.cost.net_post_overhead
 
+    def byte_time(self, intra: bool = False) -> float:
+        """Fault-free seconds one payload byte spends on the wire."""
+        return self.cost.net_intra_byte_time if intra else self.cost.net_byte_time
+
     def transit_time(self, nbytes: int, intra: bool = False) -> float:
         """Fault-free time the payload spends on the wire."""
-        rate = self.cost.net_intra_byte_time if intra else self.cost.net_byte_time
-        return nbytes * rate
-
-    def delivery_delay(
-        self,
-        nbytes: int,
-        src: int,
-        dst: int,
-        now: float,
-        factor: float = 1.0,
-        intra: bool = False,
-    ) -> float:
-        """Transit time (scaled by the collective-network ``factor``)
-        plus any injected delay/retransmission penalty for one message
-        sent at virtual time ``now``."""
-        transit = self.transit_time(nbytes, intra) * factor
-        if self.faults is not None:
-            transit += self.faults.net_penalty(src, dst, now, transit)
-        return transit
+        return nbytes * self.byte_time(intra)
 
     def recv_overhead(self, intra: bool = False) -> float:
         """Receiver-side fixed cost of completing a receive."""

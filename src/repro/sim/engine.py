@@ -108,6 +108,20 @@ class _BlockTimeout:
 #: before the predicate held.  Compare with ``is``.
 BLOCK_TIMEOUT = _BlockTimeout()
 
+#: A blocked-on reason: text, or ``(format, *args)`` formatted on demand.
+Reason = Union[str, tuple]
+
+
+def _reason_text(reason: Reason) -> str:
+    """A blocked-on reason as dumps and :class:`MissedWakeup` print it.
+
+    A receive blocks hundreds of thousands of times per run and is
+    almost never printed, so it passes its fields and pays for the
+    formatting only here."""
+    if isinstance(reason, tuple):
+        return reason[0].format(*reason[1:])
+    return reason
+
 
 class _SimAborted(BaseException):
     """Raised inside rank threads to unwind them when the run is aborted.
@@ -149,7 +163,7 @@ class _Proc:
         self.thread: Optional[threading.Thread] = None
         self.check: Optional[Callable[[], Any]] = None
         self.wake_value: Any = None
-        self.blocked_on: str = ""
+        self.blocked_on: Reason = ""
         #: Virtual time at which a timed block gives up (None = untimed).
         self.timeout_at: Optional[float] = None
         #: Signals this proc is registered on while blocked.
@@ -268,21 +282,30 @@ class RankContext:
             return dt * factor
         return dt
 
-    def charge(self, dt: float) -> None:
-        """Advance the local clock by ``dt`` without rescheduling.
+    def charge(self, dt: float) -> float:
+        """Advance the local clock by ``dt`` without rescheduling; return
+        the new local time.
 
         Use for bulk CPU accounting between synchronization points; the
         clock change becomes visible to the scheduler at the next
-        reschedule (advance/block/finish)."""
-        self._proc.clock.advance(self._perturbed(dt))
+        reschedule (advance/block/finish).  With no fault plan installed
+        (the straggler model is the only thing ``Simulator.faults`` is
+        consulted for) the clock is written directly."""
+        clock = self._proc.clock
+        if self._sim.faults is None and dt >= 0.0:
+            clock.now += dt
+            return clock.now
+        return clock.advance(self._perturbed(dt))
 
     def charge_to(self, t: float) -> None:
         """Advance the local clock to absolute time ``t`` (if future)."""
-        self._proc.clock.advance_to(t)
+        clock = self._proc.clock
+        if t > clock.now:
+            clock.now = float(t)
 
     def advance(self, dt: float) -> None:
         """Charge ``dt`` and yield to whichever rank is now earliest."""
-        self._proc.clock.advance(self._perturbed(dt))
+        self.charge(dt)
         self._sim._reschedule(self._proc)
 
     def advance_to(self, t: float) -> None:
@@ -298,7 +321,7 @@ class RankContext:
     def block(
         self,
         check: Callable[[], Any],
-        reason: str = "",
+        reason: Reason = "",
         timeout_at: Optional[float] = None,
         *,
         on: Union[Signal, Iterable[Signal]],
@@ -310,6 +333,10 @@ class RankContext:
         afterwards only at the first scheduling decision after a signal
         in ``on`` (one :class:`Signal` or several) was notified — so
         every mutation of state ``check`` reads must notify one of them.
+
+        ``reason`` names the wait in deadlock dumps and
+        :class:`~repro.errors.MissedWakeup`: a string, or a
+        ``(format, *args)`` tuple that is only formatted when printed.
 
         With ``timeout_at`` (absolute virtual time), the wait is
         *timed*: if the predicate still fails once no other rank can
@@ -331,7 +358,7 @@ class RankContext:
     def trace(self, state: str, **info: Any):
         """Context manager recording an MPE-style state interval."""
         proc = self._proc
-        return self.tracer.interval(proc.lane, state, proc.clock, **info)
+        return self._sim.tracer.interval(proc.lane, state, proc.clock, **info)
 
     # -- coroutines ------------------------------------------------------
     def spawn(
@@ -602,7 +629,7 @@ class Simulator:
     def _describe(self, p: _Proc) -> str:
         line = f"{'rank' if p.rank < self.nprocs else 'task'} {p.rank}: {p.state}"
         if p.state == _BLOCKED and p.blocked_on:
-            line += f" on {p.blocked_on}"
+            line += f" on {_reason_text(p.blocked_on)}"
         return line + f" at t={p.clock.now:.6f}"
 
     def _hang_dump(self) -> str:
@@ -671,7 +698,7 @@ class Simulator:
                     value = p.check()
                     if value is not None:
                         self._wake(p, value)
-            notified.clear()
+            del notified[:]  # as clear(), without a call per decision
         ready = self._ready
         timed = self._timed
         while timed:
@@ -707,7 +734,7 @@ class Simulator:
         for p in blocked:
             self.predicate_evals += 1
             if p.check() is not None:
-                return MissedWakeup(p.rank, p.blocked_on)
+                return MissedWakeup(p.rank, _reason_text(p.blocked_on))
         dump = "; ".join(self._describe(p) for p in self._everyone() if p.state != _DONE)
         return SimDeadlock(f"all live ranks are blocked: {dump}")
 
@@ -751,11 +778,13 @@ class Simulator:
         self,
         proc: _Proc,
         check: Callable[[], Any],
-        reason: str,
+        reason: Reason,
         timeout_at: Optional[float],
         on: Union[Signal, Iterable[Signal]],
     ) -> Any:
-        signals = (on,) if isinstance(on, Signal) else tuple(dict.fromkeys(on))
+        # Exact type first: a receive's one signal costs no call.
+        single = type(on) is Signal or isinstance(on, Signal)
+        signals = (on,) if single else tuple(dict.fromkeys(on))
         with self._mu:
             proc.blocked_on = reason
             proc.state = _BLOCKED

@@ -15,6 +15,56 @@ def run(nprocs, fn):
     return Simulator(nprocs).run(lambda ctx: fn(Communicator(ctx)))
 
 
+def _set_all(arrays, value):
+    for a in arrays:
+        a[:] = value
+
+
+#: kind -> (build the payload, change it in place, its value as plain data).
+_MUTABLE = {
+    "ndarray": (
+        lambda: np.arange(4, dtype=np.uint8),
+        lambda p: _set_all([p], 0),
+        lambda v: v.tolist(),
+    ),
+    "list": (
+        lambda: [1, 2, [3]],
+        lambda p: (p.append(9), p[2].append(4)),
+        lambda v: v,
+    ),
+    "flat-list": (
+        lambda: [1, None, "a", b"b"],
+        lambda p: (p.__setitem__(0, 9), p.append(9)),
+        lambda v: v,
+    ),
+    "dict": (
+        lambda: {"a": [1], "b": 2},
+        lambda p: (p["a"].append(5), p.update(c=3)),
+        lambda v: v,
+    ),
+    "bytearray": (
+        lambda: bytearray(b"abcd"),
+        lambda p: p.__setitem__(0, ord("z")),
+        bytes,
+    ),
+    "memoryview": (
+        lambda: memoryview(bytearray(b"abcd")),
+        lambda p: p.__setitem__(0, ord("z")),
+        bytes,
+    ),
+    "tuple-of-array": (
+        lambda: (1, np.arange(3)),
+        lambda p: _set_all([p[1]], 0),
+        lambda v: (v[0], v[1].tolist()),
+    ),
+    "nested-arrays": (
+        lambda: [[np.arange(2)], [np.arange(3), np.arange(1)]],
+        lambda p: (_set_all([p[0][0], p[1][1]], 9), p[1].append(np.arange(4))),
+        lambda v: [[a.tolist() for a in inner] for inner in v],
+    ),
+}
+
+
 class TestSendRecv:
     def test_simple_pair(self):
         def main(comm):
@@ -25,16 +75,58 @@ class TestSendRecv:
 
         assert run(2, main)[1] == {"a": 7}
 
-    def test_numpy_payload_copied(self):
+    @pytest.mark.parametrize("how", ["send", "isend", "sendrecv"])
+    @pytest.mark.parametrize("kind", sorted(_MUTABLE))
+    def test_payload_copied_on_send(self, kind, how):
+        """Copy-on-send: the sender changes the payload after the call
+        returns (and keeps it until the run ends); the receiver still
+        holds the send-time value."""
+        make, mutate, plain = _MUTABLE[kind]
+
+        def main(comm):
+            if comm.rank == 1:
+                got = comm.sendrecv(None, 0, 0) if how == "sendrecv" else comm.recv(source=0)
+                return plain(got)
+            payload = make()
+            if how == "sendrecv":
+                comm.sendrecv(payload, 1, 1)
+            else:
+                getattr(comm, how)(payload, dest=1)
+            mutate(payload)
+            return payload
+
+        assert run(2, main)[1] == plain(make())
+
+    @pytest.mark.parametrize("how", ["send", "isend", "sendrecv"])
+    @pytest.mark.parametrize(
+        "payload", [None, 7, 2.5, True, np.int32(3), "s", b"xy", (1, "a", b"b", None)],
+        ids=lambda p: type(p).__name__,
+    )
+    def test_immutable_payload_travels_uncopied(self, payload, how):
+        def main(comm):
+            if comm.rank == 1:
+                return comm.sendrecv(None, 0, 0) if how == "sendrecv" else comm.recv(source=0)
+            if how == "sendrecv":
+                comm.sendrecv(payload, 1, 1)
+            else:
+                getattr(comm, how)(payload, dest=1)
+
+        assert run(2, main)[1] is payload
+
+    def test_memoryview_payload_arrives_as_its_bytes(self):
+        """A memoryview is priced by its bytes and travels as them: it
+        cannot be deep-copied, and its bytes are what the wire carries."""
+        base = np.arange(6, dtype=np.uint16)
+
         def main(comm):
             if comm.rank == 0:
-                data = np.arange(4, dtype=np.uint8)
-                comm.send(data, dest=1)
-                data[:] = 0  # must not affect the in-flight copy
+                comm.send(memoryview(base), dest=1)
                 return None
-            return comm.recv(source=0).tolist()
+            return comm.recv(source=0)
 
-        assert run(2, main)[1] == [0, 1, 2, 3]
+        got = run(2, main)[1]
+        assert type(got) is bytes and got == base.tobytes()
+        assert payload_nbytes(memoryview(base)) == 12
 
     def test_fifo_order_same_envelope(self):
         def main(comm):
@@ -206,6 +298,16 @@ class TestPayloadNbytes:
         assert payload_nbytes(3) == 8
         assert payload_nbytes(2.5) == 8
         assert payload_nbytes(None) == 0
+
+    @pytest.mark.parametrize(
+        "scalar",
+        [True, np.bool_(True), np.int8(1), np.uint64(1), np.float32(1), np.float64(1)],
+        ids=lambda s: type(s).__name__,
+    )
+    def test_every_scalar_is_8(self, scalar):
+        """``np.bool_`` included: not priced by its 110-byte pickle."""
+        assert payload_nbytes(scalar) == 8
+        assert payload_nbytes([scalar, scalar]) == 8 + 16
 
     def test_containers_recursive(self):
         assert payload_nbytes([b"ab", b"cd"]) == 8 + 4
