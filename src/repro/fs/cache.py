@@ -30,12 +30,14 @@ bytes sit in slabs (:class:`~repro.fs.store.Slabs`), a write or a fetch
 is one interval insert plus one slice copy per slab, and fetch and
 flush extent lists come from interval intersection.  Pages exist only
 as arithmetic on those runs — which pages a batch touches (counters,
-charges), and a per-page touch stamp that keeps the LRU order.
+charges), and a per-page touch stamp that keeps the LRU order.  Only a
+batch out of file order, and a read that lost pages while its fetch
+yielded, are split page by page.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -55,11 +57,15 @@ _ALL_PAGES = [(0, 1 << 48)]
 
 
 def _ascending_runs(pages: np.ndarray) -> List[Tuple[int, int]]:
-    """Index ranges [i, j) over which ``pages`` counts up by one."""
+    """``pages`` as (first, stop) runs over which it counts up by one,
+    in its order."""
     if pages.size == 0:
         return []
     cuts = (np.flatnonzero(np.diff(pages) != 1) + 1).tolist()
-    return list(zip([0, *cuts], [*cuts, int(pages.size)]))
+    return [
+        (int(pages[i]), int(pages[j - 1]) + 1)
+        for i, j in zip([0, *cuts], [*cuts, int(pages.size)])
+    ]
 
 
 class PageCache:
@@ -144,17 +150,39 @@ class PageCache:
         ps = self.page_size
         return self._page_set(self._dirty.intersect(first * ps, stop * ps))
 
-    def _pages_of(self, offsets: np.ndarray, lengths: np.ndarray):
-        """Split a batch at page edges.
+    @staticmethod
+    def _extents(offsets: np.ndarray, lengths: np.ndarray):
+        """A batch's non-empty extents: file offsets, lengths and
+        positions in the batch's data."""
+        dpos = np.cumsum(lengths) - lengths
+        if lengths.all():
+            return offsets, lengths, dpos
+        keep = lengths > 0
+        return offsets[keep], lengths[keep], dpos[keep]
 
-        Returns the distinct pages it touches in first-touch order, and
-        its pieces (file offset, length, position in the batch's data)
+    def _page_runs_of(self, lo: np.ndarray, n: np.ndarray) -> Optional[List[Tuple[int, int]]]:
+        """The pages non-empty extents touch, as merged ascending
+        (first, stop) runs — which is also their first-touch order when
+        no extent starts on an earlier page than the one before it.
+        ``None`` for a batch out of that order."""
+        ps = self.page_size
+        first, stop = lo // ps, (lo + n - 1) // ps + 1
+        if first.size < 2:
+            return list(zip(first.tolist(), stop.tolist()))
+        if (first[1:] < first[:-1]).any():
+            return None
+        reach = np.maximum.accumulate(stop)
+        heads = np.flatnonzero(first[1:] > reach[:-1]) + 1
+        return list(zip(first[np.r_[0, heads]].tolist(), reach[np.r_[heads - 1, -1]].tolist()))
+
+    def _pages_of(self, lo: np.ndarray, n: np.ndarray, dpos: np.ndarray):
+        """Split non-empty extents at page edges (the per-page path).
+
+        Returns the distinct pages they touch in first-touch order, and
+        their pieces (file offset, length, position in the batch's data)
         grouped by page in that order — batch order within a page —
         with ``group[k]:group[k + 1]`` the pieces of page ``k``."""
         ps = self.page_size
-        keep = lengths > 0
-        lo, n = offsets[keep], lengths[keep]
-        dpos = (np.cumsum(lengths) - lengths)[keep]
         first = lo // ps
         count = (lo + n - 1) // ps - first + 1
         stops = np.cumsum(count)
@@ -176,16 +204,18 @@ class PageCache:
         return self._page_set(gap for lo, hi in extents for gap in self._valid.gaps(lo, hi))
 
     # -- LRU ----------------------------------------------------------------
-    def _touch(self, pages: np.ndarray) -> int:
-        """Make ``pages`` (in this order) the most recently used;
-        returns how many were cached already."""
+    def _touch(self, runs: Iterable[Tuple[int, int]]) -> int:
+        """Make the pages of disjoint (first, stop) runs the most
+        recently used, run by run in this order and ascending within a
+        run; returns how many were cached already."""
         known = 0
-        for i, j in _ascending_runs(pages):
-            first = int(pages[i])
-            known += int(np.count_nonzero(self._stamp.read(first, j - i)))
-            self._stamp.write(first, np.arange(self._clock + 1 + i, self._clock + 1 + j))
-        self._clock += int(pages.size)
-        self._cached += int(pages.size) - known
+        clock = self._clock
+        for first, stop in runs:
+            known += int(np.count_nonzero(self._stamp.read(first, stop - first)))
+            self._stamp.write(first, np.arange(clock + 1, clock + 1 + stop - first))
+            clock += stop - first
+        self._cached += clock - self._clock - known
+        self._clock = clock
         return known
 
     def _admit(self, first: int, stop: int) -> None:
@@ -243,8 +273,7 @@ class PageCache:
     @staticmethod
     def _page_runs(pages: np.ndarray) -> List[Tuple[int, int]]:
         """Sorted runs of page indices holding exactly ``pages``."""
-        pages = np.sort(pages)
-        return [(int(pages[i]), int(pages[j - 1]) + 1) for i, j in _ascending_runs(pages)]
+        return _ascending_runs(np.sort(pages))
 
     def _drop_clean(self, page_runs: Iterable[Tuple[int, int]]) -> None:
         """Drop the pages that hold no dirty bytes *now*: a flush yields
@@ -386,17 +415,20 @@ class PageCache:
             # No yield may occur between this returning and the dirty
             # marking below.
             self.fs.acquire_extents(ctx, self.client_id, self.path, offsets, lengths)
-        pos = 0
-        for lo, n in zip(offsets.tolist(), lengths.tolist()):
-            if n > 0:
-                self._buf.write(lo, data[pos : pos + n])
-                self._valid.add(lo, lo + n)
-                self._dirty.add(lo, lo + n)
-                pos += n
-        pages = self._pages_of(offsets, lengths)[0]
-        self._hits.value += self._touch(pages)
+        lo, n, dpos = self._extents(offsets, lengths)
+        for a, k, d in zip(lo.tolist(), n.tolist(), dpos.tolist()):
+            self._buf.write(a, data[d : d + k])
+            self._valid.add(a, a + k)
+            self._dirty.add(a, a + k)
+        runs = self._page_runs_of(lo, n)
+        if runs is None:  # out of file order: stamp page by page
+            pages = self._pages_of(lo, n, dpos)[0]
+            self._hits.value += self._touch(_ascending_runs(pages))
+            runs = self._page_runs(pages)
+        else:
+            self._hits.value += self._touch(runs)
         if self.mode == "writethrough":
-            self._flush(ctx, self._page_runs(pages))
+            self._flush(ctx, runs)
         self._evict_if_needed(ctx)
 
     def read(
@@ -407,7 +439,8 @@ class PageCache:
         lengths = np.asarray(lengths, dtype=np.int64)
         if not self.caching:
             return self.fs.server_read(ctx, self.client_id, self.path, offsets, lengths)
-        extents = [(lo, lo + n) for lo, n in zip(offsets.tolist(), lengths.tolist()) if n > 0]
+        lo, n, dpos = self._extents(offsets, lengths)
+        extents = [(a, a + k) for a, k in zip(lo.tolist(), n.tolist())]
         # A page must be fetched unless every requested byte of it is
         # locally valid.
         need = self._uncovered(extents)
@@ -415,7 +448,31 @@ class PageCache:
         total = int(lengths.sum())
         out = np.empty(total, dtype=np.uint8)
         ctx.charge(total * self.fs.cost.cpu_per_byte_copy)
-        pages, group, piece_lo, piece_n, piece_dpos = self._pages_of(offsets, lengths)
+        runs = self._page_runs_of(lo, n)
+        # The fetch above yielded only if it had pages to fetch.
+        if runs is not None and (need.empty or self._uncovered(extents).empty):
+            for (a, b), d in zip(extents, dpos.tolist()):
+                self._buf.read_into(a, out[d : d + b - a])
+            self._hits.value += sum(stop - first for first, stop in runs) - need.total
+            self._touch(runs)
+        else:
+            self._read_page_by_page(ctx, lo, n, dpos, extents, need, out)
+        self._evict_if_needed(ctx)
+        return out
+
+    def _read_page_by_page(
+        self,
+        ctx: RankContext,
+        lo: np.ndarray,
+        n: np.ndarray,
+        dpos: np.ndarray,
+        extents: List[Tuple[int, int]],
+        need: ByteRuns,
+        out: np.ndarray,
+    ) -> None:
+        """Serve a read out of file order, or one that lost pages while
+        its fetch yielded, page by page in first-touch order."""
+        pages, group, piece_lo, piece_n, piece_dpos = self._pages_of(lo, n, dpos)
         done = 0
         while done < pages.size:
             # Serve from the cache up to the first page that is not
@@ -430,7 +487,7 @@ class PageCache:
             self._copy_out(piece_lo[pieces], piece_n[pieces], piece_dpos[pieces], out)
             served = pages[done:stop]
             self._hits.value += int(served.size - need.mask(served).sum())
-            self._touch(served)
+            self._touch(_ascending_runs(served))
             if stop < pages.size:
                 pieces = slice(group[stop], group[stop + 1])
                 got = self.fs.server_read(
@@ -442,8 +499,6 @@ class PageCache:
                     pos += k
                 stop += 1
             done = stop
-        self._evict_if_needed(ctx)
-        return out
 
     def _copy_out(self, lo: np.ndarray, n: np.ndarray, dpos: np.ndarray, out: np.ndarray) -> None:
         """Copy cached pieces into ``out``; pieces that continue each

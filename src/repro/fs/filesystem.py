@@ -267,19 +267,9 @@ class SimFileSystem:
         exceed :attr:`queue_limit` — before any scheduler booking."""
         if self.queue_limit is None:
             return
-        cost = self.cost
         tenant = self._tenant_of.get(client_id)
         weight = self._tenant_weight.get(tenant, 1.0)
-        total_reqs = int(reqs_per.sum())
-        for ost in range(cost.num_osts):
-            if reqs_per[ost] == 0:
-                continue
-            share = rmw_pages * (reqs_per[ost] / total_reqs) if total_reqs else 0.0
-            service = (
-                int(reqs_per[ost]) * cost.ost_op_latency
-                + int(bytes_per[ost]) * cost.ost_byte_time
-                + share * cost.page_rmw_penalty
-            )
+        for ost, service in self._service(bytes_per, reqs_per, rmw_pages):
             delay = self.scheduler.queue_delay(ost, tenant, weight, now, service)
             if delay > self.queue_limit:
                 self.registry.counter("fs.ost.overloads").inc()
@@ -685,29 +675,33 @@ class SimFileSystem:
     def _split_over_osts(
         self, offsets: np.ndarray, lengths: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """(bytes_per_ost, request_fragments_per_ost) for a batch."""
+        """(bytes_per_ost, request_fragments_per_ost) for a batch.
+
+        A fragment is an extent cut at the stripe edges inside it; an
+        extent that crosses none is one fragment, and a batch with no
+        such crossing is counted as it stands.  (Per-OST byte sums go
+        through float64, exact below 2**53 bytes.)"""
         cost = self.cost
-        n_ost = cost.num_osts
         stripe = cost.stripe_size
-        bytes_per = np.zeros(n_ost, dtype=np.int64)
-        reqs_per = np.zeros(n_ost, dtype=np.int64)
-        offs = offsets.astype(np.int64).copy()
-        lens = lengths.astype(np.int64).copy()
-        # Peel one stripe-bounded piece off every extent per iteration;
-        # iterations = max stripes crossed by any extent.
-        while True:
-            active = lens > 0
-            if not active.any():
-                break
-            o = offs[active]
-            l = lens[active]
-            piece = np.minimum(l, stripe - (o % stripe))
-            ost = (o // stripe) % n_ost
-            np.add.at(bytes_per, ost, piece)
-            np.add.at(reqs_per, ost, 1)
-            offs[active] += piece
-            lens[active] -= piece
-        return bytes_per, reqs_per
+        offs = np.asarray(offsets, dtype=np.int64)
+        lens = np.asarray(lengths, dtype=np.int64)
+        if not lens.all():
+            offs, lens = offs[lens > 0], lens[lens > 0]
+        # Each extent's first stripe, and how many stripes it touches.
+        stripes = offs // stripe
+        count = (offs + lens - 1) // stripe - stripes + 1
+        total = int(count.sum())
+        if total > count.size:  # cut into fragments, one per stripe
+            skip = np.repeat(stripes - (np.cumsum(count) - count), count)
+            stripes = skip + np.arange(total)
+            lens = np.minimum(np.repeat(offs + lens, count), (stripes + 1) * stripe) - np.maximum(
+                np.repeat(offs, count), stripes * stripe
+            )
+        ost = stripes % cost.num_osts
+        return (
+            np.bincount(ost, weights=lens, minlength=cost.num_osts).astype(np.int64),
+            np.bincount(ost, minlength=cost.num_osts),
+        )
 
     @staticmethod
     def _partial_pages(offsets: np.ndarray, lengths: np.ndarray, page: int) -> int:
@@ -722,6 +716,27 @@ class SimFileSystem:
         same_page = (a // page) == ((b - 1) // page)
         partial[same_page] = np.minimum(partial[same_page], 1)
         return int(partial.sum())
+
+    def _service(
+        self, bytes_per: np.ndarray, reqs_per: np.ndarray, rmw_pages: int
+    ) -> List[Tuple[int, float]]:
+        """(OST, service seconds) for every OST a batch's fragments
+        reach, in OST order: per-fragment latency plus per-byte time,
+        plus the batch's RMW penalty spread over the OSTs in proportion
+        to their fragments."""
+        cost = self.cost
+        reqs, nbytes = reqs_per.tolist(), bytes_per.tolist()
+        total_reqs = sum(reqs)
+        return [
+            (
+                ost,
+                reqs[ost] * cost.ost_op_latency
+                + nbytes[ost] * cost.ost_byte_time
+                + rmw_pages * (reqs[ost] / total_reqs) * cost.page_rmw_penalty,
+            )
+            for ost in range(len(reqs))
+            if reqs[ost]
+        ]
 
     def _serve(
         self,
@@ -744,7 +759,6 @@ class SimFileSystem:
         stores: every live replica does the write work, one replica the
         read work); ``views`` carries the OST-faulted injectors whose
         ``ost_slow`` brownouts inflate the affected OSTs' service."""
-        cost = self.cost
         faults = ctx.shared.get(FAULTS_KEY)
         if views is None:
             views = self._fault_views(ctx)
@@ -752,22 +766,12 @@ class SimFileSystem:
             bytes_per, reqs_per = demand
         else:
             bytes_per, reqs_per = self._split_over_osts(offsets, lengths)
-        # Spread the RMW penalty over the OSTs proportionally to requests.
-        total_reqs = int(reqs_per.sum())
         arrive = ctx.now
         finish = arrive
         tenant = self._tenant_of.get(client_id)
         weight = self._tenant_weight.get(tenant, 1.0)
         wait_hist = self._tenant_mirror(tenant)["queue_wait"]
-        for ost in range(cost.num_osts):
-            if reqs_per[ost] == 0:
-                continue
-            share = rmw_pages * (reqs_per[ost] / total_reqs) if total_reqs else 0.0
-            service = (
-                int(reqs_per[ost]) * cost.ost_op_latency
-                + int(bytes_per[ost]) * cost.ost_byte_time
-                + share * cost.page_rmw_penalty
-            )
+        for ost, service in self._service(bytes_per, reqs_per, rmw_pages):
             if faults is not None:
                 service += faults.disk_penalty(ost, arrive, service)
             if views:
@@ -916,11 +920,8 @@ class SimFileSystem:
 
     def _touched_pages(self, offs: np.ndarray, lens: np.ndarray) -> List[int]:
         """Sorted page indices covered by a batch (corruption targets)."""
-        ps = self.cost.page_size
-        touched: set[int] = set()
-        for o, l in zip(offs.tolist(), lens.tolist()):
-            touched.update(range(o // ps, (o + l - 1) // ps + 1))
-        return sorted(touched)
+        runs = ByteRuns.of_blocks(zip(offs.tolist(), (offs + lens).tolist()), self.cost.page_size)
+        return [page for first, stop in runs for page in range(first, stop)]
 
     def server_read(
         self,

@@ -28,7 +28,7 @@ bytes and staleness.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -52,7 +52,8 @@ class Slabs:
 
     Never-written items read as zero.  An extent moves with one slice
     copy per slab it crosses, straight between the slab and the
-    caller's buffer."""
+    caller's buffer: each method walks [lo, lo+n) slab by slab, ``a``
+    the offset in slab ``index`` and ``pos`` the offset in the extent."""
 
     __slots__ = ("width", "dtype", "_slabs")
 
@@ -61,37 +62,44 @@ class Slabs:
         self.dtype = dtype
         self._slabs: Dict[int, np.ndarray] = {}
 
-    def _spans(self, lo: int, n: int) -> Iterator[Tuple[int, int, int, int]]:
-        """Split [lo, lo+n) at slab edges: (slab, from, to, position)."""
-        width = self.width
+    def write(self, lo: int, values: np.ndarray) -> None:
+        width, slabs, n = self.width, self._slabs, len(values)
+        index, a = divmod(lo, width)
         pos = 0
         while pos < n:
-            index, a = divmod(lo + pos, width)
             step = min(n - pos, width - a)
-            yield index, a, a + step, pos
-            pos += step
-
-    def write(self, lo: int, values: np.ndarray) -> None:
-        for index, a, b, pos in self._spans(lo, len(values)):
-            slab = self._slabs.get(index)
+            slab = slabs.get(index)
             if slab is None:
-                slab = self._slabs[index] = np.zeros(self.width, dtype=self.dtype)
-            slab[a:b] = values[pos : pos + b - a]
+                slab = slabs[index] = np.zeros(width, dtype=self.dtype)
+            slab[a : a + step] = values[pos : pos + step]
+            pos += step
+            index, a = index + 1, 0
 
     def fill(self, lo: int, n: int, value) -> None:
         """Set [lo, lo+n) to one value (zero never allocates)."""
-        for index, a, b, _ in self._spans(lo, n):
-            slab = self._slabs.get(index)
-            if slab is None:
-                if not value:
-                    continue
-                slab = self._slabs[index] = np.zeros(self.width, dtype=self.dtype)
-            slab[a:b] = value
+        width, slabs = self.width, self._slabs
+        index, a = divmod(lo, width)
+        pos = 0
+        while pos < n:
+            step = min(n - pos, width - a)
+            slab = slabs.get(index)
+            if slab is None and value:
+                slab = slabs[index] = np.zeros(width, dtype=self.dtype)
+            if slab is not None:
+                slab[a : a + step] = value
+            pos += step
+            index, a = index + 1, 0
 
     def read_into(self, lo: int, out: np.ndarray) -> None:
-        for index, a, b, pos in self._spans(lo, len(out)):
-            slab = self._slabs.get(index)
-            out[pos : pos + b - a] = 0 if slab is None else slab[a:b]
+        width, slabs, n = self.width, self._slabs, len(out)
+        index, a = divmod(lo, width)
+        pos = 0
+        while pos < n:
+            step = min(n - pos, width - a)
+            slab = slabs.get(index)
+            out[pos : pos + step] = 0 if slab is None else slab[a : a + step]
+            pos += step
+            index, a = index + 1, 0
 
     def read(self, lo: int, n: int) -> np.ndarray:
         out = np.empty(n, dtype=self.dtype)
