@@ -2,8 +2,9 @@
 
 Components:
 
-* :mod:`~repro.fs.store` — sparse paged byte store (the authoritative
-  server-side file contents);
+* :mod:`~repro.fs.store` — the authoritative server-side file
+  contents: plain, replicated and journaled stores behind one batch
+  protocol;
 * :mod:`~repro.fs.locks` — extent lock manager with configurable
   granularity and transfer (revocation) costs;
 * :mod:`~repro.fs.filesystem` — :class:`SimFileSystem`: files striped

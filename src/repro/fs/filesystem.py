@@ -19,9 +19,28 @@ Cost model of one server call (a batch of contiguous extents):
   which is how OST contention between aggregators arises;
 * the call completes when the slowest OST involved finishes.
 
+**One store path.**  ``server_write``, ``server_read`` and
+``txn_commit`` pick a target — the file's open
+:class:`~repro.fs.store.Journal` for a journaled call, else its plain
+or replicated store — and hand it the whole batch in one call of the
+batch protocol (:mod:`repro.fs.store`); policy stays here.  What keeps
+that bit-identical to the per-extent calls it replaced:
+
+* the storage gate (:meth:`SimFileSystem._gate`, run after the heal)
+  always judges the file's store: a journaled write to a replicated
+  file passes quorum and admission on the replicated demand, and is
+  charged the stripe map's;
+* a read verifies an extent's main-store pages before its journal
+  pages, and an :class:`~repro.errors.IntegrityError` names the first
+  bad page in extent order;
+* bit flips land where the bytes landed (a journaled write's: the
+  shadow store), after the sidecar refresh;
+* a replicated read is charged what its replicas served, and its
+  failovers are counted once the whole batch was served.
+
 **Storage fault domain** (``docs/storage_faults.md``): when a fault
 plan carries OST events (``ost_crash`` / ``ost_slow`` / ``ost_flap``),
-every server call runs a *plan phase* before touching any store byte:
+every server call passes the gate before touching any store byte:
 per-OST circuit breakers fast-fail calls against OSTs that keep
 failing, down OSTs raise a typed retryable
 :class:`~repro.errors.OSTUnavailable`, ``ost_slow`` brownouts multiply
@@ -60,7 +79,7 @@ from repro.liveness import LIVENESS_KEY
 from repro.obs.metrics import MetricsRegistry, MetricsView
 from repro.sim.engine import BLOCK_TIMEOUT
 from repro.fs.runs import ByteRuns
-from repro.fs.store import PageStore, ReplicatedStore
+from repro.fs.store import Journal, PageStore, ReplicatedStore, stripe_pieces
 from repro.sim.engine import RankContext
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -93,28 +112,6 @@ _FILE_SERIES = _MIRRORED + (
 )
 
 
-class _Txn:
-    """An open shadow-write transaction (the journal) for one file.
-
-    Journaled writes land in a private shadow :class:`PageStore` at
-    their final file offsets; ``valid`` records which file bytes the
-    journal owns.  Commit publishes those runs into the main store
-    atomically (no yield point between the first and last byte); abort
-    — or simply never committing, which is what a crash looks like —
-    discards them, leaving the main store at its pre-transaction
-    image."""
-
-    __slots__ = ("txid", "store", "valid", "epochs")
-
-    def __init__(self, txid: int, page_size: int, integrity: bool) -> None:
-        self.txid = txid
-        self.store = PageStore(page_size, integrity=integrity)
-        self.valid = ByteRuns()
-        #: Epoch commit records staged inside this transaction; they
-        #: become durable (join the file's epoch log) only at commit.
-        self.epochs: List[dict] = []
-
-
 class _File:
     __slots__ = ("store", "locks", "series", "txn", "epoch_log")
 
@@ -129,7 +126,8 @@ class _File:
         self.locks = ExtentLockManager(lock_granularity)
         #: series name -> this path's counter.
         self.series = {name: registry.counter(name, path) for name in _FILE_SERIES}
-        self.txn: Optional[_Txn] = None
+        #: The open shadow-write transaction, if any.
+        self.txn: Optional[Journal] = None
         #: Committed per-epoch records (``docs/crash_recovery.md``):
         #: one entry per collective round whose bytes are durable, in
         #: commit order.  A rejoining rank replays this log to learn
@@ -260,16 +258,14 @@ class SimFileSystem:
             up.add(ost)
         return up
 
-    def _check_admission(
-        self, views, bytes_per, reqs_per, rmw_pages, now, client_id, path, site
-    ) -> None:
+    def _check_admission(self, views, demand, rmw_pages, now, client_id, path, site) -> None:
         """Reject the batch when any fragment's queueing delay would
         exceed :attr:`queue_limit` — before any scheduler booking."""
         if self.queue_limit is None:
             return
         tenant = self._tenant_of.get(client_id)
         weight = self._tenant_weight.get(tenant, 1.0)
-        for ost, service in self._service(bytes_per, reqs_per, rmw_pages):
+        for ost, service in self._service(*demand, rmw_pages):
             delay = self.scheduler.queue_delay(ost, tenant, weight, now, service)
             if delay > self.queue_limit:
                 self.registry.counter("fs.ost.overloads").inc()
@@ -284,7 +280,7 @@ class SimFileSystem:
                     limit=self.queue_limit,
                 )
 
-    def _storage_plan(
+    def _gate(
         self,
         ctx: RankContext,
         client_id: Hashable,
@@ -292,86 +288,60 @@ class SimFileSystem:
         path: str,
         offs: np.ndarray,
         lens: np.ndarray,
-        rmw: int,
         site: str,
         *,
-        write: bool,
+        rmw: int = 0,
+        read: bool = False,
+        admit: bool = True,
     ):
-        """Pre-mutation storage checks for one server call.
-
-        Runs health/breaker checks, write-quorum validation, background
-        healing, and admission control — raising typed retryable errors
-        before any store byte or scheduler booking is touched.  Returns
-        ``(demand, up, views)``: ``demand`` is the per-OST
-        ``(bytes, request-fragments)`` service demand for :meth:`_serve`
-        (``None`` = derive from the stripe map, the seed's path), ``up``
-        the live-OST set for a replicated store (``None`` for plain
-        stores).  The fault-free unreplicated path returns immediately
-        with no state touched."""
+        """The storage gate: health/breaker checks, then (replicated
+        stores) the heal and the availability or quorum check, then
+        admission — typed retryable errors before any store byte or
+        scheduler booking is touched.  It judges ``f.store``, also for
+        a journaled call (a commit: a write of the journal's pages,
+        without admission).  Returns ``(demand, up, views)``: the
+        per-OST ``(bytes, request-fragments)`` demand for :meth:`_serve`
+        (``None``: the stripe map's, or a replicated read's, which its
+        servers report), the live set of a replicated store (``None``
+        for a plain one).  The fault-free unreplicated path returns at
+        once with no state touched."""
         views = self._fault_views(ctx)
         store = f.store
-        replicated = isinstance(store, ReplicatedStore)
-        if (
-            not views
-            and not self._breakers
-            and self.queue_limit is None
-            and not replicated
-        ):
+        plain = store.factor == 1
+        if not views and not self._breakers and self.queue_limit is None and plain:
             return None, None, views
         now = ctx.now
         if views:
             self._set_ost_gauges(views, now)
-        if not replicated:
-            bytes_per, reqs_per = self._split_over_osts(offs, lens)
+        if plain:
+            up = None
+            demand = self._split_over_osts(offs, lens)
             if views or self._breakers:
-                for ost in range(self.cost.num_osts):
-                    if reqs_per[ost]:
-                        self._check_ost(views, ost, now, client_id, path, site)
-            self._check_admission(
-                views, bytes_per, reqs_per, rmw, now, client_id, path, site
-            )
-            return (bytes_per, reqs_per), None, views
-        if views or self._breakers:
-            up = self._up_set(views, now)
+                for ost in np.flatnonzero(demand[1]).tolist():
+                    self._check_ost(views, ost, now, client_id, path, site)
         else:
-            up = set(range(self.cost.num_osts))
-        self._heal(store, up)
-        if not write:
-            # Reads only need one live fresh replica per piece; the
-            # service demand depends on which replica actually serves
-            # and is built by the caller from the store's report.
-            for o, l in zip(offs.tolist(), lens.tolist()):
-                for pos, chunk, osts in store._pieces(int(o), int(l)):
-                    if store.fresh_replicas(pos, chunk, up):
-                        continue
+            if views or self._breakers:
+                up = self._up_set(views, now)
+            else:
+                up = set(range(self.cost.num_osts))
+            self._heal(store, up)
+            demand, short = store.plan(offs, lens, up, read=read)
+            if short is not None:
+                missing = next((x for x in short if x not in up), short[0])
+                if read:
                     self.registry.counter("fs.ost.down_hits").inc()
                     if views:
                         views[0].note_ost_rejection()
-                    bad = next((x for x in osts if x not in up), osts[0])
-                    raise OSTUnavailable(site, client_id, path, ost=bad, reason="down")
-            return None, up, views
-        n_ost = self.cost.num_osts
-        bytes_per = np.zeros(n_ost, dtype=np.int64)
-        reqs_per = np.zeros(n_ost, dtype=np.int64)
-        quorum = store.quorum
-        for o, l in zip(offs.tolist(), lens.tolist()):
-            for pos, chunk, osts in store._pieces(int(o), int(l)):
-                live = [x for x in osts if x in up]
-                if len(live) < quorum:
-                    self.registry.counter("fs.ost.quorum_failures").inc()
-                    if views:
-                        views[0].note_ost_quorum_failure()
-                    missing = next(x for x in osts if x not in up)
-                    raise OSTUnavailable(
-                        site, client_id, path, ost=missing, reason="quorum"
-                    )
-                for x in live:
-                    bytes_per[x] += chunk
-                    reqs_per[x] += 1
-        self._check_admission(
-            views, bytes_per, reqs_per, rmw, now, client_id, path, site
-        )
-        return (bytes_per, reqs_per), up, views
+                    raise OSTUnavailable(site, client_id, path, ost=missing, reason="down")
+                self.registry.counter("fs.ost.quorum_failures").inc()
+                if views:
+                    views[0].note_ost_quorum_failure()
+                raise OSTUnavailable(site, client_id, path, ost=missing, reason="quorum")
+            if read:
+                return None, up, views
+        if admit:
+            self._check_admission(views, demand, rmw, now, client_id, path, site)
+        return demand, up, views
 
     # -- namespace ---------------------------------------------------------
     def ensure_file(self, path: str) -> None:
@@ -414,8 +384,9 @@ class SimFileSystem:
         """Swap ``path``'s store for a :class:`ReplicatedStore` with
         ``factor`` replicas per stripe (the ``replication_factor``
         hint).  Idempotent for the same factor; existing contents are
-        migrated.  ``factor=1`` is a no-op (the plain store *is*
-        1-way replication)."""
+        migrated, and an open journal publishes into the new store.
+        ``factor=1`` is a no-op (the plain store *is* 1-way
+        replication)."""
         if factor <= 1:
             return
         self.ensure_file(path)
@@ -441,11 +412,12 @@ class SimFileSystem:
             repl.write(idx * ps, store.read(idx * ps, ps, verify=False))
         repl.size = store.size
         f.store = repl
+        if f.txn is not None:
+            f.txn.main = repl
 
     def replication_of(self, path: str) -> int:
         """The file's replication factor (1 = unreplicated)."""
-        store = self._file(path).store
-        return store.factor if isinstance(store, ReplicatedStore) else 1
+        return self._file(path).store.factor
 
     def rereplicate(self, path: str, *, now: float = 0.0, faults=None) -> int:
         """Admin re-replication pass: rebuild stale replicas on OSTs
@@ -453,7 +425,7 @@ class SimFileSystem:
         healing also runs opportunistically before every server call on
         a replicated file).  Returns bytes healed."""
         f = self._file(path)
-        if not isinstance(f.store, ReplicatedStore):
+        if f.store.factor == 1:
             return 0
         views = [
             inj
@@ -465,18 +437,15 @@ class SimFileSystem:
             for ost in range(self.cost.num_osts)
             if not self._ost_is_down(views, ost, now)
         }
-        healed = f.store.rereplicate(up)
+        return self._heal(f.store, up)
+
+    def _heal(self, store: ReplicatedStore, up: Set[int]) -> int:
+        """Background re-replication, bytes healed (no client cost: the
+        rebuild daemon is not on the caller's critical path)."""
+        healed = store.rereplicate(up) if store.stale_bytes() else 0
         if healed:
             self.registry.counter("fs.ost.rereplicated_bytes").inc(healed)
         return healed
-
-    def _heal(self, store: ReplicatedStore, up: Set[int]) -> None:
-        """Opportunistic background re-replication (no client cost:
-        the rebuild daemon is not on the caller's critical path)."""
-        if store.stale_bytes():
-            healed = store.rereplicate(up)
-            if healed:
-                self.registry.counter("fs.ost.rereplicated_bytes").inc(healed)
 
     def raw_bytes(self, path: str, offset: int, nbytes: int) -> np.ndarray:
         """Server-side contents, for verification only (no cost).
@@ -682,21 +651,11 @@ class SimFileSystem:
         such crossing is counted as it stands.  (Per-OST byte sums go
         through float64, exact below 2**53 bytes.)"""
         cost = self.cost
-        stripe = cost.stripe_size
         offs = np.asarray(offsets, dtype=np.int64)
         lens = np.asarray(lengths, dtype=np.int64)
         if not lens.all():
             offs, lens = offs[lens > 0], lens[lens > 0]
-        # Each extent's first stripe, and how many stripes it touches.
-        stripes = offs // stripe
-        count = (offs + lens - 1) // stripe - stripes + 1
-        total = int(count.sum())
-        if total > count.size:  # cut into fragments, one per stripe
-            skip = np.repeat(stripes - (np.cumsum(count) - count), count)
-            stripes = skip + np.arange(total)
-            lens = np.minimum(np.repeat(offs + lens, count), (stripes + 1) * stripe) - np.maximum(
-                np.repeat(offs, count), stripes * stripe
-            )
+        _, lens, stripes, _ = stripe_pieces(offs, lens, cost.stripe_size)
         ost = stripes % cost.num_osts
         return (
             np.bincount(ost, weights=lens, minlength=cost.num_osts).astype(np.int64),
@@ -880,35 +839,26 @@ class SimFileSystem:
         if acquire_locks:
             self._charge_locks(ctx, f, client_id, offs, lens, path)
         rmw = self._partial_pages(offs, lens, self.cost.page_size)
-        # Storage plan phase: typed health/quorum/admission failures
-        # fire here, before any byte mutates — a retried call starts
-        # from an untouched store.
-        demand, up, views = self._storage_plan(
-            ctx, client_id, f, path, offs, lens, rmw, "server_write", write=True
+        # Typed health/quorum/admission failures fire here, before any
+        # byte mutates — a retried call starts from an untouched store.
+        demand, up, views = self._gate(
+            ctx, client_id, f, path, offs, lens, "server_write", rmw=rmw
         )
         self._count(f, client_id, "fs.rmw.pages", rmw)
         self._count(f, client_id, "fs.server.writes", 1)
         self._count(f, client_id, "fs.bytes.written", total)
         target = f.store
-        txn = None
         if journaled:
-            txn = f.txn
-            if txn is None:
+            target = f.txn
+            if target is None:
                 raise FileSystemError(
                     f"journaled write on {path!r} without an open transaction"
                 )
-            target = txn.store
             f.series["journal.writes"].value += 1
-            # Journaled bytes go to the (plain) shadow store; the live
-            # set matters at commit time, when they publish.
+            # The shadow store is plain: its bytes are charged by the
+            # stripe map, whatever demand the gate judged f.store by.
             demand = None
-        how = {"up": up} if txn is None and isinstance(target, ReplicatedStore) else {}
-        pos = 0
-        for o, l in zip(offs.tolist(), lens.tolist()):
-            target.write(o, data[pos : pos + l], **how)
-            if txn is not None:
-                txn.valid.add(o, o + l)
-            pos += l
+        target.write_extents(offs, lens, data, up)
         # Silent-corruption injection: bits flip in whichever store the
         # bytes landed in, after the checksum sidecar was updated.
         faults = ctx.shared.get(FAULTS_KEY)
@@ -949,57 +899,36 @@ class SimFileSystem:
         self._maybe_io_fault(ctx, client_id, path, "server_read")
         if acquire_locks:
             self._charge_locks(ctx, f, client_id, offs, lens, path)
-        demand, up, views = self._storage_plan(
-            ctx, client_id, f, path, offs, lens, 0, "server_read", write=False
+        demand, up, views = self._gate(
+            ctx, client_id, f, path, offs, lens, "server_read", read=True
         )
         self._count(f, client_id, "fs.server.reads", 1)
         self._count(f, client_id, "fs.bytes.read", total)
-        replicated = isinstance(f.store, ReplicatedStore)
-        served: List[Tuple[int, int]] = []
-        failovers: List[int] = []
-        how = {"up": up, "served": served, "failovers": failovers} if replicated else {}
-        txn = f.txn if journaled else None
-        pos = 0
+        target = f.txn if journaled and f.txn is not None else f.store
         try:
-            for o, l in zip(offs.tolist(), lens.tolist()):
-                piece = out[pos : pos + l]
-                f.store.read_into(o, piece, **how)
-                if txn is not None:
-                    self._overlay_txn(txn, o, piece)
-                pos += l
+            served, failovers = target.read_extents(offs, lens, out, up)
         except IntegrityError as exc:
-            self._note_page_corruption(ctx)
-            raise IntegrityError(exc.site, exc.page_index, path) from exc
+            raise self._detected(ctx, exc, path) from exc
+        # Failovers count once the whole batch was served.
         if failovers:
-            self.registry.counter("fs.ost.failovers").inc(len(failovers))
+            self.registry.counter("fs.ost.failovers").inc(failovers)
             if views:
-                for _ in failovers:
+                for _ in range(failovers):
                     views[0].note_ost_failover()
-        if replicated:
-            # Service demand is whatever replicas actually served.
-            bytes_per = np.zeros(self.cost.num_osts, dtype=np.int64)
-            reqs_per = np.zeros(self.cost.num_osts, dtype=np.int64)
-            for ost, chunk in served:
-                bytes_per[ost] += chunk
-                reqs_per[ost] += 1
-            demand = (bytes_per, reqs_per)
-            self._check_admission(
-                views, bytes_per, reqs_per, 0, ctx.now, client_id, path, "server_read"
-            )
+        if served is not None:
+            # Replicated: the demand is what the replicas actually served.
+            demand = served
+            self._check_admission(views, demand, 0, ctx.now, client_id, path, "server_read")
         self._serve(ctx, client_id, offs, lens, 0, demand=demand, views=views)
         return out
 
     @staticmethod
-    def _overlay_txn(txn: _Txn, offset: int, out: np.ndarray) -> None:
-        """Patch journal-owned byte runs over a main-store read."""
-        for lo, hi in txn.valid.intersect(offset, offset + int(out.size)):
-            txn.store.read_into(lo, out[lo - offset : hi - offset])
-
-    @staticmethod
-    def _note_page_corruption(ctx: RankContext) -> None:
+    def _detected(ctx: RankContext, exc: IntegrityError, path: str) -> IntegrityError:
+        """Count a detected page corruption; the error, naming ``path``."""
         faults = ctx.shared.get(FAULTS_KEY)
         if faults is not None:
             faults.note_page_corruption_detected()
+        return IntegrityError(exc.site, exc.page_index, path)
 
     # -- epoch commit records (resumable collectives) -----------------------
     def journal_record_epoch(
@@ -1069,10 +998,9 @@ class SimFileSystem:
         reach the file."""
         f = self._file(path)
         if f.txn is not None and f.txn.txid != txid:
-            f.txn = None
-            f.series["journal.aborts"].value += 1
+            self.txn_abort(path)
         if f.txn is None:
-            f.txn = _Txn(txid, self.cost.page_size, f.store.integrity)
+            f.txn = Journal(txid, f.store)
 
     def txn_active(self, path: str) -> bool:
         return self._file(path).txn is not None
@@ -1085,18 +1013,16 @@ class SimFileSystem:
             f.series["journal.aborts"].value += 1
 
     def txn_commit(self, ctx: RankContext, client_id: Hashable, path: str) -> int:
-        """Atomically publish the open transaction into the main store.
+        """Atomically publish the open transaction into the main store;
+        returns the number of pages published.
 
-        The injected-fault point fires *before* any byte is applied and
-        the apply loop has no yield point, so the commit is all-or-
-        nothing: a retried commit (transient fault) re-applies from an
-        untouched journal, and a crash before commit leaves the file at
-        its pre-transaction image.  Shadow pages are verified against
-        their sidecars as they are read, so corruption that hit the
-        journal itself surfaces here as a typed
-        :class:`~repro.errors.IntegrityError` instead of being
-        laundered into freshly-checksummed file pages.  Returns the
-        number of pages published."""
+        The injected-fault point, the storage gate and the verification
+        of every shadow run (:meth:`Journal.commit`) all fire before the
+        first byte is applied, in one batch with no yield point: a
+        retried commit re-applies from an untouched journal, a crash
+        leaves the pre-transaction image, and a corrupt journal raises
+        a typed :class:`~repro.errors.IntegrityError` with the journal
+        intact instead of being laundered into the file."""
         f = self._file(path)
         ctx.charge(self.cost.io_call_overhead)
         txn = f.txn
@@ -1105,24 +1031,20 @@ class SimFileSystem:
         with ctx.trace("fs:journal_commit", path=path):
             self._maybe_io_fault(ctx, client_id, path, "txn_commit")
             ps = self.cost.page_size
-            page_runs = ByteRuns.of_blocks(txn.valid, ps)
-            pages = [pidx for first, stop in page_runs for pidx in range(first, stop)]
-            # Health/quorum gate before any byte publishes: an outage
-            # mid-commit yields a typed retryable failure with the
-            # journal intact, never a torn publish.
-            up = self._txn_commit_gate(ctx, client_id, f, path, pages)
-            ctx.charge(len(pages) * self.cost.journal_commit_page)
-            how = {"up": up} if isinstance(f.store, ReplicatedStore) else {}
-            for lo, hi in txn.valid:
-                try:
-                    good = txn.store.read(lo, hi - lo)
-                except IntegrityError as exc:
-                    self._note_page_corruption(ctx)
-                    raise IntegrityError("journal-commit", exc.page_index, path) from exc
-                f.store.write(lo, good, **how)
+            page_runs = txn.pages()
+            first, stop = page_runs.arrays()
+            _, up, _ = self._gate(
+                ctx, client_id, f, path, first * ps, (stop - first) * ps, "txn_commit", admit=False
+            )
+            pages = page_runs.total
+            ctx.charge(pages * self.cost.journal_commit_page)
+            try:
+                txn.commit(up)
+            except IntegrityError as exc:
+                raise self._detected(ctx, exc, path) from exc
             f.txn = None
             f.series["journal.commits"].value += 1
-            f.series["journal.pages_committed"].value += len(pages)
+            f.series["journal.pages_committed"].value += pages
             # Staged epoch records become durable with their bytes.
             for rec in txn.epochs:
                 self._publish_epoch(f, rec)
@@ -1132,59 +1054,10 @@ class SimFileSystem:
         for caches in self._caches.values():
             for cache in caches:
                 if cache.path == path and cache.caching:
-                    for first, stop in page_runs:
-                        cache.invalidate_range(first * ps, stop * ps, keep_dirty=True)
+                    for lo, hi in page_runs:
+                        cache.invalidate_range(lo * ps, hi * ps, keep_dirty=True)
         ctx.yield_now()
-        return len(pages)
-
-    def _txn_commit_gate(
-        self,
-        ctx: RankContext,
-        client_id: Hashable,
-        f: _File,
-        path: str,
-        pages: List[int],
-    ) -> Optional[Set[int]]:
-        """Pre-publish storage checks for a journal commit.
-
-        Plain store: every OST holding a committed page must be up (and
-        breaker-admitted).  Replicated store: every committed page's
-        stripe must retain a write-quorum of live replicas; returns the
-        live set the publish writes to (missed replicas go stale and
-        heal later)."""
-        views = self._fault_views(ctx)
-        store = f.store
-        replicated = isinstance(store, ReplicatedStore)
-        if not views and not self._breakers and not replicated:
-            return None
-        now = ctx.now
-        if views:
-            self._set_ost_gauges(views, now)
-        ps = self.cost.page_size
-        if not replicated:
-            stripe = self.cost.stripe_size
-            osts = sorted({(pidx * ps // stripe) % self.cost.num_osts for pidx in pages})
-            for ost in osts:
-                self._check_ost(views, ost, now, client_id, path, "txn_commit")
-            return None
-        if views or self._breakers:
-            up = self._up_set(views, now)
-        else:
-            up = set(range(self.cost.num_osts))
-        self._heal(store, up)
-        quorum = store.quorum
-        for pidx in pages:
-            osts = store.replicas_of(pidx * ps)
-            live = [x for x in osts if x in up]
-            if len(live) < quorum:
-                self.registry.counter("fs.ost.quorum_failures").inc()
-                if views:
-                    views[0].note_ost_quorum_failure()
-                missing = next(x for x in osts if x not in up)
-                raise OSTUnavailable(
-                    "txn_commit", client_id, path, ost=missing, reason="quorum"
-                )
-        return up
+        return pages
 
     # -- resize --------------------------------------------------------------
     def resize(self, ctx: RankContext, client_id: Hashable, path: str, size: int) -> None:

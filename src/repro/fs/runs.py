@@ -4,7 +4,8 @@ A :class:`ByteRuns` holds [start, end) intervals, merged on insert.
 The client cache keeps one per file for its valid bytes (safe to serve
 to reads) and one for its dirty bytes (owed to the server) — byte
 accurate without boolean masks — and page-index sets for in-flight
-fetches; the replicated store keeps one per OST for stale bytes.  Runs
+fetches; the replicated store keeps one per OST for stale bytes, the
+journal one for the bytes it owns.  Runs
 live in two parallel sorted lists so every query is a ``bisect`` plus
 the runs it actually touches.
 """
@@ -87,6 +88,13 @@ class ByteRuns:
         i, j = self._span(lo, hi)
         return i < j
 
+    def overlaps_each(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """:meth:`overlaps` for many non-empty ranges at once (boolean
+        array)."""
+        return np.searchsorted(self._ends, lo, side="right") < np.searchsorted(
+            self._starts, hi, side="left"
+        )
+
     def intersect(self, lo: int, hi: int) -> List[Tuple[int, int]]:
         """The runs clipped to [lo, hi), in order."""
         i, j = self._span(lo, hi)
@@ -114,6 +122,10 @@ class ByteRuns:
             return np.zeros(points.shape, dtype=bool)
         i = np.searchsorted(self._starts, points, side="right") - 1
         return (i >= 0) & (points < np.asarray(self._ends)[i])
+
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(starts, ends) as int64 arrays."""
+        return np.array(self._starts, dtype=np.int64), np.array(self._ends, dtype=np.int64)
 
     def clear(self) -> None:
         self._starts.clear()

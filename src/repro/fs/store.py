@@ -1,33 +1,47 @@
-"""Sparse paged byte store — the authoritative file contents.
+"""The store layer: the authoritative file contents, one batch protocol.
 
-Bytes live in lazily allocated multi-page slabs (:class:`Slabs`), so an
-extent moves with one slice copy per slab; unwritten bytes read back as
-zero, like a POSIX sparse file.  The store is pure data: no cost
-accounting here.
+A server call's extents are one request (list I/O), and every store
+takes them as one batch:
 
-With integrity enabled (:meth:`PageStore.enable_integrity`, gated by
-the ``integrity_pages`` hint upstream) every allocated page carries a
-CRC32 sidecar word: writes update it, reads verify it, and a mismatch
-raises :class:`~repro.errors.IntegrityError` carrying the page index —
-silent corruption (e.g. the fault model's ``bit_flip_page`` events,
-which mutate page bytes *without* touching the sidecar) becomes a loud,
-typed failure at the first read.  :meth:`verify_all` is the offline
-scrub used by ``repro fsck``.
+* ``write_extents(offs, lens, data, up=None)`` — ``data`` holds the
+  extents' bytes concatenated in batch order (overlaps: later wins);
+* ``read_extents(offs, lens, out, up=None)`` — fills ``out`` the same
+  way and returns what it served, ``(demand, failovers)``: the per-OST
+  ``(bytes, fragments)`` the answering copies did (``None``: the stripe
+  map's split) and how many corrupt replicas it skipped.
 
-:class:`ReplicatedStore` (the ``replication_factor`` hint) composes
-``r`` per-OST :class:`PageStore` shards behind the same interface:
-each stripe's pages live on ``r`` distinct OSTs, writes land on every
-*live* replica (missed ones are tracked as stale byte runs for later
-re-replication), and reads serve from the first fresh replica — with
-integrity-driven failover to the next when a shard's page fails its
-sidecar.  Health/quorum policy stays in
-:class:`~repro.fs.filesystem.SimFileSystem`; the store only tracks
-bytes and staleness.
+``up`` is the live-OST set the caller's policy chose (``None``: all).
+Stores are mechanism only; health, breakers, admission, quorum and
+healing stay in :class:`~repro.fs.filesystem.SimFileSystem`.
+
+* :class:`PageStore` — bytes in lazily allocated multi-page slabs
+  (:class:`Slabs`), one slice copy per slab; unwritten bytes read as
+  zero, like a POSIX sparse file.  A batch is one pass, and each
+  touched page's sidecar is refreshed once, after its bytes landed.
+* :class:`ReplicatedStore` (the ``replication_factor`` hint) — ``r``
+  per-OST :class:`PageStore` shards; stripe pieces, placement and
+  stale/fresh replica selection are computed once per batch.  Writes
+  land on every live replica (missed ones become stale runs, healed by
+  re-replication); reads serve each piece from its first fresh replica,
+  failing over past a corrupt one, and report that replica's demand.
+* :class:`Journal` — an open shadow-write transaction wrapping either
+  store: a shadow :class:`PageStore`, the runs it owns patched over
+  main-store reads, staged epoch records, and :meth:`Journal.commit`.
+
+With integrity on (:meth:`PageStore.enable_integrity`, the
+``integrity_pages`` hint) every allocated page carries a CRC32 sidecar;
+``flip_bit`` corrupts bytes without touching it, and the mismatch
+raises :class:`~repro.errors.IntegrityError`.  A read verifies every
+page it touches before it copies any and names the first bad page in
+extent order; a journaled read verifies an extent's main-store pages
+before its journal pages; a commit verifies every run before it
+publishes any.  :meth:`verify_all` is the scrub ``repro fsck`` runs.
 """
 
 from __future__ import annotations
 
 import zlib
+from itertools import accumulate
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -35,7 +49,7 @@ import numpy as np
 from repro.errors import FileSystemError, IntegrityError
 from repro.fs.runs import ByteRuns
 
-__all__ = ["PageStore", "ReplicatedStore", "Slabs", "SLAB_PAGES"]
+__all__ = ["Journal", "PageStore", "ReplicatedStore", "Slabs", "SLAB_PAGES", "stripe_pieces"]
 
 
 #: Pages per slab: the unit the store and the client cache allocate in
@@ -45,6 +59,22 @@ __all__ = ["PageStore", "ReplicatedStore", "Slabs", "SLAB_PAGES"]
 #: raise ``ranks_many``'s peak RSS by ~2 MiB over 128 KiB ones, for no
 #: measurable gain in ``fig7_steps``).
 SLAB_PAGES = 32
+
+
+def stripe_pieces(offs: np.ndarray, lens: np.ndarray, stripe: int):
+    """Cut a batch's extents (int64, none empty) at the stripe edges
+    inside them.  Per piece, in batch order: its offset, its length, its
+    stripe, and the index of its extent (``None`` when no extent crosses
+    an edge: the pieces are the extents)."""
+    stripes = offs // stripe
+    count = (offs + lens - 1) // stripe - stripes + 1
+    total = int(count.sum())
+    if total == count.size:
+        return offs, lens, stripes, None
+    extent = np.repeat(np.arange(count.size), count)
+    stripes = np.repeat(stripes - (np.cumsum(count) - count), count) + np.arange(total)
+    lo = np.maximum(offs[extent], stripes * stripe)
+    return lo, np.minimum((offs + lens)[extent], (stripes + 1) * stripe) - lo, stripes, extent
 
 
 class Slabs:
@@ -132,7 +162,55 @@ class Slabs:
         self._slabs.clear()
 
 
-class PageStore:
+class _Store:
+    """Single-extent conveniences over the batch protocol, for access
+    outside a server call (tests, fsck, migration, healing)."""
+
+    __slots__ = ()
+
+    def write(self, offset: int, data: np.ndarray, up: Optional[Set[int]] = None) -> None:
+        data = np.asarray(data, dtype=np.uint8)
+        if offset < 0:
+            raise FileSystemError(f"negative file offset {offset}")
+        if data.size:
+            self.write_extents(np.array([offset]), np.array([data.size]), data, up)
+
+    def read(self, offset: int, nbytes: int, *, verify=True, up=None) -> np.ndarray:
+        """``verify=False`` skips the sidecar check (oracles, fsck)."""
+        if offset < 0 or nbytes < 0:
+            raise FileSystemError(f"invalid read range ({offset}, {nbytes})")
+        out = np.empty(nbytes, dtype=np.uint8)
+        self.read_extents(np.array([offset]), np.array([nbytes]), out, up, verify=verify)
+        return out
+
+    def verify_all(self) -> List[int]:
+        """Page indices whose contents fail their sidecar (a scrub)."""
+        if not self.integrity:
+            return []
+        return [idx for idx in self.page_indices() if not self.verify_page(idx)]
+
+    @property
+    def allocated_pages(self) -> int:
+        return len(self.page_indices())
+
+    def checksum(self) -> int:
+        """Cheap content fingerprint for tests.
+
+        All-zero pages are skipped when folding: an explicitly
+        allocated page of zeros is logically identical to a hole, and
+        two stores with identical logical bytes must hash identically
+        regardless of allocation history (or replication)."""
+        ps = self.page_size
+        acc = self.size
+        for idx in self.page_indices():
+            page = self.read(idx * ps, ps, verify=False)
+            if page.any():
+                acc = (acc * 1000003 + idx) & 0xFFFFFFFFFFFF
+                acc = (acc + int(page.astype(np.uint64).sum())) & 0xFFFFFFFFFFFF
+        return acc
+
+
+class PageStore(_Store):
     """A sparse file: bytes in slabs plus a map of which pages exist.
 
     A page exists once any byte of it was written; only existing pages
@@ -140,6 +218,9 @@ class PageStore:
     corrupted or repaired — a slab's never-written pages stay holes."""
 
     __slots__ = ("page_size", "_bytes", "_exists", "size", "integrity", "_crcs")
+
+    #: Copies of each byte (what ``replication_of`` reports).
+    factor = 1
 
     def __init__(self, page_size: int, *, integrity: bool = False) -> None:
         if page_size <= 0:
@@ -177,15 +258,31 @@ class PageStore:
         off = index % SLAB_PAGES * self.page_size
         return self._bytes.get(index // SLAB_PAGES)[off : off + self.page_size]
 
-    def _put(self, offset: int, data: np.ndarray) -> None:
-        """Store bytes, allocate the pages they touch, refresh sidecars."""
-        ps = self.page_size
-        first, stop = offset // ps, -(-(offset + data.size) // ps)
-        self._bytes.write(offset, data)
-        self._exists.fill(first, stop - first, True)
+    def _write(self, offs: List[int], lens: List[int], data: np.ndarray, at) -> int:
+        """Store extents (``at``: where each one's bytes start in
+        ``data``), allocate the pages they touch and refresh each touched
+        page's sidecar once; returns the end of the highest extent."""
+        ps, bytes_, exists, top = self.page_size, self._bytes, self._exists, 0
+        for o, n, a in zip(offs, lens, at):
+            bytes_.write(o, data[a : a + n])
+            first = o // ps
+            exists.fill(first, -(-(o + n) // ps) - first, True)
+            if o + n > top:
+                top = o + n
         if self.integrity:
-            for index in range(first, stop):
-                self._crcs[index] = self._crc(index)
+            for first, stop in ByteRuns.of_blocks(((o, o + n) for o, n in zip(offs, lens)), ps):
+                for index in range(first, stop):
+                    self._crcs[index] = self._crc(index)
+        return top
+
+    def _verify(self, offs: List[int], lens: List[int]) -> None:
+        """Raise for the first page, in extent order, whose bytes fail
+        their sidecar."""
+        ps = self.page_size
+        for o, n in zip(offs, lens):
+            for index in self._pages_in(o // ps, -(-(o + n) // ps)):
+                if not self.verify_page(index):
+                    raise IntegrityError("page-read", index)
 
     def _release(self, first: int, stop: int) -> None:
         """Turn pages [first, stop) back into holes."""
@@ -218,12 +315,6 @@ class PageStore:
             return True
         return self._crcs.get(index) == self._crc(index)
 
-    def verify_all(self) -> List[int]:
-        """Page indices whose contents fail their sidecar (a scrub)."""
-        if not self.integrity:
-            return []
-        return [idx for idx in self.page_indices() if not self.verify_page(idx)]
-
     def flip_bit(self, page_index: int, bit_index: int) -> None:
         """Silently flip one bit of an allocated page — the corruption
         model's entry point.  Deliberately does NOT update the sidecar:
@@ -250,41 +341,27 @@ class PageStore:
             raise FileSystemError(
                 f"rewrite_page needs exactly {self.page_size} bytes, got {data.size}"
             )
-        self._put(index * self.page_size, data)
+        self._write([index * self.page_size], [self.page_size], data, [0])
 
-    # -- data plane ---------------------------------------------------------
-    def write(self, offset: int, data: np.ndarray) -> None:
-        """Write ``data`` (uint8) at ``offset``, extending the file."""
-        if offset < 0:
-            raise FileSystemError(f"negative file offset {offset}")
-        data = np.asarray(data, dtype=np.uint8)
-        if data.size == 0:
-            return
-        self._put(offset, data)
-        self.size = max(self.size, offset + int(data.size))
+    # -- the batch protocol -------------------------------------------------
+    def write_extents(self, offs, lens, data, up: Optional[Set[int]] = None) -> None:
+        """Write a batch in one pass (``up`` is moot: one copy)."""
+        lens = lens.tolist()
+        top = self._write(offs.tolist(), lens, data, accumulate(lens, initial=0))
+        if top > self.size:
+            self.size = top
 
-    def read_into(self, offset: int, out: np.ndarray, *, verify: bool = True) -> None:
-        """Fill ``out`` with the bytes at ``offset``; holes and EOF read
-        as zero.
-
-        With integrity enabled (and ``verify`` true), every allocated
-        page touched is checked against its sidecar first; a mismatch
-        raises :class:`~repro.errors.IntegrityError`.  ``verify=False``
-        is for out-of-band access (verification oracles, fsck itself)."""
-        if self.integrity and verify and out.size:
-            ps = self.page_size
-            for index in self._pages_in(offset // ps, -(-(offset + out.size) // ps)):
-                if not self.verify_page(index):
-                    raise IntegrityError("page-read", index)
-        self._bytes.read_into(offset, out)
-
-    def read(self, offset: int, nbytes: int, *, verify: bool = True) -> np.ndarray:
-        """:meth:`read_into` a fresh ``nbytes`` array."""
-        if offset < 0 or nbytes < 0:
-            raise FileSystemError(f"invalid read range ({offset}, {nbytes})")
-        out = np.empty(nbytes, dtype=np.uint8)
-        self.read_into(offset, out, verify=verify)
-        return out
+    def read_extents(self, offs, lens, out, up: Optional[Set[int]] = None, *, verify=True):
+        """Fill ``out`` from a batch, every touched page verified before
+        any byte is copied; the stripe map's split is the demand."""
+        offs, lens = offs.tolist(), lens.tolist()
+        if verify and self.integrity:
+            self._verify(offs, lens)
+        pos = 0
+        for o, n in zip(offs, lens):
+            self._bytes.read_into(o, out[pos : pos + n])
+            pos += n
+        return None, 0
 
     def truncate(self, size: int) -> None:
         """Set the logical file size, POSIX-style.
@@ -308,44 +385,20 @@ class PageStore:
                     self._crcs[boundary] = self._crc(boundary)
         self.size = size
 
-    @property
-    def allocated_pages(self) -> int:
-        return sum(int(np.count_nonzero(slab)) for _, slab in self._exists.items())
 
-    def checksum(self) -> int:
-        """Cheap content fingerprint for tests.
-
-        All-zero pages are skipped when folding: an explicitly
-        allocated page of zeros is logically identical to a hole, and
-        two stores with identical logical bytes must hash identically
-        regardless of allocation history."""
-        acc = self.size
-        for slab, data in self._bytes.items():
-            rows = data.reshape(SLAB_PAGES, self.page_size)
-            live = np.flatnonzero(rows.any(axis=1))
-            sums = rows[live].sum(axis=1, dtype=np.uint64)
-            for idx, total in zip((live + slab * SLAB_PAGES).tolist(), sums.tolist()):
-                acc = (acc * 1000003 + idx) & 0xFFFFFFFFFFFF
-                acc = (acc + total) & 0xFFFFFFFFFFFF
-        return acc
-
-
-class ReplicatedStore:
-    """``r`` per-OST page-store shards behind the PageStore interface.
+class ReplicatedStore(_Store):
+    """``r`` per-OST page-store shards behind the batch protocol.
 
     Placement: the pages of stripe ``s`` replicate to OSTs
     ``(s + k) % num_osts`` for ``k < factor`` — the primary is exactly
     where the unreplicated striping formula puts the stripe, so with
     ``factor=1`` the layout degenerates to the seed's.
 
-    The store is *mechanism only*: callers (the file system) decide
-    which OSTs are up and whether a write has quorum; the store applies
-    a write to the given live subset and records the missed replicas'
-    byte ranges as **stale** so reads skip them and
-    :meth:`rereplicate` can heal them later.  Each shard stores pages
-    at their *logical* file offsets (sparse, so no address translation
-    is needed); staleness is the only divergence tracked.
-    """
+    The caller decides which OSTs are up and whether a write has
+    quorum; the store writes the live replicas and records the missed
+    ones' byte ranges as **stale**, so reads skip them until
+    :meth:`rereplicate` heals them.  Shards store pages at their
+    *logical* offsets; staleness is the only divergence tracked."""
 
     __slots__ = ("page_size", "stripe_size", "num_osts", "factor", "shards", "stale", "size")
 
@@ -378,7 +431,7 @@ class ReplicatedStore:
         self.stale: List[ByteRuns] = [ByteRuns() for _ in range(num_osts)]
         self.size = 0
 
-    # -- geometry -----------------------------------------------------------
+    # -- placement ----------------------------------------------------------
     @property
     def quorum(self) -> int:
         """Live replicas a write needs to commit (majority)."""
@@ -389,104 +442,111 @@ class ReplicatedStore:
         stripe = offset // self.stripe_size
         return [(stripe + k) % self.num_osts for k in range(self.factor)]
 
-    def _pieces(self, offset: int, nbytes: int):
-        """Split [offset, offset+nbytes) at stripe boundaries: yields
-        (piece offset, piece length, replica OSTs)."""
-        pos, end = offset, offset + nbytes
-        while pos < end:
-            chunk = min(end - pos, self.stripe_size - pos % self.stripe_size)
-            yield pos, chunk, self.replicas_of(pos)
-            pos += chunk
+    def _place(self, offs, lens):
+        """Cut a batch at stripe edges.  Per piece, in batch order: its
+        offset, its length, where its bytes start in the batch's data,
+        and its replica OSTs (one row, primary first)."""
+        offs = np.asarray(offs, dtype=np.int64)
+        lens = np.asarray(lens, dtype=np.int64)
+        if not lens.all():
+            offs, lens = offs[lens > 0], lens[lens > 0]
+        at = np.cumsum(lens) - lens
+        pos, n, stripes, extent = stripe_pieces(offs, lens, self.stripe_size)
+        if extent is not None:
+            at = at[extent] + pos - offs[extent]
+        return pos, n, at, (stripes[:, None] + np.arange(self.factor)) % self.num_osts
 
-    # -- data plane ---------------------------------------------------------
-    def write(self, offset: int, data: np.ndarray, up: Optional[Set[int]] = None) -> None:
-        """Write to every live replica; mark missed ones stale.
+    def _live(self, osts: np.ndarray, up: Optional[Set[int]]) -> np.ndarray:
+        """Per piece and replica: is its OST live (``up=None``: all are)."""
+        return np.isin(osts, list(range(self.num_osts) if up is None else up))
 
-        ``up=None`` means all OSTs are live.  Quorum enforcement is the
-        caller's job — by the time this runs the write is committed."""
-        data = np.asarray(data, dtype=np.uint8)
-        n = int(data.size)
-        if n == 0:
-            return
-        if offset < 0:
-            raise FileSystemError(f"negative file offset {offset}")
-        for pos, chunk, osts in self._pieces(offset, n):
-            piece = data[pos - offset : pos - offset + chunk]
-            for ost in osts:
-                if up is None or ost in up:
-                    self.shards[ost].write(pos, piece)
-                    self.stale[ost].remove(pos, pos + chunk)
-                else:
-                    self.stale[ost].add(pos, pos + chunk)
-        self.size = max(self.size, offset + n)
+    def _fresh(self, offs, lens, osts, up) -> np.ndarray:
+        """Per piece and replica: live, and no stale byte in the piece."""
+        fresh = self._live(osts, up)
+        for ost, runs in enumerate(self.stale):
+            if not runs.empty:
+                rows, cols = np.nonzero(osts == ost)
+                fresh[rows, cols] &= ~runs.overlaps_each(offs[rows], offs[rows] + lens[rows])
+        return fresh
+
+    def _demand(self, osts: np.ndarray, lens: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-OST (bytes, fragments) of the pieces ``osts`` serve."""
+        n = self.num_osts
+        return np.bincount(osts, lens, n).astype(np.int64), np.bincount(osts, minlength=n)
+
+    def plan(self, offs, lens, up: Optional[Set[int]], *, read: bool = False):
+        """``(demand, short)`` for the caller's gate: ``short`` is the
+        replicas of the first piece a read finds no live fresh copy of,
+        or a write fewer live replicas than the quorum (else ``None``);
+        ``demand`` a write's per-OST work on its live replicas."""
+        offs, lens, _, osts = self._place(offs, lens)
+        if read:
+            ok, demand = self._fresh(offs, lens, osts, up).any(axis=1), None
+        else:
+            live = self._live(osts, up)
+            ok = live.sum(axis=1) >= self.quorum
+            demand = self._demand(osts[live], np.broadcast_to(lens[:, None], osts.shape)[live])
+        short = np.flatnonzero(~ok)
+        return demand, (osts[short[0]].tolist() if short.size else None)
 
     def fresh_replicas(self, offset: int, nbytes: int, up: Optional[Set[int]] = None) -> List[int]:
         """Live replicas of the (single-stripe) range with no stale bytes
         in it, in placement (primary-first) order."""
-        return [
-            ost
-            for ost in self.replicas_of(offset)
-            if (up is None or ost in up) and not self.stale[ost].overlaps(offset, offset + nbytes)
-        ]
+        offs, lens, _, osts = self._place([offset], [nbytes])
+        return osts[0][self._fresh(offs, lens, osts, up)[0]].tolist()
 
-    def readable(self, offset: int, nbytes: int, up: Optional[Set[int]] = None) -> bool:
-        """True when every piece of the range has a live fresh replica."""
-        return all(
-            self.fresh_replicas(pos, chunk, up) for pos, chunk, _ in self._pieces(offset, nbytes)
-        )
+    # -- the batch protocol -------------------------------------------------
+    def write_extents(self, offs, lens, data, up: Optional[Set[int]] = None) -> None:
+        """Write every live replica, mark missed ones stale (the caller
+        enforced the quorum: by now the write is committed)."""
+        pos, n, at, osts = self._place(offs, lens)
+        for ost, shard in enumerate(self.shards):
+            rows = np.flatnonzero((osts == ost).any(axis=1))
+            if not rows.size:
+                continue
+            lo, hi, runs = pos[rows].tolist(), (pos + n)[rows].tolist(), self.stale[ost]
+            if up is None or ost in up:
+                top = shard._write(lo, n[rows].tolist(), data, at[rows].tolist())
+                shard.size = max(shard.size, top)
+                for a, b in zip(lo, hi):
+                    runs.remove(a, b)
+            else:
+                for a, b in zip(lo, hi):
+                    runs.add(a, b)
+        self.size = max(self.size, int((pos + n).max(initial=0)))
 
-    def read_into(
-        self,
-        offset: int,
-        out: np.ndarray,
-        *,
-        verify: bool = True,
-        up: Optional[Set[int]] = None,
-        served: Optional[List[Tuple[int, int]]] = None,
-        failovers: Optional[List[int]] = None,
-    ) -> None:
-        """Fill ``out`` from the first live *fresh* replica of each piece.
-
-        A replica whose page fails its integrity sidecar is skipped in
-        favour of the next fresh candidate (recorded in ``failovers``
-        as the bad OST); only when every candidate is corrupt does the
-        :class:`~repro.errors.IntegrityError` propagate.  ``served``
-        collects ``(ost, nbytes)`` per piece actually read, so the
-        caller can charge service time to the OSTs that did the work.
-        Raises when a piece has no live fresh replica — callers should
-        pre-check with :meth:`readable` to raise a typed error with
-        more context."""
-        for pos, chunk, _ in self._pieces(offset, int(out.size)):
-            candidates = self.fresh_replicas(pos, chunk, up)
-            if not candidates:
-                raise FileSystemError(
-                    f"no live fresh replica for bytes [{pos}, {pos + chunk})"
-                )
+    def read_extents(self, offs, lens, out, up: Optional[Set[int]] = None, *, verify=True):
+        """Fill ``out`` piece by piece from the first live fresh replica
+        whose pages verify (each corrupt one skipped is a failover; the
+        first error propagates when all are); returns the servers'
+        demand.  A piece with no live fresh replica raises: the caller's
+        gate (:meth:`plan`) reports that one typed."""
+        pos, n, at, osts = self._place(offs, lens)
+        fresh = self._fresh(pos, n, osts, up)
+        check = verify and self.integrity
+        served: List[int] = []
+        failovers = 0
+        pieces = zip(pos.tolist(), n.tolist(), at.tolist(), osts.tolist(), fresh.tolist())
+        for p, c, a, row, ok in pieces:
             error: Optional[IntegrityError] = None
-            for ost in candidates:
-                try:
-                    self.shards[ost].read_into(
-                        pos, out[pos - offset : pos - offset + chunk], verify=verify
-                    )
-                except IntegrityError as exc:
-                    if error is None:
-                        error = exc
-                    if failovers is not None:
-                        failovers.append(ost)
+            for ost, good in zip(row, ok):
+                if not good:
                     continue
-                if served is not None:
-                    served.append((ost, chunk))
+                shard = self.shards[ost]
+                if check:
+                    try:
+                        shard._verify([p], [c])
+                    except IntegrityError as exc:
+                        error, failovers = error or exc, failovers + 1
+                        continue
+                shard._bytes.read_into(p, out[a : a + c])
+                served.append(ost)
                 break
             else:
+                if error is None:
+                    raise FileSystemError(f"no live fresh replica for bytes [{p}, {p + c})")
                 raise error  # every fresh replica corrupt
-
-    def read(self, offset: int, nbytes: int, **how) -> np.ndarray:
-        """:meth:`read_into` a fresh ``nbytes`` array."""
-        if offset < 0 or nbytes < 0:
-            raise FileSystemError(f"invalid read range ({offset}, {nbytes})")
-        out = np.empty(nbytes, dtype=np.uint8)
-        self.read_into(offset, out, **how)
-        return out
+        return self._demand(np.array(served, dtype=np.int64), n), failovers
 
     def truncate(self, size: int) -> None:
         if size < 0:
@@ -543,11 +603,17 @@ class ReplicatedStore:
     def verify_page(self, index: int) -> bool:
         return all(self.shards[ost].verify_page(index) for ost in self._holders(index))
 
-    def verify_all(self) -> List[int]:
-        bad: Set[int] = set()
-        for shard in self.shards:
-            bad.update(shard.verify_all())
-        return sorted(bad)
+    def good_copy(self, index: int) -> Optional[np.ndarray]:
+        """Page ``index`` from a replica that still verifies, if any
+        (fsck's ``replica`` repair).  Stale replicas (pending
+        re-replication) are not good sources — they verify but hold
+        pre-outage bytes."""
+        lo = index * self.page_size
+        for ost in self.fresh_replicas(lo, self.page_size):
+            shard = self.shards[ost]
+            if shard.has_page(index) and shard.verify_page(index):
+                return shard.read(lo, self.page_size, verify=False)
+        return None
 
     def flip_bit(self, page_index: int, bit_index: int) -> None:
         """Corrupt one replica (the primary shard holding the page) —
@@ -581,19 +647,73 @@ class ReplicatedStore:
             pages.update(shard.page_indices())
         return sorted(pages)
 
-    @property
-    def allocated_pages(self) -> int:
-        return len(self.page_indices())
 
-    def checksum(self) -> int:
-        """Logical-content fingerprint, identical to an unreplicated
-        :meth:`PageStore.checksum` of the same bytes."""
-        ps = self.page_size
-        acc = self.size
-        for idx in self.page_indices():
-            page = self.read(idx * ps, ps, verify=False)
-            if not page.any():
-                continue
-            acc = (acc * 1000003 + idx) & 0xFFFFFFFFFFFF
-            acc = (acc + int(page.astype(np.uint64).sum())) & 0xFFFFFFFFFFFF
-        return acc
+class Journal:
+    """An open shadow-write transaction over a main store (the
+    ``journal_writes`` hint), behind the same batch protocol.
+
+    Writes land in a shadow :class:`PageStore` at their final offsets;
+    :attr:`valid` holds the bytes the journal owns, which reads patch
+    over the main store's (data sieving's pre-reads need them).  Abort
+    — or a crash, which never commits — just drops the journal."""
+
+    __slots__ = ("txid", "main", "store", "valid", "epochs")
+
+    def __init__(self, txid: int, main: "PageStore | ReplicatedStore") -> None:
+        self.txid = txid
+        self.main = main
+        #: The shadow store: journaled bytes, and the bit flips aimed at
+        #: them, land here.
+        self.store = PageStore(main.page_size, integrity=main.integrity)
+        self.valid = ByteRuns()
+        #: Epoch commit records staged inside this transaction; they
+        #: become durable (join the file's epoch log) only at commit.
+        self.epochs: List[dict] = []
+
+    def write_extents(self, offs, lens, data, up: Optional[Set[int]] = None) -> None:
+        """Shadow a batch (``up`` matters only when it publishes)."""
+        self.store.write_extents(offs, lens, data)
+        for lo, hi in zip(offs.tolist(), (offs + lens).tolist()):
+            self.valid.add(lo, hi)
+
+    def read_extents(self, offs, lens, out, up: Optional[Set[int]] = None):
+        """The main store's read with the journal's runs patched over it
+        (returns what the main store served).  A bad journal page in
+        extent ``i`` surfaces once the main store's extents up to ``i``
+        verified, as if read extent by extent."""
+        patches = []  # (extent index, journal run, its position in out)
+        pos = 0
+        for i, (o, n) in enumerate(zip(offs.tolist(), lens.tolist())):
+            patches += [(i, lo, hi, pos + lo - o) for lo, hi in self.valid.intersect(o, o + n)]
+            pos += n
+        if self.store.integrity:
+            for i, lo, hi, _ in patches:
+                try:
+                    self.store._verify([lo], [hi - lo])
+                except IntegrityError:
+                    self.main.read_extents(offs[: i + 1], lens[: i + 1], out, up)
+                    raise
+        served = self.main.read_extents(offs, lens, out, up)
+        for _, lo, hi, at in patches:
+            self.store._bytes.read_into(lo, out[at : at + hi - lo])
+        return served
+
+    def flip_bit(self, page_index: int, bit_index: int) -> None:
+        self.store.flip_bit(page_index, bit_index)
+
+    def pages(self) -> ByteRuns:
+        """The pages the journal's runs touch, as runs of page indices."""
+        return ByteRuns.of_blocks(self.valid, self.store.page_size)
+
+    def commit(self, up: Optional[Set[int]] = None) -> None:
+        """Publish every run into the main store as one batch, after all
+        of them verified: a bad shadow page raises ``journal-commit``
+        (the first one in run order) with the main store untouched."""
+        offs, ends = self.valid.arrays()
+        lens = ends - offs
+        data = np.empty(int(lens.sum()), dtype=np.uint8)
+        try:
+            self.store.read_extents(offs, lens, data)
+        except IntegrityError as exc:
+            raise IntegrityError("journal-commit", exc.page_index) from exc
+        self.main.write_extents(offs, lens, data, up)

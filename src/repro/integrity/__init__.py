@@ -15,10 +15,11 @@ way real deployments layer it:
   re-request driven by the existing
   :class:`~repro.io.retry.RetryPolicy` (corruption on the wire is
   transient — the sender's buffered copy is intact).
-* **Crash-consistent commits** (:mod:`repro.fs.filesystem` +
+* **Crash-consistent commits** (:class:`repro.fs.store.Journal` +
   :mod:`repro.core.rounds`): journaled collective writes land in
-  shadow pages and publish atomically at collective completion, so an
-  aggregator crash mid-call leaves the file at its pre-collective image
+  shadow pages and publish atomically at collective completion — every
+  run verified before any is published — so an aggregator crash or a
+  corrupt journal page leaves the file at its pre-collective image
   instead of a torn mix.
 * **Scrub/repair** (:mod:`repro.integrity.fsck`): an offline pass that
   verifies every page sidecar and reports — or repairs — bad pages

@@ -14,9 +14,10 @@ Repair strategies for a bad page:
 * ``"reference"`` — rewrite the page from a caller-supplied good copy
   (a replica, a backup, or a test oracle);
 * ``"replica"`` — for a :class:`~repro.fs.store.ReplicatedStore` only:
-  rewrite the page from a surviving replica whose copy still verifies
-  (the self-healing mode replication exists for — no external image
-  needed).  Pages with *no* good replica stay bad and are reported.
+  rewrite the page from the good copy the store names (a fresh replica
+  whose copy still verifies: the self-healing mode replication exists
+  for — no external image needed).  Pages with *no* good replica stay
+  bad and are reported.
 
 On a replicated store the scrub walks every shard, so divergence that
 the read path would silently fail over past (one replica corrupt, the
@@ -34,7 +35,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.errors import FileSystemError
-from repro.fs.store import ReplicatedStore
 
 __all__ = ["FsckReport", "scrub_store", "fsck", "REPAIR_MODES"]
 
@@ -90,8 +90,7 @@ def scrub_store(
         )
     if repair == "reference" and reference is None:
         raise FileSystemError("fsck: repair='reference' needs a reference image")
-    replicated = isinstance(store, ReplicatedStore)
-    if repair == "replica" and not replicated:
+    if repair == "replica" and store.factor == 1:
         raise FileSystemError(
             f"fsck: repair='replica' needs a replicated store, {path!r} is plain"
         )
@@ -110,7 +109,7 @@ def scrub_store(
         elif repair == "accept":
             store.accept_page(idx)
         elif repair == "replica":
-            good = _good_replica_copy(store, idx)
+            good = store.good_copy(idx)
             if good is None:
                 continue  # no surviving good copy — stays bad, reported
             store.rewrite_page(idx, good)
@@ -123,24 +122,6 @@ def scrub_store(
             store.rewrite_page(idx, good)
         report.repaired.append(idx)
     return report
-
-
-def _good_replica_copy(store: ReplicatedStore, index: int) -> Optional[np.ndarray]:
-    """The page's bytes from a replica that still verifies, if any.
-
-    Stale replicas (pending re-replication) are not good sources — they
-    verify but hold pre-outage bytes."""
-    lo = index * store.page_size
-    hi = lo + store.page_size
-    for ost in store.replicas_of(lo):
-        shard = store.shards[ost]
-        if not shard.has_page(index):
-            continue
-        if store.stale[ost].overlaps(lo, hi):
-            continue
-        if shard.verify_page(index):
-            return shard.read(lo, store.page_size, verify=False)
-    return None
 
 
 def fsck(

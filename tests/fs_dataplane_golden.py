@@ -9,11 +9,26 @@ store: the ordered server calls with their extents, the bytes every
 read returned, cache occupancy after every op, the final file image,
 the final registry snapshot and every rank's final virtual clock.
 
-``tests/data/fs_dataplane_golden.json`` holds the digests recorded on
-the commit *before* the extent-granular rewrite; the replay test in
-``test_fs_dataplane_model.py`` demands they still match.  Run this file
-to re-record (``--dump DIR`` writes the full per-seed logs instead, for
-diffing two checkouts).
+Two seed families:
+
+* the *cache* family (``CACHE_SEEDS``) exercises the page cache over a
+  plain or 2-way replicated store, fault-free or under transient
+  faults;
+* the *store* family (``STORE_SEEDS``) draws the store paths the cache
+  family never reaches: journaled writes and reads inside
+  ``txn_begin`` / ``txn_commit`` / ``txn_abort`` (a begin with another
+  txid discards the open transaction), replication factors 1, 2 and 3
+  under ``ost_crash`` / ``ost_flap`` windows, an admission
+  ``queue_limit``, and ``page_bitflip`` with the sidecar on.  It also
+  records every error's message, the injector's counters, the store's
+  bad pages and an ``fsck`` repair pass.
+
+``tests/data/fs_dataplane_golden.json`` holds the digests: the cache
+family recorded on the commit *before* the extent-granular rewrite, the
+store family on the commit before the store batch protocol; the replay
+test in ``test_fs_dataplane_model.py`` demands they still match.  Run
+this file to re-record (``--dump DIR`` writes the full per-seed logs
+instead, for diffing two checkouts).
 """
 
 from __future__ import annotations
@@ -30,12 +45,21 @@ from repro.config import CostModel
 from repro.errors import FileSystemError
 from repro.faults.plan import FaultPlan
 from repro.fs import FSClient, SimFileSystem
+from repro.integrity import fsck
 from repro.sim import Simulator
 
 GOLDEN = Path(__file__).parent / "data" / "fs_dataplane_golden.json"
 #: 0-23 draw every mode/capacity/geometry; the rest were picked because
 #: their draw arms transient faults on a caching mode (failed flushes).
-SEEDS = tuple(range(24)) + (25, 26, 28, 32)
+CACHE_SEEDS = tuple(range(24)) + (25, 26, 28, 32)
+#: Left out of the store family: draws whose journal commit finds a
+#: corrupt shadow page in a later run than the first.  Where they were
+#: recorded, that commit published the earlier runs before raising (a
+#: torn commit); the commit is all-or-nothing now, and
+#: ``tests/test_integrity.py`` holds that case instead.
+TORN_AT_RECORDING = (101, 103, 116, 119, 129)
+STORE_SEEDS = tuple(s for s in range(100, 131) if s not in TORN_AT_RECORDING)
+SEEDS = CACHE_SEEDS + STORE_SEEDS
 MODES = ("coherent", "incoherent", "writethrough", "off")
 PATH = "/g"
 
@@ -94,16 +118,80 @@ def _ops(seed: int, rank: int, cfg: dict) -> list:
     return ops
 
 
+def _store_config(seed: int) -> dict:
+    rng = random.Random(seed * 6271 + 3)
+    return {
+        "mode": MODES[seed % 4],
+        "page": 64,
+        "osts": 4,
+        "capacity": rng.choice([4, 16, 64]),
+        "lock": rng.choice([None, 2]),
+        "nprocs": rng.choice([1, 2, 3]),
+        "integrity": rng.random() < 0.7,
+        "replication": (1, 2, 3)[seed % 3],
+        "ost_fault": rng.choice(["crash", "flap", None]),
+        "ost": rng.randrange(4),
+        "bitflip": rng.choice([0.0, 0.15, 0.4]),
+        "fault_rate": 0.05 if rng.random() < 0.25 else 0.0,
+        "queue_limit": rng.choice([None, None, 2e-3, 6e-4]),
+        "region": rng.choice([32, 128]),
+        "ops": 40,
+    }
+
+
+def _store_ops(seed: int, rank: int, cfg: dict) -> list:
+    rng = random.Random(seed * 15485863 + rank)
+    region = cfg["region"] * cfg["page"]
+    ops = []
+    for _ in range(cfg["ops"]):
+        r = rng.random()
+        if r < 0.2:
+            ops.append(("write", *_batch(rng, cfg), rng.randrange(1 << 30)))
+        elif r < 0.38:
+            ops.append(("read", *_batch(rng, cfg)))
+        elif r < 0.54:
+            ops.append(("jwrite", *_batch(rng, cfg), rng.randrange(1 << 30)))
+        elif r < 0.64:
+            ops.append(("jread", *_batch(rng, cfg)))
+        elif r < 0.74:
+            ops.append(("begin", rng.randrange(3)))
+        elif r < 0.86:
+            ops.append(("commit",))
+        elif r < 0.9:
+            ops.append(("abort",))
+        elif r < 0.97:
+            ops.append(("sync",))
+        else:
+            ops.append(("truncate", rng.randrange(0, region)))
+    return ops
+
+
+def _store_faults(seed: int, cfg: dict) -> FaultPlan:
+    plan = FaultPlan(seed)
+    if cfg["ost_fault"] == "crash":
+        plan.ost_crash([cfg["ost"]], start=0.004, end=0.03)
+    elif cfg["ost_fault"] == "flap":
+        plan.ost_flap([cfg["ost"]], period=0.006, end=0.06)
+    if cfg["bitflip"] and cfg["integrity"]:
+        plan.page_bitflip(rate=cfg["bitflip"])
+    if cfg["fault_rate"]:
+        plan.transient_io(rate=cfg["fault_rate"])
+    return plan
+
+
 def _digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
 def run_sequence(seed: int) -> dict:
     """Run one seeded sequence; returns ``{"summary": ..., "log": ...}``."""
-    cfg = _config(seed)
-    cost = CostModel(page_size=cfg["page"], stripe_size=cfg["page"] * 4, num_osts=2)
+    store_family = seed in STORE_SEEDS
+    cfg = _store_config(seed) if store_family else _config(seed)
+    cost = CostModel(
+        page_size=cfg["page"], stripe_size=cfg["page"] * 4, num_osts=cfg.get("osts", 2)
+    )
     gran = None if cfg["lock"] is None else cfg["lock"] * cfg["page"]
-    fs = SimFileSystem(cost, lock_granularity=gran)
+    fs = SimFileSystem(cost, lock_granularity=gran, queue_limit=cfg.get("queue_limit"))
     fs.ensure_file(PATH)
     if cfg["integrity"]:
         fs.enable_integrity(PATH)
@@ -130,22 +218,45 @@ def run_sequence(seed: int) -> dict:
 
     fs.server_read, fs.server_write, fs.acquire_extents = server_read, server_write, acquire_extents
 
-    def retrying(fn):
+    def retrying(ctx, fn):
         for _ in range(200):
             try:
                 return fn()
             except FileSystemError as exc:
                 log.append(["E", type(exc).__name__])
+                if store_family:  # back off past outages and breaker cooldowns
+                    ctx.charge(2e-3)
         raise AssertionError("transient faults never cleared")
+
+    def store_op(ctx, f, op) -> None:
+        kind = op[0]
+        if kind in ("jwrite", "jread"):
+            with f.journaled():
+                if kind == "jwrite":
+                    data = np.random.default_rng(op[3]).integers(
+                        0, 256, size=sum(op[2]), dtype=np.uint8
+                    )
+                    f.write_batch(op[1], op[2], data)
+                else:
+                    got = f.read_batch(op[1], op[2])
+                    log.append(["D", ctx.rank, hashlib.sha256(got.tobytes()).hexdigest()[:16]])
+        elif kind == "begin":
+            fs.txn_begin(PATH, op[1])
+        elif kind == "commit":
+            log.append(["T", ctx.rank, fs.txn_commit(ctx, ctx.rank, PATH)])
+        elif kind == "abort":
+            fs.txn_abort(PATH)
 
     def main(ctx):
         f = FSClient(fs, ctx).open(
             PATH, cache_mode=cfg["mode"], cache_capacity_pages=cfg["capacity"]
         )
-        for op in _ops(seed, ctx.rank, cfg):
+        for op in (_store_ops if store_family else _ops)(seed, ctx.rank, cfg):
             kind = op[0]
             try:
-                if kind == "write":
+                if kind in ("jwrite", "jread", "begin", "commit", "abort"):
+                    store_op(ctx, f, op)
+                elif kind == "write":
                     _, offs, lens, dseed = op
                     data = np.random.default_rng(dseed).integers(
                         0, 256, size=sum(lens), dtype=np.uint8
@@ -164,12 +275,17 @@ def run_sequence(seed: int) -> dict:
                     f.truncate(op[1])
             except FileSystemError as exc:
                 log.append(["E", ctx.rank, kind, type(exc).__name__])
+                if store_family:
+                    log.append(["M", ctx.rank, str(exc)])
             log.append(["C", ctx.rank, f.cache.cached_pages, f.cache.dirty_pages, ctx.now])
-        log.append(["X", ctx.rank, retrying(f.close)])
+        log.append(["X", ctx.rank, retrying(ctx, f.close)])
         return ctx.now
 
     sim = Simulator(cfg["nprocs"])
-    if cfg["fault_rate"]:
+    inj = None
+    if store_family:
+        inj = _store_faults(seed, cfg).install(sim)
+    elif cfg["fault_rate"]:
         FaultPlan(seed).transient_io(rate=cfg["fault_rate"]).install(sim)
     clocks = sim.run(main)
     store = fs.page_store(PATH)
@@ -186,6 +302,16 @@ def run_sequence(seed: int) -> dict:
         "clocks": clocks,
         "registry": fs.registry.snapshot(),
     }
+    if store_family:
+        summary["txn_open"] = fs.txn_active(PATH)
+        summary["faults"] = inj.registry.snapshot()
+        summary["bad_pages"] = store.verify_all()
+        if cfg["integrity"]:
+            repair = "replica" if cfg["replication"] > 1 else "zero"
+            summary["fsck"] = [
+                [r.pages_scanned, r.bad_pages, r.repaired] for r in fsck(fs, repair=repair)
+            ]
+            summary["checksum_after_fsck"] = fs.page_store(PATH).checksum()
     return {"summary": summary, "log": log}
 
 

@@ -98,6 +98,37 @@ def test_one_way_in():
         assert "resized(contiguous(" not in (SRC / rel).read_text(), rel
 
 
+def test_one_store_path():
+    """Every store answers one batch protocol (``fs/store.py``): outside
+    that module nothing under ``src/repro`` tells a replicated store
+    from a plain one — ``SimFileSystem.enable_replication``'s check for
+    a store already replicated aside — or reads a replicated store's
+    shards, stale runs or pieces."""
+    checks, reads = [], []
+    for path in SRC.rglob("*.py"):
+        rel = path.relative_to(SRC).as_posix()
+        if rel == "fs/store.py":
+            continue
+        tree = ast.parse(path.read_text())
+        funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "isinstance"
+                and "ReplicatedStore" in ast.dump(node.args[1])
+            ):
+                inner = min(
+                    (f for f in funcs if f.lineno <= node.lineno <= f.end_lineno),
+                    key=lambda f: f.end_lineno - f.lineno,
+                    default=None,
+                )
+                checks.append((rel, inner and inner.name))
+            elif isinstance(node, ast.Attribute) and node.attr in ("shards", "stale", "_pieces"):
+                reads.append((rel, node.lineno, node.attr))
+    assert checks == [("fs/filesystem.py", "enable_replication")]
+    assert reads == []
+
+
 #: What the docs' placeholders stand for when a quoted line is parsed.
 _PLACEHOLDERS = {
     "NAME[:SEED]": "stall:42", "spec": "stall:42", "RANK[:EPOCH]": "2:1",

@@ -32,7 +32,7 @@ from repro.errors import (
 )
 from repro.faults import FaultPlan
 from repro.fs import SimFileSystem
-from repro.fs.store import PageStore
+from repro.fs.store import Journal, PageStore, ReplicatedStore
 from repro.integrity import FsckReport, fsck, scrub_store
 from repro.io.retry import RetryPolicy
 from repro.mpi import Communicator, Hints
@@ -157,6 +157,54 @@ class TestPageStoreSidecar:
         # The overwrite re-stamped the page: damage is gone.
         assert store.verify_all() == []
         assert np.array_equal(store.read(0, 64), np.full(64, 3, dtype=np.uint8))
+
+
+_PARTIAL_PAGE_STORES = {
+    "plain": lambda: PageStore(64, integrity=True),
+    "replicated": lambda: ReplicatedStore(64, 256, 2, 2, integrity=True),
+    "journal": lambda: Journal(0, PageStore(64, integrity=True)),
+}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=pytest.fail.Exception,
+    reason=(
+        "partial-page write blesses an earlier undetected flip (ROADMAP "
+        "item 2): PageStore._write re-stamps every touched page's sidecar "
+        "from its current bytes, so bytes flipped since the last stamp "
+        "become good.  The fix (verify a partially covered page against its "
+        "old sidecar before overwriting it) moves virtual time: its own PR, "
+        "which removes this xfail."
+    ),
+)
+@pytest.mark.parametrize("kind", sorted(_PARTIAL_PAGE_STORES))
+def test_partial_page_write_keeps_an_earlier_flip_detectable(kind):
+    """A full page is written and then flipped; a write over part of it
+    must not bless the flip: reading the page has to raise."""
+    store = _PARTIAL_PAGE_STORES[kind]()
+    page = np.array([0]), np.array([64])
+    store.write_extents(*page, np.full(64, 5, dtype=np.uint8))
+    store.flip_bit(0, 3)
+    store.write_extents(np.array([8]), np.array([8]), np.full(8, 9, dtype=np.uint8))
+    with pytest.raises(IntegrityError):
+        store.read_extents(*page, np.empty(64, dtype=np.uint8))
+
+
+def test_journal_read_names_the_first_bad_page_in_extent_order():
+    """Main page 0 and journal page 2 are both corrupt: whichever extent
+    comes first in the batch names the page, as if read one by one (the
+    main store's pages of an extent before its journal pages)."""
+    main = PageStore(64, integrity=True)
+    main.write(0, np.ones(256, dtype=np.uint8))
+    txn = Journal(0, main)
+    txn.write_extents(np.array([128]), np.array([64]), np.full(64, 2, dtype=np.uint8))
+    main.flip_bit(0, 1)
+    txn.flip_bit(2, 1)
+    for offs, bad in (([128, 0], 2), ([0, 128], 0)):
+        with pytest.raises(IntegrityError) as info:
+            txn.read_extents(np.array(offs), np.array([64, 64]), np.empty(128, dtype=np.uint8))
+        assert info.value.page_index == bad
 
 
 class TestChecksumSkipsZeroPages:
@@ -441,6 +489,37 @@ class TestJournal:
         assert np.array_equal(fs.raw_bytes(PATH, 0, SIZE), oracle())
         assert fs.metrics(PATH).value("journal.commits") == 1
         assert not fs.txn_active(PATH)
+
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_commit_verifies_every_run_before_publishing_any(self, factor):
+        # Two journal runs, [0, 64) and [512, 576); only the second
+        # write (after t=1) gets its shadow page flipped.  The commit
+        # must refuse the whole transaction, not publish run one and
+        # then raise on run two.
+        fs = SimFileSystem(COST)
+        fs.ensure_file(PATH)
+        fs.enable_integrity(PATH)
+        fs.enable_replication(PATH, factor)
+        pre = np.full(1024, 7, dtype=np.uint8)
+        fs.raw_write(PATH, 0, pre)
+
+        def main(ctx):
+            fs.txn_begin(PATH, 1)
+            fs.server_write(ctx, 0, PATH, [0], [64], np.ones(64, np.uint8), journaled=True)
+            ctx.charge_to(1.0)
+            fs.server_write(ctx, 0, PATH, [512], [64], np.full(64, 2, np.uint8), journaled=True)
+            with pytest.raises(IntegrityError) as info:
+                fs.txn_commit(ctx, 0, PATH)
+            return info.value.site, info.value.page_index
+
+        sim = Simulator(1)
+        inj = FaultPlan(seed=1).page_bitflip(rate=1.0, start=1.0).install(sim)
+        assert sim.run(main) == [("journal-commit", 8)]
+        assert inj.registry.value("faults.page.bits_flipped") == 1
+        assert np.array_equal(fs.raw_bytes(PATH, 0, 1024), pre)
+        assert fs.page_store(PATH).verify_all() == []
+        assert fs.metrics(PATH).value("journal.commits") == 0
+        assert fs.txn_active(PATH)  # the journal is intact: abort or retry
 
 
 class TestJournalOldImpl:

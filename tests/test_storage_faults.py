@@ -313,10 +313,13 @@ def test_read_fails_over_past_down_replica():
     st = ReplicatedStore(_PS, _SS, _NOST, 2)
     data = _payload(_SS)
     st.write(0, data)
-    served = []
-    out = st.read(0, _SS, up={1, 2, 3}, served=served)
+    out = np.empty(_SS, dtype=np.uint8)
+    (bytes_per, reqs_per), failovers = st.read_extents(
+        np.array([0]), np.array([_SS]), out, up={1, 2, 3}
+    )
     assert np.array_equal(out, data)
-    assert served and all(ost == 1 for ost, _ in served)
+    assert bytes_per.tolist() == [0, _SS, 0, 0] and reqs_per.tolist() == [0, 1, 0, 0]
+    assert failovers == 0
 
 
 def test_read_fails_over_past_corrupt_replica():
@@ -324,10 +327,10 @@ def test_read_fails_over_past_corrupt_replica():
     data = _payload(_SS)
     st.write(0, data)
     st.flip_bit(0, 9)  # corrupts the first allocated holder (OST 0)
-    failovers = []
-    out = st.read(0, _SS, failovers=failovers)
+    out = np.empty(_SS, dtype=np.uint8)
+    (bytes_per, _), failovers = st.read_extents(np.array([0]), np.array([_SS]), out)
     assert np.array_equal(out, data)
-    assert 0 in failovers
+    assert failovers == 1 and bytes_per.tolist() == [0, _SS, 0, 0]  # OST 1 served
 
 
 def test_read_raises_when_all_replicas_corrupt():
