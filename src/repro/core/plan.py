@@ -7,7 +7,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro.datatypes.flatten import FlatType
-from repro.datatypes.segments import SegmentBatch, data_to_file_segments
+from repro.datatypes.segments import SegmentBatch, map_stream
 from repro.mpi.comm import Communicator
 
 __all__ = [
@@ -51,25 +51,12 @@ def mem_batch_for(
     stream positions as ordering keys."""
     if data_offsets.size == 0:
         return SegmentBatch.empty_batch()
-    if memflat.is_contiguous:
-        # Identity mapping: buffer address == stream offset.
-        return SegmentBatch(data_offsets.copy(), lengths.copy(), data_offsets.copy())
-    # Merge adjacent stream ranges so the expensive mapping call runs
-    # once per *run*, not once per segment (a realm's worth of data is
-    # usually one contiguous stream run).
-    ends = data_offsets + lengths
-    new_run = np.empty(data_offsets.size, dtype=bool)
-    new_run[0] = True
-    np.not_equal(data_offsets[1:], ends[:-1], out=new_run[1:])
-    run_starts = data_offsets[new_run]
-    run_ids = np.cumsum(new_run) - 1
-    run_lens = np.zeros(run_starts.size, dtype=np.int64)
-    np.add.at(run_lens, run_ids, lengths)
-    parts = [
-        data_to_file_segments(memflat, 0, int(lo), int(lo + ln))
-        for lo, ln in zip(run_starts.tolist(), run_lens.tolist())
-    ]
-    return concat_batches(parts)
+    # Identity for a contiguous buffer (copied: the caller keeps its
+    # arrays), else one mapping pass over the merged stream runs.
+    fo, ln, do, _ = map_stream(memflat, data_offsets, lengths)
+    if fo is data_offsets:
+        return SegmentBatch(fo.copy(), ln.copy(), do.copy())
+    return SegmentBatch(fo, ln, do)
 
 
 def concat_batches(parts: Sequence[SegmentBatch]) -> SegmentBatch:

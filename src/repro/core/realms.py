@@ -23,7 +23,7 @@ Strategies:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +43,7 @@ __all__ = [
     "make_contiguous_realms",
     "make_cyclic_realms",
     "resolve_strategy",
+    "round_windows",
 ]
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -171,6 +172,32 @@ class RealmDomain:
         return RealmDomain(starts[order], ends[order])
 
 
+def round_windows(
+    domains: Sequence[RealmDomain], r: int, cb: int
+) -> List[Optional[List[Tuple[int, int]]]]:
+    """Every domain's round-``r`` window as its ``(lo, hi)`` file
+    intervals, ``None`` where it is empty: what :meth:`RealmDomain.window`
+    covers, for all aggregators in one call (a client's routing pass
+    needs the intervals only, not a buffer map)."""
+    lo = r * cb
+    out: List[Optional[List[Tuple[int, int]]]] = []
+    for d in domains:
+        prefix = d.prefix
+        hi = min(lo + cb, int(prefix[-1]))
+        if hi <= lo:
+            out.append(None)
+            continue
+        # RealmDomain._linear_slice, inline.
+        i0 = int(prefix.searchsorted(lo, side="right")) - 1
+        i1 = int(prefix.searchsorted(hi, side="left"))
+        starts = d.starts[i0:i1].tolist()
+        ends = d.ends[i0:i1].tolist()
+        starts[0] += lo - int(prefix[i0])
+        ends[-1] -= int(prefix[i1]) - hi
+        out.append(list(zip(starts, ends)))
+    return out
+
+
 class FileRealm:
     """A realm: flattened datatype tiled from ``disp``.
 
@@ -199,12 +226,20 @@ class FileRealm:
         size = hi - lo
         if size == 0:
             return cls(FlatType([], [], 0), max(lo, 0), tiles=0)
-        return cls(FlatType([0], [size], size), lo, tiles=1)
+        pair = np.array([[0], [size]], dtype=np.int64)
+        return cls(FlatType.canonical(pair[0], pair[1], size), lo, tiles=1)
 
     def domain(self, lo: int, hi: int) -> RealmDomain:
         """This realm's intervals clipped to [lo, hi)."""
         if hi <= lo or self.flat.size == 0 or self.tiles == 0:
             return RealmDomain(_EMPTY, _EMPTY)
+        if self.tiles == 1 and self.flat.num_segments == 1:
+            # One interval (every contiguous strategy's realm): clip it.
+            start = self.disp + int(self.flat.offsets[0])
+            return RealmDomain(
+                np.array([max(start, lo)], dtype=np.int64),
+                np.array([min(start + self.flat.size, hi)], dtype=np.int64),
+            )
         if self.tiles is not None:
             total = self.tiles * self.flat.size
         else:

@@ -14,9 +14,14 @@ Write path, per collective call:
    applies);
 4. rounds: each aggregator walks its realm domain in collective-buffer
    sized windows.  Clients intersect their access with every
-   aggregator's window (per-aggregator cursors, binary-heap progress
-   tracking); aggregators intersect every client's filetype with their
-   own window;
+   aggregator's window; aggregators intersect every client's filetype
+   with their own window.  On the host a client routes a round in one
+   pass over all windows (:class:`~repro.datatypes.segments.FanCursor`:
+   one scan position per aggregator, one materialise / clip / memory
+   map / split for every window); the paper's per-aggregator walk and
+   its binary-heap progress tracking are what the cost model charges —
+   per aggregator, the heap operation and the pairs and tiles its own
+   walk would evaluate and skip;
 5. data moves via alltoallw or nonblocking exchange into the collective
    buffer, which is flushed through the independent I/O layer with a
    per-flush method choice (conditional data sieving et al.).
@@ -43,11 +48,11 @@ from repro.core.plan import (
     merge_extents,
 )
 from repro.core.plancache import PlanRecorder, RoundPlan
-from repro.core.realms import FileRealm, RealmDomain, resolve_strategy
+from repro.core.realms import FileRealm, RealmDomain, resolve_strategy, round_windows
 from repro.core.rounds import CONTINUE, RESTART, STOP, RoundSource
 from repro.datatypes.flatten import FlatType
 from repro.datatypes.packing import gather_segments, scatter_segments
-from repro.datatypes.segments import FlatCursor, SegmentBatch
+from repro.datatypes.segments import FanCursor, FlatCursor, SegmentBatch
 from repro.datatypes.serialize import decode_flat, encode_flat
 from repro.errors import AggregatorLost
 from repro.io.selection import choose_method
@@ -145,12 +150,11 @@ class _Plan(RoundSource):
         my_ext = view.flat.extent if total_bytes > 0 else 0
         self.ft_extent = coll.allreduce(my_ext, op=max)
 
-        # Client-side per-aggregator cursors over my own access.
-        self.client_cursors: Optional[List[FlatCursor]] = None
+        # Client side: my access against every aggregator's windows, one
+        # scan position per aggregator.
+        self.router: Optional[FanCursor] = None
         if total_bytes > 0:
-            self.client_cursors = [
-                view.cursor(self.data_hi, data_lo) for _ in self.aggs
-            ]
+            self.router = FanCursor(view.cursor(self.data_hi, data_lo), len(self.aggs), memflat)
 
         # Access-description exchange: flattened filetypes to aggregators.
         self.agg_cursors: Optional[List[Optional[FlatCursor]]] = None
@@ -278,19 +282,15 @@ class _Plan(RoundSource):
         return (lo, hi)
 
     # -- per-round routing ------------------------------------------------------
-    def _charge_batch(self, batch: SegmentBatch, *, agg_side: bool) -> None:
-        env = self.env
-        cost = env.cost
-        env.ctx.charge(
-            batch.pairs_evaluated * cost.cpu_per_flat_pair
-            + batch.tiles_skipped * cost.cpu_tile_skip
-        )
-        self._pairs[agg_side].inc(batch.pairs_evaluated)
-        self._tiles[agg_side].inc(batch.tiles_skipped)
+    def _charge(self, pairs: int, tiles: int, agg_side: bool) -> None:
+        """One routing charge: ``pairs`` evaluated and ``tiles`` skipped."""
+        cost = self.env.cost
+        self.env.ctx.charge(pairs * cost.cpu_per_flat_pair + tiles * cost.cpu_tile_skip)
+        self._pairs[agg_side].inc(pairs)
+        self._tiles[agg_side].inc(tiles)
 
-    def _intersect_window(
-        self, cursor: FlatCursor, window, *, agg_side: bool
-    ) -> SegmentBatch:
+    def _intersect_window(self, cursor: FlatCursor, window) -> SegmentBatch:
+        """My aggregator window against one client's access."""
         parts = []
         pairs = 0
         tiles = 0
@@ -300,42 +300,46 @@ class _Plan(RoundSource):
             tiles += b.tiles_skipped
             if not b.empty:
                 parts.append(b)
-        merged = concat_batches(parts)
-        merged.pairs_evaluated = pairs
-        merged.tiles_skipped = tiles
-        self._charge_batch(merged, agg_side=agg_side)
-        return merged
+        self._charge(pairs, tiles, True)
+        return concat_batches(parts)
 
     def client_send_plan(self, r: int) -> List[Optional[SegmentBatch]]:
         """What my data contributes to each aggregator's round-r window,
-        as memory-address batches."""
+        as memory-address batches.
+
+        The host routes every window in one pass (:meth:`FanCursor.route
+        <repro.datatypes.segments.FanCursor.route>`); the model charges
+        the paper's per-aggregator walk (§5.3).  Per aggregator with a
+        non-empty window, in aggregator order: one progress-heap
+        operation when ``use_heap`` is on, then one charge for the pairs
+        its scan evaluated and the tiles it skipped, then the two
+        ``coll.client.*`` counts — the same charges, in the same order
+        and number, as one scan per aggregator (the straggler model
+        perturbs each ``ctx.charge`` call)."""
         env = self.env
         comm, cost, hints = env.comm, env.cost, env.hints
         plan: List[Optional[SegmentBatch]] = [None] * comm.size
-        if self.client_cursors is None:
+        if self.router is None:
             return plan
         use_heap = hints["use_heap"]
-        naggs = len(self.aggs)
-        heap_cost = cost.cpu_heap_op * (1 + math.log2(naggs)) if use_heap else 0.0
-        for ai, a in enumerate(self.aggs):
-            window = self.domains[ai].window(r, self.cb)
-            if window.empty:
+        heap_cost = cost.cpu_heap_op * (1 + math.log2(len(self.aggs))) if use_heap else 0.0
+        charge = env.ctx.charge
+        pair_cost, tile_cost = cost.cpu_per_flat_pair, cost.cpu_tile_skip
+        pairs_n, tiles_n = self._pairs[False], self._tiles[False]
+        routed = self.router.route(round_windows(self.domains, r, self.cb))
+        for a, got in zip(self.aggs, routed):
+            if got is None:
                 continue
+            pairs, tiles, plan[a] = got
             if use_heap:
-                env.ctx.charge(heap_cost)
-            batch = self._intersect_window(
-                self.client_cursors[ai], window, agg_side=False
-            )
-            if batch.empty:
-                continue
-            plan[a] = mem_batch_for(
-                self.memflat, batch.data_offsets - self.data_lo, batch.lengths
-            )
+                charge(heap_cost)
+            charge(pairs * pair_cost + tiles * tile_cost)
+            pairs_n.inc(pairs)
+            tiles_n.inc(tiles)
         if not use_heap:
             # Without progress tracking the client rescans its access
             # from the start for every aggregator on the next round.
-            for cur in self.client_cursors:
-                cur.reset()
+            self.router.reset()
         return plan
 
     def agg_recv_layout(self, r: int):
@@ -355,7 +359,7 @@ class _Plan(RoundSource):
             cur = self.agg_cursors[c]
             if cur is None:
                 continue
-            batch = self._intersect_window(cur, window, agg_side=True)
+            batch = self._intersect_window(cur, window)
             if batch.empty:
                 continue
             bufpos = window.to_buffer(batch.file_offsets)
@@ -462,9 +466,8 @@ class _Plan(RoundSource):
             self.skip = frozenset(self._suspects | self._known_dead)
             # Adopted intervals may precede a cursor's current position:
             # every monotonic scan restarts from the top.
-            if self.client_cursors is not None:
-                for cur in self.client_cursors:
-                    cur.reset()
+            if self.router is not None:
+                self.router.reset()
             if self.agg_cursors is not None:
                 for cur in self.agg_cursors:
                     if cur is not None:
@@ -546,11 +549,7 @@ class _Plan(RoundSource):
                 tiles += b.tiles_skipped
                 if not b.empty:
                     parts.append(b)
-            env.ctx.charge(
-                pairs * env.cost.cpu_per_flat_pair + tiles * env.cost.cpu_tile_skip
-            )
-            self._pairs[False].inc(pairs)
-            self._tiles[False].inc(tiles)
+            self._charge(pairs, tiles, False)
             batch = concat_batches(parts)
             if batch.empty:
                 return

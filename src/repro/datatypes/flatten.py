@@ -83,7 +83,25 @@ class FlatType:
             raise DatatypeError("segment lengths must be non-negative")
         if extent < 0:
             raise DatatypeError(f"extent must be non-negative, got {extent}")
-        offs, lens = coalesce(offs, lens)
+        self._set(*coalesce(offs, lens), extent)
+
+    @classmethod
+    def canonical(cls, offsets: np.ndarray, lengths: np.ndarray, extent: int) -> "FlatType":
+        """A FlatType from pairs already in canonical form — 1-D int64
+        arrays in data order, every length positive, nothing left for
+        :func:`coalesce` to merge — such as another FlatType's
+        ``offsets``/``lengths`` (the wire form :func:`encode_flat
+        <repro.datatypes.serialize.encode_flat>` ships).  Skips the
+        coalescing pass; the arrays are kept, not copied."""
+        if (lengths <= 0).any():
+            raise DatatypeError("canonical segment lengths must be positive")
+        if extent < 0:
+            raise DatatypeError(f"extent must be non-negative, got {extent}")
+        flat = cls.__new__(cls)
+        flat._set(offsets, lengths, extent)
+        return flat
+
+    def _set(self, offs: np.ndarray, lens: np.ndarray, extent: int) -> None:
         self.offsets = offs
         self.lengths = lens
         self.extent = int(extent)

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.errors import DatatypeError
 from repro.datatypes.flatten import FlatType
-from repro.datatypes.segments import SegmentBatch, data_to_file_segments
+from repro.datatypes.segments import SegmentBatch, data_to_file_segments, expand_indices
 
 __all__ = [
     "expand_indices",
@@ -55,25 +55,6 @@ _PERIODIC_MIN_BYTES = 8192
 _PERIODIC_MIN_COPIES = 48
 #: Fewest tiles of a period worth a strided view per pair.
 _MIN_TILES = 4
-
-
-def expand_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Expand (start, length) runs into one flat index array.
-
-    ``expand_indices([3, 10], [2, 3]) == [3, 4, 10, 11, 12]``.
-    """
-    starts = np.asarray(starts, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    keep = lengths > 0
-    if not keep.all():
-        starts, lengths = starts[keep], lengths[keep]
-    if starts.size == 0:
-        return np.empty(0, dtype=np.int64)
-    ends = np.cumsum(lengths)
-    # Every index is its position in the output plus its run's shift.
-    out = np.repeat(starts - (ends - lengths), lengths)
-    out += np.arange(int(ends[-1]), dtype=np.int64)
-    return out
 
 
 def _check_buf(buf: np.ndarray) -> np.ndarray:
@@ -201,10 +182,16 @@ def _period(dst_starts: np.ndarray, src_starts: np.ndarray, lengths: np.ndarray)
     return blocks
 
 
-def stream_order(batch: SegmentBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The permutation putting ``batch`` in data order, its lengths in
-    that order, and where each segment starts in the packed stream."""
-    order = np.argsort(batch.data_offsets, kind="stable")
+def stream_order(batch: SegmentBatch) -> tuple[np.ndarray | slice, np.ndarray, np.ndarray]:
+    """What puts ``batch`` in data order, its lengths in that order, and
+    where each segment starts in the packed stream.
+
+    The order is a permutation, or the whole slice when the data offsets
+    already ascend (a stable argsort of an ascending array is the
+    identity) — every batch the planners build does — so indexing with
+    it is a view, not a copy."""
+    d = batch.data_offsets
+    order = slice(None) if (d[1:] >= d[:-1]).all() else np.argsort(d, kind="stable")
     lens = batch.lengths[order]
     return order, lens, np.cumsum(lens) - lens
 

@@ -20,20 +20,53 @@ implementation would have paid for them:
 
 The counters are consumed by the cost model; the *results* (segment
 arrays) are exact and independent of the counting mode.
+
+:class:`FanCursor` is the client side of a round in one pass: the same
+access scanned against every aggregator's window, with one scan
+position per aggregator, so the counts are the per-aggregator walk's
+while the host materialises, clips and maps every window's segments
+with one set of array operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import DatatypeError
 from repro.datatypes.flatten import FlatType
 
-__all__ = ["SegmentBatch", "FlatCursor", "data_to_file_segments"]
+__all__ = [
+    "SegmentBatch",
+    "FlatCursor",
+    "FanCursor",
+    "data_to_file_segments",
+    "expand_indices",
+    "map_stream",
+]
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+
+def expand_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Expand (start, length) runs into one flat index array.
+
+    ``expand_indices([3, 10], [2, 3]) == [3, 4, 10, 11, 12]``.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    keep = lengths > 0
+    if not keep.all():
+        starts, lengths = starts[keep], lengths[keep]
+    if starts.size == 0:
+        return np.empty(0, dtype=np.int64)
+    ends = np.cumsum(lengths)
+    # Every index is its position in the output plus its run's shift.
+    out = np.repeat(starts - (ends - lengths), lengths)
+    out += np.arange(int(ends[-1]), dtype=np.int64)
+    return out
 
 
 @dataclass
@@ -106,13 +139,17 @@ def _clip(
     file_start: np.ndarray,
     length: np.ndarray,
     data_off: np.ndarray,
-    lo: int,
-    hi: int,
+    lo,
+    hi,
     total_bytes: int,
     data_lo: int = 0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    *extra: np.ndarray,
+) -> tuple[np.ndarray, ...]:
     """Clip candidate segments to the file range [lo, hi) and to the
-    data stream [data_lo, total_bytes); drop empties."""
+    data stream [data_lo, total_bytes); drop empties.
+
+    ``lo``/``hi`` are scalars or one bound per segment; ``extra`` arrays
+    parallel to the segments are returned filtered alongside them."""
     front = lo - file_start
     np.maximum(front, 0, out=front)
     if data_lo:
@@ -128,17 +165,16 @@ def _clip(
     np.minimum(length, avail, out=length)
     keep = length > 0
     if keep.all():
-        return file_start, length, data_off
-    return file_start[keep], length[keep], data_off[keep]
+        return (file_start, length, data_off, *extra)
+    return tuple(a[keep] for a in (file_start, length, data_off, *extra))
 
 
 def _tiled_pairs(
-    flat: FlatType, disp: int, g_lo: int, g_hi: int
+    flat: FlatType, disp: int, g: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pairs ``g_lo <= g < g_hi`` of ``flat`` tiled from ``disp``, pair
-    ``g`` being pair ``g % D`` of tile ``g // D``: fresh, unclipped
-    (file_start, length, data_off) arrays."""
-    g = np.arange(g_lo, g_hi, dtype=np.int64)
+    """Pairs ``g`` (an int64 index array) of ``flat`` tiled from
+    ``disp``, pair ``g`` being pair ``g % D`` of tile ``g // D``: fresh,
+    unclipped (file_start, length, data_off) arrays."""
     if flat.num_segments == 1:
         return (
             g * flat.extent + (disp + int(flat.offsets[0])),
@@ -183,8 +219,7 @@ class FlatCursor:
         "total_bytes",
         "data_lo",
         "tiles",
-        "_cur_tile",
-        "_cur_idx",
+        "position",
         "multi_tile",
     )
 
@@ -207,8 +242,9 @@ class FlatCursor:
         if self.tiles > 1 and flat.extent <= 0:
             raise DatatypeError("multi-tile access requires a positive extent")
         self.multi_tile = self.tiles > 1
-        self._cur_tile = 0
-        self._cur_idx = 0
+        #: The scan position :meth:`scan` advances: the next tile not yet
+        #: examined (multi-tile) or the next pair not yet evaluated.
+        self.position = 0
         self.reset()
 
     def _file_pos_of_data(self, data: int) -> int:
@@ -256,85 +292,85 @@ class FlatCursor:
 
         The scan starts at the data window's first tile/pair, so
         tiles before ``data_lo`` are never counted as skipped."""
-        if self.flat.size > 0:
-            self._cur_tile = self.data_lo // self.flat.size
-        else:
-            self._cur_tile = 0
-        self._cur_idx = 0
+        self.position = self.data_lo // self.flat.size if self.multi_tile else 0
 
     # -- the core query ------------------------------------------------------
+    def scan(
+        self,
+        windows: Sequence[Optional[Sequence[Tuple[int, int]]]],
+        positions: List[int],
+    ) -> Tuple[List[Optional[Tuple[int, int]]], List[Tuple[int, int, int, int, int]]]:
+        """The counting rules — the one copy :meth:`intersect` and
+        :meth:`FanCursor.route` charge by — over a whole round.
+
+        ``windows[i]`` is target ``i``'s ascending file intervals (or
+        ``None``: not scanned), queried in order from scan position
+        ``positions[i]``, which is advanced in place.  Returns per
+        target ``None`` or ``(pairs_evaluated, tiles_skipped)``, and the
+        pairs that may meet each interval as ranges ``(g_lo, g_hi, lo,
+        hi, i)`` of the global pair index (pair ``g`` is pair ``g % D``
+        of tile ``g // D``), non-empty ones only.
+
+        * A single-tile ("explicitly enumerated") type is scanned
+          linearly: the position is the next pair not yet evaluated, and
+          every pair from it to the last one starting before ``hi`` is.
+        * A multi-tile type skips whole tiles: the position is the next
+          tile not yet examined; tiles from it up to the first one
+          reaching past ``lo`` are stepped over unopened, and every pair
+          of each tile meeting [lo, hi) is evaluated.
+        """
+        flat, disp, last_tile = self.flat, self.disp, self.tiles - 1
+        ends, offsets = flat.ends, flat.offsets
+        ext, D, span_lo, span_hi = flat.extent, flat.num_segments, flat.span_lo, flat.span_hi
+        multi = self.multi_tile
+        live = self.tiles > 0 and D > 0 and self.data_lo < self.total_bytes
+        counts: List[Optional[Tuple[int, int]]] = [None] * len(windows)
+        ranges: List[Tuple[int, int, int, int, int]] = []
+        for i, intervals in enumerate(windows):
+            if intervals is None:
+                continue
+            pos = positions[i]
+            pairs = skipped = 0
+            for lo, hi in intervals:
+                if hi <= lo or not live:
+                    continue
+                if not multi:
+                    g_lo = int(ends.searchsorted(lo - disp, side="right"))
+                    g_hi = int(offsets.searchsorted(hi - disp, side="left"))
+                    pairs += max(0, g_hi - pos)
+                    pos = max(pos, g_hi)
+                else:
+                    # Tile t meets [lo, hi) iff
+                    #   disp + t*ext + span_lo < hi  and  disp + t*ext + span_hi > lo.
+                    t_first = max(int((lo - disp - span_hi) // ext + 1), 0)  # end > lo
+                    t_last = min(int(-((-(hi - disp - span_lo)) // ext) - 1), last_tile)
+                    skipped += max(0, t_first - pos)
+                    if t_first > t_last:
+                        pos = max(pos, t_first)
+                        continue
+                    pairs += (t_last - t_first + 1) * D
+                    pos = max(pos, t_last + 1)
+                    # From the first pair of t_first ending past lo to the
+                    # last pair of t_last starting before hi.
+                    g_lo = t_first * D + int(ends.searchsorted(lo - (disp + t_first * ext), side="right"))
+                    g_hi = t_last * D + int(offsets.searchsorted(hi - (disp + t_last * ext), side="left"))
+                if g_lo < g_hi:
+                    ranges.append((g_lo, g_hi, lo, hi, i))
+            positions[i] = pos
+            counts[i] = (pairs, skipped)
+        return counts, ranges
+
     def intersect(self, lo: int, hi: int) -> SegmentBatch:
         """Segments of the tiled access inside file range [lo, hi)."""
-        flat = self.flat
-        if (
-            hi <= lo
-            or self.tiles == 0
-            or flat.num_segments == 0
-            or self.data_lo >= self.total_bytes
-        ):
-            return SegmentBatch.empty_batch()
-        if self.multi_tile:
-            return self._intersect_tiled(lo, hi)
-        return self._intersect_single(lo, hi)
-
-    def all_segments(self) -> SegmentBatch:
-        """The entire access flattened out — what the *old* implementation
-        materializes up front (M pairs)."""
-        if self.tiles == 0 or self.flat.num_segments == 0:
-            return SegmentBatch.empty_batch()
-        return self.intersect(self.first_byte, self.last_byte)
-
-    # -- single-tile: linear scan ----------------------------------------------
-    def _intersect_single(self, lo: int, hi: int) -> SegmentBatch:
-        flat = self.flat
-        rel_lo = lo - self.disp
-        rel_hi = hi - self.disp
-        idx_lo = int(np.searchsorted(flat.ends, rel_lo, side="right"))
-        idx_hi = int(np.searchsorted(flat.offsets, rel_hi, side="left"))
-        evaluated = max(0, idx_hi - self._cur_idx)
-        self._cur_idx = max(self._cur_idx, idx_hi)
-        if idx_lo >= idx_hi:
-            return SegmentBatch.empty_batch(pairs_evaluated=evaluated)
-        sel = slice(idx_lo, idx_hi)
-        file_start = self.disp + flat.offsets[sel].copy()
-        length = flat.lengths[sel].copy()
-        data_off = flat.data_prefix[idx_lo:idx_hi].copy()
-        fs, ln, do = _clip(
-            file_start, length, data_off, lo, hi, self.total_bytes, self.data_lo
-        )
-        return SegmentBatch(fs, ln, do, pairs_evaluated=evaluated)
-
-    # -- multi-tile: whole-tile skipping -----------------------------------------
-    def _intersect_tiled(self, lo: int, hi: int) -> SegmentBatch:
-        flat = self.flat
-        ext = flat.extent
-        D = flat.num_segments
-        span_lo, span_hi = flat.span_lo, flat.span_hi
-        # Tile t intersects [lo, hi) iff
-        #   disp + t*ext + span_lo < hi  and  disp + t*ext + span_hi > lo.
-        t_first = (lo - self.disp - span_hi) // ext + 1  # smallest t with end > lo
-        t_last = -((-(hi - self.disp - span_lo)) // ext) - 1  # ceil(x) - 1: t < x
-        t_first = max(int(t_first), 0)
-        t_last = min(int(t_last), self.tiles - 1)
-        # _cur_tile is the next tile the scan has not yet examined; tiles
-        # strictly before t_first are stepped over without being opened.
-        skipped = max(0, t_first - self._cur_tile)
-        if t_first > t_last:
-            self._cur_tile = max(self._cur_tile, t_first)
-            return SegmentBatch.empty_batch(tiles_skipped=skipped)
-        evaluated = (t_last - t_first + 1) * D
-        self._cur_tile = max(self._cur_tile, t_last + 1)
-
-        # The pairs inside [lo, hi) are one range of the global pair
-        # index g = t*D + k: from the first pair of t_first ending past
-        # lo to the last pair of t_last starting before hi.
-        k0 = int(flat.ends.searchsorted(lo - (self.disp + t_first * ext), side="right"))
-        k1 = int(flat.offsets.searchsorted(hi - (self.disp + t_last * ext), side="left"))
-        g_lo, g_hi = t_first * D + k0, t_last * D + k1
-        if g_lo >= g_hi:
-            return SegmentBatch.empty_batch(evaluated, skipped)
-        fs, ln, do = _tiled_pairs(flat, self.disp, g_lo, g_hi)
-        if self.data_lo == 0 and t_last * flat.size + int(flat.data_prefix[k1]) <= self.total_bytes:
+        pos = [self.position]
+        counts, ranges = self.scan([((lo, hi),)], pos)
+        self.position = pos[0]
+        if not ranges:
+            return SegmentBatch.empty_batch(*counts[0])
+        pairs, skipped = counts[0]
+        g_lo, g_hi = ranges[0][:2]
+        fs, ln, do = _tiled_pairs(self.flat, self.disp, np.arange(g_lo, g_hi, dtype=np.int64))
+        if self.data_lo == 0 and int(do[-1]) + int(ln[-1]) <= self.total_bytes:
             # The data window cuts nothing, and of a monotonic pattern
             # only the first pair can start before lo, only the last end
             # past hi: clip those two as scalars.
@@ -346,7 +382,135 @@ class FlatCursor:
         else:
             # Whole pairs before data_lo drop, a partial last tile truncates.
             fs, ln, do = _clip(fs, ln, do, lo, hi, self.total_bytes, self.data_lo)
-        return SegmentBatch(fs, ln, do, pairs_evaluated=evaluated, tiles_skipped=skipped)
+        return SegmentBatch(fs, ln, do, pairs_evaluated=pairs, tiles_skipped=skipped)
+
+    def all_segments(self) -> SegmentBatch:
+        """The entire access flattened out — what the *old* implementation
+        materializes up front (M pairs)."""
+        if self.tiles == 0 or self.flat.num_segments == 0:
+            return SegmentBatch.empty_batch()
+        return self.intersect(self.first_byte, self.last_byte)
+
+
+class FanCursor:
+    """One access scanned against many targets' windows in one pass.
+
+    The client side of a two-phase round.  The paper's client walks its
+    access once per aggregator, each walk with its own progress; here
+    every target keeps its own scan position and :meth:`FlatCursor.scan`
+    counts every window interval, so pairs evaluated, tiles skipped and
+    positions evolve exactly as with one :class:`FlatCursor` per target.
+    What the host runs is one pass: the segments of every window are
+    materialised, clipped, mapped to memory and split by target with one
+    set of array operations (:meth:`route`).
+
+    ``cursor`` carries the access (its own position is not used);
+    ``memflat``, tiled from address 0, is the memory side, data byte
+    ``cursor.data_lo`` at address 0.
+    """
+
+    __slots__ = ("cursor", "memflat", "positions", "_start")
+
+    def __init__(self, cursor: FlatCursor, targets: int, memflat: FlatType) -> None:
+        cursor.reset()
+        self.cursor = cursor
+        self.memflat = memflat
+        self._start = cursor.position
+        self.positions: List[int] = [self._start] * targets
+
+    def reset(self) -> None:
+        """Rewind every target's scan."""
+        self.positions = [self._start] * len(self.positions)
+
+    def route(
+        self, windows: Sequence[Optional[Sequence[Tuple[int, int]]]]
+    ) -> List[Optional[Tuple[int, int, Optional[SegmentBatch]]]]:
+        """Scan each target's window — ``windows[i]``, ascending file
+        intervals, or ``None`` to skip target ``i`` — and return per
+        target ``None`` for a skipped one, else ``(pairs_evaluated,
+        tiles_skipped, batch)``: the memory segments carrying the
+        window's data (``None`` when there is none), their
+        ``data_offsets`` the ascending stream positions from
+        ``data_lo``."""
+        counts, ranges = self.cursor.scan(windows, self.positions)
+        batches = self._materialise(ranges) if ranges else {}
+        return [c if c is None else (*c, batches.get(i)) for i, c in enumerate(counts)]
+
+    def _materialise(self, ranges: List[Tuple[int, int, int, int, int]]) -> dict:
+        """Every range's pairs at once: clipped to its interval and to
+        the data window, mapped to memory, split by target."""
+        cur = self.cursor
+        g_lo, g_hi, lo, hi, tid = np.array(ranges, dtype=np.int64).T
+        n = g_hi - g_lo
+        fs, ln, do = _tiled_pairs(cur.flat, cur.disp, expand_indices(g_lo, n))
+        fs, ln, do, tid = _clip(
+            fs, ln, do, np.repeat(lo, n), np.repeat(hi, n),
+            cur.total_bytes, cur.data_lo, np.repeat(tid, n),
+        )
+        if tid.size == 0:
+            return {}
+        # Memory runs never merge across targets.
+        mfs, mln, mdo, src = map_stream(self.memflat, do - cur.data_lo, ln, tid[1:] != tid[:-1])
+        tid = tid[src]
+        cuts = (np.flatnonzero(tid[1:] != tid[:-1]) + 1).tolist()
+        starts, stops = [0, *cuts], [*cuts, int(tid.size)]
+        return {
+            t: SegmentBatch(mfs[a:b], mln[a:b], mdo[a:b])
+            for t, a, b in zip(tid[starts].tolist(), starts, stops)
+        }
+
+
+def _map_runs(
+    flat: FlatType, disp: int, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Non-empty data-stream runs [lo[j], hi[j]) mapped through ``flat``
+    tiled from ``disp``: every run's segments, run by run, and how many
+    each run has."""
+    size, D, dp = flat.size, flat.num_segments, flat.data_prefix
+    t0 = lo // size
+    t1 = (hi - 1) // size
+    # Per run, one range of the global pair index: from the pair holding
+    # data byte lo to the last pair starting before hi.
+    g_lo = t0 * D + dp.searchsorted(lo - t0 * size, side="right") - 1
+    n = t1 * D + dp.searchsorted(hi - t1 * size, side="left") - g_lo
+    fs, ln, do = _tiled_pairs(flat, disp, expand_indices(g_lo, n))
+    # Only a run's two end pairs can straddle its data window.
+    last = np.cumsum(n) - 1
+    first = last - (n - 1)
+    front = lo - do[first]
+    fs[first] += front
+    do[first] += front
+    ln[first] -= front
+    ln[last] -= do[last] + ln[last] - hi
+    return fs, ln, do, n
+
+
+def map_stream(
+    flat: FlatType,
+    data_offsets: np.ndarray,
+    lengths: np.ndarray,
+    cut: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Segments of ``flat`` (tiled from address 0) carrying the data
+    ranges ``data_offsets``/``lengths`` (ascending, disjoint, non-empty):
+    ``(file_offsets, lengths, data_offsets, src)``, where ``src[k]`` is
+    the range segment ``k`` starts in.
+
+    A contiguous type maps every range to itself (the very arrays).
+    Otherwise ranges that continue each other first merge into one run,
+    except where ``cut[i - 1]`` starts a new run at range ``i``, so the
+    mapping works per run, not per range."""
+    if flat.is_contiguous:
+        return data_offsets, lengths, data_offsets, np.arange(data_offsets.size)
+    new_run = np.empty(data_offsets.size, dtype=bool)
+    new_run[0] = True
+    np.not_equal(data_offsets[1:], (data_offsets + lengths)[:-1], out=new_run[1:])
+    if cut is not None:
+        new_run[1:] |= cut
+    heads = np.flatnonzero(new_run)
+    run_lo = data_offsets[heads]
+    fs, ln, do, n = _map_runs(flat, 0, run_lo, run_lo + np.add.reduceat(lengths, heads))
+    return fs, ln, do, np.repeat(heads, n)
 
 
 def data_to_file_segments(
@@ -364,20 +528,6 @@ def data_to_file_segments(
         data_hi = min(data_hi, total_bytes)
     if data_hi <= data_lo or flat.size == 0 or flat.num_segments == 0:
         return SegmentBatch.empty_batch()
-    size = flat.size
-    D = flat.num_segments
-    dp = flat.data_prefix
-    t0 = data_lo // size
-    t1 = (data_hi - 1) // size
-    # One range of the global pair index: from the pair holding data
-    # byte data_lo to the last pair starting before data_hi.
-    k0 = int(dp.searchsorted(data_lo - t0 * size, side="right")) - 1
-    k1 = int(dp.searchsorted(data_hi - t1 * size, side="left"))
-    fs, ln, do = _tiled_pairs(flat, disp, t0 * D + k0, t1 * D + k1)
-    # Only the two end pairs can straddle the data window.
-    front = data_lo - int(do[0])
-    fs[0] += front
-    do[0] += front
-    ln[0] -= front
-    ln[-1] -= int(do[-1]) + int(ln[-1]) - data_hi
+    lo, hi = np.array([[data_lo], [data_hi]], dtype=np.int64)
+    fs, ln, do, _ = _map_runs(flat, disp, lo, hi)
     return SegmentBatch(fs, ln, do)

@@ -52,4 +52,8 @@ def decode_flat(payload: bytes) -> FlatType:
             f"flattened-datatype payload has {len(payload)} bytes, expected {expected}"
         )
     body = np.frombuffer(payload, dtype="<i8", offset=HEADER_BYTES).reshape(count, 2)
-    return FlatType(body[:, 0].astype(np.int64), body[:, 1].astype(np.int64), int(extent))
+    # encode_flat ships a FlatType's own pairs, canonical already: no
+    # coalescing pass (a non-positive length is still refused).
+    return FlatType.canonical(
+        body[:, 0].astype(np.int64), body[:, 1].astype(np.int64), int(extent)
+    )

@@ -488,12 +488,12 @@ def ref_intersect_tiled(cur: FlatCursor, lo: int, hi: int) -> SegmentBatch:
     flat, ext, D = cur.flat, cur.flat.extent, cur.flat.num_segments
     t_first = max(int((lo - cur.disp - flat.span_hi) // ext + 1), 0)
     t_last = min(int(-((-(hi - cur.disp - flat.span_lo)) // ext) - 1), cur.tiles - 1)
-    skipped = max(0, t_first - cur._cur_tile)
+    skipped = max(0, t_first - cur.position)
     if t_first > t_last:
-        cur._cur_tile = max(cur._cur_tile, t_first)
+        cur.position = max(cur.position, t_first)
         return SegmentBatch.empty_batch(tiles_skipped=skipped)
     evaluated = (t_last - t_first + 1) * D
-    cur._cur_tile = max(cur._cur_tile, t_last + 1)
+    cur.position = max(cur.position, t_last + 1)
     size, dp, ends = flat.size, flat.data_prefix[:-1], flat.offsets + flat.lengths
     parts = []
 
@@ -576,7 +576,7 @@ def test_intersect_tiled_matches_per_tile_parts(flat, disp, tiles, short, data_l
         got = new.intersect(lo, hi)
         want = ref_intersect_tiled(ref, lo, hi) if hi > lo else SegmentBatch.empty_batch()
         _assert_same_batch(got, want)
-        assert new._cur_tile == ref._cur_tile
+        assert new.position == ref.position
         # Callers own what they get: fresh, writable, C-contiguous, never
         # a view of the type's arrays.
         for arr in (got.file_offsets, got.lengths, got.data_offsets):
