@@ -93,11 +93,9 @@ def merge_extents(
     new_run = np.empty(offs.size, dtype=bool)
     new_run[0] = True
     np.greater(offs[1:], run_end[:-1], out=new_run[1:])
-    run_ids = np.cumsum(new_run) - 1
-    out_offs = offs[new_run]
-    out_ends = np.zeros(out_offs.size, dtype=np.int64)
-    np.maximum.at(out_ends, run_ids, ends)
-    return out_offs, out_ends - out_offs
+    heads = np.flatnonzero(new_run)
+    out_offs = offs[heads]
+    return out_offs, np.maximum.reduceat(ends, heads) - out_offs
 
 
 def clip_to_range(batch: SegmentBatch, lo: int, hi: int) -> SegmentBatch:

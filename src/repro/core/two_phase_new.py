@@ -11,17 +11,24 @@ Write path, per collective call:
    every aggregator; aggregators rebuild a scan cursor per client
    (§5.3's representation trade: O(D·A) metadata instead of O(M), paid
    back with O(M·A) pair evaluations — unless whole-tile skipping
-   applies);
+   applies).  The model charges every client's description to the
+   aggregator; the host decodes each distinct one once per call and
+   clients sharing a description, size and data window share one
+   cursor (:class:`~repro.datatypes.segments.FunnelCursor`);
 4. rounds: each aggregator walks its realm domain in collective-buffer
    sized windows.  Clients intersect their access with every
    aggregator's window; aggregators intersect every client's filetype
-   with their own window.  On the host a client routes a round in one
-   pass over all windows (:class:`~repro.datatypes.segments.FanCursor`:
-   one scan position per aggregator, one materialise / clip / memory
-   map / split for every window); the paper's per-aggregator walk and
-   its binary-heap progress tracking are what the cost model charges —
-   per aggregator, the heap operation and the pairs and tiles its own
-   walk would evaluate and skip;
+   with their own window.  On the host either side routes a round in
+   one pass: a client over all windows
+   (:class:`~repro.datatypes.segments.FanCursor`: one scan position per
+   aggregator, one materialise / clip / memory map / split for every
+   window), an aggregator over all clients (``FunnelCursor``: one scan
+   position per client, one materialise / clip for every client's
+   ranges, one buffer map, one split, one extent merge).  The paper's
+   per-pair walks and the client's binary-heap progress tracking are
+   what the cost model charges — per aggregator on the client, per
+   client on the aggregator, the pairs and tiles its own walk would
+   evaluate and skip;
 5. data moves via alltoallw or nonblocking exchange into the collective
    buffer, which is flushed through the independent I/O layer with a
    per-flush method choice (conditional data sieving et al.).
@@ -52,7 +59,7 @@ from repro.core.realms import FileRealm, RealmDomain, resolve_strategy, round_wi
 from repro.core.rounds import CONTINUE, RESTART, STOP, RoundSource
 from repro.datatypes.flatten import FlatType
 from repro.datatypes.packing import gather_segments, scatter_segments
-from repro.datatypes.segments import FanCursor, FlatCursor, SegmentBatch
+from repro.datatypes.segments import FanCursor, FunnelCursor, SegmentBatch
 from repro.datatypes.serialize import decode_flat, encode_flat
 from repro.errors import AggregatorLost
 from repro.io.selection import choose_method
@@ -100,7 +107,7 @@ class _Plan(RoundSource):
         self._dead: set[int] = set()
         self.i_am_suspect = False
         self._suspect_tails: Optional[List[RealmDomain]] = None
-        # Bound once per call and indexed by ``agg_side``: they are
+        # Bound once per call, (client side, aggregator side): they are
         # bumped per window intersection.
         m = env.metrics
         self._pairs = (m.counter("coll.client.pairs"), m.counter("coll.agg.pairs"))
@@ -156,8 +163,9 @@ class _Plan(RoundSource):
         if total_bytes > 0:
             self.router = FanCursor(view.cursor(self.data_hi, data_lo), len(self.aggs), memflat)
 
-        # Access-description exchange: flattened filetypes to aggregators.
-        self.agg_cursors: Optional[List[Optional[FlatCursor]]] = None
+        # Access-description exchange: flattened filetypes to aggregators,
+        # every client's access against my window on my aggregator side.
+        self.funnel: Optional[FunnelCursor] = None
         self._exchange_access_descriptions()
 
         # Clip every aggregator's iteration space to the bounds of the
@@ -233,7 +241,10 @@ class _Plan(RoundSource):
                 comm.isend(payload, a, _TAG_META)
         if self.my_agg_index < 0:
             return
-        cursors: List[Optional[FlatCursor]] = [None] * comm.size
+        funnel = FunnelCursor(comm.size)
+        # Each distinct description is decoded once; every client is
+        # still charged for its own, and validated as its own cursor.
+        decoded: dict = {}
         for c in range(comm.size):
             if c in self._known_dead:
                 continue
@@ -241,68 +252,48 @@ class _Plan(RoundSource):
             if got is None:
                 continue
             blob, disp, d_hi, d_lo = got
-            client_flat = decode_flat(blob)
+            known = decoded.get(blob)
+            if known is None:
+                client_flat = decode_flat(blob)
+                known = decoded[blob] = (client_flat, client_flat.num_segments * cost.cpu_per_flat_pair)
             # Aggregator-side processing of the received description.
-            ctx.charge(client_flat.num_segments * cost.cpu_per_flat_pair)
-            cursors[c] = FlatCursor(client_flat, disp, d_hi, d_lo)
-        self.agg_cursors = cursors
+            ctx.charge(known[1])
+            funnel.add(c, blob, known[0], disp, d_hi, d_lo)
+        self.funnel = funnel
 
     def _request_bounds(self) -> Optional[tuple[int, int]]:
         """[min, max) file offsets of the requests inside my realm, or
         None when I am not an aggregator / received nothing.
 
         Span-based (each client's first..last byte intersected with my
-        domain intervals): cheap, and exact at the outer edges, which is
-        all the round clipping needs."""
-        if self.my_agg_index < 0 or self.agg_cursors is None:
+        domain intervals, all clients at once): cheap, and exact at the
+        outer edges, which is all the round clipping needs."""
+        if self.my_agg_index < 0 or self.funnel is None:
             return None
         dom = self.domains[self.my_agg_index]
         if dom.starts.size == 0:
             return None
-        lo: Optional[int] = None
-        hi: Optional[int] = None
-        for cur in self.agg_cursors:
-            if cur is None or cur.tiles == 0:
-                continue
-            c_lo, c_hi = cur.first_byte, cur.last_byte
-            if c_hi <= c_lo:
-                continue
-            # First domain byte inside [c_lo, c_hi).
-            i = int(np.searchsorted(dom.ends, c_lo, side="right"))
-            if i < dom.starts.size and dom.starts[i] < c_hi:
-                cand = max(int(dom.starts[i]), c_lo)
-                lo = cand if lo is None else min(lo, cand)
-            # Last domain byte inside [c_lo, c_hi).
-            j = int(np.searchsorted(dom.starts, c_hi, side="left")) - 1
-            if j >= 0 and dom.ends[j] > c_lo:
-                cand = min(int(dom.ends[j]), c_hi)
-                hi = cand if hi is None else max(hi, cand)
-        if lo is None or hi is None or hi <= lo:
+        c_lo, c_hi = self.funnel.spans()
+        keep = c_hi > c_lo  # an access of no tiles spans nothing
+        c_lo, c_hi = c_lo[keep], c_hi[keep]
+        starts, ends = dom.starts, dom.ends
+        # First domain byte inside each [c_lo, c_hi).
+        i = ends.searchsorted(c_lo, side="right")
+        first = starts[np.minimum(i, starts.size - 1)]
+        ok = (i < starts.size) & (first < c_hi)
+        # Last domain byte inside each [c_lo, c_hi).
+        j = starts.searchsorted(c_hi, side="left") - 1
+        last = ends[np.maximum(j, 0)]
+        ok_hi = (j >= 0) & (last > c_lo)
+        if not ok.any() or not ok_hi.any():
+            return None
+        lo = int(np.maximum(first[ok], c_lo[ok]).min())
+        hi = int(np.minimum(last[ok_hi], c_hi[ok_hi]).max())
+        if hi <= lo:
             return None
         return (lo, hi)
 
     # -- per-round routing ------------------------------------------------------
-    def _charge(self, pairs: int, tiles: int, agg_side: bool) -> None:
-        """One routing charge: ``pairs`` evaluated and ``tiles`` skipped."""
-        cost = self.env.cost
-        self.env.ctx.charge(pairs * cost.cpu_per_flat_pair + tiles * cost.cpu_tile_skip)
-        self._pairs[agg_side].inc(pairs)
-        self._tiles[agg_side].inc(tiles)
-
-    def _intersect_window(self, cursor: FlatCursor, window) -> SegmentBatch:
-        """My aggregator window against one client's access."""
-        parts = []
-        pairs = 0
-        tiles = 0
-        for w_lo, w_hi in window.intervals:
-            b = cursor.intersect(w_lo, w_hi)
-            pairs += b.pairs_evaluated
-            tiles += b.tiles_skipped
-            if not b.empty:
-                parts.append(b)
-        self._charge(pairs, tiles, True)
-        return concat_batches(parts)
-
     def client_send_plan(self, r: int) -> List[Optional[SegmentBatch]]:
         """What my data contributes to each aggregator's round-r window,
         as memory-address batches.
@@ -344,32 +335,40 @@ class _Plan(RoundSource):
 
     def agg_recv_layout(self, r: int):
         """(window, per-client buffer batches, merged write extents) for
-        my aggregator role this round, or (None, ..., ...)."""
+        my aggregator role this round, or (None, ..., ...).
+
+        The host routes every client in one pass (:meth:`FunnelCursor.route
+        <repro.datatypes.segments.FunnelCursor.route>`); the model charges
+        the paper's per-client intersection (§5.3): per live client, in
+        client order, one charge for the pairs its scan evaluated and the
+        tiles it skipped, then the two ``coll.agg.*`` counts — the same
+        charges, in the same order and number, as one cursor per client.
+        ``per_client[c]`` addresses client ``c``'s segments in the
+        collective buffer; its ``data_offsets`` keep file order (== the
+        client's data order for a monotonic view), the exchange's order
+        key."""
         env = self.env
         comm = env.comm
-        if self.my_agg_index < 0 or self.agg_cursors is None:
+        if self.my_agg_index < 0 or self.funnel is None:
             return None, [None] * comm.size, (None, None)
         window = self.domains[self.my_agg_index].window(r, self.cb)
         if window.empty:
             return None, [None] * comm.size, (None, None)
+        cost = env.cost
+        charge = env.ctx.charge
+        pair_cost, tile_cost = cost.cpu_per_flat_pair, cost.cpu_tile_skip
+        pairs_n, tiles_n = self._pairs[True], self._tiles[True]
+        counted, batches, offs, lens = self.funnel.route(window.intervals, window.to_buffer)
+        for got in counted:
+            if got is not None:
+                pairs, tiles = got
+                charge(pairs * pair_cost + tiles * tile_cost)
+                pairs_n.inc(pairs)
+                tiles_n.inc(tiles)
         per_client: List[Optional[SegmentBatch]] = [None] * comm.size
-        ext_offs = []
-        ext_lens = []
-        for c in range(comm.size):
-            cur = self.agg_cursors[c]
-            if cur is None:
-                continue
-            batch = self._intersect_window(cur, window)
-            if batch.empty:
-                continue
-            bufpos = window.to_buffer(batch.file_offsets)
-            # data_offsets keep file order (== the client's data order
-            # for a monotonic view), which is the exchange's order key.
-            per_client[c] = SegmentBatch(bufpos, batch.lengths, batch.file_offsets)
-            ext_offs.append(batch.file_offsets)
-            ext_lens.append(batch.lengths)
-        merged = merge_extents(ext_offs, ext_lens)
-        return window, per_client, merged
+        for c, batch in batches.items():
+            per_client[c] = batch
+        return window, per_client, merge_extents([offs], [lens])
 
     def _route(self, r: int) -> RoundPlan:
         send = self.client_send_plan(r)
@@ -400,9 +399,9 @@ class _Plan(RoundSource):
         inj, liv, rank = self._injector, self._liveness, env.comm.rank
         newly_dead = [a for a in self.aggs if a in roles and a not in self._dead]
         # Survivors stop expecting the corpses' data.
-        if self.agg_cursors is not None:
+        if self.funnel is not None:
             for c in crashed:
-                self.agg_cursors[c] = None
+                self.funnel.drop(c)
         crash_lost = [a for a in self.aggs if a in crashed]
 
         if not newly_dead and not suspects and not crash_lost:
@@ -461,17 +460,15 @@ class _Plan(RoundSource):
                     inj.note_suspect()
                 # Survivors stop expecting the suspect's data: its access
                 # description simply drops out of the aggregation.
-                if self.agg_cursors is not None:
-                    self.agg_cursors[s] = None
+                if self.funnel is not None:
+                    self.funnel.drop(s)
             self.skip = frozenset(self._suspects | self._known_dead)
             # Adopted intervals may precede a cursor's current position:
             # every monotonic scan restarts from the top.
             if self.router is not None:
                 self.router.reset()
-            if self.agg_cursors is not None:
-                for cur in self.agg_cursors:
-                    if cur is not None:
-                        cur.reset()
+            if self.funnel is not None:
+                self.funnel.reset()
             self.nrounds = max((d.nrounds(self.cb) for d in self.domains), default=0)
         if self.i_am_suspect:
             self.run_suspect_tail(buf, write=write)
@@ -549,7 +546,10 @@ class _Plan(RoundSource):
                 tiles += b.tiles_skipped
                 if not b.empty:
                     parts.append(b)
-            self._charge(pairs, tiles, False)
+            cost = env.cost
+            env.ctx.charge(pairs * cost.cpu_per_flat_pair + tiles * cost.cpu_tile_skip)
+            self._pairs[False].inc(pairs)
+            self._tiles[False].inc(tiles)
             batch = concat_batches(parts)
             if batch.empty:
                 return

@@ -26,12 +26,20 @@ access scanned against every aggregator's window, with one scan
 position per aggregator, so the counts are the per-aggregator walk's
 while the host materialises, clips and maps every window's segments
 with one set of array operations.
+
+:class:`FunnelCursor` is its dual, the aggregator side: every client's
+access scanned against one window.  Clients shipping the same
+description share one cursor tiled from 0 (a member's window is the
+aggregator's shifted by its own ``disp``), each keeps its own scan
+position, and one materialise and one clip cover every client's
+segments.  Both sides clip through :func:`_materialise` and split by
+target through :func:`_split`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +50,7 @@ __all__ = [
     "SegmentBatch",
     "FlatCursor",
     "FanCursor",
+    "FunnelCursor",
     "data_to_file_segments",
     "expand_indices",
     "map_stream",
@@ -148,11 +157,12 @@ def _clip(
     """Clip candidate segments to the file range [lo, hi) and to the
     data stream [data_lo, total_bytes); drop empties.
 
-    ``lo``/``hi`` are scalars or one bound per segment; ``extra`` arrays
-    parallel to the segments are returned filtered alongside them."""
+    ``lo``/``hi``, ``total_bytes`` and ``data_lo`` are scalars or one
+    value per segment; ``extra`` arrays parallel to the segments are
+    returned filtered alongside them."""
     front = lo - file_start
     np.maximum(front, 0, out=front)
-    if data_lo:
+    if isinstance(data_lo, np.ndarray) or data_lo:
         # The data window may clip further than the file window.
         np.maximum(front, data_lo - data_off, out=front)
     file_start = file_start + front
@@ -187,6 +197,78 @@ def _tiled_pairs(
         flat.lengths[k],
         t * flat.size + flat.data_prefix[k],
     )
+
+
+class _Pairs:
+    """The pair tables of one or more flattened types.  Several are
+    stacked end to end (pair ``k`` of type ``j`` is row ``base[j] + k``);
+    one is used as it is, through :func:`_tiled_pairs`."""
+
+    __slots__ = ("flats", "offsets", "lengths", "data_prefix", "base", "count", "extent", "size")
+
+    def __init__(self, flats: List[FlatType]) -> None:
+        self.flats = flats
+        if len(self.flats) > 1:
+            self.offsets = np.concatenate([f.offsets for f in self.flats])
+            self.lengths = np.concatenate([f.lengths for f in self.flats])
+            # data_prefix has D + 1 entries: the last is the size.
+            self.data_prefix = np.concatenate([f.data_prefix[:-1] for f in self.flats])
+            self.count = np.array([f.offsets.size for f in self.flats], dtype=np.int64)
+            self.extent = np.array([f.extent for f in self.flats], dtype=np.int64)
+            self.size = np.array([f.size for f in self.flats], dtype=np.int64)
+            self.base = np.cumsum(self.count) - self.count
+
+    def tiled(self, kind: np.ndarray, g: np.ndarray, disp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`_tiled_pairs` over several types: pair ``g[i]`` of type
+        ``kind[i]`` tiled from ``disp`` (per pair or once)."""
+        t, k = np.divmod(g, self.count[kind])
+        row = self.base[kind] + k
+        return (
+            t * self.extent[kind] + self.offsets[row] + disp,
+            self.lengths[row],
+            t * self.size[kind] + self.data_prefix[row],
+        )
+
+
+def _materialise(
+    pairs: _Pairs, ranges: Sequence[Tuple[int, int, int, int, int]], disp, total_bytes, data_lo, kind=None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every scan range's pairs at once — ``(g_lo, g_hi, lo, hi,
+    target)`` rows as :meth:`FlatCursor.scan` returns them, ``lo``/``hi``
+    in file coordinates — clipped to its interval and to the data
+    window: ``(file_start, length, data_off, target)`` in range order,
+    empty pieces dropped.
+
+    ``disp``, ``total_bytes``, ``data_lo`` and ``kind`` (a type of
+    ``pairs``) are one value for every target, or arrays indexed by
+    target id."""
+    g_lo, g_hi, lo, hi, tid = np.array(ranges, dtype=np.int64).T
+    n = g_hi - g_lo
+    tid = np.repeat(tid, n)
+    g = expand_indices(g_lo, n)
+    # Per-target columns to per-pair ones (inline: this runs every round).
+    if isinstance(disp, np.ndarray):
+        disp = disp[tid]
+    if isinstance(total_bytes, np.ndarray):
+        total_bytes = total_bytes[tid]
+    if isinstance(data_lo, np.ndarray):
+        data_lo = data_lo[tid]
+    if len(pairs.flats) == 1:
+        fs, ln, do = _tiled_pairs(pairs.flats[0], disp, g)
+    else:
+        fs, ln, do = pairs.tiled(kind[tid], g, disp)
+    return _clip(fs, ln, do, np.repeat(lo, n), np.repeat(hi, n), total_bytes, data_lo, tid)
+
+
+def _split(tid: np.ndarray, file_offsets, lengths, data_offsets) -> Dict[int, SegmentBatch]:
+    """One batch per run of equal target ids (``tid`` non-empty, each
+    target's segments consecutive): target -> its segments."""
+    cuts = (np.flatnonzero(tid[1:] != tid[:-1]) + 1).tolist()
+    starts, stops = [0, *cuts], [*cuts, int(tid.size)]
+    return {
+        t: SegmentBatch(file_offsets[a:b], lengths[a:b], data_offsets[a:b])
+        for t, a, b in zip(tid[starts].tolist(), starts, stops)
+    }
 
 
 class FlatCursor:
@@ -300,8 +382,13 @@ class FlatCursor:
         windows: Sequence[Optional[Sequence[Tuple[int, int]]]],
         positions: List[int],
     ) -> Tuple[List[Optional[Tuple[int, int]]], List[Tuple[int, int, int, int, int]]]:
-        """The counting rules — the one copy :meth:`intersect` and
-        :meth:`FanCursor.route` charge by — over a whole round.
+        """The counting rules — the one copy :meth:`intersect`,
+        :meth:`FanCursor.route` and :meth:`FunnelCursor.route` charge
+        by — over a whole round.
+
+        Every quantity depends on ``lo - disp`` and ``hi - disp`` only,
+        so a cursor tiled from 0 scanning ``(lo - d, hi - d)`` counts
+        exactly what one tiled from ``d`` counts scanning ``(lo, hi)``.
 
         ``windows[i]`` is target ``i``'s ascending file intervals (or
         ``None``: not scanned), queried in order from scan position
@@ -337,19 +424,28 @@ class FlatCursor:
                 if not multi:
                     g_lo = int(ends.searchsorted(lo - disp, side="right"))
                     g_hi = int(offsets.searchsorted(hi - disp, side="left"))
-                    pairs += max(0, g_hi - pos)
-                    pos = max(pos, g_hi)
+                    # (Comparisons, not max/min: this runs per target per
+                    # interval on both sides of every round.)
+                    if g_hi > pos:
+                        pairs += g_hi - pos
+                        pos = g_hi
                 else:
                     # Tile t meets [lo, hi) iff
                     #   disp + t*ext + span_lo < hi  and  disp + t*ext + span_hi > lo.
-                    t_first = max(int((lo - disp - span_hi) // ext + 1), 0)  # end > lo
-                    t_last = min(int(-((-(hi - disp - span_lo)) // ext) - 1), last_tile)
-                    skipped += max(0, t_first - pos)
+                    t_first = int((lo - disp - span_hi) // ext + 1)  # end > lo
+                    if t_first < 0:
+                        t_first = 0
+                    t_last = int(-((-(hi - disp - span_lo)) // ext) - 1)
+                    if t_last > last_tile:
+                        t_last = last_tile
+                    if t_first > pos:
+                        skipped += t_first - pos
+                        pos = t_first
                     if t_first > t_last:
-                        pos = max(pos, t_first)
                         continue
                     pairs += (t_last - t_first + 1) * D
-                    pos = max(pos, t_last + 1)
+                    if t_last >= pos:
+                        pos = t_last + 1
                     # From the first pair of t_first ending past lo to the
                     # last pair of t_last starting before hi.
                     g_lo = t_first * D + int(ends.searchsorted(lo - (disp + t_first * ext), side="right"))
@@ -409,12 +505,13 @@ class FanCursor:
     ``cursor.data_lo`` at address 0.
     """
 
-    __slots__ = ("cursor", "memflat", "positions", "_start")
+    __slots__ = ("cursor", "memflat", "positions", "_start", "_pairs")
 
     def __init__(self, cursor: FlatCursor, targets: int, memflat: FlatType) -> None:
         cursor.reset()
         self.cursor = cursor
         self.memflat = memflat
+        self._pairs = _Pairs([cursor.flat])
         self._start = cursor.position
         self.positions: List[int] = [self._start] * targets
 
@@ -432,32 +529,200 @@ class FanCursor:
         window's data (``None`` when there is none), their
         ``data_offsets`` the ascending stream positions from
         ``data_lo``."""
-        counts, ranges = self.cursor.scan(windows, self.positions)
-        batches = self._materialise(ranges) if ranges else {}
+        cur = self.cursor
+        counts, ranges = cur.scan(windows, self.positions)
+        batches: Dict[int, SegmentBatch] = {}
+        if ranges:
+            # Every range's pairs at once, clipped, mapped to memory (runs
+            # never merge across targets) and split by target.
+            _, ln, do, tid = _materialise(self._pairs, ranges, cur.disp, cur.total_bytes, cur.data_lo)
+            if tid.size:
+                mfs, mln, mdo, src = map_stream(self.memflat, do - cur.data_lo, ln, tid[1:] != tid[:-1])
+                batches = _split(tid[src], mfs, mln, mdo)
         return [c if c is None else (*c, batches.get(i)) for i, c in enumerate(counts)]
 
-    def _materialise(self, ranges: List[Tuple[int, int, int, int, int]]) -> dict:
-        """Every range's pairs at once: clipped to its interval and to
-        the data window, mapped to memory, split by target."""
-        cur = self.cursor
-        g_lo, g_hi, lo, hi, tid = np.array(ranges, dtype=np.int64).T
-        n = g_hi - g_lo
-        fs, ln, do = _tiled_pairs(cur.flat, cur.disp, expand_indices(g_lo, n))
-        fs, ln, do, tid = _clip(
-            fs, ln, do, np.repeat(lo, n), np.repeat(hi, n),
-            cur.total_bytes, cur.data_lo, np.repeat(tid, n),
-        )
-        if tid.size == 0:
-            return {}
-        # Memory runs never merge across targets.
-        mfs, mln, mdo, src = map_stream(self.memflat, do - cur.data_lo, ln, tid[1:] != tid[:-1])
-        tid = tid[src]
-        cuts = (np.flatnonzero(tid[1:] != tid[:-1]) + 1).tolist()
-        starts, stops = [0, *cuts], [*cuts, int(tid.size)]
-        return {
-            t: SegmentBatch(mfs[a:b], mln[a:b], mdo[a:b])
-            for t, a, b in zip(tid[starts].tolist(), starts, stops)
-        }
+
+class _Group:
+    """Clients sharing one access description, data window and size:
+    one cursor tiled from 0, and per member its ``disp`` and scan
+    position."""
+
+    __slots__ = ("cursor", "kind", "start", "members", "disps", "positions")
+
+    def __init__(self, cursor: FlatCursor, kind: int) -> None:
+        self.cursor = cursor
+        self.kind = kind
+        self.start = cursor.position
+        self.members: List[int] = []
+        self.disps: List[int] = []
+        #: set when the funnel seals
+        self.positions: List[int] = []
+
+
+class FunnelCursor:
+    """Many clients' accesses scanned against one window in one pass.
+
+    The aggregator side of a two-phase round, the dual of
+    :class:`FanCursor`.  The paper's aggregator rebuilds a cursor from
+    every client's flattened filetype and intersects each with its
+    window (§5.3).  Here clients that shipped the same description with
+    the same data window form one group around one :class:`FlatCursor`
+    tiled from 0; a member's window is the aggregator's shifted by
+    ``-disp`` (exact: :meth:`FlatCursor.scan` sees ``lo - disp`` and
+    ``hi - disp`` only), and every member keeps its own scan position.
+    So pairs evaluated, tiles skipped and positions evolve exactly as
+    with one cursor per client, while the host materialises and clips
+    every client's segments of a round with one set of array operations
+    over the stacked pair tables of the distinct descriptions
+    (:meth:`route`).
+
+    ``clients`` is the number of client ids; a client is live from
+    :meth:`add` until :meth:`drop`.
+    """
+
+    __slots__ = ("_groups", "_group_of", "_kinds", "_flats", "_live", "_cols")
+
+    def __init__(self, clients: int) -> None:
+        self._groups: List[_Group] = []
+        self._group_of: Dict[tuple, _Group] = {}
+        #: description key -> its index in ``_flats``
+        self._kinds: Dict[Hashable, int] = {}
+        self._flats: List[FlatType] = []
+        self._live = [False] * clients
+        self._cols: Optional[tuple] = None
+
+    def add(
+        self, client: int, key: Hashable, flat: FlatType, disp: int, total_bytes: int, data_lo: int = 0
+    ) -> None:
+        """Client ``client``'s access: ``flat`` (named by ``key``, e.g.
+        its wire bytes) tiled from ``disp``, data bytes [data_lo,
+        total_bytes).  Raises the :class:`~repro.errors.DatatypeError` a
+        ``FlatCursor(flat, disp, total_bytes, data_lo)`` would.  Clients
+        are added in id order, before anything else is asked."""
+        if disp < 0:
+            raise DatatypeError(f"view displacement must be non-negative, got {disp}")
+        grp = self._group_of.get((key, total_bytes, data_lo))
+        if grp is None:
+            cursor = FlatCursor(flat, 0, total_bytes, data_lo)
+            kind = self._kinds.get(key)
+            if kind is None:
+                kind = self._kinds[key] = len(self._flats)
+                self._flats.append(flat)
+            grp = self._group_of[(key, total_bytes, data_lo)] = _Group(cursor, kind)
+            self._groups.append(grp)
+        grp.members.append(client)
+        grp.disps.append(disp)
+        self._live[client] = True
+
+    def drop(self, client: int) -> None:
+        """Stop scanning ``client`` (crashed, or dropped as a suspect)."""
+        self._live[client] = False
+
+    def reset(self) -> None:
+        """Rewind every client's scan."""
+        for grp in self._groups:
+            grp.positions = [grp.start] * len(grp.members)
+
+    @property
+    def positions(self) -> List[Optional[int]]:
+        """Every client's scan position (``None``: never added)."""
+        self._sealed()
+        out: List[Optional[int]] = [None] * len(self._live)
+        for grp in self._groups:
+            for c, pos in zip(grp.members, grp.positions):
+                out[c] = pos
+        return out
+
+    def spans(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(first, last)``: :attr:`FlatCursor.first_byte` and
+        :attr:`~FlatCursor.last_byte` of every access added (in group
+        order), each its group's plus its ``disp``."""
+        _, group, shifts = self._sealed()[:3]
+        first = np.array([grp.cursor.first_byte for grp in self._groups], dtype=np.int64)
+        last = np.array([grp.cursor.last_byte for grp in self._groups], dtype=np.int64)
+        disp = shifts[:, 0, 0]
+        return first[group] + disp, last[group] + disp
+
+    def _sealed(self) -> tuple:
+        """What the call's :meth:`spans` and :meth:`route` share, built
+        once, after the last :meth:`add`, which also starts every
+        member's scan: every member's client id, group index and
+        ``disp`` (shaped to shift a window by) in group order; then
+        ``_materialise``'s inputs — the stacked pair tables, and
+        ``disp``, ``total_bytes``, ``data_lo`` and the type per client
+        id, each but ``disp`` one value where all clients share it."""
+        if self._cols is None:
+            members: List[int] = []
+            group: List[int] = []
+            disps: List[int] = []
+            totals: List[int] = []
+            los: List[int] = []
+            kinds: List[int] = []
+            for j, grp in enumerate(self._groups):
+                k = len(grp.members)
+                grp.positions = [grp.start] * k
+                members += grp.members
+                group += [j] * k
+                disps += grp.disps
+                totals += [grp.cursor.total_bytes] * k
+                los += [grp.cursor.data_lo] * k
+                kinds += [grp.kind] * k
+            cols = np.zeros((4, len(self._live)), dtype=np.int64)
+            cols[:, members] = (disps, totals, los, kinds)
+            disp, total, data_lo, kind = cols
+            self._cols = (
+                np.array(members, dtype=np.int64),
+                np.array(group, dtype=np.int64),
+                np.array(disps, dtype=np.int64)[:, None, None],
+                _Pairs(self._flats),
+                disp,
+                totals[0] if len(set(totals)) == 1 else total,
+                los[0] if len(set(los)) == 1 else data_lo,
+                kind if len(self._flats) > 1 else None,
+            )
+        return self._cols
+
+    def route(
+        self, intervals: Sequence[Tuple[int, int]], address: Callable[[np.ndarray], np.ndarray]
+    ) -> Tuple[List[Optional[Tuple[int, int]]], Dict[int, SegmentBatch], np.ndarray, np.ndarray]:
+        """Scan every live client's access against the window
+        ``intervals`` (ascending file intervals).
+
+        Returns per client ``None`` (not live) or ``(pairs_evaluated,
+        tiles_skipped)``; per client with segments inside the window,
+        its batch: ``file_offsets`` mapped by ``address`` (into the
+        collective buffer), ``data_offsets`` the file offsets; and every
+        client's file ``(offsets, lengths)``, concatenated group by group
+        (a union does not care).  A client's segments come in
+        window-interval order, then pair order, with the values one
+        ``FlatCursor.intersect`` per interval gives."""
+        live = self._live
+        counted: List[Optional[Tuple[int, int]]] = [None] * len(live)
+        ranges: List[Tuple[int, int, int, int, int]] = []
+        _, _, shifts, pairs, disp, total, data_lo, kind = self._sealed()
+        # Every member's window, shifted into its group's frame.
+        shifted = (np.array(intervals, dtype=np.int64).reshape(-1, 2) - shifts).tolist()
+        stop = 0
+        for grp in self._groups:
+            members, disps = grp.members, grp.disps
+            start, stop = stop, stop + len(members)
+            windows = shifted[start:stop]
+            for i, c in enumerate(members):
+                if not live[c]:
+                    windows[i] = None
+            counts, got = grp.cursor.scan(windows, grp.positions)
+            for c, n in zip(members, counts):
+                counted[c] = n
+            for g_lo, g_hi, lo, hi, i in got:
+                d = disps[i]
+                ranges.append((g_lo, g_hi, lo + d, hi + d, members[i]))
+        batches: Dict[int, SegmentBatch] = {}
+        offs = lens = _EMPTY
+        if ranges:
+            offs, lens, _, tid = _materialise(pairs, ranges, disp, total, data_lo, kind)
+            if tid.size:
+                batches = _split(tid, address(offs), lens, offs)
+        return counted, batches, offs, lens
 
 
 def _map_runs(
