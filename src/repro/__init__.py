@@ -31,7 +31,7 @@ metrics/tracing layer, and EXPERIMENTS.md for the paper-figure
 reproductions.
 """
 
-from repro.config import CostModel, DEFAULT_COST_MODEL, FaultConfig, LivenessConfig
+from repro.config import CostModel, DEFAULT_COST_MODEL
 from repro.core import CollectiveFile, FileView
 from repro.datatypes import (
     BYTE,
@@ -145,12 +145,10 @@ __all__ = [
     "PhaseAccumulator",
     "PhaseHook",
     # faults / resilience
-    "FaultConfig",
     "FaultPlan",
     "FaultInjector",
     "load_scenario",
     # liveness
-    "LivenessConfig",
     "LivenessState",
     "install_liveness",
     "find_liveness",

@@ -436,19 +436,6 @@ def mt(
     return 0
 
 
-def demo() -> int:
-    """The quickstart scenario with a printed activity timeline."""
-    import runpy
-    from pathlib import Path
-
-    script = Path(__file__).resolve().parents[2] / "examples" / "quickstart.py"
-    if script.exists():
-        runpy.run_path(str(script), run_name="__main__")
-        return 0
-    print("examples/quickstart.py not found (installed without examples)")
-    return 1
-
-
 def info() -> int:
     """Version, default cost model, known hints, fault scenario names."""
     import dataclasses
@@ -571,7 +558,6 @@ FLAGS = {
 COMMANDS = {
     "selfcheck": (selfcheck, ["faults", "integrity", "liveness", "ppn", "replicate",
                               "plan_cache", "async_io", "pipeline", "crash"]),
-    "demo": (demo, []),
     "info": (info, []),
     "chaos": (chaos, ["faults", "integrity", "liveness", "ppn", "replicate", "async_io"]),
     "fsck": (fsck, []),

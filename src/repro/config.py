@@ -30,10 +30,6 @@ from dataclasses import dataclass
 __all__ = [
     "CostModel",
     "DEFAULT_COST_MODEL",
-    "FaultConfig",
-    "DEFAULT_FAULT_CONFIG",
-    "LivenessConfig",
-    "DEFAULT_LIVENESS_CONFIG",
 ]
 
 
@@ -147,94 +143,6 @@ class CostModel:
             raise ValueError("procs_per_node must be positive")
 
 
-@dataclass(frozen=True)
-class FaultConfig:
-    """Resilience knobs: how the library reacts to injected faults.
-
-    Injection itself is configured by :class:`repro.faults.FaultPlan`;
-    this describes the *response* — the independent-I/O retry policy
-    and whether the collective layer fails over dead aggregators.
-    """
-
-    #: Retries per independent-I/O operation after a transient fault
-    #: (0 = fail immediately with :class:`repro.errors.RetryExhausted`).
-    io_retries: int = 4
-    #: Virtual seconds slept before the first retry.
-    retry_backoff: float = 1e-3
-    #: Multiplier applied to the backoff after each failed attempt.
-    retry_backoff_factor: float = 2.0
-    #: Ceiling on any single backoff sleep (virtual seconds): long retry
-    #: chains stop doubling here instead of advancing virtual time
-    #: unboundedly.
-    retry_backoff_max: float = 0.25
-    #: Cross-operation retry budget per client (0 = unlimited): once a
-    #: client has spent this many retries in total, further transient
-    #: faults raise :class:`repro.errors.RetryBudgetExhausted`
-    #: immediately — the storm-control companion of the per-operation
-    #: ``io_retries``.
-    retry_budget: int = 0
-    #: Rebalance a dead aggregator's file realm across survivors
-    #: instead of raising :class:`repro.errors.AggregatorLost`.
-    failover: bool = True
-
-    def replace(self, **kwargs: object) -> "FaultConfig":
-        """Return a copy with the given fields replaced."""
-        return dataclasses.replace(self, **kwargs)
-
-    def validate(self) -> None:
-        """Raise ``ValueError`` if any parameter is nonsensical."""
-        if self.io_retries < 0:
-            raise ValueError(f"io_retries must be >= 0, got {self.io_retries}")
-        if self.retry_backoff < 0:
-            raise ValueError(f"retry_backoff must be >= 0, got {self.retry_backoff}")
-        if self.retry_backoff_factor < 1.0:
-            raise ValueError(
-                f"retry_backoff_factor must be >= 1, got {self.retry_backoff_factor}"
-            )
-        if self.retry_backoff_max < self.retry_backoff:
-            raise ValueError(
-                f"retry_backoff_max ({self.retry_backoff_max}) must be >= "
-                f"retry_backoff ({self.retry_backoff})"
-            )
-        if self.retry_budget < 0:
-            raise ValueError(f"retry_budget must be >= 0, got {self.retry_budget}")
-
-
-@dataclass(frozen=True)
-class LivenessConfig:
-    """Liveness knobs: deadlines, suspicion, and lock leases.
-
-    Installed into the simulation by the ``coll_deadline`` / ``liveness``
-    hints (see :mod:`repro.liveness`); everything here is measured in
-    *virtual* seconds.  (The watchdog heartbeat and the wall-clock join
-    timeout are :class:`repro.sim.Watchdog`'s and
-    :class:`repro.sim.Simulator`'s own parameters.)
-    """
-
-    #: Per-collective-call virtual-time budget (0 = no deadline).
-    deadline: float = 0.0
-    #: Lease on a pinned extent lock: a lock wedged by a stalled holder
-    #: is reclaimed after this many virtual seconds.
-    lock_lease: float = 0.02
-
-    def replace(self, **kwargs: object) -> "LivenessConfig":
-        """Return a copy with the given fields replaced."""
-        return dataclasses.replace(self, **kwargs)
-
-    def validate(self) -> None:
-        """Raise ``ValueError`` if any parameter is nonsensical."""
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if value < 0:
-                raise ValueError(
-                    f"LivenessConfig.{field.name} must be >= 0, got {value}"
-                )
-
-
-#: Shared default instances; treat as immutable.
+#: Shared default instance; treat as immutable.
 DEFAULT_COST_MODEL = CostModel()
 DEFAULT_COST_MODEL.validate()
-DEFAULT_FAULT_CONFIG = FaultConfig()
-DEFAULT_FAULT_CONFIG.validate()
-DEFAULT_LIVENESS_CONFIG = LivenessConfig()
-DEFAULT_LIVENESS_CONFIG.validate()

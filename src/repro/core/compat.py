@@ -95,7 +95,9 @@ RULES: Tuple[Rule, ...] = (
     _old_does(
         "old.io_method",
         "the original code's collective buffer is its sieve buffer (integrated data "
-        "sieving); only `write_ind`/`read_ind` on the handle still follow the hint",
+        "sieving), so the collective path and `get_info()` say `datasieve`; the rule "
+        "covers the collective path only — `write_ind`/`read_ind` on the handle still "
+        "follow the hint",
         io_method="datasieve",
     ),
     _old_does(

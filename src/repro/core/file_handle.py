@@ -44,7 +44,6 @@ from repro.fs.filesystem import SimFileSystem
 from repro.integrity import IntegrityConfig, install_integrity
 from repro.io.adio import AdioFile
 from repro.liveness import LivenessState, install_liveness
-from repro.config import LivenessConfig
 from repro.io.retry import RetryBudget, RetryPolicy
 from repro.liveness import find_crash_state
 from repro.mpi.agreement import AliveGroup
@@ -134,7 +133,7 @@ class CollectiveFile:
         if self.hints["coll_deadline"] > 0.0 or self.hints["liveness"]:
             install_liveness(
                 ctx.shared,
-                LivenessState(LivenessConfig(deadline=self.hints["coll_deadline"])),
+                LivenessState(self.hints["coll_deadline"]),
             )
         self.view = FileView(0, BYTE, BYTE)
         # Per-rank collective counters report into the simulation's
@@ -489,12 +488,7 @@ class CollectiveFile:
         ``offset_etypes`` counts etypes into the view's accessible data
         stream.  Any offset is allowed (including mid-filetype); the
         individual file pointer does not move, per MPI."""
-        if offset_etypes < 0:
-            raise CollectiveIOError(f"offset must be non-negative, got {offset_etypes}")
-        self._isubmit(
-            buf, memtype, count, write=True,
-            data_lo=offset_etypes * self.view.etype.size, sync=True,
-        ).wait()
+        self._submit_at(offset_etypes, buf, memtype, count, write=True, sync=True).wait()
 
     def read_at_all(
         self,
@@ -504,12 +498,15 @@ class CollectiveFile:
         count: int = 1,
     ) -> None:
         """Collective read at an explicit offset (MPI_File_read_at_all)."""
+        self._submit_at(offset_etypes, buf, memtype, count, write=False, sync=True).wait()
+
+    def _submit_at(self, offset_etypes: int, buf, memtype, count: int, write: bool, sync: bool) -> Request:
         if offset_etypes < 0:
             raise CollectiveIOError(f"offset must be non-negative, got {offset_etypes}")
-        self._isubmit(
-            buf, memtype, count, write=False,
-            data_lo=offset_etypes * self.view.etype.size, sync=True,
-        ).wait()
+        return self._isubmit(
+            buf, memtype, count, write=write,
+            data_lo=offset_etypes * self.view.etype.size, sync=sync,
+        )
 
     # -- nonblocking (split) collective operations -------------------------------
     def iwrite_all(
@@ -540,12 +537,7 @@ class CollectiveFile:
         count: int = 1,
     ) -> Request:
         """Nonblocking collective write at an explicit offset."""
-        if offset_etypes < 0:
-            raise CollectiveIOError(f"offset must be non-negative, got {offset_etypes}")
-        return self._isubmit(
-            buf, memtype, count, write=True,
-            data_lo=offset_etypes * self.view.etype.size, sync=False,
-        )
+        return self._submit_at(offset_etypes, buf, memtype, count, write=True, sync=False)
 
     def iread_at_all(
         self,
@@ -555,12 +547,7 @@ class CollectiveFile:
         count: int = 1,
     ) -> Request:
         """Nonblocking collective read at an explicit offset."""
-        if offset_etypes < 0:
-            raise CollectiveIOError(f"offset must be non-negative, got {offset_etypes}")
-        return self._isubmit(
-            buf, memtype, count, write=False,
-            data_lo=offset_etypes * self.view.etype.size, sync=False,
-        )
+        return self._submit_at(offset_etypes, buf, memtype, count, write=False, sync=False)
 
     # -- independent I/O ---------------------------------------------------------
     def write_ind(self, buf: np.ndarray, memtype: Optional[Datatype] = None, count: int = 1) -> None:

@@ -39,10 +39,6 @@ class PFRState:
         #: boundaries move between calls.
         self.last_realm_bytes: List[int] = []
 
-    @property
-    def established(self) -> bool:
-        return self._realms is not None
-
     def realms_for(
         self, aar_lo: int, aar_hi: int, naggs: int, alignment: int
     ) -> List[FileRealm]:

@@ -103,10 +103,6 @@ class PlanRecorder:
     key_id: str
     impl: str
     rounds: List[RoundPlan] = field(default_factory=list)
-    dirty: bool = False
-
-    def mark_dirty(self) -> None:
-        self.dirty = True
 
 
 def _digest_flat(h, tag: str, flat: FlatType) -> None:
@@ -243,10 +239,8 @@ class PlanCache:
         ft_extent: int = 0,
         topology: object = None,
         realm_bytes: Optional[List[int]] = None,
-    ) -> Optional[PlanEntry]:
-        """Store a clean recording; dirty recordings are discarded."""
-        if rec.dirty:
-            return None
+    ) -> PlanEntry:
+        """Store a recording."""
         entry = PlanEntry(
             impl=rec.impl,
             key_id=rec.key_id,

@@ -258,12 +258,6 @@ class FileRealm:
         key = self.flat
         return (key.offsets.tobytes(), key.lengths.tobytes(), key.extent, self.disp, self.tiles)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FileRealm) and self.describe() == other.describe()
-
-    def __hash__(self) -> int:
-        return hash(self.describe())
-
 
 # ---------------------------------------------------------------------------
 # Construction helpers

@@ -21,13 +21,14 @@ uninterrupted run is what the differential tests check.
 
 :class:`ResumeComm` is the communicator stand-in for the replay: it
 keeps the original rank/size coordinates so plans and views resolve
-identically, but every collective is the one-process identity — the
-replay never blocks on ranks that are not there.
+identically, and its one collective, the ``barrier`` of open and
+close, returns at once — the replay never blocks on ranks that are not
+there.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -45,8 +46,7 @@ class ResumeComm:
 
     Presents the *original* ``rank`` and ``size`` so file views, realm
     math, and anything keyed on rank coordinates resolve exactly as in
-    the crashed run, while every collective degenerates to the
-    single-process identity."""
+    the crashed run, while ``barrier`` returns at once."""
 
     def __init__(self, ctx, cost, rank: int, size: int) -> None:
         self.ctx = ctx
@@ -56,20 +56,8 @@ class ResumeComm:
         self.comm_id = f"resume:{rank}"
         self.members: Tuple[int, ...] = tuple(range(size))
 
-    # -- collectives: single-process identities ---------------------------
     def barrier(self) -> None:
         return None
-
-    def allreduce(self, value: Any, op: Optional[Callable] = None) -> Any:
-        return value
-
-    def allgather(self, value: Any) -> List[Any]:
-        out: List[Any] = [None] * self.size
-        out[self.rank] = value
-        return out
-
-    def bcast(self, value: Any, root: int = 0) -> Any:
-        return value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ResumeComm rank={self.rank}/{self.size}>"

@@ -438,18 +438,11 @@ def _rounds(env: CollEnv, method, src: RoundSource, buf: np.ndarray, write: bool
     exchanged = env.metrics.counter("exchange.bytes")
     rank = comm.rank
     liv = src._liveness
-    rec = src.rec
     pipe: Optional[RoundPipeline] = (
         RoundPipeline(env, eff.pipeline_depth) if eff.pipeline_depth > 0 else None
     )
     exchange_span = "round:exchange" if pipe is not None else "tp:exchange"
     svc: List[float] = []
-
-    def check_boundary(r: int) -> int:
-        verdict = src.boundary(r, buf, write)
-        if verdict != CONTINUE and rec is not None:
-            rec.mark_dirty()
-        return verdict
 
     def exchange(r: int, rp: RoundPlan, cbuf: Optional[np.ndarray]) -> None:
         if liv is not None:
@@ -481,7 +474,7 @@ def _rounds(env: CollEnv, method, src: RoundSource, buf: np.ndarray, write: bool
         if write:
             r = 0
             while r < src.nrounds:
-                verdict = check_boundary(r)
+                verdict = src.boundary(r, buf, write)
                 if verdict == STOP:
                     break
                 if verdict == RESTART:
@@ -523,7 +516,7 @@ def _rounds(env: CollEnv, method, src: RoundSource, buf: np.ndarray, write: bool
                     not routed
                     or (pipe is not None and pipe.free_slots > 0 and len(routed) <= pipe.depth)
                 ):
-                    verdict = check_boundary(next_r)
+                    verdict = src.boundary(next_r, buf, write)
                     if verdict == STOP:
                         next_r = src.nrounds
                         return

@@ -108,10 +108,6 @@ class PrimitiveType(Datatype):
             raise DatatypeError(f"primitive width must be positive, got {width}")
         self._width = width
 
-    @property
-    def width(self) -> int:
-        return self._width
-
     def _build_flat(self) -> FlatType:
         return FlatType(
             np.array([0], dtype=np.int64),
@@ -132,10 +128,6 @@ class RawFlatType(Datatype):
     def __init__(self, flat: FlatType, name: str = "raw") -> None:
         super().__init__(name=name)
         self._flat = flat
-
-    def _build_flat(self) -> FlatType:  # pragma: no cover - _flat preset
-        assert self._flat is not None
-        return self._flat
 
 
 BYTE = PrimitiveType("BYTE", 1)

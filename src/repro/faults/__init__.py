@@ -26,7 +26,7 @@ Usage::
     print(s.registry.format("faults."))       # counted in the run's registry
 """
 
-from repro.faults.injector import FAULT_COUNTERS, FaultInjector, find_injector, fired
+from repro.faults.injector import FAULT_COUNTERS, FaultInjector, fired
 from repro.faults.plan import (
     EVENT_KINDS,
     FAULTS_KEY,
@@ -47,7 +47,6 @@ __all__ = [
     "FaultInjector",
     "FAULT_COUNTERS",
     "fired",
-    "find_injector",
     "SCENARIOS",
     "scenario",
     "scenario_names",

@@ -25,7 +25,7 @@ from repro.faults.plan import FAULTS_KEY, OST_KINDS, FaultPlan
 from repro.fs import ostfault
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["FAULT_COUNTERS", "FaultInjector", "fired", "find_injector"]
+__all__ = ["FAULT_COUNTERS", "FaultInjector", "fired"]
 
 _U64 = float(1 << 64)
 
@@ -218,10 +218,6 @@ class FaultInjector:
     def has_ost_faults(self) -> bool:
         """Fast-path gate: any ``ost_*`` health kinds in the plan?"""
         return bool(self._active_kinds & OST_KINDS)
-
-    def ost_events(self) -> list:
-        """The plan's OST health events (lane export, health checks)."""
-        return [e for e in self.plan.events if e.kind in OST_KINDS]
 
     def ost_down(self, ost: int, now: float) -> bool:
         if not self.has_ost_faults():
@@ -449,7 +445,3 @@ class FaultInjector:
     def note_retry_exhausted(self) -> None:
         self._count("faults.retries_exhausted")
 
-
-def find_injector(shared: dict) -> Optional[FaultInjector]:
-    """The installed injector, if any (components' discovery helper)."""
-    return shared.get(FAULTS_KEY)

@@ -129,10 +129,6 @@ class PageCache:
         return self.mode != "off"
 
     @property
-    def writeback(self) -> bool:
-        return self.mode in ("coherent", "incoherent")
-
-    @property
     def dirty_pages(self) -> int:
         return self._page_set(self._dirty).total
 

@@ -75,7 +75,7 @@ from repro.faults.plan import FAULTS_KEY
 from repro.fs.locks import ExtentLockManager, LockCharge
 from repro.fs.ostfault import BreakerPolicy, CircuitBreaker
 from repro.fs.schedule import OSTScheduler, make_scheduler
-from repro.liveness import LIVENESS_KEY
+from repro.liveness import LIVENESS_KEY, LOCK_LEASE
 from repro.obs.metrics import MetricsRegistry, MetricsView
 from repro.sim.engine import BLOCK_TIMEOUT
 from repro.fs.runs import ByteRuns
@@ -478,14 +478,6 @@ class SimFileSystem:
         self._tenant_of[client_id] = str(tenant)
         self._tenant_weight[str(tenant)] = float(weight)
 
-    def tenant_of(self, client_id: Hashable) -> Optional[str]:
-        """The registered tenant of a client, or ``None``."""
-        return self._tenant_of.get(client_id)
-
-    def tenants(self) -> List[str]:
-        """Registered tenant names, sorted."""
-        return sorted(self._tenant_weight)
-
     def _tenant_mirror(self, tenant: Optional[str]) -> Dict[str, object]:
         """Lazily-built per-tenant instruments (mirrors + queue waits)."""
         m = self._tenant_mirrors.get(tenant)
@@ -602,11 +594,7 @@ class SimFileSystem:
         locks = f.locks
         faults = ctx.shared.get(FAULTS_KEY)
         liv = ctx.shared.get(LIVENESS_KEY)
-        lease = (
-            liv.config.lock_lease
-            if liv is not None and liv.config.lock_lease > 0.0
-            else math.inf
-        )
+        lease = LOCK_LEASE if liv is not None else math.inf
         while True:
             pin = locks.blocking_pin(client_id, lo, hi)
             if pin is None:

@@ -80,10 +80,6 @@ class TimeSeriesPattern:
         inner = hindexed([1] * len(displs), displs, contiguous(self.element_size, BYTE))
         return resized(inner, 0, self.point_bytes)
 
-    def memtype(self) -> None:
-        """Memory is contiguous (the app packs its elements)."""
-        return None
-
     def step_buffer(self, rank: int, step: int, *, seed: int = 0) -> np.ndarray:
         """Deterministic per-(rank, step) payload for verification."""
         n = self.bytes_per_rank_per_step(rank) * self.points

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import DEFAULT_FAULT_CONFIG
 from repro.integrity.checksum import (
     corruptible,
     crc32_of,
@@ -45,6 +44,7 @@ from repro.integrity.checksum import (
     payload_crc,
 )
 from repro.integrity.fsck import REPAIR_MODES, FsckReport, fsck, scrub_store
+from repro.io.retry import IO_RETRIES, RETRY_BACKOFF
 
 __all__ = [
     "INTEGRITY_KEY",
@@ -75,13 +75,8 @@ class IntegrityConfig:
     network: bool = False
     #: Bounded re-requests for a corrupt frame (reuses the I/O retry
     #: budget: the transport and the I/O stack share one patience).
-    net_retries: int = DEFAULT_FAULT_CONFIG.io_retries
-    net_backoff: float = DEFAULT_FAULT_CONFIG.retry_backoff
-    net_backoff_max: float = DEFAULT_FAULT_CONFIG.retry_backoff_max
-
-    @property
-    def any_enabled(self) -> bool:
-        return self.pages or self.network
+    net_retries: int = IO_RETRIES
+    net_backoff: float = RETRY_BACKOFF
 
 
 def install_integrity(shared: dict, config: IntegrityConfig) -> None:
@@ -89,9 +84,4 @@ def install_integrity(shared: dict, config: IntegrityConfig) -> None:
     shared[INTEGRITY_KEY] = config
 
 
-def find_integrity(shared: dict):
-    """The installed :class:`IntegrityConfig`, if any."""
-    return shared.get(INTEGRITY_KEY)
-
-
-__all__ += ["install_integrity", "find_integrity"]
+__all__ += ["install_integrity"]

@@ -32,13 +32,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, TypeVar
 
-from repro.config import DEFAULT_FAULT_CONFIG
 from repro.errors import RetryBudgetExhausted, RetryExhausted, TransientIOError
 from repro.faults.plan import FAULTS_KEY
 
-__all__ = ["RetryPolicy", "RetryBudget"]
+__all__ = ["RetryPolicy", "RetryBudget", "IO_RETRIES", "RETRY_BACKOFF", "BACKOFF_FACTOR", "BACKOFF_MAX"]
 
 T = TypeVar("T")
+
+#: Retries per operation after a transient fault (the ``io_retries``
+#: hint's default; 0 = fail at once with RetryExhausted).
+IO_RETRIES = 4
+#: Virtual seconds slept before the first retry (the
+#: ``io_retry_backoff`` hint's default).
+RETRY_BACKOFF = 1e-3
+#: Multiplier applied to the backoff after each failed attempt.
+BACKOFF_FACTOR = 2.0
+#: Ceiling on one backoff sleep: exponential growth is the right shape
+#: for the first few attempts, but with a deep retry budget the
+#: uncapped tail (factor^n) dominates total recovery time for no extra
+#: politeness — real clients cap it.
+BACKOFF_MAX = 0.25
 
 
 class RetryBudget:
@@ -78,14 +91,8 @@ class RetryPolicy:
     """How many times to reissue a faulted I/O operation, and how long
     to back off (in virtual seconds) between attempts."""
 
-    retries: int = DEFAULT_FAULT_CONFIG.io_retries
-    backoff: float = DEFAULT_FAULT_CONFIG.retry_backoff
-    backoff_factor: float = DEFAULT_FAULT_CONFIG.retry_backoff_factor
-    #: Ceiling on one backoff sleep: exponential growth is the right
-    #: shape for the first few attempts, but with a deep retry budget
-    #: the uncapped tail (factor^n) dominates total recovery time for
-    #: no extra politeness — real clients cap it.
-    backoff_max: float = DEFAULT_FAULT_CONFIG.retry_backoff_max
+    retries: int = IO_RETRIES
+    backoff: float = RETRY_BACKOFF
     #: Shared cross-operation budget (``None`` = per-operation retries
     #: only).  The dataclass stays frozen; the budget object mutates.
     budget: Optional[RetryBudget] = None
@@ -112,10 +119,7 @@ class RetryPolicy:
                     raise RetryBudgetExhausted(
                         exc.site, attempt, self.budget.limit
                     ) from exc
-                delay = min(
-                    self.backoff * self.backoff_factor ** (attempt - 1),
-                    self.backoff_max,
-                )
+                delay = min(self.backoff * BACKOFF_FACTOR ** (attempt - 1), BACKOFF_MAX)
                 if injector is not None:
                     injector.note_retry(delay)
                 ctx.advance(delay)

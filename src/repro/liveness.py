@@ -18,9 +18,8 @@ behaviour:
   Suspicion here, like crash detection, is a pure function of the
   fault plan that every rank evaluates identically — no
   failure-detector messages.
-* **Lock leases** — :class:`~repro.fs.locks.ExtentLockManager` caps how
-  long a pinned (wedged-callback) lock may be held; the lease length
-  comes from the installed :class:`~repro.config.LivenessConfig`.
+* **Lock leases** — with liveness installed, a pinned (wedged-callback)
+  extent lock is reclaimed after :data:`LOCK_LEASE` virtual seconds.
 
 Everything is found dynamically via ``shared[LIVENESS_KEY]`` (the same
 pattern as :mod:`repro.integrity`), so the fast path with liveness off
@@ -32,11 +31,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set
 
-from repro.config import LivenessConfig
-
 __all__ = [
     "LIVENESS_KEY",
-    "LivenessConfig",
+    "LOCK_LEASE",
     "LivenessState",
     "install_liveness",
     "find_liveness",
@@ -50,6 +47,10 @@ __all__ = [
 #: ``Simulator.shared`` (installed at collective-file open).
 LIVENESS_KEY = "liveness-state"
 
+#: Lease on a pinned extent lock: a lock wedged by a stalled holder is
+#: reclaimed after this many virtual seconds.
+LOCK_LEASE = 0.02
+
 
 class LivenessState:
     """Shared, engine-ordered liveness bookkeeping for one simulation.
@@ -58,11 +59,12 @@ class LivenessState:
     invariant), so plain dicts suffice.  One instance per simulation,
     shared by every rank."""
 
-    __slots__ = ("config", "_deadlines", "_phases", "suspects")
+    __slots__ = ("deadline", "_deadlines", "_phases", "suspects")
 
-    def __init__(self, config: LivenessConfig) -> None:
-        config.validate()
-        self.config = config
+    def __init__(self, deadline: float = 0.0) -> None:
+        #: Per-collective-call virtual-time budget (the ``coll_deadline``
+        #: hint; 0 = no deadline).
+        self.deadline = deadline
         self._deadlines: Dict[int, float] = {}
         self._phases: Dict[int, str] = {}
         #: Ranks ever declared suspect this simulation (for reporting).
@@ -71,8 +73,8 @@ class LivenessState:
     # -- deadlines -------------------------------------------------------
     def begin_call(self, rank: int, now: float) -> None:
         """Arm this rank's budget for one collective call."""
-        if self.config.deadline > 0.0:
-            self._deadlines[rank] = now + self.config.deadline
+        if self.deadline > 0.0:
+            self._deadlines[rank] = now + self.deadline
         self._phases[rank] = ""
 
     def end_call(self, rank: int) -> None:
@@ -134,9 +136,6 @@ class CrashState:
         self.dead.add(rank)
         self.epoch_of[rank] = (call_index, boundary)
         return True
-
-    def is_dead(self, rank: int) -> bool:
-        return rank in self.dead
 
 
 def install_crash_state(shared: dict, state: Optional[CrashState] = None) -> CrashState:

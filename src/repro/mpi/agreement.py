@@ -82,10 +82,6 @@ class AliveGroup:
         """Live member count."""
         return len(self.alive)
 
-    def contains(self, rank: int) -> bool:
-        """Is original-communicator ``rank`` alive in this group?"""
-        return rank not in self.dead and 0 <= rank < self.world.size
-
     def first_alive(self, candidates=None) -> Optional[int]:
         """Lowest live rank of ``candidates`` (default: all members),
         in original-communicator numbering — the deterministic choice
@@ -130,12 +126,6 @@ class AliveGroup:
         for sub_rank, orig in enumerate(self.alive):
             out[orig] = packed[sub_rank]
         return out
-
-    def bcast(self, value: Any, root: int) -> Any:
-        """Broadcast from original-communicator rank ``root`` (alive)."""
-        if root in self.dead:
-            raise MPIError(f"bcast root {root} is dead in this group")
-        return self.sub.bcast(value, root=self.alive.index(root))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

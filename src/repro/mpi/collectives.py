@@ -289,16 +289,3 @@ class CollectiveMixin:
     def _check_root(self, root: int) -> None:
         if not (0 <= root < self.size):
             raise MPIError(f"root {root} out of range for size {self.size}")
-
-    # Provided by Communicator; declared for type checkers.
-    def send(self, obj: Any, dest: int, tag: int = 0) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def recv(self, source: int = -1, tag: int = -1) -> Any:  # pragma: no cover
-        raise NotImplementedError
-
-    def isend(self, obj: Any, dest: int, tag: int = 0):  # pragma: no cover
-        raise NotImplementedError
-
-    def sendrecv(self, sendobj, dest, source, sendtag=0, recvtag=-1):  # pragma: no cover
-        raise NotImplementedError

@@ -384,12 +384,7 @@ class Communicator(CollectiveMixin):
             return payload
 
         cfg = self._shared.get(INTEGRITY_KEY) or IntegrityConfig(network=True)
-        policy = RetryPolicy(
-            retries=cfg.net_retries,
-            backoff=cfg.net_backoff,
-            backoff_max=cfg.net_backoff_max,
-        )
-        return policy.run(self.ctx, attempt)
+        return RetryPolicy(retries=cfg.net_retries, backoff=cfg.net_backoff).run(self.ctx, attempt)
 
     def _recv(self, source: int, tag: int, site: str) -> Any:
         """The one receive path, under recv, irecv's wait and sendrecv.
@@ -428,7 +423,7 @@ class Communicator(CollectiveMixin):
                 f"{site}(src={source}, tag={tag})",
                 ctx.rank,
                 liv.phase_of(ctx.rank),
-                liv.config.deadline,
+                liv.deadline,
             )
         return self._complete_recv(fifo)
 

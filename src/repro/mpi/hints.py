@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, Mapping, Optional
 
-from repro.config import DEFAULT_FAULT_CONFIG
 from repro.errors import HintError
+from repro.io.retry import IO_RETRIES, RETRY_BACKOFF
 
 __all__ = ["Hints"]
 
@@ -104,17 +104,17 @@ _SPEC: Dict[str, tuple] = {
     "cache_mode": (_choice("coherent", "incoherent", "writethrough", "off"), "coherent"),
     # Client cache capacity in pages (dirty overflow flushes early).
     "cache_pages": (_positive_int, 16384),
-    # Resilience (see config.FaultConfig and docs/faults.md): retries
+    # Resilience (see io/retry.py and docs/faults.md): retries
     # per independent-I/O operation after a transient fault, the first
     # backoff in virtual seconds, and whether a dead aggregator's realm
     # is failed over to survivors (off = raise AggregatorLost).
-    "io_retries": (_non_negative_int, DEFAULT_FAULT_CONFIG.io_retries),
-    "io_retry_backoff": (_non_negative_float, DEFAULT_FAULT_CONFIG.retry_backoff),
+    "io_retries": (_non_negative_int, IO_RETRIES),
+    "io_retry_backoff": (_non_negative_float, RETRY_BACKOFF),
     # Cross-operation retry budget per client (0 = unlimited): retries
     # past it raise RetryBudgetExhausted — storm control under OST
     # outages (docs/storage_faults.md).
-    "io_retry_budget": (_non_negative_int, DEFAULT_FAULT_CONFIG.retry_budget),
-    "failover": (_boolean, DEFAULT_FAULT_CONFIG.failover),
+    "io_retry_budget": (_non_negative_int, 0),
+    "failover": (_boolean, True),
     # End-to-end integrity (docs/integrity.md).  Off by default: the
     # fault-free fast path pays nothing for the machinery.
     "integrity_pages": (_boolean, False),     # CRC32 sidecar per store page

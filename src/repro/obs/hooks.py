@@ -63,8 +63,3 @@ class PhaseAccumulator(PhaseHook):
         if rank is None:
             return dict(self.seconds)
         return dict(self.by_rank.get(rank, {}))
-
-    def clear(self) -> None:
-        self.seconds.clear()
-        self.counts.clear()
-        self.by_rank.clear()

@@ -97,9 +97,6 @@ class Gauge:
     def set(self, v) -> None:
         self.value = v
 
-    def reset(self) -> None:
-        self.value = 0
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Gauge({self.name!r}, key={self.key!r}, value={self.value})"
 
@@ -143,13 +140,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    def reset(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.min = None
-        self.max = None
-        self.buckets.clear()
 
     def merge(self, other: "Histogram") -> None:
         self.count += other.count
@@ -430,9 +420,6 @@ class PrefixRegistry(MetricsRegistry):
 
     def get(self, name: str, key: Hashable = None):
         return self._parent.get(self._prefix + name, key)
-
-    def keys_of(self, name: str) -> list:
-        return self._parent.keys_of(self._prefix + name)
 
 
 class MetricsView:

@@ -88,6 +88,9 @@ _BLOCKED = "blocked"
 _DONE = "done"
 
 _JOIN_TIMEOUT = 600.0  # wall-clock safety net for runaway simulations
+#: Virtual seconds a live rank may trail the frontier before the
+#: watchdog calls it suspect.
+HEARTBEAT = 0.05
 
 #: First trace lane (Chrome tid) handed out for coroutine spans — far
 #: above any realistic rank count so task lanes never collide with the
@@ -351,10 +354,6 @@ class RankContext:
         """Simulator-wide dictionary for shared hardware models."""
         return self._sim.shared
 
-    @property
-    def tracer(self) -> Tracer:
-        return self._sim.tracer
-
     def trace(self, state: str, **info: Any):
         """Context manager recording an MPE-style state interval."""
         proc = self._proc
@@ -437,16 +436,15 @@ class Watchdog:
 
     Every dispatch stamps the rank's ``last_progress`` mark; a rank
     whose mark trails the frontier (the most advanced rank clock) by
-    more than ``heartbeat`` virtual seconds is *suspect* — it exists
+    more than :data:`HEARTBEAT` virtual seconds is *suspect* — it exists
     but is not keeping up.  Purely observational: consulted by the
     liveness layer and by the engine's hang diagnostics, never blocks
     or wakes anything itself."""
 
-    __slots__ = ("_sim", "heartbeat")
+    __slots__ = ("_sim",)
 
-    def __init__(self, sim: "Simulator", heartbeat: float = 0.05) -> None:
+    def __init__(self, sim: "Simulator") -> None:
         self._sim = sim
-        self.heartbeat = heartbeat
 
     def frontier(self) -> float:
         """The most advanced rank clock (0 before the run starts)."""
@@ -454,12 +452,12 @@ class Watchdog:
         return max((p.clock.now for p in procs), default=0.0)
 
     def suspects(self) -> list[int]:
-        """Ranks alive but trailing the frontier by > heartbeat."""
+        """Ranks alive but trailing the frontier by > HEARTBEAT."""
         frontier = self.frontier()
         return [
             p.rank
             for p in self._sim._procs
-            if p.state != _DONE and frontier - p.last_progress > self.heartbeat
+            if p.state != _DONE and frontier - p.last_progress > HEARTBEAT
         ]
 
 

@@ -115,10 +115,6 @@ class Tracer:
             for hook in self._hooks:
                 hook.span_close(ev)
 
-    def clear(self) -> None:
-        self.events.clear()
-        self._open.clear()
-
     # -- analysis --------------------------------------------------------
     def time_by_state(self, rank: Optional[int] = None) -> Dict[str, float]:
         """Total virtual seconds per state, optionally for one rank.

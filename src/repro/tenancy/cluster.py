@@ -408,10 +408,6 @@ class Cluster:
 
     # -- results ---------------------------------------------------------
     @property
-    def results(self) -> Dict[str, TenantResult]:
-        return self._results
-
-    @property
     def makespans(self) -> Dict[str, float]:
         """Per-tenant makespans of the most recent run."""
         return {name: r.makespan for name, r in self._results.items()}

@@ -364,13 +364,14 @@ def _round_calls(nclients: int) -> int:
         if event == "call" and frame.f_code.co_filename.startswith(_LAYERS):
             calls += 1
 
+    outer = sys.getprofile(), threading.getprofile()
     threading.setprofile(profile)
     sys.setprofile(profile)
     try:
         window, per_client, merged = plan.agg_recv_layout(0)
     finally:
-        sys.setprofile(None)
-        threading.setprofile(None)
+        sys.setprofile(outer[0])
+        threading.setprofile(outer[1])
     assert sum(b.total_bytes for b in per_client if b is not None) == window.total_bytes == last // 4
     assert merged[0].tolist() == [0]
     return calls

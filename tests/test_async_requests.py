@@ -206,6 +206,45 @@ class TestSplitPhaseOrdering:
             np.asarray(s2.fs.raw_bytes(PATH, 0, n)),
         )
 
+    def test_explicit_offset_async_matches_blocking(self):
+        """iwrite_at_all / iread_at_all at a mid-filetype offset: the
+        same file image and read-back as write_at_all / read_at_all,
+        the individual file pointer unmoved, a negative offset typed."""
+        region, offset = 64, 100  # 100 etypes: 36 bytes into the second tile
+
+        def data(comm):
+            return ((np.arange(3 * region) + 7 * comm.rank) % 251).astype(np.uint8)
+
+        def async_body(ctx, comm, f):
+            _view(comm, f, region)
+            f.iwrite_at_all(offset, data(comm)).wait()
+            out = np.zeros(3 * region, dtype=np.uint8)
+            f.iread_at_all(offset, out).wait()
+            assert np.array_equal(out, data(comm))
+            with pytest.raises(CollectiveIOError):
+                f.iwrite_at_all(-1, data(comm))
+            with pytest.raises(CollectiveIOError):
+                f.iread_at_all(-1, out)
+            return out.tobytes(), f.get_position()
+
+        def sync_body(ctx, comm, f):
+            _view(comm, f, region)
+            f.write_at_all(offset, data(comm))
+            out = np.zeros(3 * region, dtype=np.uint8)
+            f.read_at_all(offset, out)
+            return out.tobytes(), f.get_position()
+
+        s1, s2 = _session(), _session()
+        got, want = s1.run(async_body), s2.run(sync_body)
+        assert got == want
+        assert all(pos == 0 for _, pos in got)
+        n = s2.fs.file_size(PATH)
+        assert n == s1.fs.file_size(PATH) > 4 * region
+        assert np.array_equal(
+            np.asarray(s1.fs.raw_bytes(PATH, 0, n)),
+            np.asarray(s2.fs.raw_bytes(PATH, 0, n)),
+        )
+
     def test_run_async_completes_in_flight_requests(self):
         s = _session()
         region = 64

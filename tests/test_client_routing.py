@@ -335,13 +335,14 @@ def _round_calls(naggs: int) -> int:
         if event == "call" and frame.f_code.co_filename.startswith(_LAYERS):
             calls += 1
 
+    outer = sys.getprofile(), threading.getprofile()
     threading.setprofile(profile)
     sys.setprofile(profile)
     try:
         sent = plan.client_send_plan(0)
     finally:
-        sys.setprofile(None)
-        threading.setprofile(None)
+        sys.setprofile(outer[0])
+        threading.setprofile(outer[1])
     assert sum(b.total_bytes for b in sent if b is not None) == total
     return calls
 

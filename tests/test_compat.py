@@ -227,6 +227,28 @@ def test_old_reports_what_it_does_only_when_asked_otherwise():
     assert eff.method == "old"
 
 
+def test_old_io_method_covers_the_collective_path_only():
+    """Rule ``old.io_method``: under ``coll_impl=old`` the collective
+    path sieves whatever the hint says, and ``get_info()`` reports that
+    (``datasieve``); ``write_ind`` / ``read_ind`` on the same handle
+    still follow the hint."""
+    s = Session("/ind", nprocs=2, hints={"coll_impl": "old", "io_method": "naive"})
+
+    def body(ctx, comm, f):
+        f.set_view(disp=comm.rank * 8, filetype=resized(contiguous(8, BYTE), 0, 16))
+        data = np.full(16, comm.rank + 1, dtype=np.uint8)
+        f.write_ind(data)
+        f.seek(0)
+        out = np.zeros(16, dtype=np.uint8)
+        f.read_ind(out)
+        flushes = {k: v for k, v in f.metrics.snapshot().items() if k.startswith("coll.flush.")}
+        return f.get_info()["io_method"], flushes, bool((out == data).all())
+
+    for info, flushes, ok in s.run(body):
+        assert info == "datasieve" and ok
+        assert flushes == {"coll.flush.naive": 2}
+
+
 # -- purity -------------------------------------------------------------------
 def _canonical() -> str:
     """Every trigger case's record (or conflict), as sorted JSON."""

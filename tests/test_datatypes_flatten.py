@@ -242,6 +242,9 @@ class TestFlatType:
         assert a.flatten().offsets.tolist() == b.flatten().offsets.tolist()
         # Same typemap but different extents: unequal.
         assert a != b or a.extent == b.extent
+        # Structurally equal types hash equal, so they dedupe as keys.
+        c, d = contiguous(4, BYTE), hindexed([4], [0], BYTE)
+        assert c == d and hash(c) == hash(d) and len({c, d}) == 1
 
     def test_negative_length_rejected(self):
         with pytest.raises(DatatypeError):

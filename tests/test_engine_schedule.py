@@ -46,7 +46,7 @@ import numpy as np
 import pytest
 
 from repro import Cluster, Session
-from repro.config import CostModel, LivenessConfig
+from repro.config import CostModel
 from repro.core.request import waitall, waitany
 from repro.datatypes import BYTE, contiguous, resized
 from repro.errors import DeadlineExceeded, WaitTimeout
@@ -220,7 +220,7 @@ def _lock_pins() -> Cell:
 
     sim = Simulator(4, tracer=tracer)
     FaultPlan(seed=4).lock_hold(rate=1.0, hold=5e-2).install(sim)
-    install_liveness(sim.shared, LivenessState(LivenessConfig(lock_lease=2e-2)))
+    install_liveness(sim.shared, LivenessState())
     times = sim.run(main)
     return max(times[1], times[3]), tracer, fs.registry
 

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.bench import ChaosHarness
-from repro.config import CostModel, FaultConfig
+from repro.config import CostModel
 from repro.core import CollectiveFile
 from repro.datatypes import BYTE, contiguous, resized
 from repro.errors import AggregatorLost, RankFailed, RetryExhausted, TransientIOError
@@ -272,11 +272,6 @@ class TestTransientIOResilience:
         with pytest.raises(Exception):
             Hints(io_retry_backoff=-0.5)
 
-    def test_fault_config_validation(self):
-        with pytest.raises(Exception):
-            FaultConfig(io_retries=-1).validate()
-        assert FaultConfig().replace(io_retries=9).io_retries == 9
-
 
 class TestAggregatorFailover:
     def test_crash_mid_write_preserves_contents(self, baseline):
@@ -391,6 +386,25 @@ class TestChaosHarness:
         report = harness.sweep(rate_scales=(1.0,))
         assert report.all_verified
         assert report.points[0].slowdown > 1.0
+
+    def test_a_bounded_typed_error_is_an_outcome(self):
+        """Every OST down for the whole run: the storage error (kept in
+        the chain of the retry exhaustion) is a reported outcome with no
+        completion time, because the plan carries OST events."""
+        plan = FaultPlan(0).ost_crash(range(CostModel().num_osts), start=0.0, end=1e9)
+        run = ChaosHarness(plan).run_once(plan)
+        assert (run.seconds, run.verified, run.detected) == (0.0, True, True)
+
+    def test_an_unarmed_typed_error_propagates(self):
+        """A deadline miss is bounded only when the liveness hints are
+        armed; otherwise it is a harness bug and propagates."""
+        from repro.bench.chaos import SMOKE_HINTS
+        from repro.errors import DeadlineExceeded, error_chain
+
+        harness = ChaosHarness(FaultPlan(0), hints=SMOKE_HINTS.replace(coll_deadline=1e-9))
+        with pytest.raises(RankFailed) as info:
+            harness.run_once(None)
+        assert any(isinstance(e, DeadlineExceeded) for e in error_chain(info.value))
 
 
 class TestCLIFaults:

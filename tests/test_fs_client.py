@@ -40,6 +40,21 @@ class TestBasicIO:
         assert results[0] == list(range(100))
         assert fs.raw_bytes("/a", 10, 100).tolist() == list(range(100))
 
+    def test_a_rebound_view_shares_the_open_state(self):
+        """A close through a rebound view (an engine coroutine's handle)
+        flushes the shared cache and closes the base handle too."""
+
+        def main(ctx, client, fs):
+            f = client.open("/a", cache_mode="coherent")
+            view = f.rebound(ctx)
+            view.write(0, np.full(8, 3, dtype=np.uint8))
+            flushed = view.close()
+            return flushed, f.close(), view.size
+
+        results, fs, _ = run_fs(1, main)
+        assert results[0] == (1, 0, 8)
+        assert fs.raw_bytes("/a", 0, 8).tolist() == [3] * 8
+
     def test_batch_roundtrip(self):
         def main(ctx, client, fs):
             f = client.open("/a", cache_mode="off")

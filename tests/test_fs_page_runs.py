@@ -328,6 +328,7 @@ def _window_calls(pages: int) -> int:
             if event == "call" and frame.f_code.co_filename.startswith(_FS):
                 calls += 1
 
+        outer = sys.getprofile(), threading.getprofile()
         threading.setprofile(profile)
         sys.setprofile(profile)
         try:
@@ -335,8 +336,8 @@ def _window_calls(pages: int) -> int:
             window[::7] = 1
             f.write(lo, window)
         finally:
-            sys.setprofile(None)
-            threading.setprofile(None)
+            sys.setprofile(outer[0])
+            threading.setprofile(outer[1])
         counted.append(calls)
 
     Simulator(1).run(main)

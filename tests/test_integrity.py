@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.bench import ChaosHarness
-from repro.config import CostModel, FaultConfig
+from repro.config import CostModel
 from repro.core import CollectiveFile
 from repro.datatypes import BYTE, contiguous, resized
 from repro.errors import (
@@ -607,9 +607,7 @@ class _FakeCtx:
 class TestBackoffCap:
     def test_delay_is_capped(self):
         ctx = _FakeCtx()
-        policy = RetryPolicy(
-            retries=6, backoff=1e-3, backoff_factor=4.0, backoff_max=5e-3
-        )
+        policy = RetryPolicy(retries=6, backoff=0.1)
         calls = {"n": 0}
 
         def op():
@@ -619,22 +617,19 @@ class TestBackoffCap:
             return 7
 
         assert policy.run(ctx, op) == 7
-        assert ctx.delays == [1e-3, 4e-3, 5e-3, 5e-3]
+        # backoff doubles (BACKOFF_FACTOR) up to the BACKOFF_MAX ceiling
+        assert ctx.delays == [0.1, 0.2, 0.25, 0.25]
 
-    def test_cap_is_the_config_default_not_a_hint(self):
-        # No test, bench, example or CLI flag ever set it through a file:
-        # the hint is gone, the policy parameter (above) stays.
-        from repro.config import DEFAULT_FAULT_CONFIG
+    def test_cap_and_factor_are_constants_not_settings(self):
+        # Nothing outside the tests ever set them: no hint, no policy field.
         from repro.errors import HintError
 
         with pytest.raises(HintError):
             Hints(retry_backoff_max=0.5)
-        assert RetryPolicy().backoff_max == DEFAULT_FAULT_CONFIG.retry_backoff_max
-
-    def test_config_validates_cap_ordering(self):
-        with pytest.raises(ValueError):
-            FaultConfig(retry_backoff=2e-3, retry_backoff_max=1e-3).validate()
-        FaultConfig(retry_backoff=1e-3, retry_backoff_max=1e-3).validate()
+        with pytest.raises(TypeError):
+            RetryPolicy(backoff_max=0.5)
+        with pytest.raises(TypeError):
+            RetryPolicy(backoff_factor=4.0)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.bench import ChaosHarness
-from repro.config import CostModel, LivenessConfig
+from repro.config import CostModel
 from repro.core import CollectiveFile
 from repro.core.realms import BalancedPartition
 from repro.datatypes import BYTE, contiguous, resized
@@ -187,7 +187,7 @@ class TestDeadlineExceeded:
             return None
 
         sim = Simulator(2)
-        install_liveness(sim.shared, LivenessState(LivenessConfig(deadline=0.05)))
+        install_liveness(sim.shared, LivenessState(deadline=0.05))
         results = sim.run(main)
         site, rank, phase, deadline, now = results[0]
         assert site
@@ -336,7 +336,7 @@ class TestLockLiveness:
 
         sim = Simulator(2)
         injector = FaultPlan(seed=4).lock_hold(rate=1.0, hold=5e-2).install(sim)
-        install_liveness(sim.shared, LivenessState(LivenessConfig(lock_lease=2e-2)))
+        install_liveness(sim.shared, LivenessState())
         times = sim.run(main)
         assert injector.registry.value("faults.lock.lease_reclaims") >= 1
         # Woke at t_pinned + lease, well before the 5e-2 pin expiry.
@@ -381,7 +381,7 @@ class TestLockLiveness:
 
         sim = Simulator(2)
         injector = FaultPlan(seed=4).lock_hold(rate=1.0, hold=5e-2).install(sim)
-        install_liveness(sim.shared, LivenessState(LivenessConfig(lock_lease=2e-2)))
+        install_liveness(sim.shared, LivenessState())
         times = sim.run(main)
         assert injector.registry.value("faults.lock.lease_reclaims") == 0
         assert 1e-2 <= times[1] < 2e-2
@@ -409,7 +409,7 @@ class TestLockLiveness:
 
         sim = Simulator(2)
         injector = FaultPlan(seed=4).lock_hold(rate=1.0, hold=0.2).install(sim)
-        install_liveness(sim.shared, LivenessState(LivenessConfig(lock_lease=2e-2)))
+        install_liveness(sim.shared, LivenessState())
         times = sim.run(main)
         assert injector.registry.value("faults.lock.deadlocks") >= 1
         assert injector.registry.value("faults.retries") >= 1
@@ -548,11 +548,11 @@ class TestLivenessInstall:
         _, _, _, armed = run_workload(hints=LIVE_HINTS)
         state = find_liveness(armed.shared)
         assert state is not None
-        assert state.config.deadline == pytest.approx(0.5)
+        assert state.deadline == pytest.approx(0.5)
 
     def test_install_is_first_open_wins(self):
         shared = {}
-        first = LivenessState(LivenessConfig(deadline=0.1))
+        first = LivenessState(deadline=0.1)
         install_liveness(shared, first)
-        install_liveness(shared, LivenessState(LivenessConfig(deadline=9.9)))
+        install_liveness(shared, LivenessState(deadline=9.9))
         assert find_liveness(shared) is first

@@ -42,13 +42,14 @@ def _python_calls(fn) -> int:
         if event == "call" and frame.f_code.co_filename.startswith(_MPI_SIM):
             calls += 1
 
+    outer = sys.getprofile(), threading.getprofile()
     threading.setprofile(profile)
     sys.setprofile(profile)
     try:
         fn()
     finally:
-        sys.setprofile(None)
-        threading.setprofile(None)
+        sys.setprofile(outer[0])
+        threading.setprofile(outer[1])
     return calls
 
 

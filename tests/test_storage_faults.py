@@ -668,6 +668,20 @@ def test_fsck_replica_mode_needs_a_good_copy():
     assert 0 in store.verify_all()  # honest: unrepairable stays flagged
 
 
+@pytest.mark.parametrize("repair", ["zero", "accept"])
+def test_fsck_zero_and_accept_repair_every_replica(repair):
+    s = _run(hints={"replication_factor": 2, "integrity_pages": True})
+    store = s.fs.page_store(PATH)
+    store.flip_bit(0, 17)  # corrupt one replica of page 0
+    damaged = [rep for rep in run_fsck(s.fs, repair=repair) if rep.bad_pages]
+    assert damaged and all(rep.repaired == rep.bad_pages == [0] for rep in damaged)
+    assert all(shard.verify_all() == [] for shard in store.shards)
+    assert all(rep.clean for rep in run_fsck(s.fs))
+    # zero drops the page back to a hole on every replica; accept
+    # blesses the bytes each replica holds.
+    assert any(shard.has_page(0) for shard in store.shards) == (repair == "accept")
+
+
 def test_rereplication_after_recovery_counter():
     st = ReplicatedStore(_PS, _SS, _NOST, 2)
     st.write(0, _payload(_SS), up={0})

@@ -263,6 +263,18 @@ class TestClusterContention:
         assert cl.registry.value("tenant.clean.faults.injected") == 0
         assert cl.registry.value("tenant.clean.faults.stalls") == 0
 
+    def test_a_straggler_is_counted_in_its_own_tenant(self):
+        """The engine's straggler hook reaches the cluster's fault
+        composite, which books the slowdown to the owning tenant."""
+        cl = Cluster()
+        cl.add_tenant("slow", _tile_body(2), nprocs=2, hints={"cb_nodes": 1},
+                      faults=FaultPlan(seed=2).straggler(factor=4.0, ranks=[1]))
+        cl.add_tenant("fast", _tile_body(2), nprocs=2, hints={"cb_nodes": 1})
+        cl.run()
+        assert cl.registry.value("tenant.slow.faults.straggler.events") >= 1
+        assert cl.registry.value("tenant.slow.faults.straggler.extra_seconds") > 0
+        assert cl.registry.value("tenant.fast.faults.straggler.events") == 0
+
     def test_conservation_of_server_traffic(self):
         """Per-tenant registry mirrors sum exactly to the shared-fs
         globals for every mirrored series (the acceptance check)."""
