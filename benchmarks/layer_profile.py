@@ -1,6 +1,7 @@
-"""Self time per function of one ``repro`` layer, on one spine workload.
+"""Self time per function of one ``repro`` layer, or of all, on one spine workload.
 
     python3 benchmarks/layer_profile.py --workload fig7_steps --seed 3 --layer fs
+    python3 benchmarks/layer_profile.py --workload fig7_steps --seed 3 --layer all
     python3 benchmarks/layer_profile.py --smoke      # quarter-size plumbing check (CI)
 
 Every function defined under ``src/repro/<layer>/`` — module functions,
@@ -12,9 +13,14 @@ rank threads.  Self time is a span's duration minus the spans of the
 wrapped functions it called and minus the time its thread spent parked
 in ``RankContext`` (the spine's ``sim`` boundary): while a rank is
 parked another one runs, so, as in ``probes.attribute``, parking and
-whatever runs inside it belong to no function.  Work in other layers
-counts as its caller's.  A generator function's span covers only its
-creation; its body runs inside whichever function consumes it.
+whatever runs inside it belong to no function.  With one layer wrapped,
+work in other layers counts as its caller's.  ``--layer all`` wraps
+every layer but ``sim`` at once, so each span's self time is charged to
+the innermost wrapped function, whatever its layer; each name then
+starts with its layer, and a per-layer total heads the table.  Work
+outside the layers (``repro.obs``, ``repro.faults``, ...) still counts
+as its caller's.  A generator function's span covers only its creation;
+its body runs inside whichever function consumes it.
 
 The wrappers cost a few hundred nanoseconds per call and are charged to
 the caller, so the table finds candidates; the spine (``run.py``, with
@@ -35,7 +41,7 @@ import threading
 import time
 from collections import defaultdict
 from pathlib import Path
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "spine")]
@@ -45,6 +51,9 @@ import workloads  # noqa: E402
 
 #: Functions that hand the processor to another rank.
 PARKING = probes.BOUNDARY["sim"]
+#: Not sim: its functions are the rank threads' outermost frames and
+#: the parking itself, so their self time would be everyone's.
+WRAPPABLE = tuple(l for l in probes.LAYERS if l != "sim")
 _PARKED = -1  # span code of a parking call
 
 
@@ -116,17 +125,23 @@ class Profiler:
             return property(*parts, member.__doc__)
         return None
 
-    def install(self, layer: str) -> None:
+    def install(self, layers: Sequence[str]) -> None:
+        """Wrap the parking calls once, then every function of each of
+        ``layers``; with more than one, names carry their layer."""
         engine = importlib.import_module("repro.sim.engine")
         for attr in PARKING["repro.sim.engine"]["RankContext"]:
             self._patch(engine.RankContext, attr, self._wrap(vars(engine.RankContext)[attr], _PARKED))
+        for layer in layers:
+            self._install(layer, f"{layer}." if len(layers) > 1 else "")
+
+    def _install(self, layer: str, prefix: str) -> None:
         package = importlib.import_module(f"repro.{layer}")
         modules = [package] + [
             importlib.import_module(info.name)
             for info in pkgutil.walk_packages(package.__path__, f"{package.__name__}.")
         ]
         for mod in modules:
-            short = mod.__name__.rsplit(".", 1)[-1]
+            short = prefix + mod.__name__.rsplit(".", 1)[-1]
             for key, obj in list(vars(mod).items()):
                 if getattr(obj, "__module__", None) != mod.__name__:
                     continue  # imported, not defined here
@@ -134,7 +149,7 @@ class Profiler:
                     self._rebind(obj, self._wrap(obj, self._code(f"{short}.{key}")))
                 elif inspect.isclass(obj):
                     for attr, member in list(vars(obj).items()):
-                        new = self._wrapped(member, f"{key}.{attr}")
+                        new = self._wrapped(member, f"{prefix}{key}.{attr}")
                         if new is not None:
                             self._patch(obj, attr, new)
 
@@ -171,7 +186,8 @@ def profile(name: str, seed: int, layer: str, iterations: int, smoke: bool) -> i
     w = workloads.build(name, seed, smoke=smoke)
     w.session().run(w.body)  # imports, first-call caches
     prof = Profiler()
-    prof.install(layer)
+    layers = WRAPPABLE if layer == "all" else (layer,)
+    prof.install(layers)
     walls, ok = [], True
     self_s: Dict[int, float] = defaultdict(float)
     calls: Dict[int, int] = defaultdict(int)
@@ -197,6 +213,13 @@ def profile(name: str, seed: int, layer: str, iterations: int, smoke: bool) -> i
     print(f"# {name} seed={seed} layer={layer} iterations={iterations}{' smoke' if smoke else ''}")
     print(f"# traced wall {1e3 * sum(walls) / iterations:.1f} ms/iteration; "
           f"{layer} self {1e3 * total_s / iterations:.1f} ms, {total_calls / iterations:.0f} calls")
+    if len(layers) > 1:
+        by_layer: Dict[str, float] = defaultdict(float)
+        for code in rows:
+            by_layer[prof.names[code].split(".", 1)[0]] += self_s[code]
+        print("# self ms by layer: " + ", ".join(
+            f"{l} {1e3 * by_layer[l] / iterations:.1f}" for l in sorted(by_layer, key=lambda l: -by_layer[l])
+        ))
     print(f"{'self ms':>9} {'calls':>9} {'us/call':>8}  function")
     for code in rows:
         s, n = self_s[code] / iterations, calls[code] / iterations
@@ -210,9 +233,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", default="fig7_steps", choices=sorted(workloads.SPECS))
     ap.add_argument("--seed", type=int, default=3)
-    # Not sim: its functions are the rank threads' outermost frames and
-    # the parking itself, so their self time would be everyone's.
-    ap.add_argument("--layer", default="fs", choices=[l for l in probes.LAYERS if l != "sim"])
+    ap.add_argument("--layer", default="fs", choices=[*WRAPPABLE, "all"])
     ap.add_argument("--iterations", type=int, default=5)
     ap.add_argument("--smoke", action="store_true", help="quarter-size inputs, one iteration")
     args = ap.parse_args(argv)

@@ -154,21 +154,27 @@ def subtract_intervals(batch: SegmentBatch, covered) -> SegmentBatch:
 
 
 def access_histogram(
-    cursor_factory,
+    access: SegmentBatch,
     aar_lo: int,
     aar_hi: int,
     nbins: int = 256,
 ) -> np.ndarray:
     """Bytes accessed per equal-width bin over the AAR (local view).
 
-    ``cursor_factory()`` must return a fresh scan cursor over the local
-    access.  Used by the balanced realm strategy."""
-    hist = np.zeros(nbins, dtype=np.int64)
+    ``access`` is the local access flattened (ascending, disjoint file
+    segments, e.g. ``FlatCursor.all_segments()``).  Used by the
+    balanced realm strategy."""
     span = aar_hi - aar_lo
     if span <= 0:
-        return hist
-    cur = cursor_factory()
-    edges = [aar_lo + (span * i) // nbins for i in range(nbins + 1)]
-    for i in range(nbins):
-        hist[i] = cur.intersect(edges[i], edges[i + 1]).total_bytes
-    return hist
+        return np.zeros(nbins, dtype=np.int64)
+    edges = aar_lo + (np.arange(nbins + 1, dtype=np.int64) * span) // nbins
+    offs, lens = access.file_offsets, access.lengths
+    prefix = np.zeros(offs.size + 1, dtype=np.int64)
+    np.cumsum(lens, out=prefix[1:])
+    # Bytes below each edge: those of the segments starting before it,
+    # less what the last of them reaches past it.
+    k = offs.searchsorted(edges)
+    below = prefix[k]
+    last = k > 0
+    below[last] -= np.maximum(offs[k[last] - 1] + lens[k[last] - 1] - edges[last], 0)
+    return np.diff(below)

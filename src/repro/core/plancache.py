@@ -63,9 +63,9 @@ class RoundPlan:
 
     ``send`` are the client-side memory batches (per peer), ``recv``
     the aggregator-side collective-buffer batches (per client); on the
-    read path the round loop swaps the two.  ``window`` is a
-    :class:`~repro.core.realms.Window` for the new implementation or a
-    ``(lo, hi)`` span tuple for the old one;
+    read path the round loop swaps the two.  ``window`` is the
+    aggregator's :class:`~repro.core.realms.Window` (one interval under
+    the old implementation), ``None`` when it has none this round;
     ``merged`` is the ``(offsets, lengths)`` flush extent pair."""
 
     send: List[Optional[SegmentBatch]]
@@ -93,11 +93,9 @@ class PlanEntry:
 class PlanRecorder:
     """Accumulates one cold call's rounds for :meth:`PlanCache.commit`.
 
-    ``dirty`` marks a call whose executed schedule diverged from its
-    plan (failover, suspects, mid-call re-carving); dirty recordings
-    are discarded.  With the bypass rule in place a recorder should
-    never *become* dirty — the flag is the belt to the bypass's
-    braces."""
+    A recorded schedule is the executed one: no recorder exists while a
+    boundary fault kind is armed (rule ``recarve.plan_cache``), so no
+    failover, suspect or re-carve can make the two diverge."""
 
     key: Tuple
     key_id: str

@@ -196,13 +196,12 @@ class _Plan(RoundSource):
         histogram = None
         weights = None
         if strategy.needs_histogram:
-            local = access_histogram(
-                (lambda: env.view.cursor(self.data_hi, self.data_lo))
+            access = (
+                env.view.cursor(self.data_hi, self.data_lo).all_segments()
                 if self.total_bytes > 0
-                else (lambda: _NullCursor()),
-                self.aar_lo,
-                self.aar_hi,
+                else SegmentBatch.empty_batch()
             )
+            local = access_histogram(access, self.aar_lo, self.aar_hi)
             histogram = self.coll.allreduce(local, op=lambda a, b: a + b)
             # Straggler-aware rebalancing: feed each aggregator's
             # observed service time from the *previous* collective call
@@ -571,13 +570,6 @@ class _Plan(RoundSource):
             else:
                 data = env.adio.read_strided(fbatch, method)
                 scatter_segments(buf, membatch, data[:total])
-
-
-class _NullCursor:
-    """Cursor stand-in for ranks with no data (histogram path)."""
-
-    def intersect(self, lo: int, hi: int) -> SegmentBatch:
-        return SegmentBatch.empty_batch()
 
 
 def _merged_batch(rp: RoundPlan) -> Optional[SegmentBatch]:

@@ -17,6 +17,15 @@ Structural differences from the new code, per the paper:
 
 The first two are :class:`_OldPlan`, the last two
 :class:`IntegratedSieve`; the round loop is :mod:`repro.core.rounds`.
+
+The model charges the baseline's per-call work — a client's M pairs
+twice (flatten, partition), an aggregator's received pairs once — and
+nothing per round.  The host routes a round as the new planner does:
+a client through one :class:`~repro.datatypes.segments.FanCursor` pass
+over every aggregator's window, an aggregator through one
+:class:`~repro.datatypes.segments.FunnelCursor` pass over every
+client's received list (a one-tile enumerated description: all a
+"flattened access" is).  The routers' counts are not charged.
 """
 
 from __future__ import annotations
@@ -27,22 +36,14 @@ import numpy as np
 
 from repro.core.aggregation import select_aggregators
 from repro.core.env import CollEnv
-from repro.core.plan import (
-    clip_to_range,
-    compute_aar,
-    mem_batch_for,
-    merge_extents,
-    subtract_intervals,
-)
+from repro.core.plan import clip_to_range, compute_aar, merge_extents, subtract_intervals
 from repro.core.plancache import PlanRecorder, RoundPlan
-from repro.core.realms import EvenPartition
+from repro.core.realms import EvenPartition, round_windows
 from repro.core.rounds import CONTINUE, RESTART, RoundSource
 from repro.datatypes.flatten import FlatType
-from repro.datatypes.segments import SegmentBatch
+from repro.datatypes.segments import FanCursor, FunnelCursor, SegmentBatch
 
 __all__ = ["IntegratedSieve"]
-
-_TAG_REQS = (1 << 19) + 2  # library p2p range: below COLLECTIVE_TAG_BASE
 
 
 class _OldPlan(RoundSource):
@@ -61,7 +62,8 @@ class _OldPlan(RoundSource):
         self.total_bytes = total_bytes
         self.data_lo = data_lo
         #: File intervals already written back when a fail-stop death
-        #: forced a re-plan; survivors only re-partition the remainder.
+        #: forced a re-plan, sorted by start; survivors only
+        #: re-partition the remainder.
         self._covered: List[tuple] = []
         self._plan()
 
@@ -74,54 +76,40 @@ class _OldPlan(RoundSource):
         ``_covered`` intervals and the corpses' requests."""
         env, total_bytes, data_lo = self.env, self.total_bytes, self.data_lo
         ctx, comm, cost, hints = env.ctx, env.comm, env.cost, env.hints
-        view = env.view
         coll = self.coll
         client_pairs = env.metrics.counter("coll.client.pairs")
 
         # Flatten the whole access: M pairs, charged per pair.  A
         # re-plan subtracts the already-written file intervals, so
         # survivors only re-partition the remainder.
+        self.router: Optional[FanCursor] = None
+        my_access = SegmentBatch.empty_batch()
         if total_bytes > 0:
-            cursor = view.cursor(data_lo + total_bytes, data_lo)
-            self.my_access = cursor.all_segments()
-            ctx.charge(self.my_access.pairs_evaluated * cost.cpu_per_flat_pair)
-            client_pairs.inc(self.my_access.pairs_evaluated)
+            cursor = env.view.cursor(data_lo + total_bytes, data_lo)
+            my_access = cursor.all_segments()
+            ctx.charge(my_access.pairs_evaluated * cost.cpu_per_flat_pair)
+            client_pairs.inc(my_access.pairs_evaluated)
             if self._covered:
-                self.my_access = subtract_intervals(self.my_access, self._covered)
-        else:
-            self.my_access = SegmentBatch.empty_batch()
-        if self.my_access.empty:
-            lo = hi = 0
-        else:
-            lo, hi = int(self.my_access.file_offsets[0]), int(
-                (self.my_access.file_offsets + self.my_access.lengths).max()
-            )
-        self.aar_lo, self.aar_hi = compute_aar(
-            coll, lo, hi, not self.my_access.empty
-        )
+                my_access = subtract_intervals(my_access, self._covered)
+        lo = hi = 0
+        if not my_access.empty:
+            lo, hi = int(my_access.file_offsets[0]), int((my_access.file_offsets + my_access.lengths).max())
+        self.aar_lo, self.aar_hi = compute_aar(coll, lo, hi, not my_access.empty)
         self.aggs = self._live_aggregators(
             select_aggregators(comm.size, hints["cb_nodes"], hints["cb_layout"])
         )
         self.my_agg_index = self.aggs.index(comm.rank) if comm.rank in self.aggs else -1
         naggs = len(self.aggs)
-
         realms = EvenPartition().assign(self.aar_lo, self.aar_hi, naggs)
-        self.bounds: List[tuple[int, int]] = []
-        for realm in realms:
-            dom = realm.domain(self.aar_lo, self.aar_hi)
-            if dom.starts.size:
-                self.bounds.append((int(dom.starts[0]), int(dom.ends[-1])))
-            else:
-                self.bounds.append((self.aar_hi, self.aar_hi))
+        self.domains = [realm.domain(self.aar_lo, self.aar_hi) for realm in realms]  # one interval or none
 
         # Partition my M pairs by realm (one more O(M) pass) and ship
         # each aggregator its offset/length lists.
-        self.my_parts: List[SegmentBatch] = []
         send_objs: List[Optional[object]] = [None] * comm.size
-        for ai, a in enumerate(self.aggs):
-            r_lo, r_hi = self.bounds[ai]
-            part = clip_to_range(self.my_access, r_lo, r_hi)
-            self.my_parts.append(part)
+        for a, dom in zip(self.aggs, self.domains):
+            if dom.starts.size == 0:
+                continue
+            part = clip_to_range(my_access, int(dom.starts[0]), int(dom.ends[0]))
             if part.empty:
                 continue
             wire = np.stack([part.file_offsets, part.lengths], axis=1)
@@ -129,16 +117,21 @@ class _OldPlan(RoundSource):
             if a != comm.rank:
                 env.metrics.counter("coll.meta.bytes").inc(wire.nbytes)
         if total_bytes > 0:
-            ctx.charge(self.my_access.num_segments * cost.cpu_per_flat_pair)
-            client_pairs.inc(self.my_access.num_segments)
+            ctx.charge(my_access.num_segments * cost.cpu_per_flat_pair)
+            client_pairs.inc(my_access.num_segments)
+            self.router = FanCursor(cursor, naggs, self.memflat)
 
         # The request exchange is an all-to-all of per-aggregator lists
         # (over the survivor group when crashes are armed: a corpse
         # would deadlock the full-membership alltoall, and its slots
         # come back None so its requests drop out of the aggregation).
+        # Each received list is a one-tile enumerated description, its
+        # pieces kept exactly as shipped.
         received = coll.alltoall(send_objs)
-        self.client_reqs: List[Optional[SegmentBatch]] = [None] * comm.size
+        self.funnel: Optional[FunnelCursor] = None
+        mine = None
         if self.my_agg_index >= 0:
+            self.funnel = FunnelCursor(comm.size)
             for c, wire in enumerate(received):
                 if wire is None:
                     continue
@@ -146,44 +139,23 @@ class _OldPlan(RoundSource):
                 lens = wire[:, 1].astype(np.int64)
                 ctx.charge(offs.size * cost.cpu_per_flat_pair)
                 env.metrics.counter("coll.agg.pairs").inc(int(offs.size))
-                dp = np.zeros(offs.size, dtype=np.int64)
-                np.cumsum(lens[:-1], out=dp[1:])
-                self.client_reqs[c] = SegmentBatch(offs, lens, dp)
+                end = int(offs[-1] + lens[-1])
+                self.funnel.add(c, c, FlatType.canonical(offs, lens, end), 0, int(lens.sum()))
+            # My received requests' min/max offsets (ROMIO's
+            # st_loc/end_loc) ...
+            first, last = self.funnel.spans()
+            if first.size:
+                mine = (int(first.min()), int(last.max()))
 
-        # Clip each aggregator's iteration space to its received
-        # requests' min/max offsets (ROMIO's st_loc/end_loc), shared via
-        # allgather so clients slice windows identically.
-        if self.my_agg_index >= 0:
-            req_lo: Optional[int] = None
-            req_hi: Optional[int] = None
-            for reqs in self.client_reqs:
-                if reqs is None or reqs.empty:
-                    continue
-                lo_ = int(reqs.file_offsets[0])
-                hi_ = int((reqs.file_offsets + reqs.lengths).max())
-                req_lo = lo_ if req_lo is None else min(req_lo, lo_)
-                req_hi = hi_ if req_hi is None else max(req_hi, hi_)
-            mine = (req_lo, req_hi) if req_lo is not None else None
-        else:
-            mine = None
+        # ... clip each aggregator's iteration space, shared via
+        # allgather so clients slice windows identically.  Rounds cover
+        # the requested *span* (not its data volume) — the original
+        # code slices the region, holes and all.
         gathered = coll.allgather(mine)
-        self.win_bounds: List[tuple[int, int]] = []
         for ai, a in enumerate(self.aggs):
-            b = gathered[a]
-            self.win_bounds.append((b[0], b[1]) if b is not None else (0, 0))
-
-        cb = hints["cb_buffer_size"]
-        self.cb = cb
-        # Rounds cover each aggregator's requested *span* (not its data
-        # volume) — the original code slices the region, holes and all.
-        spans = [max(hi_ - lo_, 0) for lo_, hi_ in self.win_bounds]
-        self.nrounds = max((-(-s // cb) for s in spans if s), default=0)
-
-    def my_window(self, ai: int, r: int) -> tuple[int, int]:
-        lo, hi = self.win_bounds[ai]
-        w_lo = lo + r * self.cb
-        w_hi = min(w_lo + self.cb, hi)
-        return w_lo, max(w_hi, w_lo)
+            self.domains[ai] = self.domains[ai].clip(*(gathered[a] or (0, 0)))
+        self.cb = hints["cb_buffer_size"]
+        self.nrounds = max((d.nrounds(self.cb) for d in self.domains), default=0)
 
     def _gone(self, r, buf, write, roles, suspects, crashed, reporter) -> int:
         """After a fail-stop death survivors **re-plan**: the first ``r``
@@ -195,62 +167,62 @@ class _OldPlan(RoundSource):
         (rules ``old.agg_crash`` / ``old.suspects``)."""
         if not crashed:
             return CONTINUE
-        for ai, a in enumerate(self.aggs):
-            lo, hi = self.win_bounds[ai]
-            done_hi = min(lo + r * self.cb, hi)
-            if done_hi > lo:
-                self._covered.append((lo, done_hi))
+        for a, dom in zip(self.aggs, self.domains):
+            done = dom.slice_linear(0, r * self.cb)
+            self._covered += zip(done.starts.tolist(), done.ends.tolist())
             if a in crashed and self.env.comm.rank == reporter:
-                self._injector.note_failover(a, max(hi - done_hi, 0))
+                self._injector.note_failover(a, dom.total_bytes - done.total_bytes)
+        self._covered.sort()
         with self.env.ctx.trace("tp:failover", round=r):
             self._plan()
         return RESTART
 
     def _route(self, r: int) -> RoundPlan:
-        send = self._client_plan(r)
-        span, recv, merged = self._agg_layout(r)
-        return RoundPlan(send, span, recv, merged)
-
-    def _client_plan(self, r: int) -> List[Optional[SegmentBatch]]:
-        """Memory batches this client contributes to each aggregator."""
-        out: List[Optional[SegmentBatch]] = [None] * self.env.comm.size
-        if self.total_bytes == 0:
-            return out
-        for ai, a in enumerate(self.aggs):
-            w_lo, w_hi = self.my_window(ai, r)
-            if w_hi <= w_lo:
-                continue
-            part = clip_to_range(self.my_parts[ai], w_lo, w_hi)
-            if part.empty:
-                continue
-            out[a] = mem_batch_for(
-                self.memflat, part.data_offsets - self.data_lo, part.lengths
-            )
-        return out
-
-    def _agg_layout(self, r: int):
-        """(window span, per-client buffer batches, merged extents)."""
+        """Round ``r``: my memory batches per aggregator, then my
+        aggregator window, per-client buffer batches and merged extents
+        (``None`` and empties when I aggregate nothing this round)."""
         size = self.env.comm.size
-        if self.my_agg_index < 0:
-            return None, [None] * size, (None, None)
-        w_lo, w_hi = self.my_window(self.my_agg_index, r)
-        if w_hi <= w_lo:
-            return None, [None] * size, (None, None)
-        per_client: List[Optional[SegmentBatch]] = [None] * size
-        ext_offs, ext_lens = [], []
-        for c in range(size):
-            reqs = self.client_reqs[c]
-            if reqs is None:
-                continue
-            part = clip_to_range(reqs, w_lo, w_hi)
-            if part.empty:
-                continue
-            bufpos = part.file_offsets - w_lo
-            per_client[c] = SegmentBatch(bufpos, part.lengths, part.file_offsets)
-            ext_offs.append(part.file_offsets)
-            ext_lens.append(part.lengths)
-        merged = merge_extents(ext_offs, ext_lens)
-        return (w_lo, w_hi), per_client, merged
+        send: List[Optional[SegmentBatch]] = [None] * size
+        if self.router is not None:
+            windows = round_windows(self.domains, r, self.cb)
+            if self._covered:
+                windows = _uncovered(windows, self._covered)
+            for a, got in zip(self.aggs, self.router.route(windows)):
+                if got is not None:
+                    send[a] = got[2]
+        recv: List[Optional[SegmentBatch]] = [None] * size
+        window = None
+        if self.funnel is not None:
+            window = self.domains[self.my_agg_index].window(r, self.cb)
+        if window is None or window.empty:
+            return RoundPlan(send, None, recv, (None, None))
+        _, batches, offs, lens = self.funnel.route(window.intervals, window.to_buffer)
+        for c, batch in batches.items():
+            recv[c] = batch
+        return RoundPlan(send, window, recv, merge_extents([offs], [lens]))
+
+
+def _uncovered(windows, covered):
+    """``windows`` (as :func:`~repro.core.realms.round_windows` gives
+    them) without the ``covered`` file intervals (sorted by start): a
+    re-planned client's access has gaps there, so its windows do too."""
+    out = []
+    for intervals in windows:
+        if intervals is not None:
+            keep = []
+            for lo, hi in intervals:
+                for c_lo, c_hi in covered:
+                    if c_lo >= hi:
+                        break
+                    if c_hi > lo:
+                        if c_lo > lo:
+                            keep.append((lo, c_lo))
+                        lo = c_hi
+                if lo < hi:
+                    keep.append((lo, hi))
+            intervals = keep
+        out.append(intervals)
+    return out
 
 
 def _sieve_span(rp: RoundPlan):
@@ -277,8 +249,8 @@ class IntegratedSieve:
         with env.ctx.trace("tp:io", round=r):
             if not cls.active(rp):
                 return None
-            w_lo, w_hi = rp.window
-            cbuf = np.zeros(w_hi - w_lo, dtype=np.uint8)
+            w_lo = int(rp.window.starts[0])
+            cbuf = np.zeros(rp.window.total_bytes, dtype=np.uint8)
             lo, hi = _sieve_span(rp)
             if int(rp.merged[1].sum()) < hi - lo:
                 # Holes: pre-read so the span write-back preserves the
@@ -288,7 +260,7 @@ class IntegratedSieve:
 
     @staticmethod
     def flush(env: CollEnv, src, rp: RoundPlan, cbuf: np.ndarray) -> None:
-        w_lo = rp.window[0]
+        w_lo = int(rp.window.starts[0])
         lo, hi = _sieve_span(rp)
         env.metrics.counter("coll.flush.datasieve-integrated").inc()
         env.adio.write_contig(lo, cbuf[lo - w_lo : hi - w_lo])
@@ -300,10 +272,9 @@ class IntegratedSieve:
 
     @staticmethod
     def fill(env: CollEnv, src, rp: RoundPlan) -> np.ndarray:
-        w_lo, w_hi = rp.window
+        w_lo = int(rp.window.starts[0])
         lo, hi = _sieve_span(rp)
-        cbuf = np.zeros(w_hi - w_lo, dtype=np.uint8)
+        cbuf = np.zeros(rp.window.total_bytes, dtype=np.uint8)
         env.metrics.counter("coll.flush.datasieve-integrated").inc()
         cbuf[lo - w_lo : hi - w_lo] = env.adio.read_contig(lo, hi - lo)
         return cbuf
-

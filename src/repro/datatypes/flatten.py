@@ -87,12 +87,15 @@ class FlatType:
 
     @classmethod
     def canonical(cls, offsets: np.ndarray, lengths: np.ndarray, extent: int) -> "FlatType":
-        """A FlatType from pairs already in canonical form — 1-D int64
-        arrays in data order, every length positive, nothing left for
-        :func:`coalesce` to merge — such as another FlatType's
-        ``offsets``/``lengths`` (the wire form :func:`encode_flat
-        <repro.datatypes.serialize.encode_flat>` ships).  Skips the
-        coalescing pass; the arrays are kept, not copied."""
+        """A FlatType from pairs kept exactly as given — 1-D int64 arrays
+        in data order, every length positive — with no :func:`coalesce`
+        pass and no copy.  Pairs that abut stay two pairs.  For another
+        FlatType's ``offsets``/``lengths`` (the wire form
+        :func:`encode_flat <repro.datatypes.serialize.encode_flat>`
+        ships) there is nothing to merge anyway; the old planner's
+        received offset/length lists do hold abutting pieces (one per
+        tile of a contiguous pattern), and merging them would change the
+        per-client batches it routes."""
         if (lengths <= 0).any():
             raise DatatypeError("canonical segment lengths must be positive")
         if extent < 0:

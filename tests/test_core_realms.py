@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.aggregation import select_aggregators
+from repro.core.plan import access_histogram
 from repro.core.realms import (
     AlignedPartition,
     BalancedPartition,
@@ -16,7 +17,9 @@ from repro.core.realms import (
     make_contiguous_realms,
     make_cyclic_realms,
 )
+from repro.datatypes.segments import FlatCursor, SegmentBatch
 from repro.errors import CollectiveIOError
+from test_client_routing import accesses
 
 
 class TestSelectAggregators:
@@ -229,3 +232,40 @@ def test_cyclic_realms_partition_property(naggs, block, lo, span):
     assert sum(e - s for s, e in covered) == span
     for (s0, e0), (s1, e1) in zip(covered, covered[1:]):
         assert e0 <= s1
+
+
+# -- the balanced strategy's access histogram --------------------------------------------------
+def _ref_access_histogram(cursor, aar_lo, aar_hi, nbins):
+    """``access_histogram`` as it was: one cursor intersection per bin."""
+    hist = np.zeros(nbins, dtype=np.int64)
+    span = aar_hi - aar_lo
+    if span <= 0:
+        return hist
+    edges = [aar_lo + (span * i) // nbins for i in range(nbins + 1)]
+    for i in range(nbins):
+        hist[i] = cursor.intersect(edges[i], edges[i + 1]).total_bytes
+    return hist
+
+
+@given(access=accesses(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_access_histogram_matches_the_per_bin_loop(access, data):
+    """Succinct and enumerated views, ``data_lo > 0``, partial last
+    tiles, an AAR as wide as the access or wider (other ranks' accesses
+    widen it), a few bins to more bins than bytes."""
+    flat, disp, data_lo, data_hi, _ = access
+    cursor = FlatCursor(flat, disp, data_hi, data_lo)
+    first, last = cursor.first_byte, cursor.last_byte
+    aar_lo = max(first - data.draw(st.integers(0, 300)), 0)
+    aar_hi = last + data.draw(st.integers(0, 300))
+    nbins = data.draw(st.sampled_from([1, 7, 256, 1024]))
+    got = access_histogram(cursor.all_segments(), aar_lo, aar_hi, nbins)
+    cursor.reset()
+    want = _ref_access_histogram(cursor, aar_lo, aar_hi, nbins)
+    assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+    assert int(got.sum()) == data_hi - data_lo
+
+
+def test_access_histogram_of_no_access():
+    assert np.array_equal(access_histogram(SegmentBatch.empty_batch(), 0, 100, 8), np.zeros(8, dtype=np.int64))
+    assert np.array_equal(access_histogram(SegmentBatch.empty_batch(), 5, 5), np.zeros(256, dtype=np.int64))
