@@ -19,7 +19,8 @@ from repro.datatypes.packing import (
     gather_segments,
     scatter_segments,
 )
-from repro.datatypes.segments import FlatCursor, SegmentBatch, data_to_file_segments
+from repro.core.realms import Window
+from repro.datatypes.segments import FanCursor, FlatCursor, FunnelCursor, SegmentBatch, data_to_file_segments
 from repro.fs import FSClient, SimFileSystem
 from repro.fs.store import PageStore
 from repro.hpio.timeseries import TimeSeriesPattern
@@ -92,9 +93,36 @@ def _timeseries_flat():
     return TimeSeriesPattern(nprocs=16, timesteps=8).filetype(0, 0).flatten()
 
 
+def _routed_leg(name: str) -> SegmentBatch:
+    """One spine exchange leg as its router builds it, period attached:
+    a ``fig4_*`` client's 256 x 64 B (D = 1, memory stride 192 B), a
+    ``fig7_steps`` aggregator's 576 x 32 B (D = 6 every 25 600 B), a
+    ``ranks_many`` client's 32 x 8 B (D = 1)."""
+    if name == "fig7_steps":
+        # Rank 4 writes 6 of each point's 100 elements.
+        flat = TimeSeriesPattern(nprocs=16, timesteps=8).filetype(4, 0).flatten()
+        funnel = FunnelCursor(1)
+        funnel.add(0, "rank 4", flat, 0, flat.size * 96)
+        window = Window(np.array([0]), np.array([flat.extent * 96]))
+        return funnel.route(window.intervals, window.to_buffer)[1][0]
+    region, count, nprocs, targets = (64, 4096, 16, 16) if name == "fig4" else (8, 128, 64, 4)
+    slot = region + 128
+    view = resized(contiguous(region, BYTE), 0, slot * nprocs).flatten()
+    fan = FanCursor(FlatCursor(view, 0, region * count), targets, hvector(count, region, slot, BYTE).flatten())
+    step = view.extent * count // targets
+    return fan.route([[(t * step, (t + 1) * step)] for t in range(targets)])[1][2]
+
+
 def _copy_batch(shape: str) -> SegmentBatch:
     """Segment lists at the spine's per-peer sizes: 16 KiB of 64-byte
-    segments (``fig4_*``), 19 KiB of 32-byte ones (``fig7_steps``)."""
+    segments (``fig4_*``), 19 KiB of 32-byte ones (``fig7_steps``); and
+    three routed legs (``leg:<workload>``) with their period, or with it
+    stripped (``detect:<workload>``) so the kernel finds it itself."""
+    if shape.startswith(("leg:", "detect:")):
+        kind, name = shape.split(":")
+        leg = _routed_leg(name)
+        assert leg.period is not None
+        return leg if kind == "leg" else SegmentBatch(leg.file_offsets, leg.lengths, leg.data_offsets)
     if shape == "contiguous":  # a contiguous user buffer, one pair per region
         k = np.arange(256, dtype=np.int64) * 64
         return SegmentBatch(k + 5, np.full(256, 64, dtype=np.int64), k.copy())
@@ -111,7 +139,13 @@ def _copy_batch(shape: str) -> SegmentBatch:
     return SegmentBatch(starts, lens, np.cumsum(lens) - lens)
 
 
-@pytest.mark.parametrize("shape", ["contiguous", "regular", "ragged", "two_level", "irregular"])
+@pytest.mark.parametrize(
+    "shape",
+    [
+        "contiguous", "regular", "ragged", "two_level", "irregular",
+        *(f"{kind}:{name}" for name in ("fig4", "fig7_steps", "ranks_many") for kind in ("leg", "detect")),
+    ],
+)
 def test_copy_segments(benchmark, shape):
     """One pack + one unpack of a per-peer segment list (what each
     client/aggregator pairing of a round pays), through the public

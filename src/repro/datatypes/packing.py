@@ -6,20 +6,28 @@ and aggregators; this module converts between those ranges and the
 numpy ``uint8`` buffer.
 
 Every byte that moves by segment list — pack, unpack, the sieve buffer,
-list I/O's wire format — moves through :func:`copy_segments`, which
-treats a flattened regular pattern as the (count, blocklength, stride)
+list I/O's wire format — moves through :func:`copy_segments` or, for an
+exchange leg, :func:`gather_segments` / :func:`scatter_segments`, which
+treat a flattened regular pattern as the (count, blocklength, stride)
 vector it is (Thakur et al., *Optimizing Noncontiguous Accesses in
-MPI-IO*).  Its decision ladder looks only at the arrays in hand:
+MPI-IO*).  Their decision ladder looks only at the batch in hand:
 
+0. **given period** — a leg a router built carries its period
+   (:class:`~repro.datatypes.segments.SegmentBatch`): D strided blocks
+   between the ends (one slice when D = 0) are built from D + 2 of its
+   segments, whatever its size, with no order test and no detection;
 1. **validate** both sides once, before anything is written: every
-   non-empty segment lies inside its buffer (per block on rung 2, per
-   segment otherwise).  A *precondition* of rung 2, whose strided views
-   check nothing themselves;
-2. **periodic** — behind a first and a last segment of any length (realm
-   edges cut regions), lengths and both sides' starts repeat with period
-   D at constant tile strides: D strided 2-D block copies (D = 1 is the
-   plain vector, D > 1 a tiled D-pair filetype).  Tried only on batches
-   big enough that rung 3 would cost more than the test;
+   non-empty segment lies inside its buffer (per block on rungs 0 and 2,
+   per segment otherwise).  A *precondition* of the strided rungs, whose
+   views check nothing themselves; a block that fails it drops to rung
+   1's per-segment check, which names the segment;
+2. **periodic** — a batch nobody built (the sieve buffer, list I/O,
+   ``hpio.verify``, coalesced ``two_layer`` frames): behind a first and
+   a last segment of any length (realm edges cut regions), lengths and
+   both sides' starts repeat with period D at constant tile strides:
+   D strided 2-D block copies (D = 1 is the plain vector, D > 1 a tiled
+   D-pair filetype).  Detected only on batches big enough that rung 3
+   would cost more than the test (the size gates);
 3. **irregular** — many tiny segments through one flat index array
    (:func:`expand_indices`; a side whose segments lie back to back is a
    slice instead, so a contiguous user buffer is one ``memcpy``), few
@@ -30,11 +38,13 @@ All rungs produce identical results; only wall-clock speed differs.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from repro.errors import DatatypeError
 from repro.datatypes.flatten import FlatType
-from repro.datatypes.segments import SegmentBatch, data_to_file_segments, expand_indices
+from repro.datatypes.segments import _MIN_TILES, SegmentBatch, data_to_file_segments, expand_indices
 
 __all__ = [
     "expand_indices",
@@ -51,10 +61,9 @@ _FANCY_THRESHOLD = 512
 #: What rung 3 must have to move before rung 2's test (about 20 us,
 #: whatever it finds) is cheaper than just moving it: bytes through an
 #: index array, slice copies through the loop.  From the micro rows.
+#: Detection only: a given period (rung 0) needs no test.
 _PERIODIC_MIN_BYTES = 8192
 _PERIODIC_MIN_COPIES = 48
-#: Fewest tiles of a period worth a strided view per pair.
-_MIN_TILES = 4
 
 
 def _check_buf(buf: np.ndarray) -> np.ndarray:
@@ -105,21 +114,33 @@ def copy_segments(
         return
     total = int(lengths.sum())
     tiny = n > 1 and total // n < _FANCY_THRESHOLD
-    blocks = ()
     if (
         (total >= _PERIODIC_MIN_BYTES if tiny else n >= _PERIODIC_MIN_COPIES)
         and dst.flags.c_contiguous
         and src.flags.c_contiguous
+        and _moved(dst, src, _period(dst_starts, src_starts, lengths))
     ):
-        blocks = _period(dst_starts, src_starts, lengths)
-        for d, s, ln, rows, d_stride, s_stride in blocks:
-            d_end, s_end = d + (rows - 1) * d_stride + ln, s + (rows - 1) * s_stride + ln
-            if d < 0 or s < 0 or d_end > dst.size or s_end > src.size:
-                blocks = ()  # the full check below names the segment
-                break
+        return
+    _check_bounds("destination", dst.size, dst_starts, lengths)
+    _check_bounds("source", src.size, src_starts, lengths)
+    if tiny:
+        dst[_index(dst_starts, lengths)] = src[_index(src_starts, lengths)]
+        return
+    for d, s, ln in zip(dst_starts.tolist(), src_starts.tolist(), lengths.tolist()):
+        dst[d : d + ln] = src[s : s + ln]
+
+
+def _moved(dst: np.ndarray, src: np.ndarray, blocks: list) -> bool:
+    """Run the block copies ``(dst_start, src_start, length, rows,
+    dst_stride, src_stride)`` if every one lies inside both (C-contiguous)
+    buffers — the strided views check nothing themselves — and say
+    whether they ran.  False (nothing written) leaves it to the full
+    per-segment check, which names an offending segment."""
     if not blocks:
-        _check_bounds("destination", dst.size, dst_starts, lengths)
-        _check_bounds("source", src.size, src_starts, lengths)
+        return False
+    for d, s, ln, rows, d_stride, s_stride in blocks:
+        if d < 0 or s < 0 or d + (rows - 1) * d_stride + ln > dst.size or s + (rows - 1) * s_stride + ln > src.size:
+            return False
     for d, s, ln, rows, d_stride, s_stride in blocks:
         if rows == 1:
             dst[d : d + ln] = src[s : s + ln]
@@ -130,23 +151,30 @@ def copy_segments(
             np.ndarray((rows, ln), np.uint8, dst[d:d_end], 0, (d_stride, 1))[...] = np.ndarray(
                 (rows, ln), np.uint8, src[s:s_end], 0, (s_stride, 1)
             )
-    if blocks:
-        return
-    if tiny:
-        dst[_index(dst_starts, lengths)] = src[_index(src_starts, lengths)]
-        return
-    for d, s, ln in zip(dst_starts.tolist(), src_starts.tolist(), lengths.tolist()):
-        dst[d : d + ln] = src[s : s + ln]
+    return True
+
+
+def _blocks(D: int, heads: list, last: tuple, m: int, d_stride: int, s_stride: int) -> list:
+    """The block copies moving ``m + 2`` segments that repeat with period
+    ``D`` behind the first and the last: ``heads`` holds segments ``0 ..
+    D`` and ``last`` the last one, each ``(dst_start, src_start,
+    length)``.  The two ends are one-row blocks around D strided ones;
+    empty segments move nothing."""
+    first = heads[0]
+    return (
+        ([(*first, 1, d_stride, s_stride)] if first[2] > 0 else [])
+        + [(d, s, ln, (m - i) // D + 1, d_stride, s_stride) for i, (d, s, ln) in enumerate(heads[1:], 1) if ln > 0]
+        + ([(*last, 1, d_stride, s_stride)] if last[2] > 0 else [])
+    )
 
 
 def _period(dst_starts: np.ndarray, src_starts: np.ndarray, lengths: np.ndarray) -> list:
     """If, behind the first and the last segment, the segments repeat with
     period D — ``lengths[i+D] == lengths[i]`` and both sides' starts advance
     by one constant per D segments — and never overlap on the written
-    side, the block copies that move everything, in order: ``(dst_start,
-    src_start, length, rows, dst_stride, src_stride)`` each, the two end
-    segments as one-row blocks around D strided ones.  Empty when they do
-    not repeat (or too few tiles do to pay)."""
+    side, the block copies that move everything, in order (see
+    :func:`_blocks`).  Empty when they do not repeat (or too few tiles do
+    to pay)."""
     m = lengths.size - 2
     if m < _MIN_TILES:
         return []
@@ -172,14 +200,28 @@ def _period(dst_starts: np.ndarray, src_starts: np.ndarray, lengths: np.ndarray)
         and (D == 1 or (src_starts[1 + D : -1] - src_starts[1 : -1 - D] == s_stride).all())
     ):
         return []
-    blocks = []
-    for i in (0, *range(1, 1 + D), -1):
-        if lengths[i] > 0:
-            rows = -(-(m - i + 1) // D) if i > 0 else 1
-            blocks.append(
-                (int(dst_starts[i]), int(src_starts[i]), int(lengths[i]), rows, d_stride, s_stride)
-            )
-    return blocks
+    heads = list(zip(dst_starts[: D + 1].tolist(), src_starts[: D + 1].tolist(), lengths[: D + 1].tolist()))
+    last = (int(dst_starts[-1]), int(src_starts[-1]), int(lengths[-1]))
+    return _blocks(D, heads, last, m, d_stride, s_stride)
+
+
+def _leg_blocks(batch: SegmentBatch, gather: bool) -> list:
+    """The block copies of a routed leg, built from its ``period`` (see
+    :class:`~repro.datatypes.segments.SegmentBatch`) and ``D + 2`` of its
+    segments, between its file side and its packed stream — the stream
+    the destination when ``gather``."""
+    D, stride, packed, nbytes = batch.period
+    if D == 0:  # one slice
+        start = int(batch.file_offsets[0])
+        return [(0, start, nbytes, 1, 0, 0) if gather else (start, 0, nbytes, 1, 0, 0)]
+    starts = batch.file_offsets[: D + 1].tolist()
+    lens = batch.lengths[: D + 1].tolist()
+    pos = list(accumulate(lens[:D], initial=0))  # in the packed stream
+    m = batch.lengths.size - 2
+    start, ln = int(batch.file_offsets[-1]), int(batch.lengths[-1])
+    if gather:
+        return _blocks(D, list(zip(pos, starts, lens)), (nbytes - ln, start, ln), m, packed, stride)
+    return _blocks(D, list(zip(starts, pos, lens)), (start, nbytes - ln, ln), m, stride, packed)
 
 
 def stream_order(batch: SegmentBatch) -> tuple[np.ndarray | slice, np.ndarray, np.ndarray]:
@@ -200,6 +242,10 @@ def gather_segments(buf: np.ndarray, batch: SegmentBatch) -> np.ndarray:
     """Collect the bytes of ``batch``'s address ranges from ``buf`` into
     a contiguous array ordered by the batch's data offsets."""
     buf = _check_buf(buf)
+    if batch.period is not None and buf.flags.c_contiguous:
+        out = np.empty(batch.period[3], dtype=np.uint8)
+        if _moved(out, buf, _leg_blocks(batch, True)):
+            return out
     if batch.num_segments == 0:
         return np.empty(0, dtype=np.uint8)
     order, lens, pos = stream_order(batch)
@@ -216,6 +262,14 @@ def scatter_segments(buf: np.ndarray, batch: SegmentBatch, data: np.ndarray) -> 
     if batch.num_segments == 0:
         if data.size:
             raise DatatypeError("scatter_segments: data supplied for an empty batch")
+        return
+    if (
+        batch.period is not None
+        and data.size == batch.period[3]
+        and buf.flags.c_contiguous
+        and data.flags.c_contiguous
+        and _moved(buf, data, _leg_blocks(batch, False))
+    ):
         return
     order, lens, pos = stream_order(batch)
     total = int(pos[-1] + lens[-1])

@@ -38,7 +38,7 @@ target through :func:`_split`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,6 +57,10 @@ __all__ = [
 ]
 
 _EMPTY = np.empty(0, dtype=np.int64)
+#: Fewest tiles of a period worth a strided view per pair: a leg the
+#: routers build carries its period only past this many, and the copy
+#: kernel's detection asks the same of a batch nobody built.
+_MIN_TILES = 4
 
 
 def expand_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -85,6 +89,18 @@ class SegmentBatch:
     ``file_offsets[k]``/``lengths[k]`` is a contiguous byte range in the
     file; ``data_offsets[k]`` is its position in the access's data
     stream (the concatenation of the datatype's bytes in data order).
+
+    ``period`` is set only by the router that built the batch as one
+    exchange leg (:class:`FanCursor`, :class:`FunnelCursor`), where it
+    holds by construction: ``(D, stride, packed_stride, nbytes)``.  Such
+    a batch has ascending data offsets, ``nbytes`` bytes, and file side
+    ascending and disjoint.  ``D == 0``: the segments lie back to back
+    on both sides (one slice).  Otherwise, behind the first and the
+    last segment, segment ``i + D`` has segment ``i``'s length and
+    starts ``stride`` bytes later in the file and ``packed_stride``
+    later in the packed stream, over at least ``_MIN_TILES`` periods.
+    Nothing derived from a batch inherits it, and it takes no part in
+    equality.
     """
 
     file_offsets: np.ndarray
@@ -92,9 +108,12 @@ class SegmentBatch:
     data_offsets: np.ndarray
     pairs_evaluated: int = 0
     tiles_skipped: int = 0
+    period: Optional[Tuple[int, int, int, int]] = field(default=None, compare=False, repr=False)
 
     @property
     def total_bytes(self) -> int:
+        if self.period is not None:
+            return self.period[3]
         return int(self.lengths.sum())
 
     @property
@@ -260,15 +279,72 @@ def _materialise(
     return _clip(fs, ln, do, np.repeat(lo, n), np.repeat(hi, n), total_bytes, data_lo, tid)
 
 
-def _split(tid: np.ndarray, file_offsets, lengths, data_offsets) -> Dict[int, SegmentBatch]:
+def _leg_tiling(flat: FlatType, one_tile: bool) -> Tuple[int, int, int]:
+    """What a run of consecutive pairs of ``flat`` (monotonic, tiled, or
+    used for ``one_tile`` only) repeats by, as ``(D, stride,
+    packed_stride)``: pair by pair when every pair has the first one's
+    length and starts one stride after the one before, tile edges
+    included (an ``hvector`` however it was flattened); else tile by
+    tile."""
+    D = flat.num_segments
+    if D > 1:
+        offsets, lengths = flat.offsets, flat.lengths
+        stride = int(offsets[1] - offsets[0])
+        if (
+            (one_tile or flat.extent == D * stride)
+            and (lengths == lengths[0]).all()
+            and (offsets[2:] - offsets[1:-1] == stride).all()
+        ):
+            return (1, stride, int(lengths[0]))
+    return (D, flat.extent, flat.size)
+
+
+def _whole(
+    ranges: Sequence[Tuple[int, int, int, int, int]],
+    tid: np.ndarray,
+    tilings: Sequence[Optional[Tuple[int, int, int]]],
+) -> Dict[int, Tuple[int, int, int]]:
+    """``tilings[t]`` for every target ``t`` whose pieces are every pair
+    of exactly one scan range: consecutive pairs of the type, only the
+    first and the last clipped, one run of the data stream.  (A pair can
+    only drop at the data window's edges; one count covers the round
+    when none did.)"""
+    count: Dict[int, int] = {}
+    kept = tid.size
+    for g_lo, g_hi, _, _, t in ranges:
+        count[t] = -1 if t in count else g_hi - g_lo
+        kept -= g_hi - g_lo
+    got = np.bincount(tid, minlength=len(tilings)).tolist() if kept else None
+    out: Dict[int, Tuple[int, int, int]] = {}
+    for t, n in count.items():
+        if n > 0 and (got is None or got[t] == n) and tilings[t] is not None:
+            out[t] = tilings[t]
+    return out
+
+
+def _split(
+    tid: np.ndarray, file_offsets, lengths, data_offsets, tilings: Dict[int, Tuple[int, int, int]]
+) -> Dict[int, SegmentBatch]:
     """One batch per run of equal target ids (``tid`` non-empty, each
-    target's segments consecutive): target -> its segments."""
+    target's segments consecutive): target -> its segments.
+
+    ``tilings[t] = (D, stride, packed_stride)`` is what target ``t``'s
+    segments repeat by (``D == 0``: one slice); its batch carries that
+    as its ``period``, with its byte total, when it spans enough
+    periods to pay (see :class:`SegmentBatch`)."""
     cuts = (np.flatnonzero(tid[1:] != tid[:-1]) + 1).tolist()
     starts, stops = [0, *cuts], [*cuts, int(tid.size)]
-    return {
+    out = {
         t: SegmentBatch(file_offsets[a:b], lengths[a:b], data_offsets[a:b])
         for t, a, b in zip(tid[starts].tolist(), starts, stops)
     }
+    if tilings:
+        for t, nbytes in zip(out, np.add.reduceat(lengths, starts).tolist()):
+            if t in tilings:
+                D = tilings[t][0]
+                if D == 0 or out[t].lengths.size - 2 >= _MIN_TILES * D:
+                    out[t].period = (*tilings[t], nbytes)
+    return out
 
 
 class FlatCursor:
@@ -505,7 +581,7 @@ class FanCursor:
     ``cursor.data_lo`` at address 0.
     """
 
-    __slots__ = ("cursor", "memflat", "positions", "_start", "_pairs")
+    __slots__ = ("cursor", "memflat", "positions", "_start", "_pairs", "_tilings")
 
     def __init__(self, cursor: FlatCursor, targets: int, memflat: FlatType) -> None:
         cursor.reset()
@@ -514,6 +590,15 @@ class FanCursor:
         self._pairs = _Pairs([cursor.flat])
         self._start = cursor.position
         self.positions: List[int] = [self._start] * targets
+        # What a leg of one data run repeats by, per target: ``memflat``
+        # tiled over it, or one slice.  None for a memory type a leg may
+        # not be scattered into block by block (not monotonic).
+        tiling = None
+        if memflat.is_contiguous:
+            tiling = (0, 0, 0)
+        elif memflat.is_monotonic:
+            tiling = _leg_tiling(memflat, cursor.total_bytes - cursor.data_lo <= memflat.size)
+        self._tilings = [tiling] * targets
 
     def reset(self) -> None:
         """Rewind every target's scan."""
@@ -528,7 +613,9 @@ class FanCursor:
         tiles_skipped, batch)``: the memory segments carrying the
         window's data (``None`` when there is none), their
         ``data_offsets`` the ascending stream positions from
-        ``data_lo``."""
+        ``data_lo``.  A batch whose window met the access in one
+        interval is one run of the data stream, so it carries the period
+        of ``memflat`` tiled over it (see :class:`SegmentBatch`)."""
         cur = self.cursor
         counts, ranges = cur.scan(windows, self.positions)
         batches: Dict[int, SegmentBatch] = {}
@@ -538,20 +625,21 @@ class FanCursor:
             _, ln, do, tid = _materialise(self._pairs, ranges, cur.disp, cur.total_bytes, cur.data_lo)
             if tid.size:
                 mfs, mln, mdo, src = map_stream(self.memflat, do - cur.data_lo, ln, tid[1:] != tid[:-1])
-                batches = _split(tid[src], mfs, mln, mdo)
+                batches = _split(tid[src], mfs, mln, mdo, _whole(ranges, tid, self._tilings))
         return [c if c is None else (*c, batches.get(i)) for i, c in enumerate(counts)]
 
 
 class _Group:
     """Clients sharing one access description, data window and size:
-    one cursor tiled from 0, and per member its ``disp`` and scan
-    position."""
+    one cursor tiled from 0, what a leg of theirs repeats by, and per
+    member its ``disp`` and scan position."""
 
-    __slots__ = ("cursor", "kind", "start", "members", "disps", "positions")
+    __slots__ = ("cursor", "kind", "tiling", "start", "members", "disps", "positions")
 
     def __init__(self, cursor: FlatCursor, kind: int) -> None:
         self.cursor = cursor
         self.kind = kind
+        self.tiling = _leg_tiling(cursor.flat, cursor.tiles <= 1)
         self.start = cursor.position
         self.members: List[int] = []
         self.disps: List[int] = []
@@ -650,7 +738,8 @@ class FunnelCursor:
         ``disp`` (shaped to shift a window by) in group order; then
         ``_materialise``'s inputs — the stacked pair tables, and
         ``disp``, ``total_bytes``, ``data_lo`` and the type per client
-        id, each but ``disp`` one value where all clients share it."""
+        id, each but ``disp`` one value where all clients share it; and
+        per client id what a leg of its repeats by (:func:`_leg_tiling`)."""
         if self._cols is None:
             members: List[int] = []
             group: List[int] = []
@@ -658,9 +747,12 @@ class FunnelCursor:
             totals: List[int] = []
             los: List[int] = []
             kinds: List[int] = []
+            tilings: List[Optional[Tuple[int, int, int]]] = [None] * len(self._live)
             for j, grp in enumerate(self._groups):
                 k = len(grp.members)
                 grp.positions = [grp.start] * k
+                for c in grp.members:
+                    tilings[c] = grp.tiling
                 members += grp.members
                 group += [j] * k
                 disps += grp.disps
@@ -679,6 +771,7 @@ class FunnelCursor:
                 totals[0] if len(set(totals)) == 1 else total,
                 los[0] if len(set(los)) == 1 else data_lo,
                 kind if len(self._flats) > 1 else None,
+                tilings,
             )
         return self._cols
 
@@ -695,11 +788,16 @@ class FunnelCursor:
         client's file ``(offsets, lengths)``, concatenated group by group
         (a union does not care).  A client's segments come in
         window-interval order, then pair order, with the values one
-        ``FlatCursor.intersect`` per interval gives."""
+        ``FlatCursor.intersect`` per interval gives.
+
+        ``address`` must shift each interval rigidly (as
+        :meth:`~repro.core.realms.Window.to_buffer` does): a client
+        whose access met the window in one interval then gets a batch
+        carrying its type's period (see :class:`SegmentBatch`)."""
         live = self._live
         counted: List[Optional[Tuple[int, int]]] = [None] * len(live)
         ranges: List[Tuple[int, int, int, int, int]] = []
-        _, _, shifts, pairs, disp, total, data_lo, kind = self._sealed()
+        _, _, shifts, pairs, disp, total, data_lo, kind, tilings = self._sealed()
         # Every member's window, shifted into its group's frame.
         shifted = (np.array(intervals, dtype=np.int64).reshape(-1, 2) - shifts).tolist()
         stop = 0
@@ -721,7 +819,7 @@ class FunnelCursor:
         if ranges:
             offs, lens, _, tid = _materialise(pairs, ranges, disp, total, data_lo, kind)
             if tid.size:
-                batches = _split(tid, address(offs), lens, offs)
+                batches = _split(tid, address(offs), lens, offs, _whole(ranges, tid, tilings))
         return counted, batches, offs, lens
 
 

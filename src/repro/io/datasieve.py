@@ -47,6 +47,15 @@ def _clip_batch(batch: SegmentBatch, lo: int, hi: int):
     return f[keep], l[keep], d[keep]
 
 
+def _abut(f: np.ndarray, l: np.ndarray) -> bool:
+    """True when the pieces, in file order, each start where the one
+    before ended."""
+    if not (f[1:] >= f[:-1]).all():
+        order = np.argsort(f, kind="stable")
+        f, l = f[order], l[order]
+    return bool((f[1:] == f[:-1] + l[:-1]).all())
+
+
 def datasieve_write(
     local: LocalFile,
     batch: SegmentBatch,
@@ -74,9 +83,10 @@ def datasieve_write(
         span_hi = int((f + l).max())
         span = span_hi - span_lo
         covered = int(l.sum())
-        if covered < span:
+        if covered != span or not _abut(f, l):
             # Holes exist: pre-read the span so the write-back preserves
-            # the gap bytes (the defining RMW of data sieving).
+            # the gap bytes (the defining RMW of data sieving).  Pieces
+            # that overlap can cover ``span`` bytes and still leave one.
             sieve = local.read(span_lo, span)
         else:
             sieve = np.empty(span, dtype=np.uint8)

@@ -11,23 +11,33 @@
   ``parts`` bodies;
 * what the kernel's shared validation fixed: a segment outside its
   buffer raises :class:`DatatypeError` on every path;
+* legs ``FanCursor`` / ``FunnelCursor`` route over drawn flats, windows
+  and memory types: the period each carries holds segment by segment,
+  and gather/scatter with it equal the reference bodies and the same
+  leg without it; a routed ``fig4`` leg never enters detection, and
+  nothing derived from a leg inherits its period;
 * one host-independent cost bound: committing the Fig. 4 memory type
   allocates per block, not per byte.
 """
 
 from __future__ import annotations
 
+import ast
 import itertools
 import json
 import tracemalloc
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from datatypes_golden import GOLDEN, cells
+from repro.core.plan import clip_to_range, concat_batches, subtract_intervals
+from repro.core.realms import Window
 from repro.datatypes import (
     BYTE,
     DISTRIBUTE_BLOCK,
@@ -48,7 +58,7 @@ from repro.datatypes import (
 from repro.datatypes import packing
 from repro.datatypes.flatten import FlatType
 from repro.datatypes.packing import copy_segments, gather_segments, scatter_segments
-from repro.datatypes.segments import FlatCursor, SegmentBatch, data_to_file_segments
+from repro.datatypes.segments import FanCursor, FlatCursor, FunnelCursor, SegmentBatch, data_to_file_segments
 from repro.errors import DatatypeError
 from repro.fs import FSClient, SimFileSystem
 from repro.io.datasieve import datasieve_read, datasieve_write
@@ -609,3 +619,243 @@ def test_data_to_file_segments_matches_pair_walk(flat, disp, window):
         assert got.empty
         return
     _assert_same_batch(got, ref_data_to_file_segments(flat, disp, data_lo, data_hi))
+
+
+# -- routed legs: the period a router attaches vs detection and the reference -------------
+def _strip(batch: SegmentBatch) -> SegmentBatch:
+    """The same segments with no period: the kernel detects or indexes."""
+    return SegmentBatch(batch.file_offsets, batch.lengths, batch.data_offsets)
+
+
+def _assert_period_holds(batch: SegmentBatch) -> None:
+    """What ``SegmentBatch.period`` promises, checked segment by segment."""
+    D, stride, packed, nbytes = batch.period
+    fo, ln, do = batch.file_offsets, batch.lengths, batch.data_offsets
+    assert nbytes == int(ln.sum()) and (do[1:] > do[:-1]).all()
+    assert (fo[1:] >= fo[:-1] + ln[:-1]).all()  # the file side ascends, disjoint
+    if D == 0:
+        assert (fo[1:] == fo[:-1] + ln[:-1]).all()
+        return
+    assert ln.size - 2 >= 4 * D
+    f, n, p = fo[1:-1], ln[1:-1], (np.cumsum(ln) - ln)[1:-1]
+    assert (n[D:] == n[:-D]).all() and (f[D:] - f[:-D] == stride).all() and (p[D:] - p[:-D] == packed).all()
+
+
+def _assert_moves_like_the_reference(batch: SegmentBatch, size: int, seed: int) -> None:
+    rng = np.random.default_rng(seed)
+    buf = rng.integers(0, 256, size=size, dtype=np.uint8)
+    packed = gather_segments(buf, batch)
+    assert np.array_equal(packed, ref_gather(buf, batch))
+    assert np.array_equal(packed, gather_segments(buf, _strip(batch)))
+    data = rng.integers(0, 256, size=packed.size, dtype=np.uint8)
+    got, plain, want = buf.copy(), buf.copy(), buf.copy()
+    scatter_segments(got, batch, data)
+    scatter_segments(plain, _strip(batch), data)
+    ref_scatter(want, batch, data)
+    assert np.array_equal(got, want) and np.array_equal(plain, want)
+
+
+@st.composite
+def memflats(draw):
+    """Memory types a client's legs map through: contiguous, one strided
+    pair, an ``hvector`` flattened as one tile of D pairs (tiled with or
+    without its last gap), a monotonic D-pair type, a non-monotonic one."""
+    kind = draw(st.sampled_from(("contiguous", "strided", "hvector", "hvector_tiled", "two_level", "shuffled")))
+    L, gap = draw(st.integers(1, 12)), draw(st.integers(0, 9))
+    if kind == "contiguous":
+        return FlatType([0], [1], 1)
+    if kind == "strided":
+        off = draw(st.integers(0, 5))
+        return FlatType([off], [L], off + L + gap)
+    if kind.startswith("hvector"):
+        count = draw(st.integers(2, 300))
+        vec = hvector(count, L, L + gap, BYTE)
+        return (resized(vec, 0, count * (L + gap)) if kind == "hvector_tiled" else vec).flatten()
+    if kind == "two_level":
+        return draw(monotonic_flats())
+    lens = draw(st.lists(st.integers(1, 8), min_size=2, max_size=8))
+    perm = draw(st.permutations(range(8)))
+    return FlatType([8 * p for p in perm[: len(lens)]], lens, 64)
+
+
+def _accesses(draw, flat=None):
+    """A file access: a monotonic flat (drawn unless given), its
+    displacement, a total with a partial last tile, and a data window
+    that may start mid-access."""
+    flat = flat or draw(monotonic_flats())
+    tiles, short = draw(st.integers(2, 60)), draw(st.integers(0, 11))
+    total = max(flat.size * tiles - short % flat.size, flat.size + 1)
+    data_lo = draw(st.integers(0, total - 1)) if draw(st.booleans()) else 0
+    return flat, draw(st.integers(0, 50)), total, data_lo
+
+
+def _rounds(draw, hi: int) -> list:
+    """Two rounds of ascending file intervals in [0, hi): few cuts, so
+    many windows meet an access in one interval, some in several."""
+    cuts = sorted(set(draw(st.lists(st.integers(0, hi), min_size=2, max_size=8))))
+    intervals = [(a, b) for a, b in zip(cuts[::2], cuts[1::2])]
+    k = draw(st.integers(0, len(intervals)))
+    return [intervals[:k], intervals[k:]]
+
+
+@st.composite
+def fan_cases(draw):
+    flat, disp, total, data_lo = _accesses(draw)
+    hi = FlatCursor(flat, disp, total, data_lo).last_byte + 8
+    targets = draw(st.integers(1, 4))
+    per_target = [_rounds(draw, hi) for _ in range(targets)]
+    return "fan", (flat, disp, total, data_lo, draw(memflats())), per_target
+
+
+@st.composite
+def funnel_cases(draw):
+    # Two descriptions at most, so clients share cursors too.
+    pool = [draw(monotonic_flats()) for _ in range(2)]
+    clients = [
+        _accesses(draw, draw(st.sampled_from(pool)) if draw(st.booleans()) else None)
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    hi = max(FlatCursor(*c).last_byte for c in clients) + 8
+    return "funnel", clients, _rounds(draw, hi)
+
+
+def _routed_legs(case):
+    """Every leg the case's router builds, round by round, with the size
+    of the buffer its file side addresses."""
+    kind, access, rounds = case
+    if kind == "fan":
+        flat, disp, total, data_lo, memflat = access
+        fan = FanCursor(FlatCursor(flat, disp, total, data_lo), len(rounds), memflat)
+        size = int(memflat.extent * memflat.tile_count(total - data_lo) + memflat.span_hi)
+        for r in range(2):
+            for got in fan.route([per[r] or None for per in rounds]):
+                if got is not None and got[2] is not None:
+                    assert memflat.is_monotonic or got[2].period is None
+                    yield got[2], size
+        return
+    funnel = FunnelCursor(len(access))
+    for c, (flat, disp, total, data_lo) in enumerate(access):
+        funnel.add(c, id(flat), flat, disp, total, data_lo)
+    for intervals in rounds:
+        if intervals:
+            window = Window(*np.array(intervals, dtype=np.int64).reshape(-1, 2).T.copy())
+            for batch in funnel.route(window.intervals, window.to_buffer)[1].values():
+                yield batch, window.total_bytes
+
+
+def _check_routed(case) -> int:
+    legs = 0
+    for i, (batch, size) in enumerate(_routed_legs(case)):
+        if batch.period is not None:
+            _assert_period_holds(batch)
+            legs += 1
+        _assert_moves_like_the_reference(batch, size, i)
+    return legs
+
+
+routed_cases = st.one_of(fan_cases(), funnel_cases())
+
+
+@given(case=routed_cases)
+@settings(max_examples=150, deadline=None)
+def test_routed_legs_move_like_the_reference_with_and_without_their_period(case):
+    """``FanCursor`` / ``FunnelCursor`` legs over drawn flats — multi-pair
+    tiles, windows opening mid-tile, ``data_lo > 0``, partial last tiles,
+    multi-interval windows, contiguous / strided / non-monotonic memory
+    types: the period holds segment by segment, and gather and scatter
+    equal the reference bodies and the same batch with no period."""
+    _check_routed(case)
+
+
+@pytest.mark.slow
+@given(case=routed_cases)
+@settings(max_examples=1000, deadline=None, derandomize=True)
+def test_routed_legs_sweep(case):
+    """The differential above over 1 000 derandomized draws."""
+    _check_routed(case)
+
+
+def test_drawn_legs_do_carry_periods():
+    """The differential is not vacuous: a seeded batch of draws routes
+    legs with a period on both sides."""
+    seen = {"fan": 0, "funnel": 0}
+
+    @given(case=routed_cases)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def count(case):
+        seen[case[0]] += _check_routed(case)
+
+    count()
+    assert seen["fan"] > 20 and seen["funnel"] > 20, seen
+
+
+def _fig4_legs():
+    """A ``fig4_*`` round's legs as both routers build them: a client's
+    16 (its 4 096 64-byte regions every 3 072 B, memory every 192 B)
+    and an aggregator's 16 (every client's 256 regions in its window)."""
+    view = resized(contiguous(64, BYTE), 0, 3072).flatten()
+    total, step = 64 * 4096, 3072 * 4096 // 16
+    fan = FanCursor(FlatCursor(view, 0, total), 16, hvector(4096, 64, 192, BYTE).flatten())
+    client = [got[2] for got in fan.route([[(a * step, (a + 1) * step)] for a in range(16)])]
+    funnel = FunnelCursor(16)
+    for c in range(16):
+        funnel.add(c, "fig4", view, 192 * c, total)
+    window = Window(np.array([0]), np.array([step]))
+    agg = list(funnel.route(window.intervals, window.to_buffer)[1].values())
+    return [(b, 192 * 4096) for b in client] + [(b, step) for b in agg]
+
+
+def test_a_routed_fig4_leg_never_enters_period_detection(monkeypatch):
+    calls = {"_period": 0, "stream_order": 0}
+    for name in calls:
+        real = getattr(packing, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(packing, name, counted)
+    legs = _fig4_legs()
+    assert len(legs) == 32
+    for i, (batch, size) in enumerate(legs):
+        assert batch.period is not None and batch.period[0] == 1 and batch.num_segments == 256
+        rng = np.random.default_rng(i)
+        buf = rng.integers(0, 256, size=size, dtype=np.uint8)
+        packed = gather_segments(buf, batch)
+        out = np.zeros_like(buf)
+        scatter_segments(out, batch, packed)
+        idx = ref_expand_indices(batch.file_offsets, batch.lengths)
+        assert np.array_equal(packed, buf[idx]) and np.array_equal(out[idx], buf[idx])
+    assert calls == {"_period": 0, "stream_order": 0}
+
+
+def test_nothing_derived_from_a_leg_inherits_its_period():
+    """Coalescing, slicing (``clip_to_range``, ``subtract_intervals``),
+    concatenating and re-wrapping a leg's arrays as the suspect tail does
+    all give batches with no period; and nothing in ``repro`` but the
+    routers' split sets one."""
+    leg = _fig4_legs()[0][0]
+    lo, hi = int(leg.file_offsets[3]) + 5, int(leg.file_offsets[200])
+    derived = [
+        leg.coalesce(),
+        clip_to_range(leg, lo, hi),
+        subtract_intervals(leg, [(lo, hi)]),
+        concat_batches([leg, clip_to_range(leg, lo, hi)]),
+        SegmentBatch(leg.file_offsets, leg.lengths.copy(), np.cumsum(leg.lengths) - leg.lengths),
+    ]
+    assert leg.period is not None and all(b.period is None and not b.empty for b in derived)
+    setters = set()
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                stored = isinstance(node, ast.Attribute) and node.attr == "period" and isinstance(node.ctx, ast.Store)
+                passed = (
+                    isinstance(node, ast.Call)
+                    and ast.unparse(node.func).endswith("SegmentBatch")
+                    and any(k.arg == "period" for k in node.keywords)
+                )
+                if stored or passed:
+                    setters.add((path.name, fn.name))
+    assert setters == {("segments.py", "_split")}

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from repro.config import CostModel
 from repro.datatypes import BYTE, contiguous, resized
-from repro.datatypes.segments import FlatCursor
+from repro.datatypes.segments import FlatCursor, SegmentBatch
 from repro.errors import CollectiveIOError
 from repro.fs import FSClient, SimFileSystem
 from repro.io import AdioFile, choose_method
+from repro.io.datasieve import datasieve_write
 from repro.io.selection import is_contiguous_batch
 from repro.mpi.hints import Hints
 from repro.obs.session import Session
@@ -75,6 +76,22 @@ class TestStridedWrite:
             in_region = (i % 16) < 8
             assert content[i] == (7 if in_region else 9), (i, content[i])
 
+    def test_overlapping_pieces_do_not_hide_a_hole_from_the_sieve(self):
+        """[0, 10), [5, 15) and [20, 30) cover as many bytes as their
+        30-byte span yet leave [15, 20) a hole: the sieve pre-reads it
+        instead of writing it back from an uninitialised buffer."""
+        batch = SegmentBatch(np.array([0, 5, 20]), np.array([10, 10, 10]), np.array([0, 10, 20]))
+        data = np.arange(1, 31, dtype=np.uint8)
+
+        def main(ctx, client, fs):
+            fs.raw_write("/f", 0, np.full(64, 7, dtype=np.uint8))
+            datasieve_write(client.open("/f", cache_mode="off"), batch, data, buffer_size=1 << 10)
+
+        _, fs, _ = run_one(main)
+        got = fs.raw_bytes("/f", 0, 32).tolist()
+        # Pieces land in order, so the second owns [5, 15).
+        assert got == data[:5].tolist() + data[10:20].tolist() + [7] * 5 + data[20:30].tolist() + [7, 7]
+
     def test_contig_fast_path(self):
         flat = contiguous(32, BYTE).flatten()
         batch = FlatCursor(flat, 100, 32).all_segments()
@@ -111,8 +128,6 @@ class TestStridedWrite:
         assert run_one(main)[0]
 
     def test_empty_batch_noop(self):
-        from repro.datatypes.segments import SegmentBatch
-
         def main(ctx, client, fs):
             adio = AdioFile(client.open("/f", cache_mode="off"))
             adio.write_strided(SegmentBatch.empty_batch(), np.empty(0, dtype=np.uint8), "naive")
@@ -238,8 +253,6 @@ class TestChooseMethod:
             assert choose_method(Hints(io_method=m), 123, batch) == m
 
     def test_empty_batch_contig(self):
-        from repro.datatypes.segments import SegmentBatch
-
         assert choose_method(Hints(), 8, SegmentBatch.empty_batch()) == "contig"
 
 
