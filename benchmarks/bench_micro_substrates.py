@@ -8,6 +8,8 @@ independently of the simulated-bandwidth figures.
 
 from __future__ import annotations
 
+import resource
+
 import numpy as np
 import pytest
 
@@ -290,7 +292,18 @@ def test_engine_message_rate(benchmark):
 def test_engine_pingpong_handoff(benchmark):
     """Two ranks passing the processor back and forth: every decision is
     a thread hand-off, so wall / ``handoffs`` is the engine's unit cost
-    (recorded as ``us_per_switch``)."""
+    (recorded as ``us_per_switch``).
+
+    ``ctx_switches_per_handoff`` is the process's voluntary plus
+    involuntary OS context switches over the last run, per hand-off.
+    1.0 is the floor: the waker parks and the woken rank takes the CPU
+    and the GIL in one switch, which is what the engine threads'
+    ``SCHED_BATCH`` class buys.  About 3 (2.7–3.4 measured on a 2-vCPU
+    VM) is the woken rank preempting the waker, blocking on the GIL the
+    waker still holds, and being woken again when the waker parks — the
+    default class, or a platform that refuses the batch class.
+    Information only."""
+    switches = []
 
     def run():
         sim = Simulator(2)
@@ -299,11 +312,15 @@ def test_engine_pingpong_handoff(benchmark):
             for _ in range(2000):
                 ctx.advance(1e-6)
 
+        r0 = resource.getrusage(resource.RUSAGE_SELF)
         sim.run(main)
+        r1 = resource.getrusage(resource.RUSAGE_SELF)
+        switches.append(r1.ru_nvcsw - r0.ru_nvcsw + r1.ru_nivcsw - r0.ru_nivcsw)
         return sim
 
     sim = benchmark(run)
     assert sim.handoffs >= 4000
+    benchmark.extra_info["ctx_switches_per_handoff"] = switches[-1] / sim.handoffs
     if benchmark.stats:  # None under --benchmark-disable (CI runs the rows as plain tests)
         benchmark.extra_info["us_per_switch"] = benchmark.stats.stats.mean / sim.handoffs * 1e6
 

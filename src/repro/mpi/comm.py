@@ -64,8 +64,8 @@ COLLECTIVE_TAG_BASE = 1 << 20
 _RECV_REASON = "{}(src={}, tag={}, comm={})"
 
 #: Payload types a sender cannot change after the call: they travel as
-#: the same object.  A tuple of them does too; a list of them is copied
-#: shallow.
+#: the same object.  A tuple of them, or of such tuples, does too; a
+#: list of them is copied shallow.
 _IMMUTABLE = SCALAR_TYPES | {type(None), str, bytes}
 
 #: The request every buffered send returns: already complete, value
@@ -170,7 +170,8 @@ def _wire_form(obj: Any) -> tuple[int, Any, bool]:
     Dispatches on exact type.  An ndarray is copied and is a frame when
     non-empty; immutable payloads (scalars, ``str``, ``bytes``, tuples
     of them) travel as the same object and only non-empty ``bytes`` is
-    a frame; a list of them needs only a copy of itself; a
+    a frame; a list of them, or of such tuples (an allgather's
+    ``[None, (lo, hi), ...]`` blocks), needs only a copy of itself; a
     ``memoryview`` travels as its bytes, which is what the wire carries;
     anything else is deep-copied and asks
     :func:`~repro.integrity.corruptible`."""
@@ -180,8 +181,12 @@ def _wire_form(obj: Any) -> tuple[int, Any, bool]:
     nbytes = payload_nbytes(obj)
     if cls in _IMMUTABLE:
         return nbytes, obj, cls is bytes and nbytes > 0
-    if (cls is tuple or cls is list) and _IMMUTABLE.issuperset(map(type, obj)):
-        return nbytes, obj if cls is tuple else obj.copy(), False
+    if cls is tuple or cls is list:
+        kinds = set(map(type, obj))
+        if tuple in kinds:
+            kinds = (kinds - {tuple}).union(*[map(type, x) for x in obj if type(x) is tuple])
+        if _IMMUTABLE.issuperset(kinds):
+            return nbytes, obj if cls is tuple else obj.copy(), False
     payload = obj.tobytes() if cls is memoryview else _copy.deepcopy(obj)
     return nbytes, payload, corruptible(payload)
 

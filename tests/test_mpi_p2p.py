@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,16 @@ _MUTABLE = {
         lambda: [1, None, "a", b"b"],
         lambda p: (p.__setitem__(0, 9), p.append(9)),
         lambda v: v,
+    ),
+    "list-of-tuples": (
+        lambda: [None, (1, 2), (3, np.int64(4))],
+        lambda p: (p.__setitem__(0, 9), p.append((5, 6))),
+        lambda v: v,
+    ),
+    "list-of-mutable-tuples": (
+        lambda: [None, (1, [2]), (3, np.arange(2))],
+        lambda p: (p[1][1].append(9), _set_all([p[2][1]], 7)),
+        lambda v: [v[0], v[1], (v[2][0], v[2][1].tolist())],
     ),
     "dict": (
         lambda: {"a": [1], "b": 2},
@@ -112,6 +124,29 @@ class TestSendRecv:
                 getattr(comm, how)(payload, dest=1)
 
         assert run(2, main)[1] is payload
+
+    @pytest.mark.parametrize("how", ["send", "isend", "sendrecv"])
+    def test_list_of_tuples_copied_shallow(self, how, monkeypatch):
+        """An allgather block list (``[None, (lo, hi), ...]``) is copied
+        as a list; its tuples cannot change, so they travel as
+        themselves and ``copy.deepcopy`` is never entered."""
+        def no_deepcopy(obj, memo=None):
+            raise AssertionError(f"deepcopy entered for {obj!r}")
+
+        monkeypatch.setattr(copy, "deepcopy", no_deepcopy)
+        payload = [None, (1, 2), (np.int64(3), 4.5, "s", b"b", None)]
+
+        def main(comm):
+            if comm.rank == 1:
+                return comm.sendrecv(None, 0, 0) if how == "sendrecv" else comm.recv(source=0)
+            if how == "sendrecv":
+                comm.sendrecv(payload, 1, 1)
+            else:
+                getattr(comm, how)(payload, dest=1)
+
+        got = run(2, main)[1]
+        assert got == payload and got is not payload
+        assert all(a is b for a, b in zip(got, payload))
 
     def test_memoryview_payload_arrives_as_its_bytes(self):
         """A memoryview is priced by its bytes and travels as them: it

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import threading
+
 import pytest
 
 from repro.errors import RankFailed, SimDeadlock
@@ -47,6 +50,19 @@ class TestSimulatorBasics:
     def test_nprocs_must_be_positive(self):
         with pytest.raises(ValueError):
             Simulator(0)
+
+    @pytest.mark.parametrize(
+        "timeout", [float("inf"), 2 * threading.TIMEOUT_MAX], ids=["inf", "twice-max"]
+    )
+    def test_join_timeout_above_timeout_max_rejected(self, timeout):
+        """A timeout the lock waits cannot take is refused up front, not
+        as an OverflowError once the rank threads have started."""
+        with pytest.raises(ValueError, match="TIMEOUT_MAX"):
+            Simulator(2, join_timeout=timeout)
+
+    def test_join_timeout_max_accepted(self):
+        sim = Simulator(2, join_timeout=threading.TIMEOUT_MAX)
+        assert sim.run(lambda ctx: ctx.rank) == [0, 1]
 
     def test_run_is_single_shot(self):
         sim = Simulator(2)
@@ -208,3 +224,65 @@ class TestTracer:
         sim.run(main)
         assert "io" in tracer.summary()
         assert Tracer().summary() == "(no trace events)"
+
+
+def _batch_refused() -> str:
+    """Why a thread here cannot enter ``SCHED_BATCH`` and leave it again
+    on its own ("" when it can)."""
+    why: list[str] = []
+
+    def probe():
+        try:
+            os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+            os.sched_setscheduler(0, os.SCHED_OTHER, os.sched_param(0))
+        except AttributeError:
+            why.append("no SCHED_BATCH on this platform")
+        except OSError as exc:
+            why.append(f"SCHED_BATCH refused: {exc}")
+
+    t = threading.Thread(target=probe)
+    t.start()
+    t.join()
+    return why[0] if why else ""
+
+
+class TestBatchPolicy:
+    def test_engine_threads_run_sched_batch(self):
+        """Rank threads and the coroutine threads they spawn run in
+        ``SCHED_BATCH``; the caller's thread keeps its own class.  The
+        rank drops back to ``SCHED_OTHER`` before spawning, so the
+        task's class is its own doing, not inherited."""
+        why = _batch_refused()
+        if why:
+            pytest.skip(why)
+        caller = os.sched_getscheduler(0)
+
+        def main(ctx):
+            mine = os.sched_getscheduler(0)
+            os.sched_setscheduler(0, os.SCHED_OTHER, os.sched_param(0))
+            task = ctx.spawn(lambda tctx: os.sched_getscheduler(0))
+            return mine, ctx.join(task)
+
+        assert Simulator(2).run(main) == [(os.SCHED_BATCH, os.SCHED_BATCH)] * 2
+        assert os.sched_getscheduler(0) == caller
+
+    @pytest.mark.parametrize("refusal", ["eperm", "missing"])
+    def test_refused_policy_runs_unchanged(self, monkeypatch, refusal):
+        """Where the OS refuses the class (EPERM) or has no such call,
+        the threads keep the caller's class and the run is the same."""
+        if refusal == "missing":
+            monkeypatch.delattr(os, "sched_setscheduler", raising=False)
+        else:
+            def refuse(pid, policy, param):
+                raise PermissionError(1, "Operation not permitted")
+
+            monkeypatch.setattr(os, "sched_setscheduler", refuse, raising=False)
+        probe = getattr(os, "sched_getscheduler", lambda pid: None)
+
+        def main(ctx):
+            ctx.advance(1e-3 * (ctx.rank + 1))
+            return probe(0)
+
+        sim = Simulator(2)
+        assert sim.run(main) == [probe(0)] * 2
+        assert sim.times == [1e-3, 2e-3]
