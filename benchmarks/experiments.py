@@ -256,7 +256,7 @@ def struct_beats_vect_everywhere(rows: Rows) -> None:
 # Paper shape: at small extents (1 KB, 8 KB) sieving wins — the window
 # pre-read drags in few gap bytes; at 64 KB naive wins — sieving reads
 # and rewrites mostly gaps; the crossover sits around 16 KB (what
-# ``ds_threshold_extent`` encodes); both jump at 100% (contiguous).
+# ``io.selection.DS_THRESHOLD_EXTENT`` encodes); both jump at 100% (contiguous).
 # ---------------------------------------------------------------------------
 
 def _fig5_region(extent: int, frac: float) -> int:

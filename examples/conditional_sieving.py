@@ -6,7 +6,7 @@ run with three ``io_method`` hints — ``datasieve``, ``naive``, and
 ``conditional`` — on one *dense* pattern (small filetype extent, where
 sieving wins) and one *sparse* pattern (large extent, where naive
 per-segment I/O wins).  The conditional hint compares the filetype
-extent against ``ds_threshold_extent`` (16 KB, the paper's crossover)
+extent against a fixed 16 KB threshold (the paper's crossover)
 and should match the better fixed method on both patterns without the
 user knowing where the crossover sits.
 

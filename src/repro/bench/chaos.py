@@ -12,11 +12,10 @@ timing says.
 oracle still passes if every mismatching page fails its checksum
 sidecar (the corruption was caught — an fsck would find and repair
 it).  "Terminates" means *bounded*: a run killed by one of the typed
-errors of :data:`_BOUNDED` — detected corruption, a quorum-loss abort,
-a liveness error under the liveness hints, a storage error under OST
-events — is a reported outcome with no completion time; a hang or a
-wrong byte nobody flagged are the outcomes the layers under test must
-make impossible.
+errors of :data:`_BOUNDED` — detected corruption, a liveness error
+under the liveness hints, a storage error under OST events — is a
+reported outcome with no completion time; a hang or a wrong byte nobody
+flagged are the outcomes the layers under test must make impossible.
 
 Each point rebuilds the whole simulated cluster from scratch (a fresh
 :class:`~repro.obs.session.Session`), so points are independent and the
@@ -35,14 +34,12 @@ import numpy as np
 
 from repro.errors import (
     AggregatorLost,
-    CollectiveAborted,
     DeadlineExceeded,
     IntegrityError,
     LockDeadlock,
     OSTOverloaded,
     OSTUnavailable,
     ReproError,
-    RetryBudgetExhausted,
     RetryExhausted,
     error_chain,
 )
@@ -105,17 +102,15 @@ def arm(consumer: str, **flags: object) -> Dict[str, object]:
 
 #: Armed domain -> the typed errors that make a killed run a *bounded*
 #: outcome (loud, reported, no completion time) instead of a harness
-#: bug.  ``"always"``: corruption that was caught.  A quorum-loss abort
-#: counts when the plan crashes ranks, a liveness error when the
-#: liveness hints are armed, a storage error (a retry or budget
+#: bug.  ``"always"``: corruption that was caught.  A liveness error
+#: counts when the liveness hints are armed, a storage error (a retry
 #: exhaustion raised *from* one keeps it in the chain) when the plan
 #: carries OST events.  Frame re-requests exhausting at the
 #: ``net-frame`` site are the one bounded outcome that is not a type.
 _BOUNDED = {
     "always": (IntegrityError,),
-    "crash": (CollectiveAborted,),
     "liveness": (DeadlineExceeded, LockDeadlock, AggregatorLost),
-    "storage": (OSTUnavailable, OSTOverloaded, RetryBudgetExhausted),
+    "storage": (OSTUnavailable, OSTOverloaded),
 }
 
 

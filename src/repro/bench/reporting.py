@@ -4,21 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.bench.harness import BenchResult
-
-__all__ = ["format_series", "format_table", "series_from_results"]
-
-
-def series_from_results(
-    results: Sequence[BenchResult], x_key: str, series_key: str
-) -> Dict[object, Dict[object, float]]:
-    """Pivot results into {series_label: {x_value: bandwidth}}."""
-    out: Dict[object, Dict[object, float]] = {}
-    for r in results:
-        series = r.params.get(series_key, r.label)
-        x = r.params.get(x_key)
-        out.setdefault(series, {})[x] = r.bandwidth_mbs
-    return out
+__all__ = ["format_series", "format_table"]
 
 
 def format_series(

@@ -18,40 +18,29 @@ __all__ = ["select_aggregators"]
 
 
 def select_aggregators(
-    size: int,
-    cb_nodes: int,
-    layout: str = "spread",
-    topology: Optional[NodeTopology] = None,
+    size: int, cb_nodes: int, topology: Optional[NodeTopology] = None
 ) -> list[int]:
     """Ranks acting as aggregators.
 
     ``cb_nodes == 0`` (the hint default) means every process
-    aggregates; otherwise ``cb_nodes`` ranks are picked by ``layout``:
+    aggregates; otherwise ``cb_nodes`` ranks evenly spaced across the
+    rank space (ROMIO's default choice of one process per node under
+    block placement).
 
-    * ``"spread"`` — evenly spaced across the rank space (ROMIO's
-      default choice of one process per node under block placement);
-    * ``"packed"`` — the first ``cb_nodes`` ranks (what a
-      ``cb_config_list`` pinning aggregators to the first nodes does).
-
-    With an armed node ``topology``, the spread layout becomes
-    *leader-aware*: aggregators land on node leaders first (lowest rank
-    per node, nodes evenly spaced), so the two-layer exchange's
-    leader↔aggregator hop is free whenever an aggregator count up to
-    the node count allows it.  Beyond one per node, additional
-    aggregators fill nodes round-robin.  The packed layout is already
-    node-packed under block placement and is left alone.
+    With an armed node ``topology`` the spread becomes *leader-aware*:
+    aggregators land on node leaders first (lowest rank per node, nodes
+    evenly spaced), so the two-layer exchange's leader↔aggregator hop
+    is free whenever an aggregator count up to the node count allows
+    it.  Beyond one per node, additional aggregators fill nodes
+    round-robin.
     """
     if size <= 0:
         raise CollectiveIOError(f"communicator size must be positive, got {size}")
     if cb_nodes < 0:
         raise CollectiveIOError(f"cb_nodes must be non-negative, got {cb_nodes}")
-    if layout not in ("spread", "packed"):
-        raise CollectiveIOError(f"unknown aggregator layout {layout!r}")
     naggs = size if cb_nodes == 0 else min(cb_nodes, size)
     if naggs == size:
         return list(range(size))
-    if layout == "packed":
-        return list(range(naggs))
     if topology is not None and topology.procs_per_node > 1:
         return _spread_on_leaders(size, naggs, topology)
     return sorted({(i * size) // naggs for i in range(naggs)})

@@ -28,7 +28,7 @@ import numpy as np
 from repro.config import CostModel, DEFAULT_COST_MODEL
 from repro.core import compat
 from repro.core.env import CollEnv
-from repro.core.file_view import FileView
+from repro.core.file_view import FileView, integer_arg
 from repro.core.pfr import PFRState
 from repro.core.plancache import PlanCache
 from repro.core.request import Request
@@ -44,7 +44,7 @@ from repro.fs.filesystem import SimFileSystem
 from repro.integrity import IntegrityConfig, install_integrity
 from repro.io.adio import AdioFile
 from repro.liveness import LivenessState, install_liveness
-from repro.io.retry import RetryBudget, RetryPolicy
+from repro.io.retry import RetryPolicy
 from repro.liveness import find_crash_state
 from repro.mpi.agreement import AliveGroup
 from repro.mpi.comm import Communicator
@@ -95,18 +95,7 @@ class CollectiveFile:
             cache_mode=self.hints["cache_mode"],
             cache_capacity_pages=self.hints["cache_pages"],
         )
-        retry = RetryPolicy(
-            retries=self.hints["io_retries"],
-            backoff=self.hints["io_retry_backoff"],
-            budget=(
-                RetryBudget(self.hints["io_retry_budget"])
-                if self.hints["io_retry_budget"]
-                else None
-            ),
-        )
-        self.adio = AdioFile(
-            self.local, ds_buffer_size=self.hints["ds_buffer_size"], retry=retry
-        )
+        self.adio = AdioFile(self.local, retry=RetryPolicy(retries=self.hints["io_retries"]))
         # Storage-side replication (docs/storage_faults.md): place each
         # stripe's pages on r distinct OSTs so an ost_crash degrades
         # instead of failing.  1 (default) = the seed's plain store.
@@ -122,7 +111,6 @@ class CollectiveFile:
                     pages=self.hints["integrity_pages"],
                     network=self.hints["integrity_network"],
                     net_retries=self.hints["io_retries"],
-                    net_backoff=self.hints["io_retry_backoff"],
                 ),
             )
         if self.hints["integrity_pages"]:
@@ -193,6 +181,7 @@ class CollectiveFile:
         """Move the individual file pointer (MPI_File_seek), counted in
         etypes relative to the view."""
         self._require_open()
+        offset_etypes = integer_arg(offset_etypes, "offset")
         if whence == self.SEEK_SET:
             target = offset_etypes
         elif whence == self.SEEK_CUR:
@@ -236,6 +225,7 @@ class CollectiveFile:
         buf = np.asarray(buf)
         if buf.dtype != np.uint8 or buf.ndim != 1:
             raise CollectiveIOError("buffers must be 1-D numpy uint8 arrays")
+        count = integer_arg(count, "count")
         if count < 0:
             raise CollectiveIOError(f"count must be non-negative, got {count}")
         if memtype is None:
@@ -501,6 +491,7 @@ class CollectiveFile:
         self._submit_at(offset_etypes, buf, memtype, count, write=False, sync=True).wait()
 
     def _submit_at(self, offset_etypes: int, buf, memtype, count: int, write: bool, sync: bool) -> Request:
+        offset_etypes = integer_arg(offset_etypes, "offset")
         if offset_etypes < 0:
             raise CollectiveIOError(f"offset must be non-negative, got {offset_etypes}")
         return self._isubmit(
@@ -642,7 +633,6 @@ class CollectiveFile:
         cannot join the survivors' barrier it is dead in."""
         if not self._open:
             return
-        self._publish_retry_budget()
         # Outstanding nonblocking operations must finish before the
         # handle goes away; their deferred errors stay on the requests.
         # This runs *before* the crash-dead check: a rank whose own
@@ -658,17 +648,6 @@ class CollectiveFile:
         self.adio.retry.run(self.ctx, self.local.close)
         self._open = False
         self._alive_barrier()
-
-    def _publish_retry_budget(self) -> None:
-        """Surface the cross-operation retry budget in the registry so
-        ``Session.summary()`` can report per-rank headroom."""
-        budget = self.adio.retry.budget
-        if budget is None:
-            return
-        self.registry.gauge("retry.budget.used", self.ctx.rank).set(budget.used)
-        self.registry.gauge("retry.budget.remaining", self.ctx.rank).set(
-            budget.remaining
-        )
 
     def get_info(self) -> dict:
         """The hints actually in use (MPI_File_get_info analogue): every

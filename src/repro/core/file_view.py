@@ -9,12 +9,26 @@ forever").
 
 from __future__ import annotations
 
+import operator
+
 from repro.datatypes.base import BYTE, Datatype
 from repro.datatypes.flatten import FlatType
 from repro.datatypes.segments import FlatCursor
 from repro.errors import CollectiveIOError
 
-__all__ = ["FileView"]
+__all__ = ["FileView", "integer_arg"]
+
+
+def integer_arg(value, name: str) -> int:
+    """``value`` as an ``int`` (:func:`operator.index`: an int or numpy
+    integer, never a float or a bool); anything else is a
+    :class:`CollectiveIOError` naming the argument."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise CollectiveIOError(f"{name} must be an integer, got {value!r}")
 
 
 class FileView:
@@ -23,6 +37,7 @@ class FileView:
     __slots__ = ("disp", "etype", "filetype", "flat")
 
     def __init__(self, disp: int = 0, etype: Datatype = BYTE, filetype: Datatype | None = None):
+        disp = integer_arg(disp, "disp")
         if disp < 0:
             raise CollectiveIOError(f"view displacement must be non-negative, got {disp}")
         if filetype is None:
@@ -40,7 +55,7 @@ class FileView:
             raise CollectiveIOError(
                 "filetype must be monotonic and non-overlapping when tiled"
             )
-        self.disp = int(disp)
+        self.disp = disp
         self.etype = etype
         self.filetype = filetype
         self.flat: FlatType = flat
@@ -48,10 +63,6 @@ class FileView:
     def cursor(self, total_bytes: int, data_lo: int = 0) -> FlatCursor:
         """A fresh scan cursor over data bytes [data_lo, total_bytes)."""
         return FlatCursor(self.flat, self.disp, total_bytes, data_lo)
-
-    @property
-    def is_contiguous(self) -> bool:
-        return self.flat.is_contiguous
 
     def access_span(self, total_bytes: int, data_lo: int = 0) -> tuple[int, int]:
         """[first_byte, last_byte) touched by data [data_lo, total_bytes)."""

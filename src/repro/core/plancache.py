@@ -144,17 +144,6 @@ class PlanCache:
     def misses(self) -> int:
         return self._misses.value
 
-    @property
-    def invalidations(self) -> int:
-        return self._invalidations.value
-
-    @property
-    def bypasses(self) -> int:
-        return self._bypasses.value
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def note_bypass(self) -> None:
         """Count one call that planned cold because the cache stood down."""
         self._bypasses.inc()

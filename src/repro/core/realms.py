@@ -253,11 +253,6 @@ class FileRealm:
         batch = FlatCursor(self.flat, self.disp, total).intersect(lo, hi)
         return RealmDomain(batch.file_offsets, batch.file_offsets + batch.lengths)
 
-    def describe(self) -> tuple:
-        """Hashable identity used to detect realm changes across calls."""
-        key = self.flat
-        return (key.offsets.tobytes(), key.lengths.tobytes(), key.extent, self.disp, self.tiles)
-
 
 # ---------------------------------------------------------------------------
 # Construction helpers

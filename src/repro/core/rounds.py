@@ -43,7 +43,7 @@ from repro.core.exchange import exchange_data
 from repro.core.pipeline import RoundPipeline, task_env
 from repro.core.plancache import PlanEntry, PlanRecorder, RoundPlan
 from repro.datatypes.flatten import FlatType
-from repro.errors import CollectiveAborted, RankCrashed
+from repro.errors import RankCrashed
 from repro.faults.plan import FAULTS_KEY
 from repro.liveness import LIVENESS_KEY, install_crash_state
 from repro.mpi.agreement import AliveGroup, agree_dead_set
@@ -104,11 +104,6 @@ class RoundSource:
             self._crash = install_crash_state(ctx.shared)
             self._known_dead = set(self._crash.dead)
             self.group = AliveGroup(comm, frozenset(self._known_dead), -1)
-            quorum = env.hints["crash_quorum"]
-            if self.group.size < quorum:
-                raise CollectiveAborted(
-                    -1, self.group.size, quorum, tuple(sorted(self._known_dead))
-                )
         #: Ranks the exchange must not touch (corpses and suspects).
         self.skip: frozenset = frozenset(self._known_dead)
 
@@ -266,13 +261,6 @@ class RoundSource:
         reporter = self.group.first_alive()
         if rank == reporter:
             inj.note_agreement()
-        quorum = env.hints["crash_quorum"]
-        if self.group.size < quorum:
-            if rank == reporter:
-                inj.note_aborted()
-            raise CollectiveAborted(
-                boundary, self.group.size, quorum, tuple(sorted(self._known_dead))
-            )
         self.skip = frozenset(self.skip | set(newly))
         return newly, reporter
 

@@ -124,9 +124,7 @@ class _Plan(RoundSource):
         # so the default path is untouched.
         self.topology = resolve_topology(hints, env.cost)
         self.aggs = self._live_aggregators(
-            select_aggregators(
-                comm.size, hints["cb_nodes"], hints["cb_layout"], topology=self.topology
-            )
+            select_aggregators(comm.size, hints["cb_nodes"], topology=self.topology)
         )
         if self._injector is not None:
             # Aggregators whose role died in *earlier* collective calls
@@ -136,8 +134,6 @@ class _Plan(RoundSource):
             if gone:
                 alive = [a for a in self.aggs if a not in gone]
                 if len(alive) != len(self.aggs):
-                    if not hints["failover"]:
-                        raise AggregatorLost(min(set(self.aggs) & gone))
                     if not alive:
                         raise AggregatorLost(self.aggs[0])
                     self.aggs = alive
@@ -407,8 +403,6 @@ class _Plan(RoundSource):
             # Pure-client deaths leave the window geometry untouched:
             # survivors carry on at the same round, minus the corpses.
             return CONTINUE
-        if newly_dead and not env.hints["failover"]:
-            raise AggregatorLost(newly_dead[0])
         with env.ctx.trace("tp:failover", round=r):
             lost_ranks = set(newly_dead) | set(suspects) | set(crash_lost)
             gone = (

@@ -96,7 +96,7 @@ class _OldPlan(RoundSource):
             lo, hi = int(my_access.file_offsets[0]), int((my_access.file_offsets + my_access.lengths).max())
         self.aar_lo, self.aar_hi = compute_aar(coll, lo, hi, not my_access.empty)
         self.aggs = self._live_aggregators(
-            select_aggregators(comm.size, hints["cb_nodes"], hints["cb_layout"])
+            select_aggregators(comm.size, hints["cb_nodes"])
         )
         self.my_agg_index = self.aggs.index(comm.rank) if comm.rank in self.aggs else -1
         naggs = len(self.aggs)

@@ -12,7 +12,7 @@ types whose typemap is not monotonic.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -203,11 +203,3 @@ class FlatType:
             f"extent={self.extent}, segs=[{head}{more}])"
         )
 
-
-def flat_from_pairs(pairs: Sequence[Tuple[int, int]], extent: int) -> FlatType:
-    """Build a FlatType from (offset, length) tuples (test convenience)."""
-    if pairs:
-        offs, lens = zip(*pairs)
-    else:
-        offs, lens = (), ()
-    return FlatType(np.array(offs, dtype=np.int64), np.array(lens, dtype=np.int64), extent)

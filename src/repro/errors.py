@@ -236,24 +236,6 @@ class RetryExhausted(FileSystemError):
         self.attempts = attempts
 
 
-class RetryBudgetExhausted(RetryExhausted):
-    """A client's cross-operation retry *budget* ran dry.
-
-    Unlike plain :class:`RetryExhausted` (one operation used up its
-    per-operation attempts), this is the storm-control limit: the
-    client as a whole has spent ``limit`` retries across all its
-    operations and is cut off — further faults fail fast instead of
-    adding retry load to an already-sick storage system."""
-
-    def __init__(self, site: str, attempts: int, limit: int) -> None:
-        super().__init__(site, attempts)
-        self.limit = limit
-        self.args = (
-            f"client retry budget ({limit}) exhausted; last fault "
-            f"injected at {site} (attempt {attempts})",
-        )
-
-
 class CollectiveIOError(ReproError):
     """Invalid use of the collective I/O layer (no view set, mismatched
     collective calls, unknown hint values, ...)."""
@@ -279,36 +261,13 @@ class WaitTimeout(CollectiveIOError):
 
 class AggregatorLost(CollectiveIOError):
     """An aggregator died during a collective call and could not be
-    survived (failover disabled, or no aggregator left alive)."""
+    survived (no aggregator left alive)."""
 
     def __init__(self, rank: int, reason: str = "") -> None:
         super().__init__(
             f"aggregator rank {rank} lost{': ' + reason if reason else ''}"
         )
         self.rank = rank
-
-
-class CollectiveAborted(CollectiveIOError):
-    """A collective call lost its quorum of live participants.
-
-    Raised on every *survivor* when, after the epoch-agreement round
-    converges on the dead set, fewer than ``crash_quorum`` participants
-    remain alive — completing the call would no longer represent the
-    communicator.  ``epoch`` is the phase boundary at which agreement
-    ran, ``alive``/``dead`` the converged membership."""
-
-    def __init__(
-        self, epoch: int, alive: int, quorum: int, dead: tuple = ()
-    ) -> None:
-        super().__init__(
-            f"collective aborted at epoch {epoch}: {alive} live rank(s) "
-            f"below quorum {quorum}"
-            + (f" (dead: {sorted(dead)})" if dead else "")
-        )
-        self.epoch = epoch
-        self.alive = alive
-        self.quorum = quorum
-        self.dead = tuple(sorted(dead))
 
 
 class HintError(CollectiveIOError):

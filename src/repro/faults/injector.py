@@ -70,7 +70,6 @@ FAULT_COUNTERS: Tuple[str, ...] = (
     "faults.ost.quorum_failures",
     "faults.crashes",
     "faults.crash.agreements",
-    "faults.crash.aborted",
     "faults.crash.rejoins",
     "faults.crash.resume_rewritten_bytes",
     "faults.crash.resume_skipped_bytes",
@@ -390,9 +389,6 @@ class FaultInjector:
 
     def note_agreement(self) -> None:
         self._count("faults.crash.agreements")
-
-    def note_aborted(self) -> None:
-        self._count("faults.crash.aborted")
 
     def note_rejoin(self) -> None:
         self._count("faults.crash.rejoins")

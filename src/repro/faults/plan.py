@@ -37,7 +37,7 @@ Event kinds
     ``call_index``.  The rank stays alive as a client (its compute
     process is fine; its I/O delegate died) and the collective layer
     fails the realm over to the surviving aggregators — or raises
-    :class:`~repro.errors.AggregatorLost` when failover is disabled.
+    :class:`~repro.errors.AggregatorLost` when no aggregator survives.
 ``bit_flip_page``
     With probability ``rate`` per server write, one bit of one just-
     written store page flips *after* the checksum sidecar was updated
@@ -91,9 +91,7 @@ Event kinds
     dies, the process lives) and ``rank_stall`` (transient), the rank
     is *gone*: survivors run the epoch-agreement protocol at the next
     phase boundary, converge on the dead set, shrink the exchange
-    schedule, and complete their own bytes — or raise a typed
-    :class:`~repro.errors.CollectiveAborted` when fewer than
-    ``crash_quorum`` participants remain.  With ``journal_writes`` on,
+    schedule, and complete their own bytes.  With ``journal_writes`` on,
     the per-epoch commit records let the dead rank
     ``Session.rejoin()`` later and rewrite only its un-committed
     bytes.

@@ -95,7 +95,7 @@ def _lock_storm(seed: int) -> FaultPlan:
 def _agg_crash(seed: int) -> FaultPlan:
     """Aggregator rank 0 dies at the second phase boundary of the first
     collective call; survivors adopt its file realm.  (Rank 0 holds an
-    aggregator role under every cb_nodes/cb_layout combination.)"""
+    aggregator role under every cb_nodes setting.)"""
     return FaultPlan(seed).agg_crash(rank=0, round_index=1)
 
 

@@ -26,7 +26,6 @@ gauges: 0 = up, 1 = degraded, 2 = down.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
@@ -38,7 +37,6 @@ __all__ = [
     "ost_state",
     "ost_down",
     "ost_service_factor",
-    "next_recovery",
     "health_lanes",
     "chrome_lane_events",
     "append_ost_lanes",
@@ -85,31 +83,6 @@ def ost_state(events: Iterable, ost: int, t: float) -> int:
     if ost_service_factor(events, ost, t) > 1.0:
         return DEGRADED
     return UP
-
-
-def next_recovery(events: Iterable, ost: int, t: float) -> float:
-    """Earliest time ``>= t`` at which ``ost`` is not down.
-
-    Used by tests and the re-replication pass to find the recovery
-    epoch; returns ``t`` itself when the OST is already up, ``inf``
-    when no event schedule ever brings it back."""
-    now = t
-    for _ in range(10_000):
-        if not ost_down(events, ost, now):
-            return now
-        candidates = []
-        for e in events:
-            if e.osts is None or ost not in e.osts or not e.active(now):
-                continue
-            if e.kind == "ost_crash":
-                candidates.append(e.end)
-            elif e.kind == "ost_flap" and _flap_down(e, now):
-                k = int((now - e.start) // e.delay) + 1
-                candidates.append(min(e.start + k * e.delay, e.end))
-        if not candidates:
-            return math.inf
-        now = max(now, min(candidates))
-    return math.inf
 
 
 def _boundaries(events: List, ost: int, horizon: float) -> List[float]:

@@ -113,15 +113,6 @@ class HPIOPattern:
         return self.slot * (self.region_count - 1) + self.region_size
 
     # -- helpers ------------------------------------------------------------------
-    def region_file_offset(self, rank: int, index: int) -> int:
-        """Absolute file offset of the rank's index-th region."""
-        self._check_rank(rank)
-        if not 0 <= index < self.region_count:
-            raise CollectiveIOError(f"region index {index} out of range")
-        if self.file_contig:
-            return rank * self.bytes_per_client + index * self.region_size
-        return (index * self.nprocs + rank) * self.slot
-
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.nprocs:
             raise CollectiveIOError(f"rank {rank} out of range for {self.nprocs} procs")

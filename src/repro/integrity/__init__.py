@@ -44,7 +44,7 @@ from repro.integrity.checksum import (
     payload_crc,
 )
 from repro.integrity.fsck import REPAIR_MODES, FsckReport, fsck, scrub_store
-from repro.io.retry import IO_RETRIES, RETRY_BACKOFF
+from repro.io.retry import IO_RETRIES
 
 __all__ = [
     "INTEGRITY_KEY",
@@ -73,10 +73,9 @@ class IntegrityConfig:
     pages: bool = False
     #: Checksum data-frame payloads; verify + re-request at receive.
     network: bool = False
-    #: Bounded re-requests for a corrupt frame (reuses the I/O retry
-    #: budget: the transport and the I/O stack share one patience).
+    #: Bounded re-requests for a corrupt frame (the ``io_retries`` hint:
+    #: the transport and the I/O stack share one patience).
     net_retries: int = IO_RETRIES
-    net_backoff: float = RETRY_BACKOFF
 
 
 def install_integrity(shared: dict, config: IntegrityConfig) -> None:

@@ -23,7 +23,7 @@ import numpy as np
 from repro.datatypes.segments import SegmentBatch
 from repro.errors import CollectiveIOError
 from repro.fs.client import LocalFile
-from repro.io.datasieve import datasieve_read, datasieve_write
+from repro.io.datasieve import DS_BUFFER_SIZE, datasieve_read, datasieve_write
 from repro.io.listio import listio_read, listio_write
 from repro.io.naive import naive_read, naive_write
 from repro.io.retry import RetryPolicy
@@ -34,17 +34,8 @@ __all__ = ["AdioFile"]
 class AdioFile:
     """Strided-I/O dispatcher over a :class:`~repro.fs.client.LocalFile`."""
 
-    def __init__(
-        self,
-        local: LocalFile,
-        *,
-        ds_buffer_size: int = 512 * 1024,
-        retry: Optional[RetryPolicy] = None,
-    ) -> None:
-        if ds_buffer_size <= 0:
-            raise CollectiveIOError("ds_buffer_size must be positive")
+    def __init__(self, local: LocalFile, *, retry: Optional[RetryPolicy] = None) -> None:
         self.local = local
-        self.ds_buffer_size = ds_buffer_size
         self.retry = retry if retry is not None else RetryPolicy()
         #: Flush-method usage counters (inspected by tests/benches).
         self.method_counts: dict[str, int] = {}
@@ -61,15 +52,10 @@ class AdioFile:
     def rebound(self, ctx) -> "AdioFile":
         """A view of this dispatcher charging time to ``ctx``.
 
-        Shares the retry policy (so cross-operation budgets stay one
-        pool) and the method counters with the base; the underlying
-        :class:`LocalFile` is rebound the same way, so coroutine I/O
-        advances the coroutine's clock."""
-        view = AdioFile(
-            self.local.rebound(ctx),
-            ds_buffer_size=self.ds_buffer_size,
-            retry=self.retry,
-        )
+        Shares the retry policy and the method counters with the base;
+        the underlying :class:`LocalFile` is rebound the same way, so
+        coroutine I/O advances the coroutine's clock."""
+        view = AdioFile(self.local.rebound(ctx), retry=self.retry)
         view.method_counts = self.method_counts
         return view
 
@@ -100,7 +86,7 @@ class AdioFile:
                 ln = int(batch.lengths[0])
                 self.local.write(int(batch.file_offsets[0]), data[do : do + ln])
             elif method == "datasieve":
-                datasieve_write(self.local, batch, data, buffer_size=self.ds_buffer_size)
+                datasieve_write(self.local, batch, data, buffer_size=DS_BUFFER_SIZE)
             elif method == "naive":
                 naive_write(self.local, batch, data)
             elif method == "listio":
@@ -127,7 +113,7 @@ class AdioFile:
                 out[do : do + ln] = self.local.read(int(batch.file_offsets[0]), ln)
                 return out
             if method == "datasieve":
-                return datasieve_read(self.local, batch, buffer_size=self.ds_buffer_size)
+                return datasieve_read(self.local, batch, buffer_size=DS_BUFFER_SIZE)
             if method == "naive":
                 return naive_read(self.local, batch)
             if method == "listio":

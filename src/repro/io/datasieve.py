@@ -17,7 +17,11 @@ from repro.datatypes.segments import SegmentBatch
 from repro.errors import CollectiveIOError
 from repro.fs.client import LocalFile
 
-__all__ = ["datasieve_write", "datasieve_read"]
+__all__ = ["datasieve_write", "datasieve_read", "DS_BUFFER_SIZE"]
+
+#: Sieve window of every strided access through :class:`~repro.io.adio.AdioFile`
+#: (the functions below take the window as ``buffer_size``).
+DS_BUFFER_SIZE = 512 * 1024
 
 
 def _windows(lo: int, hi: int, size: int):

@@ -5,8 +5,8 @@ non-contiguous file space depends on the access, and the paper's simple
 but effective metric is the **filetype extent** — data sieving wins for
 small extents (per-call overhead dominates, gaps are cheap to carry),
 naive per-segment I/O wins for large extents (sieving drags in mostly
-gap bytes).  Their Lustre crossover sat near a 16 KB extent; the
-threshold here is the ``ds_threshold_extent`` hint.
+gap bytes).  Their Lustre crossover sat near a 16 KB extent, which is
+:data:`DS_THRESHOLD_EXTENT` here.
 
 The contiguous fast path mirrors the "contiguous in memory, contiguous
 in file" branch that produces the 100% spikes in Figure 5.
@@ -18,7 +18,11 @@ from repro.datatypes.segments import SegmentBatch
 from repro.errors import CollectiveIOError
 from repro.mpi.hints import Hints
 
-__all__ = ["choose_method", "is_contiguous_batch"]
+__all__ = ["choose_method", "is_contiguous_batch", "DS_THRESHOLD_EXTENT"]
+
+#: ``io_method=conditional`` sieves a flush whose filetype extent is at
+#: most this many bytes and goes naive above it.
+DS_THRESHOLD_EXTENT = 16 * 1024
 
 _METHODS = ("datasieve", "naive", "listio")
 
@@ -39,8 +43,7 @@ def choose_method(hints: Hints, filetype_extent: int, batch: SegmentBatch) -> st
         return "contig"
     method = hints["io_method"]
     if method == "conditional":
-        threshold = hints["ds_threshold_extent"]
-        return "datasieve" if 0 < filetype_extent <= threshold else "naive"
+        return "datasieve" if 0 < filetype_extent <= DS_THRESHOLD_EXTENT else "naive"
     if method not in _METHODS:  # pragma: no cover - Hints validates already
         raise CollectiveIOError(f"unknown io_method {method!r}")
     return method

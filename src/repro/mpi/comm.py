@@ -389,7 +389,7 @@ class Communicator(CollectiveMixin):
             return payload
 
         cfg = self._shared.get(INTEGRITY_KEY) or IntegrityConfig(network=True)
-        return RetryPolicy(retries=cfg.net_retries, backoff=cfg.net_backoff).run(self.ctx, attempt)
+        return RetryPolicy(retries=cfg.net_retries).run(self.ctx, attempt)
 
     def _recv(self, source: int, tag: int, site: str) -> Any:
         """The one receive path, under recv, irecv's wait and sendrecv.

@@ -13,20 +13,33 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, Mapping, Optional
 
 from repro.errors import HintError
-from repro.io.retry import IO_RETRIES, RETRY_BACKOFF
+from repro.io.retry import IO_RETRIES
 
 __all__ = ["Hints"]
 
 
-def _positive_int(value: Any) -> int:
+def _integer(value: Any) -> int:
+    """An int, a numeral string, or an integral number (never a bool:
+    ``True`` is not a count)."""
+    if isinstance(value, bool):
+        raise ValueError(f"not an integer: {value!r}")
+    if isinstance(value, str):
+        return int(value, 10)
     n = int(value)
+    if n != value:
+        raise ValueError(f"not an integer: {value!r}")
+    return n
+
+
+def _positive_int(value: Any) -> int:
+    n = _integer(value)
     if n <= 0:
         raise ValueError("must be positive")
     return n
 
 
 def _non_negative_int(value: Any) -> int:
-    n = int(value)
+    n = _integer(value)
     if n < 0:
         raise ValueError("must be non-negative")
     return n
@@ -44,7 +57,11 @@ def _boolean(value: Any) -> bool:
 
 
 def _non_negative_float(value: Any) -> float:
+    if isinstance(value, bool):
+        raise ValueError(f"not a number: {value!r}")
     x = float(value)
+    if x != x:
+        raise ValueError("must not be NaN")
     if x < 0:
         raise ValueError("must be non-negative")
     return x
@@ -67,7 +84,6 @@ _SPEC: Dict[str, tuple] = {
     # Two-phase geometry.
     "cb_buffer_size": (_positive_int, 4 * 1024 * 1024),
     "cb_nodes": (_non_negative_int, 0),  # 0 = every process aggregates
-    "cb_layout": (_choice("spread", "packed"), "spread"),
     # File realm strategy.  What ``coll_impl=old`` and other features
     # make of these (and of every hint below) is one table:
     # repro.core.compat / docs/compatibility.md.
@@ -87,9 +103,6 @@ _SPEC: Dict[str, tuple] = {
     "pipeline_depth": (_non_negative_int, 0),
     # Independent-I/O method used to flush the collective buffer.
     "io_method": (_choice("datasieve", "naive", "listio", "conditional"), "datasieve"),
-    "ds_buffer_size": (_positive_int, 512 * 1024),
-    # Conditional data sieving: use naive I/O above this filetype extent.
-    "ds_threshold_extent": (_positive_int, 16 * 1024),
     # Data exchange backend (Section 5.4; two_layer adds the intra-node
     # request aggregation of Kang et al., PAPERS.md).
     "exchange": (_choice("alltoallw", "nonblocking", "two_layer"), "alltoallw"),
@@ -104,17 +117,9 @@ _SPEC: Dict[str, tuple] = {
     "cache_mode": (_choice("coherent", "incoherent", "writethrough", "off"), "coherent"),
     # Client cache capacity in pages (dirty overflow flushes early).
     "cache_pages": (_positive_int, 16384),
-    # Resilience (see io/retry.py and docs/faults.md): retries
-    # per independent-I/O operation after a transient fault, the first
-    # backoff in virtual seconds, and whether a dead aggregator's realm
-    # is failed over to survivors (off = raise AggregatorLost).
+    # Resilience (see io/retry.py and docs/faults.md): retries per
+    # independent-I/O operation after a transient fault.
     "io_retries": (_non_negative_int, IO_RETRIES),
-    "io_retry_backoff": (_non_negative_float, RETRY_BACKOFF),
-    # Cross-operation retry budget per client (0 = unlimited): retries
-    # past it raise RetryBudgetExhausted — storm control under OST
-    # outages (docs/storage_faults.md).
-    "io_retry_budget": (_non_negative_int, 0),
-    "failover": (_boolean, True),
     # End-to-end integrity (docs/integrity.md).  Off by default: the
     # fault-free fast path pays nothing for the machinery.
     "integrity_pages": (_boolean, False),     # CRC32 sidecar per store page
@@ -127,13 +132,6 @@ _SPEC: Dict[str, tuple] = {
     # mid-call, stalled clients served by survivors) and lock leases.
     "coll_deadline": (_non_negative_float, 0.0),
     "liveness": (_boolean, False),
-    # Fail-stop crash tolerance (docs/crash_recovery.md): the minimum
-    # number of *live* participants a collective may continue with
-    # after the epoch agreement converges on a dead set.  Survivors
-    # below quorum raise a typed CollectiveAborted instead of
-    # completing an unrepresentative call.  1 (default) = any survivor
-    # may finish alone.
-    "crash_quorum": (_positive_int, 1),
     # Storage-side replication (docs/storage_faults.md): place each
     # stripe's pages on this many distinct OSTs.  Writes commit on a
     # write-quorum (r//2 + 1 live replicas); reads fail over to any
@@ -169,7 +167,7 @@ class Hints(Mapping[str, Any]):
             parser, _ = _SPEC[key]
             try:
                 self._values[key] = parser(raw)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise HintError(f"bad value for hint {key!r}: {exc}") from exc
 
     # -- Mapping interface --------------------------------------------------

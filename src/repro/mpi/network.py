@@ -103,10 +103,6 @@ class Network:
         """Fault-free seconds one payload byte spends on the wire."""
         return self.cost.net_intra_byte_time if intra else self.cost.net_byte_time
 
-    def transit_time(self, nbytes: int, intra: bool = False) -> float:
-        """Fault-free time the payload spends on the wire."""
-        return nbytes * self.byte_time(intra)
-
     def recv_overhead(self, intra: bool = False) -> float:
         """Receiver-side fixed cost of completing a receive."""
         return self.cost.net_intra_latency if intra else self.cost.net_latency

@@ -36,9 +36,6 @@ class NodeTopology:
     def node_of(self, world_rank: int) -> int:
         return world_rank // self.procs_per_node
 
-    def same_node(self, world_a: int, world_b: int) -> bool:
-        return self.node_of(world_a) == self.node_of(world_b)
-
     def groups(self, members: tuple) -> Dict[int, List[int]]:
         """Communicator ranks grouped by node id, each group ascending.
 

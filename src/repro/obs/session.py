@@ -175,21 +175,13 @@ class Session:
         The simulator shares this session's tracer and registry, and
         has the session's fault plan (if any) installed.  Returns the
         per-rank results."""
-        from repro.errors import CollectiveAborted, RankFailed
 
         def install(sim):
             if self.plan is not None:
                 self._injector = self.plan.install(sim)
             self.sim = sim
 
-        try:
-            self._results = self._simulate(main, self.nprocs, install)
-        except RankFailed as exc:
-            # Quorum loss surfaces as the typed abort, not the engine's
-            # generic rank-failure wrapper (docs/crash_recovery.md).
-            if isinstance(exc.__cause__, CollectiveAborted):
-                raise exc.__cause__ from None
-            raise
+        self._results = self._simulate(main, self.nprocs, install)
         return self._results
 
     @contextmanager
@@ -361,20 +353,12 @@ class Session:
 
     def summary(self) -> str:
         """Human-readable digest: makespan, metrics (the ``faults.*``
-        rows among them), retry-budget headroom, per-OST breaker states."""
+        rows among them), per-OST breaker states."""
         lines = [
             f"session {self.path!r}: nprocs={self.nprocs}, "
             f"makespan={self.makespan * 1e3:.3f} ms"
         ]
         lines.append(self.registry.format())
-        limit = self.hints["io_retry_budget"]
-        if limit:
-            lines.append("")
-            lines.append(f"retry budget (limit {limit}/rank):")
-            for rank in range(self.nprocs):
-                used = self.registry.gauge("retry.budget.used", rank).value
-                left = self.registry.gauge("retry.budget.remaining", rank).value
-                lines.append(f"  rank {rank:<4} used={used} remaining={left}")
         if self.fs._breakers:
             from repro.fs.ostfault import breaker_states
 

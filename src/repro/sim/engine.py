@@ -73,7 +73,7 @@ from __future__ import annotations
 import os
 import threading
 from heapq import heappop, heappush
-from typing import Any, Callable, Iterable, Iterator, MutableMapping, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, MutableMapping, Optional, Sequence, Union
 
 from repro.errors import (
     MissedWakeup,
@@ -974,20 +974,3 @@ class Simulator:
                 self._retire(proc)
                 self._abort_all()
 
-
-def run_simulation(
-    nprocs: int,
-    main: Callable[..., Any],
-    *args: Any,
-    tracer: Optional[Tracer] = None,
-    per_rank_args: Optional[Sequence[tuple]] = None,
-) -> tuple[list, "Simulator"]:
-    """Convenience wrapper: build a Simulator, run it, return (results, sim)."""
-    sim = Simulator(nprocs, tracer=tracer)
-    results = sim.run(main, *args, per_rank_args=per_rank_args)
-    return results, sim
-
-
-def iter_ranks(n: int) -> Iterator[int]:
-    """Tiny helper used in docs/examples."""
-    return iter(range(n))

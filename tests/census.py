@@ -1,21 +1,25 @@
-"""Entry census: every function of ``src/repro`` that nothing runs (helper, not a test module).
+"""Entry census: which surface enters each function of ``src/repro`` (helper, not a test module).
 
-Records which ``src/repro`` code objects are entered while running
+Records which ``src/repro`` code objects are entered, phase by phase,
+while running the three product surfaces
 
-* the tier-1 suite (``pytest -q`` in this process, ``-m 'not slow'``);
 * every row of ``tests/data/cli_golden.json``, both CI groups, through
   ``repro.__main__.main(argv)``;
 * the seven ``examples/*.py``, through ``runpy``;
 * ``benchmarks/run.py --check``, through ``runpy``;
 
-then lists every ``def`` in ``src/repro`` none of them entered.  The
-examples and the CLI rows run in this process because their own
-harnesses start subprocesses with a fresh ``PYTHONPATH``, which a
-profiler installed here never reaches.
+and then the tier-1 suite (``pytest -q`` in this process, ``-m 'not
+slow'``), and sorts every ``def`` in ``src/repro`` into one of three
+groups: *never entered*, *tier-1 only* (no product phase enters it) and
+*product*.  The examples and the CLI rows run in this process because
+their own harnesses start subprocesses with a fresh ``PYTHONPATH``,
+which a profiler installed here never reaches.  During the product
+phases it also records every ``Hints`` key constructed with a
+non-default value.
 
-    python tests/census.py            # print the never-entered functions
-    python tests/census.py --check    # ... and exit 1 unless they are exactly
-                                      # the ones tests/data/census.json keeps
+    python tests/census.py            # print both lists and the hints no product turns
+    python tests/census.py --check    # ... and exit 1 unless tests/data/census.json
+                                      # accounts for them exactly
 
 Entries are recorded with ``sys.setprofile`` and ``threading.setprofile``
 (simulated ranks run on threads).  A test that installs its own
@@ -24,12 +28,13 @@ only its own, so a counting test cannot switch the census off.  A
 function counts as entered when a code object starting on the line of
 its ``def`` or of its first decorator (``co_firstlineno``) ran.
 
-``tests/data/census.json`` maps each function kept although nothing
-enters it (``path::Qualname``, path relative to ``src/repro``) to the
-one-line reason it stays.  ``--check`` fails on a never-entered
-function the file does not list, and on a listed one that is now
-entered or gone, so the file cannot go stale.  Under the profiler the
-whole census takes about 18 min on 2 CPUs.
+``tests/data/census.json`` holds two maps, ``never`` and ``tier1_only``,
+from ``path::Qualname`` (path relative to ``src/repro``) to the one-line
+reason the function stays.  ``--check`` fails on a function of either
+group the matching map does not list, on a listed one that moved group
+or is gone, so the file cannot go stale, and on a ``Hints`` key no
+product phase turns: a hint with one value in use is a constant.  Under
+the profiler the whole census takes 11–15 min on 2 CPUs.
 """
 
 from __future__ import annotations
@@ -101,11 +106,33 @@ class Recorder:
             set_thr(None)
             sys.setprofile, sys.getprofile, threading.setprofile, threading.getprofile = self._real
 
-    def entered(self):
-        """{(file, first line)} of every code object entered under ``src/repro``."""
+    def take(self):
+        """{(file, first line)} of every code object entered under ``src/repro``
+        since the last call, which starts the next phase's record."""
         prefix = str(SRC) + os.sep
+        codes, self.codes = self.codes, {}
         return {(co.co_filename, co.co_firstlineno)
-                for co in self.codes.values() if co.co_filename.startswith(prefix)}
+                for co in codes.values() if co.co_filename.startswith(prefix)}
+
+
+@contextlib.contextmanager
+def turned_hints():
+    """The set of ``Hints`` keys constructed with a non-default value
+    inside the block."""
+    from repro.mpi.hints import Hints
+
+    turned = set()
+    init = Hints.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        turned.update(k for k, v in self.explicit().items() if v != Hints.default(k))
+
+    Hints.__init__ = recording
+    try:
+        yield turned
+    finally:
+        Hints.__init__ = init
 
 
 def functions():
@@ -198,49 +225,73 @@ def run_bench_check():
     return code
 
 
-PHASES = (("tier-1", run_tier1), ("cli rows", run_cli_rows),
-          ("examples", run_examples), ("run.py --check", run_bench_check))
+#: (name, runner, is a product surface).  The product phases run first,
+#: so what importing ``repro`` runs (decorators, module-level calls) is
+#: counted as product, as it is for every user of the package.
+PHASES = (("cli rows", run_cli_rows, True), ("examples", run_examples, True),
+          ("run.py --check", run_bench_check, True), ("tier-1", run_tier1, False))
+
+
+def _diff(group, found, listed):
+    """Lines naming each function of ``group`` missing from or stale in ``listed``."""
+    return ([f"{group.upper()}, not in {KEPT.name}: {key}" for key in sorted(set(found) - set(listed))]
+            + [f"STALE in {KEPT.name} {group} (moved group or gone): {key}"
+               for key in sorted(set(listed) - set(found))])
 
 
 def main(argv) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--check", action="store_true",
-                    help="exit 1 unless the never-entered functions are exactly tests/data/census.json's")
+                    help="exit 1 unless tests/data/census.json accounts for both lists exactly "
+                         "and a product phase turns every hint")
     ns = ap.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
     os.environ["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    failed = []
+    failed, tier1, product, turned = [], set(), set(), set()
     with Recorder().installed() as rec:
-        for name, phase in PHASES:
+        for name, phase, is_product in PHASES:
             t0 = time.perf_counter()
-            code = phase()
+            with turned_hints() as keys:
+                code = phase()
+            entered = rec.take()
+            (product if is_product else tier1).update(entered)
+            if is_product:
+                turned |= keys
             print(f"census: {name}: exit {code} ({time.perf_counter() - t0:.0f} s)", flush=True)
             if code:
                 failed.append(name)
-    entered = rec.entered()
+    from repro.mpi.hints import Hints
+
     funcs = functions()
     dupes = sorted(k for k, n in Counter(key for key, *_ in funcs).items() if n > 1)
-    never = {key: n for key, path, lines, n in funcs
-             if not any((path, line) in entered for line in lines)}
-    print(f"census: {len(never)} of {len(funcs)} functions never entered "
-          f"({sum(never.values())} lines)")
+    never, only = {}, {}
+    for key, path, lines, n in funcs:
+        if not any((path, line) in product for line in lines):
+            hit = any((path, line) in tier1 for line in lines)
+            (only if hit else never)[key] = n
+    unturned = sorted(set(Hints.known_keys()) - turned)
+    print(f"census: {len(funcs)} functions: {len(never)} never entered ({sum(never.values())} lines), "
+          f"{len(only)} tier-1 only ({sum(only.values())} lines), "
+          f"{len(funcs) - len(never) - len(only)} product")
     kept = json.loads(KEPT.read_text()) if KEPT.exists() else {}
-    for key in sorted(never):
-        print(f"  {key}" + (f"  [kept: {kept[key]}]" if key in kept else ""))
+    for group, found in (("never", never), ("tier1_only", only)):
+        listed = kept.get(group, {})
+        print(f"census: {group}:")
+        for key in sorted(found):
+            print(f"  {key}" + (f"  [kept: {listed[key]}]" if key in listed else ""))
+    print(f"census: {len(Hints.known_keys()) - len(unturned)} of {len(Hints.known_keys())} "
+          f"hints turned by a product phase; never turned: {', '.join(unturned) or 'none'}")
     if not ns.check:
         return 1 if failed else 0
-    new = sorted(set(never) - set(kept))
-    stale = sorted(set(kept) - set(never))
-    for key in new:
-        print(f"NEVER ENTERED, not in {KEPT.name}: {key}")
-    for key in stale:
-        print(f"STALE in {KEPT.name} (entered or gone): {key}")
-    for name in failed:
-        print(f"FAILED phase: {name}")
-    for key in dupes:
-        print(f"AMBIGUOUS: two defs are named {key}")
-    return 1 if new or stale or failed or dupes else 0
+    bad = (_diff("never", never, kept.get("never", {}))
+           + _diff("tier1_only", only, kept.get("tier1_only", {}))
+           + [f"HINT no product phase turns: {key}" for key in unturned]
+           + [f"FAILED phase: {name}" for name in failed]
+           + [f"AMBIGUOUS: two defs are named {key}" for key in dupes])
+    for line in bad:
+        print(line)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

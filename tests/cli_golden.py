@@ -20,7 +20,7 @@ to move virtual time must show numerals only and no exit code moved.
 
 ``--workdir DIR`` runs the commands there (CI's ``observability`` job
 uploads the ``out.json`` the ``trace`` row writes); the default is a
-throwaway directory.  Not tier-1: the 26 rows take ~12 s per seed.
+throwaway directory.  Not tier-1: the 28 rows take ~13 s per seed.
 """
 
 from __future__ import annotations

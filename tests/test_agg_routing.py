@@ -182,7 +182,7 @@ def planner(payloads, me, aggs, domains, cb, exchange=True):
         comm=comm,
         ctx=_Log(),
         cost=COST,
-        hints={"failover": True},
+        hints={},
         metrics=SimpleNamespace(counter=lambda name: counters.setdefault(name, _Log())),
         view=SimpleNamespace(flat=own[0] if own else None, disp=own[1] if own else 0),
     )

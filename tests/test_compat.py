@@ -302,27 +302,38 @@ def test_docs_table_is_in_sync():
 
 
 def test_hint_table_lists_every_hint_with_evidence_that_exists():
-    """docs/api.md: one row per known hint, and every test, bench file or
-    ``BENCH.json#<experiment>[::<check>]`` its evidence column names is
-    really there (ROADMAP's hint audit)."""
+    """docs/api.md: one row per known hint, and each row names at least
+    one *product surface* that turns it -- a ``BENCH.json#<experiment>
+    [::<check>]`` row, a spine workload (``spine `<workload>` ``) or a
+    CLI golden row (`` `repro <argv>` ``, exactly as in
+    ``tests/data/cli_golden.json``) -- besides any tests.  Everything
+    the column names is really there.  A hint only tests turn is a
+    constant (``python tests/census.py --check`` measures the turning)."""
     root = Path(__file__).resolve().parents[1]
     sys.path.insert(0, str(root / "benchmarks"))
     from experiments import EXPERIMENTS
 
     stored = json.loads((root / "BENCH.json").read_text())
+    workloads = {w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]}
+    cli_rows = {" ".join(r["argv"]) for r in json.loads((root / "tests" / "data" / "cli_golden.json").read_text())}
     section = (root / "docs" / "api.md").read_text().split("\n## Hints\n")[1].split("\n## ")[0]
     rows = [line.split("|") for line in section.splitlines() if line.startswith("| `")]
+    rows = [r for r in rows if len(r) == 6]  # the evidence table, not the retired keys'
     assert sorted(r[1].strip(" `") for r in rows) == Hints.known_keys()
     for row in rows:
-        evidence = re.findall(r"`((?:tests|benchmarks)/[^`]+|BENCH\.json#\w+(?:::\w+)?)`", row[4])
-        assert evidence or "spine" in row[4], row[1]
-        for ref in evidence:
+        evidence = row[4]
+        benches = re.findall(r"`BENCH\.json#(\w+)((?:::\w+)*)`", evidence)
+        spines = re.findall(r"spine `(\w+)`", evidence)
+        clis = re.findall(r"`repro ([^`]+)`", evidence)
+        assert benches or spines or clis, f"{row[1]}: no product surface"
+        for name, checks in benches:
+            experiment = EXPERIMENTS[name]
+            assert stored[experiment.name], name
+            assert set(filter(None, checks.split("::"))) <= {c.__name__ for c in experiment.checks}, name + checks
+        assert set(spines) <= workloads, row[1]
+        assert set(clis) <= cli_rows, row[1]
+        for ref in re.findall(r"`((?:tests|benchmarks)/[^`]+)`", evidence):
             path, *names = ref.split("::")
-            if path.startswith("BENCH.json#"):
-                experiment = EXPERIMENTS[path.partition("#")[2]]
-                assert stored[experiment.name], ref
-                assert set(names) <= {check.__name__ for check in experiment.checks}, ref
-                continue
             source = (root / path).read_text()
             for name in names:
                 assert re.search(rf"^\s*(def|class) {name}\b", source, re.M), ref

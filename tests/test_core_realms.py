@@ -115,7 +115,7 @@ class TestBalancedPartition:
     def test_no_histogram_falls_back_to_even(self):
         a = BalancedPartition().assign(0, 400, 4, histogram=None)
         b = EvenPartition().assign(0, 400, 4)
-        assert [r.describe() for r in a] == [r.describe() for r in b]
+        assert [(r.flat, r.disp, r.tiles) for r in a] == [(r.flat, r.disp, r.tiles) for r in b]
 
 
 class TestCyclicRealms:

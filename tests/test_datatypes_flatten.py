@@ -19,7 +19,7 @@ from repro.datatypes import (
     subarray,
     vector,
 )
-from repro.datatypes.flatten import FlatType, coalesce, flat_from_pairs
+from repro.datatypes.flatten import FlatType, coalesce
 from repro.errors import DatatypeError
 
 
@@ -249,11 +249,6 @@ class TestFlatType:
     def test_negative_length_rejected(self):
         with pytest.raises(DatatypeError):
             FlatType([0], [-1], 4)
-
-    def test_flat_from_pairs_roundtrip(self):
-        f = flat_from_pairs([(0, 2), (5, 3)], 10)
-        assert f.num_segments == 2
-        assert f.size == 5
 
 
 class TestDataPrefix:

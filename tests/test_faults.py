@@ -246,7 +246,7 @@ class TestTransientIOResilience:
         # carry the workload across.
         end = 4 * max(baseline[1])
         plan = FaultPlan(seed=1).transient_io(rate=1.0, start=0.0, end=end)
-        hints = HINTS.replace(io_retries=32, io_retry_backoff=2e-3)
+        hints = HINTS.replace(io_retries=32)
         contents, times, inj = run_workload(plan, hints=hints)
         assert np.array_equal(contents, baseline[0])
         assert inj.registry.value("faults.io") > 0
@@ -269,8 +269,6 @@ class TestTransientIOResilience:
     def test_retry_policy_hints_validated(self):
         with pytest.raises(Exception):
             Hints(io_retries=-1)
-        with pytest.raises(Exception):
-            Hints(io_retry_backoff=-0.5)
 
 
 class TestAggregatorFailover:
@@ -308,10 +306,16 @@ class TestAggregatorFailover:
         _, _, inj = run_workload(plan, read_back=True)
         assert inj.registry.value("faults.failovers") == 1
 
-    def test_failover_disabled_raises_aggregator_lost(self):
-        plan = FaultPlan(seed=7).agg_crash(rank=0, round_index=1)
+    def test_last_surviving_aggregator_lost_raises(self):
+        # Rank 2 adopts rank 0's realm at boundary 1 and dies itself at
+        # boundary 2: no aggregator is left to fail over to.
+        plan = (
+            FaultPlan(seed=7)
+            .agg_crash(rank=0, round_index=1)
+            .agg_crash(rank=2, round_index=2)
+        )
         with pytest.raises(RankFailed) as info:
-            run_workload(plan, hints=HINTS.replace(failover=False))
+            run_workload(plan)
         assert isinstance(info.value.__cause__, AggregatorLost)
 
     def test_all_aggregators_dead_raises(self):

@@ -132,6 +132,36 @@ class TestExplicitOffsets:
 
         run(1, body)
 
+    def test_fractional_and_bool_arguments_rejected(self):
+        """Offsets, counts and the view displacement are integers: a
+        float or a bool is refused by name, never truncated."""
+        four = np.zeros(4, dtype=np.uint8)
+
+        def body(ctx, comm, f):
+            f.set_view(disp=0, filetype=contiguous(4, BYTE))
+            cases = [
+                ("offset", lambda: f.write_at_all(2.5, four)),
+                ("offset", lambda: f.read_at_all(1.0, four)),
+                ("offset", lambda: f.iwrite_at_all(True, four)),
+                ("offset", lambda: f.seek(1.5)),
+                ("offset", lambda: f.seek(0.5, f.SEEK_CUR)),
+                ("count", lambda: f.write_all(four, BYTE, count=True)),
+                ("count", lambda: f.write_all(four, BYTE, count=1.5)),
+                ("count", lambda: f.read_ind(four, BYTE, count=2.0)),
+                ("disp", lambda: f.set_view(disp=2.5)),
+            ]
+            for name, call in cases:
+                with pytest.raises(CollectiveIOError, match=f"{name} must be an integer"):
+                    call()
+            assert f.get_position() == 0 and f.view.disp == 0
+            f.seek(np.int64(1))
+            f.write_all(four, BYTE, count=np.int32(4))
+            return f.get_position()
+
+        results, fs = run(1, body)
+        assert results[0] == 5 and type(results[0]) is int
+        assert fs.file_size("/f") == 5
+
     def test_view_restored_after_at_all(self):
         def body(ctx, comm, f):
             f.set_view(disp=64, filetype=contiguous(8, BYTE))
@@ -214,6 +244,34 @@ class TestHints:
             Hints(io_method="turbo")
         with pytest.raises(HintError):
             Hints(use_heap="maybe")
+
+    @pytest.mark.parametrize("key,value", [
+        ("cb_nodes", 2.7),
+        ("cb_buffer_size", True),
+        ("cache_pages", False),
+        ("pipeline_depth", 1.5),
+        ("cb_nodes", float("inf")),
+        ("coll_deadline", float("nan")),
+        ("coll_deadline", True),
+    ])
+    def test_non_integral_bool_and_nan_values_rejected(self, key, value):
+        with pytest.raises(HintError):
+            Hints(**{key: value})
+
+    def test_integral_numbers_accepted(self):
+        h = Hints(cb_nodes=2.0, cb_buffer_size=np.int64(512), coll_deadline=1)
+        assert h["cb_nodes"] == 2 and type(h["cb_nodes"]) is int
+        assert h["cb_buffer_size"] == 512 and type(h["cb_buffer_size"]) is int
+        assert h["coll_deadline"] == 1.0
+
+    @pytest.mark.parametrize("key", [
+        "cb_layout", "ds_buffer_size", "ds_threshold_extent", "io_retry_backoff",
+        "failover", "io_retry_budget", "crash_quorum",
+    ])
+    def test_hints_no_product_turned_are_unknown(self, key):
+        """Retired to constants (docs/api.md "Removed by the audit")."""
+        with pytest.raises(HintError):
+            Hints(**{key: 1})
 
     def test_defaults_resolve(self):
         h = Hints()

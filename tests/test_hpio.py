@@ -13,6 +13,13 @@ from repro.hpio import HPIOPattern, TimeSeriesPattern, expected_file_bytes, fill
 from repro.hpio.verify import gather_expected_read
 
 
+def _region_offsets(p, rank):
+    """File offsets of ``rank``'s data runs under the pattern's view."""
+    flat = p.filetype(rank).flatten()
+    batch = FlatCursor(flat, p.file_disp(rank), p.bytes_per_client).all_segments()
+    return batch.file_offsets.tolist()
+
+
 class TestHPIOGeometry:
     def test_slot_and_totals(self):
         p = HPIOPattern(nprocs=4, region_size=64, region_count=8, region_spacing=128)
@@ -23,15 +30,13 @@ class TestHPIOGeometry:
 
     def test_region_offsets_interleave(self):
         p = HPIOPattern(nprocs=4, region_size=64, region_count=3, region_spacing=128)
-        assert p.region_file_offset(0, 0) == 0
-        assert p.region_file_offset(1, 0) == 192
-        assert p.region_file_offset(0, 1) == 4 * 192
-        assert p.region_file_offset(3, 2) == (2 * 4 + 3) * 192
+        assert _region_offsets(p, 0) == [0, 4 * 192, 8 * 192]
+        assert _region_offsets(p, 1)[0] == 192
+        assert _region_offsets(p, 3)[2] == (2 * 4 + 3) * 192
 
     def test_file_contig_layout(self):
         p = HPIOPattern(nprocs=4, region_size=64, region_count=3, file_contig=True)
-        assert p.region_file_offset(1, 0) == 192
-        assert p.region_file_offset(1, 2) == 192 + 128
+        assert _region_offsets(p, 1) == [192]  # one 192-byte run: 192 + 0, + 64, + 128
         assert p.file_extent == p.total_bytes
 
     def test_invalid_params(self):

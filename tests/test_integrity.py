@@ -24,6 +24,7 @@ from repro.config import CostModel
 from repro.core import CollectiveFile
 from repro.datatypes import BYTE, contiguous, resized
 from repro.errors import (
+    AggregatorLost,
     FileSystemError,
     IntegrityError,
     RankFailed,
@@ -421,6 +422,16 @@ class TestEndToEndDetection:
         assert max(on) >= max(timed(HINTS))
 
 
+def _every_aggregator_lost(call_index):
+    """Both aggregator roles (ranks 0 and 2 under ``HINTS``) lost at
+    boundary 1 of ``call_index``: the call dies with AggregatorLost."""
+    return (
+        FaultPlan(seed=2)
+        .agg_crash(rank=0, call_index=call_index, round_index=1)
+        .agg_crash(rank=2, call_index=call_index, round_index=1)
+    )
+
+
 # ---------------------------------------------------------------------------
 class TestJournal:
     JHINTS = HINTS.replace(journal_writes=True)
@@ -454,15 +465,17 @@ class TestJournal:
         assert fs.metrics(PATH).value("journal.commits") == 1
 
     def test_crash_mid_collective_preserves_preimage(self):
-        # Call 0 commits; call 1 dies at a phase boundary with failover
-        # off.  The journal was never committed, so the file must be
-        # byte-identical to the post-call-0 image.
-        hints = self.JHINTS.replace(failover=False)
+        # Call 0 commits; call 1 dies at a phase boundary where both
+        # aggregators (ranks 0 and 2) lose their role, so nobody is left
+        # to fail over to.  The journal was never committed, so the file
+        # must be byte-identical to the post-call-0 image.
+        hints = self.JHINTS
         fs, _, _ = run_workload(hints=hints)  # call-free warmup: image P1
         pre = fs.raw_bytes(PATH, 0, SIZE)
-        plan = FaultPlan(seed=2).agg_crash(rank=0, call_index=0, round_index=1)
-        with pytest.raises(RankFailed):
+        plan = _every_aggregator_lost(call_index=0)
+        with pytest.raises(RankFailed) as info:
             run_workload(plan=plan, hints=hints, ncalls=2, fs=fs)
+        assert isinstance(info.value.__cause__, AggregatorLost)
         assert np.array_equal(fs.raw_bytes(PATH, 0, SIZE), pre)
         assert fs.txn_active(PATH)  # the orphaned journal survives...
         assert fs.metrics(PATH).value("journal.commits") == 1  # ...uncommitted
@@ -471,11 +484,12 @@ class TestJournal:
         # Crash the *second* call (txid 1), then run a fresh workload
         # without an injector (txid 0): txn_begin must treat the
         # leftover journal as a crash remnant and discard it.
-        hints = self.JHINTS.replace(failover=False)
-        plan = FaultPlan(seed=2).agg_crash(rank=0, call_index=1, round_index=1)
+        hints = self.JHINTS
+        plan = _every_aggregator_lost(call_index=1)
         fs = SimFileSystem(COST)
-        with pytest.raises(RankFailed):
+        with pytest.raises(RankFailed) as info:
             run_workload(plan=plan, hints=hints, ncalls=2, fs=fs)
+        assert isinstance(info.value.__cause__, AggregatorLost)
         assert fs.txn_active(PATH)
         aborts_before = fs.metrics(PATH).value("journal.aborts")
         fs2, _, _ = run_workload(hints=self.JHINTS, fs=fs)

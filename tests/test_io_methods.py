@@ -13,10 +13,9 @@ from repro.datatypes.segments import FlatCursor, SegmentBatch
 from repro.errors import CollectiveIOError
 from repro.fs import FSClient, SimFileSystem
 from repro.io import AdioFile, choose_method
-from repro.io.datasieve import datasieve_write
+from repro.io.datasieve import datasieve_read, datasieve_write
 from repro.io.selection import is_contiguous_batch
 from repro.mpi.hints import Hints
-from repro.obs.session import Session
 from repro.sim import Simulator
 
 TEST_COST = CostModel(page_size=64, stripe_size=256, num_osts=2)
@@ -174,9 +173,12 @@ class TestCostShape:
         data = np.zeros(batch.total_bytes, dtype=np.uint8)
 
         def main(ctx, client, fs):
-            adio = AdioFile(client.open("/f", cache_mode="off"), ds_buffer_size=ds_buffer)
+            local = client.open("/f", cache_mode="off")
             t0 = ctx.now
-            adio.write_strided(batch, data, method)
+            if method == "datasieve":
+                datasieve_write(local, batch, data, buffer_size=ds_buffer)
+            else:
+                AdioFile(local).write_strided(batch, data, method)
             return ctx.now - t0
 
         t, fs, _ = run_one(main)
@@ -209,29 +211,6 @@ class TestCostShape:
         # Both work; windowing changes cost but not correctness.
         assert t_small > 0 and t_big > 0
 
-    def test_ds_buffer_size_hint_sets_the_sieve_windows_of_a_collective_write(self):
-        """The hint reaches the flush through a file: a larger sieving
-        window pre-reads the same holes in fewer server calls (64 B
-        regions at a 512 B stride, 2 aggregators) and lands the same
-        bytes."""
-        nprocs, region, count = 4, 64, 4096
-
-        def body(ctx, comm, f):
-            f.set_view(
-                disp=comm.rank * region,
-                filetype=resized(contiguous(region, BYTE), 0, 2 * region * nprocs),
-            )
-            f.write_all(np.full(region * count, comm.rank + 1, dtype=np.uint8))
-
-        reads, images = [], []
-        for window in (64 << 10, 512 << 10, 4 << 20):
-            s = Session("/ds", nprocs=nprocs, hints={"cb_nodes": 2, "ds_buffer_size": window})
-            s.run(body)
-            reads.append(s.registry.value("fs.server.reads", "/ds"))
-            images.append(s.fs.raw_bytes("/ds", 0, s.fs.file_size("/ds")).tobytes())
-        assert reads[0] > reads[1] > reads[2] > 0
-        assert images[0] == images[1] == images[2]
-
 
 class TestChooseMethod:
     def test_contig_detected(self):
@@ -242,7 +221,7 @@ class TestChooseMethod:
 
     def test_conditional_threshold(self):
         batch = strided_batch()
-        hints = Hints(io_method="conditional", ds_threshold_extent=16 * 1024)
+        hints = Hints(io_method="conditional")
         assert choose_method(hints, 1024, batch) == "datasieve"
         assert choose_method(hints, 16 * 1024, batch) == "datasieve"
         assert choose_method(hints, 64 * 1024, batch) == "naive"
@@ -270,7 +249,11 @@ def test_write_read_roundtrip_property(region, space, count, method, disp):
     data = rng.integers(0, 255, size=batch.total_bytes, dtype=np.uint8)
 
     def main(ctx, client, fs):
-        adio = AdioFile(client.open("/f", cache_mode="off"), ds_buffer_size=512)
+        local = client.open("/f", cache_mode="off")
+        if method == "datasieve":  # 512 B windows: many per access
+            datasieve_write(local, batch, data, buffer_size=512)
+            return datasieve_read(local, batch, buffer_size=512)
+        adio = AdioFile(local)
         adio.write_strided(batch, data, method)
         return adio.read_strided(batch, method)
 

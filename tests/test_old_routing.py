@@ -89,7 +89,7 @@ class RefOldPlan(RoundSource):
             hi = int((self.my_access.file_offsets + self.my_access.lengths).max())
         self.aar_lo, self.aar_hi = compute_aar(coll, lo, hi, not self.my_access.empty)
         self.aggs = self._live_aggregators(
-            select_aggregators(comm.size, hints["cb_nodes"], hints["cb_layout"])
+            select_aggregators(comm.size, hints["cb_nodes"])
         )
         self.my_agg_index = self.aggs.index(comm.rank) if comm.rank in self.aggs else -1
         realms = EvenPartition().assign(self.aar_lo, self.aar_hi, len(self.aggs))
@@ -350,7 +350,6 @@ def clusters(draw):
         ranks.append((flat, disp, data_lo, data_hi, memflat))
     hints = {
         "cb_nodes": draw(st.integers(0, size)),
-        "cb_layout": draw(st.sampled_from(["spread", "packed"])),
         "cb_buffer_size": draw(st.sampled_from([1, 7, 16, 50, 200, 1 << 20])),
     }
     return ranks, hints
@@ -443,7 +442,7 @@ def _round_calls(n: int):
     memflat = contiguous(1, BYTE).flatten()
     total = 64 * 64
     ranks = [(flat, 64 * c, 0, total, memflat) for c in range(n)]
-    hints = {"cb_nodes": n, "cb_layout": "spread", "cb_buffer_size": 1 << 22}
+    hints = {"cb_nodes": n, "cb_buffer_size": 1 << 22}
     plan = run_cluster(lambda rank, comm: _planners(rank, comm, ranks, hints)[1], n)[0]
     calls = scans = in_scans = cuts = depth = 0
 

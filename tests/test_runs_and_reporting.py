@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.harness import BenchResult, run_collective, run_hpio_write
-from repro.bench.reporting import format_series, format_table, series_from_results
+from repro.bench.reporting import format_series, format_table
 from repro.errors import FileSystemError
 from repro.fs.runs import ByteRuns
 from repro.hpio.patterns import HPIOPattern
@@ -243,13 +243,8 @@ class TestReporting:
                 )
         return out
 
-    def test_series_pivot(self):
-        series = series_from_results(self._results(), x_key="x", series_key="method")
-        assert series["a"][1] == pytest.approx(1.0)
-        assert series["b"][2] == pytest.approx(2.0)
-
     def test_format_series_alignment(self):
-        series = series_from_results(self._results(), x_key="x", series_key="method")
+        series = {"a": {1: 1.0, 2: 2.0}, "b": {1: 1.0, 2: 2.0}}
         text = format_series("Title", series, x_label="x")
         lines = text.splitlines()
         assert lines[0] == "Title"

@@ -1,10 +1,10 @@
-"""Storage-side fault domain (ISSUE 7): OST health, replication,
-breakers, admission control, retry storm control.
+"""Storage-side fault domain: OST health, replication, breakers,
+admission control.
 
 Covers the plan DSL's three OST kinds, the pure health functions, the
 circuit breaker's state machine, the replicated page store (placement,
 quorum, stale tracking, failover, healing, repair), the typed
-overload/budget errors, the jittered retry policy's per-seed
+overload errors, the jittered retry policy's per-seed
 determinism, the scheduler admission probes, and the end-to-end
 acceptance runs: a replicated collective write under a mid-run OST
 crash must read back byte-identical, an unreplicated one must either
@@ -27,9 +27,7 @@ from repro.errors import (
     OSTOverloaded,
     OSTUnavailable,
     ReproError,
-    RetryBudgetExhausted,
     RetryExhausted,
-    TransientIOError,
     error_chain,
 )
 from repro.faults import EVENT_KINDS, OST_KINDS, FaultPlan, FaultPlanError, load_scenario
@@ -46,12 +44,11 @@ from repro.fs.ostfault import (
     CircuitBreaker,
     chrome_lane_events,
     health_lanes,
-    next_recovery,
     ost_service_factor,
     ost_state,
 )
 from repro.integrity import fsck as run_fsck
-from repro.io.retry import RetryBudget, RetryPolicy
+from repro.io.retry import RetryPolicy
 from repro.obs.session import Session
 
 REGION, NPROCS = 64, 4
@@ -131,8 +128,6 @@ def test_crash_window_health():
     assert ost_state(events, 1, 1.5) == DOWN
     assert ost_state(events, 1, 2.0) == UP  # recovery epoch is exclusive
     assert ost_state(events, 0, 1.5) == UP  # other OSTs unaffected
-    assert next_recovery(events, 1, 1.5) == 2.0
-    assert next_recovery(events, 1, 0.5) == 0.5  # already up
 
 
 def test_slow_is_degraded_not_down():
@@ -147,8 +142,6 @@ def test_flap_alternates_half_periods():
     assert ost_state(events, 2, 0.5) == UP  # even half-period
     assert ost_state(events, 2, 1.5) == DOWN  # odd half-period
     assert ost_state(events, 2, 2.5) == UP
-    assert next_recovery(events, 2, 1.5) == 2.0
-    assert next_recovery(events, 2, 3.2) == 4.0
 
 
 def test_health_lanes_spans():
@@ -216,41 +209,6 @@ def test_breaker_success_resets_failure_streak():
     br.record_success()
     br.record_failure(0.2)
     assert br.state == CLOSED  # streak restarted, not cumulative
-
-
-# -- retry budget -----------------------------------------------------------
-
-
-class _StubCtx:
-    """Just enough RankContext for RetryPolicy.run."""
-
-    def __init__(self, shared):
-        self.shared = shared
-        self.rank = 0
-        self.slept = []
-
-    def advance(self, dt):
-        self.slept.append(dt)
-
-
-def _always_fail():
-    raise TransientIOError("server_write", 0, "/x")
-
-
-def test_retry_budget_typed_error_and_bound():
-    budget = RetryBudget(3)
-    policy = RetryPolicy(retries=100, backoff=1e-6, budget=budget)
-    ctx = _StubCtx({})
-    with pytest.raises(RetryBudgetExhausted) as info:
-        policy.run(ctx, _always_fail)
-    assert budget.used == budget.limit == 3
-    assert info.value.limit == 3
-    assert info.value.attempts <= budget.limit + 1
-    assert isinstance(info.value.__cause__, TransientIOError)
-    # The budget is shared: a second operation is cut off immediately.
-    with pytest.raises(RetryBudgetExhausted):
-        policy.run(ctx, _always_fail)
-    assert budget.used == 3
 
 
 # -- replicated page store ---------------------------------------------------
@@ -635,15 +593,6 @@ def test_queue_limit_backpressure_rides_out_with_retries():
     for rank in range(3):
         got = fs.raw_bytes("/q2", rank * 4096, 4096)
         assert np.array_equal(got, np.full(4096, rank + 1, dtype=np.uint8))
-
-
-def test_retry_budget_bounds_total_attempts_end_to_end():
-    plan = FaultPlan(0).ost_crash([0], start=0.0, end=10.0)
-    with pytest.raises(ReproError) as info:
-        _run(faults=plan, hints={"io_retries": 50, "io_retry_budget": 4})
-    assert any(isinstance(e, RetryBudgetExhausted) for e in error_chain(info.value))
-    # Total retries across the whole client stayed within the budget.
-    assert info.value and True
 
 
 def test_fsck_repairs_from_replica():

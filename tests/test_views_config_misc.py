@@ -17,7 +17,7 @@ class TestFileView:
         v = FileView()
         assert v.disp == 0
         assert v.etype.size == 1
-        assert v.is_contiguous
+        assert v.flat.is_contiguous
 
     def test_etype_must_divide_filetype(self):
         with pytest.raises(CollectiveIOError):
@@ -65,47 +65,12 @@ class TestAggregatorLayout:
     def test_spread_default(self):
         assert select_aggregators(8, 4) == [0, 2, 4, 6]
 
-    def test_packed(self):
-        assert select_aggregators(8, 4, "packed") == [0, 1, 2, 3]
-
-    def test_layout_irrelevant_when_all(self):
-        assert select_aggregators(4, 0, "packed") == [0, 1, 2, 3]
-
-    def test_unknown_layout_rejected(self):
-        with pytest.raises(CollectiveIOError):
-            select_aggregators(4, 2, "randomly")
-
-    def test_packed_hint_end_to_end(self):
-        from repro.core import CollectiveFile
-        from repro.fs import SimFileSystem
-        from repro.mpi import Communicator, Hints
-        from repro.sim import Simulator
-
-        fs = SimFileSystem()
-        hints = Hints(cb_nodes=1, cb_layout="packed")
-
-        def main(ctx):
-            comm = Communicator(ctx)
-            f = CollectiveFile(ctx, comm, fs, "/p", hints=hints)
-            f.set_view(disp=comm.rank * 8, filetype=resized(contiguous(8, BYTE), 0, 16))
-            f.write_all(np.full(16, comm.rank + 1, dtype=np.uint8))
-            f.close()
-            # With one packed aggregator, only rank 0 flushes.
-            snap = f.metrics.snapshot()
-            pre = "coll.flush."
-            return {k[len(pre):]: v for k, v in snap.items() if k.startswith(pre)}
-
-        results = Simulator(2).run(main)
-        assert results[0] != {}
-        assert results[1] == {}
-
-    @pytest.mark.parametrize("layout,aggs", [("spread", [0, 2]), ("packed", [0, 1])])
-    def test_layout_moves_the_aggregators_end_to_end(self, layout, aggs):
-        """The hint's evidence: 4 ranks, cb_nodes=2 — the two layouts
-        flush from different ranks (with cb_nodes=1 both pick rank 0)."""
+    def test_spread_aggregators_flush_end_to_end(self):
+        """4 ranks, cb_nodes=2: the aggregators, and so the only ranks
+        that flush, are ranks 0 and 2."""
         from repro import Session
 
-        s = Session(nprocs=4, hints={"cb_nodes": 2, "cb_layout": layout})
+        s = Session(nprocs=4, hints={"cb_nodes": 2})
 
         def body(ctx, comm, f):
             f.set_view(disp=comm.rank * 8, filetype=resized(contiguous(8, BYTE), 0, 32))
@@ -114,7 +79,7 @@ class TestAggregatorLayout:
         s.run(body)
         methods = [n for n in s.metrics.names() if n.startswith("coll.flush.")]
         flushed = [r for r in range(4) if any(s.metrics.value(n, r) for n in methods)]
-        assert flushed == aggs
+        assert flushed == [0, 2]
 
 
 class TestCostModel:
