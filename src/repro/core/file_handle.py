@@ -33,7 +33,7 @@ from repro.core.pfr import PFRState
 from repro.core.plancache import PlanCache
 from repro.core.request import Request
 from repro.core.rounds import run_collective
-from repro.core.two_phase_new import Layered
+from repro.core.two_phase_new import Layered, independent_io
 from repro.core.two_phase_old import IntegratedSieve
 from repro.datatypes.base import BYTE, Datatype
 from repro.datatypes.flatten import FlatType
@@ -554,40 +554,23 @@ class CollectiveFile:
     def _independent_op(
         self, buf: np.ndarray, memtype: Optional[Datatype], count: int, *, write: bool
     ) -> None:
-        from repro.datatypes.packing import gather_segments, scatter_segments
-        from repro.datatypes.segments import data_to_file_segments
-        from repro.io.selection import choose_method
-
         self._require_open()
         self._drain_async()
         memflat, total = self._resolve_access(buf, memtype, count)
         if total == 0:
             return
-        buf = np.asarray(buf, dtype=np.uint8)
         start = self._pointer * self.view.etype.size
         batch = self.view.cursor(start + total, start).all_segments()
-        # Rebase data offsets so they index the packed data stream.
-        batch = type(batch)(
-            batch.file_offsets,
-            batch.lengths,
-            batch.data_offsets - start,
-            batch.pairs_evaluated,
-            batch.tiles_skipped,
-        )
         self.ctx.charge(batch.pairs_evaluated * self.cost.cpu_per_flat_pair)
-        method = choose_method(self.hints, self.view.flat.extent, batch)
-        self.metrics.counter(f"coll.flush.{method}").inc()
-        mem_batch = data_to_file_segments(memflat, 0, 0, total)
-        if write:
-            # Gather the user data into data order; the file batch's
-            # data_offsets already index that stream.
-            data = gather_segments(buf, mem_batch)
-            self.ctx.charge(total * self.cost.cpu_per_byte_touch)
-            self.adio.write_strided(batch, data, method)
-        else:
-            data = self.adio.read_strided(batch, method)
-            self.ctx.charge(total * self.cost.cpu_per_byte_touch)
-            scatter_segments(buf, mem_batch, data[:total])
+        independent_io(
+            self._env(self.ctx, self.comm, self.adio, self.view),
+            np.asarray(buf, dtype=np.uint8),
+            memflat,
+            batch,
+            start,
+            self.view.flat.extent,
+            write=write,
+        )
         self._pointer += total // self.view.etype.size
 
     # -- resize ---------------------------------------------------------------------

@@ -12,7 +12,8 @@ died in, :func:`resume_write` takes over instead of the round loop:
    record for this call that lists the rank as a participant;
 2. subtract them from the rank's own access — what remains is exactly
    the data the survivors completed *without* it;
-3. rewrite only that remainder through the independent strided layer.
+3. rewrite only that remainder through the independent layer
+   (:func:`~repro.core.two_phase_new.independent_io`).
 
 Committed rounds are never rewritten — that is the resume contract the
 benchmarks verify (resume rewrites strictly fewer bytes than a restart
@@ -33,10 +34,8 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.core.env import CollEnv
-from repro.core.plan import mem_batch_for, subtract_intervals
-from repro.datatypes.packing import gather_segments
-from repro.datatypes.segments import SegmentBatch
-from repro.io.selection import choose_method
+from repro.core.plan import subtract_intervals
+from repro.core.two_phase_new import independent_io
 
 __all__ = ["ResumeComm", "resume_write"]
 
@@ -106,16 +105,7 @@ def resume_write(
         skipped = total - remaining
         if remaining == 0:
             return 0, skipped
-        # File batch with *dense* data offsets: the strided layer
-        # expects data_offsets to index the packed stream it is handed.
-        dense = np.zeros(missing.lengths.size, dtype=np.int64)
-        np.cumsum(missing.lengths[:-1], out=dense[1:])
-        fbatch = SegmentBatch(missing.file_offsets, missing.lengths.copy(), dense)
-        membatch = mem_batch_for(
-            memflat, missing.data_offsets - data_lo, missing.lengths
+        independent_io(
+            env, buf, memflat, missing, data_lo, env.view.flat.extent, write=True
         )
-        method = choose_method(env.hints, env.view.flat.extent, fbatch)
-        env.metrics.counter(f"coll.flush.{method}").inc()
-        env.ctx.charge(remaining * env.cost.cpu_per_byte_touch)
-        env.adio.write_strided(fbatch, gather_segments(buf, membatch), method)
     return remaining, skipped

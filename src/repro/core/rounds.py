@@ -359,7 +359,7 @@ def _call(env: CollEnv, method, src: RoundSource, buf: np.ndarray, write: bool) 
             # crashed call's journal and is discarded by txn_begin).
             local = env.adio.local
             local.fs.txn_begin(local.path, src.call_index)
-            with env.adio.journaled():
+            with env.adio.local.journaled():
                 _rounds(env, method, src, buf, write)
             # Barrier — one committer publishes — barrier: the first
             # guarantees every aggregator's journal writes have landed,

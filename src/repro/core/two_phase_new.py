@@ -65,7 +65,7 @@ from repro.errors import AggregatorLost
 from repro.io.selection import choose_method
 from repro.mpi.topology import resolve_topology
 
-__all__ = ["Layered"]
+__all__ = ["Layered", "independent_io", "strided_io"]
 
 _TAG_META = (1 << 19) + 1  # library p2p range: below COLLECTIVE_TAG_BASE
 _EMPTY64 = np.empty(0, dtype=np.int64)
@@ -544,26 +544,10 @@ class _Plan(RoundSource):
             self._pairs[False].inc(pairs)
             self._tiles[False].inc(tiles)
             batch = concat_batches(parts)
-            if batch.empty:
-                return
-            # File batch with *dense* data offsets: the strided layer
-            # expects data_offsets to index the packed stream it is
-            # handed, and gather/scatter produce exactly that stream.
-            dense = np.zeros(batch.lengths.size, dtype=np.int64)
-            np.cumsum(batch.lengths[:-1], out=dense[1:])
-            fbatch = SegmentBatch(batch.file_offsets, batch.lengths.copy(), dense)
-            membatch = mem_batch_for(
-                self.memflat, batch.data_offsets - self.data_lo, batch.lengths
-            )
-            method = choose_method(env.hints, self.ft_extent, fbatch)
-            env.metrics.counter(f"coll.flush.{method}").inc()
-            total = int(batch.total_bytes)
-            env.ctx.charge(total * env.cost.cpu_per_byte_touch)
-            if write:
-                env.adio.write_strided(fbatch, gather_segments(buf, membatch), method)
-            else:
-                data = env.adio.read_strided(fbatch, method)
-                scatter_segments(buf, membatch, data[:total])
+            if not batch.empty:
+                independent_io(
+                    env, buf, self.memflat, batch, self.data_lo, self.ft_extent, write=write
+                )
 
 
 def _merged_batch(rp: RoundPlan) -> Optional[SegmentBatch]:
@@ -596,11 +580,8 @@ class Layered:
     @staticmethod
     def flush(env: CollEnv, src, rp: RoundPlan, cbuf: np.ndarray) -> None:
         wbatch = _merged_batch(rp)
-        if wbatch is None:
-            return
-        method = choose_method(env.hints, src.ft_extent, wbatch)
-        env.metrics.counter(f"coll.flush.{method}").inc()
-        env.adio.write_strided(wbatch, cbuf, method)
+        if wbatch is not None:
+            strided_io(env, wbatch, src.ft_extent, cbuf)
 
     @staticmethod
     def fill(env: CollEnv, src, rp: RoundPlan) -> Optional[np.ndarray]:
@@ -612,9 +593,55 @@ class Layered:
         rbatch = _merged_batch(rp)
         if rbatch is None:
             return cbuf
-        method = choose_method(env.hints, src.ft_extent, rbatch)
-        env.metrics.counter(f"coll.flush.{method}").inc()
-        data = env.adio.read_strided(rbatch, method)
+        data = strided_io(env, rbatch, src.ft_extent)
         cbuf[: data.size] = data
         return cbuf
 
+
+def strided_io(
+    env: CollEnv, batch: SegmentBatch, ft_extent: int, data: Optional[np.ndarray] = None
+) -> Optional[np.ndarray]:
+    """One flush (``data`` given) or fill through the independent layer:
+    pick the method for ``batch`` against the filetype extent
+    ``ft_extent`` (conditional data sieving et al.), count it under
+    ``coll.flush.<method>`` and move the bytes.  A fill returns them,
+    indexed by ``batch.data_offsets``."""
+    method = choose_method(env.hints, ft_extent, batch)
+    env.metrics.counter(f"coll.flush.{method}").inc()
+    if data is None:
+        return env.adio.read_strided(batch, method)
+    env.adio.write_strided(batch, data, method)
+    return None
+
+
+def independent_io(
+    env: CollEnv,
+    buf: np.ndarray,
+    memflat: FlatType,
+    batch: SegmentBatch,
+    data_lo: int,
+    ft_extent: int,
+    *,
+    write: bool,
+) -> None:
+    """Move this rank's own segments between ``buf`` and the file
+    through the independent layer — ``write_ind`` / ``read_ind``, the
+    suspect tail and the rejoin resume all come here.
+
+    ``batch`` holds file offsets in ascending stream order and data
+    offsets into the view's data stream, whose byte ``data_lo`` is
+    ``buf``'s first (through ``memflat``).  The byte touch is charged
+    once, before the I/O, in both directions."""
+    # File batch with *dense* data offsets: the strided layer expects
+    # data_offsets to index the packed stream it is handed, and
+    # gather/scatter produce exactly that stream.
+    dense = np.zeros(batch.lengths.size, dtype=np.int64)
+    np.cumsum(batch.lengths[:-1], out=dense[1:])
+    fbatch = SegmentBatch(batch.file_offsets, batch.lengths.copy(), dense)
+    membatch = mem_batch_for(memflat, batch.data_offsets - data_lo, batch.lengths)
+    total = int(batch.total_bytes)
+    env.ctx.charge(total * env.cost.cpu_per_byte_touch)
+    if write:
+        strided_io(env, fbatch, ft_extent, gather_segments(buf, membatch))
+    else:
+        scatter_segments(buf, membatch, strided_io(env, fbatch, ft_extent)[:total])

@@ -16,6 +16,7 @@ argument extended to fault handling.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -31,41 +32,51 @@ from repro.io.retry import RetryPolicy
 __all__ = ["AdioFile"]
 
 
+def _contig_write(local: LocalFile, batch: SegmentBatch, data: np.ndarray) -> None:
+    do = int(batch.data_offsets[0])
+    local.write(int(batch.file_offsets[0]), data[do : do + int(batch.lengths[0])])
+
+
+def _contig_read(local: LocalFile, batch: SegmentBatch) -> np.ndarray:
+    out = np.zeros(int((batch.data_offsets + batch.lengths).max()), dtype=np.uint8)
+    do = int(batch.data_offsets[0])
+    ln = int(batch.lengths[0])
+    out[do : do + ln] = local.read(int(batch.file_offsets[0]), ln)
+    return out
+
+
+#: method -> (write(local, batch, data), read(local, batch) -> bytes).
+_METHODS = {
+    "contig": (_contig_write, _contig_read),
+    "datasieve": (
+        partial(datasieve_write, buffer_size=DS_BUFFER_SIZE),
+        partial(datasieve_read, buffer_size=DS_BUFFER_SIZE),
+    ),
+    "naive": (naive_write, naive_read),
+    "listio": (listio_write, listio_read),
+}
+
+
 class AdioFile:
     """Strided-I/O dispatcher over a :class:`~repro.fs.client.LocalFile`."""
 
     def __init__(self, local: LocalFile, *, retry: Optional[RetryPolicy] = None) -> None:
         self.local = local
         self.retry = retry if retry is not None else RetryPolicy()
-        #: Flush-method usage counters (inspected by tests/benches).
-        self.method_counts: dict[str, int] = {}
-
-    def _count(self, method: str) -> None:
-        self.method_counts[method] = self.method_counts.get(method, 0) + 1
-
-    def journaled(self):
-        """Route this file's I/O through its open shadow transaction
-        (see :meth:`repro.fs.client.LocalFile.journaled`) for the
-        duration of the context."""
-        return self.local.journaled()
 
     def rebound(self, ctx) -> "AdioFile":
         """A view of this dispatcher charging time to ``ctx``.
 
-        Shares the retry policy and the method counters with the base;
-        the underlying :class:`LocalFile` is rebound the same way, so
-        coroutine I/O advances the coroutine's clock."""
-        view = AdioFile(self.local.rebound(ctx), retry=self.retry)
-        view.method_counts = self.method_counts
-        return view
+        Shares the retry policy with the base; the underlying
+        :class:`LocalFile` is rebound the same way, so coroutine I/O
+        advances the coroutine's clock."""
+        return AdioFile(self.local.rebound(ctx), retry=self.retry)
 
     # -- contiguous ---------------------------------------------------------
     def write_contig(self, offset: int, data: np.ndarray) -> None:
-        self._count("contig")
         self.retry.run(self.local.ctx, lambda: self.local.write(offset, data))
 
     def read_contig(self, offset: int, nbytes: int) -> np.ndarray:
-        self._count("contig")
         return self.retry.run(self.local.ctx, lambda: self.local.read(offset, nbytes))
 
     # -- strided -------------------------------------------------------------
@@ -74,50 +85,21 @@ class AdioFile:
 
         ``method`` is one of ``contig``/``datasieve``/``naive``/
         ``listio``."""
-        if batch.empty:
-            return
-        self._count(method)
-
-        def attempt() -> None:
-            if method == "contig":
-                if batch.num_segments != 1:
-                    raise CollectiveIOError("contig method requires a single segment")
-                do = int(batch.data_offsets[0])
-                ln = int(batch.lengths[0])
-                self.local.write(int(batch.file_offsets[0]), data[do : do + ln])
-            elif method == "datasieve":
-                datasieve_write(self.local, batch, data, buffer_size=DS_BUFFER_SIZE)
-            elif method == "naive":
-                naive_write(self.local, batch, data)
-            elif method == "listio":
-                listio_write(self.local, batch, data)
-            else:
-                raise CollectiveIOError(f"unknown strided write method {method!r}")
-
-        self.retry.run(self.local.ctx, attempt)
+        if not batch.empty:
+            self._strided(method, batch, data)
 
     def read_strided(self, batch: SegmentBatch, method: str) -> np.ndarray:
         """Read ``batch``; the result is indexed by ``batch.data_offsets``."""
         if batch.empty:
             return np.empty(0, dtype=np.uint8)
-        self._count(method)
+        return self._strided(method, batch)
 
-        def attempt() -> np.ndarray:
-            if method == "contig":
-                if batch.num_segments != 1:
-                    raise CollectiveIOError("contig method requires a single segment")
-                size = int((batch.data_offsets + batch.lengths).max())
-                out = np.zeros(size, dtype=np.uint8)
-                do = int(batch.data_offsets[0])
-                ln = int(batch.lengths[0])
-                out[do : do + ln] = self.local.read(int(batch.file_offsets[0]), ln)
-                return out
-            if method == "datasieve":
-                return datasieve_read(self.local, batch, buffer_size=DS_BUFFER_SIZE)
-            if method == "naive":
-                return naive_read(self.local, batch)
-            if method == "listio":
-                return listio_read(self.local, batch)
-            raise CollectiveIOError(f"unknown strided read method {method!r}")
-
-        return self.retry.run(self.local.ctx, attempt)
+    def _strided(self, method: str, batch: SegmentBatch, *data: np.ndarray):
+        """Run ``method``'s write (``data`` given) or read of ``batch``
+        under the retry policy."""
+        if method not in _METHODS:
+            raise CollectiveIOError(f"unknown strided I/O method {method!r}")
+        if method == "contig" and batch.num_segments != 1:
+            raise CollectiveIOError("contig method requires a single segment")
+        op = _METHODS[method][0 if data else 1]
+        return self.retry.run(self.local.ctx, lambda: op(self.local, batch, *data))

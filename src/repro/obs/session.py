@@ -41,7 +41,28 @@ from repro.config import CostModel, DEFAULT_COST_MODEL
 from repro.obs.metrics import METRICS_KEY, MetricsRegistry
 from repro.obs.schema import validate_chrome_trace
 
-__all__ = ["Session"]
+__all__ = ["Session", "opened_file"]
+
+
+@contextmanager
+def opened_file(ctx, comm, fs, path, hints, cost, **file_kw):
+    """``with opened_file(...) as (comm, f)``: an open
+    :class:`~repro.core.CollectiveFile`, closed collectively when the
+    block completes — the opener of :meth:`Session.opened` and of a
+    :class:`~repro.tenancy.Cluster`'s collective tenants."""
+    from repro.core.file_handle import CollectiveFile
+    from repro.errors import RankCrashed
+
+    f = CollectiveFile(ctx, comm, fs, path, hints=hints, cost=cost, **file_kw)
+    try:
+        yield comm, f
+    except RankCrashed:
+        f.close()  # a corpse's close is a local teardown
+        raise
+    # Not a ``finally``: a rank leaving with an error (or the engine's
+    # abort) has abandoned the collective its peers are in, and a
+    # collective close could only hang on them and mask the error.
+    f.close()
 
 
 class Session:
@@ -184,34 +205,22 @@ class Session:
         self._results = self._simulate(main, self.nprocs, install)
         return self._results
 
-    @contextmanager
     def opened(self, ctx, comm=None, **file_kw):
         """The one opener: ``with s.opened(ctx) as (comm, f)`` inside a
         ``main(ctx)`` under :meth:`launch` gives the rank a communicator
         and an open :class:`~repro.core.CollectiveFile` on the session's
         fs / path / hints / cost, closed (collectively) when the block
-        completes.  Untimed: :meth:`run` wraps its makespan bracket
-        around this, :meth:`rejoin` passes its
+        completes (:func:`opened_file`).  Untimed: :meth:`run` wraps its
+        makespan bracket around this, :meth:`rejoin` passes its
         :class:`~repro.core.resume.ResumeComm`, and the chaos harness
         and the CLI's ``selfcheck`` / ``fsck`` use it as is."""
-        from repro.core.file_handle import CollectiveFile
-        from repro.errors import RankCrashed
         from repro.mpi.comm import Communicator
 
         if comm is None:
             comm = Communicator(ctx, self.cost)
-        f = CollectiveFile(
-            ctx, comm, self.fs, self.path, hints=self.hints, cost=self.cost, **file_kw
+        return opened_file(
+            ctx, comm, self.fs, self.path, self.hints, self.cost, **file_kw
         )
-        try:
-            yield comm, f
-        except RankCrashed:
-            f.close()  # a corpse's close is a local teardown
-            raise
-        # Not a ``finally``: a rank leaving with an error (or the engine's
-        # abort) has abandoned the collective its peers are in, and a
-        # collective close could only hang on them and mask the error.
-        f.close()
 
     def run(self, body: Callable[..., Any]) -> list:
         """Run ``body(ctx, comm, f)`` on every rank against the session file.

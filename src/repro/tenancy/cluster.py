@@ -42,6 +42,7 @@ from repro.config import CostModel, DEFAULT_COST_MODEL
 from repro.errors import SimulationError
 from repro.faults.plan import FAULTS_KEY
 from repro.obs.metrics import METRICS_KEY, MetricsRegistry
+from repro.obs.session import opened_file
 
 __all__ = ["TenantSpec", "TenantResult", "Cluster"]
 
@@ -320,7 +321,6 @@ class Cluster:
     def run(self) -> Dict[str, TenantResult]:
         """Run every admitted tenant concurrently; returns per-tenant
         results keyed by name.  Single-shot, like the simulator."""
-        from repro.core.file_handle import CollectiveFile
         from repro.faults.injector import FaultInjector
         from repro.fs.client import FSClient
         from repro.mpi.comm import Communicator
@@ -371,20 +371,12 @@ class Cluster:
             )
             client_id = (spec.name, local)
             if spec.kind == "collective":
-                f = CollectiveFile(
-                    scoped,
-                    comm,
-                    cluster.fs,
-                    spec.path,
-                    hints=spec.hints,
-                    cost=cluster.cost,
+                with opened_file(
+                    scoped, comm, cluster.fs, spec.path, spec.hints, cluster.cost,
                     client_id=client_id,
-                )
-                t0 = comm.allreduce(scoped.now, op=max)
-                try:
+                ) as (comm, f):
+                    t0 = comm.allreduce(scoped.now, op=max)
                     out = spec.body(scoped, comm, f)
-                finally:
-                    f.close()
             else:
                 client = FSClient(cluster.fs, scoped, client_id=client_id)
                 t0 = comm.allreduce(scoped.now, op=max)

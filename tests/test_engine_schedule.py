@@ -48,7 +48,7 @@ import pytest
 from repro import Cluster, Session
 from repro.config import CostModel
 from repro.core.request import waitall, waitany
-from repro.datatypes import BYTE, contiguous, resized
+from repro.datatypes import BYTE, contiguous, resized, vector
 from repro.errors import DeadlineExceeded, WaitTimeout
 from repro.faults import FaultPlan
 from repro.fs import SimFileSystem
@@ -284,6 +284,45 @@ def _steps(
     return s.makespan, s.tracer, s.registry
 
 
+def _independent(read: bool) -> Cell:
+    """Independent I/O through the view, 4 ranks at once.  Write cell:
+    every rank ``write_ind``s its own strided span (disjoint extents, so
+    concurrent sieve read-modify-writes cannot collide) from a strided
+    memory type.  Read cell: a ``write_all`` of interleaved tiles, then
+    every rank ``read_ind``s its tiles into a strided memory type while
+    the others do the same."""
+    region, count = 16, 12
+    span = 2 * region * count
+    s = Session("/ind", nprocs=4, cost=_SMALL, hints={"cb_nodes": 2}, trace=True)
+    memtype = vector(count, region, 2 * region, BYTE)
+    mask = np.arange(span) // region % 2 == 0  # the bytes memtype selects
+
+    def data(rank: int) -> np.ndarray:
+        return (np.arange(span, dtype=np.int64) * (rank + 5) % 251).astype(np.uint8)
+
+    def body(ctx, comm, f):
+        if not read:
+            f.set_view(
+                disp=comm.rank * span,
+                filetype=resized(contiguous(region, BYTE), 0, 2 * region),
+            )
+            f.write_ind(data(comm.rank), memtype=memtype)
+            return
+        _tile(comm, f, region)
+        f.write_all(data(comm.rank)[mask])
+        f.seek(0)
+        out = np.zeros(span, dtype=np.uint8)
+        f.read_ind(out, memtype=memtype)
+        assert np.array_equal(out[mask], data(comm.rank)[mask])
+
+    s.run(body)
+    if not read:
+        for rank in range(4):  # file span and memory span share one layout
+            got = s.fs.raw_bytes("/ind", rank * span, span)
+            assert np.array_equal(got[mask], data(rank)[mask])
+    return s.makespan, s.tracer, s.registry
+
+
 def _round_loop_cells() -> Dict[str, Callable[[], Cell]]:
     cells: Dict[str, Callable[[], Cell]] = {}
     for impl in ("new", "old"):
@@ -341,6 +380,8 @@ CELLS: Dict[str, Callable[[], Cell]] = {
     "pipeline": _pipeline,
     "lock-pins": _lock_pins,
     "cluster": _cluster,
+    "ind-write": lambda: _independent(False),
+    "ind-read": lambda: _independent(True),
     **_round_loop_cells(),
 }
 
@@ -360,6 +401,13 @@ PINS: Dict[str, Tuple[str, str, str]] = {
     "pipeline": ("0x1.1075c59eff0dbp-6", "525ba3899bccf5e6", "0c55e3bb7f6eeaa1"),
     "lock-pins": ("0x1.5d2637de939ebp-6", "76d6452d13dadc24", "f956e3945202e9ca"),
     "cluster": ("0x1.bddb9714b4fe9p-8", "c946098ce27b5df0", "198a8589dfc2729a"),
+    # Independent-layer cells, captured on the parent of the change that
+    # routed write_ind/read_ind, the suspect tail and rejoin resume
+    # through one helper; ``ind-read`` re-captured by that change, which
+    # charges read_ind's byte touch before its read (schedule and counts
+    # moved, the makespan did not).
+    "ind-write": ("0x1.186a4dea85bbcp-8", "64367d2f8c09a559", "fc22b30768dded0f"),
+    "ind-read": ("0x1.d3e7abe81b74dp-6", "920624e29dc5b365", "a0849ad4037f5468"),
     # Round-loop cells, captured on the parent of the one-loop refactor.
     "rw-new-serial": ("0x1.6a4594d17ba9bp-6", "f1bab2e316f435b3", "03e73fd81c1d4718"),
     "rw-new-depth1": ("0x1.3a27224083aa5p-6", "428c246e0235da03", "e239b549a48e1869"),

@@ -98,10 +98,9 @@ class TestStridedWrite:
         def main(ctx, client, fs):
             adio = AdioFile(client.open("/f", cache_mode="off"))
             adio.write_strided(batch, np.arange(32, dtype=np.uint8), "contig")
-            return adio.method_counts
 
-        counts, fs, _ = run_one(main)
-        assert counts == {"contig": 1}
+        _, fs, _ = run_one(main)
+        assert fs.registry.total("fs.server.writes") == 1
         assert fs.raw_bytes("/f", 100, 32).tolist() == list(range(32))
 
     def test_contig_rejects_multisegment(self):
@@ -130,10 +129,9 @@ class TestStridedWrite:
         def main(ctx, client, fs):
             adio = AdioFile(client.open("/f", cache_mode="off"))
             adio.write_strided(SegmentBatch.empty_batch(), np.empty(0, dtype=np.uint8), "naive")
-            return adio.method_counts
 
-        counts, _, _ = run_one(main)
-        assert counts == {}
+        _, fs, _ = run_one(main)
+        assert fs.registry.total("fs.server.writes") == 0
 
 
 class TestStridedRead:

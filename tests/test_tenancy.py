@@ -22,7 +22,7 @@ import pytest
 
 from repro import BYTE, Cluster, Session, contiguous, resized
 from repro.config import CostModel
-from repro.errors import FileSystemError, SimulationError
+from repro.errors import FileSystemError, RankFailed, SimulationError, error_chain
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.fs.locks import ExtentLockManager
 from repro.fs.schedule import FairShareScheduler, FIFOScheduler, make_scheduler
@@ -346,6 +346,32 @@ class TestClusterContention:
             make_traffic("ddos")
         with pytest.raises(SimulationError):
             Cluster().run()
+
+    def test_a_tenant_rank_error_surfaces_like_a_session_one(self):
+        """A tenant rank that raises while its peers are inside
+        ``write_all`` fails the run with its own error chained, exactly
+        as under ``Session.run``: its file is not closed collectively,
+        which would hang on the peers and surface as a deadlock."""
+
+        def body(ctx, comm, f):
+            f.set_view(
+                disp=comm.rank * _REGION,
+                filetype=resized(contiguous(_REGION, BYTE), 0, _REGION * comm.size),
+            )
+            if comm.rank == 0:
+                raise ValueError("tenant bug")
+            f.write_all(np.zeros(_REGION, dtype=np.uint8))
+
+        def raised(run):
+            with pytest.raises(RankFailed) as info:
+                run()
+            return [type(e) for e in error_chain(info.value)]
+
+        solo = Session("/data/solo", nprocs=2, hints={"cb_nodes": 1})
+        assert ValueError in raised(lambda: solo.run(body))
+        cl = Cluster()
+        cl.add_tenant("A", body, nprocs=2, hints={"cb_nodes": 1})
+        assert ValueError in raised(cl.run)
 
     def test_arrival_delays_admission(self):
         cl = Cluster()
