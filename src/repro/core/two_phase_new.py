@@ -589,13 +589,13 @@ class Layered:
             # On its way to its crash site a rank reads nothing it will
             # never hand out.
             return None
-        cbuf = np.zeros(rp.window.total_bytes, dtype=np.uint8)
+        # The read's own array is the collective buffer: it is indexed
+        # by the batch's buffer offsets and ends at the last merged
+        # byte, and the exchange gathers only inside merged extents.
         rbatch = _merged_batch(rp)
         if rbatch is None:
-            return cbuf
-        data = strided_io(env, rbatch, src.ft_extent)
-        cbuf[: data.size] = data
-        return cbuf
+            return np.empty(0, dtype=np.uint8)
+        return strided_io(env, rbatch, src.ft_extent)
 
 
 def strided_io(

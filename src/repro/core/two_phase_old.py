@@ -231,6 +231,16 @@ def _sieve_span(rp: RoundPlan):
     return int(m_offs[0]), int((m_offs + m_lens).max())
 
 
+def _window_with(rp: RoundPlan, at: int, span: np.ndarray) -> np.ndarray:
+    """Round ``rp``'s zeroed collective buffer holding ``span`` at byte
+    ``at``, allocated only after the read that filled ``span`` returned:
+    the read yields, and no rank should hold a zeroed window while the
+    others run."""
+    cbuf = np.zeros(rp.window.total_bytes, dtype=np.uint8)
+    cbuf[at : at + span.size] = span
+    return cbuf
+
+
 class IntegratedSieve:
     """Integrated data sieving (what §5.1 replaces): the collective
     buffer *is* the sieve buffer, one contiguous read or write of the
@@ -250,13 +260,12 @@ class IntegratedSieve:
             if not cls.active(rp):
                 return None
             w_lo = int(rp.window.starts[0])
-            cbuf = np.zeros(rp.window.total_bytes, dtype=np.uint8)
             lo, hi = _sieve_span(rp)
             if int(rp.merged[1].sum()) < hi - lo:
                 # Holes: pre-read so the span write-back preserves the
                 # gap bytes (integrated data sieving's RMW).
-                cbuf[lo - w_lo : hi - w_lo] = env.adio.read_contig(lo, hi - lo)
-            return cbuf
+                return _window_with(rp, lo - w_lo, env.adio.read_contig(lo, hi - lo))
+            return np.zeros(rp.window.total_bytes, dtype=np.uint8)
 
     @staticmethod
     def flush(env: CollEnv, src, rp: RoundPlan, cbuf: np.ndarray) -> None:
@@ -274,7 +283,5 @@ class IntegratedSieve:
     def fill(env: CollEnv, src, rp: RoundPlan) -> np.ndarray:
         w_lo = int(rp.window.starts[0])
         lo, hi = _sieve_span(rp)
-        cbuf = np.zeros(rp.window.total_bytes, dtype=np.uint8)
         env.metrics.counter("coll.flush.datasieve-integrated").inc()
-        cbuf[lo - w_lo : hi - w_lo] = env.adio.read_contig(lo, hi - lo)
-        return cbuf
+        return _window_with(rp, lo - w_lo, env.adio.read_contig(lo, hi - lo))

@@ -89,7 +89,13 @@ class AdioFile:
             self._strided(method, batch, data)
 
     def read_strided(self, batch: SegmentBatch, method: str) -> np.ndarray:
-        """Read ``batch``; the result is indexed by ``batch.data_offsets``."""
+        """Read ``batch``.
+
+        Every method returns the same shape: an array of exactly
+        ``max(data_offsets + lengths)`` bytes (empty for an empty
+        batch), indexed by ``batch.data_offsets``, zero outside the
+        batch.  The collective read hands it out as its collective
+        buffer as it is."""
         if batch.empty:
             return np.empty(0, dtype=np.uint8)
         return self._strided(method, batch)

@@ -66,10 +66,30 @@ Which proc runs, and when in virtual time, does not depend on it.
 Where the platform has no ``sched_setscheduler`` or refuses the call,
 the thread stays in its inherited class and runs exactly as before, at
 the dearer hand-off.
+
+For the same reason — one engine thread runs at a time — the engine caps
+glibc malloc at one arena.  glibc gives each new thread that allocates
+an arena of its own, up to eight per core, so a 16-rank run ends with 16
+arenas; a window buffer freed by one rank stays in that rank's arena,
+which no other rank allocates from, and the process's resident set grows
+by the sum of their high-water marks.  With one thread running there is
+no lock contention for per-thread arenas to relieve, so one arena costs
+nothing and lets every rank reuse what any rank freed.  The cap
+(``mallopt(M_ARENA_MAX, 1)``) is process-wide and is set once, when this
+module is first imported (``import repro`` does it), not at the first
+run, so that a thread started in between cannot make an arena first:
+every thread the process starts from then on, engine or not, allocates
+from the main arena.  It cannot undo what came before: threads that
+already made arenas keep them and later threads share them, and glibc
+fixes its arena limit the first time a new thread finds more than eight
+arenas, so a process that got there before the import keeps that limit.
+Where the C library has no ``mallopt`` or refuses the call, malloc stays
+as it was and every run is unchanged except for its memory.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import threading
 from heapq import heappop, heappush
@@ -121,6 +141,26 @@ def _batch_policy() -> None:
         os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
     except (AttributeError, OSError):
         pass
+
+
+#: glibc's ``mallopt`` parameter number for the arena cap.
+_M_ARENA_MAX = -8
+
+
+def _one_arena() -> None:
+    """Cap glibc malloc at one arena (see the module's note on arenas);
+    leave malloc as it is where the C library has no ``mallopt`` or
+    refuses the call."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_ARENA_MAX, 1)
+
+
+_one_arena()
 
 
 class _BlockTimeout:

@@ -7,8 +7,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import Session
 from repro.config import CostModel
-from repro.core import CollectiveFile
+from repro.core import CollectiveFile, two_phase_new
 from repro.core.pfr import PFRState
 from repro.core.realms import FileRealm, RealmDomain
 from repro.datatypes import BYTE, contiguous, resized
@@ -242,3 +243,65 @@ class TestWindowGeometry:
     def test_interval_realm_validation(self):
         with pytest.raises(CollectiveIOError):
             FileRealm.interval(10, 5)
+
+
+class TestLayeredFill:
+    """``coll_impl=new`` hands out the strided read's own array as the
+    collective buffer; it ends at the window's last merged byte."""
+
+    @staticmethod
+    def _read_with_holes(monkeypatch, io_method):
+        """4 ranks ``read_all`` 8-byte pieces of 16-byte slots (rank
+        ``r`` at ``16 r`` in every 64-byte tile) through 64-byte
+        windows, each of which ends in an 8-byte hole.  Returns every
+        rank's buffer and its expected bytes, and per fill the returned
+        array, what ``strided_io`` produced for it, and the window size."""
+        produced, fills = {}, []
+        real_io, real_fill = two_phase_new.strided_io, two_phase_new.Layered.fill
+
+        def io_spy(env, batch, ft_extent, data=None):
+            out = real_io(env, batch, ft_extent, data)
+            if data is None:
+                produced.setdefault(env.comm.rank, []).append(out)
+            return out
+
+        def fill_spy(env, src, rp):
+            out = real_fill(env, src, rp)
+            fills.append((out, produced.pop(env.comm.rank, []), rp.window.total_bytes))
+            return out
+
+        monkeypatch.setattr(two_phase_new, "strided_io", io_spy)
+        monkeypatch.setattr(two_phase_new.Layered, "fill", staticmethod(fill_spy))
+        s = Session(
+            "/holes",
+            nprocs=4,
+            hints={"cb_nodes": 2, "cb_buffer_size": 64, "io_method": io_method},
+            cost=COST,
+        )
+        s.fs.raw_write("/holes", 0, (np.arange(1024) % 251 + 1).astype(np.uint8))
+
+        def body(ctx, comm, f):
+            f.set_view(disp=16 * comm.rank, filetype=resized(contiguous(8, BYTE), 0, 64))
+            out = np.zeros(8 * 16, dtype=np.uint8)
+            f.read_all(out)
+            return out
+
+        image = s.fs.raw_bytes("/holes", 0, 1024)
+        expect = [
+            np.concatenate([image[64 * t + 16 * r : 64 * t + 16 * r + 8] for t in range(16)])
+            for r in range(4)
+        ]
+        return s.run(body), expect, fills
+
+    @pytest.mark.parametrize("io_method", ["datasieve", "naive", "listio"])
+    def test_read_all_with_windows_ending_in_holes_reads_back_exactly(self, monkeypatch, io_method):
+        got, expect, fills = self._read_with_holes(monkeypatch, io_method)
+        for r in range(4):
+            assert got[r].tolist() == expect[r].tolist(), r
+        assert any(out.size < window for out, _, window in fills)
+
+    def test_fill_returns_the_very_array_strided_io_produced(self, monkeypatch):
+        _, _, fills = self._read_with_holes(monkeypatch, "datasieve")
+        assert fills
+        for out, made, _ in fills:
+            assert len(made) == 1 and out is made[0]

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import CostModel
+from repro import Session
+from repro.config import DEFAULT_COST_MODEL, CostModel
 from repro.datatypes import BYTE, contiguous, resized
 from repro.datatypes.segments import FlatCursor, SegmentBatch
 from repro.errors import CollectiveIOError
@@ -163,6 +166,72 @@ class TestStridedRead:
 
         out, _, _ = run_one(main)
         assert out.tolist() == list(range(16))
+
+    @pytest.mark.parametrize("method", ["contig"] + METHODS)
+    def test_result_ends_at_the_last_byte_and_is_zero_outside(self, method):
+        """The read contract the collective read hands out as its
+        buffer: exactly ``max(data_offsets + lengths)`` bytes, the
+        batch's bytes at their data offsets, zero in the interior gaps
+        and before the first offset.  The batch's last segment ends
+        short of the buffer it addresses (a trailing hole the result
+        does not include)."""
+        if method == "contig":
+            batch = SegmentBatch(np.array([40]), np.array([12]), np.array([5]))
+        else:
+            batch = SegmentBatch(
+                np.array([8, 30, 70, 100]), np.array([6, 10, 4, 9]), np.array([3, 20, 41, 60])
+            )
+
+        def main(ctx, client, fs):
+            fs.raw_write("/f", 0, np.arange(1, 161, dtype=np.uint8))
+            adio = AdioFile(client.open("/f", cache_mode="off"))
+            return adio.read_strided(batch, method)
+
+        out, fs, _ = run_one(main)
+        want = np.zeros(int((batch.data_offsets + batch.lengths).max()), dtype=np.uint8)
+        for fo, ln, do in zip(
+            batch.file_offsets.tolist(), batch.lengths.tolist(), batch.data_offsets.tolist()
+        ):
+            want[do : do + ln] = fs.raw_bytes("/f", fo, ln)
+        assert out.dtype == np.uint8
+        assert out.tolist() == want.tolist()
+
+
+class TestConcurrentIndependentWrites:
+    """Four ranks ``write_ind`` interleaved 16-byte tiles: rank ``r``
+    owns bytes ``[64 t + 16 r, 64 t + 16 r + 16)`` of tiles ``t < 8``,
+    so every byte of the 512-byte file has exactly one writer."""
+
+    @staticmethod
+    def _wrong_bytes(io_method: str, page_size: int) -> int:
+        s = Session(
+            "/ind",
+            nprocs=4,
+            hints={"io_method": io_method},
+            cost=dataclasses.replace(DEFAULT_COST_MODEL, page_size=page_size),
+        )
+
+        def body(ctx, comm, f):
+            f.set_view(disp=16 * comm.rank, filetype=resized(contiguous(16, BYTE), 0, 64))
+            f.write_ind(np.full(16 * 8, comm.rank + 1, dtype=np.uint8))
+
+        s.run(body)
+        want = np.repeat(np.tile(np.arange(1, 5, dtype=np.uint8), 8), 16)
+        return int((s.fs.raw_bytes("/ind", 0, 512) != want).sum())
+
+    @pytest.mark.parametrize("page_size", [64, 4096])
+    def test_naive_writes_land_exactly(self, page_size):
+        assert self._wrong_bytes("naive", page_size) == 0
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="datasieve_write holds nothing between its pre-read and its "
+        "write-back, so a rank's stale gap bytes overwrite its neighbours' "
+        "(368 of 512 bytes wrong)",
+    )
+    @pytest.mark.parametrize("page_size", [64, 4096])
+    def test_sieving_writes_land_exactly(self, page_size):
+        assert self._wrong_bytes("datasieve", page_size) == 0
 
 
 class TestCostShape:

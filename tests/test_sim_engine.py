@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import ctypes
 import os
+import subprocess
+import sys
 import threading
 
 import pytest
 
 from repro.errors import RankFailed, SimDeadlock
-from repro.sim import Signal, Simulator, Tracer
+from repro.sim import Signal, Simulator, Tracer, engine
 from repro.sim.clock import VirtualClock
 
 
@@ -286,3 +289,89 @@ class TestBatchPolicy:
         sim = Simulator(2)
         assert sim.run(main) == [probe(0)] * 2
         assert sim.times == [1e-3, 2e-3]
+
+
+#: Run in a fresh interpreter: 16 ranks each hold six 300 KB arrays
+#: across two hand-offs, then glibc's ``malloc_info`` reports the
+#: process's heaps (one ``<heap>`` element per arena).
+_ARENA_PROBE = """
+import ctypes, os, tempfile
+from repro.sim import Simulator
+
+def main(ctx):
+    keep = [bytearray(300_000) for _ in range(3)]
+    ctx.advance(1e-6)
+    keep += [bytearray(300_000) for _ in range(3)]
+    ctx.advance(1e-6)
+    return len(keep)
+
+assert Simulator(16).run(main) == [6] * 16
+libc = ctypes.CDLL(None)
+libc.fopen.restype = ctypes.c_void_p
+libc.fopen.argtypes = [ctypes.c_char_p, ctypes.c_char_p]
+libc.malloc_info.argtypes = [ctypes.c_int, ctypes.c_void_p]
+libc.fclose.argtypes = [ctypes.c_void_p]
+with tempfile.TemporaryDirectory() as d:
+    path = os.path.join(d, "malloc_info.xml")
+    fp = libc.fopen(path.encode(), b"w")
+    libc.malloc_info(0, fp)
+    libc.fclose(fp)
+    with open(path) as xml:
+        print(xml.read().count("<heap nr="))
+"""
+
+
+def _has_malloc_info() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "malloc_info")
+    except (OSError, TypeError):
+        return False
+
+
+class TestOneArena:
+    def test_a_run_leaves_one_malloc_heap(self):
+        """Rank threads allocate from the one arena the engine caps
+        glibc at, instead of one arena each (16 heaps without the cap)."""
+        if not _has_malloc_info():
+            pytest.skip("no malloc_info in this C library")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", _ARENA_PROBE],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert out.stdout.split() == ["1"]
+
+    @pytest.mark.parametrize("refusal", ["refused", "missing", "no-libc"])
+    def test_refused_cap_runs_unchanged(self, monkeypatch, refusal):
+        """Where ``mallopt`` refuses the cap (returns 0), the C library
+        has none, or there is no C library to load, setting the cap
+        raises nothing and the runs after it are the same."""
+
+        def main(ctx):
+            ctx.advance(1e-3 * (ctx.rank + 1))
+            return ctx.rank, ctx.now
+
+        ref = Simulator(2)
+        want = ref.run(main)
+        asked = []
+
+        class Libc:
+            def __getattr__(self, name):
+                asked.append(name)
+                if refusal == "missing":
+                    raise AttributeError(name)
+                return lambda *args: 0
+
+        def load(name):
+            asked.append(name)
+            if refusal == "no-libc":
+                raise OSError("no C library")
+            return Libc()
+
+        monkeypatch.setattr(ctypes, "CDLL", load)
+        engine._one_arena()
+        assert asked == ([None] if refusal == "no-libc" else [None, "mallopt"])
+        sim = Simulator(2)
+        assert sim.run(main) == want
+        assert sim.times == ref.times == [1e-3, 2e-3]
