@@ -846,7 +846,7 @@ class SimFileSystem:
             # The shadow store is plain: its bytes are charged by the
             # stripe map, whatever demand the gate judged f.store by.
             demand = None
-        target.write_extents(offs, lens, data, up)
+        self._kept(ctx, target.write_extents(offs, lens, data, up), path)
         # Silent-corruption injection: bits flip in whichever store the
         # bytes landed in, after the checksum sidecar was updated.
         faults = ctx.shared.get(FAULTS_KEY)
@@ -917,6 +917,18 @@ class SimFileSystem:
         if faults is not None:
             faults.note_page_corruption_detected()
         return IntegrityError(exc.site, exc.page_index, path)
+
+    @staticmethod
+    def _kept(ctx: RankContext, pages: List[int], path: str) -> None:
+        """Count each corrupt page a write kept the old sidecar of (the
+        store's ``write_extents``) as a detection, named by a zero-length
+        ``fs:kept_sidecar`` span on ``path``; its next read raises."""
+        faults = ctx.shared.get(FAULTS_KEY)
+        for page in pages:
+            if faults is not None:
+                faults.note_page_corruption_detected()
+            with ctx.trace("fs:kept_sidecar", path=path, page=page):
+                pass
 
     # -- epoch commit records (resumable collectives) -----------------------
     def journal_record_epoch(
@@ -1027,9 +1039,10 @@ class SimFileSystem:
             pages = page_runs.total
             ctx.charge(pages * self.cost.journal_commit_page)
             try:
-                txn.commit(up)
+                kept = txn.commit(up)
             except IntegrityError as exc:
                 raise self._detected(ctx, exc, path) from exc
+            self._kept(ctx, kept, path)
             f.txn = None
             f.series["journal.commits"].value += 1
             f.series["journal.pages_committed"].value += pages

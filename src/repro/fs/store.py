@@ -5,6 +5,8 @@ takes them as one batch:
 
 * ``write_extents(offs, lens, data, up=None)`` — ``data`` holds the
   extents' bytes concatenated in batch order (overlaps: later wins);
+  returns the *kept* pages: pages the batch covers only in part whose
+  bytes already failed their sidecar, which keep it (integrity on);
 * ``read_extents(offs, lens, out, up=None)`` — fills ``out`` the same
   way and returns what it served, ``(demand, failovers)``: the per-OST
   ``(bytes, fragments)`` the answering copies did (``None``: the stripe
@@ -33,7 +35,9 @@ With integrity on (:meth:`PageStore.enable_integrity`, the
 ``flip_bit`` corrupts bytes without touching it, and the mismatch
 raises :class:`~repro.errors.IntegrityError`.  A read verifies every
 page it touches before it copies any and names the first bad page in
-extent order; a journaled read verifies an extent's main-store pages
+extent order; a write re-stamps only what it can vouch for — a page it
+covers in part and that already fails keeps its old sidecar, so a flip
+that landed before the write still raises on the next read; a journaled read verifies an extent's main-store pages
 before its journal pages; a commit verifies every run before it
 publishes any.  :meth:`verify_all` is the scrub ``repro fsck`` runs.
 """
@@ -258,11 +262,27 @@ class PageStore(_Store):
         off = index % SLAB_PAGES * self.page_size
         return self._bytes.get(index // SLAB_PAGES)[off : off + self.page_size]
 
-    def _write(self, offs: List[int], lens: List[int], data: np.ndarray, at) -> int:
+    def _write(
+        self, offs: List[int], lens: List[int], data: np.ndarray, at
+    ) -> Tuple[int, List[int]]:
         """Store extents (``at``: where each one's bytes start in
         ``data``), allocate the pages they touch and refresh each touched
-        page's sidecar once; returns the end of the highest extent."""
+        page's sidecar once; returns the end of the highest extent and
+        the *kept* pages.
+
+        A page the batch covers only in part is checked against its old
+        sidecar first: one that fails holds bytes flipped since its last
+        stamp, which the write must not bless, so it keeps the old
+        sidecar and its next read raises.  Those are the kept pages."""
         ps, bytes_, exists, top = self.page_size, self._bytes, self._exists, 0
+        kept: List[int] = []
+        if self.integrity:
+            covered = ByteRuns()
+            for o, n in zip(offs, lens):
+                covered.add(o, o + n)
+            edges = {lo // ps for lo, _ in covered if lo % ps}
+            edges.update(hi // ps for _, hi in covered if hi % ps)
+            kept = sorted(index for index in edges if not self.verify_page(index))
         for o, n, a in zip(offs, lens, at):
             bytes_.write(o, data[a : a + n])
             first = o // ps
@@ -270,10 +290,11 @@ class PageStore(_Store):
             if o + n > top:
                 top = o + n
         if self.integrity:
-            for first, stop in ByteRuns.of_blocks(((o, o + n) for o, n in zip(offs, lens)), ps):
+            for first, stop in ByteRuns.of_blocks(covered, ps):
                 for index in range(first, stop):
-                    self._crcs[index] = self._crc(index)
-        return top
+                    if index not in kept:
+                        self._crcs[index] = self._crc(index)
+        return top, kept
 
     def _verify(self, offs: List[int], lens: List[int]) -> None:
         """Raise for the first page, in extent order, whose bytes fail
@@ -344,12 +365,14 @@ class PageStore(_Store):
         self._write([index * self.page_size], [self.page_size], data, [0])
 
     # -- the batch protocol -------------------------------------------------
-    def write_extents(self, offs, lens, data, up: Optional[Set[int]] = None) -> None:
-        """Write a batch in one pass (``up`` is moot: one copy)."""
+    def write_extents(self, offs, lens, data, up: Optional[Set[int]] = None) -> List[int]:
+        """Write a batch in one pass (``up`` is moot: one copy); returns
+        the kept pages (:meth:`_write`)."""
         lens = lens.tolist()
-        top = self._write(offs.tolist(), lens, data, accumulate(lens, initial=0))
+        top, kept = self._write(offs.tolist(), lens, data, accumulate(lens, initial=0))
         if top > self.size:
             self.size = top
+        return kept
 
     def read_extents(self, offs, lens, out, up: Optional[Set[int]] = None, *, verify=True):
         """Fill ``out`` from a batch, every touched page verified before
@@ -496,24 +519,28 @@ class ReplicatedStore(_Store):
         return osts[0][self._fresh(offs, lens, osts, up)[0]].tolist()
 
     # -- the batch protocol -------------------------------------------------
-    def write_extents(self, offs, lens, data, up: Optional[Set[int]] = None) -> None:
+    def write_extents(self, offs, lens, data, up: Optional[Set[int]] = None) -> List[int]:
         """Write every live replica, mark missed ones stale (the caller
-        enforced the quorum: by now the write is committed)."""
+        enforced the quorum: by now the write is committed); returns
+        every shard's kept pages, one entry per corrupt replica."""
         pos, n, at, osts = self._place(offs, lens)
+        kept: List[int] = []
         for ost, shard in enumerate(self.shards):
             rows = np.flatnonzero((osts == ost).any(axis=1))
             if not rows.size:
                 continue
             lo, hi, runs = pos[rows].tolist(), (pos + n)[rows].tolist(), self.stale[ost]
             if up is None or ost in up:
-                top = shard._write(lo, n[rows].tolist(), data, at[rows].tolist())
+                top, bad = shard._write(lo, n[rows].tolist(), data, at[rows].tolist())
                 shard.size = max(shard.size, top)
+                kept += bad
                 for a, b in zip(lo, hi):
                     runs.remove(a, b)
             else:
                 for a, b in zip(lo, hi):
                     runs.add(a, b)
         self.size = max(self.size, int((pos + n).max(initial=0)))
+        return sorted(kept)
 
     def read_extents(self, offs, lens, out, up: Optional[Set[int]] = None, *, verify=True):
         """Fill ``out`` piece by piece from the first live fresh replica
@@ -670,11 +697,12 @@ class Journal:
         #: become durable (join the file's epoch log) only at commit.
         self.epochs: List[dict] = []
 
-    def write_extents(self, offs, lens, data, up: Optional[Set[int]] = None) -> None:
+    def write_extents(self, offs, lens, data, up: Optional[Set[int]] = None) -> List[int]:
         """Shadow a batch (``up`` matters only when it publishes)."""
-        self.store.write_extents(offs, lens, data)
+        kept = self.store.write_extents(offs, lens, data)
         for lo, hi in zip(offs.tolist(), (offs + lens).tolist()):
             self.valid.add(lo, hi)
+        return kept
 
     def read_extents(self, offs, lens, out, up: Optional[Set[int]] = None):
         """The main store's read with the journal's runs patched over it
@@ -705,10 +733,11 @@ class Journal:
         """The pages the journal's runs touch, as runs of page indices."""
         return ByteRuns.of_blocks(self.valid, self.store.page_size)
 
-    def commit(self, up: Optional[Set[int]] = None) -> None:
+    def commit(self, up: Optional[Set[int]] = None) -> List[int]:
         """Publish every run into the main store as one batch, after all
         of them verified: a bad shadow page raises ``journal-commit``
-        (the first one in run order) with the main store untouched."""
+        (the first one in run order) with the main store untouched.
+        Returns the main store's kept pages."""
         offs, ends = self.valid.arrays()
         lens = ends - offs
         data = np.empty(int(lens.sum()), dtype=np.uint8)
@@ -716,4 +745,4 @@ class Journal:
             self.store.read_extents(offs, lens, data)
         except IntegrityError as exc:
             raise IntegrityError("journal-commit", exc.page_index) from exc
-        self.main.write_extents(offs, lens, data, up)
+        return self.main.write_extents(offs, lens, data, up)

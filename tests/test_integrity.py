@@ -167,29 +167,42 @@ _PARTIAL_PAGE_STORES = {
 }
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=pytest.fail.Exception,
-    reason=(
-        "partial-page write blesses an earlier undetected flip (ROADMAP "
-        "item 2): PageStore._write re-stamps every touched page's sidecar "
-        "from its current bytes, so bytes flipped since the last stamp "
-        "become good.  The fix (verify a partially covered page against its "
-        "old sidecar before overwriting it) moves virtual time: its own PR, "
-        "which removes this xfail."
-    ),
-)
 @pytest.mark.parametrize("kind", sorted(_PARTIAL_PAGE_STORES))
 def test_partial_page_write_keeps_an_earlier_flip_detectable(kind):
     """A full page is written and then flipped; a write over part of it
-    must not bless the flip: reading the page has to raise."""
+    must not bless the flip.  The write reports the page it kept the old
+    sidecar of; reading the page then raises — or, replicated, fails
+    over to the replica the flip missed (one failover, which a server
+    read counts in ``fs.ost.failovers``) and returns the right bytes."""
     store = _PARTIAL_PAGE_STORES[kind]()
     page = np.array([0]), np.array([64])
     store.write_extents(*page, np.full(64, 5, dtype=np.uint8))
     store.flip_bit(0, 3)
-    store.write_extents(np.array([8]), np.array([8]), np.full(8, 9, dtype=np.uint8))
+    kept = store.write_extents(np.array([8]), np.array([8]), np.full(8, 9, dtype=np.uint8))
+    assert kept == [0]
+    out = np.empty(64, dtype=np.uint8)
+    if kind == "replicated":
+        _, failovers = store.read_extents(*page, out)
+        expect = np.full(64, 5, dtype=np.uint8)
+        expect[8:16] = 9
+        assert failovers == 1
+        assert np.array_equal(out, expect)
+        return
     with pytest.raises(IntegrityError):
-        store.read_extents(*page, np.empty(64, dtype=np.uint8))
+        store.read_extents(*page, out)
+
+
+def test_partial_page_write_over_a_good_page_re_stamps_it():
+    """Only a page that already fails keeps its sidecar: a partial
+    write over a clean page, or over a whole flipped page, re-stamps."""
+    store = PageStore(64, integrity=True)
+    store.write(0, np.full(128, 5, dtype=np.uint8))
+    store.flip_bit(1, 3)
+    kept = store.write_extents(
+        np.array([8, 64]), np.array([8, 64]), np.full(72, 9, dtype=np.uint8)
+    )
+    assert kept == []
+    assert store.verify_all() == []
 
 
 def test_journal_read_names_the_first_bad_page_in_extent_order():
