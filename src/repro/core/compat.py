@@ -158,7 +158,8 @@ RULES: Tuple[Rule, ...] = (
         STAND_DOWN, {"exchange": "alltoallw"},
         "`exchange=two_layer` (`coll_impl=new`) in a round that must skip suspects or "
         "fail-stop corpses: re-electing node leaders mid-call is not worth the "
-        "protocol, the flat exchange keeps every leg matched (`exchange.flat_fallbacks`)",
+        "protocol, and the flat exchange has no leg to or from a rank with empty "
+        "batches (`exchange.flat_fallbacks`)",
         scope="round",
     ),
 )

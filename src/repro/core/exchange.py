@@ -1,17 +1,21 @@
 """Data-exchange phase backends (§5.4).
 
-Two interchangeable implementations of "move these byte ranges between
-every client's buffer and every aggregator's collective buffer":
+Three interchangeable implementations of "move these byte ranges between
+every client's buffer and every aggregator's collective buffer".  The
+two flat ones are one leg loop, :meth:`Communicator.alltoallw`: each
+posts exactly the legs that carry bytes (every send, then the expected
+receives), and they differ in two terms only:
 
-* ``alltoallw`` — drives :meth:`Communicator.alltoallw`: non-contiguous
-  regions move straight between the user/collective buffers with no
-  intermediate pack buffer (the datatype engine's per-byte touch is the
-  only CPU cost).  This is the path that benefits machines with
-  collective-optimized networks (BG/L's dedicated collective network in
-  the paper's discussion).
+* ``alltoallw`` — ``MPI_Alltoallw`` driven by derived datatypes:
+  non-contiguous regions move straight between the user/collective
+  buffers with no intermediate pack buffer (the datatype engine's
+  per-byte touch is the only CPU cost), and the legs travel on a tag in
+  the collective range, so their per-message overheads ride
+  ``CostModel.net_collective_factor`` (BG/L's dedicated collective
+  network in the paper's discussion).
 * ``nonblocking`` — isend/irecv per peer with explicit pack/unpack
-  buffers; a fraction of the pack cost is hidden by overlapping
-  communication with the address computation
+  buffers on a point-to-point tag; a fraction of the pack cost is
+  hidden by overlapping communication with the address computation
   (``CostModel.net_overlap_factor`` is the fraction still charged).
 * ``two_layer`` — topology-aware intra-node aggregation (Kang et al.):
   each rank packs and coalesces its per-peer segments, the node's
@@ -19,10 +23,12 @@ every client's buffer and every aggregator's collective buffer":
   exchange the combined frames pairwise over the inter-node tier, and
   the mirrored scatter delivers each frame to its destination rank.
   Same bytes in the same order as the flat modes — only *who carries
-  them across nodes* changes, which is what cuts inter-node message
-  count and envelope traffic.
+  them across nodes* changes.
 
-All modes move identical bytes; only the cost structure differs.
+All modes move identical bytes; only the cost structure differs.  A
+flat leg one side sends and the other never expects is not seen by
+either; :func:`check_drained` finds it once every rank is past the
+exchange.
 """
 
 from __future__ import annotations
@@ -36,15 +42,18 @@ from repro.datatypes.packing import gather_segments, scatter_segments
 from repro.datatypes.segments import SegmentBatch
 from repro.errors import CollectiveIOError
 from repro.mpi.comm import Communicator
-from repro.mpi.request import waitall
 from repro.mpi.topology import NodeTopology
 from repro.obs.metrics import metrics_registry
 
-__all__ = ["exchange_data", "EXCHANGE_MODES"]
+__all__ = ["check_drained", "exchange_data", "EXCHANGE_MODES"]
 
 EXCHANGE_MODES = ("alltoallw", "nonblocking", "two_layer")
 
-_TAG_DATA = (1 << 19) + 3  # library p2p range: below COLLECTIVE_TAG_BASE
+#: The flat modes' leg tags: ``nonblocking`` in the library's
+#: point-to-point range (below ``COLLECTIVE_TAG_BASE``), ``alltoallw``
+#: in the collective range.
+_TAG_DATA = (1 << 19) + 3
+_TAG_ALLTOALLW = (1 << 20) + 7
 #: Leader↔leader frame exchange: collective range, so the inter-node
 #: tier of the two-layer exchange rides the collective-network factor
 #: exactly like the alltoallw it replaces.  The routing header and the
@@ -63,7 +72,6 @@ def exchange_data(
     send_batches: Sequence[Optional[SegmentBatch]],
     recvbuf: Optional[np.ndarray],
     recv_batches: Sequence[Optional[SegmentBatch]],
-    skip: frozenset = frozenset(),
     topology: Optional[NodeTopology] = None,
 ) -> int:
     """Run one exchange round; returns bytes this rank sent.
@@ -74,13 +82,11 @@ def exchange_data(
     data_offsets are order keys; both sides order by the client's
     monotonic file order).  Every rank must call this, every round.
 
-    ``skip`` names ranks excluded from the exchange (their batches
-    must already be None/empty).  The alltoallw backend needs the set
-    explicitly to keep its pairwise rounds matched; the nonblocking
-    backend only posts non-empty batches, so empty batches exclude a
-    rank automatically.  The two_layer backend cannot route around a
-    missing leader: the round loop gives such a round to alltoallw
-    (rule ``suspects.two_layer``), and asking for it here is an error.
+    A rank with nothing to send or receive (a corpse, a suspect being
+    completed around) has empty batches and takes part in no flat leg.
+    The two_layer backend's leaders exchange every round, so it cannot
+    route around a missing rank: the round loop gives such a round to
+    alltoallw (rule ``suspects.two_layer``).
 
     ``topology`` selects the node grouping for ``two_layer`` (defaults
     to the communicator's cost-model topology; a flat cluster degrades
@@ -88,71 +94,33 @@ def exchange_data(
     if mode not in EXCHANGE_MODES:
         raise CollectiveIOError(f"unknown exchange mode {mode!r}; options {EXCHANGE_MODES}")
     sent = sum(b.total_bytes for b in send_batches if b is not None)
-    if mode == "alltoallw":
-        comm.alltoallw(sendbuf, list(send_batches), recvbuf, list(recv_batches), skip=skip)
-        return sent
     if mode == "two_layer":
-        if skip:
-            raise CollectiveIOError(
-                f"two_layer exchange cannot skip ranks {sorted(skip)}"
-            )
         _two_layer(comm, cost, sendbuf, send_batches, recvbuf, recv_batches, topology)
         return sent
-    _nonblocking(comm, cost, sendbuf, send_batches, recvbuf, recv_batches)
+    rate, tag = cost.cpu_per_byte_touch, _TAG_ALLTOALLW
+    if mode == "nonblocking":
+        rate, tag = rate + cost.cpu_per_byte_copy * cost.net_overlap_factor, _TAG_DATA
+    comm.alltoallw(sendbuf, send_batches, recvbuf, recv_batches, rate, tag)
     return sent
 
 
-def _nonblocking(
-    comm: Communicator,
-    cost: CostModel,
-    sendbuf: Optional[np.ndarray],
-    send_batches: Sequence[Optional[SegmentBatch]],
-    recvbuf: Optional[np.ndarray],
-    recv_batches: Sequence[Optional[SegmentBatch]],
-) -> None:
-    ctx = comm.ctx
-    rank = comm.rank
-    pack_rate = cost.cpu_per_byte_touch + cost.cpu_per_byte_copy * cost.net_overlap_factor
+def check_drained(comm: Communicator) -> None:
+    """Raise :class:`CollectiveIOError` if a flat exchange leg sent to
+    this rank is still queued: no batch of its paired it.
 
-    def pack(batch: SegmentBatch) -> np.ndarray:
-        if sendbuf is None:
-            raise CollectiveIOError("nonblocking exchange: send batch without a buffer")
-        ctx.charge(batch.total_bytes * pack_rate)
-        return gather_segments(sendbuf, batch)
-
-    def unpack(batch: SegmentBatch, data: np.ndarray) -> None:
-        if data.size != batch.total_bytes:
-            raise CollectiveIOError(
-                f"nonblocking exchange: got {data.size} bytes, expected {batch.total_bytes}"
-            )
-        if recvbuf is None:
-            raise CollectiveIOError("nonblocking exchange: recv batch without a buffer")
-        ctx.charge(batch.total_bytes * pack_rate)
-        scatter_segments(recvbuf, batch, data)
-
-    # Local transfer needs no messages.
-    my_send = send_batches[rank]
-    my_recv = recv_batches[rank]
-    if my_send is not None and not my_send.empty:
-        if my_recv is None or my_recv.total_bytes != my_send.total_bytes:
-            raise CollectiveIOError("self-exchange batches disagree")
-        unpack(my_recv, pack(my_send))
-
-    # Post everything, then wait — the old code's structure, kept here
-    # because the nonblocking backend serves both implementations.
-    recv_reqs = []
-    for peer in range(comm.size):
-        b = recv_batches[peer]
-        if peer != rank and b is not None and not b.empty:
-            recv_reqs.append((peer, b, comm.irecv(peer, _TAG_DATA)))
-    send_reqs = []
-    for peer in range(comm.size):
-        b = send_batches[peer]
-        if peer != rank and b is not None and not b.empty:
-            send_reqs.append(comm.isend(pack(b), peer, _TAG_DATA))
-    for peer, b, req in recv_reqs:
-        unpack(b, req.wait())
-    waitall(send_reqs)
+    A rank takes every leg it expects by the end of its last round, and
+    no peer posts a leg of the next call before this rank joins that
+    call's first control collective: what is queued then, or after a
+    barrier of the handle, is a stray.  One posted after the receiver's
+    check is found at the next barrier, unless a receive of the next
+    call from the same peer takes it first."""
+    stray = comm.queued(_TAG_ALLTOALLW) + comm.queued(_TAG_DATA)
+    if stray:
+        legs = ", ".join(f"{nbytes} B from rank {src}" for src, nbytes in stray)
+        raise CollectiveIOError(
+            f"exchange: rank {comm.rank} holds unmatched exchange messages ({legs}): "
+            f"a peer sent bytes no batch of this rank expects"
+        )
 
 
 def _two_layer(

@@ -32,6 +32,7 @@ from repro.core.file_view import FileView, integer_arg
 from repro.core.pfr import PFRState
 from repro.core.plancache import PlanCache
 from repro.core.request import Request
+from repro.core.exchange import check_drained
 from repro.core.rounds import run_collective
 from repro.core.two_phase_new import Layered, independent_io
 from repro.core.two_phase_old import IntegratedSieve
@@ -150,6 +151,9 @@ class CollectiveFile:
         # in program order on the shared communicator queues.
         self._requests: List[Request] = []
         self._async_tail = None
+        #: A collective call left on an error: legs it abandoned may still
+        #: arrive, so barriers stop calling ``check_drained``.
+        self._abandoned = False
         # Opening is collective in MPI; synchronize so later collective
         # calls start aligned (over the survivors once ranks have died
         # fail-stop — a corpse would deadlock the full barrier).
@@ -214,6 +218,8 @@ class CollectiveFile:
             self.comm.barrier()
         else:
             AliveGroup(self.comm, dead, -2).barrier()
+        if not self._abandoned:  # every live rank is past its exchanges
+            check_drained(self.comm)
 
     def _require_open(self) -> None:
         if not self._open:
@@ -330,7 +336,11 @@ class CollectiveFile:
                 self.resume_skipped += skipped
             else:
                 method = IntegratedSieve if self.eff.method == "old" else Layered
-                run_collective(env, method, buf8, memflat, total, start, write=write)
+                try:
+                    run_collective(env, method, buf8, memflat, total, start, write=write)
+                except Exception:
+                    self._abandoned = True
+                    raise
         self._call_seconds.record(ctx.now - t_begin)
         if write:
             self._epilogue_write(ctx, adio)

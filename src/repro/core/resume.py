@@ -58,6 +58,9 @@ class ResumeComm:
     def barrier(self) -> None:
         return None
 
+    def queued(self, tag: int) -> list:
+        return []  # no peer, so nothing is ever queued
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ResumeComm rank={self.rank}/{self.size}>"
 

@@ -39,7 +39,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.env import CollEnv
-from repro.core.exchange import exchange_data
+from repro.core.exchange import check_drained, exchange_data
 from repro.core.pipeline import RoundPipeline, task_env
 from repro.core.plancache import PlanEntry, PlanRecorder, RoundPlan
 from repro.datatypes.flatten import FlatType
@@ -104,8 +104,6 @@ class RoundSource:
             self._crash = install_crash_state(ctx.shared)
             self._known_dead = set(self._crash.dead)
             self.group = AliveGroup(comm, frozenset(self._known_dead), -1)
-        #: Ranks the exchange must not touch (corpses and suspects).
-        self.skip: frozenset = frozenset(self._known_dead)
 
     @property
     def coll(self):
@@ -235,7 +233,6 @@ class RoundSource:
             if crash.mark_dead(rank, self.call_index, boundary):
                 inj.note_crash()
             self._known_dead.add(rank)
-            self.skip = frozenset(self.skip | {rank})
             if site == "boundary":
                 raise RankCrashed(rank, site)
             self._crash_pending = site
@@ -261,7 +258,6 @@ class RoundSource:
         reporter = self.group.first_alive()
         if rank == reporter:
             inj.note_agreement()
-        self.skip = frozenset(self.skip | set(newly))
         return newly, reporter
 
     @property
@@ -383,6 +379,9 @@ def _call(env: CollEnv, method, src: RoundSource, buf: np.ndarray, write: bool) 
             sync.barrier()
         else:
             _rounds(env, method, src, buf, write)
+        # This rank's last round is over: a leg already sent to it that
+        # it did not take is one no batch of this call paired.
+        check_drained(comm)
     finally:
         if liv is not None:
             liv.end_call(rank)
@@ -446,15 +445,14 @@ def _rounds(env: CollEnv, method, src: RoundSource, buf: np.ndarray, write: bool
                 # per-client layouts become SEND batches, the client's
                 # memory batches RECV batches.
                 sendbuf, sends, recvbuf, recvs = cbuf, rp.recv, buf, rp.send
-            mode = eff.exchange_skip if src.skip else eff.exchange
+            mode = eff.exchange_skip if src._known_dead or src._suspects else eff.exchange
             if mode != eff.exchange:
                 # Rule suspects.two_layer, the one settled per round.
                 env.metrics.counter("compat.stand_down.suspects.two_layer").inc()
                 metrics_registry(ctx.shared).counter("exchange.flat_fallbacks").inc()
             exchanged.inc(
                 exchange_data(
-                    comm, cost, mode, sendbuf, sends, recvbuf, recvs,
-                    skip=src.skip, topology=src.topology,
+                    comm, cost, mode, sendbuf, sends, recvbuf, recvs, topology=src.topology
                 )
             )
 

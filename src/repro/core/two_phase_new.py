@@ -455,7 +455,6 @@ class _Plan(RoundSource):
                 # description simply drops out of the aggregation.
                 if self.funnel is not None:
                     self.funnel.drop(s)
-            self.skip = frozenset(self._suspects | self._known_dead)
             # Adopted intervals may precede a cursor's current position:
             # every monotonic scan restarts from the top.
             if self.router is not None:

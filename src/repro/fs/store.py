@@ -262,26 +262,20 @@ class PageStore(_Store):
         off = index % SLAB_PAGES * self.page_size
         return self._bytes.get(index // SLAB_PAGES)[off : off + self.page_size]
 
-    def _write(
-        self, offs: List[int], lens: List[int], data: np.ndarray, at
-    ) -> Tuple[int, List[int]]:
+    def _write(self, offs: List[int], lens: List[int], data: np.ndarray, at) -> Tuple[int, list]:
         """Store extents (``at``: where each one's bytes start in
         ``data``), allocate the pages they touch and refresh each touched
         page's sidecar once; returns the end of the highest extent and
-        the *kept* pages.
-
-        A page the batch covers only in part is checked against its old
-        sidecar first: one that fails holds bytes flipped since its last
-        stamp, which the write must not bless, so it keeps the old
-        sidecar and its next read raises.  Those are the kept pages."""
+        the *kept* pages — covered only in part and already failing their
+        sidecar, they keep it, so a flip from before the write still
+        raises on the next read instead of being blessed."""
         ps, bytes_, exists, top = self.page_size, self._bytes, self._exists, 0
-        kept: List[int] = []
+        covered, kept = ByteRuns(), []
         if self.integrity:
-            covered = ByteRuns()
             for o, n in zip(offs, lens):
                 covered.add(o, o + n)
-            edges = {lo // ps for lo, _ in covered if lo % ps}
-            edges.update(hi // ps for _, hi in covered if hi % ps)
+            edges = {lo // ps for lo, hi in covered if lo % ps}
+            edges.update(hi // ps for lo, hi in covered if hi % ps)
             kept = sorted(index for index in edges if not self.verify_page(index))
         for o, n, a in zip(offs, lens, at):
             bytes_.write(o, data[a : a + n])
@@ -289,11 +283,10 @@ class PageStore(_Store):
             exists.fill(first, -(-(o + n) // ps) - first, True)
             if o + n > top:
                 top = o + n
-        if self.integrity:
-            for first, stop in ByteRuns.of_blocks(covered, ps):
-                for index in range(first, stop):
-                    if index not in kept:
-                        self._crcs[index] = self._crc(index)
+        for first, stop in ByteRuns.of_blocks(covered, ps):  # none without integrity
+            for index in range(first, stop):
+                if index not in kept:
+                    self._crcs[index] = self._crc(index)
         return top, kept
 
     def _verify(self, offs: List[int], lens: List[int]) -> None:

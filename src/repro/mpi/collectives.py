@@ -12,10 +12,10 @@ virtual-time cost emerges from the message structure:
   doubling block lists (P ceil(log2 P) messages for every P);
 * ``scatter`` — linear from the root;
 * ``alltoall`` — pairwise exchange, P-1 rounds of sendrecv;
-* ``alltoallw`` — pairwise exchange of non-contiguous regions gathered
-  and scattered directly from/to the supplied buffers (Section 5.4's
-  zero-extra-copy data exchange; the gather/scatter byte-touch cost is
-  charged, but no intermediate pack buffer copy is).
+* ``alltoallw`` — non-contiguous regions gathered and scattered
+  directly from/to the supplied buffers, one message per leg that
+  carries bytes (a real ``MPI_Alltoallw`` posts no zero-count peer);
+  the caller names the per-byte CPU charge and the envelope tag.
 
 Internal tags live in a reserved space (>= 2**20) so user traffic can
 never cross-match collective traffic.
@@ -40,7 +40,6 @@ _TAG_GATHER = (1 << 20) + 3
 _TAG_ALLGATHER = (1 << 20) + 4
 _TAG_SCATTER = (1 << 20) + 5
 _TAG_ALLTOALL = (1 << 20) + 6
-_TAG_ALLTOALLW = (1 << 20) + 7
 
 
 class CollectiveMixin:
@@ -205,42 +204,32 @@ class CollectiveMixin:
         send_batches: Sequence[Optional[SegmentBatch]],
         recvbuf: Optional[np.ndarray],
         recv_batches: Sequence[Optional[SegmentBatch]],
-        skip: frozenset = frozenset(),
+        byte_time: float,
+        tag: int,
     ) -> None:
         """Exchange non-contiguous regions directly between buffers.
 
         For each peer ``i``, the bytes of ``send_batches[i]`` (addresses
         into ``sendbuf``) are delivered into the addresses of
         ``recv_batches[i]`` (into ``recvbuf``).  Byte counts must agree
-        pairwise.  This models MPI_Alltoallw driven by derived
-        datatypes: the datatype engine touches each byte
-        (``cpu_per_byte_touch``) but no intermediate pack buffer exists,
-        so no ``cpu_per_byte_copy`` is charged — the Section 5.4
-        optimization.
-
-        ``skip`` names ranks excluded from the exchange (liveness:
-        suspects being completed *around*).  Every participating rank
-        must pass the same set — a skipped peer gets no send and is
-        expected to send nothing, keeping the pairwise rounds matched;
-        a rank that is itself in ``skip`` does nothing at all.
-        """
+        pairwise.  Only legs that carry bytes exist: the self leg moves
+        first, then every non-empty send is posted, then every expected
+        receive completes, each in peer order.  ``byte_time`` is the
+        CPU charged per byte at each end of a leg, ``tag`` the envelope
+        of every message.  Bytes sent to a rank that no batch of its
+        expects stay queued on ``tag`` (:meth:`queued`)."""
         size, rank = self.size, self.rank
         if len(send_batches) != size or len(recv_batches) != size:
             raise MPIError("alltoallw needs one batch (or None) per peer")
-        if rank in skip:
-            return
-        touch = self.cost.cpu_per_byte_touch  # type: ignore[attr-defined]
         ctx = self.ctx  # type: ignore[attr-defined]
         # An empty batch is None from here on: one emptiness test per peer.
         sends = [None if b is None or b.empty else b for b in send_batches]
         recvs = [None if b is None or b.empty else b for b in recv_batches]
 
-        def pull(batch: Optional[SegmentBatch]) -> Optional[np.ndarray]:
-            if batch is None:
-                return None
+        def pull(batch: SegmentBatch) -> np.ndarray:
             if sendbuf is None:
                 raise MPIError("alltoallw: non-empty send batch but no send buffer")
-            ctx.charge(batch.total_bytes * touch)
+            ctx.charge(batch.total_bytes * byte_time)
             return gather_segments(sendbuf, batch)
 
         def push(batch: Optional[SegmentBatch], data: Optional[np.ndarray]) -> None:
@@ -250,40 +239,19 @@ class CollectiveMixin:
                 raise MPIError(
                     f"alltoallw: peer sent {nbytes} bytes, local batch expects {expect}"
                 )
-            if expect == 0:
-                return
             if recvbuf is None:
                 raise MPIError("alltoallw: non-empty recv batch but no recv buffer")
-            ctx.charge(expect * touch)
-            assert batch is not None and data is not None
+            ctx.charge(expect * byte_time)
             scatter_segments(recvbuf, batch, data)
 
-        # Self-exchange first, then pairwise rounds.
-        push(recvs[rank], pull(sends[rank]))
-        for step in range(1, size):
-            dst = (rank + step) % size
-            src = (rank - step) % size
-            if skip:
-                # Keep legs matched without ever touching a skipped
-                # peer: a skipped dst receives nothing from us, a
-                # skipped src sends nothing to us.
-                if dst not in skip:
-                    self.isend(pull(sends[dst]), dst, _TAG_ALLTOALLW)
-                if src not in skip:
-                    push(recvs[src], self.recv(src, _TAG_ALLTOALLW))
-                continue
-            if sends[dst] is None and recvs[src] is None:
-                # A leg empty on both sides (most of them under few
-                # aggregators) still runs, so the rounds stay matched
-                # and a peer sending bytes nobody expects is caught.
-                received = self.sendrecv(None, dst, src, _TAG_ALLTOALLW, _TAG_ALLTOALLW)
-                if received is not None:
-                    push(None, received)
-                continue
-            received = self.sendrecv(
-                pull(sends[dst]), dst, src, _TAG_ALLTOALLW, _TAG_ALLTOALLW
-            )
-            push(recvs[src], received)
+        if sends[rank] is not None or recvs[rank] is not None:
+            push(recvs[rank], None if sends[rank] is None else pull(sends[rank]))
+        for peer, batch in enumerate(sends):
+            if batch is not None and peer != rank:
+                self.isend(pull(batch), peer, tag)
+        for peer, batch in enumerate(recvs):
+            if batch is not None and peer != rank:
+                push(batch, self.recv(peer, tag))
 
     # -- helpers --------------------------------------------------------------
     def _check_root(self, root: int) -> None:

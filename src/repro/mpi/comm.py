@@ -463,6 +463,12 @@ class Communicator(CollectiveMixin):
         self.isend(sendobj, dest, sendtag)  # buffered: complete on return
         return self.recv(source, recvtag)
 
+    def queued(self, tag: int) -> list[tuple[int, int]]:
+        """``(source, payload bytes)`` of each message on ``tag`` that
+        reached this rank and no receive has taken."""
+        boxes = self._mailbox.by_envelope.items()
+        return [(src, payload_nbytes(m.payload)) for (src, t), q in boxes if t == tag for m in q]
+
     # -- communicator management ---------------------------------------------
     def dup(self) -> "Communicator":
         """A congruent communicator with an isolated message space."""

@@ -71,11 +71,10 @@ def test_1024_ranks_complete():
 @pytest.mark.slow
 def test_1024_rank_collective_write():
     """CI ``scale-smoke``: one byte-verified ``write_all`` at 1024 ranks
-    (8 B x 16 regions each, 16 aggregators).  ``exchange=nonblocking``
-    posts only the non-empty pairs; ``alltoallw`` would still post a
-    ``sendrecv`` to every one of the 1023 peers (~1M empty messages)."""
+    (8 B x 16 regions each, 16 aggregators) with the default exchange,
+    which posts only the legs that carry bytes."""
     pattern = HPIOPattern(1024, 8, 16, region_spacing=0, mem_contig=True)
-    s = Session("/scale", nprocs=1024, hints={"exchange": "nonblocking", "cb_nodes": 16})
+    s = Session("/scale", nprocs=1024, hints={"cb_nodes": 16})
 
     def body(ctx, comm, f):
         apply_view(f, pattern, comm.rank)

@@ -393,36 +393,36 @@ CELLS: Dict[str, Callable[[], Cell]] = {
 #: moved every cell with a collective call in it (all but ``lock-pins``)
 #: and re-captured them once — EXPERIMENTS.md "PR 24" has old -> new.
 PINS: Dict[str, Tuple[str, str, str]] = {
-    "hpio-new-alltoallw": ("0x1.171d280d8fbdbp-5", "668ad9240921a6cd", "401766d6a50a5de8"),
+    "hpio-new-alltoallw": ("0x1.04b1c20b7cc6fp-5", "da6884241dee038b", "24806f792fc74152"),
     "hpio-new-nonblocking": ("0x1.04b2bd4ceaea2p-5", "b3bbc230e43a2626", "ef79b5efe5c20568"),
     "hpio-new-two_layer": ("0x1.2500fbe96e87dp-5", "6e30cdcc6457e4aa", "7a5d65d6b6a70ae4"),
     "hpio-old": ("0x1.f479afa6b5b3dp-6", "9544dda9cbcbc4a3", "19501fc940792cc0"),
-    "deadline": ("0x1.383fcd60bf46cp-1", "cbd1c2bf4fcf0e22", "bc8dfc3c3d29b00f"),
-    "pipeline": ("0x1.1075c59eff0dbp-6", "525ba3899bccf5e6", "0c55e3bb7f6eeaa1"),
+    "deadline": ("0x1.3506441a0c8b7p-1", "da2c936919908e36", "e2674302503ad5a4"),
+    "pipeline": ("0x1.a5bee691db38fp-7", "b37725d5ae2308fe", "4816aaa6c688ecfd"),
     "lock-pins": ("0x1.5d2637de939ebp-6", "76d6452d13dadc24", "f956e3945202e9ca"),
-    "cluster": ("0x1.bddb9714b4fe9p-8", "c946098ce27b5df0", "198a8589dfc2729a"),
+    "cluster": ("0x1.bdc51fbd9c364p-8", "e82d2593850ff227", "099f3ef6afa69ef7"),
     # Independent-layer cells, captured on the parent of the change that
     # routed write_ind/read_ind, the suspect tail and rejoin resume
     # through one helper; ``ind-read`` re-captured by that change, which
     # charges read_ind's byte touch before its read (schedule and counts
     # moved, the makespan did not).
     "ind-write": ("0x1.186a4dea85bbcp-8", "64367d2f8c09a559", "fc22b30768dded0f"),
-    "ind-read": ("0x1.d3e7abe81b74dp-6", "920624e29dc5b365", "a0849ad4037f5468"),
+    "ind-read": ("0x1.cb0354e809783p-6", "de02a44f907b7372", "bef5e56d01561d84"),
     # Round-loop cells, captured on the parent of the one-loop refactor.
-    "rw-new-serial": ("0x1.6a4594d17ba9bp-6", "f1bab2e316f435b3", "03e73fd81c1d4718"),
-    "rw-new-depth1": ("0x1.3a27224083aa5p-6", "428c246e0235da03", "e239b549a48e1869"),
-    "rw-new-depth2": ("0x1.d768c522d3c33p-7", "a735ab907ac069dc", "09cf6d4d61b01960"),
-    "rw-new-async-depth4": ("0x1.d4950f3f37d3cp-7", "3552fb6053cda9f0", "ad436732595c48a9"),
-    "rw-new-transient-depth2": ("0x1.0cdc3537ac405p-6", "5092e9bd080e3b82", "67487fd4db390406"),
-    "cache-new-serial": ("0x1.ee733fad2ac43p-5", "be1a442f8d4c194a", "bcd1089609c33afe"),
-    "cache-new-depth2": ("0x1.2d6913005ee92p-5", "4ecdaa65e74b6545", "6c4863d357ecfe91"),
-    "crash-new-client-boundary": ("0x1.f0cb89341ff18p-6", "fff77fab920fc26b", "3594b1be6bcb6160"),
-    "crash-new-client-exchange": ("0x1.f0cb89341ff18p-6", "ee016415fe3ac481", "f64b8085df0c156d"),
-    "crash-new-client-flush": ("0x1.f0cb89341ff18p-6", "a8378ccd63f61650", "f64b8085df0c156d"),
-    "crash-new-agg-boundary": ("0x1.7d07eb17bbd5bp-7", "bc8413138afafc80", "4b9ba9e164e21df1"),
-    "crash-new-agg-exchange": ("0x1.7d07eb17bbd5bp-7", "a20f7dd392a9d7d3", "2e1d984e86dbeff0"),
-    "crash-new-agg-flush": ("0x1.7d07eb17bbd5bp-7", "1ddcbfc4184a76b4", "2e1d984e86dbeff0"),
-    "crash-new-read": ("0x1.d2020b72a0d18p-7", "6c066caa7765add0", "f4fa58131db6be3e"),
+    "rw-new-serial": ("0x1.a5c7904565979p-6", "a7d910058cced5a1", "8f39378f62be6cd7"),
+    "rw-new-depth1": ("0x1.42ed68507de3ap-6", "536c42b370b10ce4", "b100e9712e9eae7c"),
+    "rw-new-depth2": ("0x1.c7b05ba15835ap-7", "2ea5cecdccb164af", "5f251809b66aba67"),
+    "rw-new-async-depth4": ("0x1.44499f3510dffp-7", "695c120cbe9c2061", "b3d5d3d76ceed808"),
+    "rw-new-transient-depth2": ("0x1.ad070acd63c4cp-7", "4aa8d7894e485355", "22bafb827e2216ff"),
+    "cache-new-serial": ("0x1.243fb585eb96bp-4", "b145e0b3f6d85050", "2769f948b477776d"),
+    "cache-new-depth2": ("0x1.1c7af1d7673ccp-5", "066d7c8d94ade3cb", "c229018bbc5cc216"),
+    "crash-new-client-boundary": ("0x1.e81ec420e4c76p-6", "fe0fb54573756901", "a78af57ae2ed2b56"),
+    "crash-new-client-exchange": ("0x1.e81ec420e4c76p-6", "f37fe3e68c70dd97", "0fb6d2d3a30861a6"),
+    "crash-new-client-flush": ("0x1.e81ec420e4c76p-6", "5400b9f3f79c07ed", "0fb6d2d3a30861a6"),
+    "crash-new-agg-boundary": ("0x1.5a7797b57b947p-7", "f5b8deaf2bbbd019", "6d26eafcb4bf41e8"),
+    "crash-new-agg-exchange": ("0x1.5a7797b57b947p-7", "e00af09f35c73a16", "01ea5a2319abd258"),
+    "crash-new-agg-flush": ("0x1.5a7797b57b947p-7", "081974e6b4cf4271", "01ea5a2319abd258"),
+    "crash-new-read": ("0x1.eb89256070447p-7", "bb3b47d3ed121649", "3a59b0fb907ebb68"),
     "rw-old-serial": ("0x1.98e6454a7a2dap-6", "7907fc79c0bdc11c", "9a79aa4f8d3d6899"),
     "rw-old-depth1": ("0x1.28e6e8992e6bfp-6", "48d77a285177670b", "4ef06931a95e454b"),
     "rw-old-depth2": ("0x1.a5b0fb0b39ccfp-7", "5a9e9ec7477e7417", "78c17627de52ad12"),
@@ -437,10 +437,10 @@ PINS: Dict[str, Tuple[str, str, str]] = {
     "crash-old-agg-exchange": ("0x1.55a6ff40def36p-7", "6c5512349d8047dd", "89b74096a63bfbfa"),
     "crash-old-agg-flush": ("0x1.55a6ff40def36p-7", "c8ab1cdde4b52d65", "89b74096a63bfbfa"),
     "crash-old-read": ("0x1.05ae35e2c65bdp-6", "15e473b46a4764dd", "f75e2aa040255fc4"),
-    "journal-new": ("0x1.5d9459612ad94p-6", "03ca273e5ef79225", "ddad983910a2ab50"),
-    "journal-new-cache": ("0x1.dc91724157244p-5", "06d1bbaccabc2398", "77e3746cbc24c5f9"),
-    "journal-new-crash-agg-flush": ("0x1.de66ee125b163p-7", "089e218ddba80893", "4b3a600ce7448138"),
-    "agg-crash-new": ("0x1.813ca2e823c51p-7", "d5a0cf20233a09ca", "52a17f1f91192cb6"),
+    "journal-new": ("0x1.82ae43efccd8ap-6", "1861715d41b0f6cf", "124e40a2509d1e30"),
+    "journal-new-cache": ("0x1.111b7caf67d97p-4", "f38e39c139d1d005", "7ffc95cabf6e51fa"),
+    "journal-new-crash-agg-flush": ("0x1.bbd69ab01ad4ep-7", "20c0e63b53e58e6e", "fba692536e38af7f"),
+    "agg-crash-new": ("0x1.4f558b2a55a5dp-7", "72e07ecb73641cfd", "def7a9837ca16aee"),
 }
 
 

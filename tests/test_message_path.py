@@ -22,6 +22,7 @@ import pytest
 import repro.mpi
 import repro.sim
 from repro.config import CostModel
+from repro.core.exchange import exchange_data
 from repro.datatypes.segments import SegmentBatch
 from repro.errors import MissedWakeup, SimDeadlock
 from repro.mpi import ANY_SOURCE, ANY_TAG, Communicator
@@ -84,10 +85,10 @@ def _counting(counts: Counter, name: str, fn):
 
 def test_probed_boundaries_see_every_message(monkeypatch):
     """Counters where the spine puts its probes, on a 16-rank barrier +
-    allgather + alltoallw whose exchange is sparse (only rank 0 gets
-    bytes): sends entered = messages the network counted = the closed
-    form, and every one of them was received through exactly one
-    ``RankContext.block``."""
+    allgather + ``exchange=alltoallw`` round whose exchange is sparse
+    (only rank 0 gets bytes): sends entered = messages the network
+    counted = the closed form, and every one of them was received
+    through exactly one ``RankContext.block``."""
     counts: Counter = Counter()
     for owner, name in ((Communicator, "send"), (Communicator, "isend"), (RankContext, "block")):
         monkeypatch.setattr(owner, name, _counting(counts, name, vars(owner)[name]))
@@ -105,7 +106,9 @@ def test_probed_boundaries_see_every_message(monkeypatch):
         if comm.rank == 0:
             recv = [SegmentBatch(np.array([s * piece]), np.array([piece]), np.array([0])) for s in range(n)]
             recvbuf = np.zeros(n * piece, dtype=np.uint8)
-        comm.alltoallw(np.full(piece, comm.rank, dtype=np.uint8), send, recvbuf, recv)
+        exchange_data(
+            comm, cost, "alltoallw", np.full(piece, comm.rank, dtype=np.uint8), send, recvbuf, recv
+        )
         return gathered, recvbuf
 
     results = sim.run(main)
@@ -113,7 +116,10 @@ def test_probed_boundaries_see_every_message(monkeypatch):
     assert np.array_equal(results[0][1], np.repeat(np.arange(n, dtype=np.uint8), piece))
 
     rounds = (n - 1).bit_length()
-    messages = n * rounds + n * rounds + n * (n - 1)  # dissemination, Bruck, pairwise
+    # Dissemination, Bruck, then one message per non-empty exchange leg:
+    # every rank but 0 sends its piece to rank 0 (rank 0's own is local).
+    legs = n - 1
+    messages = n * rounds + n * rounds + legs
     assert counts["send"] + counts["isend"] == messages
     assert metrics_registry(sim.shared).value("net.msgs") == messages
     assert counts["block"] == messages

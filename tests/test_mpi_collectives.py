@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.datatypes import BYTE, contiguous
 from repro.datatypes.segments import SegmentBatch, data_to_file_segments
 from repro.config import DEFAULT_COST_MODEL
+from repro.core.exchange import check_drained, exchange_data
 from repro.errors import MPIError
 from repro.mpi import AliveGroup, Communicator
 from repro.mpi.collectives import _TAG_ALLGATHER
@@ -336,6 +337,12 @@ class TestAlltoall:
         assert all(run(2, main))
 
 
+def _alltoallw(comm, sendbuf, send, recvbuf, recv):
+    """One ``exchange=alltoallw`` round: ``Communicator.alltoallw``'s only
+    way in, with the §5.4 per-byte touch and the collective-range tag."""
+    exchange_data(comm, DEFAULT_COST_MODEL, "alltoallw", sendbuf, send, recvbuf, recv)
+
+
 class TestAlltoallw:
     def test_block_rotation(self):
         """Each rank sends byte block i of its buffer to rank i."""
@@ -354,7 +361,7 @@ class TestAlltoallw:
             recv_batches = [
                 data_to_file_segments(flat, i * block, 0, block) for i in range(size)
             ]
-            comm.alltoallw(sendbuf, send_batches, recvbuf, recv_batches)
+            _alltoallw(comm, sendbuf, send_batches, recvbuf, recv_batches)
             return recvbuf.copy()
 
         results = run(size, main)
@@ -371,17 +378,40 @@ class TestAlltoallw:
             flat2 = contiguous(2, BYTE).flatten()
             send = [data_to_file_segments(flat4, 0, 0, 4)] * comm.size
             recv = [data_to_file_segments(flat2, 0, 0, 2)] * comm.size
-            with pytest.raises(MPIError):
-                comm.alltoallw(sendbuf, send, recvbuf, recv)
+            with pytest.raises(MPIError, match="peer sent 4 bytes, local batch expects 2"):
+                _alltoallw(comm, sendbuf, send, recvbuf, recv)
             return True
 
         # size=1: the failure happens on the self-exchange, every rank raises.
         assert all(run(1, main))
 
+    def test_mismatched_bytes_between_peers_rejected(self):
+        """Both sides of a leg carry bytes but disagree on how many: the
+        receiver raises, naming both counts."""
+
+        def main(comm):
+            sendbuf = np.zeros(8, dtype=np.uint8)
+            recvbuf = np.zeros(8, dtype=np.uint8)
+            flat = contiguous(8, BYTE).flatten()
+            peer = 1 - comm.rank
+            send, recv = [None, None], [None, None]
+            send[peer] = data_to_file_segments(flat, 0, 0, 4 if comm.rank == 0 else 8)
+            recv[peer] = data_to_file_segments(flat, 0, 0, 8)
+            if comm.rank == 1:
+                with pytest.raises(MPIError, match="peer sent 4 bytes, local batch expects 8"):
+                    _alltoallw(comm, sendbuf, send, recvbuf, recv)
+            else:
+                _alltoallw(comm, sendbuf, send, recvbuf, recv)
+            return True
+
+        assert all(run(2, main))
+
     def test_empty_batches_ok(self):
         def main(comm):
             batches = [None] * comm.size
-            comm.alltoallw(None, batches, None, batches)
+            _alltoallw(comm, None, batches, None, batches)
+            comm.barrier()
+            check_drained(comm)  # no leg was posted, so none is left over
             return True
 
         assert all(run(3, main))

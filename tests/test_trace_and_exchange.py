@@ -8,7 +8,7 @@ import pytest
 from repro.config import DEFAULT_COST_MODEL
 from repro.core.exchange import EXCHANGE_MODES, exchange_data
 from repro.datatypes.segments import SegmentBatch
-from repro.errors import CollectiveIOError
+from repro.errors import CollectiveIOError, MPIError
 from repro.mpi import Communicator
 from repro.sim import Simulator, Tracer
 from repro.sim.trace import TraceEvent
@@ -135,7 +135,7 @@ class TestExchangeBackends:
             recvbuf = np.zeros(8, dtype=np.uint8)
             send = [_batch([0], [4])]
             recv = [_batch([0], [2])]  # disagrees with send
-            with pytest.raises(CollectiveIOError):
+            with pytest.raises(MPIError, match="peer sent 4 bytes, local batch expects 2"):
                 exchange_data(
                     comm, DEFAULT_COST_MODEL, "nonblocking", sendbuf, send, recvbuf, recv
                 )
@@ -160,3 +160,42 @@ class TestExchangeBackends:
 
         out = Simulator(1).run(main)[0]
         assert out.tolist() == [4, 5, 6, 7, 0, 1, 2, 3]
+
+
+class TestUnmatchedLegs:
+    """The flat exchange posts only legs that carry bytes, so neither
+    side of a leg that only its sender knows about notices it in the
+    round.  The collective call reports it instead: a message still
+    queued on the exchange's tag once the call's collectives end is a
+    typed error naming the stray."""
+
+    @pytest.mark.parametrize("mode", ["alltoallw", "nonblocking"])
+    def test_a_leg_no_batch_expects_is_a_typed_error(self, monkeypatch, mode):
+        import repro.core.rounds as rounds
+        from repro import Session
+        from repro.datatypes import BYTE, contiguous, resized
+        from repro.errors import RankFailed
+
+        real = rounds.exchange_data
+
+        def with_a_stray(comm, cost, mode, sendbuf, sends, recvbuf, recvs, **kw):
+            # Rank 0 sends 8 bytes to rank 1, which aggregates nothing
+            # (cb_nodes=2: ranks 0 and 2) and so expects no write leg.
+            if comm.rank == 0 and sendbuf is not None:
+                sends = list(sends)
+                sends[1] = _batch([0], [8])
+            return real(comm, cost, mode, sendbuf, sends, recvbuf, recvs, **kw)
+
+        monkeypatch.setattr(rounds, "exchange_data", with_a_stray)
+        s = Session.open("/stray", nprocs=4, hints={"cb_nodes": 2, "exchange": mode})
+
+        def body(ctx, comm, f):
+            f.set_view(disp=comm.rank * 64, filetype=resized(contiguous(64, BYTE), 0, 256))
+            f.write_all(np.full(64 * 4, comm.rank + 1, dtype=np.uint8))
+
+        with pytest.raises(RankFailed) as info:
+            s.run(body)
+        cause = info.value.__cause__
+        assert isinstance(cause, CollectiveIOError), repr(cause)
+        assert "rank 1 holds unmatched exchange messages" in str(cause)
+        assert "B from rank 0" in str(cause)

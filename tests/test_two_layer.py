@@ -145,11 +145,11 @@ class TestTwoTierNetwork:
         assert times[1] < times[2]
 
 
-def _run_exchange(mode, nprocs=4, skip=frozenset(), ppn=2, empty_rank=None):
+def _run_exchange(mode, nprocs=4, ppn=2, empty_rank=None):
     """One manual exchange round: every live rank sends 4 bytes to every
     live peer; returns each rank's recv buffer."""
     cost = CostModel(procs_per_node=ppn)
-    dead = set(skip) | ({empty_rank} if empty_rank is not None else set())
+    dead = {empty_rank} if empty_rank is not None else set()
 
     def main(ctx):
         comm = Communicator(ctx, cost)
@@ -166,10 +166,7 @@ def _run_exchange(mode, nprocs=4, skip=frozenset(), ppn=2, empty_rank=None):
             _batch([p * 4], [4], [0]) if r not in dead and p not in dead else None
             for p in range(nprocs)
         ]
-        exchange_data(
-            comm, cost, mode, sendbuf, send_batches, recvbuf, recv_batches,
-            skip=frozenset(skip),
-        )
+        exchange_data(comm, cost, mode, sendbuf, send_batches, recvbuf, recv_batches)
         return recvbuf
 
     return Simulator(nprocs).run(main)
@@ -211,23 +208,13 @@ class TestExchangeContract:
         eff = resolve(Hints(exchange="two_layer", procs_per_node=2))
         assert (eff.exchange, eff.exchange_skip) == ("two_layer", "alltoallw")
 
-        # ... and the two-layer backend, which cannot route around a
-        # missing leader, refuses the skip set instead of switching.
-        cost = CostModel(procs_per_node=2)
-
-        def main(ctx):
-            comm = Communicator(ctx, cost)
-            buf = np.zeros(16, dtype=np.uint8)
-            none = [None] * 4
-            with pytest.raises(CollectiveIOError, match="cannot skip"):
-                exchange_data(
-                    comm, cost, "two_layer", buf, none, buf, none, skip=frozenset({3})
-                )
-            return True
-
-        sim = Simulator(4)
-        assert all(sim.run(main))
-        assert metrics_registry(sim.shared).value("exchange.two_layer.rounds") == 0
+        # ... and the flat exchange gives a round with a rank that takes
+        # no part the bytes two_layer gives it: the absent rank simply
+        # has no legs.
+        flat = _run_exchange("alltoallw", empty_rank=3)
+        layered = _run_exchange("two_layer", empty_rank=3)
+        for got, want in zip(flat, layered):
+            assert np.array_equal(got, want)
 
 
 # ---- composition with the fault / liveness / integrity layers ----------
@@ -301,16 +288,18 @@ class TestFaultComposition:
 
 
 class TestInterNodeReduction:
-    def test_two_layer_moves_fewer_inter_node_bytes(self):
-        """The PR's acceptance shape at unit-test scale: same workload,
-        same bytes, strictly less inter-node wire traffic."""
+    def test_sparse_flat_sends_less_inter_node_traffic_at_ppn2(self):
+        """Same workload, same bytes.  At this 4-rank, 2-per-node
+        geometry the flat exchange, which sends only the legs that carry
+        bytes, crosses the node boundary less than two-layer does, whose
+        leaders exchange every round: 48 against 54 inter-node messages,
+        25 504 against 29 440 inter-node bytes.  (Against the old dense
+        flat rounds, 64 messages and 33 696 bytes, two-layer won; at 8
+        ranks per node it still does — ``intra_node``'s
+        ``two_layer_against_sparse_flat_at_ppn8``.)"""
         # The cost model arms the topology here, so the *network* layer
         # counts per-tier traffic (the hint alone only steers the
-        # exchange protocol).  At this 4-rank geometry the payload
-        # volumes are nearly equal, so the byte win is the envelope
-        # saving of sending fewer inter-node messages — a fat envelope
-        # makes that unambiguous (the bench sweep asserts the win at
-        # the paper's scale with the default envelope).
+        # exchange protocol); a fat envelope makes every message count.
         cost = CostModel(
             page_size=64, stripe_size=256, num_osts=2,
             procs_per_node=2, net_envelope_bytes=512,
@@ -323,6 +312,8 @@ class TestInterNodeReduction:
         flat_bytes, layered_bytes = results["alltoallw"][0], results["two_layer"][0]
         assert np.array_equal(flat_bytes, layered_bytes)
         flat, layered = results["alltoallw"][1], results["two_layer"][1]
-        assert layered["net.inter.msgs"] < flat["net.inter.msgs"]
-        assert layered["net.inter.bytes"] < flat["net.inter.bytes"]
+        for name in ("net.inter.msgs", "net.inter.bytes"):
+            print(f"{name}: flat {flat[name]}, two_layer {layered[name]}")
+        assert flat["net.inter.msgs"] < layered["net.inter.msgs"]
+        assert flat["net.inter.bytes"] < layered["net.inter.bytes"]
         assert layered["exchange.coalesce.runs_out"] <= layered["exchange.coalesce.runs_in"]
