@@ -924,8 +924,7 @@ def two_layer_against_sparse_flat_at_ppn8(rows: Rows) -> None:
     """At 8 ranks per node, against the flat exchange that sends only
     the legs carrying bytes: two-layer sends fewer inter-node messages
     and fewer inter-node bytes for every pattern, but the flat exchange
-    finishes its exchange phase first (against the old dense flat
-    rounds two-layer won on time too).  Prints both sides per pattern."""
+    finishes its exchange phase first.  Prints both sides per pattern."""
     for pattern, flat, layered in _ppn8_pairs(rows):
         print(f"  {pattern} ppn=8 flat / two_layer:", ", ".join(
             f"{name} {side_f} / {side_l}"

@@ -37,9 +37,10 @@ raises :class:`~repro.errors.IntegrityError`.  A read verifies every
 page it touches before it copies any and names the first bad page in
 extent order; a write re-stamps only what it can vouch for — a page it
 covers in part and that already fails keeps its old sidecar, so a flip
-that landed before the write still raises on the next read; a journaled read verifies an extent's main-store pages
-before its journal pages; a commit verifies every run before it
-publishes any.  :meth:`verify_all` is the scrub ``repro fsck`` runs.
+that landed before the write still raises on the next read; a
+journaled read verifies an extent's main-store pages before its
+journal pages; a commit verifies every run before it publishes any.
+:meth:`verify_all` is the scrub ``repro fsck`` runs.
 """
 
 from __future__ import annotations

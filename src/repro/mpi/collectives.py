@@ -222,9 +222,10 @@ class CollectiveMixin:
         if len(send_batches) != size or len(recv_batches) != size:
             raise MPIError("alltoallw needs one batch (or None) per peer")
         ctx = self.ctx  # type: ignore[attr-defined]
-        # An empty batch is None from here on: one emptiness test per peer.
-        sends = [None if b is None or b.empty else b for b in send_batches]
-        recvs = [None if b is None or b.empty else b for b in recv_batches]
+        # The legs that carry bytes, by peer in peer order; the self leg apart.
+        sends = {p: b for p, b in enumerate(send_batches) if b is not None and not b.empty}
+        recvs = {p: b for p, b in enumerate(recv_batches) if b is not None and not b.empty}
+        mine, expect = sends.pop(rank, None), recvs.pop(rank, None)
 
         def pull(batch: SegmentBatch) -> np.ndarray:
             if sendbuf is None:
@@ -244,14 +245,12 @@ class CollectiveMixin:
             ctx.charge(expect * byte_time)
             scatter_segments(recvbuf, batch, data)
 
-        if sends[rank] is not None or recvs[rank] is not None:
-            push(recvs[rank], None if sends[rank] is None else pull(sends[rank]))
-        for peer, batch in enumerate(sends):
-            if batch is not None and peer != rank:
-                self.isend(pull(batch), peer, tag)
-        for peer, batch in enumerate(recvs):
-            if batch is not None and peer != rank:
-                push(batch, self.recv(peer, tag))
+        if mine is not None or expect is not None:
+            push(expect, None if mine is None else pull(mine))
+        for peer, batch in sends.items():
+            self.isend(pull(batch), peer, tag)
+        for peer, batch in recvs.items():
+            push(batch, self.recv(peer, tag))
 
     # -- helpers --------------------------------------------------------------
     def _check_root(self, root: int) -> None:

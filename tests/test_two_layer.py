@@ -293,10 +293,9 @@ class TestInterNodeReduction:
         geometry the flat exchange, which sends only the legs that carry
         bytes, crosses the node boundary less than two-layer does, whose
         leaders exchange every round: 48 against 54 inter-node messages,
-        25 504 against 29 440 inter-node bytes.  (Against the old dense
-        flat rounds, 64 messages and 33 696 bytes, two-layer won; at 8
-        ranks per node it still does — ``intra_node``'s
-        ``two_layer_against_sparse_flat_at_ppn8``.)"""
+        25 504 against 29 440 inter-node bytes.  At 8 ranks per node
+        two-layer sends fewer (``intra_node``'s
+        ``two_layer_against_sparse_flat_at_ppn8``)."""
         # The cost model arms the topology here, so the *network* layer
         # counts per-tier traffic (the hint alone only steers the
         # exchange protocol); a fat envelope makes every message count.
