@@ -83,10 +83,14 @@ class CollectiveFile:
         self.path = path
         self.hints = hints if hints is not None else Hints()
         # Every feature x feature decision of this open, settled once
-        # (a reject raises here, identically on every rank, before the
-        # open barrier).
+        # per communicator (a reject raises here, identically on every
+        # rank, before the open barrier; a raise is never shared).
         inj = ctx.shared.get(FAULTS_KEY)
-        self.eff = compat.resolve(self.hints, inj.plan.kinds if inj is not None else ())
+        kinds = inj.plan.kinds if inj is not None else frozenset()
+        self.eff = comm.host.get(
+            ("compat", frozenset(self.hints.explicit().items()), kinds),
+            compat.resolve, self.hints, kinds,
+        )
         self.cost = cost
         # Multi-tenant runs pass a (tenant, rank) client_id so that two
         # tenants' rank 0 never alias on the shared lock table / caches.

@@ -44,6 +44,8 @@ __all__ = [
     "make_cyclic_realms",
     "resolve_strategy",
     "round_windows",
+    "realm_domains",
+    "clipped_domains",
 ]
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -196,6 +198,31 @@ def round_windows(
         ends[-1] -= int(prefix[i1]) - hi
         out.append(list(zip(starts, ends)))
     return out
+
+
+def realm_domains(realms: Sequence["FileRealm"], lo: int, hi: int) -> Tuple[RealmDomain, ...]:
+    """Every realm's domain inside the aggregate access region [lo, hi)."""
+    return tuple(realm.domain(lo, hi) for realm in realms)
+
+
+def clipped_domains(
+    host, domains: Sequence[RealmDomain], bounds: Sequence[Optional[Tuple[int, int]]], cb: int
+) -> Tuple[Tuple[RealmDomain, ...], int]:
+    """``domains`` clipped to each aggregator's request ``bounds``
+    (``(lo, hi)``, or ``None`` for nothing received), and the round
+    count they take at collective-buffer size ``cb``.
+
+    Both are pure functions of values every rank already agreed on, so
+    they are derived once per communicator: ``host`` is its
+    :class:`~repro.mpi.comm.HostTable`, and ``domains`` are keyed by
+    identity (a table's values are read-only)."""
+    domains, bounds = tuple(domains), tuple(bounds)
+    return host.get(("clip", domains, bounds, cb), _clip, domains, bounds, cb)
+
+
+def _clip(domains, bounds, cb):
+    clipped = tuple(d.clip(*(b or (0, 0))) for d, b in zip(domains, bounds))
+    return clipped, max((d.nrounds(cb) for d in clipped), default=0)
 
 
 class FileRealm:

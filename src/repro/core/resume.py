@@ -36,6 +36,7 @@ import numpy as np
 from repro.core.env import CollEnv
 from repro.core.plan import subtract_intervals
 from repro.core.two_phase_new import independent_io
+from repro.mpi.comm import HostTable
 
 __all__ = ["ResumeComm", "resume_write"]
 
@@ -54,6 +55,8 @@ class ResumeComm:
         self.size = size
         self.comm_id = f"resume:{rank}"
         self.members: Tuple[int, ...] = tuple(range(size))
+        #: A lone rank's table: nobody to share with.
+        self.host = HostTable()
 
     def barrier(self) -> None:
         return None

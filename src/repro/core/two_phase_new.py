@@ -6,15 +6,18 @@ Write path, per collective call:
    an allreduce;
 2. realms are assigned by the pluggable strategy (or taken from the
    file's persistent-realm state) — a pure function of AAR + hints, so
-   every rank derives them without extra communication;
+   every rank derives them without extra communication (on the host
+   the first rank derives them and the others reuse them,
+   ``Communicator.host``);
 3. every client ships its **flattened filetype** (D pairs + header) to
    every aggregator; aggregators rebuild a scan cursor per client
    (§5.3's representation trade: O(D·A) metadata instead of O(M), paid
    back with O(M·A) pair evaluations — unless whole-tile skipping
    applies).  The model charges every client's description to the
-   aggregator; the host decodes each distinct one once per call and
-   clients sharing a description, size and data window share one
-   cursor (:class:`~repro.datatypes.segments.FunnelCursor`);
+   aggregator; the host decodes each distinct one once per call for
+   every aggregator, and clients sharing a description, size and data
+   window share one cursor
+   (:class:`~repro.datatypes.segments.FunnelCursor`);
 4. rounds: each aggregator walks its realm domain in collective-buffer
    sized windows.  Clients intersect their access with every
    aggregator's window; aggregators intersect every client's filetype
@@ -41,7 +44,7 @@ the planner :class:`_Plan`, step 5's buffer handling is
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,7 +58,13 @@ from repro.core.plan import (
     merge_extents,
 )
 from repro.core.plancache import PlanRecorder, RoundPlan
-from repro.core.realms import FileRealm, RealmDomain, resolve_strategy, round_windows
+from repro.core.realms import (
+    RealmDomain,
+    clipped_domains,
+    realm_domains,
+    resolve_strategy,
+    round_windows,
+)
 from repro.core.rounds import CONTINUE, RESTART, STOP, RoundSource
 from repro.datatypes.flatten import FlatType
 from repro.datatypes.packing import gather_segments, scatter_segments
@@ -138,16 +147,15 @@ class _Plan(RoundSource):
                         raise AggregatorLost(self.aggs[0])
                     self.aggs = alive
         self.my_agg_index = self.aggs.index(comm.rank) if comm.rank in self.aggs else -1
-        self.realms = self._assign_realms()
-        self.domains: List[RealmDomain] = [
-            r.domain(self.aar_lo, self.aar_hi) for r in self.realms
-        ]
+        # Realms, domains and round windows are pure functions of agreed
+        # inputs: the first rank derives them, the others reuse them
+        # (comm.host, docs/architecture.md "What ranks share on the host").
+        self.domains: Sequence[RealmDomain] = self._assigned_domains()
         # Assigned (pre-clip) per-aggregator realm bytes: what the
         # strategy decided, before request bounds shrink the iteration
         # space.
         env.pfr.last_realm_bytes = [int(d.total_bytes) for d in self.domains]
-        cb = hints["cb_buffer_size"]
-        self.cb = cb
+        self.cb = hints["cb_buffer_size"]
         # The conditional-sieving metric: the largest filetype extent in
         # play (identical on all ranks for uniform views).
         my_ext = view.flat.extent if total_bytes > 0 else 0
@@ -170,24 +178,25 @@ class _Plan(RoundSource):
         # One allgather keeps clients and aggregators agreeing on the
         # window geometry.
         bounds = coll.allgather(self._request_bounds())
-        for ai, a in enumerate(self.aggs):
-            b = bounds[a]
-            if b is None:
-                self.domains[ai] = self.domains[ai].clip(0, 0)
-            else:
-                self.domains[ai] = self.domains[ai].clip(b[0], b[1])
-        self.nrounds = max((d.nrounds(cb) for d in self.domains), default=0)
+        self.domains, self.nrounds = clipped_domains(
+            comm.host, self.domains, [bounds[a] for a in self.aggs], self.cb
+        )
 
     # -- realms ---------------------------------------------------------------
-    def _assign_realms(self) -> List[FileRealm]:
+    def _assigned_domains(self) -> Tuple[RealmDomain, ...]:
+        """Every aggregator's realm clipped to the AAR, in aggregator
+        order (shared by every rank: see :func:`clipped_domains`)."""
         env = self.env
         hints = env.hints
+        lo, hi = self.aar_lo, self.aar_hi
         naggs = len(self.aggs)
         if env.eff.pfr:
-            # Rule pfr.strategy: the persistent realms win.
-            return env.pfr.realms_for(
-                self.aar_lo, self.aar_hi, naggs, hints["realm_alignment"]
-            )
+            # Rule pfr.strategy: the persistent realms win.  Every rank
+            # asks its own handle (the first call fixes them there); the
+            # block size and the count are all the cyclic realms read.
+            realms = env.pfr.realms_for(lo, hi, naggs, hints["realm_alignment"])
+            key = ("pfr", env.pfr.block, lo, hi, tuple(self.aggs))
+            return env.comm.host.get(key, realm_domains, realms, lo, hi)
         strategy = resolve_strategy(hints)
         histogram = None
         weights = None
@@ -210,9 +219,16 @@ class _Plan(RoundSource):
             if any(t > 0.0 for t in per_agg):
                 known = [1.0 / t for t in per_agg if t > 0.0]
                 fresh = sum(known) / len(known)  # no history = average share
-                weights = [1.0 / t if t > 0.0 else fresh for t in per_agg]
-        return strategy.assign(
-            self.aar_lo, self.aar_hi, naggs, histogram=histogram, weights=weights
+                weights = tuple(1.0 / t if t > 0.0 else fresh for t in per_agg)
+        key = (
+            "realms", hints["realm_strategy"], hints["realm_alignment"], lo, hi, tuple(self.aggs),
+            None if histogram is None else histogram.tobytes(), weights,
+        )
+        return env.comm.host.get(
+            key,
+            lambda: realm_domains(
+                strategy.assign(lo, hi, naggs, histogram=histogram, weights=weights), lo, hi
+            ),
         )
 
     # -- metadata exchange -------------------------------------------------------
@@ -237,9 +253,10 @@ class _Plan(RoundSource):
         if self.my_agg_index < 0:
             return
         funnel = FunnelCursor(comm.size)
-        # Each distinct description is decoded once; every client is
-        # still charged for its own, and validated as its own cursor.
-        decoded: dict = {}
+        # Each distinct description is decoded once per communicator
+        # (every aggregator reuses it); every client is still charged
+        # for its own, and validated as its own cursor.
+        host = comm.host
         for c in range(comm.size):
             if c in self._known_dead:
                 continue
@@ -247,13 +264,10 @@ class _Plan(RoundSource):
             if got is None:
                 continue
             blob, disp, d_hi, d_lo = got
-            known = decoded.get(blob)
-            if known is None:
-                client_flat = decode_flat(blob)
-                known = decoded[blob] = (client_flat, client_flat.num_segments * cost.cpu_per_flat_pair)
+            client_flat = host.get(("flat", blob), decode_flat, blob)
             # Aggregator-side processing of the received description.
-            ctx.charge(known[1])
-            funnel.add(c, blob, known[0], disp, d_hi, d_lo)
+            ctx.charge(client_flat.num_segments * cost.cpu_per_flat_pair)
+            funnel.add(c, blob, client_flat, disp, d_hi, d_lo)
         self.funnel = funnel
 
     def _request_bounds(self) -> Optional[tuple[int, int]]:
@@ -312,7 +326,9 @@ class _Plan(RoundSource):
         charge = env.ctx.charge
         pair_cost, tile_cost = cost.cpu_per_flat_pair, cost.cpu_tile_skip
         pairs_n, tiles_n = self._pairs[False], self._tiles[False]
-        routed = self.router.route(round_windows(self.domains, r, self.cb))
+        domains, cb = tuple(self.domains), self.cb
+        windows = env.comm.host.get(("windows", domains, r, cb), round_windows, domains, r, cb)
+        routed = self.router.route(windows)
         for a, got in zip(self.aggs, routed):
             if got is None:
                 continue
@@ -441,10 +457,10 @@ class _Plan(RoundSource):
                     shares[si].append(tail.slice_linear(k * chunk, (k + 1) * chunk))
             empty = RealmDomain(_EMPTY64, _EMPTY64)
             surv = set(survivors)
-            self.domains = [
+            self.domains = tuple(
                 RealmDomain.merge(shares[ai]) if ai in surv else empty
                 for ai in range(len(self.aggs))
-            ]
+            )
             self._dead.update(newly_dead)
             self._dead.update(crash_lost)
             for s in suspects:

@@ -38,7 +38,7 @@ from repro.core.aggregation import select_aggregators
 from repro.core.env import CollEnv
 from repro.core.plan import clip_to_range, compute_aar, merge_extents, subtract_intervals
 from repro.core.plancache import PlanRecorder, RoundPlan
-from repro.core.realms import EvenPartition, round_windows
+from repro.core.realms import EvenPartition, clipped_domains, realm_domains, round_windows
 from repro.core.rounds import CONTINUE, RESTART, RoundSource
 from repro.datatypes.flatten import FlatType
 from repro.datatypes.segments import FanCursor, FunnelCursor, SegmentBatch
@@ -100,8 +100,14 @@ class _OldPlan(RoundSource):
         )
         self.my_agg_index = self.aggs.index(comm.rank) if comm.rank in self.aggs else -1
         naggs = len(self.aggs)
-        realms = EvenPartition().assign(self.aar_lo, self.aar_hi, naggs)
-        self.domains = [realm.domain(self.aar_lo, self.aar_hi) for realm in realms]  # one interval or none
+        # The even realms, their clipped domains and the round windows
+        # are derived once per communicator (comm.host): every rank
+        # agreed on their inputs.
+        lo, hi = self.aar_lo, self.aar_hi
+        self.domains = comm.host.get(  # one interval or none each
+            ("even", lo, hi, tuple(self.aggs)),
+            lambda: realm_domains(EvenPartition().assign(lo, hi, naggs), lo, hi),
+        )
 
         # Partition my M pairs by realm (one more O(M) pass) and ship
         # each aggregator its offset/length lists.
@@ -152,10 +158,10 @@ class _OldPlan(RoundSource):
         # the requested *span* (not its data volume) — the original
         # code slices the region, holes and all.
         gathered = coll.allgather(mine)
-        for ai, a in enumerate(self.aggs):
-            self.domains[ai] = self.domains[ai].clip(*(gathered[a] or (0, 0)))
         self.cb = hints["cb_buffer_size"]
-        self.nrounds = max((d.nrounds(self.cb) for d in self.domains), default=0)
+        self.domains, self.nrounds = clipped_domains(
+            comm.host, self.domains, [gathered[a] for a in self.aggs], self.cb
+        )
 
     def _gone(self, r, buf, write, roles, suspects, crashed, reporter) -> int:
         """After a fail-stop death survivors **re-plan**: the first ``r``
@@ -184,7 +190,8 @@ class _OldPlan(RoundSource):
         size = self.env.comm.size
         send: List[Optional[SegmentBatch]] = [None] * size
         if self.router is not None:
-            windows = round_windows(self.domains, r, self.cb)
+            domains, cb = tuple(self.domains), self.cb
+            windows = self.env.comm.host.get(("windows", domains, r, cb), round_windows, domains, r, cb)
             if self._covered:
                 windows = _uncovered(windows, self._covered)
             for a, got in zip(self.aggs, self.router.route(windows)):

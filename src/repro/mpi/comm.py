@@ -24,7 +24,7 @@ from __future__ import annotations
 import copy as _copy
 from collections import deque
 from functools import partial
-from typing import Any, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from repro.mpi.topology import NodeTopology
 from repro.obs.metrics import metrics_registry
 from repro.sim.engine import BLOCK_TIMEOUT, RankContext, Signal
 
-__all__ = ["ANY_SOURCE", "ANY_TAG", "Communicator"]
+__all__ = ["ANY_SOURCE", "ANY_TAG", "Communicator", "HostTable"]
 
 ANY_SOURCE = -1
 ANY_TAG = -1
@@ -130,14 +130,69 @@ class _Mailbox:
         return best
 
 
+def _freeze(value: Any) -> None:
+    """Make every ndarray reachable from ``value`` (through tuples,
+    lists and ``__slots__`` attributes) read-only."""
+    if type(value) is np.ndarray:
+        value.flags.writeable = False
+    elif type(value) is tuple or type(value) is list:
+        for item in value:
+            _freeze(item)
+    else:
+        for name in getattr(type(value), "__slots__", ()):
+            _freeze(getattr(value, name, None))
+
+
+class HostTable:
+    """Results every rank of one communicator would compute alike.
+
+    All ranks of a simulation run in one process, one at a time, and a
+    collective call derives some values — file realms, round windows, a
+    decoded access description — from inputs the collective has already
+    agreed on.  The first rank that asks for one computes it and the
+    others reuse it; virtual time is not involved (each rank still
+    charges its own work and runs its own collectives).
+
+    ``key`` must name every input ``compute`` reads, so an equal key is
+    an equal value.  Arrays in a stored value are made read-only: a
+    rank that writes into one raises instead of corrupting its peers.
+    An exception is raised to the rank that computed it and never
+    stored.  Only the last :attr:`capacity` keys are kept."""
+
+    __slots__ = ("_entries",)
+
+    #: Distinct keys kept; the oldest is dropped first.
+    capacity = 32
+
+    def __init__(self) -> None:
+        self._entries: dict = {}
+
+    def get(self, key: Any, compute: Callable[..., Any], *args: Any) -> Any:
+        """The value stored under ``key``, else ``compute(*args)``,
+        stored."""
+        entries = self._entries
+        try:
+            return entries[key]
+        except KeyError:
+            pass
+        value = compute(*args)
+        _freeze(value)
+        if len(entries) >= self.capacity:
+            del entries[next(iter(entries))]
+        entries[key] = value
+        return value
+
+
 class _CommState:
     """Shared (simulator-wide) state of one communicator."""
 
-    __slots__ = ("mailboxes", "next_seq")
+    __slots__ = ("mailboxes", "next_seq", "host")
 
     def __init__(self, size: int) -> None:
         self.mailboxes = [_Mailbox() for _ in range(size)]
         self.next_seq = 0
+        #: Rank-invariant host results of this communicator's calls.
+        self.host = HostTable()
 
 
 class _Link(NamedTuple):
@@ -229,6 +284,10 @@ class Communicator(CollectiveMixin):
                 f"communicator {_comm_id!r} size mismatch across ranks"
             )
         self._mailbox = self._state.mailboxes[self.rank]
+        #: What this communicator's ranks share on the host (one table
+        #: per communicator id, so tenants and sub-communicators never
+        #: see each other's entries).
+        self.host: HostTable = self._state.host
         # Session-level state (integrity, liveness) is installed in
         # ``shared`` when the file opens — after this constructor — so
         # it is looked up per use, but through the mapping bound once.

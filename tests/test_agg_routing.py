@@ -48,6 +48,7 @@ from repro.datatypes import BYTE, contiguous, resized
 from repro.datatypes.segments import FlatCursor, SegmentBatch
 from repro.datatypes.serialize import encode_flat
 from repro.errors import DatatypeError
+from repro.mpi.comm import HostTable
 from test_client_routing import RefCursor, accesses, layouts
 
 COST = DEFAULT_COST_MODEL
@@ -174,6 +175,7 @@ def planner(payloads, me, aggs, domains, cb, exchange=True):
     comm = SimpleNamespace(
         rank=me,
         size=len(payloads),
+        host=HostTable(),
         isend=lambda obj, dest, tag: None,
         recv=lambda src, tag: None if payloads[src] is None else (encode_flat(payloads[src][0]), *payloads[src][1:]),
     )

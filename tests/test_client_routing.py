@@ -50,6 +50,7 @@ from repro.datatypes.flatten import FlatType
 from repro.datatypes.segments import FanCursor, FlatCursor, SegmentBatch, _tiled_pairs
 from repro.datatypes.serialize import HEADER_BYTES, decode_flat, encode_flat
 from repro.errors import DatatypeError
+from repro.mpi.comm import HostTable
 from test_datatypes_blockwise import ref_data_to_file_segments
 
 COST = DEFAULT_COST_MODEL
@@ -188,7 +189,7 @@ def planner(view, disp, data_lo, data_hi, memflat, aggs, nprocs, cb, use_heap, d
     """A ``_Plan`` holding exactly what ``client_send_plan`` reads."""
     plan = object.__new__(_Plan)
     plan.env = SimpleNamespace(
-        comm=SimpleNamespace(size=nprocs), cost=COST, hints={"use_heap": use_heap}, ctx=_Log()
+        comm=SimpleNamespace(size=nprocs, host=HostTable()), cost=COST, hints={"use_heap": use_heap}, ctx=_Log()
     )
     plan.aggs, plan.domains, plan.cb = aggs, domains, cb
     plan.router = FanCursor(FlatCursor(view, disp, data_hi, data_lo), len(aggs), memflat)

@@ -192,6 +192,44 @@ def test_partial_page_write_keeps_an_earlier_flip_detectable(kind):
         store.read_extents(*page, out)
 
 
+def _overwrite_the_flip(kind):
+    """Page 0 written, byte 10 flipped, then bytes [8, 16) rewritten: the
+    page now holds exactly what was written, flip gone.  Returns the
+    store and that page image."""
+    store = _PARTIAL_PAGE_STORES[kind]()
+    store.write_extents(np.array([0]), np.array([64]), np.full(64, 5, dtype=np.uint8))
+    store.flip_bit(0, 10 * 8 + 3)
+    store.write_extents(np.array([8]), np.array([8]), np.full(8, 9, dtype=np.uint8))
+    expect = np.full(64, 5, dtype=np.uint8)
+    expect[8:16] = 9
+    return store, expect
+
+
+@pytest.mark.parametrize("kind", ["plain", "journal"])
+@pytest.mark.xfail(
+    strict=True,
+    raises=IntegrityError,
+    reason="false alarm: a partial write that overwrites the flipped byte keeps the "
+    "page's old sidecar, which the now-right bytes fail (docs/integrity.md)",
+)
+def test_partial_page_write_over_the_flipped_byte_reads_back(kind):
+    store, expect = _overwrite_the_flip(kind)
+    out = np.empty(64, dtype=np.uint8)
+    store.read_extents(np.array([0]), np.array([64]), out)
+    assert np.array_equal(out, expect)
+
+
+def test_partial_page_write_over_the_flipped_byte_fails_over_when_replicated():
+    """``replication_factor=2``: the flipped replica keeps its old
+    sidecar and fails; the read fails over once, to the replica the flip
+    missed, and returns the written bytes."""
+    store, expect = _overwrite_the_flip("replicated")
+    out = np.empty(64, dtype=np.uint8)
+    _, failovers = store.read_extents(np.array([0]), np.array([64]), out)
+    assert failovers == 1
+    assert np.array_equal(out, expect)
+
+
 def test_partial_page_write_over_a_good_page_re_stamps_it():
     """Only a page that already fails keeps its sidecar: a partial
     write over a clean page, or over a whole flipped page, re-stamps."""

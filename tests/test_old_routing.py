@@ -52,6 +52,7 @@ from repro.core.rounds import CONTINUE, RESTART, RoundSource
 from repro.core.two_phase_old import _OldPlan, _uncovered
 from repro.datatypes import BYTE, contiguous, resized
 from repro.datatypes.segments import FlatCursor, SegmentBatch
+from repro.mpi.comm import HostTable
 from test_client_routing import accesses
 
 COST = DEFAULT_COST_MODEL
@@ -215,6 +216,9 @@ class _Lockstep:
 class _Comm:
     def __init__(self, rank: int, size: int, step: _Lockstep) -> None:
         self.rank, self.size, self.step = rank, size, step
+        # These threads run at once, not one at a time as the engine's
+        # ranks do, so each keeps its own table of shared results.
+        self.host = HostTable()
 
     def allgather(self, obj):
         return self.step.swap(self.rank, obj)
