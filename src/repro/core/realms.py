@@ -44,6 +44,7 @@ __all__ = [
     "make_cyclic_realms",
     "resolve_strategy",
     "round_windows",
+    "all_round_windows",
     "realm_domains",
     "clipped_domains",
 ]
@@ -176,13 +177,13 @@ class RealmDomain:
 
 def round_windows(
     domains: Sequence[RealmDomain], r: int, cb: int
-) -> List[Optional[List[Tuple[int, int]]]]:
+) -> Tuple[Optional[Tuple[Tuple[int, int], ...]], ...]:
     """Every domain's round-``r`` window as its ``(lo, hi)`` file
     intervals, ``None`` where it is empty: what :meth:`RealmDomain.window`
     covers, for all aggregators in one call (a client's routing pass
     needs the intervals only, not a buffer map)."""
     lo = r * cb
-    out: List[Optional[List[Tuple[int, int]]]] = []
+    out = []
     for d in domains:
         prefix = d.prefix
         hi = min(lo + cb, int(prefix[-1]))
@@ -196,8 +197,8 @@ def round_windows(
         ends = d.ends[i0:i1].tolist()
         starts[0] += lo - int(prefix[i0])
         ends[-1] -= int(prefix[i1]) - hi
-        out.append(list(zip(starts, ends)))
-    return out
+        out.append(tuple(zip(starts, ends)))
+    return tuple(out)
 
 
 def realm_domains(realms: Sequence["FileRealm"], lo: int, hi: int) -> Tuple[RealmDomain, ...]:
@@ -205,16 +206,23 @@ def realm_domains(realms: Sequence["FileRealm"], lo: int, hi: int) -> Tuple[Real
     return tuple(realm.domain(lo, hi) for realm in realms)
 
 
+def all_round_windows(domains: Sequence[RealmDomain], nrounds: int, cb: int):
+    """:func:`round_windows` of rounds ``0 .. nrounds - 1``, indexed by
+    round."""
+    return tuple(round_windows(domains, r, cb) for r in range(nrounds))
+
+
 def clipped_domains(
     host, domains: Sequence[RealmDomain], bounds: Sequence[Optional[Tuple[int, int]]], cb: int
-) -> Tuple[Tuple[RealmDomain, ...], int]:
+) -> Tuple[Tuple[RealmDomain, ...], int, tuple]:
     """``domains`` clipped to each aggregator's request ``bounds``
-    (``(lo, hi)``, or ``None`` for nothing received), and the round
-    count they take at collective-buffer size ``cb``.
+    (``(lo, hi)``, or ``None`` for nothing received), the round count
+    they take at collective-buffer size ``cb``, and every round's client
+    windows (:func:`all_round_windows`).
 
-    Both are pure functions of values every rank already agreed on, so
-    they are derived once per communicator: ``host`` is its
-    :class:`~repro.mpi.comm.HostTable`, and ``domains`` are keyed by
+    All three are pure functions of values every rank already agreed
+    on, so they are derived once per communicator and call: ``host`` is
+    its :class:`~repro.mpi.comm.HostTable`, and ``domains`` are keyed by
     identity (a table's values are read-only)."""
     domains, bounds = tuple(domains), tuple(bounds)
     return host.get(("clip", domains, bounds, cb), _clip, domains, bounds, cb)
@@ -222,7 +230,8 @@ def clipped_domains(
 
 def _clip(domains, bounds, cb):
     clipped = tuple(d.clip(*(b or (0, 0))) for d, b in zip(domains, bounds))
-    return clipped, max((d.nrounds(cb) for d in clipped), default=0)
+    nrounds = max((d.nrounds(cb) for d in clipped), default=0)
+    return clipped, nrounds, all_round_windows(clipped, nrounds, cb)
 
 
 class FileRealm:

@@ -56,7 +56,7 @@ class ResumeComm:
         self.comm_id = f"resume:{rank}"
         self.members: Tuple[int, ...] = tuple(range(size))
         #: A lone rank's table: nobody to share with.
-        self.host = HostTable()
+        self.host = HostTable(1)
 
     def barrier(self) -> None:
         return None

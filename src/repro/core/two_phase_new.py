@@ -60,10 +60,10 @@ from repro.core.plan import (
 from repro.core.plancache import PlanRecorder, RoundPlan
 from repro.core.realms import (
     RealmDomain,
+    all_round_windows,
     clipped_domains,
     realm_domains,
     resolve_strategy,
-    round_windows,
 )
 from repro.core.rounds import CONTINUE, RESTART, STOP, RoundSource
 from repro.datatypes.flatten import FlatType
@@ -178,7 +178,7 @@ class _Plan(RoundSource):
         # One allgather keeps clients and aggregators agreeing on the
         # window geometry.
         bounds = coll.allgather(self._request_bounds())
-        self.domains, self.nrounds = clipped_domains(
+        self.domains, self.nrounds, self.windows = clipped_domains(
             comm.host, self.domains, [bounds[a] for a in self.aggs], self.cb
         )
 
@@ -326,9 +326,7 @@ class _Plan(RoundSource):
         charge = env.ctx.charge
         pair_cost, tile_cost = cost.cpu_per_flat_pair, cost.cpu_tile_skip
         pairs_n, tiles_n = self._pairs[False], self._tiles[False]
-        domains, cb = tuple(self.domains), self.cb
-        windows = env.comm.host.get(("windows", domains, r, cb), round_windows, domains, r, cb)
-        routed = self.router.route(windows)
+        routed = self.router.route(self.windows[r])
         for a, got in zip(self.aggs, routed):
             if got is None:
                 continue
@@ -478,6 +476,7 @@ class _Plan(RoundSource):
             if self.funnel is not None:
                 self.funnel.reset()
             self.nrounds = max((d.nrounds(self.cb) for d in self.domains), default=0)
+            self.windows = all_round_windows(self.domains, self.nrounds, self.cb)
         if self.i_am_suspect:
             self.run_suspect_tail(buf, write=write)
             return STOP

@@ -38,7 +38,7 @@ from repro.core.aggregation import select_aggregators
 from repro.core.env import CollEnv
 from repro.core.plan import clip_to_range, compute_aar, merge_extents, subtract_intervals
 from repro.core.plancache import PlanRecorder, RoundPlan
-from repro.core.realms import EvenPartition, clipped_domains, realm_domains, round_windows
+from repro.core.realms import EvenPartition, clipped_domains, realm_domains
 from repro.core.rounds import CONTINUE, RESTART, RoundSource
 from repro.datatypes.flatten import FlatType
 from repro.datatypes.segments import FanCursor, FunnelCursor, SegmentBatch
@@ -159,7 +159,7 @@ class _OldPlan(RoundSource):
         # code slices the region, holes and all.
         gathered = coll.allgather(mine)
         self.cb = hints["cb_buffer_size"]
-        self.domains, self.nrounds = clipped_domains(
+        self.domains, self.nrounds, self.windows = clipped_domains(
             comm.host, self.domains, [gathered[a] for a in self.aggs], self.cb
         )
 
@@ -190,8 +190,7 @@ class _OldPlan(RoundSource):
         size = self.env.comm.size
         send: List[Optional[SegmentBatch]] = [None] * size
         if self.router is not None:
-            domains, cb = tuple(self.domains), self.cb
-            windows = self.env.comm.host.get(("windows", domains, r, cb), round_windows, domains, r, cb)
+            windows = self.windows[r]
             if self._covered:
                 windows = _uncovered(windows, self._covered)
             for a, got in zip(self.aggs, self.router.route(windows)):

@@ -131,13 +131,16 @@ class _Mailbox:
 
 
 def _freeze(value: Any) -> None:
-    """Make every ndarray reachable from ``value`` (through tuples,
-    lists and ``__slots__`` attributes) read-only."""
+    """Make every ndarray reachable from ``value`` (through tuples and
+    ``__slots__`` attributes) read-only; a list, dict, set or bytearray
+    anywhere in it is a ``TypeError`` (it could not be made so)."""
     if type(value) is np.ndarray:
         value.flags.writeable = False
-    elif type(value) is tuple or type(value) is list:
+    elif type(value) is tuple:
         for item in value:
             _freeze(item)
+    elif isinstance(value, (list, dict, set, bytearray)):
+        raise TypeError(f"a shared host value must be immutable, not a {type(value).__name__}")
     else:
         for name in getattr(type(value), "__slots__", ()):
             _freeze(getattr(value, name, None))
@@ -154,18 +157,29 @@ class HostTable:
     charges its own work and runs its own collectives).
 
     ``key`` must name every input ``compute`` reads, so an equal key is
-    an equal value.  Arrays in a stored value are made read-only: a
-    rank that writes into one raises instead of corrupting its peers.
-    An exception is raised to the rank that computed it and never
-    stored.  Only the last :attr:`capacity` keys are kept."""
+    an equal value.  A stored value is read-only: its arrays are made
+    non-writeable, and it may hold no list, dict or set, so a rank that
+    writes into it raises instead of corrupting its peers.  An
+    exception is raised to the rank that computed it and never stored.
 
-    __slots__ = ("_entries",)
+    Only :attr:`capacity` keys are kept, the oldest dropped first.  One
+    call stores at most one access description per client and
+    :data:`KEYS_PER_CALL` other values, and none of the next call's
+    before every rank has entered it (they follow its allreduce), so
+    ``capacity`` holds two calls of a ``size``-rank communicator: a
+    rank's lookups hit whatever order the ranks run in, with room to
+    spare for a second call in flight (a split-phase request)."""
 
-    #: Distinct keys kept; the oldest is dropped first.
-    capacity = 32
+    __slots__ = ("_entries", "capacity")
 
-    def __init__(self) -> None:
+    #: Keys one call (with its open) stores besides access descriptions:
+    #: the open's compat resolution, the realm domains, and the clipped
+    #: domains with their round windows.
+    KEYS_PER_CALL = 3
+
+    def __init__(self, size: int) -> None:
         self._entries: dict = {}
+        self.capacity = 2 * (size + self.KEYS_PER_CALL)
 
     def get(self, key: Any, compute: Callable[..., Any], *args: Any) -> Any:
         """The value stored under ``key``, else ``compute(*args)``,
@@ -192,7 +206,7 @@ class _CommState:
         self.mailboxes = [_Mailbox() for _ in range(size)]
         self.next_seq = 0
         #: Rank-invariant host results of this communicator's calls.
-        self.host = HostTable()
+        self.host = HostTable(size)
 
 
 class _Link(NamedTuple):

@@ -175,7 +175,7 @@ def planner(payloads, me, aggs, domains, cb, exchange=True):
     comm = SimpleNamespace(
         rank=me,
         size=len(payloads),
-        host=HostTable(),
+        host=HostTable(len(payloads)),
         isend=lambda obj, dest, tag: None,
         recv=lambda src, tag: None if payloads[src] is None else (encode_flat(payloads[src][0]), *payloads[src][1:]),
     )

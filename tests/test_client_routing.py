@@ -39,6 +39,7 @@ from repro.config import DEFAULT_COST_MODEL
 from repro.core.plan import concat_batches
 from repro.core.realms import (
     AlignedPartition,
+    all_round_windows,
     BalancedPartition,
     EvenPartition,
     RealmDomain,
@@ -189,9 +190,10 @@ def planner(view, disp, data_lo, data_hi, memflat, aggs, nprocs, cb, use_heap, d
     """A ``_Plan`` holding exactly what ``client_send_plan`` reads."""
     plan = object.__new__(_Plan)
     plan.env = SimpleNamespace(
-        comm=SimpleNamespace(size=nprocs, host=HostTable()), cost=COST, hints={"use_heap": use_heap}, ctx=_Log()
+        comm=SimpleNamespace(size=nprocs, host=HostTable(nprocs)), cost=COST, hints={"use_heap": use_heap}, ctx=_Log()
     )
     plan.aggs, plan.domains, plan.cb = aggs, domains, cb
+    plan.windows = all_round_windows(domains, max((d.nrounds(cb) for d in domains), default=0), cb)
     plan.router = FanCursor(FlatCursor(view, disp, data_hi, data_lo), len(aggs), memflat)
     plan._pairs = (_Log(), _Log())
     plan._tiles = (_Log(), _Log())
@@ -309,6 +311,7 @@ def test_one_pass_matches_the_per_aggregator_loop(access, data, cb, use_heap, fa
         if lost is not None and r == fail_at + 1:
             # Failover: re-carve, rewind every scan, restart the rounds.
             domains = new.domains = recarve(domains, r * cb, lost)
+            new.windows = all_round_windows(domains, max((d.nrounds(cb) for d in domains), default=0), cb)
             new.router.reset()
             ref.reset()
             lost, r = None, 0

@@ -12,8 +12,10 @@ rank that needs it and reused by the others:
 * a ``set_view`` that moves the aggregate access region gets fresh
   geometry, equal to the strategy's realms clipped to the request
   bounds, computed directly;
-* the table itself: keyed values, no cached exception, a bounded
-  number of keys;
+* the table itself: keyed values, no cached exception or mutable
+  value, and room for two calls' keys of its communicator;
+* at 64 ranks, each distinct access description is decoded once, and
+  a call of many rounds derives its windows and clipped domains once;
 * two tenants of one ``Cluster`` (different file sizes) each keep their
   own table and both files hold the right bytes.
 """
@@ -24,8 +26,9 @@ import numpy as np
 import pytest
 
 from repro import BYTE, Cluster, Hints, Session, contiguous, resized
-from repro.core import two_phase_new, two_phase_old
+from repro.core import realms, two_phase_new, two_phase_old
 from repro.core.realms import RealmDomain, resolve_strategy
+from repro.hpio.timeseries import TimeSeriesPattern
 from repro.mpi.comm import HostTable
 
 #: Each rank writes 48 of every 64 bytes of its slot: the holes let the
@@ -146,8 +149,8 @@ def test_a_moved_view_gets_fresh_geometry_equal_to_the_direct_derivation(monkeyp
         assert p.nrounds == max(d.nrounds(p.cb) for d in want)
 
 
-def test_the_table_keys_values_drops_old_keys_and_never_keeps_an_exception():
-    table = HostTable()
+def test_the_table_keys_values_and_never_keeps_an_exception_or_a_mutable_value():
+    table = HostTable(4)
     calls = []
 
     def compute(x):
@@ -168,10 +171,93 @@ def test_the_table_keys_values_drops_old_keys_and_never_keeps_an_exception():
         with pytest.raises(KeyError):
             table.get("bad", fail)
     assert calls.count("fail") == 2
-    for i in range(HostTable.capacity):
-        table.get(("fill", i), compute, 1)
-    table.get(("k", 3), compute, 3)
-    assert calls.count(3) == 2  # the oldest key went first
+    # A list (or dict, set) could not be made read-only: refused, and
+    # never stored.
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            table.get("list", lambda: (np.arange(2), [1, 2]))
+    assert "list" not in table._entries
+
+
+@pytest.mark.parametrize("size", [1, 16, 64])
+def test_the_table_holds_two_calls_of_its_communicator(size):
+    """A call stores one description per client and KEYS_PER_CALL other
+    values; aggregators walk the clients in order, so the table must
+    keep a whole call's keys or a cyclic walk never hits."""
+    table = HostTable(size)
+    per_call = size + HostTable.KEYS_PER_CALL
+    assert table.capacity == 2 * per_call
+    calls = []
+    keys = [("k", i) for i in range(2 * per_call)]
+    for _ in range(3):
+        for key in keys:
+            table.get(key, calls.append, key)
+    assert len(calls) == len(keys)  # every later pass hit
+    table.get("one more", calls.append, None)
+    table.get(keys[0], calls.append, keys[0])
+    assert calls[-1] == keys[0]  # the oldest key went first
+
+
+def _timeseries_body(ts):
+    def body(ctx, comm, f):
+        for t in range(ts.timesteps):
+            f.set_view(disp=0, filetype=ts.filetype(comm.rank, t))
+            f.write_all(ts.step_buffer(comm.rank, t))
+
+    return body
+
+
+def test_each_distinct_description_is_decoded_once_at_64_ranks(monkeypatch):
+    """Per-rank filetypes (the Fig. 7 time series): every rank ships a
+    different description, and every aggregator still decodes none that
+    another aggregator already decoded."""
+    ts = TimeSeriesPattern(nprocs=64, element_size=8, elems_per_point=64, points=8, timesteps=2)
+    decoded = []
+    decode = two_phase_new.decode_flat
+
+    def counting(blob):
+        decoded.append(blob)
+        return decode(blob)
+
+    monkeypatch.setattr(two_phase_new, "decode_flat", counting)
+    s = Session("/t", nprocs=ts.nprocs, hints={"cb_nodes": 8})
+    s.run(_timeseries_body(ts))
+    assert len(set(decoded)) == ts.nprocs * ts.timesteps
+    assert len(decoded) == len(set(decoded))
+    want = np.zeros(ts.file_bytes, dtype=np.uint8)
+    elem = np.arange(ts.element_size)
+    for t in range(ts.timesteps):
+        for rank in range(ts.nprocs):
+            starts = (
+                np.arange(ts.points)[:, None] * ts.point_bytes
+                + t * ts.slot_bytes
+                + ts.my_elements(rank)[None, :] * ts.element_size
+            ).ravel()
+            want[(starts[:, None] + elem).ravel()] = ts.step_buffer(rank, t)
+    assert _file_is(s.fs, "/t", want)
+
+
+@pytest.mark.parametrize("planner, hints", [(two_phase_new._Plan, {}), (two_phase_old._OldPlan, {"coll_impl": "old"})])
+def test_a_call_of_many_rounds_derives_its_windows_and_clip_once(monkeypatch, planner, hints):
+    """64 ranks, more rounds than the table has keys: a client that runs
+    every round before its peers start still leaves every round's
+    windows for them (they come with the clipped domains, one key per
+    call, not one per round)."""
+    counts = {"round_windows": 0, "_clip": 0}
+    for name in counts:
+        real = getattr(realms, name)
+
+        def counting(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(realms, name, counting)
+    nprocs = 64
+    s, _, planners = _run(nprocs, monkeypatch, planner=planner, hints={"cb_buffer_size": 48, **hints})
+    nrounds = planners[0].nrounds
+    assert nrounds > planners[0].env.comm.host.capacity
+    assert counts == {"round_windows": nrounds, "_clip": 1}
+    assert _file_is(s.fs, "/d", _image(nprocs))
 
 
 def _tenant_body(count: int):

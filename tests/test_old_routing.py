@@ -218,7 +218,7 @@ class _Comm:
         self.rank, self.size, self.step = rank, size, step
         # These threads run at once, not one at a time as the engine's
         # ranks do, so each keeps its own table of shared results.
-        self.host = HostTable()
+        self.host = HostTable(size)
 
     def allgather(self, obj):
         return self.step.swap(self.rank, obj)
