@@ -26,9 +26,10 @@ Semantics follow a real FS client's page cache:
   valid bytes.
 
 The unit of host work is a contiguous run of pages, not a page: cached
-bytes sit in slabs (:class:`~repro.fs.store.Slabs`), a write or a fetch
-is one interval insert plus one slice copy per slab, and fetch and
-flush extent lists come from interval intersection.  Pages exist only
+bytes sit in slabs (:class:`~repro.fs.store.Slabs`), a write is one
+interval insert plus one slice copy per slab, a fetch or a flush hands
+slabs between cache and store by reference (copy-on-write), and fetch
+and flush extent lists come from interval intersection.  Pages exist only
 as arithmetic on those runs — which pages a batch touches (counters,
 charges), and a per-page touch stamp that keeps the LRU order.  Only a
 batch out of file order, and a read that lost pages while its fetch
@@ -290,6 +291,11 @@ class PageCache:
         """Read whole pages from the server, merging under locally valid
         bytes (our writes win over the fetched snapshot).
 
+        The snapshot is the store's slabs by reference (a
+        :class:`~repro.fs.store.Slabs` payload): a slab this cache holds
+        no valid byte of is installed as it is, and only pieces merged
+        under valid bytes are copied.
+
         The server call yields the processor between reading the store
         and this method installing the result.  A conflicting writer can
         use that window to steal our just-acquired granules (nothing was
@@ -300,29 +306,30 @@ class PageCache:
         re-reads those pieces from the server under fresh locks."""
         if need.empty:
             return
-        ps = self.page_size
+        ps, width = self.page_size, self._buf.width
         runs = list(need)
         first, stop = np.array(runs, dtype=np.int64).T
         for lo, hi in runs:
             self._fetching.add(lo, hi)
+        snapshot = Slabs(width)
         try:
-            data = self.fs.server_read(
-                ctx, self.client_id, self.path, first * ps, (stop - first) * ps
+            self.fs.server_read(
+                ctx, self.client_id, self.path, first * ps, (stop - first) * ps, into=snapshot
             )
         finally:
             for lo, hi in runs:
                 self._fetching.remove(lo, hi)
-        pos = 0
         for lo, hi in runs:
-            base = lo * ps - pos
             sound = self._fetch_poisoned.gaps(lo, hi)
             self._fetch_poisoned.remove(lo, hi)
             for first, stop in sound:
-                for a, b in self._valid.gaps(first * ps, stop * ps):
-                    self._buf.write(a, data[a - base : b - base])
-                self._valid.add(first * ps, stop * ps)
+                a, b = first * ps, stop * ps
+                # Gaps over whole slabs: a slab inside one holds no valid byte.
+                for g0, g1 in self._valid.gaps(a // width * width, -(-b // width) * width):
+                    if g0 < b and a < g1:
+                        self._buf.take(snapshot, max(a, g0), min(b, g1) - max(a, g0), (g0, g1))
+                self._valid.add(a, b)
                 self._admit(first, stop)
-            pos += (hi - lo) * ps
         self._misses.value += need.total
 
     def _flush(
@@ -338,9 +345,12 @@ class PageCache:
         The dirty runs are snapshotted and REMOVED before the server
         call: the call yields the processor, and bytes dirtied during
         the yield must survive as fresh dirty state rather than being
-        clobbered by our post-flush cleanup.  If the server call fails
-        (an injected transient fault fires before the store mutates),
-        the snapshot is restored so a caller's retry re-flushes it."""
+        clobbered by our post-flush cleanup.  The snapshot holds this
+        cache's slabs by reference (a write during the yield copies the
+        slab first), and the store takes every slab a dirty run covers
+        whole by reference too.  If the server call fails (an injected
+        transient fault fires before the store mutates), the snapshot
+        is restored so a caller's retry re-flushes it."""
         ps = self.page_size
         extents = [
             run for first, stop in page_runs for run in self._dirty.intersect(first * ps, stop * ps)
@@ -349,13 +359,11 @@ class PageCache:
             return 0
         offs, ends = np.array(extents, dtype=np.int64).T
         pages = self._page_set(extents).total
-        # Copy now: the pages may be rewritten during the yield.
-        data = np.empty(int((ends - offs).sum()), dtype=np.uint8)
-        pos = 0
+        # Snapshot now: the pages may be rewritten during the yield.
+        data = Slabs(self._buf.width)
         for lo, hi in extents:
-            self._buf.read_into(lo, data[pos : pos + hi - lo])
+            data.share(self._buf, lo, hi - lo)
             self._dirty.remove(lo, hi)
-            pos += hi - lo
         with ctx.trace("cache:flush", path=self.path, pages=pages):
             ctx.charge(pages * self.fs.cost.cache_flush_page)
             try:
@@ -369,21 +377,19 @@ class PageCache:
         self._flushed.value += pages
         return pages
 
-    def _restore_dirty(self, extents: List[Tuple[int, int]], data: np.ndarray) -> None:
+    def _restore_dirty(self, extents: List[Tuple[int, int]], data: Slabs) -> None:
         """Put snapshotted dirty bytes back after a failed writeback.
 
         Bytes re-dirtied during the failed call's yield are newer than
         the snapshot and win; everything else is restored byte-for-byte
         (the page may have been dropped or re-fetched meanwhile)."""
         ps = self.page_size
-        pos = 0
         for lo, hi in extents:
             for a, b in self._dirty.gaps(lo, hi):
-                self._buf.write(a, data[pos + a - lo : pos + b - lo])
+                self._buf.take(data, a, b - a)
             self._valid.add(lo, hi)
             self._dirty.add(lo, hi)
             self._admit(lo // ps, -(-hi // ps))
-            pos += hi - lo
 
     # -- public operations -------------------------------------------------------
     def write(

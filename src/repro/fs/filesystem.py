@@ -79,7 +79,7 @@ from repro.liveness import LIVENESS_KEY, LOCK_LEASE
 from repro.obs.metrics import MetricsRegistry, MetricsView
 from repro.sim.engine import BLOCK_TIMEOUT
 from repro.fs.runs import ByteRuns
-from repro.fs.store import Journal, PageStore, ReplicatedStore, stripe_pieces
+from repro.fs.store import Journal, PageStore, ReplicatedStore, Slabs, stripe_pieces
 from repro.sim.engine import RankContext
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -804,7 +804,10 @@ class SimFileSystem:
     ) -> None:
         """One write call carrying a batch of contiguous extents.
 
-        ``data`` holds the extents' bytes concatenated in batch order.
+        ``data`` holds the extents' bytes concatenated in batch order, or
+        is a :class:`~repro.fs.store.Slabs` payload holding them at their
+        file offsets (a cache's flush snapshot, handed to the store by
+        reference).
         With ``journaled=True`` the bytes land in the file's open shadow
         transaction instead of the main store (same locks, same costs,
         same fault exposure); they become visible only at
@@ -812,12 +815,13 @@ class SimFileSystem:
         """
         f = self._file(path)
         offs, lens = self._as_batch(offsets, lengths)
-        data = np.asarray(data, dtype=np.uint8)
         total = int(lens.sum())
-        if data.size != total:
-            raise FileSystemError(
-                f"server_write: data has {data.size} bytes, extents total {total}"
-            )
+        if not isinstance(data, Slabs):
+            data = np.asarray(data, dtype=np.uint8)
+            if data.size != total:
+                raise FileSystemError(
+                    f"server_write: data has {data.size} bytes, extents total {total}"
+                )
         ctx.charge(self.cost.io_call_overhead)
         if offs.size == 0:
             return
@@ -871,8 +875,13 @@ class SimFileSystem:
         *,
         acquire_locks: bool = True,
         journaled: bool = False,
-    ) -> np.ndarray:
-        """One read call for a batch of extents; returns concatenated bytes.
+        into: Optional[Slabs] = None,
+    ) -> "np.ndarray | Slabs":
+        """One read call for a batch of extents; returns concatenated
+        bytes, or ``into`` — a fresh :class:`~repro.fs.store.Slabs`
+        payload that the store fills at the extents' file offsets with
+        references to its slabs, taken at the instant a packed read
+        would copy them (a cache's fetch).
 
         With ``journaled=True`` and an open transaction, bytes the
         journal owns overlay the main store (read-your-writes inside
@@ -881,7 +890,7 @@ class SimFileSystem:
         offs, lens = self._as_batch(offsets, lengths)
         ctx.charge(self.cost.io_call_overhead)
         total = int(lens.sum())
-        out = np.empty(total, dtype=np.uint8)
+        out = np.empty(total, dtype=np.uint8) if into is None else into
         if offs.size == 0:
             return out
         self._maybe_io_fault(ctx, client_id, path, "server_read")

@@ -4,20 +4,26 @@ A server call's extents are one request (list I/O), and every store
 takes them as one batch:
 
 * ``write_extents(offs, lens, data, up=None)`` — ``data`` holds the
-  extents' bytes concatenated in batch order (overlaps: later wins);
-  returns the *kept* pages: pages the batch covers only in part whose
-  bytes already failed their sidecar, which keep it (integrity on);
+  extents' bytes concatenated in batch order (overlaps: later wins),
+  or is a :class:`Slabs` payload holding them at their file offsets (a
+  cache's flush snapshot: slabs an extent covers whole are taken by
+  reference); returns the *kept* pages: pages the batch covers only in
+  part whose bytes already failed their sidecar, which keep it
+  (integrity on);
 * ``read_extents(offs, lens, out, up=None)`` — fills ``out`` the same
-  way and returns what it served, ``(demand, failovers)``: the per-OST
-  ``(bytes, fragments)`` the answering copies did (``None``: the stripe
-  map's split) and how many corrupt replicas it skipped.
+  way (a fresh :class:`Slabs` payload takes the store's slabs by
+  reference, :meth:`Slabs.share`) and returns what it served,
+  ``(demand, failovers)``: the per-OST ``(bytes, fragments)`` the
+  answering copies did (``None``: the stripe map's split) and how many
+  corrupt replicas it skipped.
 
 ``up`` is the live-OST set the caller's policy chose (``None``: all).
 Stores are mechanism only; health, breakers, admission, quorum and
 healing stay in :class:`~repro.fs.filesystem.SimFileSystem`.
 
 * :class:`PageStore` — bytes in lazily allocated multi-page slabs
-  (:class:`Slabs`), one slice copy per slab; unwritten bytes read as
+  (:class:`Slabs`, shared copy-on-write with client caches and
+  payloads), one slice copy per slab; unwritten bytes read as
   zero, like a POSIX sparse file.  A batch is one pass, and each
   touched page's sidecar is refreshed once, after its bytes landed.
 * :class:`ReplicatedStore` (the ``replication_factor`` hint) — ``r``
@@ -47,6 +53,7 @@ from __future__ import annotations
 
 import zlib
 from itertools import accumulate
+from sys import getrefcount
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -82,15 +89,55 @@ def stripe_pieces(offs: np.ndarray, lens: np.ndarray, stripe: int):
     return lo, np.minimum((offs + lens)[extent], (stripes + 1) * stripe) - lo, stripes, extent
 
 
+def _sole_count() -> int:
+    """What ``getrefcount`` reports for a slab that its dict alone holds,
+    read the way :class:`Slabs` reads it: bound to one local name."""
+    slabs = {0: np.zeros(1)}
+    slab = slabs.get(0)
+    return getrefcount(slab)
+
+
+#: A slab whose count is above this has a second holder (see
+#: :class:`Slabs`).  CPython counts every reference, views included
+#: (a view holds its base), so the test is exact, never a guess.
+_SOLE = _sole_count()
+
+#: One read-only all-zero slab per width: what a payload holds where
+#: its source has no slab (a hole).  Every holder copies before writing.
+_ZERO: Dict[int, np.ndarray] = {}
+
+
+def _zero(width: int) -> np.ndarray:
+    zero = _ZERO.get(width)
+    if zero is None:
+        zero = _ZERO[width] = np.zeros(width, dtype=np.uint8)
+        zero.flags.writeable = False
+    return zero
+
+
 class Slabs:
     """A sparse array in fixed-width slabs allocated on first write.
 
     Never-written items read as zero.  An extent moves with one slice
     copy per slab it crosses, straight between the slab and the
     caller's buffer: each method walks [lo, lo+n) slab by slab, ``a``
-    the offset in slab ``index`` and ``pos`` the offset in the extent."""
+    the offset in slab ``index`` and ``pos`` the offset in the extent.
+
+    A slab array may have several holders: the store, a client cache,
+    a fetch's in-flight payload or a flush's snapshot (:meth:`share`,
+    :meth:`take`).  A holder writes a slab in place only while no other
+    holder references it; otherwise it writes into a fresh slab that
+    gets only the items the write leaves standing copied in (none when
+    the write covers the whole slab).  So a reference handed over reads
+    exactly like a copy taken at that instant.  The copy-on-write step
+    is written out in each method rather than called: a Python call per
+    slab would make a window's host calls grow with its size."""
 
     __slots__ = ("width", "dtype", "_slabs")
+
+    #: Items moved by every copy below, copy-on-write copies included
+    #: (host-copy accounting, read by tests and the micro benchmark).
+    copied = 0
 
     def __init__(self, width: int, dtype=np.uint8) -> None:
         self.width = width
@@ -105,8 +152,14 @@ class Slabs:
             step = min(n - pos, width - a)
             slab = slabs.get(index)
             if slab is None:
-                slab = slabs[index] = np.zeros(width, dtype=self.dtype)
+                slab = slabs[index] = (np.empty if step == width else np.zeros)(width, self.dtype)
+            elif getrefcount(slab) > _SOLE:
+                slab, old = np.empty(width, self.dtype), slab
+                slab[:a], slab[a + step :] = old[:a], old[a + step :]
+                slabs[index] = slab
+                Slabs.copied += width - step
             slab[a : a + step] = values[pos : pos + step]
+            Slabs.copied += step
             pos += step
             index, a = index + 1, 0
 
@@ -120,6 +173,11 @@ class Slabs:
             slab = slabs.get(index)
             if slab is None and value:
                 slab = slabs[index] = np.zeros(width, dtype=self.dtype)
+            elif slab is not None and getrefcount(slab) > _SOLE:
+                slab, old = np.empty(width, self.dtype), slab
+                slab[:a], slab[a + step :] = old[:a], old[a + step :]
+                slabs[index] = slab
+                Slabs.copied += width - step
             if slab is not None:
                 slab[a : a + step] = value
             pos += step
@@ -133,6 +191,7 @@ class Slabs:
             step = min(n - pos, width - a)
             slab = slabs.get(index)
             out[pos : pos + step] = 0 if slab is None else slab[a : a + step]
+            Slabs.copied += step
             pos += step
             index, a = index + 1, 0
 
@@ -140,6 +199,64 @@ class Slabs:
         out = np.empty(n, dtype=self.dtype)
         self.read_into(lo, out)
         return out
+
+    def share(self, src: "Slabs", lo: int, n: int) -> None:
+        """Hand ``src``'s [lo, lo+n) over into this fresh payload (a
+        fetch's or a flush's): a slot no earlier extent of the payload
+        filled takes ``src``'s slab by reference (the read-only zero
+        slab for a hole); a filled one holding another array gets the
+        piece copied in."""
+        width, slabs, srcs = self.width, self._slabs, src._slabs
+        zero = _zero(width)
+        index, a = divmod(lo, width)
+        pos = 0
+        while pos < n:
+            step = min(n - pos, width - a)
+            got = srcs.get(index, zero)
+            slab = slabs.get(index)
+            if slab is None or step == width:
+                slabs[index] = got
+            elif slab is not got:
+                if getrefcount(slab) > _SOLE:
+                    slab, old = np.empty(width, self.dtype), slab
+                    slab[:a], slab[a + step :] = old[:a], old[a + step :]
+                    slabs[index] = slab
+                    Slabs.copied += width - step
+                slab[a : a + step] = got[a : a + step]
+                Slabs.copied += step
+            pos += step
+            index, a = index + 1, 0
+
+    def take(self, src: "Slabs", lo: int, n: int, free: Optional[Tuple[int, int]] = None) -> None:
+        """Make [lo, lo+n) hold ``src``'s items there.  A slab lying
+        wholly inside ``free`` (default: [lo, lo+n)) holds nothing the
+        caller keeps, so it becomes ``src``'s slab by reference; any
+        other gets the piece copied in."""
+        f0, f1 = free or (lo, lo + n)
+        width, slabs, srcs = self.width, self._slabs, src._slabs
+        zero = _zero(width)
+        index, a = divmod(lo, width)
+        pos = 0
+        while pos < n:
+            step = min(n - pos, width - a)
+            got = srcs.get(index, zero)
+            slab = slabs.get(index)
+            if slab is got:
+                pass
+            elif f0 <= index * width and (index + 1) * width <= f1:
+                slabs[index] = got
+            else:
+                if slab is None:
+                    slab = slabs[index] = np.zeros(width, dtype=self.dtype)
+                elif getrefcount(slab) > _SOLE:
+                    slab, old = np.empty(width, self.dtype), slab
+                    slab[:a], slab[a + step :] = old[:a], old[a + step :]
+                    slabs[index] = slab
+                    Slabs.copied += width - step
+                slab[a : a + step] = got[a : a + step]
+                Slabs.copied += step
+            pos += step
+            index, a = index + 1, 0
 
     def get(self, index: int) -> Optional[np.ndarray]:
         return self._slabs.get(index)
@@ -278,8 +395,12 @@ class PageStore(_Store):
             edges = {lo // ps for lo, hi in covered if lo % ps}
             edges.update(hi // ps for lo, hi in covered if hi % ps)
             kept = sorted(index for index in edges if not self.verify_page(index))
+        packed = not isinstance(data, Slabs)
         for o, n, a in zip(offs, lens, at):
-            bytes_.write(o, data[a : a + n])
+            if packed:
+                bytes_.write(o, data[a : a + n])
+            else:
+                bytes_.take(data, o, n)
             first = o // ps
             exists.fill(first, -(-(o + n) // ps) - first, True)
             if o + n > top:
@@ -337,7 +458,8 @@ class PageStore(_Store):
         if not self.has_page(page_index):
             raise FileSystemError(f"cannot corrupt unallocated page {page_index}")
         bit = bit_index % (self.page_size * 8)
-        self._page(page_index)[bit >> 3] ^= np.uint8(1 << (bit & 7))
+        at = page_index * self.page_size + (bit >> 3)
+        self._bytes.write(at, self._bytes.read(at, 1) ^ np.uint8(1 << (bit & 7)))
 
     # -- repair (fsck) ------------------------------------------------------
     def zero_page(self, index: int) -> None:
@@ -374,6 +496,10 @@ class PageStore(_Store):
         offs, lens = offs.tolist(), lens.tolist()
         if verify and self.integrity:
             self._verify(offs, lens)
+        if isinstance(out, Slabs):
+            for o, n in zip(offs, lens):
+                out.share(self._bytes, o, n)
+            return None, 0
         pos = 0
         for o, n in zip(offs, lens):
             self._bytes.read_into(o, out[pos : pos + n])
@@ -397,7 +523,7 @@ class PageStore(_Store):
                 if (slab + 1) * SLAB_PAGES > first:
                     self._release(max(first, slab * SLAB_PAGES), (slab + 1) * SLAB_PAGES)
             if keep and self.has_page(boundary):
-                self._page(boundary)[keep:] = 0
+                self._bytes.fill(boundary * ps + keep, ps - keep, 0)
                 if self.integrity:
                     self._crcs[boundary] = self._crc(boundary)
         self.size = size
@@ -560,7 +686,10 @@ class ReplicatedStore(_Store):
                     except IntegrityError as exc:
                         error, failovers = error or exc, failovers + 1
                         continue
-                shard._bytes.read_into(p, out[a : a + c])
+                if isinstance(out, Slabs):
+                    out.share(shard._bytes, p, c)
+                else:
+                    shard._bytes.read_into(p, out[a : a + c])
                 served.append(ost)
                 break
             else:
@@ -717,7 +846,10 @@ class Journal:
                     raise
         served = self.main.read_extents(offs, lens, out, up)
         for _, lo, hi, at in patches:
-            self.store._bytes.read_into(lo, out[at : at + hi - lo])
+            if isinstance(out, Slabs):
+                out.share(self.store._bytes, lo, hi - lo)
+            else:
+                self.store._bytes.read_into(lo, out[at : at + hi - lo])
         return served
 
     def flip_bit(self, page_index: int, bit_index: int) -> None:

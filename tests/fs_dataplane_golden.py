@@ -45,6 +45,7 @@ from repro.config import CostModel
 from repro.errors import FileSystemError
 from repro.faults.plan import FaultPlan
 from repro.fs import FSClient, SimFileSystem
+from repro.fs.store import Slabs
 from repro.integrity import fsck
 from repro.sim import Simulator
 
@@ -62,6 +63,16 @@ STORE_SEEDS = tuple(s for s in range(100, 131) if s not in TORN_AT_RECORDING)
 SEEDS = CACHE_SEEDS + STORE_SEEDS
 MODES = ("coherent", "incoherent", "writethrough", "off")
 PATH = "/g"
+
+
+def packed(offsets, lengths, data) -> np.ndarray:
+    """A server write's bytes in batch order, whether they came packed
+    or as a :class:`~repro.fs.store.Slabs` payload at file offsets (a
+    cache's flush snapshot)."""
+    if not isinstance(data, Slabs):
+        return np.asarray(data, dtype=np.uint8)
+    pieces = [data.read(o, n) for o, n in zip(np.asarray(offsets).tolist(), np.asarray(lengths).tolist())]
+    return np.concatenate(pieces) if pieces else np.empty(0, dtype=np.uint8)
 
 
 def _config(seed: int) -> dict:
@@ -201,13 +212,16 @@ def run_sequence(seed: int) -> dict:
     real_read, real_write, real_lock = fs.server_read, fs.server_write, fs.acquire_extents
 
     def server_read(ctx, client_id, path, offsets, lengths, **kw):
-        log.append(["R", client_id, np.asarray(offsets).tolist(), np.asarray(lengths).tolist(), sorted(kw.items())])
+        # ``into`` (a cache fetch's slab payload) is where the bytes go,
+        # not what was asked: the recorded calls predate it.
+        asked = sorted((k, v) for k, v in kw.items() if k != "into")
+        log.append(["R", client_id, np.asarray(offsets).tolist(), np.asarray(lengths).tolist(), asked])
         return real_read(ctx, client_id, path, offsets, lengths, **kw)
 
     def server_write(ctx, client_id, path, offsets, lengths, data, **kw):
         log.append([
             "W", client_id, np.asarray(offsets).tolist(), np.asarray(lengths).tolist(),
-            hashlib.sha256(np.asarray(data, dtype=np.uint8).tobytes()).hexdigest()[:16],
+            hashlib.sha256(packed(offsets, lengths, data).tobytes()).hexdigest()[:16],
             sorted(kw.items()),
         ])
         return real_write(ctx, client_id, path, offsets, lengths, data, **kw)

@@ -16,7 +16,8 @@ replace live on here as references:
   and the OST service formula to theirs;
 * one sieve window read, patched and written back through an
   incoherent cache enters the same number of ``repro.fs`` Python
-  functions whatever its page count.
+  functions whatever its page count, and with its flush copies its span
+  on the host twice plus at most four slabs.
 """
 
 from __future__ import annotations
@@ -26,13 +27,16 @@ import threading
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fs_dataplane_golden import packed
 import repro.fs
 from repro.config import CostModel
 from repro.fs import FSClient, SimFileSystem
 from repro.fs.cache import PageCache
+from repro.fs.store import SLAB_PAGES, Slabs
 from repro.sim import Simulator
 
 PS = 64
@@ -173,7 +177,7 @@ def _observe(cls, mode: str, capacity: int, ops) -> list:
         return out
 
     def server_write(ctx, cid, path, offs, lens, data, **kw):
-        calls.append(("W", np.asarray(offs).tolist(), np.asarray(lens).tolist(), bytes(data)))
+        calls.append(("W", np.asarray(offs).tolist(), np.asarray(lens).tolist(), packed(offs, lens, data).tobytes()))
         return real_write(ctx, cid, path, offs, lens, data, **kw)
 
     fs.server_read, fs.server_write = server_read, server_write
@@ -350,3 +354,42 @@ def test_a_sieve_window_costs_the_same_python_calls_at_any_size():
     calls = {pages: _window_calls(pages) for pages in (8, 116, 512)}
     assert len(set(calls.values())) == 1, calls
     assert calls[8] <= 110, calls
+
+
+def _window_copies(pages: int) -> tuple:
+    """Items every ``Slabs`` copy path moves — copy-on-write copies and
+    the cache's per-page LRU stamps included — for one pre-read + patch
+    + write-back + ``sync`` of a window touching ``pages`` pages (both
+    ends partial) through an incoherent cache; and the window's bytes."""
+    fs = SimFileSystem()
+    ps = fs.cost.page_size
+    lo, n = 100, pages * ps - 200
+    fs.raw_write(PATH, 0, np.arange(lo + n + ps, dtype=np.uint8))
+    counted = []
+
+    def main(ctx) -> None:
+        f = FSClient(fs, ctx).open(PATH, cache_mode="incoherent")
+        before = Slabs.copied
+        window = f.read(lo, n)
+        window[::7] = 1
+        f.write(lo, window)
+        f.sync()
+        counted.append(Slabs.copied - before)
+
+    Simulator(1).run(main)
+    want = np.arange(lo + n + ps, dtype=np.uint8)[lo : lo + n]
+    want[::7] = 1
+    assert np.array_equal(fs.raw_bytes(PATH, lo, n), want)
+    return counted[0], n
+
+
+@pytest.mark.parametrize("pages", [116, 512])
+def test_a_sieve_window_copies_its_span_twice_on_the_host(pages):
+    """The window copy out of the cache and the write back into it are
+    the only span-sized copies: the fetch takes the store's slabs and
+    the flush hands the cache's over by reference, so what else moves is
+    bounded by the partial slabs at the window's two ends (measured:
+    2.0 slabs; six span copies before slabs were shared)."""
+    copied, span = _window_copies(pages)
+    slab = SLAB_PAGES * SimFileSystem().cost.page_size
+    assert copied <= 2 * span + 4 * slab, (copied - 2 * span) / slab
