@@ -512,7 +512,10 @@ class PageStore(_Store):
         Shrinking trims whole pages past the new end and zeroes the
         tail of a partially covered boundary page (those bytes must
         read as zero if the file regrows); growing just extends the
-        logical size — the new bytes are a hole."""
+        logical size — the new bytes are a hole.  The boundary page is
+        re-stamped only if it verified before the cut: one that already
+        failed keeps its sidecar, as :meth:`_write` keeps a partly
+        covered page's, so a flip from before the cut still raises."""
         if size < 0:
             raise FileSystemError(f"negative truncate size {size}")
         if size < self.size:
@@ -523,8 +526,9 @@ class PageStore(_Store):
                 if (slab + 1) * SLAB_PAGES > first:
                     self._release(max(first, slab * SLAB_PAGES), (slab + 1) * SLAB_PAGES)
             if keep and self.has_page(boundary):
+                good = self.verify_page(boundary)
                 self._bytes.fill(boundary * ps + keep, ps - keep, 0)
-                if self.integrity:
+                if self.integrity and good:
                     self._crcs[boundary] = self._crc(boundary)
         self.size = size
 

@@ -243,6 +243,34 @@ def test_partial_page_write_over_a_good_page_re_stamps_it():
     assert store.verify_all() == []
 
 
+@pytest.mark.parametrize("kind", ["plain", "replicated"])
+def test_truncate_keeps_a_boundary_page_flipped_before_the_cut_detectable(kind):
+    """8 KiB written, byte 10 of page 0 flipped, then the file cut to 100
+    bytes: zeroing the boundary page's tail must not re-stamp a page that
+    already failed.  The next read raises — or, replicated, fails over
+    once to the replica the flip missed, which still verifies."""
+    if kind == "plain":
+        store = PageStore(4096, integrity=True)
+    else:
+        store = ReplicatedStore(4096, 8192, 2, 2, integrity=True)
+    image = (np.arange(8192) % 256).astype(np.uint8)
+    store.write(0, image)
+    store.flip_bit(0, 80)
+    store.truncate(100)
+    assert not store.verify_page(0)
+    out = np.empty(100, dtype=np.uint8)
+    if kind == "plain":
+        with pytest.raises(IntegrityError):
+            store.read_extents(np.array([0]), np.array([100]), out)
+        return
+    _, failovers = store.read_extents(np.array([0]), np.array([100]), out)
+    assert failovers == 1
+    assert np.array_equal(out, image[:100])
+    primary, second = store.replicas_of(0)
+    assert not store.shards[primary].verify_page(0)
+    assert store.shards[second].verify_page(0)
+
+
 def test_journal_read_names_the_first_bad_page_in_extent_order():
     """Main page 0 and journal page 2 are both corrupt: whichever extent
     comes first in the batch names the page, as if read one by one (the
