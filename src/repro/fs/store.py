@@ -106,6 +106,13 @@ _SOLE = _sole_count()
 #: its source has no slab (a hole).  Every holder copies before writing.
 _ZERO: Dict[int, np.ndarray] = {}
 
+#: Items every :class:`Slabs` copy has moved, copy-on-write copies
+#: included (host-copy accounting, read by tests and the micro
+#: benchmark).  A module global, not a class attribute: rebinding a
+#: class attribute would invalidate the interpreter's attribute caches
+#: for every slab access.
+copied = 0
+
 
 def _zero(width: int) -> np.ndarray:
     zero = _ZERO.get(width)
@@ -135,16 +142,13 @@ class Slabs:
 
     __slots__ = ("width", "dtype", "_slabs")
 
-    #: Items moved by every copy below, copy-on-write copies included
-    #: (host-copy accounting, read by tests and the micro benchmark).
-    copied = 0
-
     def __init__(self, width: int, dtype=np.uint8) -> None:
         self.width = width
         self.dtype = dtype
         self._slabs: Dict[int, np.ndarray] = {}
 
     def write(self, lo: int, values: np.ndarray) -> None:
+        global copied
         width, slabs, n = self.width, self._slabs, len(values)
         index, a = divmod(lo, width)
         pos = 0
@@ -157,14 +161,15 @@ class Slabs:
                 slab, old = np.empty(width, self.dtype), slab
                 slab[:a], slab[a + step :] = old[:a], old[a + step :]
                 slabs[index] = slab
-                Slabs.copied += width - step
+                copied += width - step
             slab[a : a + step] = values[pos : pos + step]
-            Slabs.copied += step
+            copied += step
             pos += step
             index, a = index + 1, 0
 
     def fill(self, lo: int, n: int, value) -> None:
         """Set [lo, lo+n) to one value (zero never allocates)."""
+        global copied
         width, slabs = self.width, self._slabs
         index, a = divmod(lo, width)
         pos = 0
@@ -177,13 +182,14 @@ class Slabs:
                 slab, old = np.empty(width, self.dtype), slab
                 slab[:a], slab[a + step :] = old[:a], old[a + step :]
                 slabs[index] = slab
-                Slabs.copied += width - step
+                copied += width - step
             if slab is not None:
                 slab[a : a + step] = value
             pos += step
             index, a = index + 1, 0
 
     def read_into(self, lo: int, out: np.ndarray) -> None:
+        global copied
         width, slabs, n = self.width, self._slabs, len(out)
         index, a = divmod(lo, width)
         pos = 0
@@ -191,7 +197,7 @@ class Slabs:
             step = min(n - pos, width - a)
             slab = slabs.get(index)
             out[pos : pos + step] = 0 if slab is None else slab[a : a + step]
-            Slabs.copied += step
+            copied += step
             pos += step
             index, a = index + 1, 0
 
@@ -206,6 +212,7 @@ class Slabs:
         filled takes ``src``'s slab by reference (the read-only zero
         slab for a hole); a filled one holding another array gets the
         piece copied in."""
+        global copied
         width, slabs, srcs = self.width, self._slabs, src._slabs
         zero = _zero(width)
         index, a = divmod(lo, width)
@@ -221,9 +228,9 @@ class Slabs:
                     slab, old = np.empty(width, self.dtype), slab
                     slab[:a], slab[a + step :] = old[:a], old[a + step :]
                     slabs[index] = slab
-                    Slabs.copied += width - step
+                    copied += width - step
                 slab[a : a + step] = got[a : a + step]
-                Slabs.copied += step
+                copied += step
             pos += step
             index, a = index + 1, 0
 
@@ -232,6 +239,7 @@ class Slabs:
         wholly inside ``free`` (default: [lo, lo+n)) holds nothing the
         caller keeps, so it becomes ``src``'s slab by reference; any
         other gets the piece copied in."""
+        global copied
         f0, f1 = free or (lo, lo + n)
         width, slabs, srcs = self.width, self._slabs, src._slabs
         zero = _zero(width)
@@ -252,9 +260,9 @@ class Slabs:
                     slab, old = np.empty(width, self.dtype), slab
                     slab[:a], slab[a + step :] = old[:a], old[a + step :]
                     slabs[index] = slab
-                    Slabs.copied += width - step
+                    copied += width - step
                 slab[a : a + step] = got[a : a + step]
-                Slabs.copied += step
+                copied += step
             pos += step
             index, a = index + 1, 0
 

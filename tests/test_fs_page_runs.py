@@ -33,10 +33,11 @@ from hypothesis import strategies as st
 
 from fs_dataplane_golden import packed
 import repro.fs
+import repro.fs.store
 from repro.config import CostModel
 from repro.fs import FSClient, SimFileSystem
 from repro.fs.cache import PageCache
-from repro.fs.store import SLAB_PAGES, Slabs
+from repro.fs.store import SLAB_PAGES
 from repro.sim import Simulator
 
 PS = 64
@@ -357,10 +358,11 @@ def test_a_sieve_window_costs_the_same_python_calls_at_any_size():
 
 
 def _window_copies(pages: int) -> tuple:
-    """Items every ``Slabs`` copy path moves — copy-on-write copies and
-    the cache's per-page LRU stamps included — for one pre-read + patch
-    + write-back + ``sync`` of a window touching ``pages`` pages (both
-    ends partial) through an incoherent cache; and the window's bytes."""
+    """Items every ``Slabs`` copy path moves (``fs.store.copied``),
+    copy-on-write copies and the cache's per-page LRU stamps included,
+    for one pre-read + patch + write-back + ``sync`` of a window
+    touching ``pages`` pages (both ends partial) through an incoherent
+    cache; and the window's bytes."""
     fs = SimFileSystem()
     ps = fs.cost.page_size
     lo, n = 100, pages * ps - 200
@@ -369,12 +371,12 @@ def _window_copies(pages: int) -> tuple:
 
     def main(ctx) -> None:
         f = FSClient(fs, ctx).open(PATH, cache_mode="incoherent")
-        before = Slabs.copied
+        before = repro.fs.store.copied
         window = f.read(lo, n)
         window[::7] = 1
         f.write(lo, window)
         f.sync()
-        counted.append(Slabs.copied - before)
+        counted.append(repro.fs.store.copied - before)
 
     Simulator(1).run(main)
     want = np.arange(lo + n + ps, dtype=np.uint8)[lo : lo + n]
