@@ -115,10 +115,9 @@ copied = 0
 
 
 def _zero(width: int) -> np.ndarray:
-    zero = _ZERO.get(width)
-    if zero is None:
-        zero = _ZERO[width] = np.zeros(width, dtype=np.uint8)
-        zero.flags.writeable = False
+    """Make the read-only zero slab of ``width`` (kept in :data:`_ZERO`)."""
+    zero = _ZERO[width] = np.zeros(width, dtype=np.uint8)
+    zero.flags.writeable = False
     return zero
 
 
@@ -214,7 +213,9 @@ class Slabs:
         piece copied in."""
         global copied
         width, slabs, srcs = self.width, self._slabs, src._slabs
-        zero = _zero(width)
+        zero = _ZERO.get(width)
+        if zero is None:
+            zero = _zero(width)
         index, a = divmod(lo, width)
         pos = 0
         while pos < n:
@@ -242,7 +243,9 @@ class Slabs:
         global copied
         f0, f1 = free or (lo, lo + n)
         width, slabs, srcs = self.width, self._slabs, src._slabs
-        zero = _zero(width)
+        zero = _ZERO.get(width)
+        if zero is None:
+            zero = _zero(width)
         index, a = divmod(lo, width)
         pos = 0
         while pos < n:
