@@ -25,7 +25,8 @@ from repro.datatypes.packing import (
 from repro.core.realms import Window
 from repro.datatypes.segments import FanCursor, FlatCursor, FunnelCursor, SegmentBatch, data_to_file_segments
 from repro.fs import FSClient, SimFileSystem
-from repro.fs.store import PageStore
+from repro.fs import store as fs_store
+from repro.fs.store import SLAB_PAGES, PageStore
 from repro.hpio.timeseries import TimeSeriesPattern
 from repro.io.datasieve import datasieve_write
 from repro.mpi import Communicator
@@ -261,6 +262,35 @@ def test_cache_sieve_read_then_write_span(benchmark):
 
     fs = benchmark(lambda: _one_client(body, prefill=span))
     assert fs.raw_bytes("/m", 0, 128).tolist() == [7] * 64 + [1] * 64
+
+
+@pytest.mark.parametrize("pages", [116, 512])
+def test_sieve_window_through_cache(benchmark, pages):
+    """One data-sieving window round trip through an incoherent cache: a
+    window touching ``pages`` pages, both ends partial (116 is a
+    ``fig7_steps`` window), pre-read, patched, written back, flushed.
+    ``copied_bytes`` is what every ``Slabs`` copy path moved in it
+    (``fs.store.copied``),
+    copy-on-write copies and LRU stamps included: the span twice plus
+    the two partial edge slabs, since fetch and flush hand slabs over by
+    reference (six spans before)."""
+    ps = DEFAULT_COST_MODEL.page_size
+    lo, n = 100, pages * ps - 200
+    copied = []
+
+    def body(f):
+        before = fs_store.copied
+        window = f.read(lo, n)
+        window[::7] = 7
+        f.write(lo, window)
+        f.sync()
+        copied.append(fs_store.copied - before)
+
+    fs = benchmark(lambda: _one_client(body, prefill=lo + n + ps))
+    assert fs.raw_bytes("/m", lo, 15).tolist() == [7] + [1] * 6 + [7] + [1] * 6 + [7]
+    assert copied[-1] <= 2 * n + 4 * SLAB_PAGES * ps
+    benchmark.extra_info["copied_bytes"] = copied[-1]
+    benchmark.extra_info["copied_per_span"] = copied[-1] / n
 
 
 def test_pagestore_large_read(benchmark):

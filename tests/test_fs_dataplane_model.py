@@ -7,9 +7,11 @@ over slabs, ``docs/architecture.md``):
   — every cache mode, capacities small enough that eviction fires,
   integrity and replication on and off — with unsorted, overlapping,
   page-straddling and zero-length batches, ``sync``, invalidation,
-  ``truncate``, a second coherent client, and a revocation forced into
-  the middle of a fetch, and compares every byte read (and the final
-  file) with a ``bytearray``;
+  ``truncate``, a second coherent client, a revocation forced into the
+  middle of a fetch, and a store bit flipped under cached bytes (the
+  cache and the store may share slabs), and compares every byte read
+  (and the final file) with a ``bytearray`` — tier-1 draws 60 runs, the
+  slow-marked sweep 400 derandomized ones of 40 steps;
 * the seeded sequences of ``fs_dataplane_golden.py`` must reproduce the
   server calls, registry and virtual clocks recorded before the rewrite.
 """
@@ -222,6 +224,27 @@ class DataPlaneMachine(RuleBasedStateMachine):
         got = self.rank.call(fn)
         assert got.tobytes() == self._expected(batch)
 
+    @precondition(lambda self: self.mode != "off")
+    @rule(page=st.integers(0, 2**16), bit=st.integers(0, PS * 8 - 1))
+    def flip_under_cached_bytes(self, page, bit):
+        """A store bit flips — under a page ``mine`` caches where there is
+        one — and ``mine`` reads exactly its cached-valid bytes: no server
+        call, and the model's bytes, whatever the store's slabs now hold
+        (cache and store may share them).  Then the bit flips back."""
+        cache, store = self.mine.cache, self.fs.page_store(PATH)
+        batch = [(lo, hi - lo) for lo, hi in cache._valid][:6]
+        held = store.page_indices()
+        under = [p for p in held if any(lo < p * PS + PS and p * PS < lo + n for lo, n in batch)]
+        target = (under or held or [None])[page % max(1, len(under or held))]
+        if target is not None:
+            store.flip_bit(target, bit)
+        reads = self.fs.metrics(PATH).value("fs.server.reads")
+        got = self.rank.call(lambda ctx: self.mine.read_batch(*self._arrays(batch)))
+        assert self.fs.metrics(PATH).value("fs.server.reads") == reads
+        assert got.tobytes() == self._expected(batch)
+        if target is not None:
+            store.flip_bit(target, bit)
+
     # -- invariants -----------------------------------------------------------
     @invariant()
     def cache_accounting(self):
@@ -256,6 +279,22 @@ TestDataPlaneModel.settings = settings(
     # re-run a failing example hundreds of times for little insight.
     phases=[p for p in Phase if p is not Phase.explain],
 )
+
+
+class DataPlaneSweep(DataPlaneMachine):
+    """The same machine, longer and derandomized: CI's slow-sweeps job
+    (a subclass, since hypothesis builds one test case per class)."""
+
+
+TestDataPlaneSweep = DataPlaneSweep.TestCase
+TestDataPlaneSweep.settings = settings(
+    max_examples=400,
+    stateful_step_count=40,
+    deadline=None,
+    derandomize=True,
+    phases=[p for p in Phase if p is not Phase.explain],
+)
+TestDataPlaneSweep.pytestmark = [pytest.mark.slow]
 
 
 @pytest.fixture(scope="module")
