@@ -3,25 +3,26 @@
 
 Usage::
 
-    python benchmarks/run.py [--check | --write] [name ...]
+    python benchmarks/run.py [--check] [name ...]
 
 Runs the named experiments of ``benchmarks/experiments.py`` (default:
 all), prints each as a table and runs its checks.  Every value is
 simulated and deterministic, so the committed ``BENCH.json`` is held
-*exactly*:
+*exactly*: ``--check`` also compares every regenerated row with
+``BENCH.json`` and exits 1 with one ``experiment[cell].field: old ->
+new`` line per difference (what CI runs).
 
-* ``--check`` also compares every regenerated row with ``BENCH.json``
-  and exits 1 with one ``experiment[cell].field: old -> new`` line per
-  difference (what CI runs);
-* ``--write`` prints the same lines and rewrites the named experiments'
-  entries — paste them into the PR description.  ``BENCH.json`` carries
-  no commit id: it is versioned, and ``git log -p BENCH.json`` is the
-  trajectory.
+``BENCH.json`` is rewritten only by ``tests/pins.py``, with the other
+pin sets, after a change meant to move virtual time
+(docs/cost_model.md "Moving virtual time on purpose").  It carries no
+commit id: it is versioned, and ``git log -p BENCH.json`` is the
+trajectory.  ``diff`` here is the one differ of every pin set.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -51,31 +52,54 @@ def run_experiment(exp: Experiment) -> Rows:
     return rows
 
 
-def _fields(row: Dict[str, object]) -> Dict[str, object]:
-    flat = {k: row.get(k) for k in ("sim_makespan_s", "total_bytes", "verified")}
-    for group in ("counts", "extra"):
-        flat.update({f"{group}.{k}": v for k, v in row.get(group, {}).items()})
-    return flat
+_HEX_FLOAT = re.compile(r"-?0x[0-9a-f]\.?[0-9a-f]*p[-+]\d+")
+_ABSENT = object()
 
 
-def diff(name: str, old: Rows, new: Rows) -> List[str]:
-    """``name[cell].field: old -> new`` for every stored value that
-    differs; parsed values are compared, never text."""
+def _show(value: object) -> str:
+    """A stored value as the diff prints it: floats pinned as ``.hex()``
+    strings print as numbers, everything else as its ``repr``."""
+    if isinstance(value, str) and _HEX_FLOAT.fullmatch(value):
+        return repr(float.fromhex(value))
+    return repr(value)
 
-    def keyed(rows):
-        return {",".join(f"{k}={v}" for k, v in row["cell"].items()): row for row in rows}
 
-    old_by, new_by = keyed(old), keyed(new)
-    lines = []
-    for cell in list(old_by) + [c for c in new_by if c not in old_by]:
-        if cell not in new_by or cell not in old_by:
-            lines.append(f"{name}[{cell}]: " + ("row -> None" if cell in old_by else "None -> row"))
-            continue
-        was, now = _fields(old_by[cell]), _fields(new_by[cell])
-        for field in list(was) + [f for f in now if f not in was]:
-            if field not in was or field not in now or was[field] != now[field]:
-                lines.append(f"{name}[{cell}].{field}: {was.get(field)!r} -> {now.get(field)!r}")
-    return lines
+def moved(old: Dict[str, object], new: Dict[str, object]) -> List[str]:
+    """The keys of two flattened pin sets whose values differ (a key one
+    side lacks counts): ``old``'s first, in their order, then the keys
+    only ``new`` has.  Parsed values are compared, never text."""
+    return [key for key in {**old, **new} if old.get(key, _ABSENT) != new.get(key, _ABSENT)]
+
+
+def diff(old: Dict[str, object], new: Dict[str, object]) -> List[str]:
+    """``key: old -> new`` for every key of :func:`moved`, ``None`` on
+    the side that lacks it: the one differ of every pin set."""
+    return [f"{key}: {_show(old.get(key))} -> {_show(new.get(key))}" for key in moved(old, new)]
+
+
+def flat(name: str, rows: Rows) -> Dict[str, object]:
+    """One experiment's stored values as ``name[cell].field`` keys, after
+    its row count ``name.rows``."""
+    out: Dict[str, object] = {f"{name}.rows": len(rows)}
+    for row in rows:
+        cell = f"{name}[" + ",".join(f"{k}={v}" for k, v in row["cell"].items()) + "]"
+        for field in ("sim_makespan_s", "total_bytes", "verified"):
+            out[f"{cell}.{field}"] = row.get(field)
+        for group in ("counts", "extra"):
+            out.update({f"{cell}.{group}.{k}": v for k, v in row.get(group, {}).items()})
+    return out
+
+
+def failed_checks(exp: Experiment, rows: Rows) -> List[str]:
+    """One ``CHECK FAILED`` line per check of ``exp`` that does not hold
+    on ``rows``."""
+    failed = []
+    for check in exp.checks:
+        try:
+            check(rows)
+        except AssertionError as exc:
+            failed.append(f"CHECK FAILED {exp.name}::{check.__name__}: {exc}")
+    return failed
 
 
 def dump(doc: Dict[str, Rows]) -> str:
@@ -90,8 +114,8 @@ def dump(doc: Dict[str, Rows]) -> str:
 def main(argv: List[str], path: Path = BENCH_JSON) -> int:
     flags = {a for a in argv if a.startswith("--")}
     names = [a for a in argv if a not in flags] or list(EXPERIMENTS)
-    unknown = [n for n in names if n not in EXPERIMENTS] + sorted(flags - {"--check", "--write"})
-    if unknown or flags == {"--check", "--write"}:
+    unknown = [n for n in names if n not in EXPERIMENTS] + sorted(flags - {"--check"})
+    if unknown:
         print(__doc__)
         print(f"unknown: {unknown}; experiments: {' '.join(EXPERIMENTS)}")
         return 2
@@ -103,27 +127,20 @@ def main(argv: List[str], path: Path = BENCH_JSON) -> int:
         # Through JSON, so what is checked and compared is what is stored.
         rows = json.loads(json.dumps(run_experiment(exp)))
         print(exp.show(exp.title, rows))
-        for check in exp.checks:
-            try:
-                check(rows)
-            except AssertionError as exc:
-                failed += 1
-                print(f"CHECK FAILED {name}::{check.__name__}: {exc}")
+        check_failures = failed_checks(exp, rows)
+        if check_failures:
+            print("\n".join(check_failures))
+        failed += len(check_failures)
         if flags:
             drift = (
-                diff(name, stored[name], rows)
+                diff(flat(name, stored[name]), flat(name, rows))
                 if name in stored
                 else [f"{name}: no entry in {path.name} -> {len(rows)} rows"]
             )
             print("\n".join(drift) or f"{name}: identical to {path.name}")
-            if "--check" in flags:
-                failed += len(drift)
-            stored[name] = rows
+            failed += len(drift)
         print(f"[{name}: {len(rows)} rows, {len(exp.checks)} checks, "
               f"{time.time() - t0:.1f} s wall]\n")
-    if "--write" in flags:
-        path.write_text(dump({n: stored[n] for n in EXPERIMENTS if n in stored}))
-        print(f"wrote {path}")
     if failed:
         print(f"{failed} failed checks / differences")
     return 1 if failed else 0

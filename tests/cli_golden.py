@@ -9,14 +9,16 @@ when ``allgather`` became log-depth), so ``--check`` is a diff of every
 printed status, count, path and virtual time, not just of exit codes.
 
     python tests/cli_golden.py --check [JOB]      # rerun under two PYTHONHASHSEEDs, diff
-    python tests/cli_golden.py --record           # refresh exit/stdout of the rows in the file
 
-``--record`` prints, per transcript that changed, the exit code (``old ->
+The file is rewritten only by ``tests/pins.py`` (with the other pin
+sets), after a change *meant* to move a printed time or count.  Its
+report prints, per transcript that changed, the exit code (``old ->
 new`` if it moved), how many lines differ and whether the difference is
 ``numerals only`` — every token equal once digits are masked, so no
-status word (``ok``, ``verified``, ``DETECTED``, ``FAILED``, ...), name or
-path moved — or lists the ``NON-NUMERAL`` lines.  A change that is meant
-to move virtual time must show numerals only and no exit code moved.
+status word (``ok``, ``verified``, ``DETECTED``, ``FAILED``, ...), name
+or path moved — or lists the ``NON-NUMERAL`` lines
+(:func:`describe_change`).  A change that is meant to move virtual time
+must show numerals only and no exit code moved.
 
 ``--workdir DIR`` runs the commands there (CI's ``observability`` job
 uploads the ``out.json`` the ``trace`` row writes); the default is a
@@ -60,7 +62,7 @@ def _words(line: str) -> list:
 
 
 def describe_change(row, code: int, out: str):
-    """What ``--record`` prints for one changed row — a summary line
+    """What ``pins.py`` prints for one changed row — a summary line
     plus the line pairs whose non-numeral tokens differ — and whether
     there were any such pairs."""
     was, now = row["stdout"].splitlines(), out.splitlines()
@@ -79,39 +81,19 @@ def describe_change(row, code: int, out: str):
 
 def main(argv) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    mode = ap.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--check", nargs="?", const="", metavar="JOB",
-                      help="rerun every row (or one CI job's rows) and diff")
-    mode.add_argument("--record", action="store_true",
-                      help="rewrite exit/stdout of the rows in the file")
+    ap.add_argument("--check", nargs="?", const="", metavar="JOB", required=True,
+                    help="rerun every row (or one CI job's rows) and diff")
     ap.add_argument("--workdir", help="run the commands here instead of a temp dir")
     ns = ap.parse_args(argv)
-    rows = json.loads(GOLDEN.read_text())
+    rows = [r for r in json.loads(GOLDEN.read_text()) if not ns.check or r["job"] == ns.check]
+    if not rows:
+        print(f"no rows for job {ns.check!r}")
+        return 2
+    bad = 0
     with tempfile.TemporaryDirectory() as tmp:
-        workdir = ns.workdir or tmp
-        if ns.record:
-            changed = worded = exits = 0
-            for row in rows:
-                code, out = run_row(row["argv"], workdir, HASH_SEEDS[0])
-                if (code, out) != (row["exit"], row["stdout"]):
-                    lines, has_words = describe_change(row, code, out)
-                    print("\n".join(lines))
-                    changed += 1
-                    worded += has_words
-                    exits += code != row["exit"]
-                row["exit"], row["stdout"] = code, out
-            GOLDEN.write_text(json.dumps(rows, indent=1) + "\n")
-            print(f"recorded {len(rows)} invocations -> {GOLDEN}: {changed} changed, "
-                  f"{worded} with a non-numeral token moved, {exits} exit codes moved")
-            return 0
-        rows = [r for r in rows if not ns.check or r["job"] == ns.check]
-        if not rows:
-            print(f"no rows for job {ns.check!r}")
-            return 2
-        bad = 0
         for row in rows:
             for seed in HASH_SEEDS:
-                code, out = run_row(row["argv"], workdir, seed)
+                code, out = run_row(row["argv"], ns.workdir or tmp, seed)
                 if (code, out) == (row["exit"], row["stdout"]):
                     continue
                 bad += 1

@@ -23,12 +23,11 @@ that is renamed, re-keyed, bumped twice or summed in another order
 fails here too.
 
 The same digests must come out under ``PYTHONHASHSEED`` 0 and 1
-(ROADMAP's determinism gate (iv), in the small).
-``PYTHONPATH=src python tests/test_engine_schedule.py`` prints one
-``cell.makespan`` / ``cell.schedule`` / ``cell.counts: old -> new`` line
-per pinned value that moved (exit 1 if any); ``--write`` also rewrites
-those rows of ``PINS`` in this file — only when a change is *meant* to
-move virtual time, with the printed lines pasted into the PR.
+(ROADMAP's determinism gate (iv), in the small).  ``PINS`` is rewritten
+only by ``tests/pins.py`` (through :func:`rewrite_rows`), after a change
+*meant* to move virtual time; its report prints one ``cell.makespan`` /
+``cell.schedule`` / ``cell.counts: old -> new`` line per pinned value
+that moved.
 """
 
 from __future__ import annotations
@@ -56,6 +55,9 @@ from repro.hpio.patterns import HPIOPattern
 from repro.liveness import LivenessState, find_liveness, install_liveness
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import Simulator, Tracer
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+from run import diff  # noqa: E402  (benchmarks/run.py: the one pin differ)
 
 _SMALL = CostModel(page_size=64, stripe_size=256, num_osts=2)
 
@@ -454,9 +456,18 @@ def capture() -> Dict[str, Tuple[str, str, str]]:
     return {name: _observe(name) for name in CELLS}
 
 
+def flat(pins: Dict[str, Tuple[str, str, str]]) -> Dict[str, str]:
+    """``cell.makespan`` / ``cell.schedule`` / ``cell.counts`` -> pinned value."""
+    return {
+        f"{name}.{field}": value
+        for name, pin in pins.items()
+        for field, value in zip(("makespan", "schedule", "counts"), pin)
+    }
+
+
 @pytest.mark.parametrize("name", sorted(CELLS))
 def test_schedule_matches_parent_capture(name):
-    assert _observe(name) == PINS[name]
+    assert not diff(flat({name: PINS[name]}), flat({name: _observe(name)}))
 
 
 @pytest.mark.parametrize("hashseed", ["0", "1"])
@@ -474,47 +485,37 @@ def test_schedule_independent_of_hash_seed(hashseed):
     assert got == PINS
 
 
-def _pin_diff(new: Dict[str, Tuple[str, str, str]]) -> list:
-    """``cell.field: old -> new`` per pinned value that differs
-    (makespans printed as numbers, pinned as ``.hex()``)."""
-    lines = []
-    for name, now in new.items():
-        was = PINS.get(name, (None, None, None))
-        for field, old, cur in zip(("makespan", "schedule", "counts"), was, now):
-            if old != cur:
-                if field == "makespan":
-                    old, cur = old and float.fromhex(old), float.fromhex(cur)
-                lines.append(f"{name}.{field}: {old!r} -> {cur!r}")
-    return lines
-
-
-def _rewrite_pins(new: Dict[str, Tuple[str, str, str]]) -> None:
-    """Replace the ``PINS`` rows of this file, one ``"cell": (...)`` line each."""
-    path = Path(__file__)
+def rewrite_rows(path: Path, block: str, rows: Dict[str, str]) -> None:
+    """In the ``block = {`` ... ``}`` literal of the file at ``path``,
+    replace the one line ``    KEY: VALUE,`` of each ``KEY -> VALUE`` of
+    ``rows`` (both Python source text): the in-file rewriter of ``PINS``
+    here and of ``test_engine_scaling.py``'s ``_MAKESPANS``.  A key with
+    no such line, or with two, is an error, and the file is left as it
+    was."""
     text = path.read_text()
-    for name, pin in new.items():
-        row = f'    "{name}": ({", ".join(json.dumps(v) for v in pin)}),'
-        text, n = re.subn(rf'^    "{re.escape(name)}": \(.*\),$', lambda m: row, text, flags=re.M)
-        assert n == 1, f"PINS has {n} rows for {name!r}"
-    path.write_text(text)
+    found = re.search(rf"^{re.escape(block)}\b[^\n]*= {{\n(.*?)^}}$", text, flags=re.M | re.S)
+    if found is None:
+        raise ValueError(f"{path.name} has no {block} = {{...}} block")
+    body = found.group(1)
+    for key, value in rows.items():
+        body, n = re.subn(
+            rf"^    {re.escape(key)}: .*,$", lambda m: f"    {key}: {value},", body, flags=re.M
+        )
+        if n != 1:
+            raise ValueError(f"{block} in {path.name} has {n} rows for {key}")
+    path.write_text(text[: found.start(1)] + body + text[found.end(1) :])
 
 
-def main(argv) -> int:
-    if argv not in ([], ["--write"], ["--json"]):
-        print(f"usage: {Path(__file__).name} [--write | --json]")
-        return 2
-    got = capture()
-    if argv == ["--json"]:  # what test_schedule_independent_of_hash_seed reads
-        print(json.dumps(got, indent=1))
-        return 0
-    lines = _pin_diff(got)
-    print("\n".join(lines) or f"{len(got)} cells identical to PINS")
-    if argv == ["--write"]:
-        _rewrite_pins(got)
-        print(f"rewrote PINS in {Path(__file__).name} ({len(lines)} values moved)")
-        return 0
-    return 1 if lines else 0
+def pin_rows(pins: Dict[str, Tuple[str, str, str]]) -> Dict[str, str]:
+    """``PINS`` rows as :func:`rewrite_rows` takes them."""
+    return {
+        json.dumps(name): f"({', '.join(json.dumps(v) for v in pin)})"
+        for name, pin in pins.items()
+    }
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    # What test_schedule_independent_of_hash_seed reads.
+    if sys.argv[1:] != ["--json"]:
+        sys.exit(f"usage: {Path(__file__).name} --json")
+    print(json.dumps(capture(), indent=1))

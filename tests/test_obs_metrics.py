@@ -12,6 +12,7 @@ import pytest
 import cli_golden
 import registry_golden
 import test_engine_schedule
+from run import diff  # benchmarks/run.py, on the path test_engine_schedule sets
 from repro import BYTE, MetricsRegistry, Session, contiguous, resized
 from repro.faults import FAULT_COUNTERS
 from repro.obs.metrics import Counter, Gauge, Histogram, METRICS_KEY, metrics_registry
@@ -230,28 +231,22 @@ class TestGoldenCounts:
     def test_sweep_counts_match_parent_capture(self, golden, scenario):
         got = json.loads(json.dumps(registry_golden.run_sweep(scenario)))
         want = golden[scenario]
-        assert len(got) == len(want)
-        for got_point, want_point in zip(got, want):
-            changed = {
-                k: (got_point.get(k), want_point.get(k))
-                for k in got_point.keys() | want_point.keys()
-                if got_point.get(k) != want_point.get(k)
-            }
-            assert not changed
+        assert not diff(registry_golden.flat(scenario, want), registry_golden.flat(scenario, got))
 
 
 def test_recapture_tools_print_old_to_new():
-    """The three re-capture printers (docs/cost_model.md, "Moving virtual
-    time on purpose"): what moved, as ``name: old -> new``; a CLI
-    transcript that changed in more than its numerals is called out."""
+    """The one pin differ (``benchmarks/run.py``'s ``diff``, which
+    ``tests/pins.py`` prints every pin set through): what moved, as
+    ``name: old -> new``; a CLI transcript that changed in more than its
+    numerals is called out."""
     old = [{"coll.rounds[0]": 4, "coll.call.seconds[0]": {"count": 1, "max": (0.5).hex()}}]
     new = [{"coll.rounds[0]": 4, "coll.call.seconds[0]": {"count": 1, "max": (0.25).hex()}}]
-    assert registry_golden.diff("stall", old, new) == [
+    assert diff(registry_golden.flat("stall", old), registry_golden.flat("stall", new)) == [
         "stall[0].coll.call.seconds[0].max: 0.5 -> 0.25"
     ]
     name, pin = next(iter(test_engine_schedule.PINS.items()))
     moved = {name: ((0.5).hex(), pin[1], "feedfacefeedface")}
-    assert test_engine_schedule._pin_diff(moved) == [
+    assert diff(test_engine_schedule.flat({name: pin}), test_engine_schedule.flat(moved)) == [
         f"{name}.makespan: {float.fromhex(pin[0])!r} -> 0.5",
         f"{name}.counts: {pin[2]!r} -> 'feedfacefeedface'",
     ]
