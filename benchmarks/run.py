@@ -6,7 +6,9 @@ Usage::
     python benchmarks/run.py [--check] [name ...]
 
 Runs the named experiments of ``benchmarks/experiments.py`` (default:
-all), prints each as a table and runs its checks.  Every value is
+all), prints each as a table and runs its checks.  The experiments are
+independent, so they run in a pool of one worker process per CPU and
+print in table order.  Every value is
 simulated and deterministic, so the committed ``BENCH.json`` is held
 *exactly*: ``--check`` also compares every regenerated row with
 ``BENCH.json`` and exits 1 with one ``experiment[cell].field: old ->
@@ -22,11 +24,14 @@ trajectory.  ``diff`` here is the one differ of every pin set.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import re
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, Iterator, List, Tuple
 
 _ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(_ROOT / "src"))
@@ -50,6 +55,32 @@ def run_experiment(exp: Experiment) -> Rows:
             raise AssertionError(f"{exp.name}{point}: {len(out)} rows, table says {len(cells)}")
         rows.extend({"cell": cell, **row} for cell, row in zip(cells, out))
     return rows
+
+
+def _measure(name: str) -> Tuple[Rows, float]:
+    """The rows of one experiment, through JSON so that what is checked
+    and compared is what is stored, and the wall seconds they took."""
+    t0 = time.time()
+    rows = json.loads(json.dumps(run_experiment(EXPERIMENTS[name])))
+    return rows, time.time() - t0
+
+
+def run_all(names: List[str], workers: int = 0) -> Iterator[Tuple[str, Rows, float]]:
+    """``(name, rows, wall seconds)`` of each named experiment, in the
+    order of ``names``.  Every experiment is deterministic and shares
+    nothing with another, so they run in a pool of ``workers`` processes
+    (default: one per CPU, at most one per experiment); one worker runs
+    them here, in this process (what the entry census needs: it records
+    the functions this process enters)."""
+    workers = workers or min(os.cpu_count() or 1, len(names))
+    if workers == 1:
+        for name in names:
+            yield (name, *_measure(name))
+        return
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
+        for name, (rows, seconds) in zip(names, pool.map(_measure, names)):
+            yield name, rows, seconds
 
 
 _HEX_FLOAT = re.compile(r"-?0x[0-9a-f]\.?[0-9a-f]*p[-+]\d+")
@@ -111,7 +142,7 @@ def dump(doc: Dict[str, Rows]) -> str:
     return "{\n" + ",\n".join(entries) + "\n}\n"
 
 
-def main(argv: List[str], path: Path = BENCH_JSON) -> int:
+def main(argv: List[str], path: Path = BENCH_JSON, workers: int = 0) -> int:
     flags = {a for a in argv if a.startswith("--")}
     names = [a for a in argv if a not in flags] or list(EXPERIMENTS)
     unknown = [n for n in names if n not in EXPERIMENTS] + sorted(flags - {"--check"})
@@ -121,11 +152,8 @@ def main(argv: List[str], path: Path = BENCH_JSON) -> int:
         return 2
     stored: Dict[str, Rows] = json.loads(path.read_text()) if path.exists() else {}
     failed = 0
-    for name in names:
+    for name, rows, seconds in run_all(names, workers):
         exp = EXPERIMENTS[name]
-        t0 = time.time()
-        # Through JSON, so what is checked and compared is what is stored.
-        rows = json.loads(json.dumps(run_experiment(exp)))
         print(exp.show(exp.title, rows))
         check_failures = failed_checks(exp, rows)
         if check_failures:
@@ -140,7 +168,7 @@ def main(argv: List[str], path: Path = BENCH_JSON) -> int:
             print("\n".join(drift) or f"{name}: identical to {path.name}")
             failed += len(drift)
         print(f"[{name}: {len(rows)} rows, {len(exp.checks)} checks, "
-              f"{time.time() - t0:.1f} s wall]\n")
+              f"{seconds:.1f} s wall]\n")
     if failed:
         print(f"{failed} failed checks / differences")
     return 1 if failed else 0

@@ -61,13 +61,10 @@ from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional, Set,
 
 import numpy as np
 
-import math
-
 from repro.config import CostModel, DEFAULT_COST_MODEL
 from repro.errors import (
     FileSystemError,
     IntegrityError,
-    LockDeadlock,
     OSTOverloaded,
     OSTUnavailable,
 )
@@ -75,9 +72,7 @@ from repro.faults.plan import FAULTS_KEY
 from repro.fs.locks import ExtentLockManager, LockCharge
 from repro.fs.ostfault import BreakerPolicy, CircuitBreaker
 from repro.fs.schedule import OSTScheduler, make_scheduler
-from repro.liveness import LIVENESS_KEY, LOCK_LEASE
 from repro.obs.metrics import MetricsRegistry, MetricsView
-from repro.sim.engine import BLOCK_TIMEOUT
 from repro.fs.runs import ByteRuns
 from repro.fs.store import Journal, PageStore, ReplicatedStore, Slabs, stripe_pieces
 from repro.sim.engine import RankContext
@@ -545,21 +540,18 @@ class SimFileSystem:
                 run_lo, run_hi = lo, hi
         if run_lo is not None:
             runs.append((run_lo, run_hi))
+        locks = f.locks
         charges: list[LockCharge] = []
         for lo, hi in runs:
-            # A conflicting *pinned* granule (lock_hold fault: the
-            # holder's callback thread is wedged) cannot be revoked —
-            # wait for recovery, lease reclaim, or deadlock breaking.
-            if f.locks.pinned:
-                self._await_pins(ctx, f, client_id, lo, hi, path)
-            charges.append(
-                f.locks.acquire(client_id, lo, hi, faults=faults, now=ctx.now)
-            )
+            # A conflicting held granule (lock_hold fault: the holder's
+            # callback thread is wedged) cannot be revoked: wait first.
+            locks.await_holds(ctx, client_id, lo, hi, path)
+            charges.append(locks.acquire(client_id, lo, hi, faults=faults, now=ctx.now))
         if faults is not None and runs and faults.enabled("lock_hold"):
             hold = faults.lock_hold_seconds(client_id, ctx.now)
             if hold > 0.0:
                 for lo, hi in runs:
-                    f.locks.pin_range(client_id, lo, hi, ctx.now, ctx.now + hold)
+                    locks.hold(client_id, lo, hi, ctx.now, ctx.now + hold)
         rpcs = sum(c.rpcs for c in charges)
         revoked = sum(c.revoked_granules for c in charges)
         self._count(f, client_id, "lock.rpcs", rpcs)
@@ -573,61 +565,6 @@ class SimFileSystem:
                     if cache.path == path and cache.coherent:
                         flushed = cache.flush_and_invalidate_range(ctx, r_lo, r_hi)
                         f.series["lock.revoke.flush_pages"].value += flushed
-
-    def _await_pins(
-        self,
-        ctx: RankContext,
-        f: _File,
-        client_id: Hashable,
-        lo: int,
-        hi: int,
-        path: str,
-    ) -> None:
-        """Block (virtual time) until no conflicting pin covers [lo, hi).
-
-        Three exits per conflicting pin: the holder releases early (we
-        wake at its release time), the pin expires or the liveness
-        lease reclaims it (we wake at that instant and clear it), or a
-        waits-for cycle is found — we are the victim, drop our own pins
-        so the rest of the cycle can progress, and raise a typed,
-        retryable :class:`~repro.errors.LockDeadlock`."""
-        locks = f.locks
-        faults = ctx.shared.get(FAULTS_KEY)
-        liv = ctx.shared.get(LIVENESS_KEY)
-        lease = LOCK_LEASE if liv is not None else math.inf
-        while True:
-            pin = locks.blocking_pin(client_id, lo, hi)
-            if pin is None:
-                locks.clear_wait(client_id)
-                return
-            holder, t_pinned, expires = pin
-            locks.note_wait(client_id, holder)
-            cycle = locks.find_cycle(client_id)
-            if cycle is not None:
-                locks.release_pins(client_id, ctx.now)
-                locks.clear_wait(client_id)
-                if faults is not None:
-                    faults.note_lock_deadlock()
-                raise LockDeadlock(client_id, cycle, path)
-            reclaim_at = min(expires, t_pinned + lease)
-            woke = ctx.block(
-                lambda: (
-                    None
-                    if locks.blocking_pin(client_id, lo, hi) is not None
-                    else locks.last_pin_release
-                ),
-                reason=f"lock-pin wait [{lo}, {hi}) on {path!r}",
-                timeout_at=reclaim_at,
-                on=locks.pins_changed,
-            )
-            if woke is BLOCK_TIMEOUT:
-                ctx.charge_to(reclaim_at)
-                reclaimed = locks.reclaim_pins(lo, hi, ctx.now, lease)
-                if reclaimed and faults is not None:
-                    faults.note_lock_reclaim(reclaimed)
-            else:
-                # Holder unlocked early: our wait ends at its release.
-                ctx.charge_to(float(woke))
 
     def _split_over_osts(
         self, offsets: np.ndarray, lengths: np.ndarray

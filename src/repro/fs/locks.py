@@ -21,17 +21,23 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from repro.errors import FileSystemError
-from repro.sim.engine import Signal
+from repro.errors import FileSystemError, LockDeadlock
+from repro.faults.plan import FAULTS_KEY
+from repro.liveness import LIVENESS_KEY, LOCK_LEASE
+from repro.sim.engine import BLOCK_TIMEOUT, RankContext, Signal
 
 __all__ = ["ClientId", "LockCharge", "ExtentLockManager"]
 
 #: A lock-manager client identity.  Single-session runs use the bare
 #: world rank (an ``int``); multi-tenant runs use a ``(tenant, rank)``
-#: tuple so two tenants' rank 0 never alias in the holder map, the pin
+#: tuple so two tenants' rank 0 never alias in the holder map, the hold
 #: table, or — critically — the waits-for graph used for deadlock
 #: detection.  Any hashable works; equality is identity of the client.
 ClientId = Hashable
+
+#: A hold: (holder, since, until).  Only :class:`ExtentLockManager`
+#: unpacks one.
+Hold = Tuple[ClientId, float, float]
 
 
 @dataclass
@@ -52,26 +58,25 @@ class LockCharge:
 
 
 class ExtentLockManager:
-    """Per-file granule->holder map with transfer accounting.
+    """Per-file granule->holder map with transfer accounting, and the
+    one wait on a range another client holds.
 
-    Revocation is normally instant (a cost, not a wait).  The
-    ``lock_hold`` fault model breaks that: a *pinned* granule's holder
-    has a wedged lock-callback thread and cannot service revocations,
-    so a conflicting acquirer must wait — until the holder recovers
-    (pin expiry), the liveness layer's lease reclaims the lock early,
-    or a waits-for cycle is broken with a typed
-    :class:`~repro.errors.LockDeadlock`.  The waits-for graph and pin
-    table live here; the *waiting* itself (virtual-time blocking) is
-    done by :class:`~repro.fs.filesystem.SimFileSystem`, which owns a
-    rank context."""
+    Revocation is normally instant (a cost, not a wait).  A *hold*
+    breaks that: a held granule cannot be revoked until its holder lets
+    go, so a conflicting acquirer waits in :meth:`await_holds`.  The
+    ``lock_hold`` fault model takes the only holds today — the holder's
+    lock-callback thread is wedged and cannot service revocations.  The
+    hold table, the waits-for graph, the signal a waiter blocks on and
+    the instant of the last drop live here, and nothing outside this
+    class unpacks a hold."""
 
     __slots__ = (
         "granularity",
         "_holder",
-        "_pins",
+        "_holds",
         "_waiting",
-        "last_pin_release",
-        "pins_changed",
+        "_last_drop",
+        "_holds_changed",
     )
 
     def __init__(self, granularity: int) -> None:
@@ -79,17 +84,18 @@ class ExtentLockManager:
             raise FileSystemError(f"lock granularity must be positive, got {granularity}")
         self.granularity = granularity
         self._holder: Dict[int, ClientId] = {}
-        #: granule -> (holder, t_pinned, expires): the holder's callback
-        #: thread is wedged until ``expires`` (fault-injected only).
-        self._pins: Dict[int, Tuple[ClientId, float, float]] = {}
+        #: granule -> (holder, since, until): nobody else may take the
+        #: granule before ``until`` unless the holder lets go first or
+        #: the lease reclaims it.
+        self._holds: Dict[int, Hold] = {}
         #: waiter client -> holder client it is blocked on (waits-for).
         self._waiting: Dict[ClientId, ClientId] = {}
-        #: Virtual time of the most recent voluntary pin release — the
-        #: causal wake time for a waiter whose holder unlocked early.
-        self.last_pin_release = 0.0
-        #: Notified whenever pins are dropped (released or reclaimed):
-        #: what a pin waiter in ``SimFileSystem._await_pins`` blocks on.
-        self.pins_changed = Signal()
+        #: Virtual time of the most recent drop of a hold (release,
+        #: expiry or lease reclaim): the causal wake time of a waiter
+        #: whose blocking hold someone else dropped.
+        self._last_drop = 0.0
+        #: Notified on every drop: what :meth:`await_holds` blocks on.
+        self._holds_changed = Signal()
 
     def _granules(self, lo: int, hi: int) -> range:
         if lo < 0 or hi < lo:
@@ -143,98 +149,117 @@ class ExtentLockManager:
     def release_all(self, client: ClientId, now: float = 0.0) -> int:
         """Drop every granule held by ``client``; returns the count.
 
-        Also drops the client's pins (a closing client's callback
+        Also drops the client's holds (a closing client's callback
         thread is gone with it) and its waits-for edge."""
         mine = [g for g, c in self._holder.items() if c == client]
         for g in mine:
             del self._holder[g]
-        self.release_pins(client, now)
+        self.release_holds(client, now)
         self._waiting.pop(client, None)
         return len(mine)
 
-    # -- pins (the lock_hold fault model) -------------------------------
-    @property
-    def pinned(self) -> bool:
-        """Cheap fast-path guard: any pin outstanding at all?"""
-        return bool(self._pins)
-
-    def pin_range(
-        self, client: ClientId, lo: int, hi: int, now: float, expires: float
-    ) -> int:
-        """Pin every [lo, hi) granule ``client`` holds until ``expires``.
+    # -- holds ------------------------------------------------------------
+    def hold(self, client: ClientId, lo: int, hi: int, since: float, until: float) -> int:
+        """Hold every [lo, hi) granule ``client`` holds until ``until``.
 
         Models the holder's lock-callback thread wedging *after* the
         grant: the holder keeps computing (and may itself wait on other
-        pins — that is what makes genuine deadlock cycles possible),
-        but nobody can revoke these granules until the pin clears.
-        Returns the number of granules pinned."""
+        holds — that is what makes genuine deadlock cycles possible),
+        but nobody can revoke these granules until the hold clears.
+        Returns the number of granules held."""
         n = 0
         for g in self._granules(lo, hi):
             if self._holder.get(g) == client:
-                self._pins[g] = (client, now, expires)
+                self._holds[g] = (client, since, until)
                 n += 1
         return n
 
-    def release_pins(self, client: ClientId, now: float = 0.0) -> int:
-        """Drop every pin held by ``client``; returns the count."""
-        mine = [g for g, pin in self._pins.items() if pin[0] == client]
+    def release_holds(self, client: ClientId, now: float = 0.0) -> int:
+        """Drop every hold of ``client`` at ``now``; returns the count."""
+        mine = [g for g, hold in self._holds.items() if hold[0] == client]
         for g in mine:
-            del self._pins[g]
+            del self._holds[g]
         if mine:
-            self.last_pin_release = max(self.last_pin_release, now)
-            self.pins_changed.notify()
+            self._dropped(now)
         return len(mine)
 
-    def blocking_pin(
-        self, client: ClientId, lo: int, hi: int
-    ) -> Optional[Tuple[ClientId, float, float]]:
-        """The first pin in [lo, hi) held by *another* client, or None.
+    def _dropped(self, now: float) -> None:
+        self._last_drop = max(self._last_drop, now)
+        self._holds_changed.notify()
 
-        A client's own pins never block it — the wedged thread only
-        fails to service revocations from others."""
+    def _blocking(self, client: ClientId, lo: int, hi: int) -> Optional[Hold]:
+        """The first hold in [lo, hi) of *another* client, or None: a
+        client's own holds never block it."""
         for g in self._granules(lo, hi):
-            pin = self._pins.get(g)
-            if pin is not None and pin[0] != client:
-                return pin
+            hold = self._holds.get(g)
+            if hold is not None and hold[0] != client:
+                return hold
         return None
 
-    def reclaim_pins(self, lo: int, hi: int, now: float, lease: float = math.inf) -> int:
-        """Clear expired pins in [lo, hi); returns lease *reclaims*.
+    def await_holds(self, ctx: RankContext, client: ClientId, lo: int, hi: int, path: str) -> None:
+        """Block ``ctx`` (virtual time) until no other client's hold
+        covers [lo, hi); returns at once when nothing is held.
 
-        A pin is cleared once ``now`` reaches its natural expiry (the
-        holder's callback thread recovered) or ``t_pinned + lease``
-        (the lock server's lease ran out and it revoked unilaterally).
-        Only the latter counts toward the returned reclaim count."""
-        reclaimed = 0
-        before = len(self._pins)
-        for g in list(self._granules(lo, hi)):
-            pin = self._pins.get(g)
-            if pin is None:
+        Three exits per blocking hold: the holder releases it (we wake
+        at the release instant); it expires, or — with liveness
+        installed — the lock server's lease reclaims it, at
+        ``min(until, since + LOCK_LEASE)`` (we wake then and clear it);
+        or we close a waits-for cycle — we are the victim, drop our own
+        holds so the rest of the cycle can progress, and raise a typed,
+        retryable :class:`~repro.errors.LockDeadlock`."""
+        if not self._holds:
+            return
+        lease = LOCK_LEASE if ctx.shared.get(LIVENESS_KEY) is not None else math.inf
+        while True:
+            hold = self._blocking(client, lo, hi)
+            if hold is None:
+                self._waiting.pop(client, None)
+                return
+            holder, since, until = hold
+            self._waiting[client] = holder
+            cycle = self._cycle(client)
+            if cycle is not None:
+                self.release_holds(client, ctx.now)
+                self._waiting.pop(client, None)
+                faults = ctx.shared.get(FAULTS_KEY)
+                if faults is not None:
+                    faults.note_lock_deadlock()
+                raise LockDeadlock(client, cycle, path)
+            reclaim_at = min(until, since + lease)
+            woke = ctx.block(
+                lambda: None if self._blocking(client, lo, hi) is not None else self._last_drop,
+                reason=f"lock-pin wait [{lo}, {hi}) on {path!r}",
+                timeout_at=reclaim_at,
+                on=self._holds_changed,
+            )
+            if woke is not BLOCK_TIMEOUT:
+                # Someone dropped the hold: our wait ends at that drop.
+                ctx.charge_to(woke)
                 continue
-            holder, t_pinned, expires = pin
-            if now >= expires:
-                del self._pins[g]
-            elif now >= t_pinned + lease:
-                del self._pins[g]
-                reclaimed += 1
-        if len(self._pins) != before:
-            self.pins_changed.notify()
-        return reclaimed
+            ctx.charge_to(reclaim_at)
+            # Clear what has run out in [lo, hi): a hold past ``until``
+            # (the holder's callback thread recovered), or past
+            # ``since + lease`` (the server revoked unilaterally); only
+            # the latter is a reclaim.
+            now, dropped, reclaimed = ctx.now, 0, 0
+            for g in self._granules(lo, hi):
+                hold = self._holds.get(g)
+                if hold is not None and (now >= hold[2] or now >= hold[1] + lease):
+                    del self._holds[g]
+                    dropped += 1
+                    reclaimed += now < hold[2]
+            if dropped:
+                self._dropped(now)
+            faults = ctx.shared.get(FAULTS_KEY)
+            if reclaimed and faults is not None:
+                faults.note_lock_reclaim(reclaimed)
 
-    # -- waits-for graph (deadlock detection) ---------------------------
-    def note_wait(self, waiter: ClientId, holder: ClientId) -> None:
-        """Record that ``waiter`` is blocked on a pin held by ``holder``."""
-        self._waiting[waiter] = holder
-
-    def clear_wait(self, waiter: ClientId) -> None:
-        self._waiting.pop(waiter, None)
-
-    def find_cycle(self, start: ClientId) -> Optional[Tuple[ClientId, ...]]:
+    def _cycle(self, start: ClientId) -> Optional[Tuple[ClientId, ...]]:
         """The waits-for cycle through ``start``, or None.
 
         Walks the single outgoing edge per waiter; a client blocked on
-        a pin whose holder is (transitively) blocked on one of *its*
-        pins can never make progress without intervention."""
+        a hold whose holder is (transitively) blocked on one of *its*
+        holds can never make progress without intervention."""
         path = [start]
         seen = {start}
         cur = start

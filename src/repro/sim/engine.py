@@ -30,8 +30,8 @@ holder's release time) independent of how many other procs exist.  The
 in-tree signals: one per (communicator, destination) notified when a
 message is enqueued (``mpi/comm.py``), one per :class:`TaskHandle`
 notified when the coroutine finishes (``join``, ``Request.wait``,
-``waitany``), one per lock manager notified when pins are released or
-reclaimed (``fs/locks.py``).
+``waitany``), one per lock manager notified when a hold is released,
+expires or is reclaimed (``fs/locks.py``).
 
 A scheduling decision costs O(log n): ready procs sit in a heap keyed
 ``(clock, rank)``; timed blocks sit in a second heap keyed

@@ -135,7 +135,7 @@ SETS = (
     PinSet(
         "BENCH.json",
         load=lambda: json.loads(run.BENCH_JSON.read_text()),
-        capture=lambda: _json({name: run.run_experiment(exp) for name, exp in EXPERIMENTS.items()}),
+        capture=lambda: {name: rows for name, rows, _ in run.run_all(list(EXPERIMENTS))},
         flat=_each(run.flat),
         write=lambda doc: run.BENCH_JSON.write_text(run.dump(doc)),
         review=_bench_review,

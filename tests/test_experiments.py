@@ -75,3 +75,12 @@ def test_check_reports_an_edited_value_and_exits_1(tmp_path, capsys):
     assert "ablation_cb_size[cb_kb=64].counts.coll.rounds[0]: 7 -> 6\n" in out
     assert out.count(" -> ") == 1
     assert json.loads(edited.read_text()) == doc  # --check never writes
+
+
+def test_worker_pool_returns_the_stored_rows_in_table_order():
+    """The pooled path of ``run.py --check``: two experiments in two
+    spawned workers come back as ``BENCH.json`` stores them, in the
+    order asked."""
+    names = ["hpio_matrix", "ablation_balanced_realms"]
+    got = [(name, rows) for name, rows, _ in run.run_all(names, workers=2)]
+    assert got == [(name, BENCH[name]) for name in names]

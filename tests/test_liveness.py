@@ -386,6 +386,32 @@ class TestLockLiveness:
         assert injector.registry.value("faults.lock.lease_reclaims") == 0
         assert 1e-2 <= times[1] < 2e-2
 
+    def test_waiter_freed_by_another_waiters_reclaim_wakes_at_expiry(self):
+        # Two waiters on one hold: rank 1's timeout clears the expired
+        # hold, which frees rank 2 too.  Rank 2 must wake at that
+        # instant, not at the clock it blocked at.
+        fs = SimFileSystem(COST)
+        fs.ensure_file(self.PATH)
+        until = []
+
+        def main(ctx):
+            if ctx.rank == 0:
+                self._write(fs, ctx, 0, 0, 1)
+                until.append(ctx.now + 5e-2)
+                fs._file(self.PATH).locks.hold(0, 0, 128, ctx.now, until[0])
+                ctx.advance(1.0)
+            elif ctx.rank == 1:
+                ctx.advance(1e-3)
+                fs.server_write(ctx, 1, self.PATH, [0], [128], np.full(128, 2, dtype=np.uint8))
+            else:
+                ctx.advance(1e-3)
+                fs.acquire_extents(ctx, 2, self.PATH, [0], [64])
+            return ctx.now
+
+        times = Simulator(3).run(main)
+        assert times[1] >= until[0]
+        assert times[2] >= until[0]
+
     def test_deadlock_cycle_broken_and_retried(self):
         # Classic AB-BA: each rank pins one granule then wants the
         # other's.  The second waiter finds the waits-for cycle, raises

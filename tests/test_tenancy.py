@@ -22,11 +22,12 @@ import pytest
 
 from repro import BYTE, Cluster, Session, contiguous, resized
 from repro.config import CostModel
-from repro.errors import FileSystemError, RankFailed, SimulationError, error_chain
+from repro.errors import FileSystemError, LockDeadlock, RankFailed, SimulationError, error_chain
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.fs.locks import ExtentLockManager
 from repro.fs.schedule import FairShareScheduler, FIFOScheduler, make_scheduler
 from repro.obs.metrics import MetricsRegistry, PrefixRegistry
+from repro.sim import Simulator
 from repro.tenancy import make_traffic
 
 
@@ -159,25 +160,47 @@ class TestTenantLockIds:
         assert locks.holder_of(0) == b0
 
     def test_waits_for_cycle_with_composite_ids(self):
+        # AB-BA between two tenants' rank 0: each holds one granule and
+        # waits for the other's.  The second waiter closes the cycle.
         locks = ExtentLockManager(64)
         a0, b0 = ("A", 0), ("B", 0)
-        locks.note_wait(a0, b0)
-        locks.note_wait(b0, a0)
-        assert locks.find_cycle(a0) == (a0, b0)
-        locks.clear_wait(a0)
-        assert locks.find_cycle(a0) is None
+
+        def main(ctx):
+            me, mine = (a0, 0) if ctx.rank == 0 else (b0, 64)
+            locks.acquire(me, mine, mine + 64)
+            assert locks.hold(me, mine, mine + 64, ctx.now, 1.0) == 1
+            ctx.advance(1e-3)
+            try:
+                locks.await_holds(ctx, me, 64 - mine, 128 - mine, "/f")
+            except LockDeadlock as exc:
+                return exc.cycle
+            return None
+
+        first, second = Simulator(2).run(main)
+        # The victim dropped its hold, so the other waiter got through.
+        assert first is None
+        assert sorted(second) == [a0, b0]
 
     def test_pins_keyed_by_composite(self):
         locks = ExtentLockManager(64)
         a0, b0 = ("A", 0), ("B", 0)
-        locks.acquire(a0, 0, 128)
-        assert locks.pin_range(a0, 0, 128, now=0.0, expires=1.0) == 2
-        # The same local rank in another tenant is another client: its
-        # accesses are blocked by A's pin, its own pins pin nothing.
-        assert locks.blocking_pin(b0, 0, 64) == (a0, 0.0, 1.0)
-        assert locks.pin_range(b0, 0, 128, now=0.0, expires=1.0) == 0
-        assert locks.release_all(a0) == 2
-        assert locks.blocking_pin(b0, 0, 64) is None
+
+        def main(ctx):
+            if ctx.rank == 0:
+                locks.acquire(a0, 0, 128)
+                assert locks.hold(a0, 0, 128, ctx.now, 1.0) == 2
+                # The same local rank in another tenant is another
+                # client: its own holds hold nothing of A's ...
+                assert locks.hold(b0, 0, 128, ctx.now, 1.0) == 0
+                locks.await_holds(ctx, a0, 0, 64, "/f")  # ... A's never block A
+                ctx.advance(0.25)
+                assert locks.release_all(a0, ctx.now) == 2
+            else:
+                ctx.advance(1e-3)
+                locks.await_holds(ctx, b0, 0, 64, "/f")  # blocked by A's holds
+            return ctx.now
+
+        assert Simulator(2).run(main) == [0.25, 0.25]
 
 
 # -- fault plan composite actors ------------------------------------------
