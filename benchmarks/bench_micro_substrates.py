@@ -109,12 +109,36 @@ def _routed_leg(name: str) -> SegmentBatch:
         funnel.add(0, "rank 4", flat, 0, flat.size * 96)
         window = Window(np.array([0]), np.array([flat.extent * 96]))
         return funnel.route(window.intervals, window.to_buffer)[1][0]
+    fan, windows = _client_round(name)
+    return fan.route(windows)[1][2]
+
+
+def _client_round(name: str):
+    """A spine client's router and one round's windows: a ``fig4_*``
+    client's 4 096 x 64 B regions over 16 aggregators, a ``ranks_many``
+    client's 128 x 8 B over 4, memory every ``region + 128`` bytes."""
     region, count, nprocs, targets = (64, 4096, 16, 16) if name == "fig4" else (8, 128, 64, 4)
     slot = region + 128
     view = resized(contiguous(region, BYTE), 0, slot * nprocs).flatten()
     fan = FanCursor(FlatCursor(view, 0, region * count), targets, hvector(count, region, slot, BYTE).flatten())
     step = view.extent * count // targets
-    return fan.route([[(t * step, (t + 1) * step)] for t in range(targets)])[1][2]
+    return fan, [[(t * step, (t + 1) * step)] for t in range(targets)]
+
+
+@pytest.mark.parametrize("name", ["fig4", "ranks_many"], ids=["route:fig4", "route:ranks_many"])
+def test_route(benchmark, name):
+    """One client round through ``FanCursor.route`` (rewound first):
+    every aggregator's leg, each carrying its period, the ``leg:`` rows'
+    legs among them."""
+    fan, windows = _client_round(name)
+
+    def route():
+        fan.reset()
+        return fan.route(windows)
+
+    legs = [got[2] for got in benchmark(route)]
+    assert all(leg.period is not None and leg.period[0] == 1 for leg in legs)
+    assert sum(leg.total_bytes for leg in legs) == fan.cursor.total_bytes
 
 
 def _copy_batch(shape: str) -> SegmentBatch:

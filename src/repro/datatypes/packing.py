@@ -15,7 +15,11 @@ MPI-IO*).  Their decision ladder looks only at the batch in hand:
 0. **given period** — a leg a router built carries its period
    (:class:`~repro.datatypes.segments.SegmentBatch`): D strided blocks
    between the ends (one slice when D = 0) are built from D + 2 of its
-   segments, whatever its size, with no order test and no detection;
+   segments — its ``ends`` when the router built it from them, so its
+   arrays are never made — whatever its size, with no order test and no
+   detection.  At D = 1 a first and a last segment of the body's length,
+   one stride before and after it, fold into the body: one block of all
+   the segments (every spine leg moves as one 2-D copy);
 1. **validate** both sides once, before anything is written: every
    non-empty segment lies inside its buffer (per block on rungs 0 and 2,
    per segment otherwise).  A *precondition* of the strided rungs, whose
@@ -25,8 +29,9 @@ MPI-IO*).  Their decision ladder looks only at the batch in hand:
    ``hpio.verify``, coalesced ``two_layer`` frames): behind a first and
    a last segment of any length (realm edges cut regions), lengths and
    both sides' starts repeat with period D at constant tile strides:
-   D strided 2-D block copies (D = 1 is the plain vector, D > 1 a tiled
-   D-pair filetype).  Detected only on batches big enough that rung 3
+   D strided 2-D block copies (D = 1 is the plain vector, folding whole
+   ends as rung 0 does; D > 1 a tiled D-pair filetype).  Detected only on
+   batches big enough that rung 3
    would cost more than the test (the size gates);
 3. **irregular** — many tiny segments through one flat index array
    (:func:`expand_indices`; a side whose segments lie back to back is a
@@ -159,8 +164,14 @@ def _blocks(D: int, heads: list, last: tuple, m: int, d_stride: int, s_stride: i
     ``D`` behind the first and the last: ``heads`` holds segments ``0 ..
     D`` and ``last`` the last one, each ``(dst_start, src_start,
     length)``.  The two ends are one-row blocks around D strided ones;
-    empty segments move nothing."""
+    empty segments move nothing.  When ``D == 1`` and both ends are
+    whole and in phase — the body's length, one stride before and one
+    after it on both sides — all ``m + 2`` move as one block."""
     first = heads[0]
+    if D == 1:
+        d, s, ln = heads[1]
+        if ln > 0 and first == (d - d_stride, s - s_stride, ln) and last == (d + m * d_stride, s + m * s_stride, ln):
+            return [(*first, m + 2, d_stride, s_stride)]
     return (
         ([(*first, 1, d_stride, s_stride)] if first[2] > 0 else [])
         + [(d, s, ln, (m - i) // D + 1, d_stride, s_stride) for i, (d, s, ln) in enumerate(heads[1:], 1) if ln > 0]
@@ -208,20 +219,24 @@ def _period(dst_starts: np.ndarray, src_starts: np.ndarray, lengths: np.ndarray)
 def _leg_blocks(batch: SegmentBatch, gather: bool) -> list:
     """The block copies of a routed leg, built from its ``period`` (see
     :class:`~repro.datatypes.segments.SegmentBatch`) and ``D + 2`` of its
-    segments, between its file side and its packed stream — the stream
-    the destination when ``gather``."""
+    segments — its ``ends`` when it was built from them — between its
+    file side and its packed stream, the stream the destination when
+    ``gather``."""
     D, stride, packed, nbytes = batch.period
+    if batch.ends is None:
+        fo, ln = batch.file_offsets, batch.lengths
+        count, starts, lens = ln.size, fo[: D + 1].tolist(), ln[: D + 1].tolist()
+        starts.append(int(fo[-1]))
+        lens.append(int(ln[-1]))
+    else:
+        count, starts, lens, _ = batch.ends
     if D == 0:  # one slice
-        start = int(batch.file_offsets[0])
-        return [(0, start, nbytes, 1, 0, 0) if gather else (start, 0, nbytes, 1, 0, 0)]
-    starts = batch.file_offsets[: D + 1].tolist()
-    lens = batch.lengths[: D + 1].tolist()
-    pos = list(accumulate(lens[:D], initial=0))  # in the packed stream
-    m = batch.lengths.size - 2
-    start, ln = int(batch.file_offsets[-1]), int(batch.lengths[-1])
+        return [(0, starts[0], nbytes, 1, 0, 0) if gather else (starts[0], 0, nbytes, 1, 0, 0)]
+    start, ln = starts[-1], lens[-1]
+    pos = list(accumulate(lens[:D], initial=0))  # segments 0 .. D in the packed stream
     if gather:
-        return _blocks(D, list(zip(pos, starts, lens)), (nbytes - ln, start, ln), m, packed, stride)
-    return _blocks(D, list(zip(starts, pos, lens)), (start, nbytes - ln, ln), m, stride, packed)
+        return _blocks(D, list(zip(pos, starts, lens)), (nbytes - ln, start, ln), count - 2, packed, stride)
+    return _blocks(D, list(zip(starts, pos, lens)), (start, nbytes - ln, ln), count - 2, stride, packed)
 
 
 def stream_order(batch: SegmentBatch) -> tuple[np.ndarray | slice, np.ndarray, np.ndarray]:

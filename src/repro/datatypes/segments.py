@@ -24,8 +24,9 @@ arrays) are exact and independent of the counting mode.
 :class:`FanCursor` is the client side of a round in one pass: the same
 access scanned against every aggregator's window, with one scan
 position per aggregator, so the counts are the per-aggregator walk's
-while the host materialises, clips and maps every window's segments
-with one set of array operations.
+while the host builds every leg that has a period from the two ends of
+its scan range, and materialises, clips and maps the others' segments,
+each with one set of array operations.
 
 :class:`FunnelCursor` is its dual, the aggregator side: every client's
 access scanned against one window.  Clients shipping the same
@@ -33,12 +34,14 @@ description share one cursor tiled from 0 (a member's window is the
 aggregator's shifted by its own ``disp``), each keeps its own scan
 position, and one materialise and one clip cover every client's
 segments.  Both sides clip through :func:`_materialise` and split by
-target through :func:`_split`.
+target through :func:`_split`, which also gives a leg built from its
+ends its period.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,6 +60,8 @@ __all__ = [
 ]
 
 _EMPTY = np.empty(0, dtype=np.int64)
+#: A range's first and last pair (``g_hi`` is one past it), as columns.
+_FIRST_LAST = np.array([0, 1], dtype=np.int64)
 #: Fewest tiles of a period worth a strided view per pair: a leg the
 #: routers build carries its period only past this many, and the copy
 #: kernel's detection asks the same of a batch nobody built.
@@ -101,6 +106,16 @@ class SegmentBatch:
     later in the packed stream, over at least ``_MIN_TILES`` periods.
     Nothing derived from a batch inherits it, and it takes no part in
     equality.
+
+    A leg :class:`FanCursor` builds from the two ends of its scan range
+    also holds ``ends = (segments, starts, lengths, build)``: its
+    segment count, the starts and lengths of segments ``0 .. D`` and of
+    the last one, and a callable returning its three arrays.  Those
+    arrays do not exist until something reads one; ``build`` then makes
+    them, element for element the arrays of a leg routed with them.
+    ``num_segments``, ``empty``, ``total_bytes`` and ``period`` answer
+    from the ends, and the copy kernel moves the leg from them
+    (:func:`~repro.datatypes.packing.gather_segments`).
     """
 
     file_offsets: np.ndarray
@@ -109,6 +124,16 @@ class SegmentBatch:
     pairs_evaluated: int = 0
     tiles_skipped: int = 0
     period: Optional[Tuple[int, int, int, int]] = field(default=None, compare=False, repr=False)
+    #: Set on a leg built from its ends (not a field: no arrays yet).
+    ends = None
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the instance lacks: the arrays of
+        # a leg built from its ends, on their first read.
+        if self.ends is None or name not in ("file_offsets", "lengths", "data_offsets"):
+            raise AttributeError(name)
+        self.file_offsets, self.lengths, self.data_offsets = self.ends[3]()
+        return self.__dict__[name]
 
     @property
     def total_bytes(self) -> int:
@@ -118,10 +143,14 @@ class SegmentBatch:
 
     @property
     def num_segments(self) -> int:
+        if self.ends is not None:
+            return self.ends[0]
         return int(self.lengths.size)
 
     @property
     def empty(self) -> bool:
+        if self.ends is not None:
+            return self.ends[0] == 0
         return self.lengths.size == 0
 
     @staticmethod
@@ -205,11 +234,9 @@ def _tiled_pairs(
     ``disp``, pair ``g`` being pair ``g % D`` of tile ``g // D``: fresh,
     unclipped (file_start, length, data_off) arrays."""
     if flat.num_segments == 1:
-        return (
-            g * flat.extent + (disp + int(flat.offsets[0])),
-            np.full(g.size, flat.lengths[0], dtype=np.int64),
-            g * flat.size,
-        )
+        lengths = np.empty(g.shape, dtype=np.int64)
+        lengths.fill(flat.size)  # (np.full: twice the cost on a round's few pairs)
+        return g * flat.extent + (disp + int(flat.offsets[0])), lengths, g * flat.size
     t, k = np.divmod(g, flat.num_segments)
     return (
         t * flat.extent + flat.offsets[k] + disp,
@@ -261,7 +288,7 @@ def _materialise(
     ``disp``, ``total_bytes``, ``data_lo`` and ``kind`` (a type of
     ``pairs``) are one value for every target, or arrays indexed by
     target id."""
-    g_lo, g_hi, lo, hi, tid = np.array(ranges, dtype=np.int64).T
+    g_lo, g_hi, lo, hi, tid = np.asarray(ranges, dtype=np.int64).T
     n = g_hi - g_lo
     tid = np.repeat(tid, n)
     g = expand_indices(g_lo, n)
@@ -299,6 +326,18 @@ def _leg_tiling(flat: FlatType, one_tile: bool) -> Tuple[int, int, int]:
     return (D, flat.extent, flat.size)
 
 
+@lru_cache(maxsize=16)
+def _leg_heads(D: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Which of :meth:`FanCursor._ends`' two columns (the memory pairs of
+    a leg's first and last byte), plus what, give the leg's pairs
+    ``0 .. D`` and its last: read-only, shared by every router."""
+    cols = np.array([0] * (D + 1) + [1], dtype=np.intp)
+    offs = np.array([*range(D + 1), 0], dtype=np.int64)
+    cols.setflags(write=False)
+    offs.setflags(write=False)
+    return cols, offs
+
+
 def _whole(
     ranges: Sequence[Tuple[int, int, int, int, int]],
     tid: np.ndarray,
@@ -323,27 +362,42 @@ def _whole(
 
 
 def _split(
-    tid: np.ndarray, file_offsets, lengths, data_offsets, tilings: Dict[int, Tuple[int, int, int]]
+    tid: np.ndarray,
+    file_offsets,
+    lengths,
+    data_offsets,
+    tilings: Dict[int, Tuple[int, int, int]],
+    ends: Sequence[Tuple[int, Tuple[int, int, int, int], tuple]] = (),
 ) -> Dict[int, SegmentBatch]:
-    """One batch per run of equal target ids (``tid`` non-empty, each
-    target's segments consecutive): target -> its segments.
+    """One batch per run of equal target ids (each target's segments
+    consecutive): target -> its segments.
 
     ``tilings[t] = (D, stride, packed_stride)`` is what target ``t``'s
     segments repeat by (``D == 0``: one slice); its batch carries that
     as its ``period``, with its byte total, when it spans enough
-    periods to pay (see :class:`SegmentBatch`)."""
-    cuts = (np.flatnonzero(tid[1:] != tid[:-1]) + 1).tolist()
-    starts, stops = [0, *cuts], [*cuts, int(tid.size)]
-    out = {
-        t: SegmentBatch(file_offsets[a:b], lengths[a:b], data_offsets[a:b])
-        for t, a, b in zip(tid[starts].tolist(), starts, stops)
-    }
-    if tilings:
-        for t, nbytes in zip(out, np.add.reduceat(lengths, starts).tolist()):
-            if t in tilings:
-                D = tilings[t][0]
-                if D == 0 or out[t].lengths.size - 2 >= _MIN_TILES * D:
-                    out[t].period = (*tilings[t], nbytes)
+    periods to pay (see :class:`SegmentBatch`).
+
+    ``ends`` holds ``(t, period, record)`` per leg known by its two ends
+    (:meth:`FanCursor.route`): target ``t`` gets a batch carrying that
+    period with ``record`` as its ``ends``, and no arrays until one is
+    read.  No other function sets a period."""
+    out: Dict[int, SegmentBatch] = {}
+    if tid.size:
+        cuts = (np.flatnonzero(tid[1:] != tid[:-1]) + 1).tolist()
+        starts, stops = [0, *cuts], [*cuts, int(tid.size)]
+        out = {
+            t: SegmentBatch(file_offsets[a:b], lengths[a:b], data_offsets[a:b])
+            for t, a, b in zip(tid[starts].tolist(), starts, stops)
+        }
+        if tilings:
+            for t, nbytes in zip(out, np.add.reduceat(lengths, starts).tolist()):
+                if t in tilings:
+                    D = tilings[t][0]
+                    if D == 0 or out[t].lengths.size - 2 >= _MIN_TILES * D:
+                        out[t].period = (*tilings[t], nbytes)
+    for t, period, record in ends:
+        out[t] = leg = object.__new__(SegmentBatch)  # its arrays come on first read
+        leg.period, leg.ends = period, record
     return out
 
 
@@ -572,16 +626,19 @@ class FanCursor:
     every target keeps its own scan position and :meth:`FlatCursor.scan`
     counts every window interval, so pairs evaluated, tiles skipped and
     positions evolve exactly as with one :class:`FlatCursor` per target.
-    What the host runs is one pass: the segments of every window are
-    materialised, clipped, mapped to memory and split by target with one
-    set of array operations (:meth:`route`).
+    What the host runs is one pass (:meth:`route`): a leg that carries a
+    period is built from the two ends of its scan range, every target's
+    at once (:meth:`_ends`), and makes its arrays only when something
+    reads them; the segments of every other leg are materialised,
+    clipped, mapped to memory and split by target with one set of array
+    operations.
 
     ``cursor`` carries the access (its own position is not used);
     ``memflat``, tiled from address 0, is the memory side, data byte
     ``cursor.data_lo`` at address 0.
     """
 
-    __slots__ = ("cursor", "memflat", "positions", "_start", "_pairs", "_tilings")
+    __slots__ = ("cursor", "memflat", "positions", "_start", "_pairs", "_tiling")
 
     def __init__(self, cursor: FlatCursor, targets: int, memflat: FlatType) -> None:
         cursor.reset()
@@ -590,15 +647,14 @@ class FanCursor:
         self._pairs = _Pairs([cursor.flat])
         self._start = cursor.position
         self.positions: List[int] = [self._start] * targets
-        # What a leg of one data run repeats by, per target: ``memflat``
-        # tiled over it, or one slice.  None for a memory type a leg may
-        # not be scattered into block by block (not monotonic).
-        tiling = None
+        # What a leg of one data run repeats by: ``memflat`` tiled over
+        # it, or one slice.  None for a memory type a leg may not be
+        # scattered into block by block (not monotonic).
+        self._tiling = None
         if memflat.is_contiguous:
-            tiling = (0, 0, 0)
+            self._tiling = (0, 0, 0)
         elif memflat.is_monotonic:
-            tiling = _leg_tiling(memflat, cursor.total_bytes - cursor.data_lo <= memflat.size)
-        self._tilings = [tiling] * targets
+            self._tiling = _leg_tiling(memflat, cursor.total_bytes - cursor.data_lo <= memflat.size)
 
     def reset(self) -> None:
         """Rewind every target's scan."""
@@ -613,20 +669,121 @@ class FanCursor:
         tiles_skipped, batch)``: the memory segments carrying the
         window's data (``None`` when there is none), their
         ``data_offsets`` the ascending stream positions from
-        ``data_lo``.  A batch whose window met the access in one
-        interval is one run of the data stream, so it carries the period
-        of ``memflat`` tiled over it (see :class:`SegmentBatch`)."""
+        ``data_lo``.  A batch whose window met the access in one scan
+        range with no pair dropped is one run of the data stream, so it
+        carries the period of ``memflat`` tiled over it when that spans
+        enough periods (see :class:`SegmentBatch`); it is built from
+        its ends."""
         cur = self.cursor
         counts, ranges = cur.scan(windows, self.positions)
         batches: Dict[int, SegmentBatch] = {}
         if ranges:
-            # Every range's pairs at once, clipped, mapped to memory (runs
-            # never merge across targets) and split by target.
-            _, ln, do, tid = _materialise(self._pairs, ranges, cur.disp, cur.total_bytes, cur.data_lo)
-            if tid.size:
-                mfs, mln, mdo, src = map_stream(self.memflat, do - cur.data_lo, ln, tid[1:] != tid[:-1])
-                batches = _split(tid[src], mfs, mln, mdo, _whole(ranges, tid, self._tilings))
+            rows = np.array(ranges, dtype=np.int64)
+            ends: list = []
+            if self._tiling is not None:
+                ends, rows = self._ends(ranges, rows)
+            tid = fo = ln = do = _EMPTY
+            if rows.size:
+                # The other ranges' pairs at once, clipped, mapped to memory
+                # (runs never merge across targets) and split by target.
+                _, ln, do, tid = _materialise(self._pairs, rows, cur.disp, cur.total_bytes, cur.data_lo)
+                if tid.size:
+                    fo, ln, do, src = map_stream(self.memflat, do - cur.data_lo, ln, tid[1:] != tid[:-1])
+                    tid = tid[src]
+            batches = _split(tid, fo, ln, do, {}, ends)
         return [c if c is None else (*c, batches.get(i)) for i, c in enumerate(counts)]
+
+    def _ends(self, ranges: list, rows: np.ndarray) -> Tuple[list, np.ndarray]:
+        """The legs of this round's scan ``ranges`` (``rows``: the same
+        as an array) that carry a period, each known by its two ends:
+        ``(t, period, ends)`` per leg (see :class:`SegmentBatch`), and
+        the rows of every other target.
+
+        A target scanned in one range whose first and last pairs keep
+        bytes once clipped (a pair can only drop at the data window's
+        edges) carries one run [d0, d1) of the data stream, as
+        :func:`_whole` asks.  Its leg is ``memflat`` tiled over that run
+        (the range's pieces, one slice, when ``memflat`` is contiguous),
+        which has a period over at least ``_MIN_TILES`` of them.  One set
+        of array operations over the targets clips the first and last
+        pairs as :func:`_clip` would, maps d0 and d1 through the tiling,
+        and gives each leg's segment count, segments ``0 .. D`` and its
+        last one."""
+        cur, memflat = self.cursor, self.memflat
+        D, stride, packed = self._tiling
+        k = rows.shape[0]
+        lo, hi, tid = rows[:, 2:3], rows[:, 3:4], rows[:, 4]
+        # Every range's first and last pair as columns, clipped as _clip
+        # clips them (file byte x of a pair is data byte x - shift): data
+        # bytes [start, end), kept when non-empty.
+        f, ln, start = _tiled_pairs(cur.flat, cur.disp, rows[:, :2] - _FIRST_LAST)
+        shift = f - start
+        end = start + ln
+        np.maximum(start, lo - shift, out=start)
+        if cur.data_lo:
+            np.maximum(start, cur.data_lo, out=start)
+        np.minimum(end, hi - shift, out=end)
+        np.minimum(end, cur.total_bytes, out=end)
+        kept = end > start
+        whole = kept[:, 0] & kept[:, 1]
+        same = tid[1:] == tid[:-1]
+        if same.any():  # targets scanned in several ranges
+            whole[1:] &= ~same
+            whole[:-1] &= ~same
+        # The run [d0, d1), in the memory type's stream.
+        run = start - cur.data_lo
+        run[:, 1] = end[:, 1] - cur.data_lo
+        if D == 0:
+            n = rows[:, 1] - rows[:, 0]
+            starts, lens = start - cur.data_lo, end - start
+        else:
+            # The memory pairs holding bytes d0 and d1 - 1, and the leg's
+            # pairs 0 .. D and its last, the ends clipped to the run.
+            q = run - _FIRST_LAST
+            if D == 1:  # pair p: ``packed`` bytes, ``stride`` after pair p - 1
+                p = q // packed
+            else:
+                t, r = np.divmod(q, memflat.size)
+                p = t * D + memflat.data_prefix.searchsorted(r, side="right") - 1
+            n = p[:, 1] - p[:, 0] + 1
+            whole &= n >= _MIN_TILES * D + 2
+            cols, offs = _leg_heads(D)
+            g = p[:, cols] + offs
+            if D == 1:  # as _tiled_pairs tiles one pair
+                lens = np.empty(g.shape, dtype=np.int64)
+                lens.fill(packed)
+                starts, data = g * stride + int(memflat.offsets[0]), g * packed
+            else:
+                starts, lens, data = _tiled_pairs(memflat, 0, g)
+            front = run[:, 0] - data[:, 0]
+            starts[:, 0] += front
+            lens[:, 0] -= front
+            lens[:, -1] = run[:, 1] - data[:, -1]
+        rest = rows[:0]
+        if not whole.all():
+            pick = whole.nonzero()[0]
+            if pick.size == 0:
+                return [], rows
+            n, run, starts, lens = n[pick], run[pick], starts[pick], lens[pick]
+            ranges = [ranges[i] for i in pick.tolist()]
+            rest = rows[~whole]
+        build = self._segments
+        legs = [
+            (row[4], (D, stride, packed, nbytes), (count, st, ls, partial(build, row)))
+            for row, count, nbytes, st, ls in zip(
+                ranges, n.tolist(), (run[:, 1] - run[:, 0]).tolist(), starts.tolist(), lens.tolist()
+            )
+        ]
+        return legs, rest
+
+    def _segments(self, row: Tuple[int, int, int, int, int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The arrays of the leg routed from scan range ``row`` alone, by
+        :meth:`route`'s own materialise and map (a leg built from its
+        ends, on its first read)."""
+        cur = self.cursor
+        _, ln, do, _ = _materialise(self._pairs, [row], cur.disp, cur.total_bytes, cur.data_lo)
+        fo, ln, do, _ = map_stream(self.memflat, do - cur.data_lo, ln)
+        return fo, ln, do
 
 
 class _Group:

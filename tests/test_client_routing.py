@@ -12,9 +12,15 @@
   Batches (values and dtypes), per-aggregator pairs and tiles, every
   ``ctx.charge`` value in order and every scan position must agree
   after every round;
-* one host-cost bound: the Python functions of ``repro.core`` and
+* legs built from their two ends against the route that materialised
+  every leg, kept here as the reference (``_materialise`` ->
+  ``map_stream`` -> ``_split``): a leg with a period answers its count,
+  emptiness, byte total and period before any array exists, and its
+  arrays, once read, are the reference's element for element;
+* host-cost bounds: the Python functions of ``repro.core`` and
   ``repro.datatypes`` one round enters do not grow with the aggregator
-  count;
+  count, and routing and gathering a leg with a period neither enters
+  more of them nor allocates more as its segment count grows;
 * the wire form: ``decode_flat(encode_flat(f)) == f``, and a payload
   with a bad header or a non-positive length still raises.
 """
@@ -25,6 +31,7 @@ import math
 import struct
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -48,11 +55,23 @@ from repro.core.realms import (
 from repro.core.two_phase_new import _Plan
 from repro.datatypes import BYTE, contiguous, hvector, resized
 from repro.datatypes.flatten import FlatType
-from repro.datatypes.segments import FanCursor, FlatCursor, SegmentBatch, _tiled_pairs
+from repro.datatypes.packing import gather_segments
+from repro.datatypes.segments import (
+    FanCursor,
+    FlatCursor,
+    SegmentBatch,
+    _leg_tiling,
+    _materialise,
+    _Pairs,
+    _split,
+    _tiled_pairs,
+    _whole,
+    map_stream,
+)
 from repro.datatypes.serialize import HEADER_BYTES, decode_flat, encode_flat
 from repro.errors import DatatypeError
 from repro.mpi.comm import HostTable
-from test_datatypes_blockwise import ref_data_to_file_segments
+from test_datatypes_blockwise import _accesses, _rounds, memflats, monotonic_flats, ref_data_to_file_segments
 
 COST = DEFAULT_COST_MODEL
 
@@ -317,6 +336,110 @@ def test_one_pass_matches_the_per_aggregator_loop(access, data, cb, use_heap, fa
             lost, r = None, 0
 
 
+# -- legs built from their ends vs the materialised route ----------------------------------
+def ref_route(fan, windows, positions):
+    """``FanCursor.route`` as it was when it materialised every leg:
+    every range's pairs clipped, mapped to memory and split by target,
+    a leg's period from ``_whole`` and ``_split``.  Scans from
+    ``positions`` (advanced in place), not the router's own."""
+    cur, memflat = fan.cursor, fan.memflat
+    tiling = None
+    if memflat.is_contiguous:
+        tiling = (0, 0, 0)
+    elif memflat.is_monotonic:
+        tiling = _leg_tiling(memflat, cur.total_bytes - cur.data_lo <= memflat.size)
+    counts, ranges = cur.scan(windows, positions)
+    batches = {}
+    if ranges:
+        _, ln, do, tid = _materialise(_Pairs([cur.flat]), ranges, cur.disp, cur.total_bytes, cur.data_lo)
+        if tid.size:
+            mfs, mln, mdo, src = map_stream(memflat, do - cur.data_lo, ln, tid[1:] != tid[:-1])
+            batches = _split(tid[src], mfs, mln, mdo, _whole(ranges, tid, [tiling] * len(windows)))
+    return [c if c is None else (*c, batches.get(i)) for i, c in enumerate(counts)]
+
+
+@st.composite
+def fan_passes(draw):
+    """A client access (drawn flat, ``disp``, a partial last tile, a data
+    window that may open mid-access), a memory type (contiguous, one
+    strided pair, an ``hvector`` flattened as one tile or tiled, a
+    two-level D-pair type, a non-monotonic one) and one or two passes of
+    two rounds over 1-5 targets' windows.  A new pass rewinds every scan
+    and draws new windows (a failover re-carve); ``rewind`` also rewinds
+    after every round (``use_heap=False``)."""
+    flat, disp, total, data_lo = _accesses(draw)
+    hi = FlatCursor(flat, disp, total, data_lo).last_byte + 8
+    targets = draw(st.integers(1, 5))
+    passes = []
+    for _ in range(draw(st.integers(1, 2))):
+        per_target = [_rounds(draw, hi) for _ in range(targets)]
+        passes.append([[per[r] or None for per in per_target] for r in range(2)])
+    memflat = draw(st.one_of(memflats(), monotonic_flats()))  # D > 1 as often as the rest
+    return (flat, disp, total, data_lo, memflat), targets, passes, draw(st.booleans())
+
+
+def _check_legs_from_ends(case) -> dict:
+    """Route ``case`` through ``FanCursor`` and the reference, round by
+    round; returns how many legs were built from their ends, by D."""
+    (flat, disp, total, data_lo, memflat), targets, passes, rewind = case
+    fan = FanCursor(FlatCursor(flat, disp, total, data_lo), targets, memflat)
+    built = {0: 0, 1: 0, "D>1": 0}
+    for rounds in passes:
+        fan.reset()
+        positions = list(fan.positions)
+        for windows in rounds:
+            got, want = fan.route(windows), ref_route(fan, windows, positions)
+            assert fan.positions == positions
+            for g, w in zip(got, want):
+                assert (g is None) == (w is None)
+                if w is None:
+                    continue
+                assert g[:2] == w[:2]
+                leg, ref = g[2], w[2]
+                assert (leg is None) == (ref is None)
+                if ref is None:
+                    continue
+                # A leg with a period is built from its ends and answers
+                # before any array exists; one without is materialised.
+                assert (leg.ends is not None) == (ref.period is not None)
+                if leg.ends is not None:
+                    assert not {"file_offsets", "lengths", "data_offsets"} & vars(leg).keys()
+                    D = ref.period[0]
+                    built[D if D < 2 else "D>1"] += 1
+                assert (leg.num_segments, leg.empty, leg.total_bytes, leg.period) == (
+                    ref.num_segments, ref.empty, ref.total_bytes, ref.period
+                )
+                for name in ("file_offsets", "lengths", "data_offsets"):
+                    a, b = getattr(leg, name), getattr(ref, name)
+                    assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b), name
+                assert (leg.pairs_evaluated, leg.tiles_skipped) == (0, 0)
+            if rewind:
+                fan.reset()
+                positions = list(fan.positions)
+    return built
+
+
+@given(case=fan_passes())
+@settings(max_examples=200, deadline=None)
+def test_legs_built_from_their_ends_equal_the_materialised_route(case):
+    _check_legs_from_ends(case)
+
+
+def test_drawn_fans_build_legs_from_their_ends():
+    """The differential is not vacuous: a seeded batch of draws builds
+    legs from their ends at D = 0, D = 1 and D > 1."""
+    seen = {0: 0, 1: 0, "D>1": 0}
+
+    @given(case=fan_passes())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def count(case):
+        for key, n in _check_legs_from_ends(case).items():
+            seen[key] += n
+
+    count()
+    assert min(seen.values()) > 10, seen
+
+
 # -- host cost: one pass, whatever the aggregator count --------------------------------------
 _LAYERS = tuple(str(Path(m.__file__).parent) for m in (repro.core, repro.datatypes))
 
@@ -352,12 +475,70 @@ def _round_calls(naggs: int) -> int:
 
 
 def test_a_round_enters_the_same_python_calls_at_any_aggregator_count():
-    """4, 16 and 64 aggregators: one count, at most 22 (20 on Python
-    3.11; the per-aggregator loop entered 129 / 513 / 2 049)."""
+    """4, 16 and 64 aggregators: one count, at most 12 (10 on Python
+    3.11; 21 while every leg was materialised; the per-aggregator loop
+    entered 129 / 513 / 2 049)."""
     _round_calls(4)  # warm imports
     calls = {naggs: _round_calls(naggs) for naggs in (4, 16, 64)}
     assert len(set(calls.values())) == 1, calls
-    assert calls[4] <= 22, calls
+    assert calls[4] <= 12, calls
+
+
+def _leg_cost(segments: int):
+    """Route and gather one client leg of ``segments`` 8-byte pieces
+    (``ranks_many``'s geometry: 8 B regions of 64 ranks, memory every
+    136 B through a one-tile ``hvector``, so D = 1): the Python
+    functions of ``repro.core`` + ``repro.datatypes`` entered, and the
+    traced allocation peak beyond the packed bytes, on fresh routers."""
+    view = resized(contiguous(8, BYTE), 0, 8 * 64).flatten()
+    memflat = hvector(segments, 8, 136, BYTE).flatten()
+    buf = np.arange(136 * segments, dtype=np.int64).astype(np.uint8)
+    windows = [[(0, view.extent * segments)]]
+
+    def run(fan):
+        leg = fan.route(windows)[0][2]
+        out = gather_segments(buf, leg)
+        assert leg.period is not None and leg.num_segments == segments and out.size == 8 * segments
+        assert not {"file_offsets", "lengths", "data_offsets"} & vars(leg).keys()
+        return out
+
+    fans = [FanCursor(FlatCursor(view, 0, 8 * segments), 1, memflat) for _ in range(2)]
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(_LAYERS):
+            calls += 1
+
+    outer = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        out = run(fans[0])
+    finally:
+        sys.setprofile(outer)
+    assert np.array_equal(out, buf.reshape(-1, 136)[:, :8].ravel())
+    tracemalloc.start()
+    try:
+        out = run(fans[1])
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        fans[1].route(windows)[0][2].lengths  # what reading the arrays costs
+        built = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return calls, peak - out.nbytes, built
+
+
+def test_a_leg_with_a_period_costs_the_same_at_any_segment_count():
+    """32, 256 and 4 096 segments: routing and gathering the leg enter
+    one count of Python calls and allocate at most 8 KiB beyond its
+    packed bytes, where building its arrays allocates at least their 24 B
+    per segment (96 KiB at 4 096)."""
+    _leg_cost(32)  # warm imports
+    got = {n: _leg_cost(n) for n in (32, 256, 4096)}
+    assert len({calls for calls, _, _ in got.values()}) == 1, got
+    assert all(extra <= 8192 for _, extra, _ in got.values()), got
+    assert all(built >= 24 * n for n, (_, _, built) in got.items()), got
 
 
 # -- the wire form ----------------------------------------------------------------------------

@@ -829,6 +829,81 @@ def test_a_routed_fig4_leg_never_enters_period_detection(monkeypatch):
     assert calls == {"_period": 0, "stream_order": 0}
 
 
+def test_whole_in_phase_ends_fold_into_one_block():
+    """D = 1: a first and a last segment of the body's length, one
+    stride before and after it on both sides, join the body in one
+    block of m + 2 rows; a ragged or out-of-phase end keeps its one-row
+    block, and D > 1 never folds."""
+    body = [(8, 236, 8)]  # (dst, src, length): row 1 of 8 B, 136 B apart in src
+    whole = packing._blocks(1, [(0, 100, 8), *body], (8 * 31, 100 + 31 * 136, 8), 30, 8, 136)
+    assert whole == [(0, 100, 8, 32, 8, 136)]
+    ragged_first = packing._blocks(1, [(3, 105, 5), *body], (8 * 31, 100 + 31 * 136, 8), 30, 8, 136)
+    ragged_last = packing._blocks(1, [(0, 100, 8), *body], (8 * 31, 100 + 31 * 136, 3), 30, 8, 136)
+    out_of_phase = packing._blocks(1, [(0, 99, 8), *body], (8 * 31, 100 + 31 * 136, 8), 30, 8, 136)
+    for blocks in (ragged_first, ragged_last, out_of_phase):
+        assert len(blocks) == 3 and blocks[1] == (8, 236, 8, 30, 8, 136), blocks
+        assert blocks[0][3] == blocks[2][3] == 1
+    two = packing._blocks(2, [(0, 0, 4), (4, 10, 4), (8, 20, 4)], (8 * 8 + 4, 20 * 8 + 10, 4), 16, 8, 20)
+    assert len(two) == 4
+
+
+def test_a_spine_leg_moves_as_one_block():
+    """Every ``fig4_*`` leg, client and aggregator, has whole ends: one
+    strided copy of all its segments each way."""
+    for batch, _ in _fig4_legs():
+        for gather in (True, False):
+            blocks = packing._leg_blocks(batch, gather)
+            assert len(blocks) == 1 and blocks[0][3] == batch.num_segments == 256, blocks
+
+
+@st.composite
+def d1_legs(draw):
+    """A client leg at D = 1 as ``FanCursor`` builds it: R-byte regions
+    every P bytes, memory L bytes every S (one pair, or an ``hvector``
+    flattened as one tile), a window and a data window cutting anywhere,
+    so either end may be whole or ragged."""
+    R, L = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    P, S = R + draw(st.integers(0, 40)), L + draw(st.integers(1, 40))
+    total = draw(st.integers(L * 8, L * 80))
+    data_lo = draw(st.sampled_from((0, 0, draw(st.integers(0, total // 4)))))
+    memflat = (
+        hvector(-(-total // L), L, S, BYTE).flatten() if draw(st.booleans()) else FlatType([0], [L], S)
+    )
+    view = FlatType([0], [R], P)
+    span = P * -(-total // R)
+    lo = draw(st.integers(0, span // 4))
+    hi = draw(st.integers(lo + 1, span + 4))
+    return view, total, data_lo, memflat, (lo, hi)
+
+
+@given(case=d1_legs(), seed=st.integers(0, 2**16))
+@settings(max_examples=200, deadline=None)
+def test_d1_legs_move_the_bytes_copy_segments_moves(case, seed):
+    """Gather and scatter of a D = 1 leg through its ends (folded or
+    not) move exactly the bytes ``copy_segments`` moves over its
+    materialised arrays, and the reference's."""
+    view, total, data_lo, memflat, window = case
+    fan = FanCursor(FlatCursor(view, 0, total, data_lo), 1, memflat)
+    leg = fan.route([[window]])[0][2]
+    if leg is None or leg.period is None:
+        return
+    assert leg.period[0] == 1
+    rng = np.random.default_rng(seed)
+    size = int(memflat.extent * memflat.tile_count(total - data_lo) + memflat.span_hi)
+    buf = rng.integers(0, 256, size=size, dtype=np.uint8)
+    data = rng.integers(0, 256, size=leg.total_bytes, dtype=np.uint8)
+    packed, scattered = gather_segments(buf, leg), buf.copy()
+    scatter_segments(scattered, leg, data)
+    # Only now are the arrays built.
+    pos = np.cumsum(leg.lengths) - leg.lengths
+    want = np.empty(leg.total_bytes, dtype=np.uint8)
+    copy_segments(want, pos, buf, leg.file_offsets, leg.lengths)
+    assert np.array_equal(packed, want) and np.array_equal(packed, ref_gather(buf, leg))
+    want = buf.copy()
+    copy_segments(want, leg.file_offsets, data, pos, leg.lengths)
+    assert np.array_equal(scattered, want)
+
+
 def test_nothing_derived_from_a_leg_inherits_its_period():
     """Coalescing, slicing (``clip_to_range``, ``subtract_intervals``),
     concatenating and re-wrapping a leg's arrays as the suspect tail does

@@ -480,14 +480,15 @@ def _round_calls(n: int):
 
 def test_a_round_enters_the_same_python_calls_at_any_aggregator_count():
     """4, 16 and 64 ranks, each a client and an aggregator: outside its
-    scans a round enters one count of calls, at most 40 (31 on Python
-    3.11; in all 41 / 65 / 161, where the parent's loops entered 41 /
-    149 / 581); it scans once as a client and at most once per client
-    with requests as an aggregator, each scan entering at most one call
-    more; it cuts nothing."""
+    scans a round enters one count of calls, at most 28 (26 on Python
+    3.11; in all 36 / 60 / 156, and 42 / 66 / 162 while every client leg
+    was materialised, where the parent's loops entered 41 / 149 / 581);
+    it scans once as a client and at most once per client with requests
+    as an aggregator, each scan entering at most one call more; it cuts
+    nothing."""
     _round_calls(4)  # warm imports
     got = {n: _round_calls(n) for n in (4, 16, 64)}
     assert len({calls - in_scans for calls, _, in_scans, _ in got.values()}) == 1, got
     for n, (_, scans, in_scans, cuts) in got.items():
         assert scans <= 1 + n and in_scans <= 2 * scans and cuts == 0, got
-    assert got[4][0] - got[4][2] <= 40, got
+    assert got[4][0] - got[4][2] <= 28, got
